@@ -131,14 +131,15 @@ def _cmd_solve_ref(args) -> int:
     problem = build_problem(cfg)
     ref = problem.reference
     assert ref is not None
-    print(f"f_star = {ref.f_star!r}")
-    print(f"gap_tolerance = {ref.gap_tolerance!r}")
+    lines = [
+        f"f_star = {ref.f_star!r}",
+        f"gap_tolerance = {ref.gap_tolerance!r}",
+        f"method = {ref.method}",
+        f"iterations = {ref.iterations}",
+    ]
+    print("\n".join(lines))
     if args.out:
-        lines = [
-            f"f_star = {ref.f_star!r}",
-            f"gap_tolerance = {ref.gap_tolerance!r}",
-            "x_star = " + " ".join(repr(float(v)) for v in ref.x_star),
-        ]
+        lines.append("x_star = " + " ".join(repr(float(v)) for v in ref.x_star))
         Path(args.out).write_text("\n".join(lines) + "\n")
         print(f"reference written to {args.out}")
     return 0

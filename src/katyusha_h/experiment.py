@@ -349,7 +349,7 @@ def _trace_header(cfg: ExperimentConfig, problem: FiniteSumProblem, seed: int,
                   alpha: float | None = None, b: int | None = None) -> dict[str, str]:
     solver = cfg.solver
     head = {
-        "trace_format": "1",
+        "trace_format": "2",
         "problem": (
             f"family={cfg.problem.family} reg={cfg.problem.reg} "
             f"n={problem.n} d={problem.d}"
@@ -365,7 +365,7 @@ def _trace_header(cfg: ExperimentConfig, problem: FiniteSumProblem, seed: int,
     if problem.reference is not None:
         head["f_star"] = repr(float(problem.reference.f_star))
         head["f_star_tolerance"] = repr(float(problem.reference.gap_tolerance))
-        head["reference"] = "fista-restart"
+        head["reference"] = problem.reference.method
     else:
         head["f_star"] = repr(0.0)
         head["reference"] = "none (gaps are raw objective values)"

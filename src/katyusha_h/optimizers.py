@@ -325,6 +325,7 @@ def fista_run(
 
 def fista_solve(
     problem,
+    L: float,
     tol: float,
     max_iterations: int,
     restart: bool = True,
@@ -332,11 +333,12 @@ def fista_solve(
 ) -> tuple[np.ndarray, float, float, int]:
     """Over-solve with (optionally restarted) FISTA for reference solutions.
 
-    Stops when the composite gradient-mapping certificate pushes the gap
-    estimate ||G|| * radius below tol, where the radius proxy is
-    max(1, 2*||x_best||).  Returns (x_best, f_best, gap_estimate, iterations).
+    ``L`` bounds the smoothness of the average f (not of each component);
+    steps are 1/L.  Stops when the composite gradient-mapping certificate
+    pushes the gap estimate ||G|| * radius below tol, where the radius proxy
+    is max(1, 2*||x_best||).  Returns (x_best, f_best, gap_estimate,
+    iterations).
     """
-    L = problem.L
     x = np.zeros(problem.d) if x0 is None else np.asarray(x0, float).copy()
     y = x.copy()
     theta = 1.0

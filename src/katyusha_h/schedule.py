@@ -75,8 +75,10 @@ def compute_constants(config: ScheduleConfig) -> ScheduleParams:
     inner = max(6.0 / 5.0, 1.0 / (1.0 - 1.0 / alpha17))
     c = max(2.0, inner / config.batch_size) + 1.0
     xi = 1.0 / (config.batch_size * c)
-    assert c <= C_MAX, f"c = {c} exceeds the uniform cap {C_MAX}"
-    assert 0.0 < xi < 1.0
+    if not c <= C_MAX:
+        raise ValueError(f"c = {c} exceeds the uniform cap {C_MAX}")
+    if not 0.0 < xi < 1.0:
+        raise ValueError(f"xi = {xi} must lie in (0, 1)")
     return ScheduleParams(
         alpha=config.alpha,
         batch_size=config.batch_size,
@@ -171,8 +173,9 @@ def p_at(cursor: ScheduleCursor, params: ScheduleParams) -> float:
     a_t = cursor.alpha_t
     num = cursor.alpha_prev ** 2 - a_t ** 2 + a_t + params.xi * a_t ** 2
     den = denominator_at(cursor, params)
-    # D_t >= xi * alpha_{t+1}^2 > 0 for t >= 1, so the denominator cannot vanish.
-    assert den > 0.0
+    # D_t >= xi * alpha_{t+1}^2 > 0 for t >= 1, so only a corrupt cursor gets here.
+    if not den > 0.0:
+        raise ValueError(f"denominator D_{cursor.t} = {den} must be positive")
     # At t=1 numerator and denominator are equal terms summed in different
     # orders; rounding can land an ulp outside [0, 1], so clamp.
     return min(max(num / den, 0.0), 1.0)

@@ -109,6 +109,28 @@ class TestRunCommand:
         assert [r["t"] for r in rows] == list(range(41))
         assert header["method"] == "katyusha_h"
         assert "f_star" in header
+        assert header["trace_format"] == "2"
+        assert header["reference"] == "fista-restart"  # l1 takes the FISTA path
+
+    def test_direct_reference_named_in_header(self, config_path):
+        cfg = load_config(config_path)
+        cfg.problem.reg = "squared_l2"
+        cfg.problem.lam1, cfg.problem.lam2 = 0.0, 0.05
+        header, _ = read_trace(run_command(cfg)[0])
+        assert header["reference"] == "lstsq"
+        assert header["f_star_tolerance"] == repr(1e-12)
+
+    def test_reads_format_one_traces(self, tmp_path):
+        path = tmp_path / "v1.csv"
+        path.write_text(
+            "# trace_format = 1\n# method = katyusha_h\n# reference = fista-restart\n"
+            "t,F_y_gap,F_w_gap,p_t,ckpt_updated,ifo_total,lyapunov\n"
+            "0,0.5,0.5,,0,30,\n1,0.25,0.5,1.0,1,32,0.75\n"
+        )
+        header, rows = read_trace(path)
+        assert header["trace_format"] == "1"
+        assert [r["t"] for r in rows] == [0, 1]
+        assert rows[1]["ifo_total"] == 32 and rows[1]["lyapunov"] == 0.75
 
     def test_seeds_diverge(self, config_path):
         p0, p1 = run_command(load_config(config_path))
@@ -233,6 +255,22 @@ class TestSolveRefCommand:
         text = out.read_text()
         assert text.startswith("f_star = ")
         assert "x_star = " in text
+        assert "method = fista-restart" in text
+        assert "method = fista-restart" in capsys.readouterr().out
+
+
+class TestNonFiniteInputs:
+    def test_non_finite_data_file_is_exit_two(self, tmp_path, capsys):
+        data = tmp_path / "d.txt"
+        data.write_text("1 1:0.5 2:1\n-1 1:nan\n")
+        path = tmp_path / "exp.ini"
+        path.write_text(
+            f"[problem]\nfamily = logistic\ndata = {data}\n\n"
+            f"[run]\niterations = 5\n\n[output]\ndirectory = {tmp_path / 'out'}\n"
+        )
+        assert main(["run", "--config", str(path)]) == 2
+        assert "line 2" in capsys.readouterr().err
+        assert main(["parse-data", str(data)]) == 2
 
 
 class TestParseDataCommand:

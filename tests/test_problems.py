@@ -7,14 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from katyusha_h import optimizers
 from katyusha_h.problems import (
     DataFormatError,
+    FiniteSumProblem,
     SparseDataset,
     dataset_from_dense,
     make_least_squares,
     make_logistic,
     make_rng,
     parse_libsvm,
+    quadratic_gap_bound,
     serialize_libsvm,
     solve_reference,
     synthesize,
@@ -63,6 +66,11 @@ class TestParser:
             ("1 2:1 2:5\n", 1),
             ("1 1:1\n-1 2:a\n", 2),
             ("1 -3:1\n", 1),
+            ("1 1:nan\n", 1),
+            ("1 1:0.5\n-1 2:inf\n", 2),
+            ("1 1:-inf\n", 1),
+            ("1 1:0.5\nnan 1:1\n", 2),
+            ("inf\n", 1),
         ],
     )
     def test_malformed_lines_carry_line_numbers(self, text, line):
@@ -130,6 +138,22 @@ class TestLeastSquares:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             make_least_squares(SparseDataset(rows=[], labels=np.array([]), d=0))
+
+    @pytest.mark.parametrize(
+        "A, targets, L",
+        [
+            ([[1.0, np.nan]], [0.0], 1.0),
+            ([[1.0, np.inf]], [0.0], 1.0),
+            ([[1.0, 0.0]], [np.nan], 1.0),
+            ([[1.0, 0.0]], [-np.inf], 1.0),
+            ([[1.0, 0.0]], [0.0], np.nan),
+            ([[1.0, 0.0]], [0.0], np.inf),
+            ([[1.0, 0.0]], [0.0], 0.0),
+        ],
+    )
+    def test_non_finite_problem_rejected(self, A, targets, L):
+        with pytest.raises(ValueError):
+            FiniteSumProblem(A=A, targets=targets, loss="least_squares", L=L)
 
 
 class TestLogistic:
@@ -258,10 +282,30 @@ class TestSolveReference:
         assert ref.f_star == pytest.approx(f_direct, abs=1e-11)
         np.testing.assert_allclose(ref.x_star, x_direct, atol=1e-5)
 
-    def test_reports_achieved_tolerance_on_cap(self):
-        _, prob = synthesize(30, 5, "least_squares", seed=17)
-        ref = solve_reference(prob, tol=1e-300, max_iterations=50)
+    @pytest.mark.parametrize(
+        "reg", [Regularizer.zero(), Regularizer.l1(0.01)], ids=["zero-direct", "l1-fista"]
+    )
+    def test_reports_achieved_tolerance_on_cap(self, reg):
+        _, prob = synthesize(30, 5, "least_squares", seed=17, reg=reg)
+        with pytest.warns(RuntimeWarning, match="above the requested 1e-300"):
+            ref = solve_reference(prob, tol=1e-300, max_iterations=50)
         assert ref.gap_tolerance > 1e-300  # honest about the miss
+
+    def test_method_follows_problem(self):
+        _, prob = synthesize(30, 5, "least_squares", seed=17)
+        for reg, method in [
+            (Regularizer.zero(), "lstsq"),
+            (Regularizer.squared_l2(0.1), "lstsq"),
+            (Regularizer.l1(0.01), "fista-restart"),
+            (Regularizer.elastic_net(0.01, 0.1), "fista-restart"),
+        ]:
+            prob.reg = reg
+            ref = solve_reference(prob, tol=1e-12)
+            assert ref.method == method
+            assert (ref.iterations > 0) == (method == "fista-restart")
+            assert ref.f_star == prob.value(ref.x_star)
+        _, logistic = synthesize(30, 5, "logistic", seed=17, reg=Regularizer.l1(0.01))
+        assert solve_reference(logistic, tol=1e-10).method == "fista-restart"
 
     def test_tolerance_must_be_positive(self):
         _, prob = synthesize(5, 2, "least_squares", seed=1)
@@ -274,6 +318,87 @@ class TestSolveReference:
             prob.gap(np.zeros(3))
         with_reference(prob, tol=1e-10)
         assert prob.gap(prob.reference.x_star) <= 1e-12
+
+
+def _smoothness_of_average(prob):
+    scale = 0.25 if prob.loss == "logistic" else 1.0
+    return scale * float(np.linalg.eigvalsh(prob.A.T @ prob.A / prob.n)[-1])
+
+
+def _normal_equations_optimum(prob):
+    lam2 = prob.reg.lam2
+    H = prob.A.T @ prob.A / prob.n + lam2 * np.eye(prob.d)
+    return np.linalg.solve(H, prob.A.T @ prob.targets / prob.n)
+
+
+QUADRATIC_CASES = [
+    (40, 6, Regularizer.zero()),
+    (40, 6, Regularizer.squared_l2(0.05)),
+    (8, 12, Regularizer.squared_l2(0.05)),  # rank A < d: curvature lam2 off the row space
+]
+
+
+class TestReferenceOracles:
+    @pytest.mark.parametrize(
+        "family, reg",
+        [
+            ("least_squares", Regularizer.l1(0.02)),
+            ("least_squares", Regularizer.elastic_net(0.01, 0.01)),
+            ("logistic", Regularizer.squared_l2(0.01)),
+            ("logistic", Regularizer.l1(0.01)),
+        ],
+    )
+    def test_fista_steps_with_smoothness_of_average(self, family, reg, monkeypatch):
+        _, prob = synthesize(60, 8, family, seed=3, reg=reg, condition=100.0)
+        seen = []
+        real = optimizers.fista_solve
+
+        def spy(problem, L, **kwargs):
+            seen.append(L)
+            return real(problem, L, **kwargs)
+
+        monkeypatch.setattr(optimizers, "fista_solve", spy)
+        solve_reference(prob, tol=1e-10)
+        L_f = _smoothness_of_average(prob)
+        assert seen == [pytest.approx(L_f, rel=1e-12)]
+        assert seen[0] <= prob.L
+
+    @pytest.mark.parametrize("n, d, reg", QUADRATIC_CASES)
+    def test_direct_agrees_with_fista_at_l_f(self, n, d, reg):
+        _, prob = synthesize(n, d, "least_squares", seed=9, reg=reg, condition=10.0)
+        ref = solve_reference(prob, tol=1e-12)
+        assert ref.method == "lstsq" and ref.gap_tolerance == 1e-12
+        _, f_fista, gap_fista, _ = optimizers.fista_solve(
+            prob, _smoothness_of_average(prob), tol=1e-12, max_iterations=100_000
+        )
+        assert abs(f_fista - ref.f_star) <= gap_fista + ref.gap_tolerance
+
+    @pytest.mark.parametrize("n, d, reg", QUADRATIC_CASES)
+    def test_direct_certificate_bounds_true_gap(self, n, d, reg):
+        _, prob = synthesize(n, d, "least_squares", seed=9, reg=reg, condition=10.0)
+        x_opt = _normal_equations_optimum(prob)
+        f_opt = prob.value(x_opt)
+        ref = solve_reference(prob, tol=1e-12)
+        assert ref.f_star - f_opt <= ref.gap_tolerance
+        s = np.linalg.svd(prob.A, compute_uv=False)
+        rng = make_rng(4)
+        for _ in range(20):
+            x = x_opt + 1e-2 * rng.standard_normal(d)
+            gap = prob.value(x) - f_opt
+            assert 0.0 <= gap <= quadratic_gap_bound(prob, x, s) * (1.0 + 1e-9)
+        # tight along the flattest direction the gradient can take
+        H = prob.A.T @ prob.A / n + reg.lam2 * np.eye(d)
+        evals, evecs = np.linalg.eigh(H)
+        k = int(np.argmax(evals > 1e-12))
+        x = x_opt + 1e-2 * evecs[:, k]
+        assert quadratic_gap_bound(prob, x, s) == pytest.approx(
+            prob.value(x) - f_opt, rel=1e-6
+        )
+
+    def test_gap_bound_needs_a_quadratic(self):
+        _, prob = synthesize(10, 3, "least_squares", seed=4, reg=Regularizer.l1(0.1))
+        with pytest.raises(ValueError):
+            quadratic_gap_bound(prob, np.zeros(3), np.ones(3))
 
 
 class TestDenseRoundTrip:

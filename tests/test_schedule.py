@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from katyusha_h import schedule
 from katyusha_h.schedule import (
     ScheduleConfig,
     ScheduleCursor,
@@ -123,6 +124,20 @@ class TestConstants:
         with pytest.raises(ValueError):
             ScheduleConfig(alpha=0.5, batch_size=0, n=2)
 
+    def test_cap_breach_raises(self, monkeypatch):
+        # alpha_17 just above 1 blows up the inverse-gap term past C_MAX
+        monkeypatch.setattr(schedule, "growth_coefficient", lambda alpha: 1.01 / 17.0 ** alpha)
+        with pytest.raises(ValueError, match="uniform cap"):
+            compute_constants(ScheduleConfig(alpha=0.5, batch_size=1, n=1))
+
+    def test_xi_outside_unit_interval_raises(self):
+        # a batch size ScheduleConfig would refuse drives xi below 0
+        config = object.__new__(ScheduleConfig)
+        for key, value in dict(alpha=0.5, batch_size=-1, n=1).items():
+            object.__setattr__(config, key, value)
+        with pytest.raises(ValueError, match="xi"):
+            compute_constants(config)
+
 
 class TestDenominator:
     def test_flat_schedule_value(self):
@@ -177,6 +192,13 @@ class TestProbability:
         p = params_for(0.5)
         with pytest.raises(ValueError):
             p_at(initial_cursor(p), p)
+
+    @pytest.mark.parametrize("cum_sum", [-1e3, math.nan])
+    def test_non_positive_denominator_raises(self, cum_sum):
+        p = params_for(0.5)
+        corrupt = ScheduleCursor(t=5, alpha_t=6.0, alpha_prev=6.0, cum_sum=cum_sum)
+        with pytest.raises(ValueError, match="denominator"):
+            p_at(corrupt, p)
 
 
 class TestTau:
