@@ -309,11 +309,3 @@ def accuracy_free_config(n: int) -> tuple[float, int]:
     root = math.isqrt(n)
     b = root if root * root == n else root + 1
     return 1.0, b
-
-
-def partial_sum_power(lo: int, hi: int, exponent: float) -> float:
-    """sum_{t=lo}^{hi} t**exponent by direct summation (validates integral bounds)."""
-    if lo < 1 or hi < lo:
-        raise ValueError("need 1 <= lo <= hi")
-    t = np.arange(lo, hi + 1, dtype=np.float64)
-    return float(np.sum(t ** exponent))

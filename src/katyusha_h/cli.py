@@ -43,7 +43,7 @@ def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.seeds:
         cfg.run.seeds = _parse_ints(args.seeds)
-    paths = run_command(cfg, out_dir=args.out, jobs=args.jobs)
+    paths = run_command(cfg, out_dir=args.out)
     for path in paths:
         print(path)
     return 0
@@ -55,7 +55,7 @@ def _cmd_sweep(args) -> int:
         cfg.run.seeds = _parse_ints(args.seeds)
     alphas = _parse_floats(args.alphas) if args.alphas else None
     bs = _parse_ints(args.bs) if args.bs else None
-    rows, path = sweep_command(cfg, alphas=alphas, bs=bs, out_dir=args.out, jobs=args.jobs)
+    rows, path = sweep_command(cfg, alphas=alphas, bs=bs, out_dir=args.out)
     print("alpha      b     reached   mean_ifo        mean_final_gap")
     for r in rows:
         print(
@@ -176,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="override the output directory")
     p.add_argument("--seeds", default=None, help="override config seeds, e.g. 0,1,2")
-    p.add_argument("--jobs", type=int, default=1, help="run seeds concurrently")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("sweep", help="run an (alpha, b) grid and summarize costs")
@@ -185,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bs", default=None, help="e.g. 1,10")
     p.add_argument("--out", default=None)
     p.add_argument("--seeds", default=None, help="override config seeds, e.g. 0,1,2")
-    p.add_argument("--jobs", type=int, default=1, help="run grid cells concurrently")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("verify", help="certify the schedule inequalities by scan")

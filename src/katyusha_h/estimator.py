@@ -36,14 +36,16 @@ class IfoLedger:
 class Checkpoint:
     """Full-gradient point: iterate, its full gradient, and a version stamp.
 
-    ``component_grads`` optionally caches all n per-component gradients at w
-    (memory n*d) so estimates can skip re-evaluating the checkpoint side.
+    ``residuals`` optionally caches the n scalar residuals r_i(w) (memory n):
+    for these linear models grad f_i(w) = a_i * r_i(w), so estimates can
+    rebuild the checkpoint side from the feature rows without re-evaluating
+    the loss.
     """
 
     w: np.ndarray
     full_grad: np.ndarray
     version: int
-    component_grads: np.ndarray | None = None
+    residuals: np.ndarray | None = None
 
 
 def make_checkpoint(
@@ -55,13 +57,13 @@ def make_checkpoint(
 ) -> Checkpoint:
     """Compute the full gradient at w (cost n) and wrap it as a checkpoint."""
     if cache:
-        grads = problem.component_grad_matrix(w)
-        full = grads.mean(axis=0)
+        residuals = problem.residual(slice(None), w)
+        full = (problem.A * residuals[:, None]).mean(axis=0)
     else:
-        grads = None
+        residuals = None
         full = problem.full_grad(w)
     ledger.checkpoint_calls += problem.n
-    return Checkpoint(w=w, full_grad=full, version=version, component_grads=grads)
+    return Checkpoint(w=w, full_grad=full, version=version, residuals=residuals)
 
 
 def sample_subset(n: int, b: int, rng: np.random.Generator) -> np.ndarray:
@@ -97,11 +99,12 @@ def svrg_estimate(
     gradient directly so it is bit-identical to a plain full-gradient call.
     """
     b = len(idx)
-    if ckpt.component_grads is not None:
+    if ckpt.residuals is not None:
         ledger.minibatch_calls += b
         if b == problem.n:
             return problem.full_grad(x)
-        diff = problem.grad_sum(idx, x) - ckpt.component_grads[idx].sum(axis=0)
+        cached = (problem.A[idx] * ckpt.residuals[idx, None]).sum(axis=0)
+        diff = problem.grad_sum(idx, x) - cached
     else:
         ledger.minibatch_calls += 2 * b
         if b == problem.n:
@@ -140,7 +143,7 @@ def maybe_update_checkpoint(
         np.array(candidate, copy=True),
         problem,
         ledger,
-        cache=ckpt.component_grads is not None,
+        cache=ckpt.residuals is not None,
         version=ckpt.version + 1,
     )
     return new, True

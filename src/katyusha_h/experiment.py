@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import configparser
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,7 +49,6 @@ class ProblemSpec:
     reg: str = "zero"
     lam1: float = 0.0
     lam2: float = 0.0
-    L: float | None = None  # override the analytic smoothness bound
 
 
 @dataclass
@@ -143,7 +141,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
                 "family": str, "n": int, "d": int, "seed": int,
                 "condition": float, "noise": float, "density": float,
                 "consistent": bool, "data": str, "reg": str,
-                "lam1": float, "lam2": float, "L": float,
+                "lam1": float, "lam2": float,
             })
         elif section == "solver":
             if items.get("eta", "").strip().lower() == "auto":
@@ -194,6 +192,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("[run] epsilon target requires a [reference] section")
     if cfg.output.lyapunov and cfg.reference is None:
         raise ConfigError("[output] lyapunov requires a [reference] section")
+    if cfg.run.eval_every is not None and cfg.run.eval_every < 1:
+        raise ConfigError("[run] eval_every must be at least 1")
+    if cfg.output.trace_stride < 1:
+        raise ConfigError("[output] trace_stride must be at least 1")
     if cfg.problem.data is not None and not Path(cfg.problem.data).exists():
         raise ConfigError(f"dataset file not found: {cfg.problem.data}")
 
@@ -228,10 +230,6 @@ def build_problem(cfg: ExperimentConfig) -> FiniteSumProblem:
             density=cfg.problem.density,
             consistent=cfg.problem.consistent,
         )
-    if cfg.problem.L is not None:
-        if cfg.problem.L <= 0.0:
-            raise ConfigError("[problem] L must be positive")
-        problem.L = cfg.problem.L
     if cfg.reference is not None:
         problem.reference = solve_reference(
             problem, tol=cfg.reference.tol, max_iterations=cfg.reference.max_iterations
@@ -248,37 +246,31 @@ def run_single(
 ) -> list[TraceRecord]:
     """One solver run for one seed (alpha/b overrides serve sweep cells)."""
     solver = cfg.solver
-    method = solver.method
-    if method == "katyusha_h":
-        run_cfg = RunConfig(
-            alpha=solver.alpha if alpha is None else alpha,
-            batch_size=solver.b if b is None else b,
-            eta=solver.eta,
-            iterations=cfg.run.iterations,
-            epsilon=cfg.run.epsilon,
-            seed=seed,
-            record_every=cfg.output.trace_stride,
-            eval_every=cfg.run.eval_every,
-            lyapunov=cfg.output.lyapunov,
-            cache_checkpoint_grads=solver.cache_checkpoint_grads,
-            max_iterations=cfg.run.max_iterations,
-        )
-        return optimizers.run(problem, run_cfg)
-    common = dict(
+    stopping = dict(
         iterations=cfg.run.iterations,
         epsilon=cfg.run.epsilon,
         record_every=cfg.output.trace_stride,
         max_iterations=cfg.run.max_iterations,
     )
-    if method == "fista":
-        return optimizers.fista_run(problem, **common)
-    if method == "pgd":
-        return optimizers.pgd_run(problem, **common)
-    if method == "psgd":
-        if cfg.run.eval_every is not None:
-            common["eval_every"] = cfg.run.eval_every
-        return optimizers.psgd_run(problem, seed=seed, **common)
-    raise ConfigError(f"unknown solver method {method!r}")
+    if cfg.run.eval_every is not None:  # else each method's own cadence
+        stopping["eval_every"] = cfg.run.eval_every
+    if solver.method == "katyusha_h":
+        return optimizers.run(problem, RunConfig(
+            alpha=solver.alpha if alpha is None else alpha,
+            batch_size=solver.b if b is None else b,
+            eta=solver.eta,
+            seed=seed,
+            lyapunov=cfg.output.lyapunov,
+            cache_checkpoint_grads=solver.cache_checkpoint_grads,
+            **stopping,
+        ))
+    if solver.method == "fista":
+        return optimizers.fista_run(problem, **stopping)
+    if solver.method == "pgd":
+        return optimizers.pgd_run(problem, **stopping)
+    if solver.method == "psgd":
+        return optimizers.psgd_run(problem, seed=seed, **stopping)
+    raise ConfigError(f"unknown solver method {solver.method!r}")
 
 
 def _fmt(x: float) -> str:
@@ -372,34 +364,19 @@ def _trace_header(cfg: ExperimentConfig, problem: FiniteSumProblem, seed: int,
     return head
 
 
-def _run_map(worker, items, jobs: int):
-    """Map with optional thread fan-out; runs share nothing mutable."""
-    if jobs <= 1 or len(items) <= 1:
-        return [worker(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, items))
-
-
-def run_command(
-    cfg: ExperimentConfig, out_dir: str | Path | None = None, jobs: int = 1
-) -> list[Path]:
-    """Execute the configured runs, one trace file per seed.
-
-    Seeds execute independently (optionally in parallel); each writes its own
-    file, so outputs are byte-identical regardless of ``jobs``.
-    """
+def run_command(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> list[Path]:
+    """Execute the configured runs, one trace file per seed."""
     problem = build_problem(cfg)
     out = Path(out_dir if out_dir is not None else cfg.output.directory)
     out.mkdir(parents=True, exist_ok=True)
     f_star = problem.reference.f_star if problem.reference is not None else 0.0
-
-    def one_seed(seed: int) -> Path:
+    paths = []
+    for seed in cfg.run.seeds:
         records = run_single(problem, cfg, seed)
         path = out / f"trace_{cfg.solver.method}_seed{seed}.csv"
         write_trace(path, records, _trace_header(cfg, problem, seed), f_star)
-        return path
-
-    return _run_map(one_seed, list(cfg.run.seeds), jobs)
+        paths.append(path)
+    return paths
 
 
 @dataclass(frozen=True)
@@ -421,14 +398,12 @@ def sweep_command(
     alphas: tuple[float, ...] | None = None,
     bs: tuple[int, ...] | None = None,
     out_dir: str | Path | None = None,
-    jobs: int = 1,
 ) -> tuple[list[SweepRow], Path]:
     """Run the (alpha, b) grid and aggregate per-cell cost over seeds.
 
     With an epsilon target the aggregate is IFO-to-target; with a fixed
     iteration budget it is total IFO spent.  Cells where some seed misses the
-    target report how many seeds reached it.  Cells execute independently
-    (optionally in parallel) and the summary order is fixed by the grid.
+    target report how many seeds reached it.  Rows follow the grid order.
     """
     if cfg.solver.method != "katyusha_h":
         raise ConfigError("sweep supports only the katyusha_h solver")
@@ -441,8 +416,7 @@ def sweep_command(
     out = Path(out_dir if out_dir is not None else cfg.output.directory)
     out.mkdir(parents=True, exist_ok=True)
 
-    def one_cell(cell: tuple[float, int]) -> SweepRow:
-        alpha, b = cell
+    def one_cell(alpha: float, b: int) -> SweepRow:
         ifos, iters, gaps, reached = [], [], [], 0
         for seed in cfg.run.seeds:
             final = run_single(problem, cfg, seed, alpha=alpha, b=b)[-1]
@@ -463,8 +437,7 @@ def sweep_command(
             mean_final_gap=float(np.mean(gaps)),
         )
 
-    cells = [(alpha, b) for alpha in alphas for b in bs]
-    rows = _run_map(one_cell, cells, jobs)
+    rows = [one_cell(alpha, b) for alpha in alphas for b in bs]
     path = out / "sweep_summary.csv"
     lines = ["alpha,b,seeds,reached_target,mean_ifo,sd_ifo,mean_iterations,mean_final_gap"]
     for r in rows:

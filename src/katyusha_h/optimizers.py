@@ -12,11 +12,13 @@ One iteration of the main method:
 The checkpoint candidate is the pre-update y: the per-step Lyapunov
 coefficients telescope only when a checkpoint hit lands on y_t, so replacing
 with the post-update y would break the descent guarantee.
+
+Every solver runs in one loop, ``_drive``, which owns the stopping rule, the
+epsilon test and the trace records; each method supplies only its step.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -107,33 +109,12 @@ class KatyushaHState:
     rng: np.random.Generator
     ledger: IfoLedger
     y_version: int | None  # checkpoint version y coincides with, else None
+    p: float = math.nan  # p_t of the last iteration's checkpoint draw
+    checkpoint_updated: bool = False  # whether that draw hit
 
     @property
     def t(self) -> int:
         return self.cursor.t
-
-    def copy(self) -> "KatyushaHState":
-        """Independent deep copy (own RNG stream state) for oracle lookahead."""
-        return KatyushaHState(
-            x=self.x.copy(),
-            y=self.y.copy(),
-            z=self.z.copy(),
-            ckpt=Checkpoint(
-                w=self.ckpt.w.copy(),
-                full_grad=self.ckpt.full_grad.copy(),
-                version=self.ckpt.version,
-                component_grads=None
-                if self.ckpt.component_grads is None
-                else self.ckpt.component_grads.copy(),
-            ),
-            cursor=self.cursor,
-            params=self.params,
-            batch_size=self.batch_size,
-            eta=self.eta,
-            rng=copy.deepcopy(self.rng),
-            ledger=IfoLedger(self.ledger.minibatch_calls, self.ledger.checkpoint_calls),
-            y_version=self.y_version,
-        )
 
 
 def init_state(problem, config: RunConfig) -> KatyushaHState:
@@ -147,7 +128,7 @@ def init_state(problem, config: RunConfig) -> KatyushaHState:
         raise ValueError(
             f"eta must be in (0, {eta_max:.6g}] for L={problem.L:.6g}, got {eta}"
         )
-    x0 = np.zeros(problem.d) if config.x0 is None else np.asarray(config.x0, float)
+    x0 = _start(problem, config.x0)
     ledger = IfoLedger()
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     ckpt = make_checkpoint(
@@ -168,8 +149,8 @@ def init_state(problem, config: RunConfig) -> KatyushaHState:
     )
 
 
-def katyusha_h_step(state: KatyushaHState, problem) -> TraceRecord:
-    """Execute one iteration in place; returns a record without objective values."""
+def katyusha_h_step(state: KatyushaHState, problem) -> None:
+    """Execute one iteration in place, leaving its p_t and draw outcome on the state."""
     cur = state.cursor
     params = state.params
     tau = tau_at(cur)
@@ -185,7 +166,7 @@ def katyusha_h_step(state: KatyushaHState, problem) -> TraceRecord:
 
     # Checkpoint candidate is the pre-update y; at t=1 that is w itself and
     # the provenance flag lets the update skip a redundant full gradient.
-    state.ckpt, updated = maybe_update_checkpoint(
+    state.ckpt, state.checkpoint_updated = maybe_update_checkpoint(
         state.ckpt,
         state.y,
         p,
@@ -196,16 +177,8 @@ def katyusha_h_step(state: KatyushaHState, problem) -> TraceRecord:
     )
     state.x, state.y, state.z = x_next, y_next, z_next
     state.y_version = None
+    state.p = p
     state.cursor = advance(cur, params)
-    return TraceRecord(
-        t=cur.t,
-        f_y=math.nan,
-        f_w=math.nan,
-        p=p,
-        checkpoint_updated=updated,
-        ifo_minibatch=state.ledger.minibatch_calls,
-        ifo_checkpoint=state.ledger.checkpoint_calls,
-    )
 
 
 def state_lyapunov(state: KatyushaHState, problem) -> float:
@@ -215,81 +188,109 @@ def state_lyapunov(state: KatyushaHState, problem) -> float:
     )
 
 
-def _fill_objectives(record: TraceRecord, state: KatyushaHState, problem, want_lyapunov: bool) -> None:
-    record.f_y = problem.value(state.y)
-    record.f_w = problem.value(state.ckpt.w)
-    if want_lyapunov:
-        record.lyapunov = state_lyapunov(state, problem)
+def _drive(problem, step, eval_point, record, *, iterations, epsilon,
+           max_iterations, record_every, eval_every) -> list[TraceRecord]:
+    """The run loop of every solver: stopping rule, epsilon test, recording.
 
-
-def run(problem, config: RunConfig) -> list[TraceRecord]:
-    """Run until the iteration budget or the target gap is reached.
-
-    Deterministic given the seed.  Returns the initial record plus one record
-    per ``record_every`` iterations (the final iteration is always recorded).
+    ``step(t)`` performs iteration t in place; ``eval_point()`` is the iterate
+    whose gap the epsilon test reads every ``eval_every`` iterations (and at
+    the last); ``record(t, f)`` builds the record after iteration t, where
+    ``f`` is the objective at ``eval_point()`` when the test just evaluated
+    it and None otherwise, so no objective is evaluated twice per iteration.
+    Returns the initial record plus one per ``record_every`` iterations; the
+    final iteration is always recorded.
     """
-    if (config.iterations is None) == (config.epsilon is None):
+    if (iterations is None) == (epsilon is None):
         raise ValueError("exactly one of iterations/epsilon must be set")
-    if config.epsilon is not None and problem.reference is None:
+    if epsilon is not None and problem.reference is None:
         raise ValueError("an epsilon target requires a reference solution")
-    if config.lyapunov and problem.reference is None:
-        raise ValueError("Lyapunov instrumentation requires a reference solution")
-    state = init_state(problem, config)
-    first = TraceRecord(
-        t=0,
-        f_y=math.nan,
-        f_w=math.nan,
-        p=math.nan,
-        checkpoint_updated=False,
-        ifo_minibatch=state.ledger.minibatch_calls,
-        ifo_checkpoint=state.ledger.checkpoint_calls,
-    )
-    _fill_objectives(first, state, problem, config.lyapunov)
-    records = [first]
-    eval_every = config.resolved_eval_every(problem)
-    budget = config.iterations if config.iterations is not None else config.max_iterations
-    f_star = problem.reference.f_star if problem.reference is not None else 0.0
-
-    t = 0
-    while t < budget:
-        t += 1
-        rec = katyusha_h_step(state, problem)
+    budget = iterations if iterations is not None else max_iterations
+    records = [record(0, None)]
+    for t in range(1, budget + 1):
+        step(t)
         done = t == budget
-        if config.epsilon is not None and (done or t % eval_every == 0):
-            gap = problem.value(state.ckpt.w) - f_star
-            if gap <= config.epsilon:
-                done = True
-        if done or t % config.record_every == 0:
-            _fill_objectives(rec, state, problem, config.lyapunov)
-            records.append(rec)
+        f = None
+        if epsilon is not None and (done or t % eval_every == 0):
+            f = problem.value(eval_point())
+            done = done or f - problem.reference.f_star <= epsilon
+        if done or t % record_every == 0:
+            records.append(record(t, f))
         if done:
             break
     return records
 
 
-# -- deterministic and stochastic baselines ------------------------------
+def run(problem, config: RunConfig) -> list[TraceRecord]:
+    """Run Katyusha-H until the iteration budget or the target gap is reached.
 
+    Deterministic given the seed.  The epsilon test reads the checkpoint w.
+    Returns the initial record plus one record per ``record_every``
+    iterations (the final iteration is always recorded).
+    """
+    if config.lyapunov and problem.reference is None:
+        raise ValueError("Lyapunov instrumentation requires a reference solution")
+    state = init_state(problem, config)
 
-def _baseline_record(t, f_val, calls) -> TraceRecord:
-    return TraceRecord(
-        t=t,
-        f_y=f_val,
-        f_w=f_val,
-        p=math.nan,
-        checkpoint_updated=False,
-        ifo_minibatch=calls,
-        ifo_checkpoint=0,
+    def record(t: int, f_w: float | None) -> TraceRecord:
+        return TraceRecord(
+            t=t,
+            f_y=problem.value(state.y),
+            f_w=problem.value(state.ckpt.w) if f_w is None else f_w,
+            p=state.p,
+            checkpoint_updated=state.checkpoint_updated,
+            ifo_minibatch=state.ledger.minibatch_calls,
+            ifo_checkpoint=state.ledger.checkpoint_calls,
+            lyapunov=state_lyapunov(state, problem) if config.lyapunov else math.nan,
+        )
+
+    # katyusha_h_step is looked up at each call, so a wrapper installed on
+    # the module attribute sees every step.
+    return _drive(
+        problem,
+        lambda t: katyusha_h_step(state, problem),
+        lambda: state.ckpt.w,
+        record,
+        iterations=config.iterations,
+        epsilon=config.epsilon,
+        max_iterations=config.max_iterations,
+        record_every=config.record_every,
+        eval_every=config.resolved_eval_every(problem),
     )
 
 
-def _resolve_budget(iterations, epsilon, problem, max_iterations):
-    if (iterations is None) == (epsilon is None):
-        raise ValueError("exactly one of iterations/epsilon must be set")
-    if epsilon is not None and problem.reference is None:
-        raise ValueError("an epsilon target requires a reference solution")
-    f_star = problem.reference.f_star if problem.reference is not None else 0.0
-    budget = iterations if iterations is not None else max_iterations
-    return budget, f_star
+# -- deterministic and stochastic baselines ------------------------------
+
+
+def _start(problem, x0: np.ndarray | None) -> np.ndarray:
+    return np.zeros(problem.d) if x0 is None else np.asarray(x0, float).copy()
+
+
+def _prox_grad(problem, y: np.ndarray, L: float) -> np.ndarray:
+    """The proximal-gradient step from y with step length 1/L (n IFO)."""
+    return prox(problem.reg, y - problem.full_grad(y) / L, 1.0 / L)
+
+
+def _extrapolate(x_next: np.ndarray, x: np.ndarray, theta: float):
+    """FISTA momentum: the next extrapolated point and theta."""
+    theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
+    return x_next + (theta - 1.0) / theta_next * (x_next - x), theta_next
+
+
+def _baseline(problem, x: np.ndarray, step, cost: int, **stopping) -> list[TraceRecord]:
+    """Drive a baseline whose ``step(t, x)`` returns the next x for ``cost`` IFO.
+
+    The epsilon test and the records read x; its F is both f_y and f_w.
+    """
+
+    def move(t: int) -> None:
+        nonlocal x
+        x = step(t, x)
+
+    def record(t: int, f: float | None) -> TraceRecord:
+        f = problem.value(x) if f is None else f
+        return TraceRecord(t, f, f, math.nan, False, cost * t, 0)
+
+    return _drive(problem, move, lambda: x, record, **stopping)
 
 
 def fista_run(
@@ -297,30 +298,24 @@ def fista_run(
     iterations: int | None = None,
     epsilon: float | None = None,
     record_every: int = 1,
+    eval_every: int = 1,
     x0: np.ndarray | None = None,
     max_iterations: int = 10_000_000,
 ) -> list[TraceRecord]:
     """Accelerated proximal gradient with step 1/L; costs n IFO per iteration."""
-    budget, f_star = _resolve_budget(iterations, epsilon, problem, max_iterations)
-    L = problem.L
-    x = np.zeros(problem.d) if x0 is None else np.asarray(x0, float).copy()
-    y = x.copy()
-    theta = 1.0
-    calls = 0
-    records = [_baseline_record(0, problem.value(x), calls)]
-    for t in range(1, budget + 1):
-        x_next = prox(problem.reg, y - problem.full_grad(y) / L, 1.0 / L)
-        calls += problem.n
-        theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
-        y = x_next + (theta - 1.0) / theta_next * (x_next - x)
-        x, theta = x_next, theta_next
-        f_val = problem.value(x)
-        done = t == budget or (epsilon is not None and f_val - f_star <= epsilon)
-        if done or t % record_every == 0:
-            records.append(_baseline_record(t, f_val, calls))
-        if done:
-            break
-    return records
+    x = _start(problem, x0)
+    y, theta = x.copy(), 1.0
+
+    def step(t: int, x: np.ndarray) -> np.ndarray:
+        nonlocal y, theta
+        x_next = _prox_grad(problem, y, problem.L)
+        y, theta = _extrapolate(x_next, x, theta)
+        return x_next
+
+    return _baseline(
+        problem, x, step, problem.n, iterations=iterations, epsilon=epsilon,
+        max_iterations=max_iterations, record_every=record_every, eval_every=eval_every,
+    )
 
 
 def fista_solve(
@@ -339,16 +334,15 @@ def fista_solve(
     is max(1, 2*||x_best||).  Returns (x_best, f_best, gap_estimate,
     iterations).
     """
-    x = np.zeros(problem.d) if x0 is None else np.asarray(x0, float).copy()
-    y = x.copy()
-    theta = 1.0
+    x = _start(problem, x0)
+    y, theta = x.copy(), 1.0
     f_best = problem.value(x)
     x_best = x.copy()
     gap_est = math.inf
     t = 0
     f_prev = f_best
     for t in range(1, max_iterations + 1):
-        x_next = prox(problem.reg, y - problem.full_grad(y) / L, 1.0 / L)
+        x_next = _prox_grad(problem, y, L)
         mapping_norm = L * float(np.linalg.norm(y - x_next))
         f_val = problem.value(x_next)
         if f_val < f_best:
@@ -357,15 +351,12 @@ def fista_solve(
         radius = max(1.0, 2.0 * float(np.linalg.norm(x_best)))
         gap_est = mapping_norm * radius
         if gap_est <= tol:
-            x = x_next
             break
         if restart and f_val > f_prev:
             theta = 1.0  # function restart: drop momentum on objective increase
             y = x_next.copy()
         else:
-            theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
-            y = x_next + (theta - 1.0) / theta_next * (x_next - x)
-            theta = theta_next
+            y, theta = _extrapolate(x_next, x, theta)
         x = x_next
         f_prev = f_val
     return x_best, f_best, gap_est, t
@@ -376,25 +367,16 @@ def pgd_run(
     iterations: int | None = None,
     epsilon: float | None = None,
     record_every: int = 1,
+    eval_every: int = 1,
     x0: np.ndarray | None = None,
     max_iterations: int = 10_000_000,
 ) -> list[TraceRecord]:
     """Proximal gradient descent with step 1/L; costs n IFO per iteration."""
-    budget, f_star = _resolve_budget(iterations, epsilon, problem, max_iterations)
-    L = problem.L
-    x = np.zeros(problem.d) if x0 is None else np.asarray(x0, float).copy()
-    calls = 0
-    records = [_baseline_record(0, problem.value(x), calls)]
-    for t in range(1, budget + 1):
-        x = prox(problem.reg, x - problem.full_grad(x) / L, 1.0 / L)
-        calls += problem.n
-        f_val = problem.value(x)
-        done = t == budget or (epsilon is not None and f_val - f_star <= epsilon)
-        if done or t % record_every == 0:
-            records.append(_baseline_record(t, f_val, calls))
-        if done:
-            break
-    return records
+    return _baseline(
+        problem, _start(problem, x0), lambda t, x: _prox_grad(problem, x, problem.L),
+        problem.n, iterations=iterations, epsilon=epsilon,
+        max_iterations=max_iterations, record_every=record_every, eval_every=eval_every,
+    )
 
 
 def psgd_run(
@@ -409,24 +391,16 @@ def psgd_run(
     max_iterations: int = 10_000_000,
 ) -> list[TraceRecord]:
     """Single-sample stochastic proximal gradient, step eta0/sqrt(t); 1 IFO/iter."""
-    budget, f_star = _resolve_budget(iterations, epsilon, problem, max_iterations)
     if eta0 is None:
         eta0 = 1.0 / problem.L
     rng = np.random.Generator(np.random.Philox(key=seed))
-    x = np.zeros(problem.d) if x0 is None else np.asarray(x0, float).copy()
-    calls = 0
-    records = [_baseline_record(0, problem.value(x), calls)]
-    for t in range(1, budget + 1):
+
+    def step(t: int, x: np.ndarray) -> np.ndarray:
         i = int(rng.integers(0, problem.n))
-        step = eta0 / math.sqrt(t)
-        x = prox(problem.reg, x - step * problem.component_grad(i, x), step)
-        calls += 1
-        done = t == budget
-        if epsilon is not None and (done or t % eval_every == 0):
-            if problem.value(x) - f_star <= epsilon:
-                done = True
-        if done or t % record_every == 0:
-            records.append(_baseline_record(t, problem.value(x), calls))
-        if done:
-            break
-    return records
+        step_len = eta0 / math.sqrt(t)
+        return prox(problem.reg, x - step_len * problem.component_grad(i, x), step_len)
+
+    return _baseline(
+        problem, _start(problem, x0), step, 1, iterations=iterations, epsilon=epsilon,
+        max_iterations=max_iterations, record_every=record_every, eval_every=eval_every,
+    )

@@ -185,8 +185,8 @@ class FiniteSumProblem:
 
     # -- component oracles -----------------------------------------------
 
-    def _residual(self, idx, x: np.ndarray) -> np.ndarray:
-        """Loss-specific scalar residual per selected component."""
+    def residual(self, idx, x: np.ndarray) -> np.ndarray:
+        """Scalar residual r_i(x) per selected component: grad f_i = a_i * r_i."""
         margins = self.A[idx] @ x
         if self.loss == "least_squares":
             return margins - self.targets[idx]
@@ -201,17 +201,17 @@ class FiniteSumProblem:
         return float(np.logaddexp(0.0, -self.targets[i] * m))
 
     def component_grad(self, i: int, x: np.ndarray) -> np.ndarray:
-        return self.A[i] * self._residual(i, x)
+        return self.A[i] * self.residual(i, x)
 
     def component_grad_matrix(self, x: np.ndarray, idx=None) -> np.ndarray:
         """Per-component gradients as rows; all components when idx is None."""
         if idx is None:
             idx = slice(None)
-        return self.A[idx] * self._residual(idx, x)[:, None]
+        return self.A[idx] * self.residual(idx, x)[:, None]
 
     def grad_sum(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Sum (not mean) of component gradients over idx."""
-        return self.A[idx].T @ self._residual(idx, x)
+        return self.A[idx].T @ self.residual(idx, x)
 
     # -- full oracles ------------------------------------------------------
 

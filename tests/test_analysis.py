@@ -14,7 +14,6 @@ from katyusha_h.analysis import (
     feasible_alpha_interval,
     final_bound_lhs,
     lyapunov,
-    partial_sum_power,
     predict_ifo,
     select_alpha,
     selector_inequalities,
@@ -269,6 +268,14 @@ class TestAccuracyFreeConfig:
         assert cost.total <= 3.0 * budget
         assert cost.terms["minibatch"] == pytest.approx(b / math.sqrt(eps))
         assert cost.terms["checkpoint_power"] == pytest.approx((n / b) / math.sqrt(eps))
+
+
+def partial_sum_power(lo: int, hi: int, exponent: float) -> float:
+    """sum_{t=lo}^{hi} t**exponent by direct summation (validates integral bounds)."""
+    if lo < 1 or hi < lo:
+        raise ValueError("need 1 <= lo <= hi")
+    t = np.arange(lo, hi + 1, dtype=np.float64)
+    return float(np.sum(t ** exponent))
 
 
 class TestPartialSums:

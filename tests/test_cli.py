@@ -142,12 +142,6 @@ class TestRunCommand:
         second = {p.name: p.read_bytes() for p in run_command(load_config(config_path))}
         assert first == second
 
-    def test_concurrent_seeds_match_sequential(self, config_path):
-        cfg = load_config(config_path)
-        sequential = {p.name: p.read_bytes() for p in run_command(cfg, jobs=1)}
-        concurrent = {p.name: p.read_bytes() for p in run_command(cfg, jobs=4)}
-        assert sequential == concurrent
-
     def test_ifo_monotone_and_gaps_finite(self, config_path):
         paths = run_command(load_config(config_path))
         _, rows = read_trace(paths[0])
@@ -271,6 +265,34 @@ class TestNonFiniteInputs:
         assert main(["run", "--config", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
         assert main(["parse-data", str(data)]) == 2
+
+
+class TestRunCadenceValidation:
+    def _config(self, tmp_path, run="", output=""):
+        path = tmp_path / "exp.ini"
+        path.write_text(
+            "[problem]\nfamily = least_squares\nn = 20\nd = 4\nseed = 3\n\n"
+            "[solver]\nmethod = fista\n\n"
+            f"[run]\nepsilon = 1e-6\n{run}\n[reference]\ntol = 1e-10\n\n"
+            f"[output]\ndirectory = {tmp_path / 'out'}\n{output}"
+        )
+        return path
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_eval_every_below_one_is_exit_two(self, tmp_path, capsys, value):
+        path = self._config(tmp_path, run=f"eval_every = {value}\n")
+        assert main(["run", "--config", str(path)]) == 2
+        assert "eval_every" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_trace_stride_below_one_is_exit_two(self, tmp_path, capsys, value):
+        path = self._config(tmp_path, output=f"trace_stride = {value}\n")
+        assert main(["run", "--config", str(path)]) == 2
+        assert "trace_stride" in capsys.readouterr().err
+
+    def test_valid_cadence_runs(self, tmp_path):
+        path = self._config(tmp_path, run="eval_every = 5\n", output="trace_stride = 3\n")
+        assert main(["run", "--config", str(path)]) == 0
 
 
 class TestParseDataCommand:

@@ -128,6 +128,14 @@ class TestSvrgEstimate:
         np.testing.assert_allclose(g1, g2, rtol=1e-12, atol=1e-15)
         assert plain.minibatch_calls == 4 and cached.minibatch_calls == 2
 
+    def test_cache_holds_one_residual_per_component(self):
+        _, prob = synthesize(6, 3, "logistic", seed=2)
+        ckpt = make_checkpoint(np.ones(3), prob, IfoLedger(), cache=True)
+        assert ckpt.residuals.shape == (prob.n,)
+        np.testing.assert_array_equal(
+            prob.A * ckpt.residuals[:, None], prob.component_grad_matrix(np.ones(3))
+        )
+
 
 class TestCheckpointUpdate:
     def test_zero_probability_never_updates(self):

@@ -241,3 +241,28 @@ class TestPgdPsgd:
         _, prob = synthesize(50, 4, "least_squares", seed=9)
         records = psgd_run(prob, iterations=4000, seed=1)
         assert records[-1].f_y < records[0].f_y
+
+
+class TestDriver:
+    @pytest.mark.parametrize("solver", [fista_run, pgd_run])
+    def test_explicit_eval_every_sets_the_stopping_grid(self, solver):
+        _, prob = synthesize(20, 4, "least_squares", seed=3)
+        with_reference(prob, tol=1e-12)
+        every = solver(prob, epsilon=1e-8)
+        fifth = solver(prob, epsilon=1e-8, eval_every=5)
+        t = every[-1].t
+        assert t % 5 != 0  # otherwise the grid would not show
+        assert fifth[-1].t % 5 == 0 and t < fifth[-1].t < t + 5
+        assert fifth[-1].f_y - prob.reference.f_star <= 1e-8
+
+    def test_psgd_evaluates_objective_once_per_iteration(self):
+        _, prob = synthesize(9, 3, "least_squares", seed=8)
+        with_reference(prob, tol=1e-12)
+        calls = []
+        value = prob.value
+        prob.value = lambda x: calls.append(1) or value(x)
+        records = psgd_run(
+            prob, epsilon=1e-12, seed=0, record_every=1, eval_every=1, max_iterations=50
+        )
+        assert records[-1].t == 50
+        assert len(calls) == 50 + 1  # one per iteration plus the initial record

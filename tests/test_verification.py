@@ -1,5 +1,7 @@
 """Scanner behavior: certificates pass on honest parameters, fail on broken ones."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -223,7 +225,7 @@ class TestOutcomeTree:
                 for outcome, branch in ((True, p), (False, 1.0 - p)):
                     if branch == 0.0:
                         continue
-                    child = state.copy()
+                    child = copy.deepcopy(state)
                     child.rng = _ForcedDraw(0.0 if outcome else 1.0)
                     katyusha_h_step(child, prob)
                     nxt.append((child, weight * branch))
