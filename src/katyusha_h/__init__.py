@@ -10,7 +10,6 @@ from .analysis import (
     alpha_hat,
     check_lyapunov_bound,
     feasible_alpha_interval,
-    final_bound_lhs,
     lyapunov,
     predict_ifo,
     select_alpha,
@@ -43,8 +42,6 @@ from .problems import (
     FiniteSumProblem,
     ReferenceSolution,
     SparseDataset,
-    make_least_squares,
-    make_logistic,
     make_rng,
     parse_libsvm,
     serialize_libsvm,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedule import ScheduleCursor, ScheduleParams, denominator_at, prev_denominator_at
+from .schedule import ALPHA0, ScheduleCursor, ScheduleParams, prev_denominator_at
 
 ALPHA_BRANCH_CAP = 0.1  # the small-alpha branch applies below min(alpha_hat, this)
 
@@ -58,40 +58,12 @@ def lyapunov(
         weight_w = prev_denominator_at(cursor, params)
     else:
         # t = 0 start-of-run form: alpha_0^2 and alpha_tilde0.
-        alpha_sq = params.alpha0 ** 2
+        alpha_sq = ALPHA0 ** 2
         weight_w = params.alpha_tilde0
     gap_y = problem.value(y) - ref.f_star
     gap_w = problem.value(w) - ref.f_star
     dz = np.asarray(z) - ref.x_star
     return alpha_sq * gap_y + weight_w * gap_w + float(dz @ dz) / (2.0 * eta)
-
-
-def final_bound_lhs(
-    y: np.ndarray,
-    z: np.ndarray,
-    w: np.ndarray,
-    cursor: ScheduleCursor,
-    params: ScheduleParams,
-    eta: float,
-    problem,
-) -> float:
-    """Anytime-bound left side after T = cursor.t iterations.
-
-    alpha_T^2 (F(y_{T+1}) - F*) + D_T (F(w_{T+1}) - F*)
-    + ||z_{T+1} - x*||^2 / (2 eta); equals the Lyapunov value of the next
-    state, so descent checks and this bound share one code path.
-    """
-    ref = problem.reference
-    if ref is None:
-        raise ValueError("bound evaluation requires a reference solution")
-    gap_y = problem.value(y) - ref.f_star
-    gap_w = problem.value(w) - ref.f_star
-    dz = np.asarray(z) - ref.x_star
-    return (
-        cursor.alpha_t ** 2 * gap_y
-        + denominator_at(cursor, params) * gap_w
-        + float(dz @ dz) / (2.0 * eta)
-    )
 
 
 @dataclass(frozen=True)

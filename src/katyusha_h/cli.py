@@ -23,6 +23,7 @@ from .analysis import (
 )
 from .experiment import (
     ConfigError,
+    _parse_seq,
     build_problem,
     load_config,
     run_command,
@@ -31,18 +32,10 @@ from .experiment import (
 from .problems import DataFormatError, parse_libsvm, serialize_libsvm
 
 
-def _parse_floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in raw.replace(",", " ").split())
-
-
-def _parse_ints(raw: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in raw.replace(",", " ").split())
-
-
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.seeds:
-        cfg.run.seeds = _parse_ints(args.seeds)
+        cfg.run.seeds = _parse_seq("--seeds", args.seeds, int)
     paths = run_command(cfg, out_dir=args.out)
     for path in paths:
         print(path)
@@ -52,9 +45,9 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     if args.seeds:
-        cfg.run.seeds = _parse_ints(args.seeds)
-    alphas = _parse_floats(args.alphas) if args.alphas else None
-    bs = _parse_ints(args.bs) if args.bs else None
+        cfg.run.seeds = _parse_seq("--seeds", args.seeds, int)
+    alphas = _parse_seq("--alphas", args.alphas, float) if args.alphas else None
+    bs = _parse_seq("--bs", args.bs, int) if args.bs else None
     rows, path = sweep_command(cfg, alphas=alphas, bs=bs, out_dir=args.out)
     print("alpha      b     reached   mean_ifo        mean_final_gap")
     for r in rows:
@@ -85,12 +78,12 @@ def _cmd_verify(args) -> int:
     report = verification.scan_schedule(
         alpha_grid=grid,
         t_max=args.t_max,
-        batch_sizes=_parse_ints(args.batch_sizes),
+        batch_sizes=_parse_seq("--batch-sizes", args.batch_sizes, int),
         xi_override=_parse_fault(args.inject_fault),
     )
     claims = list(report.claims)
     if args.growth_alphas:
-        for alpha in _parse_floats(args.growth_alphas):
+        for alpha in _parse_seq("--growth-alphas", args.growth_alphas, float):
             claims.extend(
                 verification.scan_denominator_growth(alpha, t_max=args.t_max).claims
             )

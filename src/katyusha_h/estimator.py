@@ -34,7 +34,7 @@ class IfoLedger:
 
 @dataclass
 class Checkpoint:
-    """Full-gradient point: iterate, its full gradient, and a version stamp.
+    """Full-gradient point: the iterate w and its full gradient.
 
     ``residuals`` optionally caches the n scalar residuals r_i(w) (memory n):
     for these linear models grad f_i(w) = a_i * r_i(w), so estimates can
@@ -44,7 +44,6 @@ class Checkpoint:
 
     w: np.ndarray
     full_grad: np.ndarray
-    version: int
     residuals: np.ndarray | None = None
 
 
@@ -53,7 +52,6 @@ def make_checkpoint(
     problem,
     ledger: IfoLedger,
     cache: bool = False,
-    version: int = 0,
 ) -> Checkpoint:
     """Compute the full gradient at w (cost n) and wrap it as a checkpoint."""
     if cache:
@@ -63,7 +61,7 @@ def make_checkpoint(
         residuals = None
         full = problem.full_grad(w)
     ledger.checkpoint_calls += problem.n
-    return Checkpoint(w=w, full_grad=full, version=version, residuals=residuals)
+    return Checkpoint(w=w, full_grad=full, residuals=residuals)
 
 
 def sample_subset(n: int, b: int, rng: np.random.Generator) -> np.ndarray:
@@ -120,14 +118,14 @@ def maybe_update_checkpoint(
     rng: np.random.Generator,
     problem,
     ledger: IfoLedger,
-    candidate_version: int | None = None,
+    candidate_is_w: bool = False,
 ) -> tuple[Checkpoint, bool]:
     """With probability p replace the checkpoint by ``candidate``.
 
-    ``candidate_version`` is a provenance flag: when it equals the current
-    checkpoint version the candidate is an untouched copy of w, so the
-    replacement is a no-op and the full-gradient recompute is skipped at zero
-    cost.  Identity is never inferred from floating-point comparison.
+    ``candidate_is_w`` is a provenance flag from the caller: the candidate is
+    an untouched copy of w, so a hit is a no-op and the full-gradient
+    recompute is skipped at zero cost.  Identity is never inferred from
+    floating-point comparison.
 
     Exactly one uniform variate is consumed per call regardless of p, so the
     random stream does not depend on the probability values.
@@ -137,14 +135,10 @@ def maybe_update_checkpoint(
     hit = rng.random() < p
     if not hit:
         return ckpt, False
-    if candidate_version is not None and candidate_version == ckpt.version:
+    if candidate_is_w:
         return ckpt, True
     new = make_checkpoint(
-        np.array(candidate, copy=True),
-        problem,
-        ledger,
-        cache=ckpt.residuals is not None,
-        version=ckpt.version + 1,
+        np.array(candidate, copy=True), problem, ledger, cache=ckpt.residuals is not None
     )
     return new, True
 

@@ -19,9 +19,8 @@ import numpy as np
 from . import optimizers
 from .optimizers import RunConfig, TraceRecord
 from .problems import (
+    CURVATURE,
     FiniteSumProblem,
-    make_least_squares,
-    make_logistic,
     parse_libsvm,
     solve_reference,
     synthesize,
@@ -93,7 +92,7 @@ class ExperimentConfig:
     sweep_bs: tuple[int, ...] | None = None
 
 
-def _coerce(section: str, key: str, raw: str, kind):
+def _coerce(where: str, raw: str, kind):
     try:
         if kind is bool:
             lowered = raw.strip().lower()
@@ -104,23 +103,23 @@ def _coerce(section: str, key: str, raw: str, kind):
             raise ValueError(raw)
         return kind(raw)
     except (TypeError, ValueError):
-        raise ConfigError(
-            f"[{section}] {key} = {raw!r}: expected {kind.__name__}"
-        ) from None
+        raise ConfigError(f"{where} = {raw!r}: expected {kind.__name__}") from None
 
 
 def _apply(spec, section: str, items: dict[str, str], types: dict[str, type]):
     for key, raw in items.items():
         if key not in types:
             raise ConfigError(f"[{section}] unknown key {key!r}")
-        setattr(spec, key, _coerce(section, key, raw, types[key]))
+        setattr(spec, key, _coerce(f"[{section}] {key}", raw, types[key]))
 
 
-def _parse_seq(section: str, key: str, raw: str, kind):
+def _parse_seq(where: str, raw: str, kind) -> tuple:
+    """Comma- or space-separated values of one kind; ``where`` names the
+    config key or command-line flag in errors."""
     parts = raw.replace(",", " ").split()
     if not parts:
-        raise ConfigError(f"[{section}] {key} must not be empty")
-    return tuple(_coerce(section, key, p, kind) for p in parts)
+        raise ConfigError(f"{where} must not be empty")
+    return tuple(_coerce(where, p, kind) for p in parts)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -152,7 +151,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
             })
         elif section == "run":
             if "seeds" in items:
-                cfg.run.seeds = _parse_seq(section, "seeds", items.pop("seeds"), int)
+                cfg.run.seeds = _parse_seq("[run] seeds", items.pop("seeds"), int)
             _apply(cfg.run, section, items, {
                 "iterations": int, "epsilon": float, "eval_every": int,
                 "max_iterations": int,
@@ -168,9 +167,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
             })
         elif section == "sweep":
             if "alphas" in items:
-                cfg.sweep_alphas = _parse_seq(section, "alphas", items.pop("alphas"), float)
+                cfg.sweep_alphas = _parse_seq("[sweep] alphas", items.pop("alphas"), float)
             if "bs" in items:
-                cfg.sweep_bs = _parse_seq(section, "bs", items.pop("bs"), int)
+                cfg.sweep_bs = _parse_seq("[sweep] bs", items.pop("bs"), int)
             if items:
                 raise ConfigError(f"[sweep] unknown key {next(iter(items))!r}")
         else:
@@ -180,10 +179,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.problem.family not in ("least_squares", "logistic"):
+    if cfg.problem.family not in CURVATURE:
         raise ConfigError(f"unknown problem family {cfg.problem.family!r}")
-    if cfg.problem.reg not in ("zero", "l1", "squared_l2", "elastic_net"):
-        raise ConfigError(f"unknown regularizer {cfg.problem.reg!r}")
+    try:
+        Regularizer(cfg.problem.reg, cfg.problem.lam1, cfg.problem.lam2)
+    except ValueError as exc:
+        raise ConfigError(f"[problem] {exc}") from None
     if cfg.solver.method not in ("katyusha_h", "fista", "pgd", "psgd"):
         raise ConfigError(f"unknown solver method {cfg.solver.method!r}")
     if (cfg.run.iterations is None) == (cfg.run.epsilon is None):
@@ -200,35 +201,24 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"dataset file not found: {cfg.problem.data}")
 
 
-def _build_regularizer(spec: ProblemSpec) -> Regularizer:
-    if spec.reg == "zero":
-        return Regularizer.zero()
-    if spec.reg == "l1":
-        return Regularizer.l1(spec.lam1)
-    if spec.reg == "squared_l2":
-        return Regularizer.squared_l2(spec.lam2)
-    return Regularizer.elastic_net(spec.lam1, spec.lam2)
-
-
 def build_problem(cfg: ExperimentConfig) -> FiniteSumProblem:
     """Materialize the problem (file or synthetic) and attach any reference."""
-    reg = _build_regularizer(cfg.problem)
-    if cfg.problem.data is not None:
-        text = Path(cfg.problem.data).read_text()
-        dataset = parse_libsvm(text)
-        maker = make_least_squares if cfg.problem.family == "least_squares" else make_logistic
-        problem = maker(dataset, reg=reg)
+    spec = cfg.problem
+    reg = Regularizer(spec.reg, spec.lam1, spec.lam2)
+    if spec.data is not None:
+        dataset = parse_libsvm(Path(spec.data).read_text())
+        problem = FiniteSumProblem(dataset.to_dense(), dataset.labels, spec.family, reg)
     else:
         _, problem = synthesize(
-            cfg.problem.n,
-            cfg.problem.d,
-            family=cfg.problem.family,
-            seed=cfg.problem.seed,
+            spec.n,
+            spec.d,
+            family=spec.family,
+            seed=spec.seed,
             reg=reg,
-            condition=cfg.problem.condition,
-            noise=cfg.problem.noise,
-            density=cfg.problem.density,
-            consistent=cfg.problem.consistent,
+            condition=spec.condition,
+            noise=spec.noise,
+            density=spec.density,
+            consistent=spec.consistent,
         )
     if cfg.reference is not None:
         problem.reference = solve_reference(

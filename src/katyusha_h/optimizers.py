@@ -108,7 +108,6 @@ class KatyushaHState:
     eta: float
     rng: np.random.Generator
     ledger: IfoLedger
-    y_version: int | None  # checkpoint version y coincides with, else None
     p: float = math.nan  # p_t of the last iteration's checkpoint draw
     checkpoint_updated: bool = False  # whether that draw hit
 
@@ -131,9 +130,7 @@ def init_state(problem, config: RunConfig) -> KatyushaHState:
     x0 = _start(problem, config.x0)
     ledger = IfoLedger()
     rng = np.random.Generator(np.random.Philox(key=config.seed))
-    ckpt = make_checkpoint(
-        x0.copy(), problem, ledger, cache=config.cache_checkpoint_grads, version=0
-    )
+    ckpt = make_checkpoint(x0.copy(), problem, ledger, cache=config.cache_checkpoint_grads)
     return KatyushaHState(
         x=x0.copy(),
         y=x0.copy(),
@@ -145,7 +142,6 @@ def init_state(problem, config: RunConfig) -> KatyushaHState:
         eta=eta,
         rng=rng,
         ledger=ledger,
-        y_version=0,
     )
 
 
@@ -164,8 +160,8 @@ def katyusha_h_step(state: KatyushaHState, problem) -> None:
     z_next = prox(problem.reg, state.z - step_len * g, step_len)
     y_next = x_next + tau * (z_next - state.z)
 
-    # Checkpoint candidate is the pre-update y; at t=1 that is w itself and
-    # the provenance flag lets the update skip a redundant full gradient.
+    # Checkpoint candidate is the pre-update y.  y equals w only before the
+    # first step, so at t=1 the update can skip a redundant full gradient.
     state.ckpt, state.checkpoint_updated = maybe_update_checkpoint(
         state.ckpt,
         state.y,
@@ -173,10 +169,9 @@ def katyusha_h_step(state: KatyushaHState, problem) -> None:
         state.rng,
         problem,
         state.ledger,
-        candidate_version=state.y_version,
+        candidate_is_w=cur.t == 1,
     )
     state.x, state.y, state.z = x_next, y_next, z_next
-    state.y_version = None
     state.p = p
     state.cursor = advance(cur, params)
 

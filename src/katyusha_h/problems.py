@@ -17,7 +17,9 @@ from scipy.special import expit
 
 from .proximal import Regularizer, reg_value
 
-LOSSES = ("least_squares", "logistic")
+# Curvature factor of each loss: f_i'' <= CURVATURE[loss] * ||a_i||^2, tight
+# for both, so L and the reference solver's L_f scale by it.
+CURVATURE = {"least_squares": 1.0, "logistic": 0.25}
 
 
 class DataFormatError(ValueError):
@@ -148,19 +150,19 @@ class FiniteSumProblem:
     ``loss`` selects the component family:
       least_squares: f_i(x) = (a_i'x - y_i)^2 / 2
       logistic:      f_i(x) = log(1 + exp(-y_i a_i'x)),  y_i in {-1, +1}
-    ``L`` is the analytic worst-case row smoothness bound (users may override
-    with any valid upper bound).
+    ``L`` is derived, never passed: the analytic worst-case component
+    smoothness bound CURVATURE[loss] * max_i ||a_i||^2.
     """
 
     A: np.ndarray
     targets: np.ndarray
     loss: str
-    L: float
     reg: Regularizer = field(default_factory=Regularizer.zero)
     reference: ReferenceSolution | None = None
+    L: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.loss not in LOSSES:
+        if self.loss not in CURVATURE:
             raise ValueError(f"unknown loss {self.loss!r}")
         self.A = np.asarray(self.A, dtype=np.float64)
         self.targets = np.asarray(self.targets, dtype=np.float64)
@@ -170,10 +172,15 @@ class FiniteSumProblem:
             raise ValueError("empty dataset")
         if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.targets))):
             raise ValueError("features and targets must be finite")
-        if not 0.0 < self.L < math.inf:
-            raise ValueError(f"smoothness bound must be positive and finite, got {self.L}")
         if self.loss == "logistic" and not np.all(np.abs(self.targets) == 1.0):
             raise ValueError("logistic loss requires labels in {-1, +1}")
+        row_max = float(np.max(np.einsum("ij,ij->i", self.A, self.A)))
+        if not 0.0 < row_max < math.inf:
+            raise ValueError(
+                f"largest squared feature-row norm is {row_max}; a smoothness "
+                "bound needs a nonzero feature row and no overflow"
+            )
+        self.L = CURVATURE[self.loss] * row_max
 
     @property
     def n(self) -> int:
@@ -236,42 +243,6 @@ class FiniteSumProblem:
         return self.value(x) - self.reference.f_star
 
 
-def _row_norms_sq(A: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", A, A)
-
-
-def make_least_squares(
-    dataset: SparseDataset, reg: Regularizer | None = None
-) -> FiniteSumProblem:
-    """Least-squares components; L = max_i ||a_i||^2."""
-    if dataset.n < 1:
-        raise ValueError("empty dataset")
-    A = dataset.to_dense()
-    L = float(np.max(_row_norms_sq(A)))
-    if L <= 0.0:
-        raise ValueError("dataset has no nonzero feature row")
-    return FiniteSumProblem(
-        A=A, targets=dataset.labels, loss="least_squares", L=L,
-        reg=reg if reg is not None else Regularizer.zero(),
-    )
-
-
-def make_logistic(
-    dataset: SparseDataset, reg: Regularizer | None = None
-) -> FiniteSumProblem:
-    """Logistic components with +-1 labels; L = max_i ||a_i||^2 / 4."""
-    if dataset.n < 1:
-        raise ValueError("empty dataset")
-    A = dataset.to_dense()
-    L = float(np.max(_row_norms_sq(A))) / 4.0
-    if L <= 0.0:
-        raise ValueError("dataset has no nonzero feature row")
-    return FiniteSumProblem(
-        A=A, targets=dataset.labels, loss="logistic", L=L,
-        reg=reg if reg is not None else Regularizer.zero(),
-    )
-
-
 def dataset_from_dense(A: np.ndarray, labels: np.ndarray) -> SparseDataset:
     """Sparse dataset from a dense matrix; exact zeros are dropped."""
     A = np.asarray(A, dtype=np.float64)
@@ -309,7 +280,7 @@ def synthesize(
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
-    if family not in LOSSES:
+    if family not in CURVATURE:
         raise ValueError(f"unknown family {family!r}")
     if not 0.0 < density <= 1.0:
         raise ValueError("density must be in (0, 1]")
@@ -331,8 +302,8 @@ def synthesize(
         scores = clean if consistent else clean + noise * rng.standard_normal(n)
         targets = np.where(scores >= 0.0, 1.0, -1.0)
     dataset = dataset_from_dense(A, targets)
-    maker = make_least_squares if family == "least_squares" else make_logistic
-    return dataset, maker(dataset, reg=reg)
+    reg = reg if reg is not None else Regularizer.zero()
+    return dataset, FiniteSumProblem(dataset.to_dense(), dataset.labels, family, reg)
 
 
 def _is_quadratic(problem: FiniteSumProblem) -> bool:
@@ -381,7 +352,7 @@ def solve_reference(
       directly from the SVD (the minimum-norm least-squares solution, or the
       ridge solution), certified by ``quadratic_gap_bound``;
     * everything else runs restarted FISTA with step 1/L_f, where
-      L_f = s_max^2/n (times 1/4 for logistic) bounds the smoothness of the
+      L_f = CURVATURE[loss] * s_max^2/n bounds the smoothness of the
       average f.  ``problem.L`` bounds each component, which the stochastic
       solvers need but a full-gradient solve does not, and it can be many
       times larger.  FISTA stops when its gradient-mapping certificate drops
@@ -410,9 +381,7 @@ def solve_reference(
         method, iterations = "lstsq", 0
     else:
         s = np.linalg.svd(problem.A, compute_uv=False)
-        L_f = float(s[0]) ** 2 / n
-        if problem.loss == "logistic":
-            L_f /= 4.0
+        L_f = float(s[0]) ** 2 / n * CURVATURE[problem.loss]
         x_star, f_star, gap, iterations = fista_solve(
             problem, L_f, tol=tol, max_iterations=max_iterations, restart=True
         )

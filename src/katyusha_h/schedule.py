@@ -61,7 +61,6 @@ class ScheduleParams:
     c: float
     xi: float  # 1/(b*c), weight of the checkpoint anchor in the coupling
     alpha_tilde0: float  # xi * alpha_1^2 = 36*xi
-    alpha0: float = ALPHA0
 
 
 def compute_constants(config: ScheduleConfig) -> ScheduleParams:
@@ -144,41 +143,47 @@ def cursor_at(t: int, params: ScheduleParams) -> ScheduleCursor:
     return cur
 
 
+def _denominator(alpha_t, cum_sum, params: ScheduleParams):
+    """Lyapunov weight D_t = alpha_tilde0 + alpha_0^2 - alpha_t^2 + sum_{j<=t} alpha_j.
+
+    The one expression of D_t: the scalar forms pass floats, the vectorized
+    forms arrays.
+    """
+    return params.alpha_tilde0 + ALPHA0 ** 2 - alpha_t ** 2 + cum_sum
+
+
+def _p_ratio(alpha_prev, alpha_t, den, xi: float):
+    """p_t = (alpha_{t-1}^2 - alpha_t^2 + alpha_t + xi * alpha_t^2) / D_t, unclamped.
+
+    The one expression of p_t, for floats and arrays alike.
+    """
+    return (alpha_prev ** 2 - alpha_t ** 2 + alpha_t + xi * alpha_t ** 2) / den
+
+
 def denominator_at(cursor: ScheduleCursor, params: ScheduleParams) -> float:
-    """Lyapunov weight D_t = alpha_tilde0 + alpha_0^2 - alpha_t^2 + sum_{j<=t} alpha_j."""
-    return (
-        params.alpha_tilde0
-        + params.alpha0 ** 2
-        - cursor.alpha_t ** 2
-        + cursor.cum_sum
-    )
+    """D_t at the cursor's index."""
+    return _denominator(cursor.alpha_t, cursor.cum_sum, params)
 
 
 def prev_denominator_at(cursor: ScheduleCursor, params: ScheduleParams) -> float:
     """D_{t-1} recovered from a cursor at t (t >= 1)."""
     if cursor.t < 1:
         raise ValueError("no predecessor denominator at t = 0")
-    return (
-        params.alpha_tilde0
-        + params.alpha0 ** 2
-        - cursor.alpha_prev ** 2
-        + (cursor.cum_sum - cursor.alpha_t)
-    )
+    return _denominator(cursor.alpha_prev, cursor.cum_sum - cursor.alpha_t, params)
 
 
 def p_at(cursor: ScheduleCursor, params: ScheduleParams) -> float:
     """Checkpoint update probability p_t, guaranteed to lie in [0, 1] for t >= 1."""
     if cursor.t < 1:
         raise ValueError("p_t is defined for t >= 1")
-    a_t = cursor.alpha_t
-    num = cursor.alpha_prev ** 2 - a_t ** 2 + a_t + params.xi * a_t ** 2
     den = denominator_at(cursor, params)
     # D_t >= xi * alpha_{t+1}^2 > 0 for t >= 1, so only a corrupt cursor gets here.
     if not den > 0.0:
         raise ValueError(f"denominator D_{cursor.t} = {den} must be positive")
     # At t=1 numerator and denominator are equal terms summed in different
     # orders; rounding can land an ulp outside [0, 1], so clamp.
-    return min(max(num / den, 0.0), 1.0)
+    p = _p_ratio(cursor.alpha_prev, cursor.alpha_t, den, params.xi)
+    return min(max(p, 0.0), 1.0)
 
 
 def tau_at(cursor: ScheduleCursor) -> float:
@@ -205,13 +210,10 @@ def alpha_sequence(t_max: int, params: ScheduleParams) -> np.ndarray:
 def denominator_sequence(alpha_seq: np.ndarray, params: ScheduleParams) -> np.ndarray:
     """D_t for t = 0..t_max given alpha_seq = (alpha_0, ..., alpha_tmax)."""
     csum = np.concatenate(([0.0], np.cumsum(alpha_seq[1:])))
-    return params.alpha_tilde0 + params.alpha0 ** 2 - alpha_seq ** 2 + csum
+    return _denominator(alpha_seq, csum, params)
 
 
 def p_sequence(alpha_seq: np.ndarray, params: ScheduleParams) -> np.ndarray:
     """p_t for t = 1..t_max; entry i holds p_{i+1}."""
     den = denominator_sequence(alpha_seq, params)[1:]
-    a_prev = alpha_seq[:-1]
-    a_t = alpha_seq[1:]
-    num = a_prev ** 2 - a_t ** 2 + a_t + params.xi * a_t ** 2
-    return num / den
+    return _p_ratio(alpha_seq[:-1], alpha_seq[1:], den, params.xi)

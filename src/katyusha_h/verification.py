@@ -338,11 +338,7 @@ def verify_variance_bound(
     identity = _ClaimTracker(0.0)
     n = problem.n
     for k, (x, w) in enumerate(points):
-        ckpt = Checkpoint(
-            w=np.asarray(w, float),
-            full_grad=problem.full_grad(w),
-            version=0,
-        )
+        ckpt = Checkpoint(w=np.asarray(w, float), full_grad=problem.full_grad(w))
         diffs = problem.component_grad_matrix(x) - problem.component_grad_matrix(w)
         full_sum = diffs.sum(axis=0)
         for b in b_values:

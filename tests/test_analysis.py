@@ -12,7 +12,6 @@ from katyusha_h.analysis import (
     alpha_hat,
     check_lyapunov_bound,
     feasible_alpha_interval,
-    final_bound_lhs,
     lyapunov,
     predict_ifo,
     select_alpha,
@@ -21,9 +20,9 @@ from katyusha_h.analysis import (
 )
 from katyusha_h.optimizers import TraceRecord
 from katyusha_h.problems import (
+    FiniteSumProblem,
     ReferenceSolution,
     SparseDataset,
-    make_least_squares,
     synthesize,
     with_reference,
 )
@@ -37,7 +36,7 @@ from katyusha_h.schedule import (
 
 def scalar_quadratic_with_reference():
     ds = SparseDataset(rows=[[(1, 1.0)], [(1, 1.0)]], labels=np.array([1.0, -1.0]), d=1)
-    prob = make_least_squares(ds)
+    prob = FiniteSumProblem(ds.to_dense(), ds.labels, "least_squares")
     prob.reference = ReferenceSolution(
         x_star=np.array([0.0]), f_star=0.5, gap_tolerance=0.0
     )
@@ -72,7 +71,7 @@ class TestLyapunov:
 
     def test_requires_reference(self):
         ds = SparseDataset(rows=[[(1, 1.0)]], labels=np.array([1.0]), d=1)
-        prob = make_least_squares(ds)
+        prob = FiniteSumProblem(ds.to_dense(), ds.labels, "least_squares")
         params = compute_constants(ScheduleConfig(alpha=0.0, batch_size=1, n=1))
         with pytest.raises(ValueError):
             lyapunov(np.zeros(1), np.zeros(1), np.zeros(1),
@@ -87,15 +86,6 @@ class TestLyapunov:
             pt = rng.normal(size=3)
             val = lyapunov(pt, pt, pt, cursor_at(t, params), params, 0.01, prob)
             assert val >= -1e-10
-
-    def test_final_bound_matches_next_lyapunov(self):
-        prob = scalar_quadratic_with_reference()
-        params = compute_constants(ScheduleConfig(alpha=1.0, batch_size=1, n=2))
-        y, z, w = np.array([0.3]), np.array([-0.2]), np.array([0.8])
-        t = 9
-        lhs = final_bound_lhs(y, z, w, cursor_at(t, params), params, 0.25, prob)
-        nxt = lyapunov(y, z, w, cursor_at(t + 1, params), params, 0.25, prob)
-        assert lhs == pytest.approx(nxt, rel=1e-12)
 
 
 def _trace_with(initial, final):

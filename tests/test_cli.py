@@ -93,6 +93,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.ini")
 
+    @pytest.mark.parametrize(
+        "problem, message",
+        [
+            ("reg = l1\nlam1 = 0.01\nlam2 = 5.0\n", "l1 regularizer has no squared-l2"),
+            ("reg = zero\nlam1 = 0.5\n", "zero regularizer takes no weights"),
+            ("reg = ridge\n", "unknown regularizer kind"),
+        ],
+        ids=["l1-with-lam2", "zero-with-lam1", "unknown-kind"],
+    )
+    def test_regularizer_built_from_spec(self, tmp_path, capsys, problem, message):
+        # a weight the kind cannot carry is an error, not silently dropped
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[problem]\n{problem}\n[run]\niterations = 1\n")
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+        assert main(["run", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_missing_dataset_file(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[problem]\ndata = nowhere.txt\n\n[run]\niterations = 1\n")
@@ -228,6 +246,40 @@ class TestVerifyCommand:
         ])
         assert code == 0
         assert "denominator-growth" in report.read_text()
+
+
+class TestListFlags:
+    """List flags parse like list config keys: an empty or malformed list is
+    a usage error that names the flag."""
+
+    @pytest.mark.parametrize(
+        "command, flag, value, rest",
+        [
+            ("run", "--seeds", ",", []),
+            ("run", "--seeds", "x", []),
+            ("sweep", "--seeds", ",", ["--alphas", "1", "--bs", "1"]),
+            ("sweep", "--alphas", ",", ["--bs", "1"]),
+            ("sweep", "--bs", "1.5", ["--alphas", "1"]),
+        ],
+    )
+    def test_bad_list_is_exit_two(
+        self, config_path, tmp_path, capsys, command, flag, value, rest
+    ):
+        out = tmp_path / "flag_out"
+        args = [command, "--config", str(config_path), "--out", str(out), flag, value]
+        assert main(args + rest) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--batch-sizes", "--growth-alphas"])
+    def test_verify_empty_list_is_exit_two(self, capsys, flag):
+        assert main(["verify", "--t-max", "200", "--alpha-step", "0.5", flag, ","]) == 2
+        assert flag in capsys.readouterr().err
+
+    def test_empty_growth_alphas_skips_the_growth_scan(self, capsys):
+        code = main(["verify", "--t-max", "200", "--alpha-step", "0.5", "--growth-alphas", ""])
+        assert code == 0
+        assert "denominator-growth" not in capsys.readouterr().out
 
 
 class TestSelectAlphaCommand:

@@ -18,8 +18,8 @@ from katyusha_h.estimator import (
     variance_bound_rhs,
 )
 from katyusha_h.problems import (
+    FiniteSumProblem,
     SparseDataset,
-    make_least_squares,
     make_rng,
     synthesize,
 )
@@ -27,7 +27,7 @@ from katyusha_h.problems import (
 
 def scalar_quadratic_problem():
     ds = SparseDataset(rows=[[(1, 1.0)], [(1, 1.0)]], labels=np.array([1.0, -1.0]), d=1)
-    return make_least_squares(ds)
+    return FiniteSumProblem(ds.to_dense(), ds.labels, "least_squares")
 
 
 class TestSampleSubset:
@@ -159,7 +159,7 @@ class TestCheckpointUpdate:
         new, updated = maybe_update_checkpoint(
             ckpt, np.ones(2), 1.0, make_rng(9), prob, ledger
         )
-        assert updated and new.version == 1
+        assert updated and new is not ckpt
         assert ledger.checkpoint_calls == base + prob.n
         np.testing.assert_array_equal(new.w, np.ones(2))
         np.testing.assert_allclose(new.full_grad, prob.full_grad(np.ones(2)), rtol=1e-15)
@@ -170,7 +170,7 @@ class TestCheckpointUpdate:
         ckpt = make_checkpoint(np.zeros(2), prob, ledger)
         base = ledger.checkpoint_calls
         same, updated = maybe_update_checkpoint(
-            ckpt, ckpt.w, 1.0, make_rng(9), prob, ledger, candidate_version=ckpt.version
+            ckpt, ckpt.w, 1.0, make_rng(9), prob, ledger, candidate_is_w=True
         )
         assert updated and same is ckpt
         assert ledger.checkpoint_calls == base
@@ -184,7 +184,7 @@ class TestCheckpointUpdate:
         trials, hits = 100_000, 0
         for _ in range(trials):
             _, updated = maybe_update_checkpoint(
-                ckpt, ckpt.w, 0.25, rng, prob, ledger, candidate_version=ckpt.version
+                ckpt, ckpt.w, 0.25, rng, prob, ledger, candidate_is_w=True
             )
             hits += updated
         sigma = math.sqrt(trials * 0.25 * 0.75)

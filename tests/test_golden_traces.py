@@ -1,0 +1,109 @@
+"""Golden traces: fixed configs must reproduce the committed files byte for byte.
+
+An unchanged config gives byte-identical traces unless ``trace_format``
+changes; that is the behaviour contract refactors are held to.  The files
+under ``tests/data/golden/`` were written by the configs below.  Regenerate
+them only together with a ``trace_format`` bump:
+
+    PYTHONPATH=src python tests/test_golden_traces.py
+
+Floating-point results can differ in the last bits between BLAS builds or
+CPU families, so a mismatch on a new machine should first be checked
+against a regeneration there before it is read as a behaviour change.
+"""
+
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from katyusha_h.experiment import load_config, run_command, sweep_command
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+
+LEAST_SQUARES = """\
+[problem]
+family = least_squares
+n = 30
+d = 5
+seed = 11
+reg = l1
+lam1 = 0.02
+[reference]
+tol = 1e-12
+"""
+
+KATYUSHA_H = LEAST_SQUARES + """\
+[solver]
+method = katyusha_h
+alpha = 0.5
+b = 2
+cache_checkpoint_grads = {cache}
+[run]
+epsilon = 1e-6
+seeds = 0 1
+[output]
+trace_stride = 7
+lyapunov = true
+"""
+
+BASELINE = LEAST_SQUARES + """\
+[solver]
+method = {method}
+[run]
+iterations = {iterations}
+seeds = 3
+[output]
+trace_stride = {stride}
+"""
+
+RUNS = {
+    "katyusha_h_cached": KATYUSHA_H.format(cache="true"),
+    "katyusha_h_uncached": KATYUSHA_H.format(cache="false"),
+    "fista": BASELINE.format(method="fista", iterations=40, stride=3),
+    "pgd": BASELINE.format(method="pgd", iterations=40, stride=3),
+    "psgd": BASELINE.format(method="psgd", iterations=300, stride=20),
+}
+
+SWEEP = LEAST_SQUARES + """\
+[solver]
+method = katyusha_h
+[run]
+epsilon = 1e-4
+seeds = 0 1
+[sweep]
+alphas = 0 1
+bs = 1 3
+"""
+
+
+def _config(directory: Path, text: str):
+    path = directory / "exp.ini"
+    path.write_text(text)
+    return load_config(path)
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_run_matches_golden(tmp_path, name):
+    paths = sorted(run_command(_config(tmp_path, RUNS[name]), out_dir=tmp_path / name))
+    expected = sorted((GOLDEN / name).iterdir())
+    assert [p.name for p in paths] == [p.name for p in expected]
+    for got, want in zip(paths, expected):
+        assert got.read_bytes() == want.read_bytes(), f"{name}/{got.name} differs"
+
+
+def test_sweep_matches_golden(tmp_path):
+    _, path = sweep_command(_config(tmp_path, SWEEP), out_dir=tmp_path / "sweep")
+    assert path.read_bytes() == (GOLDEN / "sweep" / path.name).read_bytes()
+
+
+def regenerate() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, text in RUNS.items():
+            run_command(_config(tmp, text), out_dir=GOLDEN / name)
+        sweep_command(_config(tmp, SWEEP), out_dir=GOLDEN / "sweep")
+
+
+if __name__ == "__main__":
+    regenerate()

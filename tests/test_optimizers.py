@@ -13,8 +13,8 @@ from katyusha_h.optimizers import (
     run,
 )
 from katyusha_h.problems import (
+    FiniteSumProblem,
     SparseDataset,
-    make_least_squares,
     synthesize,
     with_reference,
 )
@@ -24,7 +24,7 @@ from katyusha_h.schedule import max_step_size
 
 def scalar_quadratic_problem():
     ds = SparseDataset(rows=[[(1, 1.0)], [(1, 1.0)]], labels=np.array([1.0, -1.0]), d=1)
-    return make_least_squares(ds)
+    return FiniteSumProblem(ds.to_dense(), ds.labels, "least_squares")
 
 
 class TestHandTrace:

@@ -13,8 +13,6 @@ from katyusha_h.problems import (
     FiniteSumProblem,
     SparseDataset,
     dataset_from_dense,
-    make_least_squares,
-    make_logistic,
     make_rng,
     parse_libsvm,
     quadratic_gap_bound,
@@ -117,7 +115,8 @@ class TestParser:
 class TestLeastSquares:
     def test_two_point_instance(self):
         # components (x-1)^2/2 and (x+1)^2/2 average to (x^2+1)/2
-        prob = make_least_squares(two_point_dataset())
+        ds = two_point_dataset()
+        prob = FiniteSumProblem(ds.to_dense(), ds.labels, "least_squares")
         assert prob.L == 1.0
         assert prob.smooth_value(np.array([0.0])) == pytest.approx(0.5)
         assert prob.smooth_value(np.array([2.0])) == pytest.approx(2.5)
@@ -133,14 +132,16 @@ class TestLeastSquares:
 
     def test_unit_norm_rows_give_unit_l(self):
         ds = SparseDataset(rows=[[(1, 1.0)], [(2, -1.0)]], labels=np.array([0.0, 1.0]), d=2)
-        assert make_least_squares(ds).L == pytest.approx(1.0)
+        prob = FiniteSumProblem(ds.to_dense(), ds.labels, "least_squares")
+        assert prob.L == pytest.approx(1.0)
 
     def test_empty_dataset_rejected(self):
+        ds = SparseDataset(rows=[], labels=np.array([]), d=0)
         with pytest.raises(ValueError):
-            make_least_squares(SparseDataset(rows=[], labels=np.array([]), d=0))
+            FiniteSumProblem(ds.to_dense(), ds.labels, "least_squares")
 
     @pytest.mark.parametrize(
-        "A, targets, L",
+        "A, targets, scale",
         [
             ([[1.0, np.nan]], [0.0], 1.0),
             ([[1.0, np.inf]], [0.0], 1.0),
@@ -148,12 +149,17 @@ class TestLeastSquares:
             ([[1.0, 0.0]], [-np.inf], 1.0),
             ([[1.0, 0.0]], [0.0], np.nan),
             ([[1.0, 0.0]], [0.0], np.inf),
-            ([[1.0, 0.0]], [0.0], 0.0),
+            ([[1.0, 0.0]], [0.0], 0.0),  # all-zero rows: no smoothness bound
+            ([[1e200, 0.0]], [0.0], 1.0),  # finite, but ||a_i||^2 overflows
         ],
     )
-    def test_non_finite_problem_rejected(self, A, targets, L):
-        with pytest.raises(ValueError):
-            FiniteSumProblem(A=A, targets=targets, loss="least_squares", L=L)
+    def test_non_finite_problem_rejected(self, A, targets, scale):
+        # L is derived from the rows, so the features are scaled rather than
+        # L passed: by nan or inf they are non-finite, by 0 all rows vanish.
+        with np.errstate(invalid="ignore", over="ignore"):
+            A = scale * np.asarray(A)
+            with pytest.raises(ValueError):
+                FiniteSumProblem(A=A, targets=targets, loss="least_squares")
 
 
 class TestLogistic:
@@ -175,7 +181,7 @@ class TestLogistic:
     def test_label_validation(self):
         ds = SparseDataset(rows=[[(1, 1.0)]], labels=np.array([2.0]), d=1)
         with pytest.raises(ValueError):
-            make_logistic(ds)
+            FiniteSumProblem(ds.to_dense(), ds.labels, "logistic")
 
 
 class TestOracleConsistency:
@@ -260,7 +266,8 @@ class TestSynthesize:
 
 class TestSolveReference:
     def test_scalar_quadratic(self):
-        prob = make_least_squares(two_point_dataset())
+        ds = two_point_dataset()
+        prob = FiniteSumProblem(ds.to_dense(), ds.labels, "least_squares")
         ref = solve_reference(prob, tol=1e-12)
         assert abs(ref.x_star[0]) <= 1e-6
         assert ref.f_star == pytest.approx(0.5, abs=1e-12)
