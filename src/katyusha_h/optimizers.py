@@ -183,15 +183,16 @@ def state_lyapunov(state: KatyushaHState, problem) -> float:
     )
 
 
-def _drive(problem, step, eval_point, record, *, iterations, epsilon,
+def _drive(problem, step, objective, record, *, iterations, epsilon,
            max_iterations, record_every, eval_every) -> list[TraceRecord]:
     """The run loop of every solver: stopping rule, epsilon test, recording.
 
-    ``step(t)`` performs iteration t in place; ``eval_point()`` is the iterate
-    whose gap the epsilon test reads every ``eval_every`` iterations (and at
-    the last); ``record(t, f)`` builds the record after iteration t, where
-    ``f`` is the objective at ``eval_point()`` when the test just evaluated
-    it and None otherwise, so no objective is evaluated twice per iteration.
+    ``step(t)`` performs iteration t in place; ``objective()`` returns F at
+    the point whose gap the epsilon test reads every ``eval_every``
+    iterations (and at the last); a solver whose test point rarely changes
+    may remember its value.  ``record(t, f)`` builds the record after
+    iteration t, where ``f`` is the value the test just read and None
+    otherwise, so no objective is evaluated twice per iteration.
     Returns the initial record plus one per ``record_every`` iterations; the
     final iteration is always recorded.
     """
@@ -206,7 +207,7 @@ def _drive(problem, step, eval_point, record, *, iterations, epsilon,
         done = t == budget
         f = None
         if epsilon is not None and (done or t % eval_every == 0):
-            f = problem.value(eval_point())
+            f = objective()
             done = done or f - problem.reference.f_star <= epsilon
         if done or t % record_every == 0:
             records.append(record(t, f))
@@ -225,12 +226,21 @@ def run(problem, config: RunConfig) -> list[TraceRecord]:
     if config.lyapunov and problem.reference is None:
         raise ValueError("Lyapunov instrumentation requires a reference solution")
     state = init_state(problem, config)
+    # w changes only when a refresh replaces the checkpoint object, so F(w)
+    # is evaluated once per checkpoint.
+    evaluated: tuple[Checkpoint | None, float] = (None, math.nan)
 
-    def record(t: int, f_w: float | None) -> TraceRecord:
+    def checkpoint_value() -> float:
+        nonlocal evaluated
+        if evaluated[0] is not state.ckpt:
+            evaluated = state.ckpt, problem.value(state.ckpt.w)
+        return evaluated[1]
+
+    def record(t: int, _: float | None) -> TraceRecord:
         return TraceRecord(
             t=t,
             f_y=problem.value(state.y),
-            f_w=problem.value(state.ckpt.w) if f_w is None else f_w,
+            f_w=checkpoint_value(),
             p=state.p,
             checkpoint_updated=state.checkpoint_updated,
             ifo_minibatch=state.ledger.minibatch_calls,
@@ -243,7 +253,7 @@ def run(problem, config: RunConfig) -> list[TraceRecord]:
     return _drive(
         problem,
         lambda t: katyusha_h_step(state, problem),
-        lambda: state.ckpt.w,
+        checkpoint_value,
         record,
         iterations=config.iterations,
         epsilon=config.epsilon,
@@ -285,7 +295,7 @@ def _baseline(problem, x: np.ndarray, step, cost: int, **stopping) -> list[Trace
         f = problem.value(x) if f is None else f
         return TraceRecord(t, f, f, math.nan, False, cost * t, 0)
 
-    return _drive(problem, move, lambda: x, record, **stopping)
+    return _drive(problem, move, lambda: problem.value(x), record, **stopping)
 
 
 def fista_run(

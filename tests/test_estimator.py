@@ -30,7 +30,35 @@ def scalar_quadratic_problem():
     return FiniteSumProblem(ds.to_dense(), ds.labels, "least_squares")
 
 
+def scalar_loop_subset(n, b, rng):
+    """The one-draw-per-position sampler, kept as the stream-contract oracle."""
+    if b == n:
+        return np.arange(n)
+    swaps = {}
+    out = np.empty(b, dtype=np.intp)
+    for i in range(b):
+        j = int(rng.integers(i, n))
+        out[i] = swaps.get(j, j)
+        swaps[j] = swaps.get(i, i)
+    return out
+
+
 class TestSampleSubset:
+    @pytest.mark.parametrize(
+        "n,b",
+        [(1, 1), (7, 6), (100, 1), (100, 2), (100, 10), (10**4, 100), (2**33, 5), (30, 30)],
+    )
+    def test_stream_contract_matches_scalar_loop(self, n, b):
+        # One array-bound draw must return the scalar loop's indices and leave
+        # the generator where the loop leaves it.
+        for seed in range(50):
+            fast, slow = make_rng(seed), make_rng(seed)
+            got = sample_subset(n, b, fast)
+            want = scalar_loop_subset(n, b, slow)
+            assert got.dtype == np.intp
+            np.testing.assert_array_equal(got, want)
+            assert fast.random() == slow.random()
+
     def test_degenerate_cases(self):
         rng = make_rng(0)
         assert list(sample_subset(1, 1, rng)) == [0]

@@ -36,8 +36,8 @@ tol = 1e-12
 KATYUSHA_H = LEAST_SQUARES + """\
 [solver]
 method = katyusha_h
-alpha = 0.5
-b = 2
+alpha = {alpha}
+b = {b}
 cache_checkpoint_grads = {cache}
 [run]
 epsilon = 1e-6
@@ -58,8 +58,9 @@ trace_stride = {stride}
 """
 
 RUNS = {
-    "katyusha_h_cached": KATYUSHA_H.format(cache="true"),
-    "katyusha_h_uncached": KATYUSHA_H.format(cache="false"),
+    "katyusha_h_cached": KATYUSHA_H.format(alpha=0.5, b=2, cache="true"),
+    "katyusha_h_uncached": KATYUSHA_H.format(alpha=0.5, b=2, cache="false"),
+    "katyusha_h_cached_b10": KATYUSHA_H.format(alpha=1, b=10, cache="true"),
     "fista": BASELINE.format(method="fista", iterations=40, stride=3),
     "pgd": BASELINE.format(method="pgd", iterations=40, stride=3),
     "psgd": BASELINE.format(method="psgd", iterations=300, stride=20),

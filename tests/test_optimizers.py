@@ -5,6 +5,7 @@ import pytest
 
 from katyusha_h.optimizers import (
     RunConfig,
+    TraceRecord,
     fista_run,
     init_state,
     katyusha_h_step,
@@ -266,3 +267,42 @@ class TestDriver:
         )
         assert records[-1].t == 50
         assert len(calls) == 50 + 1  # one per iteration plus the initial record
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_run_evaluates_each_checkpoint_once(self, monkeypatch, alpha):
+        _, prob = synthesize(
+            200, 10, "least_squares", seed=5, reg=Regularizer.l1(0.001), condition=100.0
+        )
+        with_reference(prob, tol=1e-12)
+        cfg = RunConfig(
+            alpha=alpha, batch_size=1, epsilon=1e-4, seed=0, eval_every=1, record_every=10**9
+        )
+
+        # Oracle: the same run with F(w) evaluated afresh at every test.
+        state = init_state(prob, cfg)
+
+        def record(t):
+            return TraceRecord(
+                t, prob.value(state.y), prob.value(state.ckpt.w), state.p,
+                state.checkpoint_updated, state.ledger.minibatch_calls,
+                state.ledger.checkpoint_calls,
+            )
+
+        want = [record(0)]
+        katyusha_h_step(state, prob)
+        while prob.value(state.ckpt.w) - prob.reference.f_star > cfg.epsilon:
+            katyusha_h_step(state, prob)
+        want.append(record(state.t - 1))
+
+        seen = []
+        value = FiniteSumProblem.value
+        monkeypatch.setattr(
+            FiniteSumProblem, "value", lambda self, x: seen.append(x) or value(self, x)
+        )
+        records = run(prob, cfg)
+        assert repr(records) == repr(want)  # repr: NaN p_t compares equal
+        # Every evaluated array is a distinct object: one per checkpoint, plus
+        # y in the initial and the final record.
+        assert len({id(x) for x in seen}) == len(seen)
+        refreshes = records[-1].ifo_checkpoint // prob.n - 1
+        assert len(seen) == refreshes + 1 + 2
