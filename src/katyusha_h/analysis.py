@@ -34,9 +34,9 @@ def alpha_hat(epsilon: float) -> float:
 
 
 def lyapunov(
-    y: np.ndarray,
+    gap_y: float,
+    gap_w: float,
     z: np.ndarray,
-    w: np.ndarray,
     cursor: ScheduleCursor,
     params: ScheduleParams,
     eta: float,
@@ -47,8 +47,9 @@ def lyapunov(
     L_t = alpha_{t-1}^2 (F(y_t) - F*) + D_{t-1} (F(w_t) - F*)
           + ||z_t - x*||^2 / (2 eta).
 
-    Costs two full objective evaluations plus a norm; instrumentation only,
-    never charged to the IFO ledger.
+    The caller passes the gaps F(y_t) - F* and F(w_t) - F*, which it has
+    already evaluated, so this costs one norm; instrumentation only, never
+    charged to the IFO ledger.
     """
     ref = problem.reference
     if ref is None:
@@ -60,8 +61,6 @@ def lyapunov(
         # t = 0 start-of-run form: alpha_0^2 and alpha_tilde0.
         alpha_sq = ALPHA0 ** 2
         weight_w = params.alpha_tilde0
-    gap_y = problem.value(y) - ref.f_star
-    gap_w = problem.value(w) - ref.f_star
     dz = np.asarray(z) - ref.x_star
     return alpha_sq * gap_y + weight_w * gap_w + float(dz @ dz) / (2.0 * eta)
 

@@ -2,9 +2,9 @@
 
 Cost model: every component-gradient evaluation is one IFO unit.  One
 estimate charges 2b (gradients at the current point and at the checkpoint
-for each sampled component) unless the optional per-component checkpoint
-cache is enabled, in which case the checkpoint side is free and an estimate
-charges b.  A full-gradient (re)computation at a checkpoint charges n.
+for each sampled component), or b when the checkpoint side counts as cached;
+the ledger fixes which at construction, and the arithmetic is the same under
+either charge.  A full-gradient (re)computation at a checkpoint charges n.
 """
 
 from __future__ import annotations
@@ -26,41 +26,26 @@ class IfoLedger:
 
     minibatch_calls: int = 0
     checkpoint_calls: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.minibatch_calls + self.checkpoint_calls
+    per_sample: int = 2  # IFO per sampled component: 1 if the checkpoint side is cached
 
 
 @dataclass
 class Checkpoint:
-    """Full-gradient point: the iterate w and its full gradient.
-
-    ``residuals`` optionally caches the n scalar residuals r_i(w) (memory n):
-    for these linear models grad f_i(w) = a_i * r_i(w), so estimates can
-    rebuild the checkpoint side from the feature rows without re-evaluating
-    the loss.
-    """
+    """Full-gradient point: the iterate w, its full gradient, and the n
+    scalar residuals r_i(w) (memory n).  For these linear models
+    grad f_i(w) = a_i * r_i(w), so an estimate rebuilds the checkpoint side
+    from the sampled feature rows without re-evaluating the loss."""
 
     w: np.ndarray
     full_grad: np.ndarray
-    residuals: np.ndarray | None = None
+    residuals: np.ndarray
 
 
-def make_checkpoint(
-    w: np.ndarray,
-    problem,
-    ledger: IfoLedger,
-    cache: bool = False,
-) -> Checkpoint:
+def make_checkpoint(w: np.ndarray, problem, ledger: IfoLedger) -> Checkpoint:
     """Compute the full gradient at w (cost n) and wrap it as a checkpoint."""
-    if cache:
-        residuals = problem.residual(slice(None), w)
-        full = (problem.A * residuals[:, None]).mean(axis=0)
-    else:
-        residuals = None
-        full = problem.full_grad(w)
+    residuals = problem.residual(slice(None), w)
     ledger.checkpoint_calls += problem.n
+    full = problem.A.T @ residuals / problem.n
     return Checkpoint(w=w, full_grad=full, residuals=residuals)
 
 
@@ -108,17 +93,11 @@ def svrg_estimate(
     gradient directly so it is bit-identical to a plain full-gradient call.
     """
     b = len(idx)
-    if ckpt.residuals is not None:
-        ledger.minibatch_calls += b
-        if b == problem.n:
-            return problem.full_grad(x)
-        cached = (problem.A[idx] * ckpt.residuals[idx, None]).sum(axis=0)
-        diff = problem.grad_sum(idx, x) - cached
-    else:
-        ledger.minibatch_calls += 2 * b
-        if b == problem.n:
-            return problem.full_grad(x)
-        diff = problem.grad_sum(idx, x) - problem.grad_sum(idx, ckpt.w)
+    ledger.minibatch_calls += ledger.per_sample * b
+    if b == problem.n:
+        return problem.full_grad(x)
+    rows = problem.A[idx]
+    diff = rows.T @ (problem.residual(idx, x, rows) - ckpt.residuals[idx])
     return diff / b + ckpt.full_grad
 
 
@@ -148,10 +127,7 @@ def maybe_update_checkpoint(
         return ckpt, False
     if candidate_is_w:
         return ckpt, True
-    new = make_checkpoint(
-        np.array(candidate, copy=True), problem, ledger, cache=ckpt.residuals is not None
-    )
-    return new, True
+    return make_checkpoint(np.array(candidate, copy=True), problem, ledger), True
 
 
 def variance_bound_rhs(x: np.ndarray, w: np.ndarray, problem, b: int) -> float:

@@ -28,6 +28,8 @@ from .problems import (
 from .proximal import Regularizer
 
 TRACE_COLUMNS = ("t", "F_y_gap", "F_w_gap", "p_t", "ckpt_updated", "ifo_total", "lyapunov")
+# Bumped whenever an unchanged config may give different trace bytes.
+TRACE_FORMAT = "3"
 
 
 class ConfigError(ValueError):
@@ -331,7 +333,7 @@ def _trace_header(cfg: ExperimentConfig, problem: FiniteSumProblem, seed: int,
                   alpha: float | None = None, b: int | None = None) -> dict[str, str]:
     solver = cfg.solver
     head = {
-        "trace_format": "2",
+        "trace_format": TRACE_FORMAT,
         "problem": (
             f"family={cfg.problem.family} reg={cfg.problem.reg} "
             f"n={problem.n} d={problem.d}"

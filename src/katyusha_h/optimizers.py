@@ -84,7 +84,7 @@ class RunConfig:
     record_every: int = 1
     eval_every: int | None = None  # None: every iteration if n*d small, else 10
     lyapunov: bool = False
-    cache_checkpoint_grads: bool = False
+    cache_checkpoint_grads: bool = False  # charge b IFO per estimate, not 2b
     max_iterations: int = 10_000_000
     x0: np.ndarray | None = None
 
@@ -128,9 +128,9 @@ def init_state(problem, config: RunConfig) -> KatyushaHState:
             f"eta must be in (0, {eta_max:.6g}] for L={problem.L:.6g}, got {eta}"
         )
     x0 = _start(problem, config.x0)
-    ledger = IfoLedger()
+    ledger = IfoLedger(per_sample=1 if config.cache_checkpoint_grads else 2)
     rng = np.random.Generator(np.random.Philox(key=config.seed))
-    ckpt = make_checkpoint(x0.copy(), problem, ledger, cache=config.cache_checkpoint_grads)
+    ckpt = make_checkpoint(x0.copy(), problem, ledger)
     return KatyushaHState(
         x=x0.copy(),
         y=x0.copy(),
@@ -176,10 +176,12 @@ def katyusha_h_step(state: KatyushaHState, problem) -> None:
     state.cursor = advance(cur, params)
 
 
-def state_lyapunov(state: KatyushaHState, problem) -> float:
-    """Lyapunov value of the current state (instrumentation only)."""
+def state_lyapunov(state: KatyushaHState, problem, f_y: float, f_w: float) -> float:
+    """Lyapunov value of the current state from F(y) and F(w), which the
+    caller has already evaluated (instrumentation only)."""
+    f_star = problem.reference.f_star
     return analysis.lyapunov(
-        state.y, state.z, state.ckpt.w, state.cursor, state.params, state.eta, problem
+        f_y - f_star, f_w - f_star, state.z, state.cursor, state.params, state.eta, problem
     )
 
 
@@ -237,15 +239,16 @@ def run(problem, config: RunConfig) -> list[TraceRecord]:
         return evaluated[1]
 
     def record(t: int, _: float | None) -> TraceRecord:
+        f_y, f_w = problem.value(state.y), checkpoint_value()
         return TraceRecord(
             t=t,
-            f_y=problem.value(state.y),
-            f_w=checkpoint_value(),
+            f_y=f_y,
+            f_w=f_w,
             p=state.p,
             checkpoint_updated=state.checkpoint_updated,
             ifo_minibatch=state.ledger.minibatch_calls,
             ifo_checkpoint=state.ledger.checkpoint_calls,
-            lyapunov=state_lyapunov(state, problem) if config.lyapunov else math.nan,
+            lyapunov=state_lyapunov(state, problem, f_y, f_w) if config.lyapunov else math.nan,
         )
 
     # katyusha_h_step is looked up at each call, so a wrapper installed on

@@ -192,9 +192,10 @@ class FiniteSumProblem:
 
     # -- component oracles -----------------------------------------------
 
-    def residual(self, idx, x: np.ndarray) -> np.ndarray:
-        """Scalar residual r_i(x) per selected component: grad f_i = a_i * r_i."""
-        margins = self.A[idx] @ x
+    def residual(self, idx, x: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """Scalar residual r_i(x) per selected component: grad f_i = a_i * r_i.
+        ``rows`` is A[idx] when the caller has already gathered it."""
+        margins = (self.A[idx] if rows is None else rows) @ x
         if self.loss == "least_squares":
             return margins - self.targets[idx]
         # d/dm log(1+exp(-y m)) = -y * sigmoid(-y m)
@@ -339,6 +340,19 @@ def quadratic_gap_bound(problem: FiniteSumProblem, x: np.ndarray, s: np.ndarray)
     return float(g @ g) / (2.0 * mu)
 
 
+def _strictly_separable(problem: FiniteSumProblem) -> bool:
+    """Whether y_i a_i'w > 0 at some w for every i with a_i != 0 (a zero row's
+    margin is 0 at every w).  One LP asks for margins >= 1 and its w is
+    rechecked in floats, so True is a certificate."""
+    from scipy.optimize import linprog  # ~0.3 s to import; only this check needs it
+
+    margins = problem.targets[:, None] * problem.A
+    margins = margins[np.any(margins != 0.0, axis=1)]
+    fit = linprog(np.zeros(problem.d), A_ub=-margins, b_ub=-np.ones(len(margins)),
+                  bounds=(None, None), method="highs")
+    return fit.status == 0 and bool(np.all(margins @ fit.x > 0.0))
+
+
 def solve_reference(
     problem: FiniteSumProblem,
     tol: float = 1e-12,
@@ -360,11 +374,16 @@ def solve_reference(
 
     ``gap_tolerance`` is the achieved certificate, never below ``tol``.
     When the certificate misses ``tol`` a RuntimeWarning names both.
+    Logistic loss with no regularizer has no minimizer on separable data, so
+    such a problem raises ValueError before any iteration runs.
     """
     from .optimizers import fista_solve
 
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    unregularized_logistic = problem.loss == "logistic" and problem.reg.kind == "zero"
+    if unregularized_logistic and _strictly_separable(problem):
+        raise ValueError("unregularized logistic loss has no minimizer on separable data")
     n = problem.n
     if _is_quadratic(problem):
         U, s, Vt = np.linalg.svd(problem.A, full_matrices=False)

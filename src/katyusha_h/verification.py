@@ -17,9 +17,10 @@ import numpy as np
 
 from . import analysis
 from .estimator import (
-    Checkpoint,
     EnumerationCapError,
+    IfoLedger,
     exact_variance,
+    make_checkpoint,
     variance_bound_rhs,
 )
 from .optimizers import KatyushaHState
@@ -28,6 +29,7 @@ from .schedule import (
     GROWTH_START,
     C_MAX,
     ScheduleConfig,
+    _p_ratio,
     alpha_sequence,
     compute_constants,
     denominator_at,
@@ -201,7 +203,7 @@ def scan_schedule(
                 ),
                 here,
             )
-            p = (numer_core + xi_at2) / den[1:]
+            p = _p_ratio(a_prev, a_t, den[1:], params.xi)
             trackers["p-range"].update(np.minimum(p, 1.0 - p), here)
             tau = 1.0 / a_t
             coupling = np.minimum.reduce(
@@ -294,9 +296,9 @@ def exact_conditional_lyapunov_descent(
     p = p_at(cur, params)
     eta = state.eta
 
-    current = analysis.lyapunov(
-        state.y, state.z, state.ckpt.w, cur, params, eta, problem
-    )
+    gap_w = problem.value(state.ckpt.w) - ref.f_star
+    gap_y = problem.value(state.y) - ref.f_star
+    current = analysis.lyapunov(gap_y, gap_w, state.z, cur, params, eta, problem)
 
     x_next = tau * state.z + xi * state.ckpt.w + (1.0 - xi - tau) * state.y
     diffs = problem.component_grad_matrix(x_next) - problem.component_grad_matrix(
@@ -315,8 +317,6 @@ def exact_conditional_lyapunov_descent(
         acc += alpha_sq * (problem.value(y_next) - ref.f_star) + float(dz @ dz) / (
             2.0 * eta
         )
-    gap_w = problem.value(state.ckpt.w) - ref.f_star
-    gap_y = problem.value(state.y) - ref.f_star
     expected = acc / total + d_t * ((1.0 - p) * gap_w + p * gap_y)
     return expected, current
 
@@ -338,7 +338,7 @@ def verify_variance_bound(
     identity = _ClaimTracker(0.0)
     n = problem.n
     for k, (x, w) in enumerate(points):
-        ckpt = Checkpoint(w=np.asarray(w, float), full_grad=problem.full_grad(w))
+        ckpt = make_checkpoint(np.asarray(w, float), problem, IfoLedger())
         diffs = problem.component_grad_matrix(x) - problem.component_grad_matrix(w)
         full_sum = diffs.sum(axis=0)
         for b in b_values:

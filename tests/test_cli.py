@@ -5,6 +5,7 @@ import pytest
 
 from katyusha_h.cli import main
 from katyusha_h.experiment import (
+    TRACE_FORMAT,
     ConfigError,
     build_problem,
     load_config,
@@ -127,7 +128,7 @@ class TestRunCommand:
         assert [r["t"] for r in rows] == list(range(41))
         assert header["method"] == "katyusha_h"
         assert "f_star" in header
-        assert header["trace_format"] == "2"
+        assert header["trace_format"] == TRACE_FORMAT
         assert header["reference"] == "fista-restart"  # l1 takes the FISTA path
 
     def test_direct_reference_named_in_header(self, config_path):
@@ -138,15 +139,17 @@ class TestRunCommand:
         assert header["reference"] == "lstsq"
         assert header["f_star_tolerance"] == repr(1e-12)
 
-    def test_reads_format_one_traces(self, tmp_path):
-        path = tmp_path / "v1.csv"
+    @pytest.mark.parametrize("version", ["1", "2"])
+    def test_reads_earlier_formats(self, tmp_path, version):
+        path = tmp_path / f"v{version}.csv"
         path.write_text(
-            "# trace_format = 1\n# method = katyusha_h\n# reference = fista-restart\n"
+            f"# trace_format = {version}\n# method = katyusha_h\n"
+            "# reference = fista-restart\n"
             "t,F_y_gap,F_w_gap,p_t,ckpt_updated,ifo_total,lyapunov\n"
             "0,0.5,0.5,,0,30,\n1,0.25,0.5,1.0,1,32,0.75\n"
         )
         header, rows = read_trace(path)
-        assert header["trace_format"] == "1"
+        assert header["trace_format"] == version
         assert [r["t"] for r in rows] == [0, 1]
         assert rows[1]["ifo_total"] == 32 and rows[1]["lyapunov"] == 0.75
 
@@ -303,6 +306,17 @@ class TestSolveRefCommand:
         assert "x_star = " in text
         assert "method = fista-restart" in text
         assert "method = fista-restart" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["solve-ref", "run"])
+    def test_separable_logistic_is_exit_two(self, tmp_path, capsys, command):
+        path = tmp_path / "sep.ini"
+        path.write_text(
+            "[problem]\nfamily = logistic\nn = 30\nd = 5\nseed = 17\n\n"
+            "[run]\nepsilon = 1e-6\n\n[reference]\ntol = 1e-10\n\n"
+            f"[output]\ndirectory = {tmp_path / 'out'}\n"
+        )
+        assert main([command, "--config", str(path)]) == 2
+        assert "no minimizer" in capsys.readouterr().err
 
 
 class TestNonFiniteInputs:

@@ -145,24 +145,40 @@ class TestSvrgEstimate:
         assert ledger.minibatch_calls == 4
 
     def test_cache_halves_minibatch_cost(self):
+        # the ledger's charge changes the bill, never the estimate
         _, prob = synthesize(6, 3, "least_squares", seed=2)
-        plain, cached = IfoLedger(), IfoLedger()
-        ck_plain = make_checkpoint(np.zeros(3), prob, plain)
-        ck_cached = make_checkpoint(np.zeros(3), prob, cached, cache=True)
-        x = np.ones(3)
-        idx = np.array([1, 3])
-        g1 = svrg_estimate(x, ck_plain, idx, prob, plain)
-        g2 = svrg_estimate(x, ck_cached, idx, prob, cached)
-        np.testing.assert_allclose(g1, g2, rtol=1e-12, atol=1e-15)
+        plain, cached = IfoLedger(), IfoLedger(per_sample=1)
+        ckpt = make_checkpoint(np.zeros(3), prob, plain)
+        x, idx = np.ones(3), np.array([1, 3])
+        g1 = svrg_estimate(x, ckpt, idx, prob, plain)
+        g2 = svrg_estimate(x, ckpt, idx, prob, cached)
+        np.testing.assert_array_equal(g1, g2)
         assert plain.minibatch_calls == 4 and cached.minibatch_calls == 2
+        svrg_estimate(x, ckpt, np.arange(prob.n), prob, cached)
+        assert cached.minibatch_calls == 2 + prob.n
 
     def test_cache_holds_one_residual_per_component(self):
         _, prob = synthesize(6, 3, "logistic", seed=2)
-        ckpt = make_checkpoint(np.ones(3), prob, IfoLedger(), cache=True)
+        ckpt = make_checkpoint(np.ones(3), prob, IfoLedger())
         assert ckpt.residuals.shape == (prob.n,)
         np.testing.assert_array_equal(
             prob.A * ckpt.residuals[:, None], prob.component_grad_matrix(np.ones(3))
         )
+        np.testing.assert_allclose(ckpt.full_grad, prob.full_grad(np.ones(3)), rtol=1e-14)
+
+    @pytest.mark.parametrize("family", ["least_squares", "logistic"])
+    def test_estimate_matches_component_gradients(self, family):
+        # the residual arithmetic against per-component gradients
+        _, prob = synthesize(7, 3, family, seed=4)
+        rng = make_rng(8)
+        ckpt = make_checkpoint(rng.standard_normal(3), prob, IfoLedger())
+        for b in (1, 3, 6):
+            x = rng.standard_normal(3)
+            idx = sample_subset(prob.n, b, rng)
+            diffs = prob.component_grad_matrix(x, idx) - prob.component_grad_matrix(ckpt.w, idx)
+            want = diffs.sum(axis=0) / b + prob.full_grad(ckpt.w)
+            got = svrg_estimate(x, ckpt, idx, prob, IfoLedger())
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
 class TestCheckpointUpdate:

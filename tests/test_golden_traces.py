@@ -2,10 +2,14 @@
 
 An unchanged config gives byte-identical traces unless ``trace_format``
 changes; that is the behaviour contract refactors are held to.  The files
-under ``tests/data/golden/`` were written by the configs below.  Regenerate
-them only together with a ``trace_format`` bump:
+under ``tests/data/golden/`` were written by the configs below.  After a bump
+of ``experiment.TRACE_FORMAT``, regenerate them with
 
     PYTHONPATH=src python tests/test_golden_traces.py
+
+which writes the files of a config that has none and overwrites only those
+whose ``trace_format`` differs from ``TRACE_FORMAT``.  The sweep summary has
+no header: it is written when missing and rewritten with a format bump.
 
 Floating-point results can differ in the last bits between BLAS builds or
 CPU families, so a mismatch on a new machine should first be checked
@@ -17,7 +21,13 @@ from pathlib import Path
 
 import pytest
 
-from katyusha_h.experiment import load_config, run_command, sweep_command
+from katyusha_h.experiment import (
+    TRACE_FORMAT,
+    load_config,
+    read_trace,
+    run_command,
+    sweep_command,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
@@ -98,13 +108,22 @@ def test_sweep_matches_golden(tmp_path):
     assert path.read_bytes() == (GOLDEN / "sweep" / path.name).read_bytes()
 
 
+def _formats(directory: Path) -> set[str]:
+    """The trace formats of the golden traces in ``directory`` (empty if none)."""
+    return {read_trace(f)[0]["trace_format"] for f in directory.glob("*.csv")}
+
+
 def regenerate() -> None:
+    formats = {name: _formats(GOLDEN / name) for name in RUNS}
+    stale = [name for name, found in formats.items() if found != {TRACE_FORMAT}]
+    bumped = any(found - {TRACE_FORMAT} for found in formats.values())
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for name, text in RUNS.items():
-            run_command(_config(tmp, text), out_dir=GOLDEN / name)
-        sweep_command(_config(tmp, SWEEP), out_dir=GOLDEN / "sweep")
-
+        for name in stale:
+            run_command(_config(tmp, RUNS[name]), out_dir=GOLDEN / name)
+        if bumped or not (GOLDEN / "sweep" / "sweep_summary.csv").exists():
+            sweep_command(_config(tmp, SWEEP), out_dir=GOLDEN / "sweep")
+    print(f"regenerated: {', '.join(stale) or 'nothing'}")
 
 if __name__ == "__main__":
     regenerate()

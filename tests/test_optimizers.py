@@ -306,3 +306,48 @@ class TestDriver:
         assert len({id(x) for x in seen}) == len(seen)
         refreshes = records[-1].ifo_checkpoint // prob.n - 1
         assert len(seen) == refreshes + 1 + 2
+
+    def test_lyapunov_adds_no_objective_evaluations(self, monkeypatch):
+        _, prob = synthesize(30, 5, "least_squares", seed=4, reg=Regularizer.l1(0.01))
+        with_reference(prob, tol=1e-12)
+        calls = []
+        value = FiniteSumProblem.value
+        monkeypatch.setattr(
+            FiniteSumProblem, "value", lambda self, x: calls.append(1) or value(self, x)
+        )
+        counts = {}
+        for lyapunov in (False, True):
+            calls.clear()
+            cfg = RunConfig(alpha=0.5, batch_size=2, iterations=50, seed=3, lyapunov=lyapunov)
+            records = run(prob, cfg)
+            counts[lyapunov] = len(calls)
+        assert all(np.isfinite(r.lyapunov) for r in records)
+        assert counts[True] == counts[False]
+
+
+class TestCheckpointCache:
+    @pytest.mark.parametrize("b", [1, 4])
+    @pytest.mark.parametrize(
+        "family, reg",
+        [("least_squares", Regularizer.l1(0.01)),
+         ("logistic", Regularizer.elastic_net(0.01, 0.01))],
+        ids=["least_squares", "logistic"],
+    )
+    def test_cache_sets_only_the_charge(self, family, reg, b):
+        # the option selects the paper's charge per estimate (b or 2b); the
+        # arithmetic, and so every iterate and draw, is the same
+        _, prob = synthesize(40, 6, family, seed=9, reg=reg)
+        runs = {
+            cache: run(prob, RunConfig(alpha=0.5, batch_size=b, iterations=60, seed=5,
+                                       cache_checkpoint_grads=cache))
+            for cache in (False, True)
+        }
+        plain, cached = runs[False], runs[True]
+        assert len(plain) == len(cached) == 61
+        for r0, r1 in zip(plain, cached):
+            assert (r0.t, r0.f_y, r0.f_w, r0.checkpoint_updated, r0.ifo_checkpoint) == (
+                r1.t, r1.f_y, r1.f_w, r1.checkpoint_updated, r1.ifo_checkpoint
+            )
+            assert repr(r0.p) == repr(r1.p)  # NaN at t = 0
+            assert r0.ifo_minibatch == 2 * r1.ifo_minibatch
+        assert plain[-1].ifo_minibatch == 2 * b * 60

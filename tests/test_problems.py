@@ -1,6 +1,7 @@
 """Problem oracles, dataset parsing, generators, and reference solutions."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -313,6 +314,23 @@ class TestSolveReference:
             assert ref.f_star == prob.value(ref.x_star)
         _, logistic = synthesize(30, 5, "logistic", seed=17, reg=Regularizer.l1(0.01))
         assert solve_reference(logistic, tol=1e-10).method == "fista-restart"
+
+    def test_separable_logistic_without_regularizer_is_refused(self):
+        # no minimizer exists: refuse up front rather than spend the cap
+        _, prob = synthesize(30, 5, "logistic", seed=17)
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="no minimizer"):
+            solve_reference(prob, tol=1e-10)
+        assert time.monotonic() - start < 1.0
+        # an all-zero feature row has margin 0 at every w and changes nothing
+        blank = FiniteSumProblem(np.vstack([prob.A, np.zeros(5)]), np.append(prob.targets, 1.0),
+                                 "logistic")
+        with pytest.raises(ValueError, match="no minimizer"):
+            solve_reference(blank, tol=1e-10)
+        # overlapping classes keep a minimizer and still solve
+        _, noisy = synthesize(200, 5, "logistic", seed=17, noise=3.0)
+        ref = solve_reference(noisy, tol=1e-10)
+        assert ref.method == "fista-restart" and ref.gap_tolerance == 1e-10
 
     def test_tolerance_must_be_positive(self):
         _, prob = synthesize(5, 2, "least_squares", seed=1)

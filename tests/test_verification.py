@@ -214,7 +214,10 @@ class TestOutcomeTree:
 
         depth = 8
         root = init_state(prob, RunConfig(alpha=1.0, batch_size=4, iterations=1, seed=0))
-        initial = state_lyapunov(root, prob)
+        def value(state):
+            return state_lyapunov(state, prob, prob.value(state.y), prob.value(state.ckpt.w))
+
+        initial = value(root)
         level = [(root, 1.0)]
         for _ in range(depth):
             nxt = []
@@ -231,7 +234,7 @@ class TestOutcomeTree:
                     nxt.append((child, weight * branch))
             level = nxt
         weights = np.array([w for _, w in level])
-        values = np.array([state_lyapunov(s, prob) for s, _ in level])
+        values = np.array([value(s) for s, _ in level])
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
         mean_final = float(weights @ values)
         assert mean_final <= initial * (1.0 + 1e-10)
