@@ -55,12 +55,9 @@ from .schedule import (
     ScheduleCursor,
     ScheduleParams,
     advance,
-    alpha_at,
     compute_constants,
     cursor_at,
-    denominator_at,
     growth_coefficient,
-    initial_cursor,
     max_step_size,
     p_at,
     tau_at,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedule import ALPHA0, ScheduleCursor, ScheduleParams, prev_denominator_at
+from .schedule import ScheduleCursor
 
 ALPHA_BRANCH_CAP = 0.1  # the small-alpha branch applies below min(alpha_hat, this)
 
@@ -38,31 +38,24 @@ def lyapunov(
     gap_w: float,
     z: np.ndarray,
     cursor: ScheduleCursor,
-    params: ScheduleParams,
     eta: float,
     problem,
 ) -> float:
     """Lyapunov value for a state at the start of iteration t = cursor.t.
 
     L_t = alpha_{t-1}^2 (F(y_t) - F*) + D_{t-1} (F(w_t) - F*)
-          + ||z_t - x*||^2 / (2 eta).
+          + ||z_t - x*||^2 / (2 eta),
 
-    The caller passes the gaps F(y_t) - F* and F(w_t) - F*, which it has
-    already evaluated, so this costs one norm; instrumentation only, never
-    charged to the IFO ledger.
+    where at t = 0 the cursor's alpha_{t-1} and D_{t-1} are the start-of-run
+    weights alpha_0 and alpha_tilde0.  The caller passes the gaps F(y_t) - F*
+    and F(w_t) - F*, which it has already evaluated, so this costs one norm;
+    instrumentation only, never charged to the IFO ledger.
     """
     ref = problem.reference
     if ref is None:
         raise ValueError("Lyapunov evaluation requires a reference solution")
-    if cursor.t >= 1:
-        alpha_sq = cursor.alpha_prev ** 2
-        weight_w = prev_denominator_at(cursor, params)
-    else:
-        # t = 0 start-of-run form: alpha_0^2 and alpha_tilde0.
-        alpha_sq = ALPHA0 ** 2
-        weight_w = params.alpha_tilde0
     dz = np.asarray(z) - ref.x_star
-    return alpha_sq * gap_y + weight_w * gap_w + float(dz @ dz) / (2.0 * eta)
+    return cursor.alpha_prev ** 2 * gap_y + cursor.den_prev * gap_w + float(dz @ dz) / (2.0 * eta)
 
 
 @dataclass(frozen=True)

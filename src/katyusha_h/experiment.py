@@ -29,7 +29,7 @@ from .proximal import Regularizer
 
 TRACE_COLUMNS = ("t", "F_y_gap", "F_w_gap", "p_t", "ckpt_updated", "ifo_total", "lyapunov")
 # Bumped whenever an unchanged config may give different trace bytes.
-TRACE_FORMAT = "3"
+TRACE_FORMAT = "4"
 
 
 class ConfigError(ValueError):
@@ -195,6 +195,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("[run] epsilon target requires a [reference] section")
     if cfg.output.lyapunov and cfg.reference is None:
         raise ConfigError("[output] lyapunov requires a [reference] section")
+    if cfg.run.iterations is not None and cfg.run.iterations < 0:
+        raise ConfigError("[run] iterations must be at least 0")
+    if cfg.run.epsilon is not None and not 0.0 < cfg.run.epsilon < math.inf:
+        raise ConfigError("[run] epsilon must be positive and finite")
+    if cfg.run.max_iterations < 1:
+        raise ConfigError("[run] max_iterations must be at least 1")
     if cfg.run.eval_every is not None and cfg.run.eval_every < 1:
         raise ConfigError("[run] eval_every must be at least 1")
     if cfg.output.trace_stride < 1:

@@ -40,7 +40,7 @@ from .schedule import (
     ScheduleParams,
     advance,
     compute_constants,
-    initial_cursor,
+    cursor_at,
     max_step_size,
     p_at,
     tau_at,
@@ -136,7 +136,7 @@ def init_state(problem, config: RunConfig) -> KatyushaHState:
         y=x0.copy(),
         z=x0.copy(),
         ckpt=ckpt,
-        cursor=advance(initial_cursor(params), params),
+        cursor=cursor_at(1, params),
         params=params,
         batch_size=config.batch_size,
         eta=eta,
@@ -181,7 +181,7 @@ def state_lyapunov(state: KatyushaHState, problem, f_y: float, f_w: float) -> fl
     caller has already evaluated (instrumentation only)."""
     f_star = problem.reference.f_star
     return analysis.lyapunov(
-        f_y - f_star, f_w - f_star, state.z, state.cursor, state.params, state.eta, problem
+        f_y - f_star, f_w - f_star, state.z, state.cursor, state.eta, problem
     )
 
 
@@ -331,10 +331,8 @@ def fista_solve(
     L: float,
     tol: float,
     max_iterations: int,
-    restart: bool = True,
-    x0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, float, int]:
-    """Over-solve with (optionally restarted) FISTA for reference solutions.
+    """Over-solve with function-restarted FISTA from 0 for reference solutions.
 
     ``L`` bounds the smoothness of the average f (not of each component);
     steps are 1/L.  Stops when the composite gradient-mapping certificate
@@ -342,7 +340,7 @@ def fista_solve(
     is max(1, 2*||x_best||).  Returns (x_best, f_best, gap_estimate,
     iterations).
     """
-    x = _start(problem, x0)
+    x = np.zeros(problem.d)
     y, theta = x.copy(), 1.0
     f_best = problem.value(x)
     x_best = x.copy()
@@ -360,7 +358,7 @@ def fista_solve(
         gap_est = mapping_norm * radius
         if gap_est <= tol:
             break
-        if restart and f_val > f_prev:
+        if f_val > f_prev:
             theta = 1.0  # function restart: drop momentum on objective increase
             y = x_next.copy()
         else:

@@ -293,8 +293,8 @@ def synthesize(
         scales = np.geomspace(1.0, 1.0 / np.sqrt(condition), d)
         A *= scales
     if density < 1.0:
-        keep = rng.random((n, d)) < density
-        A *= keep
+        # +0.0 where dropped, as the dataset's dense copy holds
+        A = np.where(rng.random((n, d)) < density, A, 0.0)
     x_true = rng.standard_normal(d) / np.sqrt(d)
     clean = A @ x_true
     if family == "least_squares":
@@ -304,7 +304,7 @@ def synthesize(
         targets = np.where(scores >= 0.0, 1.0, -1.0)
     dataset = dataset_from_dense(A, targets)
     reg = reg if reg is not None else Regularizer.zero()
-    return dataset, FiniteSumProblem(dataset.to_dense(), dataset.labels, family, reg)
+    return dataset, FiniteSumProblem(A, dataset.labels, family, reg)
 
 
 def _is_quadratic(problem: FiniteSumProblem) -> bool:
@@ -402,7 +402,7 @@ def solve_reference(
         s = np.linalg.svd(problem.A, compute_uv=False)
         L_f = float(s[0]) ** 2 / n * CURVATURE[problem.loss]
         x_star, f_star, gap, iterations = fista_solve(
-            problem, L_f, tol=tol, max_iterations=max_iterations, restart=True
+            problem, L_f, tol=tol, max_iterations=max_iterations
         )
         method = "fista-restart"
     if gap > tol:

@@ -7,12 +7,17 @@ like ``a_alpha * t**alpha``.  The coupling weight is ``tau_t = 1/alpha_t``,
 the checkpoint-anchor weight is ``xi = 1/(b*c)``, and the checkpoint update
 probability ``p_t`` ties the amount of variance reduction to the momentum
 growth rate.
+
+The array functions hold the only arithmetic of alpha_t, D_t and p_t: the
+verification scans certify them, and the solver's cursor reads them in
+tables of ``CHUNK`` entries.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,15 +93,6 @@ def compute_constants(config: ScheduleConfig) -> ScheduleParams:
     )
 
 
-def alpha_at(t: int, params: ScheduleParams) -> float:
-    """Momentum parameter alpha_t: 6 for t <= 16, a_alpha * t**alpha after."""
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    if t < GROWTH_START:
-        return ALPHA0
-    return params.a_alpha * float(t) ** params.alpha
-
-
 def max_step_size(L: float, params: ScheduleParams) -> float:
     """Largest allowable step size, 1/((c+1)*L)."""
     if L <= 0.0:
@@ -104,107 +100,26 @@ def max_step_size(L: float, params: ScheduleParams) -> float:
     return 1.0 / ((params.c + 1.0) * L)
 
 
-@dataclass(frozen=True)
-class ScheduleCursor:
-    """Incremental view of the schedule at index t.
-
-    Carries alpha_t, alpha_{t-1} and the running sum of alpha_1..alpha_t so
-    each iteration costs O(1) instead of re-summing the sequence.
-    """
-
-    t: int
-    alpha_t: float
-    alpha_prev: float
-    cum_sum: float
-
-
-def initial_cursor(params: ScheduleParams) -> ScheduleCursor:
-    # alpha_prev at t=0 is a placeholder; p_t is only defined for t >= 1.
-    return ScheduleCursor(t=0, alpha_t=ALPHA0, alpha_prev=ALPHA0, cum_sum=0.0)
-
-
-def advance(cursor: ScheduleCursor, params: ScheduleParams) -> ScheduleCursor:
-    """Move the cursor from t to t+1; matches recomputation from scratch."""
-    t_next = cursor.t + 1
-    a_next = alpha_at(t_next, params)
-    return ScheduleCursor(
-        t=t_next,
-        alpha_t=a_next,
-        alpha_prev=cursor.alpha_t,
-        cum_sum=cursor.cum_sum + a_next,
-    )
-
-
-def cursor_at(t: int, params: ScheduleParams) -> ScheduleCursor:
-    """Cursor at index t built by repeated advances from t=0."""
-    cur = initial_cursor(params)
-    for _ in range(t):
-        cur = advance(cur, params)
-    return cur
+def alpha_sequence(t_max: int, params: ScheduleParams, start: int = 0) -> np.ndarray:
+    """alpha_t for t = start..t_max as a single array."""
+    if not 0 <= start <= t_max:
+        raise ValueError(f"need 0 <= start <= t_max, got start={start}, t_max={t_max}")
+    seq = np.full(t_max + 1 - start, ALPHA0)
+    first = max(start, GROWTH_START)
+    if t_max >= first:
+        t = np.arange(first, t_max + 1, dtype=np.float64)
+        seq[first - start:] = params.a_alpha * t ** params.alpha
+    return seq
 
 
 def _denominator(alpha_t, cum_sum, params: ScheduleParams):
-    """Lyapunov weight D_t = alpha_tilde0 + alpha_0^2 - alpha_t^2 + sum_{j<=t} alpha_j.
-
-    The one expression of D_t: the scalar forms pass floats, the vectorized
-    forms arrays.
-    """
+    """Lyapunov weight D_t = alpha_tilde0 + alpha_0^2 - alpha_t^2 + sum_{j<=t} alpha_j."""
     return params.alpha_tilde0 + ALPHA0 ** 2 - alpha_t ** 2 + cum_sum
 
 
 def _p_ratio(alpha_prev, alpha_t, den, xi: float):
-    """p_t = (alpha_{t-1}^2 - alpha_t^2 + alpha_t + xi * alpha_t^2) / D_t, unclamped.
-
-    The one expression of p_t, for floats and arrays alike.
-    """
+    """p_t = (alpha_{t-1}^2 - alpha_t^2 + alpha_t + xi * alpha_t^2) / D_t, unclamped."""
     return (alpha_prev ** 2 - alpha_t ** 2 + alpha_t + xi * alpha_t ** 2) / den
-
-
-def denominator_at(cursor: ScheduleCursor, params: ScheduleParams) -> float:
-    """D_t at the cursor's index."""
-    return _denominator(cursor.alpha_t, cursor.cum_sum, params)
-
-
-def prev_denominator_at(cursor: ScheduleCursor, params: ScheduleParams) -> float:
-    """D_{t-1} recovered from a cursor at t (t >= 1)."""
-    if cursor.t < 1:
-        raise ValueError("no predecessor denominator at t = 0")
-    return _denominator(cursor.alpha_prev, cursor.cum_sum - cursor.alpha_t, params)
-
-
-def p_at(cursor: ScheduleCursor, params: ScheduleParams) -> float:
-    """Checkpoint update probability p_t, guaranteed to lie in [0, 1] for t >= 1."""
-    if cursor.t < 1:
-        raise ValueError("p_t is defined for t >= 1")
-    den = denominator_at(cursor, params)
-    # D_t >= xi * alpha_{t+1}^2 > 0 for t >= 1, so only a corrupt cursor gets here.
-    if not den > 0.0:
-        raise ValueError(f"denominator D_{cursor.t} = {den} must be positive")
-    # At t=1 numerator and denominator are equal terms summed in different
-    # orders; rounding can land an ulp outside [0, 1], so clamp.
-    p = _p_ratio(cursor.alpha_prev, cursor.alpha_t, den, params.xi)
-    return min(max(p, 0.0), 1.0)
-
-
-def tau_at(cursor: ScheduleCursor) -> float:
-    """Coupling weight tau_t = 1/alpha_t for t >= 1."""
-    if cursor.t < 1:
-        raise ValueError("tau_t is defined for t >= 1")
-    return 1.0 / cursor.alpha_t
-
-
-# -- vectorized forms used by the verification scans --------------------------
-
-
-def alpha_sequence(t_max: int, params: ScheduleParams) -> np.ndarray:
-    """alpha_t for t = 0..t_max as a single array."""
-    if t_max < 0:
-        raise ValueError(f"t_max must be nonnegative, got {t_max}")
-    seq = np.full(t_max + 1, ALPHA0)
-    if t_max >= GROWTH_START:
-        t = np.arange(GROWTH_START, t_max + 1, dtype=np.float64)
-        seq[GROWTH_START:] = params.a_alpha * t ** params.alpha
-    return seq
 
 
 def denominator_sequence(alpha_seq: np.ndarray, params: ScheduleParams) -> np.ndarray:
@@ -217,3 +132,92 @@ def p_sequence(alpha_seq: np.ndarray, params: ScheduleParams) -> np.ndarray:
     """p_t for t = 1..t_max; entry i holds p_{i+1}."""
     den = denominator_sequence(alpha_seq, params)[1:]
     return _p_ratio(alpha_seq[:-1], alpha_seq[1:], den, params.xi)
+
+
+# -- the cursor: the arrays above, read one index at a time --------------------
+
+CHUNK = 1024  # schedule entries per refill of a cursor's table
+
+
+@dataclass(frozen=True)
+class _Table:
+    """Rows (alpha_{t-1}, alpha_t, D_{t-1}, D_t, clamped p_t) of floats for
+    t = start .. start + CHUNK - 1, and alpha_1 + ... + alpha_t at the last t,
+    which the next refill carries on."""
+
+    start: int
+    rows: list[tuple[float, float, float, float, float]] = field(repr=False)
+    cum_sum: float
+
+    def __deepcopy__(self, memo) -> _Table:
+        return self  # never mutated, so copied states may share it
+
+
+def _refill(prev: _Table | None, params: ScheduleParams) -> _Table:
+    """The table after ``prev``, or the first one.  Prepending the carried sum
+    before ``np.cumsum`` adds the terms in ``denominator_sequence``'s order, so
+    every entry equals that function's, or ``p_sequence``'s, bit for bit."""
+    if prev is None:  # alpha_0 is no term of D_t's sum: carry -alpha_0 into t = 0
+        start, alpha, den, carry = 0, ALPHA0, params.alpha_tilde0, -ALPHA0
+    else:
+        start, (_, alpha, _, den, _), carry = prev.start + CHUNK, prev.rows[-1], prev.cum_sum
+    a = np.concatenate(([alpha], alpha_sequence(start + CHUNK - 1, params, start)))
+    csum = np.cumsum(np.concatenate(([carry], a[1:])))[1:]
+    d = np.concatenate(([den], _denominator(a[1:], csum, params)))
+    if not np.all(d[1:] > 0.0):  # D_t >= xi * alpha_{t+1}^2 > 0 unless params are corrupt
+        i = int(np.argmin(d[1:] > 0.0))
+        raise ValueError(f"denominator D_{start + i} = {d[i + 1]} must be positive")
+    # At t=1 numerator and denominator are equal terms summed in different
+    # orders; rounding can land an ulp outside [0, 1], so clamp.
+    p = np.clip(_p_ratio(a[:-1], a[1:], d[1:], params.xi), 0.0, 1.0)
+    a, d = a.tolist(), d.tolist()
+    rows = list(zip(a[:-1], a[1:], d[:-1], d[1:], p.tolist()))
+    return _Table(start, rows, float(csum[-1]))
+
+
+class ScheduleCursor(NamedTuple):
+    """The schedule at index t, one row of the table that covers t.
+
+    At t = 0, alpha_prev and den_prev are the start-of-run weights alpha_0
+    and alpha_tilde0, and p is no probability.
+    """
+
+    t: int
+    alpha_prev: float  # alpha_{t-1}
+    alpha_t: float
+    den_prev: float  # D_{t-1}
+    den_t: float  # D_t
+    p: float
+    table: _Table
+
+
+def cursor_at(t: int, params: ScheduleParams) -> ScheduleCursor:
+    """Cursor at index t; every table before t's is filled to carry the sum."""
+    if t < 0:
+        raise ValueError(f"t must be nonnegative, got {t}")
+    table = _refill(None, params)
+    while t >= table.start + CHUNK:
+        table = _refill(table, params)
+    return ScheduleCursor(t, *table.rows[t - table.start], table)
+
+
+def advance(cursor: ScheduleCursor, params: ScheduleParams) -> ScheduleCursor:
+    """Move the cursor from t to t+1, refilling its table every CHUNK indices."""
+    t, table = cursor.t + 1, cursor.table
+    if t == table.start + CHUNK:
+        table = _refill(table, params)
+    return ScheduleCursor(t, *table.rows[t - table.start], table)
+
+
+def p_at(cursor: ScheduleCursor, params: ScheduleParams) -> float:
+    """Checkpoint update probability p_t, clamped to [0, 1], for t >= 1."""
+    if cursor.t < 1:
+        raise ValueError("p_t is defined for t >= 1")
+    return cursor.p
+
+
+def tau_at(cursor: ScheduleCursor) -> float:
+    """Coupling weight tau_t = 1/alpha_t for t >= 1."""
+    if cursor.t < 1:
+        raise ValueError("tau_t is defined for t >= 1")
+    return 1.0 / cursor.alpha_t

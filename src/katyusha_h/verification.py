@@ -32,7 +32,6 @@ from .schedule import (
     _p_ratio,
     alpha_sequence,
     compute_constants,
-    denominator_at,
     denominator_sequence,
     p_at,
     tau_at,
@@ -298,7 +297,7 @@ def exact_conditional_lyapunov_descent(
 
     gap_w = problem.value(state.ckpt.w) - ref.f_star
     gap_y = problem.value(state.y) - ref.f_star
-    current = analysis.lyapunov(gap_y, gap_w, state.z, cur, params, eta, problem)
+    current = analysis.lyapunov(gap_y, gap_w, state.z, cur, eta, problem)
 
     x_next = tau * state.z + xi * state.ckpt.w + (1.0 - xi - tau) * state.y
     diffs = problem.component_grad_matrix(x_next) - problem.component_grad_matrix(
@@ -306,7 +305,6 @@ def exact_conditional_lyapunov_descent(
     )
     step_len = cur.alpha_t * eta
     alpha_sq = cur.alpha_t ** 2
-    d_t = denominator_at(cur, params)
 
     acc = 0.0
     for subset in combinations(range(n), b):
@@ -317,7 +315,7 @@ def exact_conditional_lyapunov_descent(
         acc += alpha_sq * (problem.value(y_next) - ref.f_star) + float(dz @ dz) / (
             2.0 * eta
         )
-    expected = acc / total + d_t * ((1.0 - p) * gap_w + p * gap_y)
+    expected = acc / total + cur.den_t * ((1.0 - p) * gap_w + p * gap_y)
     return expected, current
 
 

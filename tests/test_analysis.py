@@ -30,7 +30,6 @@ from katyusha_h.schedule import (
     ScheduleConfig,
     compute_constants,
     cursor_at,
-    initial_cursor,
 )
 
 
@@ -49,7 +48,7 @@ class TestLyapunov:
         params = compute_constants(ScheduleConfig(alpha=0.0, batch_size=1, n=2))
         x_star = prob.reference.x_star
         gap = prob.gap(x_star)
-        val = lyapunov(gap, gap, x_star, cursor_at(5, params), params, 0.25, prob)
+        val = lyapunov(gap, gap, x_star, cursor_at(5, params), 0.25, prob)
         assert val == pytest.approx(0.0, abs=1e-14)
 
     def test_initial_value_hand_computed(self):
@@ -59,7 +58,7 @@ class TestLyapunov:
         params = compute_constants(ScheduleConfig(alpha=0.0, batch_size=1, n=2))
         one = np.array([1.0])
         gap = prob.gap(one)
-        val = lyapunov(gap, gap, one, initial_cursor(params), params, 0.25, prob)
+        val = lyapunov(gap, gap, one, cursor_at(0, params), 0.25, prob)
         assert val == pytest.approx(26.0, rel=1e-14)
 
     def test_start_matches_first_cursor(self):
@@ -68,8 +67,8 @@ class TestLyapunov:
         params = compute_constants(ScheduleConfig(alpha=0.7, batch_size=1, n=2))
         one = np.array([1.3])
         gap = prob.gap(one)
-        v0 = lyapunov(gap, gap, one, initial_cursor(params), params, 0.25, prob)
-        v1 = lyapunov(gap, gap, one, cursor_at(1, params), params, 0.25, prob)
+        v0 = lyapunov(gap, gap, one, cursor_at(0, params), 0.25, prob)
+        v1 = lyapunov(gap, gap, one, cursor_at(1, params), 0.25, prob)
         assert v0 == pytest.approx(v1, rel=1e-12)
 
     def test_requires_reference(self):
@@ -77,7 +76,7 @@ class TestLyapunov:
         prob = FiniteSumProblem(ds.to_dense(), ds.labels, "least_squares")
         params = compute_constants(ScheduleConfig(alpha=0.0, batch_size=1, n=1))
         with pytest.raises(ValueError):
-            lyapunov(0.0, 0.0, np.zeros(1), initial_cursor(params), params, 0.1, prob)
+            lyapunov(0.0, 0.0, np.zeros(1), cursor_at(0, params), 0.1, prob)
 
     def test_nonnegative_along_runs(self):
         _, prob = synthesize(8, 3, "least_squares", seed=2)
@@ -87,7 +86,7 @@ class TestLyapunov:
         for t in (0, 1, 17, 40):
             pt = rng.normal(size=3)
             gap = prob.gap(pt)
-            val = lyapunov(gap, gap, pt, cursor_at(t, params), params, 0.01, prob)
+            val = lyapunov(gap, gap, pt, cursor_at(t, params), 0.01, prob)
             assert val >= -1e-10
 
 

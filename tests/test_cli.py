@@ -139,7 +139,7 @@ class TestRunCommand:
         assert header["reference"] == "lstsq"
         assert header["f_star_tolerance"] == repr(1e-12)
 
-    @pytest.mark.parametrize("version", ["1", "2"])
+    @pytest.mark.parametrize("version", ["1", "2", "3"])
     def test_reads_earlier_formats(self, tmp_path, version):
         path = tmp_path / f"v{version}.csv"
         path.write_text(
@@ -334,12 +334,12 @@ class TestNonFiniteInputs:
 
 
 class TestRunCadenceValidation:
-    def _config(self, tmp_path, run="", output=""):
+    def _config(self, tmp_path, run="", output="", stop="epsilon = 1e-6"):
         path = tmp_path / "exp.ini"
         path.write_text(
             "[problem]\nfamily = least_squares\nn = 20\nd = 4\nseed = 3\n\n"
             "[solver]\nmethod = fista\n\n"
-            f"[run]\nepsilon = 1e-6\n{run}\n[reference]\ntol = 1e-10\n\n"
+            f"[run]\n{stop}\n{run}\n[reference]\ntol = 1e-10\n\n"
             f"[output]\ndirectory = {tmp_path / 'out'}\n{output}"
         )
         return path
@@ -355,6 +355,26 @@ class TestRunCadenceValidation:
         path = self._config(tmp_path, output=f"trace_stride = {value}\n")
         assert main(["run", "--config", str(path)]) == 2
         assert "trace_stride" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize(
+        "stop, run, key",
+        [
+            pytest.param("iterations = -3", "", "iterations", id="iterations=-3"),
+            pytest.param("epsilon = -1e-3", "", "epsilon", id="epsilon=-1e-3"),
+            pytest.param("epsilon = nan", "", "epsilon", id="epsilon=nan"),
+            pytest.param("epsilon = 1e-6", "max_iterations = -1", "max_iterations",
+                         id="max_iterations=-1"),
+            pytest.param("iterations = 10", "max_iterations = 0", "max_iterations",
+                         id="max_iterations=0"),
+        ],
+    )
+    def test_stopping_rule_out_of_range_is_exit_two(
+        self, tmp_path, capsys, command, stop, run, key
+    ):
+        path = self._config(tmp_path, run=run, stop=stop)
+        assert main([command, "--config", str(path)]) == 2
+        assert f"[run] {key} must" in capsys.readouterr().err
 
     def test_valid_cadence_runs(self, tmp_path):
         path = self._config(tmp_path, run="eval_every = 5\n", output="trace_stride = 3\n")

@@ -57,6 +57,20 @@ trace_stride = 7
 lyapunov = true
 """
 
+# 9000 iterations cross several refills of the schedule cursor's table
+KATYUSHA_H_LONG = LEAST_SQUARES + """\
+[solver]
+method = katyusha_h
+alpha = 0.75
+b = 1
+[run]
+iterations = 9000
+seeds = 0 1
+[output]
+trace_stride = 1000
+lyapunov = true
+"""
+
 BASELINE = LEAST_SQUARES + """\
 [solver]
 method = {method}
@@ -71,6 +85,7 @@ RUNS = {
     "katyusha_h_cached": KATYUSHA_H.format(alpha=0.5, b=2, cache="true"),
     "katyusha_h_uncached": KATYUSHA_H.format(alpha=0.5, b=2, cache="false"),
     "katyusha_h_cached_b10": KATYUSHA_H.format(alpha=1, b=10, cache="true"),
+    "katyusha_h_long": KATYUSHA_H_LONG,
     "fista": BASELINE.format(method="fista", iterations=40, stride=3),
     "pgd": BASELINE.format(method="pgd", iterations=40, stride=3),
     "psgd": BASELINE.format(method="psgd", iterations=300, stride=20),

@@ -20,7 +20,14 @@ from katyusha_h.problems import (
     with_reference,
 )
 from katyusha_h.proximal import Regularizer
-from katyusha_h.schedule import max_step_size
+from katyusha_h.schedule import (
+    CHUNK,
+    ScheduleConfig,
+    alpha_sequence,
+    compute_constants,
+    max_step_size,
+    p_sequence,
+)
 
 
 def scalar_quadratic_problem():
@@ -136,6 +143,15 @@ class TestRun:
         records = run(prob, RunConfig(alpha=0.5, batch_size=1, iterations=25, seed=0))
         assert len(records) == 26
         assert [r.t for r in records] == list(range(26))
+
+    def test_draws_use_the_certified_probabilities(self):
+        # across refills of the schedule table, p_t is the certified array's
+        _, prob = synthesize(6, 2, "least_squares", seed=1)
+        t_max = 2 * CHUNK + 10
+        records = run(prob, RunConfig(alpha=0.75, batch_size=1, iterations=t_max, seed=0))
+        params = compute_constants(ScheduleConfig(alpha=0.75, batch_size=1, n=prob.n))
+        certified = np.clip(p_sequence(alpha_sequence(t_max, params), params), 0.0, 1.0)
+        assert np.array_equal([r.p for r in records[1:]], certified)
 
     def test_ledger_contract(self):
         _, prob = synthesize(7, 3, "least_squares", seed=5)

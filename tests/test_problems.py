@@ -254,6 +254,12 @@ class TestSynthesize:
         norms = np.linalg.norm(A, axis=0)
         assert norms[0] / norms[-1] == pytest.approx(10.0, rel=0.5)
 
+    @pytest.mark.parametrize("density", [0.3, 1.0])
+    def test_problem_holds_the_dataset_matrix(self, density):
+        # the problem is built from the generated array, zeros written as +0.0
+        ds, prob = synthesize(40, 7, "logistic", seed=5, density=density)
+        assert prob.A.tobytes() == ds.to_dense().tobytes()
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             synthesize(0, 3, "least_squares")

@@ -1,29 +1,24 @@
 """Schedule sequences: growth buckets, derived constants, probabilities."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from katyusha_h import schedule
 from katyusha_h.schedule import (
+    CHUNK,
     ScheduleConfig,
-    ScheduleCursor,
     advance,
-    alpha_at,
     alpha_sequence,
     compute_constants,
     cursor_at,
-    denominator_at,
     denominator_sequence,
     growth_coefficient,
-    initial_cursor,
     max_step_size,
     p_at,
     p_sequence,
-    prev_denominator_at,
     tau_at,
 )
 
@@ -56,18 +51,20 @@ class TestGrowthCoefficient:
 class TestAlphaAt:
     def test_constant_head(self):
         for alpha in (0.0, 0.3, 1.0):
-            assert alpha_at(16, params_for(alpha)) == 6.0
-            assert alpha_at(0, params_for(alpha)) == 6.0
+            assert np.all(alpha_sequence(16, params_for(alpha)) == 6.0)
+            assert alpha_sequence(16, params_for(alpha), start=16).tolist() == [6.0]
 
     def test_growth_tail(self):
-        assert alpha_at(17, params_for(1.0)) == pytest.approx(4.25, abs=1e-15)
-        assert alpha_at(100, params_for(0.5)) == pytest.approx(
+        assert alpha_sequence(17, params_for(1.0), start=17)[0] == pytest.approx(4.25, abs=1e-15)
+        assert alpha_sequence(100, params_for(0.5), start=100)[0] == pytest.approx(
             (1 + math.sqrt(2) / 4) * 10.0, rel=1e-14
         )
 
     def test_negative_t(self):
-        with pytest.raises(ValueError):
-            alpha_at(-1, params_for(0.5))
+        p = params_for(0.5)
+        for t_max, start in ((-1, 0), (5, -1), (5, 6)):
+            with pytest.raises(ValueError):
+                alpha_sequence(t_max, p, start)
 
     def test_above_one_and_monotone_tail(self):
         for alpha in np.linspace(0.0, 1.0, 21):
@@ -144,26 +141,25 @@ class TestDenominator:
         p = params_for(0.0, b=1)
         cur = cursor_at(10, p)
         # 12 + 36 - 36 + 10*6
-        assert denominator_at(cur, p) == pytest.approx(72.0, rel=1e-15)
+        assert cur.den_t == pytest.approx(72.0, rel=1e-15)
 
     def test_initial_is_anchor_weight(self):
         for alpha in (0.0, 0.5, 1.0):
             p = params_for(alpha)
-            cur = initial_cursor(p)
-            assert denominator_at(cur, p) == pytest.approx(p.alpha_tilde0, rel=1e-15)
+            cur = cursor_at(0, p)
+            assert cur.den_t == pytest.approx(p.alpha_tilde0, rel=1e-15)
+            # the start-of-run weights stand in for t = -1
+            assert cur.den_prev == p.alpha_tilde0 and cur.alpha_prev == 6.0
 
     def test_quadratic_growth(self):
         p = params_for(1.0, b=1)
         cur = cursor_at(1000, p)
-        assert denominator_at(cur, p) >= (1 / 16) * 1000 ** 2
+        assert cur.den_t >= (1 / 16) * 1000 ** 2
 
     def test_prev_denominator_consistent(self):
         p = params_for(0.5, b=2, n=4)
-        cur = cursor_at(25, p)
-        prev = cursor_at(24, p)
-        assert prev_denominator_at(cur, p) == pytest.approx(
-            denominator_at(prev, p), rel=1e-14
-        )
+        for t in (25, CHUNK, CHUNK + 1):
+            assert cursor_at(t, p).den_prev == cursor_at(t - 1, p).den_t
 
 
 class TestProbability:
@@ -179,7 +175,7 @@ class TestProbability:
         p = params_for(0.0, b=1)
         cur = cursor_at(10, p)
         assert p_at(cur, p) == pytest.approx(18 / 72, rel=1e-15)
-        big = ScheduleCursor(t=10 ** 6, alpha_t=6.0, alpha_prev=6.0, cum_sum=6.0 * 10 ** 6)
+        big = cursor_at(10 ** 6, p)
         assert p_at(big, p) == pytest.approx(18 / (12 + 6e6), rel=1e-12)
 
     def test_range_over_grid(self):
@@ -191,14 +187,16 @@ class TestProbability:
     def test_requires_positive_t(self):
         p = params_for(0.5)
         with pytest.raises(ValueError):
-            p_at(initial_cursor(p), p)
+            p_at(cursor_at(0, p), p)
 
     @pytest.mark.parametrize("cum_sum", [-1e3, math.nan])
     def test_non_positive_denominator_raises(self, cum_sum):
+        # a corrupt carried sum reaches the next refill, which refuses it
         p = params_for(0.5)
-        corrupt = ScheduleCursor(t=5, alpha_t=6.0, alpha_prev=6.0, cum_sum=cum_sum)
-        with pytest.raises(ValueError, match="denominator"):
-            p_at(corrupt, p)
+        cur = cursor_at(CHUNK - 1, p)
+        corrupt = cur._replace(table=dataclasses.replace(cur.table, cum_sum=cum_sum))
+        with pytest.raises(ValueError, match=f"denominator D_{CHUNK} "):
+            advance(corrupt, p)
 
 
 class TestTau:
@@ -232,38 +230,50 @@ class TestStepSize:
 class TestCursor:
     def test_first_advances(self):
         p = params_for(0.3)
-        c1 = advance(initial_cursor(p), p)
-        assert c1.t == 1 and c1.cum_sum == 6.0 and c1.alpha_prev == 6.0
+        c1 = advance(cursor_at(0, p), p)
+        assert c1.t == 1 and c1.alpha_prev == 6.0 and c1.den_prev == cursor_at(0, p).den_t
+        assert c1.den_t == p.alpha_tilde0 + 36.0 - 36.0 + 6.0
 
     def test_cross_growth_boundary(self):
         p = params_for(0.8)
         c17 = cursor_at(17, p)
-        assert c17.cum_sum == pytest.approx(96.0 + alpha_at(17, p), rel=1e-15)
+        a17 = c17.alpha_t
+        assert a17 == alpha_sequence(17, p, start=17)[0]
+        assert c17.den_t == pytest.approx(p.alpha_tilde0 + 36.0 - a17 ** 2 + 96.0 + a17, rel=1e-15)
         assert c17.alpha_prev == 6.0
 
     def test_incremental_matches_fresh_summation(self):
         for alpha in (0.0, 0.37, 1.0):
             p = params_for(alpha)
-            cur = cursor_at(1000, p)
-            fresh = math.fsum(alpha_at(j, p) for j in range(1, 1001))
-            assert abs(cur.cum_sum - fresh) <= 1e-12 * abs(fresh)
+            cur = cursor_at(3 * CHUNK + 5, p)
+            fresh = math.fsum(alpha_sequence(cur.t, p)[1:])
+            summed = cur.den_t - (p.alpha_tilde0 + 36.0 - cur.alpha_t ** 2)
+            assert abs(summed - fresh) <= 1e-12 * abs(fresh)
 
-    @given(st.integers(min_value=0, max_value=400), st.floats(0.0, 1.0))
-    @settings(max_examples=40, deadline=None)
-    def test_cursor_matches_sequence(self, t, alpha):
-        # scalar and vectorized pow may differ in the last ulp
+    @pytest.mark.parametrize("alpha", [0.0, 0.211, 0.5, 0.6, 0.75, 0.9, 1.0])
+    def test_cursor_reads_the_certified_arrays(self, alpha):
+        # every value a run reads is, bit for bit, what the scans certify
         p = params_for(alpha)
-        cur = cursor_at(t, p)
-        seq = alpha_sequence(max(t, 1), p)
-        if t > 0:
-            assert cur.alpha_t == pytest.approx(float(seq[t]), rel=1e-15)
-        assert cur.cum_sum == pytest.approx(float(np.sum(seq[1 : t + 1])), rel=1e-13, abs=1e-13)
-
-    def test_vectorized_denominator_matches_cursor(self):
-        p = params_for(0.7, b=2, n=5)
-        seq = alpha_sequence(50, p)
+        t_max = 200_000
+        seq = alpha_sequence(t_max, p)
         dens = denominator_sequence(seq, p)
-        for t in (0, 1, 16, 17, 30, 50):
-            assert dens[t] == pytest.approx(
-                denominator_at(cursor_at(t, p), p), rel=1e-13
-            )
+        probs = np.clip(p_sequence(seq, p), 0.0, 1.0)
+        cur = cursor_at(0, p)
+        read = [(cur.alpha_t, cur.den_t, cur.alpha_prev, cur.den_prev, math.nan)]
+        for _ in range(t_max):
+            cur = advance(cur, p)
+            read.append((cur.alpha_t, cur.den_t, cur.alpha_prev, cur.den_prev, p_at(cur, p)))
+        alphas, den_t, alpha_prev, den_prev, p_t = np.array(read).T
+        assert np.array_equal(alphas, seq)
+        assert np.array_equal(den_t, dens)
+        assert np.array_equal(alpha_prev[1:], seq[:-1]) and np.array_equal(den_prev[1:], dens[:-1])
+        assert np.array_equal(p_t[1:], probs)
+
+    @pytest.mark.parametrize("t", [0, 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+    def test_cursor_at_matches_advances(self, t):
+        p = params_for(0.6)
+        cur = cursor_at(0, p)
+        for _ in range(t):
+            cur = advance(cur, p)
+        assert cursor_at(t, p) == cur
+        assert cur.t == t and cur.table.start == t - t % CHUNK

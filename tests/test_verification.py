@@ -97,10 +97,10 @@ class TestDenominatorGrowth:
 
     def test_spot_value(self):
         # alpha=1, t=1000: the certified floor is t^2/16 = 62500
-        from katyusha_h.schedule import ScheduleConfig, compute_constants, cursor_at, denominator_at
+        from katyusha_h.schedule import ScheduleConfig, compute_constants, cursor_at
 
         params = compute_constants(ScheduleConfig(alpha=1.0, batch_size=1, n=1))
-        d = denominator_at(cursor_at(1000, params), params)
+        d = cursor_at(1000, params).den_t
         assert d >= 62500.0
 
     def test_midrange_exponent(self):
@@ -136,7 +136,7 @@ class TestConditionalDescent:
         # b = n: a single subset, so the expectation is the p-weighted mix of
         # the two checkpoint outcomes; verify against a scripted computation.
         from katyusha_h.proximal import prox
-        from katyusha_h.schedule import denominator_at, p_at, tau_at
+        from katyusha_h.schedule import p_at, tau_at
 
         _, prob = synthesize(5, 3, "least_squares", seed=4, reg=Regularizer.l1(0.03))
         with_reference(prob, tol=1e-12)
@@ -155,7 +155,7 @@ class TestConditionalDescent:
         y_next = x_next + tau * (z_next - state.z)
         dz = z_next - ref.x_star
         fixed = cur.alpha_t ** 2 * (prob.value(y_next) - ref.f_star) + float(dz @ dz) / (2 * eta)
-        mix = denominator_at(cur, params) * (
+        mix = cur.den_t * (
             (1 - p) * (prob.value(state.ckpt.w) - ref.f_star)
             + p * (prob.value(state.y) - ref.f_star)
         )
