@@ -54,6 +54,21 @@ def make_checkpoint(w: np.ndarray, problem, ledger: IfoLedger) -> Checkpoint:
 _SCALAR_DRAW_MAX_B = 4
 
 
+def _resolve_swaps(targets: list[int]) -> list[int]:
+    """Partial Fisher-Yates output for swap targets t_0..t_{b-1}, t_i >= i.
+
+    Step i swaps position i with position t_i of range(n), kept as a sparse
+    swap map.  Only targets are ever keys of the map, so out[i] = t_i unless
+    t_i repeats an earlier target.
+    """
+    swaps: dict[int, int] = {}
+    out = []
+    for i, j in enumerate(targets):
+        out.append(swaps.get(j, j))
+        swaps[j] = swaps.get(i, i)
+    return out
+
+
 def sample_subset(n: int, b: int, rng: np.random.Generator) -> np.ndarray:
     """b distinct indices from range(n), uniform over all size-b subsets.
 
@@ -65,19 +80,168 @@ def sample_subset(n: int, b: int, rng: np.random.Generator) -> np.ndarray:
     call consumes the stream exactly as b scalar calls do and returns the
     same targets.  Batches of at most ``_SCALAR_DRAW_MAX_B`` keep the scalar
     calls, which are cheaper there than the array call's fixed overhead.
+
+    A run draws through ``DrawStream``; this function is the reference it
+    is tested against.
     """
     if not 1 <= b <= n:
         raise ValueError(f"need 1 <= b <= n, got b={b}, n={n}")
     if b == n:
         return np.arange(n)
-    targets = rng.integers(np.arange(b), n).tolist() if b > _SCALAR_DRAW_MAX_B else None
-    swaps: dict[int, int] = {}
-    out = np.empty(b, dtype=np.intp)
-    for i in range(b):
-        j = int(rng.integers(i, n)) if targets is None else targets[i]
-        out[i] = swaps.get(j, j)
-        swaps[j] = swaps.get(i, i)
-    return out
+    if b > _SCALAR_DRAW_MAX_B:
+        targets = rng.integers(np.arange(b), n).tolist()
+    else:
+        targets = [int(rng.integers(i, n)) for i in range(b)]
+    return np.array(_resolve_swaps(targets), dtype=np.intp)
+
+
+_LOW32 = 0xFFFFFFFF
+_COIN_SCALE = 1.0 / 9007199254740992.0  # 2**-53
+# A block covers at most _BLOCK_ITERATIONS iterations and about
+# _BLOCK_INDICES subset indices (1 MiB of targets); an epsilon-stopped run
+# discards at most one block's draws.
+_BLOCK_ITERATIONS = 1024
+_BLOCK_INDICES = 2**17
+
+
+class DrawStream:
+    """One run's random draws: per iteration a size-b subset, then one coin.
+
+    The draws equal, bit for bit, what ``sample_subset(n, b, g)`` followed by
+    ``g.random()`` return on ``g = Generator(Philox(key=seed))``, iteration
+    after iteration, but are made a block of iterations at a time from the
+    counter-based generator's raw 64-bit words (Salmon et al., "Parallel
+    random numbers: as easy as 1, 2, 3", SC'11).  The Generator's rules,
+    replayed here with numpy:
+
+    * a bounded draw on [i, n) takes one uint32, the low half of a fresh raw
+      word or the high half kept from the previous uint32 draw (kept across
+      iterations too), and applies Lemire's method ("Fast random integer
+      generation in an interval", ACM TOMACS 2019): m = u * (n - i) is
+      rejected while its low 32 bits fall below 2**32 mod (n - i), and the
+      target is i + (m >> 32);
+    * a coin takes a whole raw word w and is (w >> 11) * 2**-53, leaving a
+      kept half in place.
+
+    A block lays out its raw words as if no draw were rejected, tests every
+    draw at once, keeps the iterations before the first rejection, replays
+    that iteration one word at a time and resumes after it.  When b == n
+    the subset is all of range(n) and only coins are drawn.  ``subset()``
+    moves to the next iteration; ``random()`` returns that iteration's coin
+    as often as it is called.
+    """
+
+    def __init__(self, n: int, b: int, seed: int):
+        if not 1 <= b <= n:
+            raise ValueError(f"need 1 <= b <= n, got b={b}, n={n}")
+        if n > 2**32:
+            raise ValueError(f"block draws need n <= 2**32, got n={n}")
+        self.n, self.b = n, b
+        self._bits = np.random.Philox(key=seed)
+        self._raw = np.empty(0, dtype=np.uint64)  # drawn, not yet consumed
+        self._held: int | None = None  # high half kept for the next uint32 draw
+        self._block = min(_BLOCK_ITERATIONS, -(-_BLOCK_INDICES // b))
+        self._span = n - np.arange(b, dtype=np.uint64)
+        self._threshold = np.uint64(2**32) % self._span
+        self._full = np.arange(n) if b == n else None
+        self._rows: list[np.ndarray] = []
+        self._coins: list[float] = []
+        self._k = -1
+
+    def subset(self) -> np.ndarray:
+        """Move to the next iteration and return its b indices (do not modify)."""
+        self._k += 1
+        if self._k == len(self._coins):
+            self._fill()
+        return self._rows[self._k]
+
+    def random(self) -> float:
+        """The current iteration's checkpoint coin, uniform on [0, 1)."""
+        return self._coins[self._k]
+
+    def _fill(self) -> None:
+        size = self._block
+        if self.b == self.n:
+            self._rows = [self._full] * size
+            self._coins = self._coins_of(self._take(size))
+        else:
+            self._rows, self._coins = [], []
+            while len(self._coins) < size:
+                self._draw_run(size - len(self._coins))
+                if len(self._coins) < size:
+                    self._replay()
+        self._k = 0
+
+    def _take(self, count: int) -> np.ndarray:
+        words = self._peek(count)
+        self._raw = self._raw[count:]
+        return words
+
+    def _peek(self, count: int) -> np.ndarray:
+        short = count - len(self._raw)
+        if short > 0:
+            self._raw = np.concatenate([self._raw, self._bits.random_raw(short)])
+        return self._raw[:count]
+
+    @staticmethod
+    def _coins_of(words: np.ndarray) -> list[float]:
+        return ((words >> 11).astype(np.float64) * _COIN_SCALE).tolist()
+
+    def _draw_run(self, count: int) -> None:
+        """Append up to ``count`` iterations, stopping before the first one
+        with a rejected draw."""
+        b, kept = self.b, int(self._held is not None)
+        # Without rejections, iteration k's draws are halves k*b .. k*b+b-1 of
+        # the kept half followed by the split uint32 words; it has fetched
+        # words_by[k] uint32 words when its coin word is drawn.
+        words_by = (np.arange(1, count + 1) * b - kept + 1) // 2
+        coin_at = words_by + np.arange(count)
+        raw = self._peek(int(coin_at[-1]) + 1)
+        is_coin = np.zeros(len(raw), dtype=bool)
+        is_coin[coin_at] = True
+        words = raw[~is_coin]
+        halves = np.empty(kept + 2 * len(words), dtype=np.uint64)
+        if kept:
+            halves[0] = self._held
+        halves[kept::2] = words & _LOW32
+        halves[kept + 1::2] = words >> 32
+        m = halves[: count * b].reshape(count, b) * self._span
+        rejected = ((m & _LOW32) < self._threshold).any(axis=1)
+        k = int(rejected.argmax()) if rejected.any() else count
+        if k == 0:
+            return
+        targets = (m[:k] >> 32).astype(np.intp) + np.arange(b)
+        # a row of pairwise distinct targets is its own Fisher-Yates output
+        if b > 1:
+            ordered = np.sort(targets, axis=1)
+            for r in np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1)):
+                targets[r] = _resolve_swaps(targets[r].tolist())
+        self._rows += list(targets)
+        self._coins += self._coins_of(raw[coin_at[:k]])
+        halves_left = kept + 2 * int(words_by[k - 1]) - k * b
+        self._held = int(halves[k * b]) if halves_left else None
+        self._take(int(words_by[k - 1]) + k)
+
+    def _next_uint32(self) -> int:
+        if self._held is not None:
+            u, self._held = self._held, None
+            return u
+        word = int(self._take(1)[0])
+        self._held = word >> 32
+        return word & _LOW32
+
+    def _replay(self) -> None:
+        """Append one iteration drawn one word at a time, rejections included."""
+        targets = []
+        for i in range(self.b):
+            span = self.n - i
+            threshold = 2**32 % span
+            m = self._next_uint32() * span
+            while (m & _LOW32) < threshold:
+                m = self._next_uint32() * span
+            targets.append(i + (m >> 32))
+        self._rows.append(np.array(_resolve_swaps(targets), dtype=np.intp))
+        self._coins += self._coins_of(self._take(1))
 
 
 def svrg_estimate(

@@ -30,6 +30,7 @@ from .proximal import Regularizer
 TRACE_COLUMNS = ("t", "F_y_gap", "F_w_gap", "p_t", "ckpt_updated", "ifo_total", "lyapunov")
 # Bumped whenever an unchanged config may give different trace bytes.
 TRACE_FORMAT = "4"
+_READABLE_FORMATS = {str(v) for v in range(1, int(TRACE_FORMAT) + 1)}
 
 
 class ConfigError(ValueError):
@@ -205,6 +206,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("[run] eval_every must be at least 1")
     if cfg.output.trace_stride < 1:
         raise ConfigError("[output] trace_stride must be at least 1")
+    if cfg.reference is not None and not 0.0 < cfg.reference.tol < math.inf:
+        raise ConfigError("[reference] tol must be positive and finite")
+    if cfg.reference is not None and cfg.reference.max_iterations < 1:
+        raise ConfigError("[reference] max_iterations must be at least 1")
     if cfg.problem.data is not None and not Path(cfg.problem.data).exists():
         raise ConfigError(f"dataset file not found: {cfg.problem.data}")
 
@@ -304,7 +309,10 @@ def write_trace(
 
 
 def read_trace(path: str | Path) -> tuple[dict[str, str], list[dict[str, float]]]:
-    """Parse a trace file back into its header and rows (round-trip safe)."""
+    """Parse a trace file back into its header and rows (round-trip safe).
+
+    Reads every format from "1" to ``TRACE_FORMAT`` and refuses any other.
+    """
     header: dict[str, str] = {}
     rows: list[dict[str, float]] = []
     columns: list[str] | None = None
@@ -314,6 +322,9 @@ def read_trace(path: str | Path) -> tuple[dict[str, str], list[dict[str, float]]
             header[key.strip()] = value.strip()
             continue
         if columns is None:
+            version = header.get("trace_format")
+            if version not in _READABLE_FORMATS:
+                raise ValueError(f"{path}: unknown trace_format {version!r}")
             columns = line.split(",")
             if columns != list(TRACE_COLUMNS):
                 raise ValueError(f"{path}: unexpected trace columns {columns}")

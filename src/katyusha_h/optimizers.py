@@ -27,10 +27,10 @@ import numpy as np
 from . import analysis
 from .estimator import (
     Checkpoint,
+    DrawStream,
     IfoLedger,
     make_checkpoint,
     maybe_update_checkpoint,
-    sample_subset,
     svrg_estimate,
 )
 from .proximal import prox
@@ -106,7 +106,7 @@ class KatyushaHState:
     params: ScheduleParams
     batch_size: int
     eta: float
-    rng: np.random.Generator
+    rng: DrawStream  # each iteration's subset, then its checkpoint coin
     ledger: IfoLedger
     p: float = math.nan  # p_t of the last iteration's checkpoint draw
     checkpoint_updated: bool = False  # whether that draw hit
@@ -129,7 +129,7 @@ def init_state(problem, config: RunConfig) -> KatyushaHState:
         )
     x0 = _start(problem, config.x0)
     ledger = IfoLedger(per_sample=1 if config.cache_checkpoint_grads else 2)
-    rng = np.random.Generator(np.random.Philox(key=config.seed))
+    rng = DrawStream(problem.n, config.batch_size, config.seed)
     ckpt = make_checkpoint(x0.copy(), problem, ledger)
     return KatyushaHState(
         x=x0.copy(),
@@ -154,7 +154,7 @@ def katyusha_h_step(state: KatyushaHState, problem) -> None:
     p = p_at(cur, params)
 
     x_next = tau * state.z + xi * state.ckpt.w + (1.0 - xi - tau) * state.y
-    idx = sample_subset(problem.n, state.batch_size, state.rng)
+    idx = state.rng.subset()
     g = svrg_estimate(x_next, state.ckpt, idx, problem, state.ledger)
     step_len = cur.alpha_t * state.eta
     z_next = prox(problem.reg, state.z - step_len * g, step_len)

@@ -379,8 +379,10 @@ def solve_reference(
     """
     from .optimizers import fista_solve
 
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
     unregularized_logistic = problem.loss == "logistic" and problem.reg.kind == "zero"
     if unregularized_logistic and _strictly_separable(problem):
         raise ValueError("unregularized logistic loss has no minimizer on separable data")

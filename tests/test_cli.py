@@ -139,7 +139,7 @@ class TestRunCommand:
         assert header["reference"] == "lstsq"
         assert header["f_star_tolerance"] == repr(1e-12)
 
-    @pytest.mark.parametrize("version", ["1", "2", "3"])
+    @pytest.mark.parametrize("version", ["1", "2", "3", "4"])
     def test_reads_earlier_formats(self, tmp_path, version):
         path = tmp_path / f"v{version}.csv"
         path.write_text(
@@ -152,6 +152,17 @@ class TestRunCommand:
         assert header["trace_format"] == version
         assert [r["t"] for r in rows] == [0, 1]
         assert rows[1]["ifo_total"] == 32 and rows[1]["lyapunov"] == 0.75
+
+    @pytest.mark.parametrize("version", ["5", "99"])
+    def test_refuses_unknown_format(self, tmp_path, version):
+        path = tmp_path / f"v{version}.csv"
+        path.write_text(
+            f"# trace_format = {version}\n"
+            "t,F_y_gap,F_w_gap,p_t,ckpt_updated,ifo_total,lyapunov\n"
+            "0,0.5,0.5,,0,30,\n"
+        )
+        with pytest.raises(ValueError, match=f"trace_format '{version}'"):
+            read_trace(path)
 
     def test_seeds_diverge(self, config_path):
         p0, p1 = run_command(load_config(config_path))
@@ -334,12 +345,13 @@ class TestNonFiniteInputs:
 
 
 class TestRunCadenceValidation:
-    def _config(self, tmp_path, run="", output="", stop="epsilon = 1e-6"):
+    def _config(self, tmp_path, run="", output="", stop="epsilon = 1e-6",
+                reference="tol = 1e-10\n"):
         path = tmp_path / "exp.ini"
         path.write_text(
             "[problem]\nfamily = least_squares\nn = 20\nd = 4\nseed = 3\n\n"
             "[solver]\nmethod = fista\n\n"
-            f"[run]\n{stop}\n{run}\n[reference]\ntol = 1e-10\n\n"
+            f"[run]\n{stop}\n{run}\n[reference]\n{reference}\n"
             f"[output]\ndirectory = {tmp_path / 'out'}\n{output}"
         )
         return path
@@ -375,6 +387,25 @@ class TestRunCadenceValidation:
         path = self._config(tmp_path, run=run, stop=stop)
         assert main([command, "--config", str(path)]) == 2
         assert f"[run] {key} must" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize(
+        "reference, key",
+        [
+            pytest.param("max_iterations = 0\n", "max_iterations", id="max_iterations=0"),
+            pytest.param("max_iterations = -5\n", "max_iterations", id="max_iterations=-5"),
+            pytest.param("tol = 0\n", "tol", id="tol=0"),
+            pytest.param("tol = -1e-9\n", "tol", id="tol=-1e-9"),
+            pytest.param("tol = nan\n", "tol", id="tol=nan"),
+            pytest.param("tol = inf\n", "tol", id="tol=inf"),
+        ],
+    )
+    def test_reference_that_cannot_certify_is_exit_two(
+        self, tmp_path, capsys, command, reference, key
+    ):
+        path = self._config(tmp_path, reference=reference)
+        assert main([command, "--config", str(path)]) == 2
+        assert f"[reference] {key} must" in capsys.readouterr().err
 
     def test_valid_cadence_runs(self, tmp_path):
         path = self._config(tmp_path, run="eval_every = 5\n", output="trace_stride = 3\n")

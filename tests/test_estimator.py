@@ -1,5 +1,6 @@
 """Estimator laws certified by subset enumeration, plus ledger exactness."""
 
+import copy
 import math
 from itertools import combinations
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from katyusha_h.estimator import (
+    DrawStream,
     EnumerationCapError,
     IfoLedger,
     enumeration_mean_estimate,
@@ -89,6 +91,53 @@ class TestSampleSubset:
         sigma = math.sqrt(draws * p * (1 - p))
         for subset, count in counts.items():
             assert abs(count - draws * p) <= 4 * sigma, (subset, count)
+
+
+def stream_block(b):
+    """Iterations in one DrawStream block at batch size b."""
+    return min(1024, -(-(2**17) // b))
+
+
+class TestDrawStream:
+    @pytest.mark.parametrize(
+        "n,b",
+        [(1, 1), (7, 6), (100, 1), (100, 2), (100, 10), (10**4, 100), (30, 30),
+         (3 * 2**30, 3), (2**32, 2)],
+    )
+    def test_equals_sample_subset_then_coin(self, n, b):
+        # 3*2**30 makes Lemire reject a quarter of all draws; 2**32 puts the
+        # first bound at the full 32-bit range.  2.5 blocks cross two refills.
+        iterations = 5 * stream_block(b) // 2
+        for seed in range(4):
+            stream, rng = DrawStream(n, b, seed), make_rng(seed)
+            for _ in range(iterations):
+                got = stream.subset()
+                assert got.dtype == np.intp
+                np.testing.assert_array_equal(got, sample_subset(n, b, rng))
+                assert stream.random() == rng.random()
+
+    @pytest.mark.parametrize("n,b", [(100, 3), (3 * 2**30, 3), (12, 12)])
+    def test_copy_mid_block_continues_identically(self, n, b):
+        stream = DrawStream(n, b, seed=5)
+        for _ in range(stream_block(b) // 2 + 1):
+            stream.subset()
+        twin = copy.deepcopy(stream)
+        for _ in range(stream_block(b) + 7):
+            np.testing.assert_array_equal(stream.subset(), twin.subset())
+            assert stream.random() == twin.random()
+
+    def test_coin_is_read_once_per_iteration(self):
+        stream = DrawStream(10, 2, seed=3)
+        stream.subset()
+        assert stream.random() == stream.random()
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            DrawStream(2**32 + 1, 1, seed=0)
+        with pytest.raises(ValueError):
+            DrawStream(3, 4, seed=0)
+        with pytest.raises(ValueError):
+            DrawStream(3, 0, seed=0)
 
 
 class TestSvrgEstimate:

@@ -305,6 +305,16 @@ class TestSolveReference:
             ref = solve_reference(prob, tol=1e-300, max_iterations=50)
         assert ref.gap_tolerance > 1e-300  # honest about the miss
 
+    @pytest.mark.parametrize(
+        "tol, max_iterations",
+        [(0.0, 100), (-1e-9, 100), (math.nan, 100), (math.inf, 100), (1e-10, 0)],
+        ids=["tol=0", "tol<0", "tol=nan", "tol=inf", "max_iterations=0"],
+    )
+    def test_settings_that_cannot_certify_are_refused(self, tol, max_iterations):
+        _, prob = synthesize(30, 5, "least_squares", seed=17, reg=Regularizer.l1(0.01))
+        with pytest.raises(ValueError, match="tol must|max_iterations must"):
+            solve_reference(prob, tol=tol, max_iterations=max_iterations)
+
     def test_method_follows_problem(self):
         _, prob = synthesize(30, 5, "least_squares", seed=17)
         for reg, method in [

@@ -192,10 +192,15 @@ class TestConditionalDescent:
 
 
 class _ForcedDraw:
-    """Stub RNG whose next uniform is fixed; forces one checkpoint outcome."""
+    """Stub draw stream for a full batch: the subset is all of range(n) and
+    the next uniform is fixed, which forces one checkpoint outcome."""
 
-    def __init__(self, value: float):
+    def __init__(self, value: float, n: int):
         self.value = value
+        self.n = n
+
+    def subset(self) -> np.ndarray:
+        return np.arange(self.n)
 
     def random(self) -> float:
         return self.value
@@ -229,7 +234,7 @@ class TestOutcomeTree:
                     if branch == 0.0:
                         continue
                     child = copy.deepcopy(state)
-                    child.rng = _ForcedDraw(0.0 if outcome else 1.0)
+                    child.rng = _ForcedDraw(0.0 if outcome else 1.0, prob.n)
                     katyusha_h_step(child, prob)
                     nxt.append((child, weight * branch))
             level = nxt
