@@ -71,6 +71,30 @@ trace_stride = 1000
 lyapunov = true
 """
 
+LOGISTIC_ELASTIC_NET = """\
+[problem]
+family = logistic
+n = 30
+d = 5
+seed = 12
+reg = elastic_net
+lam1 = 0.01
+lam2 = 0.02
+[reference]
+tol = 1e-12
+[solver]
+method = katyusha_h
+alpha = 0.75
+b = 3
+cache_checkpoint_grads = true
+[run]
+iterations = 400
+seeds = 0 1
+[output]
+trace_stride = 13
+lyapunov = true
+"""
+
 BASELINE = LEAST_SQUARES + """\
 [solver]
 method = {method}
@@ -86,6 +110,8 @@ RUNS = {
     "katyusha_h_uncached": KATYUSHA_H.format(alpha=0.5, b=2, cache="false"),
     "katyusha_h_cached_b10": KATYUSHA_H.format(alpha=1, b=10, cache="true"),
     "katyusha_h_long": KATYUSHA_H_LONG,
+    "katyusha_h_logistic_enet_cached_b3": LOGISTIC_ELASTIC_NET,
+    "katyusha_h_full_batch": KATYUSHA_H.format(alpha=0.5, b=30, cache="false"),
     "fista": BASELINE.format(method="fista", iterations=40, stride=3),
     "pgd": BASELINE.format(method="pgd", iterations=40, stride=3),
     "psgd": BASELINE.format(method="psgd", iterations=300, stride=20),
