@@ -43,7 +43,7 @@ class Checkpoint:
 
 def make_checkpoint(w: np.ndarray, problem, ledger: IfoLedger) -> Checkpoint:
     """Compute the full gradient at w (cost n) and wrap it as a checkpoint."""
-    residuals = problem.residual(slice(None), w)
+    residuals = problem.residual(w, problem.A, problem.targets)
     ledger.checkpoint_calls += problem.n
     full = problem.A.T @ residuals / problem.n
     return Checkpoint(w=w, full_grad=full, residuals=residuals)
@@ -102,6 +102,13 @@ _COIN_SCALE = 1.0 / 9007199254740992.0  # 2**-53
 # discards at most one block's draws.
 _BLOCK_ITERATIONS = 1024
 _BLOCK_INDICES = 2**17
+# A span of a block gathers at most _SPAN_BYTES of feature rows (8*b*d bytes
+# per iteration), and at least one iteration's.  A span saves the fixed cost
+# of the gather calls, which matters only while an iteration's rows are
+# small; larger spans are read back from a farther cache level: at
+# b = d = 100, 1 MiB spans (13 iterations) made a step 13-19% slower than
+# one gather per iteration, and 64 KiB spans are one iteration long there.
+_SPAN_BYTES = 2**16
 
 
 class DrawStream:
@@ -125,10 +132,13 @@ class DrawStream:
 
     A block lays out its raw words as if no draw were rejected, tests every
     draw at once, keeps the iterations before the first rejection, replays
-    that iteration one word at a time and resumes after it.  When b == n
-    the subset is all of range(n) and only coins are drawn.  ``subset()``
-    moves to the next iteration; ``random()`` returns that iteration's coin
-    as often as it is called.
+    that iteration one word at a time and resumes after it.  The block's
+    subsets are one (K, b) index array.  When b == n the subset is all of
+    range(n) and only coins are drawn.  ``subset()`` moves to the next
+    iteration and returns its row; ``random()`` returns that iteration's coin
+    as often as it is called; ``gathered()`` returns its feature rows,
+    targets and checkpoint residuals, gathered a span of iterations at a
+    time.
     """
 
     def __init__(self, n: int, b: int, seed: int):
@@ -144,33 +154,60 @@ class DrawStream:
         self._span = n - np.arange(b, dtype=np.uint64)
         self._threshold = np.uint64(2**32) % self._span
         self._full = np.arange(n) if b == n else None
-        self._rows: list[np.ndarray] = []
+        self._idx = np.empty((0, b), dtype=np.intp)  # the block's subsets
         self._coins: list[float] = []
-        self._k = -1
+        self._k = self._block - 1  # the current iteration within the block
+        self._span_end = 0  # iterations [_span_start, _span_end) are gathered
 
     def subset(self) -> np.ndarray:
         """Move to the next iteration and return its b indices (do not modify)."""
         self._k += 1
-        if self._k == len(self._coins):
+        if self._k == self._block:
             self._fill()
-        return self._rows[self._k]
+        return self._idx[self._k]
 
     def random(self) -> float:
         """The current iteration's checkpoint coin, uniform on [0, 1)."""
         return self._coins[self._k]
 
+    def gathered(self, problem, ckpt: Checkpoint):
+        """The current iteration's feature rows, targets and checkpoint
+        residuals, equal to ``A[idx]``, ``targets[idx]`` and
+        ``ckpt.residuals[idx]`` for ``idx = subset()`` (b < n).
+
+        They are views into arrays gathered for a span of the block: the
+        rows and targets once per span, the residuals once per span and again
+        from the current iteration on whenever the checkpoint has changed.
+        A stream serves one problem.
+        """
+        k = self._k
+        if k >= self._span_end:
+            span = max(1, _SPAN_BYTES // (8 * self.b * problem.d))
+            self._span_start, self._span_end = k, min(k + span, self._block)
+            idx = self._idx[k:self._span_end]
+            self._span_rows, self._span_targets = problem.A[idx], problem.targets[idx]
+            self._res_of = None
+        if self._res_of is not ckpt.residuals:
+            self._res_of, self._res_start = ckpt.residuals, k
+            self._span_res = ckpt.residuals[self._idx[k:self._span_end]]
+        j = k - self._span_start
+        return self._span_rows[j], self._span_targets[j], self._span_res[k - self._res_start]
+
     def _fill(self) -> None:
         size = self._block
         if self.b == self.n:
-            self._rows = [self._full] * size
+            self._idx = np.broadcast_to(self._full, (size, self.n))
             self._coins = self._coins_of(self._take(size))
         else:
-            self._rows, self._coins = [], []
+            rows: list[np.ndarray] = []
+            self._coins = []
             while len(self._coins) < size:
-                self._draw_run(size - len(self._coins))
+                rows.append(self._draw_run(size - len(self._coins)))
                 if len(self._coins) < size:
-                    self._replay()
+                    rows.append(self._replay())
+            self._idx = np.concatenate(rows)
         self._k = 0
+        self._span_end = 0
 
     def _take(self, count: int) -> np.ndarray:
         words = self._peek(count)
@@ -187,9 +224,9 @@ class DrawStream:
     def _coins_of(words: np.ndarray) -> list[float]:
         return ((words >> 11).astype(np.float64) * _COIN_SCALE).tolist()
 
-    def _draw_run(self, count: int) -> None:
-        """Append up to ``count`` iterations, stopping before the first one
-        with a rejected draw."""
+    def _draw_run(self, count: int) -> np.ndarray:
+        """Draw up to ``count`` iterations, stopping before the first one
+        with a rejected draw; returns their subsets as rows."""
         b, kept = self.b, int(self._held is not None)
         # Without rejections, iteration k's draws are halves k*b .. k*b+b-1 of
         # the kept half followed by the split uint32 words; it has fetched
@@ -208,19 +245,19 @@ class DrawStream:
         m = halves[: count * b].reshape(count, b) * self._span
         rejected = ((m & _LOW32) < self._threshold).any(axis=1)
         k = int(rejected.argmax()) if rejected.any() else count
-        if k == 0:
-            return
         targets = (m[:k] >> 32).astype(np.intp) + np.arange(b)
+        if k == 0:
+            return targets
         # a row of pairwise distinct targets is its own Fisher-Yates output
         if b > 1:
             ordered = np.sort(targets, axis=1)
             for r in np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1)):
                 targets[r] = _resolve_swaps(targets[r].tolist())
-        self._rows += list(targets)
         self._coins += self._coins_of(raw[coin_at[:k]])
         halves_left = kept + 2 * int(words_by[k - 1]) - k * b
         self._held = int(halves[k * b]) if halves_left else None
         self._take(int(words_by[k - 1]) + k)
+        return targets
 
     def _next_uint32(self) -> int:
         if self._held is not None:
@@ -230,8 +267,9 @@ class DrawStream:
         self._held = word >> 32
         return word & _LOW32
 
-    def _replay(self) -> None:
-        """Append one iteration drawn one word at a time, rejections included."""
+    def _replay(self) -> np.ndarray:
+        """Draw one iteration one word at a time, rejections included;
+        returns its subset as a row."""
         targets = []
         for i in range(self.b):
             span = self.n - i
@@ -240,8 +278,8 @@ class DrawStream:
             while (m & _LOW32) < threshold:
                 m = self._next_uint32() * span
             targets.append(i + (m >> 32))
-        self._rows.append(np.array(_resolve_swaps(targets), dtype=np.intp))
         self._coins += self._coins_of(self._take(1))
+        return np.array([_resolve_swaps(targets)], dtype=np.intp)
 
 
 def svrg_estimate(
@@ -250,18 +288,27 @@ def svrg_estimate(
     idx: np.ndarray,
     problem,
     ledger: IfoLedger,
+    draws: DrawStream | None = None,
 ) -> np.ndarray:
     """(1/b) * sum_{j in idx} (grad_j(x) - grad_j(w)) + full_grad(w).
 
     With b = n the sums telescope; the full-batch path evaluates the full
     gradient directly so it is bit-identical to a plain full-gradient call.
+    ``draws`` is the stream ``idx`` came from, if any: its gathered views
+    stand in for the three gathers by ``idx``.  At b = 1 the exact division
+    by 1 is skipped.
     """
     b = len(idx)
     ledger.minibatch_calls += ledger.per_sample * b
     if b == problem.n:
         return problem.full_grad(x)
-    rows = problem.A[idx]
-    diff = rows.T @ (problem.residual(idx, x, rows) - ckpt.residuals[idx])
+    if draws is None:
+        rows, targets, r_w = problem.A[idx], problem.targets[idx], ckpt.residuals[idx]
+    else:
+        rows, targets, r_w = draws.gathered(problem, ckpt)
+    diff = rows.T @ (problem.residual(x, rows, targets) - r_w)
+    if b == 1:
+        return diff + ckpt.full_grad
     return diff / b + ckpt.full_grad
 
 

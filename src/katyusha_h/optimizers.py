@@ -108,6 +108,7 @@ class KatyushaHState:
     eta: float
     rng: DrawStream  # each iteration's subset, then its checkpoint coin
     ledger: IfoLedger
+    anchor: tuple[np.ndarray, np.ndarray]  # (w, xi * w), kept per checkpoint
     p: float = math.nan  # p_t of the last iteration's checkpoint draw
     checkpoint_updated: bool = False  # whether that draw hit
 
@@ -142,6 +143,7 @@ def init_state(problem, config: RunConfig) -> KatyushaHState:
         eta=eta,
         rng=rng,
         ledger=ledger,
+        anchor=(ckpt.w, params.xi * ckpt.w),
     )
 
 
@@ -152,10 +154,14 @@ def katyusha_h_step(state: KatyushaHState, problem) -> None:
     tau = tau_at(cur)
     xi = params.xi
     p = p_at(cur, params)
+    ckpt = state.ckpt
+    # xi * w changes only when w does, so it is formed once per checkpoint.
+    if state.anchor[0] is not ckpt.w:
+        state.anchor = (ckpt.w, xi * ckpt.w)
 
-    x_next = tau * state.z + xi * state.ckpt.w + (1.0 - xi - tau) * state.y
+    x_next = tau * state.z + state.anchor[1] + (1.0 - xi - tau) * state.y
     idx = state.rng.subset()
-    g = svrg_estimate(x_next, state.ckpt, idx, problem, state.ledger)
+    g = svrg_estimate(x_next, ckpt, idx, problem, state.ledger, state.rng)
     step_len = cur.alpha_t * state.eta
     z_next = prox(problem.reg, state.z - step_len * g, step_len)
     y_next = x_next + tau * (z_next - state.z)
@@ -163,7 +169,7 @@ def katyusha_h_step(state: KatyushaHState, problem) -> None:
     # Checkpoint candidate is the pre-update y.  y equals w only before the
     # first step, so at t=1 the update can skip a redundant full gradient.
     state.ckpt, state.checkpoint_updated = maybe_update_checkpoint(
-        state.ckpt,
+        ckpt,
         state.y,
         p,
         state.rng,
@@ -196,12 +202,22 @@ def _drive(problem, step, objective, record, *, iterations, epsilon,
     iteration t, where ``f`` is the value the test just read and None
     otherwise, so no objective is evaluated twice per iteration.
     Returns the initial record plus one per ``record_every`` iterations; the
-    final iteration is always recorded.
+    final iteration is always recorded.  A non-finite F at the epsilon test
+    stops the run with a ValueError: the iterate has diverged or was never
+    finite, and no later iteration can reach the target.
     """
     if (iterations is None) == (epsilon is None):
         raise ValueError("exactly one of iterations/epsilon must be set")
     if epsilon is not None and problem.reference is None:
         raise ValueError("an epsilon target requires a reference solution")
+    for name, value, least in (
+        ("record_every", record_every, 1),
+        ("eval_every", eval_every, 1),
+        ("iterations", iterations, 0),
+        ("max_iterations", max_iterations, 1),
+    ):
+        if value is not None and value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     budget = iterations if iterations is not None else max_iterations
     records = [record(0, None)]
     for t in range(1, budget + 1):
@@ -210,6 +226,8 @@ def _drive(problem, step, objective, record, *, iterations, epsilon,
         f = None
         if epsilon is not None and (done or t % eval_every == 0):
             f = objective()
+            if not math.isfinite(f):
+                raise ValueError(f"objective is {f} at t={t}: the run cannot reach its target")
             done = done or f - problem.reference.f_star <= epsilon
         if done or t % record_every == 0:
             records.append(record(t, f))

@@ -192,15 +192,15 @@ class FiniteSumProblem:
 
     # -- component oracles -----------------------------------------------
 
-    def residual(self, idx, x: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-        """Scalar residual r_i(x) per selected component: grad f_i = a_i * r_i.
-        ``rows`` is A[idx] when the caller has already gathered it."""
-        margins = (self.A[idx] if rows is None else rows) @ x
+    def residual(self, x: np.ndarray, rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Scalar residual r_i(x) of the components whose feature rows and
+        targets are given (``A[idx]``, ``targets[idx]``): grad f_i = a_i * r_i."""
+        margins = rows @ x
         if self.loss == "least_squares":
-            return margins - self.targets[idx]
+            return margins - targets
         # d/dm log(1+exp(-y m)) = -y * sigmoid(-y m)
-        y = self.targets[idx]
-        return -y * expit(-y * margins)
+        neg = -targets
+        return neg * expit(neg * margins)
 
     def component_value(self, i: int, x: np.ndarray) -> float:
         m = float(self.A[i] @ x)
@@ -209,17 +209,19 @@ class FiniteSumProblem:
         return float(np.logaddexp(0.0, -self.targets[i] * m))
 
     def component_grad(self, i: int, x: np.ndarray) -> np.ndarray:
-        return self.A[i] * self.residual(i, x)
+        return self.A[i] * self.residual(x, self.A[i], self.targets[i])
 
     def component_grad_matrix(self, x: np.ndarray, idx=None) -> np.ndarray:
         """Per-component gradients as rows; all components when idx is None."""
         if idx is None:
             idx = slice(None)
-        return self.A[idx] * self.residual(idx, x)[:, None]
+        rows = self.A[idx]
+        return rows * self.residual(x, rows, self.targets[idx])[:, None]
 
     def grad_sum(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Sum (not mean) of component gradients over idx."""
-        return self.A[idx].T @ self.residual(idx, x)
+        rows = self.A[idx]
+        return rows.T @ self.residual(x, rows, self.targets[idx])
 
     # -- full oracles ------------------------------------------------------
 

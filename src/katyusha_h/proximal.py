@@ -65,7 +65,13 @@ def reg_value(reg: Regularizer, x: np.ndarray) -> float:
 
 
 def soft_threshold(v: np.ndarray, threshold: float) -> np.ndarray:
-    return np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
+    """sign(v) * max(|v| - threshold, 0), for threshold > 0, in four ufuncs.
+
+    copysign gives the product by sign(v) bit for bit, infinities and the
+    zero of a negative v inside the threshold included, with one exception:
+    at v = -0.0 it returns -0.0 where the product returns +0.0.
+    """
+    return np.copysign(np.maximum(np.abs(v) - threshold, 0.0), v)
 
 
 def prox(reg: Regularizer, v: np.ndarray, step: float) -> np.ndarray:

@@ -185,6 +185,17 @@ class TestRunCommand:
     def test_main_exit_zero(self, config_path, capsys):
         assert main(["run", "--config", str(config_path)]) == 0
 
+    def test_non_finite_objective_exits_two(self, config_path, monkeypatch, capsys):
+        # a nan estimate makes the iterates nan; the first refresh puts nan in
+        # w, and the epsilon test reading F(w) stops the run
+        from katyusha_h import optimizers
+
+        config_path.write_text(config_path.read_text().replace(
+            "iterations = 40", "epsilon = 1e-9\nmax_iterations = 5000"))
+        monkeypatch.setattr(optimizers, "svrg_estimate", lambda x, *rest: np.full_like(x, np.nan))
+        assert main(["run", "--config", str(config_path)]) == 2
+        assert "objective is nan at t=" in capsys.readouterr().err
+
     def test_seeds_flag_overrides_config(self, config_path, tmp_path, capsys):
         out = tmp_path / "override"
         assert main(["run", "--config", str(config_path), "--out", str(out),

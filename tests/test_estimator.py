@@ -7,6 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from katyusha_h import estimator
 from katyusha_h.estimator import (
     DrawStream,
     EnumerationCapError,
@@ -130,6 +131,42 @@ class TestDrawStream:
         stream = DrawStream(10, 2, seed=3)
         stream.subset()
         assert stream.random() == stream.random()
+
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_gathered_equals_gathers_by_index(self, monkeypatch, b):
+        # spans of 5 iterations; the checkpoint changes mid-span and on a
+        # span's first iteration, and the run crosses a block refill
+        monkeypatch.setattr(estimator, "_SPAN_BYTES", 8 * b * 4 * 5)
+        _, prob = synthesize(40, 4, "logistic", seed=3)
+        rng = make_rng(1)
+        ckpt = make_checkpoint(rng.standard_normal(4), prob, IfoLedger())
+        stream = DrawStream(prob.n, b, seed=2)
+        for k in range(stream_block(b) + 40):
+            if k % 7 == 3 or k % 10 == 5:
+                ckpt = make_checkpoint(rng.standard_normal(4), prob, IfoLedger())
+            idx = stream.subset()
+            rows, targets, r_w = stream.gathered(prob, ckpt)
+            assert np.array_equal(rows, prob.A[idx])
+            assert np.array_equal(targets, prob.targets[idx])
+            assert np.array_equal(r_w, ckpt.residuals[idx])
+
+    @pytest.mark.parametrize("b, d, span", [(100, 100, 1), (10, 100, 8), (1, 20, 409)])
+    def test_span_budget(self, b, d, span):
+        # a span holds at most 64 KiB of feature rows, and one iteration's
+        # rows when they alone exceed it (80 kB at b = d = 100)
+        A = make_rng(0).standard_normal((1000, d))
+        prob = FiniteSumProblem(A, np.ones(1000), "least_squares")
+        ckpt = make_checkpoint(np.zeros(d), prob, IfoLedger())
+        stream = DrawStream(prob.n, b, seed=0)
+        spans, block = [], stream_block(b)
+        for _ in range(block):
+            stream.subset()
+            stream.gathered(prob, ckpt)
+            if not spans or spans[-1] is not stream._span_rows:
+                spans.append(stream._span_rows)
+        tail = [block % span] if block % span else []
+        assert [len(s) for s in spans] == [span] * (block // span) + tail
+        assert all(s.nbytes <= max(estimator._SPAN_BYTES, 8 * b * d) for s in spans)
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,13 @@
 """Solver iteration semantics, hand-traced updates, and baseline behavior."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
+from katyusha_h import estimator, optimizers
+from katyusha_h.estimator import sample_subset
 from katyusha_h.optimizers import (
     RunConfig,
     TraceRecord,
@@ -16,6 +21,7 @@ from katyusha_h.optimizers import (
 from katyusha_h.problems import (
     FiniteSumProblem,
     SparseDataset,
+    make_rng,
     synthesize,
     with_reference,
 )
@@ -367,3 +373,132 @@ class TestCheckpointCache:
             assert repr(r0.p) == repr(r1.p)  # NaN at t = 0
             assert r0.ifo_minibatch == 2 * r1.ifo_minibatch
         assert plain[-1].ifo_minibatch == 2 * b * 60
+
+
+class TestDriverArguments:
+    @pytest.mark.parametrize(
+        "name, value",
+        [("record_every", 0), ("record_every", -3), ("eval_every", 0),
+         ("iterations", -1), ("max_iterations", 0)],
+    )
+    def test_bad_cadence_or_budget_is_refused(self, name, value):
+        _, prob = synthesize(6, 2, "least_squares", seed=1)
+        with_reference(prob, tol=1e-12)
+        stopping = {"iterations": 5} if name != "max_iterations" else {"epsilon": 1e-3}
+        stopping[name] = value
+        with pytest.raises(ValueError, match=name):
+            run(prob, RunConfig(alpha=0.5, batch_size=1, **stopping))
+        with pytest.raises(ValueError, match=name):
+            fista_run(prob, **stopping)
+
+    @pytest.mark.parametrize("solver", ["run", "fista_run", "pgd_run"])
+    def test_non_finite_objective_stops_at_once(self, solver):
+        _, prob = synthesize(6, 2, "least_squares", seed=1)
+        with_reference(prob, tol=1e-12)
+        x0 = np.full(2, np.nan)
+        stopping = dict(epsilon=1e-6, max_iterations=2000)
+        with pytest.raises(ValueError, match=r"objective is nan at t=1\b"):
+            if solver == "run":
+                run(prob, RunConfig(alpha=0.5, batch_size=1, x0=x0, eval_every=1, **stopping))
+            else:
+                getattr(optimizers, solver)(prob, x0=x0, **stopping)
+
+
+# -- the step's arithmetic, driven by hand -----------------------------------
+
+
+def _residual(problem, idx, x):
+    """r_i(x) over idx, written out as the step has always computed it."""
+    margins = problem.A[idx] @ x
+    if problem.loss == "least_squares":
+        return margins - problem.targets[idx]
+    y = problem.targets[idx]
+    return -y * expit(-y * margins)
+
+
+def _prox(reg, v, step):
+    if reg.lam1 != 0.0:
+        v = np.sign(v) * np.maximum(np.abs(v) - step * reg.lam1, 0.0)
+    if reg.lam2 != 0.0:
+        v = v / (1.0 + step * reg.lam2)
+    return v
+
+
+def reference_run(problem, config):
+    """Katyusha-H from its update lines: the schedule from the certified
+    arrays, draws from sample_subset and Generator.random(), three gathers
+    by index per estimate, the product form of soft-thresholding.  Returns
+    the records, the final (x, y, z) and the iterations whose checkpoint
+    draw refreshed w."""
+    n, b, T = problem.n, config.batch_size, config.iterations
+    params = compute_constants(ScheduleConfig(alpha=config.alpha, batch_size=b, n=n))
+    eta = max_step_size(problem.L, params)
+    alphas = alpha_sequence(T, params)
+    ps = np.clip(p_sequence(alphas, params), 0.0, 1.0).tolist()
+    alphas = alphas.tolist()
+    xi = params.xi
+    per_sample = 1 if config.cache_checkpoint_grads else 2
+    rng = make_rng(config.seed)
+
+    def checkpoint(w):
+        r = _residual(problem, slice(None), w)
+        return w, problem.A.T @ r / n, r
+
+    x = np.zeros(problem.d)
+    y, z = x.copy(), x.copy()
+    w, full, res = checkpoint(x.copy())
+    minibatch, ckpt_calls, p, hit, refreshed = 0, n, math.nan, False, []
+
+    def record(t):
+        return TraceRecord(t, problem.value(y), problem.value(w), p, hit, minibatch, ckpt_calls)
+
+    records = [record(0)]
+    for t in range(1, T + 1):
+        tau, p = 1.0 / alphas[t], ps[t - 1]
+        x_next = tau * z + xi * w + (1.0 - xi - tau) * y
+        idx = sample_subset(n, b, rng)
+        minibatch += per_sample * b
+        if b == n:
+            g = problem.A.T @ _residual(problem, slice(None), x_next) / n
+        else:
+            diff = problem.A[idx].T @ (_residual(problem, idx, x_next) - res[idx])
+            g = diff / b + full
+        step_len = alphas[t] * eta
+        z_next = _prox(problem.reg, z - step_len * g, step_len)
+        y_next = x_next + tau * (z_next - z)
+        hit = rng.random() < p
+        if hit and t > 1:
+            w, full, res = checkpoint(y.copy())
+            ckpt_calls += n
+            refreshed.append(t)
+        x, y, z = x_next, y_next, z_next
+        if t % config.record_every == 0 or t == T:
+            records.append(record(t))
+    return records, (x, y, z), refreshed
+
+
+class TestReferenceLoop:
+    @pytest.mark.parametrize("cache", [False, True])
+    @pytest.mark.parametrize("b", [1, 3, "n"])
+    @pytest.mark.parametrize("reg", [Regularizer.l1(0.02), Regularizer.elastic_net(0.01, 0.02),
+                                     Regularizer.squared_l2(0.05)], ids=lambda r: r.kind)
+    @pytest.mark.parametrize("family", ["least_squares", "logistic"])
+    def test_run_equals_the_update_lines(self, monkeypatch, family, reg, b, cache):
+        _, prob = synthesize(30, 6, family, seed=17, reg=reg)
+        b = prob.n if b == "n" else b
+        # spans of 5 iterations, so refreshes land mid-span; 1100 iterations
+        # cross a block of draws and a schedule table
+        span = 5
+        monkeypatch.setattr(estimator, "_SPAN_BYTES", 8 * b * prob.d * span)
+        config = RunConfig(alpha=0.75, batch_size=b, iterations=1100, seed=4,
+                           record_every=50, cache_checkpoint_grads=cache)
+        want, final, refreshed = reference_run(prob, config)
+        states = []
+        monkeypatch.setattr(optimizers, "init_state",
+                            lambda *a, real=init_state: states.append(real(*a)) or states[-1])
+        got = run(prob, config)
+        assert repr(got) == repr(want)  # repr: NaN p_t compares equal
+        for arr, ref in zip((states[0].x, states[0].y, states[0].z), final):
+            assert arr.tobytes() == ref.tobytes()
+        if b < prob.n:
+            assert any(t % span != 0 for t in refreshed)  # a refresh inside a span

@@ -128,3 +128,21 @@ class TestProx:
         np.testing.assert_allclose(
             soft_threshold(np.array([3.0, -3.0, 0.2]), 1.0), [2.0, -2.0, 0.0]
         )
+
+    @given(vectors, st.floats(1e-6, 10.0))
+    @settings(max_examples=200, deadline=None)
+    def test_soft_threshold_equals_sign_times_max(self, v, t):
+        edges = np.array([t, -t, 0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                          np.nextafter(t, 0.0), -np.nextafter(t, np.inf), 5e-324, -5e-324])
+        v = np.concatenate([v, edges])
+        want = np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+        got = soft_threshold(v, t)
+        # nan where the product is nan (whose sign bit numpy's product leaves
+        # to the loop it picks), and bit for bit elsewhere, signed zeros
+        # included, except that copysign keeps the sign of v = -0.0
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        neg_zero = (v == 0.0) & np.signbit(v)
+        same = ~nan & ~neg_zero
+        assert np.array_equal(got[same].view(np.uint64), want[same].view(np.uint64))
+        assert np.all(got[neg_zero] == 0.0) and np.all(np.signbit(got[neg_zero]))

@@ -1,0 +1,79 @@
+"""Hash the trace records of a fixed grid of Katyusha-H runs.
+
+A change that claims byte-identical output runs this script before and after
+and compares the last line, which digests every record of every run:
+
+    PYTHONPATH=src python tools/trace_digest.py [--verbose]
+
+The grid is 3 problems x alpha in {0, 0.5, 0.75, 1} x b in {1, 3, 10, n} x
+checkpoint cache on/off x an iteration stop and an epsilon stop (192 runs).
+The wide problem (d = 300) makes the iteration-stopped runs cross the block
+and span boundaries of the mini-batch draws at every b < n, with checkpoint
+refreshes inside them.  ``--verbose`` prints one digest per run, so a
+mismatch can be located.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import itertools
+import sys
+
+from katyusha_h import Regularizer, RunConfig, run, synthesize, with_reference
+
+ALPHAS = (0.0, 0.5, 0.75, 1.0)
+BATCHES = (1, 3, 10, None)  # None: b = n
+STOPS = {
+    "iterations": dict(iterations=1500, record_every=1),
+    "epsilon": dict(epsilon=1e-7, max_iterations=30_000, record_every=5),
+}
+
+
+def problems() -> dict:
+    """The grid's problems, each with a reference solution."""
+    specs = {
+        "ls_l1": (40, 6, "least_squares", 21, Regularizer.l1(0.02)),
+        "logistic_enet": (40, 6, "logistic", 22, Regularizer.elastic_net(0.01, 0.02)),
+        "ls_sql2_wide": (200, 300, "least_squares", 23, Regularizer.squared_l2(0.05)),
+    }
+    out = {}
+    for name, (n, d, family, seed, reg) in specs.items():
+        _, problem = synthesize(n, d, family, seed=seed, reg=reg)
+        out[name] = with_reference(problem, tol=1e-10)
+    return out
+
+
+def digest(records) -> str:
+    h = hashlib.sha256()
+    for rec in records:
+        h.update(repr(dataclasses.astuple(rec)).encode())
+    return h.hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--verbose", action="store_true", help="print one digest per run")
+    args = parser.parse_args(argv)
+    total = hashlib.sha256()
+    count = 0
+    for (name, problem), alpha, b, cache, (stop, stopping) in itertools.product(
+        problems().items(), ALPHAS, BATCHES, (False, True), STOPS.items()
+    ):
+        b = problem.n if b is None else b
+        config = RunConfig(
+            alpha=alpha, batch_size=b, cache_checkpoint_grads=cache, seed=count,
+            lyapunov=True, **stopping,
+        )
+        one = digest(run(problem, config))
+        total.update(one.encode())
+        count += 1
+        if args.verbose:
+            print(f"{name} alpha={alpha} b={b} cache={int(cache)} {stop}: {one}")
+    print(f"{count} runs sha256 {total.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
