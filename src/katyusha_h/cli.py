@@ -66,15 +66,21 @@ def _parse_fault(raw: str | None) -> float | None:
     if key.strip() != "xi" or not value:
         raise ConfigError(f"--inject-fault expects xi=<value>, got {raw!r}")
     try:
-        return float(value)
+        xi = float(value)
     except ValueError:
         raise ConfigError(f"--inject-fault expects a number, got {value!r}") from None
+    if not np.isfinite(xi):
+        raise ConfigError(f"--inject-fault expects a finite xi, got {value!r}")
+    return xi
 
 
 def _cmd_verify(args) -> int:
     grid = None
     if args.alpha_step is not None:
-        grid = verification.default_alpha_grid(step=args.alpha_step)
+        try:
+            grid = verification.default_alpha_grid(step=args.alpha_step)
+        except ValueError as exc:
+            raise ConfigError(f"--alpha-step: {exc}") from None
     report = verification.scan_schedule(
         alpha_grid=grid,
         t_max=args.t_max,

@@ -288,7 +288,13 @@ def run(problem, config: RunConfig) -> list[TraceRecord]:
 
 
 def _start(problem, x0: np.ndarray | None) -> np.ndarray:
-    return np.zeros(problem.d) if x0 is None else np.asarray(x0, float).copy()
+    """A fresh start point: zeros, or a copy of ``x0``, which must be finite."""
+    if x0 is None:
+        return np.zeros(problem.d)
+    x0 = np.asarray(x0, float).copy()
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("x0 must be finite")
+    return x0
 
 
 def _prox_grad(problem, y: np.ndarray, L: float) -> np.ndarray:

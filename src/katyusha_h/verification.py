@@ -29,6 +29,7 @@ from .schedule import (
     GROWTH_START,
     C_MAX,
     ScheduleConfig,
+    _denominator,
     _p_ratio,
     alpha_sequence,
     compute_constants,
@@ -39,6 +40,7 @@ from .schedule import (
 
 INEQ_TOL = 1e-9  # normalized slack floor for inequality claims
 EQ_TOL = 1e-12  # absolute tolerance for reformulation identities
+SCAN_BLOCK = 16_384  # t indices per block of a schedule scan; its temporaries stay in cache
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,12 @@ class CertificateReport:
 
 
 class _ClaimTracker:
-    """Running minimum slack per claim across grid cells."""
+    """Running minimum slack per claim across grid cells.
+
+    The first strict minimum wins.  A NaN slack is a point where the claim
+    could not be evaluated: the first one becomes the worst point and stays,
+    so the claim fails.
+    """
 
     def __init__(self, tolerance: float):
         self.tolerance = tolerance
@@ -88,8 +95,8 @@ class _ClaimTracker:
 
     def update(self, slack: np.ndarray | float, where) -> None:
         arr = np.atleast_1d(np.asarray(slack, dtype=np.float64))
-        i = int(np.argmin(arr))
-        if arr[i] < self.min_slack:
+        i = int(np.argmin(arr))  # the first NaN, if there is one
+        if not (arr[i] >= self.min_slack or math.isnan(self.min_slack)):
             self.min_slack = float(arr[i])
             self.worst_at = where(i)
 
@@ -109,6 +116,8 @@ def default_alpha_grid(step: float = 0.01, probe: float = 1e-6) -> np.ndarray:
     The growth-coefficient buckets are closed on the right, so probes at
     +-probe around each boundary catch off-by-bucket mistakes.
     """
+    if not 0.0 < step <= 1.0:  # also refuses nan
+        raise ValueError(f"alpha grid step must be in (0, 1], got {step}")
     count = round(1.0 / step)
     pts = [i * step for i in range(count + 1)]
     boundaries = (0.0, 0.5, 0.75, 1.0)
@@ -121,7 +130,7 @@ def default_alpha_grid(step: float = 0.01, probe: float = 1e-6) -> np.ndarray:
     return np.unique(np.asarray(pts, dtype=np.float64))
 
 
-def _normalized_gap(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _normalized_gap(lhs: np.ndarray | float, rhs: np.ndarray) -> np.ndarray:
     """Slack of 'lhs <= rhs' scaled by max(1, |lhs|, |rhs|)."""
     scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     return (rhs - lhs) / scale
@@ -144,6 +153,12 @@ def scan_schedule(
 
     ``xi_override`` replaces xi (and alpha_tilde0 = 36*xi) with a raw value,
     bypassing the constructor guards; it exists for fault injection.
+
+    alpha_t, its square and its running sum depend on alpha alone, so each
+    alpha computes them once for every b.  Each (alpha, b) cell then walks t
+    in blocks of ``SCAN_BLOCK`` indices, whose temporaries stay in cache;
+    the claims see the cells and blocks in (alpha, b, t) order, so the
+    first worst point is the one a single pass over the cell would find.
     """
     if t_max < 18:
         raise ValueError("t_max must be at least 18")
@@ -169,6 +184,7 @@ def scan_schedule(
 
     max_b = max(batch_sizes)
     for alpha in alpha_grid:
+        cells = []
         for b in batch_sizes:
             params = compute_constants(
                 ScheduleConfig(alpha=float(alpha), batch_size=b, n=max_b)
@@ -177,50 +193,53 @@ def scan_schedule(
                 params = replace(
                     params, xi=xi_override, alpha_tilde0=36.0 * xi_override
                 )
-            seq = alpha_sequence(t_max + 1, params)  # alpha_0 .. alpha_{t_max+1}
-            a_prev = seq[:-2]
-            a_t = seq[1:-1]
-            a_next = seq[2:]
-            den = denominator_sequence(seq[:-1], params)  # D_0 .. D_{t_max}
-
-            def here(i, alpha=alpha, b=b):
-                return f"(alpha={alpha:.6g}, b={b}, t={i + 1})"
-
-            numer_core = a_prev ** 2 - a_t ** 2 + a_t
-            lhs_key = params.xi * (a_next ** 2 - a_t ** 2)
-            trackers["key-growth-inequality"].update(
-                _normalized_gap(lhs_key, numer_core), here
-            )
-            trackers["p-numerator-nonneg"].update(
-                _normalized_gap(np.zeros_like(numer_core), numer_core), here
-            )
-            xi_at2 = params.xi * a_t ** 2
-            trackers["denominator-lower-bound"].update(
-                np.minimum(
-                    _normalized_gap(xi_at2, den[:-1]),
-                    _normalized_gap(np.zeros_like(xi_at2), xi_at2),
-                ),
-                here,
-            )
-            p = _p_ratio(a_prev, a_t, den[1:], params.xi)
-            trackers["p-range"].update(np.minimum(p, 1.0 - p), here)
-            tau = 1.0 / a_t
-            coupling = np.minimum.reduce(
-                [tau, 1.0 - tau, 1.0 - params.xi - tau]
-            )
-            coupling = np.minimum(
-                coupling, min(params.xi, 1.0 - params.xi)
-            )
-            trackers["coupling-range"].update(coupling, here)
+            cells.append((b, params))
+        # alpha_t depends on alpha alone, so every b reads the same arrays
+        seq = alpha_sequence(t_max + 1, cells[0][1])  # alpha_0 .. alpha_{t_max+1}
+        sq = seq * seq  # equals seq ** 2 bit for bit
+        csum = np.concatenate(([0.0], np.cumsum(seq[1:-1])))  # alpha_1 + .. + alpha_t
+        for b, params in cells:
+            xi = params.xi
             trackers["c-bound"].update(
                 (C_MAX - params.c) / C_MAX,
                 lambda i, alpha=alpha, b=b: f"(alpha={alpha:.6g}, b={b})",
             )
-            # Shifted reformulation: same numerator over numer_core + D_{t-1}.
-            p_alt = (numer_core + xi_at2) / (numer_core + den[:-1])
-            trackers["p-reformulation"].update(
-                EQ_TOL - np.abs(p - p_alt), here
-            )
+            for s in range(0, t_max, SCAN_BLOCK):
+                e = min(s + SCAN_BLOCK, t_max)  # t = s+1 .. e
+
+                def here(i, alpha=alpha, b=b, s=s):
+                    return f"(alpha={alpha:.6g}, b={b}, t={s + i + 1})"
+
+                a_t = seq[s + 1:e + 1]
+                sq_t = sq[s + 1:e + 1]
+                den = _denominator(seq[s:e + 1], csum[s:e + 1], params)  # D_{t-1}, D_t
+                numer_core = sq[s:e] - sq_t + a_t
+                lhs_key = xi * (sq[s + 2:e + 2] - sq_t)
+                trackers["key-growth-inequality"].update(
+                    _normalized_gap(lhs_key, numer_core), here
+                )
+                trackers["p-numerator-nonneg"].update(
+                    _normalized_gap(0.0, numer_core), here
+                )
+                xi_at2 = xi * sq_t
+                trackers["denominator-lower-bound"].update(
+                    np.minimum(
+                        _normalized_gap(xi_at2, den[:-1]),
+                        _normalized_gap(0.0, xi_at2),
+                    ),
+                    here,
+                )
+                p = _p_ratio(seq[s:e], a_t, den[1:], xi)
+                trackers["p-range"].update(np.minimum(p, 1.0 - p), here)
+                tau = 1.0 / a_t
+                coupling = np.minimum(np.minimum(tau, 1.0 - tau), 1.0 - xi - tau)
+                coupling = np.minimum(coupling, min(xi, 1.0 - xi))
+                trackers["coupling-range"].update(coupling, here)
+                # Shifted reformulation: same numerator over numer_core + D_{t-1}.
+                p_alt = (numer_core + xi_at2) / (numer_core + den[:-1])
+                trackers["p-reformulation"].update(
+                    EQ_TOL - np.abs(p - p_alt), here
+                )
 
     return CertificateReport(
         claims=[t.result(name, domain) for name, t in trackers.items()]

@@ -263,6 +263,18 @@ class TestVerifyCommand:
     def test_bad_fault_spec_is_config_error(self, capsys):
         assert main(["verify", "--inject-fault", "tau=2"]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_fault_is_exit_two(self, capsys, value):
+        assert main(["verify", "--t-max", "100", "--inject-fault", f"xi={value}"]) == 2
+        captured = capsys.readouterr()
+        assert "--inject-fault" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("value", ["0", "-0.1", "1.5", "nan", "inf"])
+    def test_bad_alpha_step_is_exit_two(self, capsys, value):
+        assert main(["verify", "--t-max", "100", "--alpha-step", value]) == 2
+        captured = capsys.readouterr()
+        assert "--alpha-step" in captured.err and captured.out == ""
+
     def test_report_file(self, tmp_path, capsys):
         report = tmp_path / "cert.txt"
         code = main([

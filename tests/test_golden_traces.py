@@ -9,18 +9,23 @@ of ``experiment.TRACE_FORMAT``, regenerate them with
 
 which writes the files of a config that has none and overwrites only those
 whose ``trace_format`` differs from ``TRACE_FORMAT``.  The sweep summary has
-no header: it is written when missing and rewritten with a format bump.
+no header: it is written when missing and rewritten with a format bump.  The
+``verify`` outputs under ``verify/`` carry no format and are written only
+when missing.
 
 Floating-point results can differ in the last bits between BLAS builds or
 CPU families, so a mismatch on a new machine should first be checked
 against a regeneration there before it is read as a behaviour change.
 """
 
+import contextlib
+import io
 import tempfile
 from pathlib import Path
 
 import pytest
 
+from katyusha_h.cli import main
 from katyusha_h.experiment import (
     TRACE_FORMAT,
     load_config,
@@ -128,6 +133,20 @@ alphas = 0 1
 bs = 1 3
 """
 
+# `katyusha-h verify` arguments and the file holding their standard output
+VERIFY = {
+    "t40000_step0.05": ["--t-max", "40000", "--alpha-step", "0.05"],
+    "t40000_step0.05_xi2": ["--t-max", "40000", "--alpha-step", "0.05",
+                            "--inject-fault", "xi=2"],
+}
+
+
+def _verify_output(args: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["verify", *args])
+    return out.getvalue()
+
 
 def _config(directory: Path, text: str):
     path = directory / "exp.ini"
@@ -149,6 +168,12 @@ def test_sweep_matches_golden(tmp_path):
     assert path.read_bytes() == (GOLDEN / "sweep" / path.name).read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(VERIFY))
+def test_verify_matches_golden(name):
+    want = (GOLDEN / "verify" / f"{name}.txt").read_text()
+    assert _verify_output(VERIFY[name]) == want
+
+
 def _formats(directory: Path) -> set[str]:
     """The trace formats of the golden traces in ``directory`` (empty if none)."""
     return {read_trace(f)[0]["trace_format"] for f in directory.glob("*.csv")}
@@ -164,6 +189,12 @@ def regenerate() -> None:
             run_command(_config(tmp, RUNS[name]), out_dir=GOLDEN / name)
         if bumped or not (GOLDEN / "sweep" / "sweep_summary.csv").exists():
             sweep_command(_config(tmp, SWEEP), out_dir=GOLDEN / "sweep")
+    for name, args in VERIFY.items():  # no trace format: written only when missing
+        path = GOLDEN / "verify" / f"{name}.txt"
+        if not path.exists():
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(_verify_output(args))
+            stale.append(f"verify/{name}")
     print(f"regenerated: {', '.join(stale) or 'nothing'}")
 
 if __name__ == "__main__":

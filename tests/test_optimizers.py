@@ -392,16 +392,29 @@ class TestDriverArguments:
             fista_run(prob, **stopping)
 
     @pytest.mark.parametrize("solver", ["run", "fista_run", "pgd_run"])
-    def test_non_finite_objective_stops_at_once(self, solver):
+    def test_non_finite_objective_stops_at_once(self, solver, monkeypatch):
         _, prob = synthesize(6, 2, "least_squares", seed=1)
         with_reference(prob, tol=1e-12)
-        x0 = np.full(2, np.nan)
+        monkeypatch.setattr(prob, "value", lambda x: math.nan)
         stopping = dict(epsilon=1e-6, max_iterations=2000)
         with pytest.raises(ValueError, match=r"objective is nan at t=1\b"):
             if solver == "run":
-                run(prob, RunConfig(alpha=0.5, batch_size=1, x0=x0, eval_every=1, **stopping))
+                run(prob, RunConfig(alpha=0.5, batch_size=1, eval_every=1, **stopping))
             else:
-                getattr(optimizers, solver)(prob, x0=x0, **stopping)
+                getattr(optimizers, solver)(prob, **stopping)
+
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("solver", ["run", "fista_run", "pgd_run", "psgd_run"])
+    def test_non_finite_start_is_refused(self, solver, bad):
+        # an iteration stop evaluates no objective, so only the start check catches it
+        _, prob = synthesize(6, 2, "least_squares", seed=1)
+        x0 = np.array([0.0, bad])
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            if solver == "run":
+                run(prob, RunConfig(alpha=0.5, batch_size=1, x0=x0, iterations=2000))
+            else:
+                getattr(optimizers, solver)(prob, x0=x0, iterations=2000)
 
 
 # -- the step's arithmetic, driven by hand -----------------------------------

@@ -1,15 +1,32 @@
 """Scanner behavior: certificates pass on honest parameters, fail on broken ones."""
 
 import copy
+import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from katyusha_h import verification
 from katyusha_h.estimator import EnumerationCapError
 from katyusha_h.optimizers import RunConfig, init_state, katyusha_h_step
 from katyusha_h.problems import make_rng, synthesize, with_reference
 from katyusha_h.proximal import Regularizer
+from katyusha_h.schedule import (
+    C_MAX,
+    ScheduleConfig,
+    _p_ratio,
+    alpha_sequence,
+    compute_constants,
+    denominator_sequence,
+)
 from katyusha_h.verification import (
+    EQ_TOL,
+    INEQ_TOL,
+    SCAN_BLOCK,
+    _ClaimTracker,
+    _normalized_gap,
     default_alpha_grid,
     exact_conditional_lyapunov_descent,
     scan_denominator_growth,
@@ -25,6 +42,45 @@ class TestAlphaGrid:
             assert np.any(np.isclose(grid, v, atol=1e-12))
         assert grid[0] == 0.0 and grid[-1] == 1.0
         assert len(grid) >= 101
+
+    @pytest.mark.parametrize("step", [0.0, -0.1, 1.5, math.nan, math.inf])
+    def test_refuses_a_step_outside_the_unit_interval(self, step):
+        with pytest.raises(ValueError, match="step"):
+            default_alpha_grid(step=step)
+
+    def test_whole_interval_step(self):
+        grid = default_alpha_grid(step=1.0)
+        assert grid[0] == 0.0 and grid[-1] == 1.0
+
+
+class TestClaimTracker:
+    def test_first_strict_minimum_wins(self):
+        tracker = _ClaimTracker(0.0)
+        tracker.update(np.array([3.0, 1.0, 1.0]), lambda i: f"first {i}")
+        tracker.update(np.array([1.0, 2.0]), lambda i: f"second {i}")
+        assert (tracker.min_slack, tracker.worst_at) == (1.0, "first 1")
+
+    def test_nan_is_the_worst_point_and_stays(self):
+        tracker = _ClaimTracker(0.0)
+        tracker.update(np.array([2.0, math.nan, -1.0, math.nan]), lambda i: f"first {i}")
+        tracker.update(np.array([-5.0]), lambda i: "later smaller")
+        tracker.update(np.array([math.nan]), lambda i: "later nan")
+        assert math.isnan(tracker.min_slack)
+        assert tracker.worst_at == "first 1"
+        assert not tracker.result("claim", "domain").passed
+
+    def test_nan_after_a_finite_minimum_takes_over(self):
+        tracker = _ClaimTracker(0.0)
+        tracker.update(np.array([-1.0]), lambda i: "finite")
+        tracker.update(math.nan, lambda i: "nan")
+        assert math.isnan(tracker.min_slack) and tracker.worst_at == "nan"
+        assert not tracker.result("claim", "domain").passed
+
+    def test_nan_xi_fails_the_scan(self):
+        report = scan_schedule(alpha_grid=np.array([0.5]), t_max=100, xi_override=math.nan)
+        assert not report.passed
+        key = next(c for c in report.claims if c.claim == "key-growth-inequality")
+        assert math.isnan(key.min_slack) and key.worst_at == "(alpha=0.5, b=1, t=1)"
 
 
 class TestScanSchedule:
@@ -88,6 +144,138 @@ class TestScanSchedule:
             assert line.startswith(claim.claim)
             assert "min_slack=" in line and ("PASS" in line or "FAIL" in line)
         assert lines[-1].startswith("overall: PASS")
+
+
+def _oracle_scan(alpha_grid, t_max, batch_sizes, xi_override):
+    """The scan as one full-length pass per (alpha, b) cell, with every array
+    recomputed for each cell: {claim: (min_slack, worst_at)}."""
+    names = [
+        "key-growth-inequality",
+        "p-numerator-nonneg",
+        "denominator-lower-bound",
+        "p-range",
+        "coupling-range",
+        "c-bound",
+    ]
+    trackers = {name: _ClaimTracker(INEQ_TOL) for name in names}
+    trackers["p-reformulation"] = _ClaimTracker(0.0)
+    max_b = max(batch_sizes)
+    for alpha in alpha_grid:
+        for b in batch_sizes:
+            params = compute_constants(
+                ScheduleConfig(alpha=float(alpha), batch_size=b, n=max_b)
+            )
+            if xi_override is not None:
+                params = replace(
+                    params, xi=xi_override, alpha_tilde0=36.0 * xi_override
+                )
+            seq = alpha_sequence(t_max + 1, params)
+            a_prev = seq[:-2]
+            a_t = seq[1:-1]
+            a_next = seq[2:]
+            den = denominator_sequence(seq[:-1], params)
+
+            def here(i, alpha=alpha, b=b):
+                return f"(alpha={alpha:.6g}, b={b}, t={i + 1})"
+
+            numer_core = a_prev ** 2 - a_t ** 2 + a_t
+            lhs_key = params.xi * (a_next ** 2 - a_t ** 2)
+            trackers["key-growth-inequality"].update(
+                _normalized_gap(lhs_key, numer_core), here
+            )
+            trackers["p-numerator-nonneg"].update(
+                _normalized_gap(np.zeros_like(numer_core), numer_core), here
+            )
+            xi_at2 = params.xi * a_t ** 2
+            trackers["denominator-lower-bound"].update(
+                np.minimum(
+                    _normalized_gap(xi_at2, den[:-1]),
+                    _normalized_gap(np.zeros_like(xi_at2), xi_at2),
+                ),
+                here,
+            )
+            p = _p_ratio(a_prev, a_t, den[1:], params.xi)
+            trackers["p-range"].update(np.minimum(p, 1.0 - p), here)
+            tau = 1.0 / a_t
+            coupling = np.minimum.reduce([tau, 1.0 - tau, 1.0 - params.xi - tau])
+            coupling = np.minimum(coupling, min(params.xi, 1.0 - params.xi))
+            trackers["coupling-range"].update(coupling, here)
+            trackers["c-bound"].update(
+                (C_MAX - params.c) / C_MAX,
+                lambda i, alpha=alpha, b=b: f"(alpha={alpha:.6g}, b={b})",
+            )
+            p_alt = (numer_core + xi_at2) / (numer_core + den[:-1])
+            trackers["p-reformulation"].update(EQ_TOL - np.abs(p - p_alt), here)
+    return {name: (repr(t.min_slack), t.worst_at) for name, t in trackers.items()}
+
+
+def _claims(report):
+    return {c.claim: (repr(c.min_slack), c.worst_at) for c in report.claims}
+
+
+# every bucket of a_alpha, its boundaries and the probes around them
+ORACLE_GRID = default_alpha_grid(step=0.25)
+
+
+class TestBlockedScan:
+    """The block walk against the full-length oracle: every claim's slack and
+    worst point equal, also at and around block boundaries."""
+
+    @pytest.mark.parametrize("batch_sizes", [(1, 2, 10), (3,), (10, 1)], ids=str)
+    @pytest.mark.parametrize("xi_override", [None, 2.0, 0.3], ids=str)
+    @pytest.mark.parametrize(
+        "t_max",
+        [18, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 2 * SCAN_BLOCK + 17],
+    )
+    def test_matches_the_full_length_oracle(self, t_max, xi_override, batch_sizes):
+        report = scan_schedule(
+            alpha_grid=ORACLE_GRID, t_max=t_max, batch_sizes=batch_sizes,
+            xi_override=xi_override,
+        )
+        assert _claims(report) == _oracle_scan(ORACLE_GRID, t_max, batch_sizes, xi_override)
+
+    @pytest.mark.parametrize("batch_sizes", [(2, 1), (1, 2)], ids=str)
+    def test_ties_keep_the_first_point_visited(self, batch_sizes):
+        # The p numerator does not depend on b, and at alpha = 0 its slack is
+        # 1 at every t: every b and every block ties with the first point.
+        t_max = 2 * SCAN_BLOCK + 17
+        report = scan_schedule(
+            alpha_grid=np.array([0.0, 1.0]), t_max=t_max, batch_sizes=batch_sizes
+        )
+        claim = next(c for c in report.claims if c.claim == "p-numerator-nonneg")
+        assert claim.min_slack == 1.0
+        assert claim.worst_at == f"(alpha=0, b={batch_sizes[0]}, t=1)"
+        oracle = _oracle_scan(np.array([0.0, 1.0]), t_max, batch_sizes, None)
+        assert _claims(report) == oracle
+
+    def test_cells_are_visited_in_alpha_b_t_order(self, monkeypatch):
+        seen = {}
+        update = _ClaimTracker.update
+
+        def spy(self, slack, where):
+            seen.setdefault(id(self), []).append(where(0))
+            update(self, slack, where)
+
+        monkeypatch.setattr(_ClaimTracker, "update", spy)
+        grid, batch_sizes = np.array([0.25, 0.0, 1.0]), (10, 1, 2)
+        scan_schedule(alpha_grid=grid, t_max=2 * SCAN_BLOCK + 17, batch_sizes=batch_sizes)
+        alphas = [f"{a:.6g}" for a in grid]
+        pattern = re.compile(r"\(alpha=([^,]+), b=(\d+)(?:, t=(\d+))?\)")
+        for points in seen.values():
+            keys = []
+            for text in points:
+                alpha, b, t = pattern.fullmatch(text).groups()
+                keys.append((alphas.index(alpha), batch_sizes.index(int(b)), int(t or 0)))
+            assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+    def test_shares_one_alpha_sequence_per_exponent(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            verification, "alpha_sequence",
+            lambda *args: calls.append(args) or alpha_sequence(*args),
+        )
+        scan_schedule(alpha_grid=np.array([0.0, 0.5, 1.0]), t_max=100)
+        assert len(calls) == 3
 
 
 class TestDenominatorGrowth:
