@@ -51,7 +51,6 @@ from .problems import (
 )
 from .proximal import Regularizer, prox, reg_value, soft_threshold
 from .schedule import (
-    ScheduleConfig,
     ScheduleCursor,
     ScheduleParams,
     advance,

@@ -49,11 +49,6 @@ def make_checkpoint(w: np.ndarray, problem, ledger: IfoLedger) -> Checkpoint:
     return Checkpoint(w=w, full_grad=full, residuals=residuals)
 
 
-# Up to this batch size, b scalar draws beat one array-bound call: a scalar
-# draw costs about 2.5 us and the array call about 10 us of fixed overhead.
-_SCALAR_DRAW_MAX_B = 4
-
-
 def _resolve_swaps(targets: list[int]) -> list[int]:
     """Partial Fisher-Yates output for swap targets t_0..t_{b-1}, t_i >= i.
 
@@ -78,8 +73,7 @@ def sample_subset(n: int, b: int, rng: np.random.Generator) -> np.ndarray:
     [i, n).  numpy draws each bounded integer with Lemire's method whether
     the bound is a scalar or an array, so one ``rng.integers(arange(b), n)``
     call consumes the stream exactly as b scalar calls do and returns the
-    same targets.  Batches of at most ``_SCALAR_DRAW_MAX_B`` keep the scalar
-    calls, which are cheaper there than the array call's fixed overhead.
+    same targets.
 
     A run draws through ``DrawStream``; this function is the reference it
     is tested against.
@@ -88,10 +82,7 @@ def sample_subset(n: int, b: int, rng: np.random.Generator) -> np.ndarray:
         raise ValueError(f"need 1 <= b <= n, got b={b}, n={n}")
     if b == n:
         return np.arange(n)
-    if b > _SCALAR_DRAW_MAX_B:
-        targets = rng.integers(np.arange(b), n).tolist()
-    else:
-        targets = [int(rng.integers(i, n)) for i in range(b)]
+    targets = rng.integers(np.arange(b), n).tolist()
     return np.array(_resolve_swaps(targets), dtype=np.intp)
 
 

@@ -10,8 +10,10 @@ deterministic: rerunning the same config reproduces files byte for byte.
 from __future__ import annotations
 
 import configparser
+import functools
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,8 @@ TRACE_COLUMNS = ("t", "F_y_gap", "F_w_gap", "p_t", "ckpt_updated", "ifo_total", 
 # Bumped whenever an unchanged config may give different trace bytes.
 TRACE_FORMAT = "4"
 _READABLE_FORMATS = {str(v) for v in range(1, int(TRACE_FORMAT) + 1)}
+# [solver] method -> the solver's name on the optimizers module
+SOLVERS = {"katyusha_h": "run", "fista": "fista_run", "pgd": "pgd_run", "psgd": "psgd_run"}
 
 
 class ConfigError(ValueError):
@@ -55,7 +59,7 @@ class ProblemSpec:
 
 @dataclass
 class SolverSpec:
-    method: str = "katyusha_h"  # katyusha_h | fista | pgd | psgd
+    method: str = "katyusha_h"  # a key of SOLVERS
     alpha: float = 1.0
     b: int = 1
     eta: float | None = None  # None = largest allowable
@@ -68,7 +72,7 @@ class RunSpec:
     epsilon: float | None = None
     seeds: tuple[int, ...] = (0,)
     eval_every: int | None = None
-    max_iterations: int = 10_000_000
+    max_iterations: int = RunConfig.max_iterations
 
 
 @dataclass
@@ -85,14 +89,38 @@ class ReferenceSpec:
 
 
 @dataclass
+class SweepSpec:
+    alphas: tuple[float, ...] | None = None
+    bs: tuple[int, ...] | None = None
+
+
+@dataclass
 class ExperimentConfig:
+    """One field per config section; a section's keys are its spec's fields."""
+
     problem: ProblemSpec = field(default_factory=ProblemSpec)
     solver: SolverSpec = field(default_factory=SolverSpec)
     run: RunSpec = field(default_factory=RunSpec)
     output: OutputSpec = field(default_factory=OutputSpec)
-    reference: ReferenceSpec | None = None
-    sweep_alphas: tuple[float, ...] | None = None
-    sweep_bs: tuple[int, ...] | None = None
+    reference: ReferenceSpec | None = None  # None unless the section is present
+    sweep: SweepSpec = field(default_factory=SweepSpec)
+
+
+@functools.cache
+def _kinds(spec_type) -> dict[str, type]:
+    """Each field of a dataclass and the type its config value parses as:
+    X for a field typed X or ``X | None``; a ``tuple[X, ...]`` parses as a
+    sequence of X."""
+    kinds = {}
+    for name, hint in typing.get_type_hints(spec_type).items():
+        args = typing.get_args(hint)
+        if type(None) in args:
+            (hint,) = (a for a in args if a is not type(None))
+        kinds[name] = hint
+    return kinds
+
+
+_SECTIONS = _kinds(ExperimentConfig)  # section name -> spec type
 
 
 def _coerce(where: str, raw: str, kind):
@@ -109,11 +137,16 @@ def _coerce(where: str, raw: str, kind):
         raise ConfigError(f"{where} = {raw!r}: expected {kind.__name__}") from None
 
 
-def _apply(spec, section: str, items: dict[str, str], types: dict[str, type]):
+def _apply(spec, section: str, items: dict[str, str]) -> None:
+    kinds = _kinds(type(spec))
     for key, raw in items.items():
-        if key not in types:
+        if key not in kinds:
             raise ConfigError(f"[{section}] unknown key {key!r}")
-        setattr(spec, key, _coerce(f"[{section}] {key}", raw, types[key]))
+        where, kind = f"[{section}] {key}", kinds[key]
+        if typing.get_origin(kind) is tuple:
+            setattr(spec, key, _parse_seq(where, raw, typing.get_args(kind)[0]))
+        else:
+            setattr(spec, key, _coerce(where, raw, kind))
 
 
 def _parse_seq(where: str, raw: str, kind) -> tuple:
@@ -137,46 +170,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
     cfg = ExperimentConfig()
     for section in parser.sections():
-        items = dict(parser.items(section))
-        if section == "problem":
-            _apply(cfg.problem, section, items, {
-                "family": str, "n": int, "d": int, "seed": int,
-                "condition": float, "noise": float, "density": float,
-                "consistent": bool, "data": str, "reg": str,
-                "lam1": float, "lam2": float,
-            })
-        elif section == "solver":
-            if items.get("eta", "").strip().lower() == "auto":
-                del items["eta"]  # auto = largest allowable (the default)
-            _apply(cfg.solver, section, items, {
-                "method": str, "alpha": float, "b": int, "eta": float,
-                "cache_checkpoint_grads": bool,
-            })
-        elif section == "run":
-            if "seeds" in items:
-                cfg.run.seeds = _parse_seq("[run] seeds", items.pop("seeds"), int)
-            _apply(cfg.run, section, items, {
-                "iterations": int, "epsilon": float, "eval_every": int,
-                "max_iterations": int,
-            })
-        elif section == "output":
-            _apply(cfg.output, section, items, {
-                "directory": str, "trace_stride": int, "lyapunov": bool,
-            })
-        elif section == "reference":
-            cfg.reference = ReferenceSpec()
-            _apply(cfg.reference, section, items, {
-                "tol": float, "max_iterations": int,
-            })
-        elif section == "sweep":
-            if "alphas" in items:
-                cfg.sweep_alphas = _parse_seq("[sweep] alphas", items.pop("alphas"), float)
-            if "bs" in items:
-                cfg.sweep_bs = _parse_seq("[sweep] bs", items.pop("bs"), int)
-            if items:
-                raise ConfigError(f"[sweep] unknown key {next(iter(items))!r}")
-        else:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
+        items = dict(parser.items(section))
+        if section == "solver" and items.get("eta", "").strip().lower() == "auto":
+            del items["eta"]  # auto = largest allowable (the default)
+        if getattr(cfg, section) is None:  # an optional section is on when present
+            setattr(cfg, section, _SECTIONS[section]())
+        _apply(getattr(cfg, section), section, items)
     validate_config(cfg)
     return cfg
 
@@ -188,7 +189,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         Regularizer(cfg.problem.reg, cfg.problem.lam1, cfg.problem.lam2)
     except ValueError as exc:
         raise ConfigError(f"[problem] {exc}") from None
-    if cfg.solver.method not in ("katyusha_h", "fista", "pgd", "psgd"):
+    if cfg.solver.method not in SOLVERS:
         raise ConfigError(f"unknown solver method {cfg.solver.method!r}")
     if (cfg.run.iterations is None) == (cfg.run.epsilon is None):
         raise ConfigError("[run] needs exactly one of iterations / epsilon")
@@ -240,40 +241,25 @@ def build_problem(cfg: ExperimentConfig) -> FiniteSumProblem:
     return problem
 
 
-def run_single(
-    problem: FiniteSumProblem,
-    cfg: ExperimentConfig,
-    seed: int,
-    alpha: float | None = None,
-    b: int | None = None,
-) -> list[TraceRecord]:
-    """One solver run for one seed (alpha/b overrides serve sweep cells)."""
-    solver = cfg.solver
-    stopping = dict(
-        iterations=cfg.run.iterations,
-        epsilon=cfg.run.epsilon,
+def run_single(problem: FiniteSumProblem, cfg: ExperimentConfig, seed: int) -> list[TraceRecord]:
+    """One solver run for one seed."""
+    solver, run = cfg.solver, cfg.run
+    config = RunConfig(
+        alpha=solver.alpha,
+        batch_size=solver.b,
+        eta=solver.eta,
+        iterations=run.iterations,
+        epsilon=run.epsilon,
+        seed=seed,
         record_every=cfg.output.trace_stride,
-        max_iterations=cfg.run.max_iterations,
+        eval_every=run.eval_every,
+        lyapunov=cfg.output.lyapunov,
+        cache_checkpoint_grads=solver.cache_checkpoint_grads,
+        max_iterations=run.max_iterations,
     )
-    if cfg.run.eval_every is not None:  # else each method's own cadence
-        stopping["eval_every"] = cfg.run.eval_every
-    if solver.method == "katyusha_h":
-        return optimizers.run(problem, RunConfig(
-            alpha=solver.alpha if alpha is None else alpha,
-            batch_size=solver.b if b is None else b,
-            eta=solver.eta,
-            seed=seed,
-            lyapunov=cfg.output.lyapunov,
-            cache_checkpoint_grads=solver.cache_checkpoint_grads,
-            **stopping,
-        ))
-    if solver.method == "fista":
-        return optimizers.fista_run(problem, **stopping)
-    if solver.method == "pgd":
-        return optimizers.pgd_run(problem, **stopping)
-    if solver.method == "psgd":
-        return optimizers.psgd_run(problem, seed=seed, **stopping)
-    raise ConfigError(f"unknown solver method {solver.method!r}")
+    # Looked up at each call, so a wrapper installed on the module attribute
+    # sees the run.
+    return getattr(optimizers, SOLVERS[solver.method])(problem, config)
 
 
 def _fmt(x: float) -> str:
@@ -346,8 +332,7 @@ def read_trace(path: str | Path) -> tuple[dict[str, str], list[dict[str, float]]
     return header, rows
 
 
-def _trace_header(cfg: ExperimentConfig, problem: FiniteSumProblem, seed: int,
-                  alpha: float | None = None, b: int | None = None) -> dict[str, str]:
+def _trace_header(cfg: ExperimentConfig, problem: FiniteSumProblem, seed: int) -> dict[str, str]:
     solver = cfg.solver
     head = {
         "trace_format": TRACE_FORMAT,
@@ -359,8 +344,8 @@ def _trace_header(cfg: ExperimentConfig, problem: FiniteSumProblem, seed: int,
         "method": solver.method,
     }
     if solver.method == "katyusha_h":
-        head["alpha"] = repr(solver.alpha if alpha is None else alpha)
-        head["b"] = str(solver.b if b is None else b)
+        head["alpha"] = repr(solver.alpha)
+        head["b"] = str(solver.b)
         head["eta"] = "auto" if solver.eta is None else repr(solver.eta)
     head["seed"] = str(seed)
     if problem.reference is not None:
@@ -416,8 +401,8 @@ def sweep_command(
     """
     if cfg.solver.method != "katyusha_h":
         raise ConfigError("sweep supports only the katyusha_h solver")
-    alphas = alphas if alphas is not None else cfg.sweep_alphas
-    bs = bs if bs is not None else cfg.sweep_bs
+    alphas = alphas if alphas is not None else cfg.sweep.alphas
+    bs = bs if bs is not None else cfg.sweep.bs
     if not alphas or not bs:
         raise ConfigError("sweep needs alpha and b grids (flags or [sweep] section)")
     problem = build_problem(cfg)
@@ -426,9 +411,10 @@ def sweep_command(
     out.mkdir(parents=True, exist_ok=True)
 
     def one_cell(alpha: float, b: int) -> SweepRow:
+        cell = replace(cfg, solver=replace(cfg.solver, alpha=alpha, b=b))
         ifos, iters, gaps, reached = [], [], [], 0
         for seed in cfg.run.seeds:
-            final = run_single(problem, cfg, seed, alpha=alpha, b=b)[-1]
+            final = run_single(problem, cell, seed)[-1]
             gap = final.f_w - f_star
             gaps.append(gap)
             iters.append(final.t)

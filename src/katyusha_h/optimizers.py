@@ -13,8 +13,9 @@ The checkpoint candidate is the pre-update y: the per-step Lyapunov
 coefficients telescope only when a checkpoint hit lands on y_t, so replacing
 with the post-update y would break the descent guarantee.
 
-Every solver runs in one loop, ``_drive``, which owns the stopping rule, the
-epsilon test and the trace records; each method supplies only its step.
+Every solver takes ``(problem, RunConfig)`` and runs in one loop, ``_drive``,
+which owns the stopping rule, the epsilon test and the trace records; each
+method supplies only its step and its default test cadence.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from .estimator import (
     maybe_update_checkpoint,
     svrg_estimate,
 )
+from .problems import make_rng
 from .proximal import prox
 from .schedule import (
-    ScheduleConfig,
     ScheduleCursor,
     ScheduleParams,
     advance,
@@ -69,10 +70,12 @@ class TraceRecord:
 class RunConfig:
     """Solver run configuration: schedule knobs, stopping rule, seeding.
 
-    Exactly one of ``iterations`` / ``epsilon`` drives the stopping rule; an
-    epsilon target needs a reference solution on the problem.  ``eta=None``
-    takes the largest allowable step size.  Objective evaluations for
-    stopping and traces are instrumentation and never charged as IFO.
+    Every solver takes one; the baselines read only the stopping rule,
+    ``seed`` and ``x0``.  Exactly one of ``iterations`` / ``epsilon`` drives
+    the stopping rule; an epsilon target needs a reference solution on the
+    problem.  ``eta=None`` takes the largest allowable step size.  Objective
+    evaluations for stopping and traces are instrumentation and never
+    charged as IFO.
     """
 
     alpha: float = 1.0
@@ -82,16 +85,11 @@ class RunConfig:
     epsilon: float | None = None
     seed: int = 0
     record_every: int = 1
-    eval_every: int | None = None  # None: every iteration if n*d small, else 10
+    eval_every: int | None = None  # None: the method's own cadence
     lyapunov: bool = False
     cache_checkpoint_grads: bool = False  # charge b IFO per estimate, not 2b
     max_iterations: int = 10_000_000
     x0: np.ndarray | None = None
-
-    def resolved_eval_every(self, problem) -> int:
-        if self.eval_every is not None:
-            return self.eval_every
-        return 1 if problem.n * problem.d <= 50_000 else 10
 
 
 @dataclass
@@ -119,12 +117,10 @@ class KatyushaHState:
 
 def init_state(problem, config: RunConfig) -> KatyushaHState:
     """Initial state with w = x = y = z; charges the initial full gradient (n)."""
-    params = compute_constants(
-        ScheduleConfig(alpha=config.alpha, batch_size=config.batch_size, n=problem.n)
-    )
+    params = compute_constants(config.alpha, config.batch_size)
     eta_max = max_step_size(problem.L, params)
     eta = eta_max if config.eta is None else config.eta
-    if eta <= 0.0 or eta > eta_max * (1.0 + 1e-12):
+    if not 0.0 < eta <= eta_max * (1.0 + 1e-12):
         raise ValueError(
             f"eta must be in (0, {eta_max:.6g}] for L={problem.L:.6g}, got {eta}"
         )
@@ -191,14 +187,15 @@ def state_lyapunov(state: KatyushaHState, problem, f_y: float, f_w: float) -> fl
     )
 
 
-def _drive(problem, step, objective, record, *, iterations, epsilon,
-           max_iterations, record_every, eval_every) -> list[TraceRecord]:
+def _drive(problem, config: RunConfig, step, objective, record,
+           eval_every: int) -> list[TraceRecord]:
     """The run loop of every solver: stopping rule, epsilon test, recording.
 
     ``step(t)`` performs iteration t in place; ``objective()`` returns F at
-    the point whose gap the epsilon test reads every ``eval_every``
-    iterations (and at the last); a solver whose test point rarely changes
-    may remember its value.  ``record(t, f)`` builds the record after
+    the point whose gap the epsilon test reads every ``config.eval_every``
+    iterations, or every ``eval_every`` (the method's own cadence) if the
+    config sets none, and at the last; a solver whose test point rarely
+    changes may remember its value.  ``record(t, f)`` builds the record after
     iteration t, where ``f`` is the value the test just read and None
     otherwise, so no objective is evaluated twice per iteration.
     Returns the initial record plus one per ``record_every`` iterations; the
@@ -206,6 +203,9 @@ def _drive(problem, step, objective, record, *, iterations, epsilon,
     stops the run with a ValueError: the iterate has diverged or was never
     finite, and no later iteration can reach the target.
     """
+    iterations, epsilon, record_every = config.iterations, config.epsilon, config.record_every
+    if config.eval_every is not None:
+        eval_every = config.eval_every
     if (iterations is None) == (epsilon is None):
         raise ValueError("exactly one of iterations/epsilon must be set")
     if epsilon is not None and problem.reference is None:
@@ -214,11 +214,11 @@ def _drive(problem, step, objective, record, *, iterations, epsilon,
         ("record_every", record_every, 1),
         ("eval_every", eval_every, 1),
         ("iterations", iterations, 0),
-        ("max_iterations", max_iterations, 1),
+        ("max_iterations", config.max_iterations, 1),
     ):
         if value is not None and value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
-    budget = iterations if iterations is not None else max_iterations
+    budget = iterations if iterations is not None else config.max_iterations
     records = [record(0, None)]
     for t in range(1, budget + 1):
         step(t)
@@ -239,7 +239,8 @@ def _drive(problem, step, objective, record, *, iterations, epsilon,
 def run(problem, config: RunConfig) -> list[TraceRecord]:
     """Run Katyusha-H until the iteration budget or the target gap is reached.
 
-    Deterministic given the seed.  The epsilon test reads the checkpoint w.
+    Deterministic given the seed.  The epsilon test reads the checkpoint w,
+    by default every iteration while n*d <= 50,000 and every 10th beyond.
     Returns the initial record plus one record per ``record_every``
     iterations (the final iteration is always recorded).
     """
@@ -273,14 +274,11 @@ def run(problem, config: RunConfig) -> list[TraceRecord]:
     # the module attribute sees every step.
     return _drive(
         problem,
+        config,
         lambda t: katyusha_h_step(state, problem),
         checkpoint_value,
         record,
-        iterations=config.iterations,
-        epsilon=config.epsilon,
-        max_iterations=config.max_iterations,
-        record_every=config.record_every,
-        eval_every=config.resolved_eval_every(problem),
+        eval_every=1 if problem.n * problem.d <= 50_000 else 10,
     )
 
 
@@ -308,7 +306,8 @@ def _extrapolate(x_next: np.ndarray, x: np.ndarray, theta: float):
     return x_next + (theta - 1.0) / theta_next * (x_next - x), theta_next
 
 
-def _baseline(problem, x: np.ndarray, step, cost: int, **stopping) -> list[TraceRecord]:
+def _baseline(problem, config: RunConfig, x: np.ndarray, step, cost: int,
+              eval_every: int = 1) -> list[TraceRecord]:
     """Drive a baseline whose ``step(t, x)`` returns the next x for ``cost`` IFO.
 
     The epsilon test and the records read x; its F is both f_y and f_w.
@@ -322,20 +321,12 @@ def _baseline(problem, x: np.ndarray, step, cost: int, **stopping) -> list[Trace
         f = problem.value(x) if f is None else f
         return TraceRecord(t, f, f, math.nan, False, cost * t, 0)
 
-    return _drive(problem, move, lambda: problem.value(x), record, **stopping)
+    return _drive(problem, config, move, lambda: problem.value(x), record, eval_every)
 
 
-def fista_run(
-    problem,
-    iterations: int | None = None,
-    epsilon: float | None = None,
-    record_every: int = 1,
-    eval_every: int = 1,
-    x0: np.ndarray | None = None,
-    max_iterations: int = 10_000_000,
-) -> list[TraceRecord]:
+def fista_run(problem, config: RunConfig) -> list[TraceRecord]:
     """Accelerated proximal gradient with step 1/L; costs n IFO per iteration."""
-    x = _start(problem, x0)
+    x = _start(problem, config.x0)
     y, theta = x.copy(), 1.0
 
     def step(t: int, x: np.ndarray) -> np.ndarray:
@@ -344,10 +335,7 @@ def fista_run(
         y, theta = _extrapolate(x_next, x, theta)
         return x_next
 
-    return _baseline(
-        problem, x, step, problem.n, iterations=iterations, epsilon=epsilon,
-        max_iterations=max_iterations, record_every=record_every, eval_every=eval_every,
-    )
+    return _baseline(problem, config, x, step, problem.n)
 
 
 def fista_solve(
@@ -392,45 +380,26 @@ def fista_solve(
     return x_best, f_best, gap_est, t
 
 
-def pgd_run(
-    problem,
-    iterations: int | None = None,
-    epsilon: float | None = None,
-    record_every: int = 1,
-    eval_every: int = 1,
-    x0: np.ndarray | None = None,
-    max_iterations: int = 10_000_000,
-) -> list[TraceRecord]:
+def pgd_run(problem, config: RunConfig) -> list[TraceRecord]:
     """Proximal gradient descent with step 1/L; costs n IFO per iteration."""
     return _baseline(
-        problem, _start(problem, x0), lambda t, x: _prox_grad(problem, x, problem.L),
-        problem.n, iterations=iterations, epsilon=epsilon,
-        max_iterations=max_iterations, record_every=record_every, eval_every=eval_every,
+        problem, config, _start(problem, config.x0),
+        lambda t, x: _prox_grad(problem, x, problem.L), problem.n,
     )
 
 
-def psgd_run(
-    problem,
-    iterations: int | None = None,
-    epsilon: float | None = None,
-    seed: int = 0,
-    eta0: float | None = None,
-    record_every: int = 1,
-    eval_every: int = 10,
-    x0: np.ndarray | None = None,
-    max_iterations: int = 10_000_000,
-) -> list[TraceRecord]:
-    """Single-sample stochastic proximal gradient, step eta0/sqrt(t); 1 IFO/iter."""
-    if eta0 is None:
-        eta0 = 1.0 / problem.L
-    rng = np.random.Generator(np.random.Philox(key=seed))
+def psgd_run(problem, config: RunConfig) -> list[TraceRecord]:
+    """Single-sample stochastic proximal gradient, step (1/L)/sqrt(t); 1 IFO/iter.
+
+    The epsilon test reads x every 10th iteration unless the config sets a
+    cadence.
+    """
+    inv_L = 1.0 / problem.L
+    rng = make_rng(config.seed)
 
     def step(t: int, x: np.ndarray) -> np.ndarray:
         i = int(rng.integers(0, problem.n))
-        step_len = eta0 / math.sqrt(t)
+        step_len = inv_L / math.sqrt(t)
         return prox(problem.reg, x - step_len * problem.component_grad(i, x), step_len)
 
-    return _baseline(
-        problem, _start(problem, x0), step, 1, iterations=iterations, epsilon=epsilon,
-        max_iterations=max_iterations, record_every=record_every, eval_every=eval_every,
-    )
+    return _baseline(problem, config, _start(problem, config.x0), step, 1, eval_every=10)

@@ -25,8 +25,8 @@ class Regularizer:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown regularizer kind {self.kind!r}")
-        if self.lam1 < 0.0 or self.lam2 < 0.0:
-            raise ValueError("regularizer weights must be nonnegative")
+        if not (0.0 <= self.lam1 < np.inf and 0.0 <= self.lam2 < np.inf):
+            raise ValueError("regularizer weights must be nonnegative and finite")
         if self.kind == "zero" and (self.lam1 != 0.0 or self.lam2 != 0.0):
             raise ValueError("zero regularizer takes no weights")
         if self.kind == "l1" and self.lam2 != 0.0:

@@ -40,23 +40,6 @@ def growth_coefficient(alpha: float) -> float:
 
 
 @dataclass(frozen=True)
-class ScheduleConfig:
-    """User-facing schedule knobs: growth exponent, batch size, component count."""
-
-    alpha: float
-    batch_size: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not 1 <= self.batch_size <= self.n:
-            raise ValueError(
-                f"batch_size must be in [1, n={self.n}], got {self.batch_size}"
-            )
-
-
-@dataclass(frozen=True)
 class ScheduleParams:
     """Derived schedule constants, fixed for the whole run."""
 
@@ -68,24 +51,25 @@ class ScheduleParams:
     alpha_tilde0: float  # xi * alpha_1^2 = 36*xi
 
 
-def compute_constants(config: ScheduleConfig) -> ScheduleParams:
-    """Derive (a_alpha, c, xi, alpha_tilde0) from the schedule config.
+def compute_constants(alpha: float, batch_size: int) -> ScheduleParams:
+    """Derive (a_alpha, c, xi, alpha_tilde0) from alpha in [0, 1] and b >= 1.
 
     ``c = max{2, b^-1 * max{6/5, (1 - 1/alpha_17)^-1}} + 1``; the inverse-gap
     term keeps ``xi < 1 - tau_t`` even at t = 17 where alpha_t is smallest.
+    As c >= 3, ``xi = 1/(b*c)`` lies in (0, 1/3].
     """
-    a = growth_coefficient(config.alpha)
-    alpha17 = a * 17.0 ** config.alpha
+    a = growth_coefficient(alpha)
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    alpha17 = a * 17.0 ** alpha
     inner = max(6.0 / 5.0, 1.0 / (1.0 - 1.0 / alpha17))
-    c = max(2.0, inner / config.batch_size) + 1.0
-    xi = 1.0 / (config.batch_size * c)
+    c = max(2.0, inner / batch_size) + 1.0
     if not c <= C_MAX:
         raise ValueError(f"c = {c} exceeds the uniform cap {C_MAX}")
-    if not 0.0 < xi < 1.0:
-        raise ValueError(f"xi = {xi} must lie in (0, 1)")
+    xi = 1.0 / (batch_size * c)
     return ScheduleParams(
-        alpha=config.alpha,
-        batch_size=config.batch_size,
+        alpha=alpha,
+        batch_size=batch_size,
         a_alpha=a,
         c=c,
         xi=xi,

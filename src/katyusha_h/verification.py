@@ -28,7 +28,6 @@ from .proximal import prox
 from .schedule import (
     GROWTH_START,
     C_MAX,
-    ScheduleConfig,
     _denominator,
     _p_ratio,
     alpha_sequence,
@@ -182,13 +181,10 @@ def scan_schedule(
     trackers = {name: _ClaimTracker(tol) for name in names}
     trackers["p-reformulation"] = _ClaimTracker(0.0)
 
-    max_b = max(batch_sizes)
     for alpha in alpha_grid:
         cells = []
         for b in batch_sizes:
-            params = compute_constants(
-                ScheduleConfig(alpha=float(alpha), batch_size=b, n=max_b)
-            )
+            params = compute_constants(float(alpha), b)
             if xi_override is not None:
                 params = replace(
                     params, xi=xi_override, alpha_tilde0=36.0 * xi_override
@@ -263,7 +259,7 @@ def scan_denominator_growth(
         raise ValueError("growth scan needs alpha in (0, 1]; alpha = 0 is affine")
     if t_max < GROWTH_START:
         raise ValueError(f"t_max must be >= {GROWTH_START}")
-    params = compute_constants(ScheduleConfig(alpha=alpha, batch_size=batch_size, n=batch_size))
+    params = compute_constants(alpha, batch_size)
     a_tilde = 1.0 / 16.0 if alpha == 1.0 else params.a_alpha / (2.0 * alpha + 2.0)
     seq = alpha_sequence(t_max, params)
     den = denominator_sequence(seq, params)

@@ -35,7 +35,6 @@ from katyusha_h.problems import (
 )
 from katyusha_h.proximal import Regularizer
 from katyusha_h.schedule import (
-    ScheduleConfig,
     alpha_sequence,
     compute_constants,
     cursor_at,
@@ -78,9 +77,7 @@ def test_criterion_02_first_probability_forced():
     worst = 0.0
     for alpha in default_alpha_grid():
         for b in BATCHES:
-            params = compute_constants(
-                ScheduleConfig(alpha=float(alpha), batch_size=b, n=max(BATCHES))
-            )
+            params = compute_constants(float(alpha), b)
             p1 = p_at(cursor_at(1, params), params)
             worst = max(worst, abs(p1 - 1.0))
     ok = worst <= 1e-12
@@ -225,7 +222,7 @@ def test_criterion_09_measured_vs_predicted_cost():
     start = time.monotonic()
     n, b, T, n_seeds = 500, 5, 10_000, 50
     _, prob = synthesize(n, 10, "least_squares", seed=9, noise=0.3)
-    params = compute_constants(ScheduleConfig(alpha=0.5, batch_size=b, n=n))
+    params = compute_constants(0.5, b)
     probs = p_sequence(alpha_sequence(T, params), params)  # p_1 .. p_T
     # the t=1 update is a free provenance skip, so the charged prediction
     # starts at t=2; the initial full gradient is excluded on both sides

@@ -27,7 +27,6 @@ from katyusha_h.problems import (
     with_reference,
 )
 from katyusha_h.schedule import (
-    ScheduleConfig,
     compute_constants,
     cursor_at,
 )
@@ -45,7 +44,7 @@ def scalar_quadratic_with_reference():
 class TestLyapunov:
     def test_zero_at_optimum(self):
         prob = scalar_quadratic_with_reference()
-        params = compute_constants(ScheduleConfig(alpha=0.0, batch_size=1, n=2))
+        params = compute_constants(0.0, 1)
         x_star = prob.reference.x_star
         gap = prob.gap(x_star)
         val = lyapunov(gap, gap, x_star, cursor_at(5, params), 0.25, prob)
@@ -55,7 +54,7 @@ class TestLyapunov:
         # y = w = z = 1, x* = 0, F* = 1/2, eta = 1/4, flat schedule, b=1:
         # 36*0.5 + 12*0.5 + 1/(2*0.25) = 26
         prob = scalar_quadratic_with_reference()
-        params = compute_constants(ScheduleConfig(alpha=0.0, batch_size=1, n=2))
+        params = compute_constants(0.0, 1)
         one = np.array([1.0])
         gap = prob.gap(one)
         val = lyapunov(gap, gap, one, cursor_at(0, params), 0.25, prob)
@@ -64,7 +63,7 @@ class TestLyapunov:
     def test_start_matches_first_cursor(self):
         # the t=0 form and the cursor-at-1 form weight the same state equally
         prob = scalar_quadratic_with_reference()
-        params = compute_constants(ScheduleConfig(alpha=0.7, batch_size=1, n=2))
+        params = compute_constants(0.7, 1)
         one = np.array([1.3])
         gap = prob.gap(one)
         v0 = lyapunov(gap, gap, one, cursor_at(0, params), 0.25, prob)
@@ -74,14 +73,14 @@ class TestLyapunov:
     def test_requires_reference(self):
         ds = SparseDataset(rows=[[(1, 1.0)]], labels=np.array([1.0]), d=1)
         prob = FiniteSumProblem(ds.to_dense(), ds.labels, "least_squares")
-        params = compute_constants(ScheduleConfig(alpha=0.0, batch_size=1, n=1))
+        params = compute_constants(0.0, 1)
         with pytest.raises(ValueError):
             lyapunov(0.0, 0.0, np.zeros(1), cursor_at(0, params), 0.1, prob)
 
     def test_nonnegative_along_runs(self):
         _, prob = synthesize(8, 3, "least_squares", seed=2)
         with_reference(prob, tol=1e-12)
-        params = compute_constants(ScheduleConfig(alpha=0.5, batch_size=2, n=8))
+        params = compute_constants(0.5, 2)
         rng = np.random.default_rng(0)
         for t in (0, 1, 17, 40):
             pt = rng.normal(size=3)

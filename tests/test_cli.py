@@ -1,16 +1,29 @@
 """CLI subcommands, config handling, trace files, and exit codes."""
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from katyusha_h import optimizers
 from katyusha_h.cli import main
 from katyusha_h.experiment import (
+    SOLVERS,
     TRACE_FORMAT,
     ConfigError,
+    ExperimentConfig,
+    OutputSpec,
+    ProblemSpec,
+    ReferenceSpec,
+    RunSpec,
+    SolverSpec,
+    SweepSpec,
     build_problem,
     load_config,
     read_trace,
     run_command,
+    run_single,
     sweep_command,
 )
 
@@ -118,6 +131,110 @@ class TestConfig:
         with pytest.raises(ConfigError, match="nowhere"):
             load_config(path)
 
+    @pytest.mark.parametrize("lam1", ["nan", "inf"])
+    def test_non_finite_weight_is_exit_two(self, tmp_path, capsys, lam1):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[problem]\nreg = l1\nlam1 = {lam1}\n\n[run]\niterations = 1\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "weights must be nonnegative and finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("eta", ["nan", "inf", "0", "-1"])
+    def test_eta_outside_range_is_exit_two(self, config_path, tmp_path, capsys, eta):
+        config_path.write_text(config_path.read_text().replace("eta = auto", f"eta = {eta}"))
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+        assert "eta must be in" in capsys.readouterr().err
+        assert not list((tmp_path / "o").glob("*.csv"))
+
+
+def _write_sections(path, sections: dict[str, dict[str, str]]):
+    path.write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
+        for name, items in sections.items()
+    ))
+    return path
+
+
+class TestConfigKeys:
+    """Each section's keys are its spec's fields, parsed as the field's type."""
+
+    SPECS = {"problem": ProblemSpec, "solver": SolverSpec, "run": RunSpec,
+             "output": OutputSpec, "reference": ReferenceSpec, "sweep": SweepSpec}
+    # (section, key) -> (raw value, parsed value); data is set to a file made per test
+    VALUES = {
+        ("problem", "family"): ("logistic", "logistic"),
+        ("problem", "n"): ("12", 12),
+        ("problem", "d"): ("3", 3),
+        ("problem", "seed"): ("4", 4),
+        ("problem", "condition"): ("2.5", 2.5),
+        ("problem", "noise"): ("0.3", 0.3),
+        ("problem", "density"): ("0.5", 0.5),
+        ("problem", "consistent"): ("yes", True),
+        ("problem", "data"): (None, None),
+        ("problem", "reg"): ("squared_l2", "squared_l2"),
+        ("problem", "lam1"): ("0.01", 0.01),
+        ("problem", "lam2"): ("0.02", 0.02),
+        ("solver", "method"): ("pgd", "pgd"),
+        ("solver", "alpha"): ("0.25", 0.25),
+        ("solver", "b"): ("3", 3),
+        ("solver", "eta"): ("0.01", 0.01),
+        ("solver", "cache_checkpoint_grads"): ("on", True),
+        ("run", "iterations"): ("7", 7),
+        ("run", "epsilon"): ("1e-5", 1e-5),
+        ("run", "seeds"): ("3, 4 5", (3, 4, 5)),
+        ("run", "eval_every"): ("4", 4),
+        ("run", "max_iterations"): ("99", 99),
+        ("output", "directory"): ("elsewhere", "elsewhere"),
+        ("output", "trace_stride"): ("6", 6),
+        ("output", "lyapunov"): ("true", True),
+        ("reference", "tol"): ("1e-9", 1e-9),
+        ("reference", "max_iterations"): ("500", 500),
+        ("sweep", "alphas"): ("0 0.5, 1", (0.0, 0.5, 1.0)),
+        ("sweep", "bs"): ("1 2", (1, 2)),
+    }
+
+    def test_sections_and_keys_are_the_spec_fields(self):
+        assert {f.name for f in dataclasses.fields(ExperimentConfig)} == set(self.SPECS)
+        keys = {(name, f.name) for name, spec in self.SPECS.items()
+                for f in dataclasses.fields(spec)}
+        assert keys == set(self.VALUES)
+
+    @pytest.mark.parametrize("section, key", sorted(VALUES))
+    def test_every_field_is_settable(self, tmp_path, section, key):
+        raw, want = self.VALUES[section, key]
+        if key == "data":
+            raw = want = str(tmp_path / "d.txt")
+            Path(raw).write_text("1 1:0.5\n")
+        sections = {"problem": {"reg": "elastic_net"}, "run": {"iterations": "1"},
+                    "reference": {}}
+        sections.setdefault(section, {})[key] = raw
+        if key == "epsilon":
+            del sections["run"]["iterations"]
+        cfg = load_config(_write_sections(tmp_path / "exp.ini", sections))
+        assert getattr(self.SPECS[section](), key) != want  # the default would not pass
+        assert getattr(getattr(cfg, section), key) == want
+
+    @pytest.mark.parametrize(
+        "section, key, raw, message",
+        [(s, "bogus", "1", f"[{s}] unknown key 'bogus'") for s in SPECS] + [
+            ("problem", "n", "many", "[problem] n = 'many': expected int"),
+            ("problem", "consistent", "maybe", "[problem] consistent = 'maybe': expected bool"),
+            ("solver", "eta", "fast", "[solver] eta = 'fast': expected float"),
+            ("run", "seeds", "1 x", "[run] seeds = 'x': expected int"),
+            ("run", "seeds", ",", "[run] seeds must not be empty"),
+            ("output", "lyapunov", "2", "[output] lyapunov = '2': expected bool"),
+            ("reference", "tol", "tiny", "[reference] tol = 'tiny': expected float"),
+            ("sweep", "bs", "1.5", "[sweep] bs = '1.5': expected int"),
+            ("sweep", "alphas", "", "[sweep] alphas must not be empty"),
+        ],
+    )
+    def test_bad_key_or_value_is_exit_two(self, tmp_path, capsys, section, key, raw, message):
+        sections = {"run": {"iterations": "1"}}
+        sections.setdefault(section, {})[key] = raw
+        path = _write_sections(tmp_path / "bad.ini", sections)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestRunCommand:
     def test_one_file_per_seed_with_expected_rows(self, config_path, tmp_path):
@@ -214,15 +331,11 @@ class TestSweepCommand:
         assert len(text) == 4 and text[0].startswith("alpha,b,")
 
     def test_aggregation_is_mean_of_final_ifo(self, config_path):
-        from katyusha_h.experiment import run_single
-
         cfg = load_config(config_path)
         rows, _ = sweep_command(cfg, alphas=(0.5,), bs=(2,))
         problem = build_problem(cfg)
-        finals = [
-            run_single(problem, cfg, seed, alpha=0.5, b=2)[-1].ifo_total
-            for seed in cfg.run.seeds
-        ]
+        cell = dataclasses.replace(cfg, solver=dataclasses.replace(cfg.solver, alpha=0.5, b=2))
+        finals = [run_single(problem, cell, seed)[-1].ifo_total for seed in cfg.run.seeds]
         assert rows[0].mean_ifo == pytest.approx(float(np.mean(finals)))
 
     def test_grid_required(self, config_path):
@@ -451,6 +564,21 @@ class TestParseDataCommand:
 
     def test_missing_file(self, tmp_path):
         assert main(["parse-data", str(tmp_path / "ghost.txt")]) == 2
+
+
+class TestRunSingle:
+    @pytest.mark.parametrize("method", sorted(SOLVERS))
+    def test_solver_is_looked_up_at_call_time(self, config_path, monkeypatch, method):
+        # a wrapper installed on the optimizers module, as a tracer installs
+        # one, sees the run
+        name, calls = SOLVERS[method], []
+        real = getattr(optimizers, name)
+        monkeypatch.setattr(optimizers, name,
+                            lambda problem, config: calls.append(config) or real(problem, config))
+        cfg = load_config(config_path)
+        cfg.solver.method = method
+        records = run_single(build_problem(cfg), cfg, seed=5)
+        assert [c.seed for c in calls] == [5] and records[-1].t == cfg.run.iterations
 
 
 class TestBaselineMethods:

@@ -28,7 +28,6 @@ from katyusha_h.problems import (
 from katyusha_h.proximal import Regularizer
 from katyusha_h.schedule import (
     CHUNK,
-    ScheduleConfig,
     alpha_sequence,
     compute_constants,
     max_step_size,
@@ -121,6 +120,14 @@ class TestStepInvariants:
         with pytest.raises(ValueError):
             init_state(prob, cfg)
 
+    @pytest.mark.parametrize("eta", [0.0, -1e-3, math.inf, math.nan])
+    def test_eta_outside_range_refused(self, eta):
+        # NaN fails every comparison, so only a test that NaN must pass catches it
+        _, prob = synthesize(5, 2, "least_squares", seed=1)
+        cfg = RunConfig(alpha=1.0, batch_size=1, iterations=1, eta=eta)
+        with pytest.raises(ValueError, match="eta must be in"):
+            init_state(prob, cfg)
+
     def test_default_eta_is_largest_allowable(self):
         _, prob = synthesize(5, 2, "least_squares", seed=1)
         state = init_state(prob, RunConfig(alpha=1.0, batch_size=1, iterations=1))
@@ -155,7 +162,7 @@ class TestRun:
         _, prob = synthesize(6, 2, "least_squares", seed=1)
         t_max = 2 * CHUNK + 10
         records = run(prob, RunConfig(alpha=0.75, batch_size=1, iterations=t_max, seed=0))
-        params = compute_constants(ScheduleConfig(alpha=0.75, batch_size=1, n=prob.n))
+        params = compute_constants(0.75, 1)
         certified = np.clip(p_sequence(alpha_sequence(t_max, params), params), 0.0, 1.0)
         assert np.array_equal([r.p for r in records[1:]], certified)
 
@@ -209,13 +216,13 @@ class TestFista:
     def test_one_step_is_gradient_step(self):
         _, prob = synthesize(10, 3, "least_squares", seed=4)
         x0 = np.ones(3)
-        records = fista_run(prob, iterations=1, x0=x0)
+        records = fista_run(prob, RunConfig(iterations=1, x0=x0))
         expected = prob.value(x0 - prob.full_grad(x0) / prob.L)
         assert records[-1].f_y == pytest.approx(expected, rel=1e-14)
 
     def test_monotone_best_objective_on_quadratic(self):
         _, prob = synthesize(20, 4, "least_squares", seed=5)
-        records = fista_run(prob, iterations=300)
+        records = fista_run(prob, RunConfig(iterations=300))
         values = [r.f_y for r in records]
         best = np.minimum.accumulate(values)
         assert best[-1] <= values[0]
@@ -224,13 +231,13 @@ class TestFista:
     def test_quadratic_decay_rate_on_lasso(self):
         _, prob = synthesize(40, 10, "least_squares", seed=6, reg=Regularizer.l1(0.05))
         with_reference(prob, tol=1e-14)
-        records = fista_run(prob, iterations=1000)
+        records = fista_run(prob, RunConfig(iterations=1000))
         gap = {r.t: r.f_y - prob.reference.f_star for r in records}
         assert gap[1000] <= gap[100] / 20.0
 
     def test_cost_is_n_per_iteration(self):
         _, prob = synthesize(13, 3, "least_squares", seed=4)
-        records = fista_run(prob, iterations=7)
+        records = fista_run(prob, RunConfig(iterations=7))
         assert records[-1].ifo_total == 7 * 13
 
 
@@ -244,7 +251,7 @@ class TestPgdPsgd:
         eigs = np.linalg.eigvalsh(H)
         rate = float(np.max(np.abs(1.0 - eigs / prob.L)))
         x0 = x_star + np.ones(4)
-        records = pgd_run(prob, iterations=50, x0=x0)
+        records = pgd_run(prob, RunConfig(iterations=50, x0=x0))
         f_star = prob.value(x_star)
         final_gap = records[-1].f_y - f_star
         initial_gap = records[0].f_y - f_star
@@ -252,17 +259,17 @@ class TestPgdPsgd:
 
     def test_pgd_cost_n_per_iteration(self):
         _, prob = synthesize(9, 3, "least_squares", seed=8)
-        records = pgd_run(prob, iterations=5)
+        records = pgd_run(prob, RunConfig(iterations=5))
         assert records[-1].ifo_total == 45
 
     def test_psgd_cost_one_per_iteration(self):
         _, prob = synthesize(9, 3, "least_squares", seed=8)
-        records = psgd_run(prob, iterations=50, seed=0)
+        records = psgd_run(prob, RunConfig(iterations=50, seed=0))
         assert records[-1].ifo_total == 50
 
     def test_psgd_makes_progress(self):
         _, prob = synthesize(50, 4, "least_squares", seed=9)
-        records = psgd_run(prob, iterations=4000, seed=1)
+        records = psgd_run(prob, RunConfig(iterations=4000, seed=1))
         assert records[-1].f_y < records[0].f_y
 
 
@@ -271,8 +278,8 @@ class TestDriver:
     def test_explicit_eval_every_sets_the_stopping_grid(self, solver):
         _, prob = synthesize(20, 4, "least_squares", seed=3)
         with_reference(prob, tol=1e-12)
-        every = solver(prob, epsilon=1e-8)
-        fifth = solver(prob, epsilon=1e-8, eval_every=5)
+        every = solver(prob, RunConfig(epsilon=1e-8))
+        fifth = solver(prob, RunConfig(epsilon=1e-8, eval_every=5))
         t = every[-1].t
         assert t % 5 != 0  # otherwise the grid would not show
         assert fifth[-1].t % 5 == 0 and t < fifth[-1].t < t + 5
@@ -284,9 +291,9 @@ class TestDriver:
         calls = []
         value = prob.value
         prob.value = lambda x: calls.append(1) or value(x)
-        records = psgd_run(
-            prob, epsilon=1e-12, seed=0, record_every=1, eval_every=1, max_iterations=50
-        )
+        records = psgd_run(prob, RunConfig(
+            epsilon=1e-12, seed=0, record_every=1, eval_every=1, max_iterations=50
+        ))
         assert records[-1].t == 50
         assert len(calls) == 50 + 1  # one per iteration plus the initial record
 
@@ -389,7 +396,7 @@ class TestDriverArguments:
         with pytest.raises(ValueError, match=name):
             run(prob, RunConfig(alpha=0.5, batch_size=1, **stopping))
         with pytest.raises(ValueError, match=name):
-            fista_run(prob, **stopping)
+            fista_run(prob, RunConfig(**stopping))
 
     @pytest.mark.parametrize("solver", ["run", "fista_run", "pgd_run"])
     def test_non_finite_objective_stops_at_once(self, solver, monkeypatch):
@@ -398,10 +405,7 @@ class TestDriverArguments:
         monkeypatch.setattr(prob, "value", lambda x: math.nan)
         stopping = dict(epsilon=1e-6, max_iterations=2000)
         with pytest.raises(ValueError, match=r"objective is nan at t=1\b"):
-            if solver == "run":
-                run(prob, RunConfig(alpha=0.5, batch_size=1, eval_every=1, **stopping))
-            else:
-                getattr(optimizers, solver)(prob, **stopping)
+            getattr(optimizers, solver)(prob, RunConfig(eval_every=1, **stopping))
 
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -411,10 +415,7 @@ class TestDriverArguments:
         _, prob = synthesize(6, 2, "least_squares", seed=1)
         x0 = np.array([0.0, bad])
         with pytest.raises(ValueError, match="x0 must be finite"):
-            if solver == "run":
-                run(prob, RunConfig(alpha=0.5, batch_size=1, x0=x0, iterations=2000))
-            else:
-                getattr(optimizers, solver)(prob, x0=x0, iterations=2000)
+            getattr(optimizers, solver)(prob, RunConfig(x0=x0, iterations=2000))
 
 
 # -- the step's arithmetic, driven by hand -----------------------------------
@@ -444,7 +445,7 @@ def reference_run(problem, config):
     the records, the final (x, y, z) and the iterations whose checkpoint
     draw refreshed w."""
     n, b, T = problem.n, config.batch_size, config.iterations
-    params = compute_constants(ScheduleConfig(alpha=config.alpha, batch_size=b, n=n))
+    params = compute_constants(config.alpha, b)
     eta = max_step_size(problem.L, params)
     alphas = alpha_sequence(T, params)
     ps = np.clip(p_sequence(alphas, params), 0.0, 1.0).tolist()

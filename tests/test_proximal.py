@@ -1,5 +1,7 @@
 """Proximal operators, certified through first-order optimality conditions."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,6 +56,14 @@ class TestValues:
             Regularizer("nope")
         with pytest.raises(ValueError):
             Regularizer("zero", lam1=1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weight_refused(self, bad):
+        # NaN fails every comparison, so only a test that NaN must pass catches it
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            Regularizer.l1(bad)
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            Regularizer.elastic_net(0.1, bad)
 
 
 class TestProx:

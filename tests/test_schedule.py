@@ -9,7 +9,6 @@ import pytest
 from katyusha_h import schedule
 from katyusha_h.schedule import (
     CHUNK,
-    ScheduleConfig,
     advance,
     alpha_sequence,
     compute_constants,
@@ -23,8 +22,8 @@ from katyusha_h.schedule import (
 )
 
 
-def params_for(alpha, b=1, n=None):
-    return compute_constants(ScheduleConfig(alpha=alpha, batch_size=b, n=n or max(b, 1)))
+def params_for(alpha, b=1):
+    return compute_constants(alpha, b)
 
 
 class TestGrowthCoefficient:
@@ -103,7 +102,7 @@ class TestConstants:
     def test_uniform_cap(self):
         for alpha in np.linspace(0.0, 1.0, 101):
             for b in (1, 2, 10, 1000):
-                p = params_for(float(alpha), b=b, n=1000)
+                p = params_for(float(alpha), b=b)
                 assert p.c <= 5.0
                 assert 0.0 < p.xi < 1.0
                 assert p.alpha_tilde0 == pytest.approx(36 * p.xi, rel=1e-15)
@@ -111,29 +110,18 @@ class TestConstants:
     def test_batch_dampens_inner_max(self):
         # b >= 2 pushes the inner term below 2, so c = 3 regardless of alpha.
         for alpha in (0.001, 0.3, 0.999):
-            assert params_for(alpha, b=2, n=2).c == pytest.approx(3.0)
+            assert params_for(alpha, b=2).c == pytest.approx(3.0)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ScheduleConfig(alpha=1.2, batch_size=1, n=1)
-        with pytest.raises(ValueError):
-            ScheduleConfig(alpha=0.5, batch_size=3, n=2)
-        with pytest.raises(ValueError):
-            ScheduleConfig(alpha=0.5, batch_size=0, n=2)
+    @pytest.mark.parametrize("alpha, b", [(1.2, 1), (-0.1, 1), (math.nan, 1), (0.5, 0), (0.5, -1)])
+    def test_inputs_validated(self, alpha, b):
+        with pytest.raises(ValueError, match="alpha must be|batch_size must be"):
+            compute_constants(alpha, b)
 
     def test_cap_breach_raises(self, monkeypatch):
         # alpha_17 just above 1 blows up the inverse-gap term past C_MAX
         monkeypatch.setattr(schedule, "growth_coefficient", lambda alpha: 1.01 / 17.0 ** alpha)
         with pytest.raises(ValueError, match="uniform cap"):
-            compute_constants(ScheduleConfig(alpha=0.5, batch_size=1, n=1))
-
-    def test_xi_outside_unit_interval_raises(self):
-        # a batch size ScheduleConfig would refuse drives xi below 0
-        config = object.__new__(ScheduleConfig)
-        for key, value in dict(alpha=0.5, batch_size=-1, n=1).items():
-            object.__setattr__(config, key, value)
-        with pytest.raises(ValueError, match="xi"):
-            compute_constants(config)
+            compute_constants(0.5, 1)
 
 
 class TestDenominator:
@@ -157,7 +145,7 @@ class TestDenominator:
         assert cur.den_t >= (1 / 16) * 1000 ** 2
 
     def test_prev_denominator_consistent(self):
-        p = params_for(0.5, b=2, n=4)
+        p = params_for(0.5, b=2)
         for t in (25, CHUNK, CHUNK + 1):
             assert cursor_at(t, p).den_prev == cursor_at(t - 1, p).den_t
 
@@ -166,7 +154,7 @@ class TestProbability:
     def test_first_step_forced(self):
         for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
             for b in (1, 2, 10):
-                p = params_for(alpha, b=b, n=10)
+                p = params_for(alpha, b=b)
                 cur = cursor_at(1, p)
                 assert abs(p_at(cur, p) - 1.0) <= 1e-12
 

@@ -15,7 +15,6 @@ from katyusha_h.problems import make_rng, synthesize, with_reference
 from katyusha_h.proximal import Regularizer
 from katyusha_h.schedule import (
     C_MAX,
-    ScheduleConfig,
     _p_ratio,
     alpha_sequence,
     compute_constants,
@@ -159,12 +158,9 @@ def _oracle_scan(alpha_grid, t_max, batch_sizes, xi_override):
     ]
     trackers = {name: _ClaimTracker(INEQ_TOL) for name in names}
     trackers["p-reformulation"] = _ClaimTracker(0.0)
-    max_b = max(batch_sizes)
     for alpha in alpha_grid:
         for b in batch_sizes:
-            params = compute_constants(
-                ScheduleConfig(alpha=float(alpha), batch_size=b, n=max_b)
-            )
+            params = compute_constants(float(alpha), b)
             if xi_override is not None:
                 params = replace(
                     params, xi=xi_override, alpha_tilde0=36.0 * xi_override
@@ -285,9 +281,9 @@ class TestDenominatorGrowth:
 
     def test_spot_value(self):
         # alpha=1, t=1000: the certified floor is t^2/16 = 62500
-        from katyusha_h.schedule import ScheduleConfig, compute_constants, cursor_at
+        from katyusha_h.schedule import compute_constants, cursor_at
 
-        params = compute_constants(ScheduleConfig(alpha=1.0, batch_size=1, n=1))
+        params = compute_constants(1.0, 1)
         d = cursor_at(1000, params).den_t
         assert d >= 62500.0
 
