@@ -16,8 +16,11 @@ from math import comb
 import numpy as np
 
 
+ENUMERATION_CAP = 100_000  # most subsets an exact oracle enumerates
+
+
 class EnumerationCapError(RuntimeError):
-    """Exact enumeration would exceed the configured subset cap."""
+    """Exact enumeration would exceed ``ENUMERATION_CAP`` subsets."""
 
 
 @dataclass
@@ -307,12 +310,15 @@ def maybe_update_checkpoint(
     ckpt: Checkpoint,
     candidate: np.ndarray,
     p: float,
-    rng: np.random.Generator,
+    rng: DrawStream | np.random.Generator,
     problem,
     ledger: IfoLedger,
     candidate_is_w: bool = False,
 ) -> tuple[Checkpoint, bool]:
     """With probability p replace the checkpoint by ``candidate``.
+
+    The coin is ``rng.random()``, uniform on [0, 1): a run passes its
+    ``DrawStream``, whose coin follows the iteration's subset.
 
     ``candidate_is_w`` is a provenance flag from the caller: the candidate is
     an untouched copy of w, so a hit is a no-op and the full-gradient
@@ -344,43 +350,39 @@ def variance_bound_rhs(x: np.ndarray, w: np.ndarray, problem, b: int) -> float:
     return 2.0 * problem.L / b * bregman
 
 
-def exact_variance(
-    x: np.ndarray,
-    ckpt: Checkpoint,
-    b: int,
-    problem,
-    cap: int = 100_000,
-) -> float:
-    """E||estimate - full_grad(x)||^2 by enumerating every size-b subset.
-
-    Pure oracle: recomputes gradients directly and charges nothing.  Refuses
-    (EnumerationCapError) when C(n, b) exceeds ``cap`` rather than sampling.
-    """
+def _subset_walk(x: np.ndarray, w: np.ndarray, b: int, problem):
+    """After refusing b outside [1, n] and C(n, b) above ``ENUMERATION_CAP``:
+    the mean of grad f_j(x) - grad f_j(w) over all n components, and each
+    size-b subset's mean, in ``combinations`` order.  Charges no IFO."""
     n = problem.n
     if not 1 <= b <= n:
         raise ValueError(f"need 1 <= b <= n, got b={b}, n={n}")
     total = comb(n, b)
-    if total > cap:
-        raise EnumerationCapError(f"C({n},{b}) = {total} exceeds cap {cap}")
-    diffs = problem.component_grad_matrix(x) - problem.component_grad_matrix(ckpt.w)
-    full_diff = diffs.mean(axis=0)
-    acc = 0.0
-    for subset in combinations(range(n), b):
-        dev = diffs[list(subset)].mean(axis=0) - full_diff
-        acc += float(dev @ dev)
-    return acc / total
+    if total > ENUMERATION_CAP:
+        raise EnumerationCapError(f"C({n},{b}) = {total} exceeds cap {ENUMERATION_CAP}")
+    diffs = problem.component_grad_matrix(x) - problem.component_grad_matrix(w)
+    subsets = combinations(range(n), b)
+    return diffs.mean(axis=0), (diffs[list(s)].mean(axis=0) for s in subsets)
 
 
-def enumeration_mean_estimate(
-    x: np.ndarray, ckpt: Checkpoint, b: int, problem, cap: int = 100_000
-) -> np.ndarray:
+def _subset_moments(x: np.ndarray, w: np.ndarray, b: int, problem):
+    """One pass of the subset walk: the full mean difference, the mean of the
+    subset mean differences, and their mean squared deviation from the full
+    one, which is the estimator's exact variance."""
+    full, means = _subset_walk(x, w, b, problem)
+    acc, sq = np.zeros(problem.d), 0.0
+    for count, mean in enumerate(means, 1):
+        acc += mean
+        dev = mean - full
+        sq += float(dev @ dev)
+    return full, acc / count, sq / count
+
+
+def exact_variance(x: np.ndarray, ckpt: Checkpoint, b: int, problem) -> float:
+    """E||estimate - full_grad(x)||^2 by enumerating every size-b subset."""
+    return _subset_moments(x, ckpt.w, b, problem)[2]
+
+
+def enumeration_mean_estimate(x: np.ndarray, ckpt: Checkpoint, b: int, problem) -> np.ndarray:
     """Mean of the estimator over every size-b subset (unbiasedness oracle)."""
-    n = problem.n
-    total = comb(n, b)
-    if total > cap:
-        raise EnumerationCapError(f"C({n},{b}) = {total} exceeds cap {cap}")
-    diffs = problem.component_grad_matrix(x) - problem.component_grad_matrix(ckpt.w)
-    acc = np.zeros(problem.d)
-    for subset in combinations(range(n), b):
-        acc += diffs[list(subset)].mean(axis=0)
-    return acc / total + ckpt.full_grad
+    return _subset_moments(x, ckpt.w, b, problem)[1] + ckpt.full_grad

@@ -13,7 +13,7 @@ import configparser
 import functools
 import math
 import typing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +191,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"[problem] {exc}") from None
     if cfg.solver.method not in SOLVERS:
         raise ConfigError(f"unknown solver method {cfg.solver.method!r}")
+    if cfg.solver.method != "katyusha_h":
+        # a baseline ignores every [solver] key but method, and [output] lyapunov
+        keys = [f"[solver] {f.name}" for f in fields(SolverSpec)
+                if f.name != "method" and getattr(cfg.solver, f.name) != f.default]
+        keys += ["[output] lyapunov"] if cfg.output.lyapunov else []
+        if keys:
+            raise ConfigError(f"{keys[0]} applies only to katyusha_h, not {cfg.solver.method}")
     if (cfg.run.iterations is None) == (cfg.run.epsilon is None):
         raise ConfigError("[run] needs exactly one of iterations / epsilon")
     if cfg.run.epsilon is not None and cfg.reference is None:

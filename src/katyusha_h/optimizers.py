@@ -102,7 +102,6 @@ class KatyushaHState:
     ckpt: Checkpoint
     cursor: ScheduleCursor
     params: ScheduleParams
-    batch_size: int
     eta: float
     rng: DrawStream  # each iteration's subset, then its checkpoint coin
     ledger: IfoLedger
@@ -135,7 +134,6 @@ def init_state(problem, config: RunConfig) -> KatyushaHState:
         ckpt=ckpt,
         cursor=cursor_at(1, params),
         params=params,
-        batch_size=config.batch_size,
         eta=eta,
         rng=rng,
         ledger=ledger,
@@ -210,6 +208,8 @@ def _drive(problem, config: RunConfig, step, objective, record,
         raise ValueError("exactly one of iterations/epsilon must be set")
     if epsilon is not None and problem.reference is None:
         raise ValueError("an epsilon target requires a reference solution")
+    if epsilon is not None and not 0.0 < epsilon < math.inf:  # also refuses nan
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     for name, value, least in (
         ("record_every", record_every, 1),
         ("eval_every", eval_every, 1),

@@ -11,18 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations
 
 import numpy as np
 
 from . import analysis
-from .estimator import (
-    EnumerationCapError,
-    IfoLedger,
-    exact_variance,
-    make_checkpoint,
-    variance_bound_rhs,
-)
+from .estimator import _subset_moments, _subset_walk, variance_bound_rhs
 from .optimizers import KatyushaHState
 from .proximal import prox
 from .schedule import (
@@ -39,6 +32,7 @@ from .schedule import (
 
 INEQ_TOL = 1e-9  # normalized slack floor for inequality claims
 EQ_TOL = 1e-12  # absolute tolerance for reformulation identities
+GRID_PROBE = 1e-6  # offset of the alpha-grid probes around each bucket boundary
 SCAN_BLOCK = 16_384  # t indices per block of a schedule scan; its temporaries stay in cache
 
 
@@ -109,11 +103,11 @@ class _ClaimTracker:
         )
 
 
-def default_alpha_grid(step: float = 0.01, probe: float = 1e-6) -> np.ndarray:
+def default_alpha_grid(step: float = 0.01) -> np.ndarray:
     """Dense grid over [0, 1] plus bucket boundaries and near-boundary probes.
 
     The growth-coefficient buckets are closed on the right, so probes at
-    +-probe around each boundary catch off-by-bucket mistakes.
+    +-``GRID_PROBE`` around each boundary catch off-by-bucket mistakes.
     """
     if not 0.0 < step <= 1.0:  # also refuses nan
         raise ValueError(f"alpha grid step must be in (0, 1], got {step}")
@@ -122,7 +116,7 @@ def default_alpha_grid(step: float = 0.01, probe: float = 1e-6) -> np.ndarray:
     boundaries = (0.0, 0.5, 0.75, 1.0)
     pts.extend(boundaries)
     for b in boundaries:
-        for delta in (-probe, probe):
+        for delta in (-GRID_PROBE, GRID_PROBE):
             v = b + delta
             if 0.0 <= v <= 1.0:
                 pts.append(v)
@@ -140,7 +134,6 @@ def scan_schedule(
     t_max: int = 100_000,
     batch_sizes: tuple[int, ...] = (1, 2, 10),
     xi_override: float | None = None,
-    tol: float = INEQ_TOL,
 ) -> CertificateReport:
     """Certify every schedule inequality over the (alpha, b, t) grid.
 
@@ -178,7 +171,7 @@ def scan_schedule(
         "coupling-range",
         "c-bound",
     ]
-    trackers = {name: _ClaimTracker(tol) for name in names}
+    trackers = {name: _ClaimTracker(INEQ_TOL) for name in names}
     trackers["p-reformulation"] = _ClaimTracker(0.0)
 
     for alpha in alpha_grid:
@@ -246,7 +239,6 @@ def scan_denominator_growth(
     alpha: float,
     t_max: int = 100_000,
     batch_size: int = 1,
-    tol: float = INEQ_TOL,
 ) -> CertificateReport:
     """Certify D_t >= a_tilde * t^(alpha+1) for t >= 17.
 
@@ -266,7 +258,7 @@ def scan_denominator_growth(
     t = np.arange(t_max + 1, dtype=np.float64)
     growth = a_tilde * t ** (alpha + 1.0)
 
-    tail = _ClaimTracker(tol)
+    tail = _ClaimTracker(INEQ_TOL)
     tail.update(
         _normalized_gap(growth[GROWTH_START:], den[GROWTH_START:]),
         lambda i: f"(alpha={alpha:.6g}, t={i + GROWTH_START})",
@@ -286,9 +278,7 @@ def scan_denominator_growth(
     )
 
 
-def exact_conditional_lyapunov_descent(
-    state: KatyushaHState, problem, cap: int = 100_000
-) -> tuple[float, float]:
+def exact_conditional_lyapunov_descent(state: KatyushaHState, problem) -> tuple[float, float]:
     """Exact E[L_{t+1} | state] next to the current L_t.
 
     The expectation enumerates every size-b subset (each yields deterministic
@@ -298,11 +288,6 @@ def exact_conditional_lyapunov_descent(
     ref = problem.reference
     if ref is None:
         raise ValueError("descent oracle requires a reference solution")
-    n, b = problem.n, state.batch_size
-    total = math.comb(n, b)
-    if total > cap:
-        raise EnumerationCapError(f"C({n},{b}) = {total} exceeds cap {cap}")
-
     cur = state.cursor
     params = state.params
     tau = tau_at(cur)
@@ -315,22 +300,18 @@ def exact_conditional_lyapunov_descent(
     current = analysis.lyapunov(gap_y, gap_w, state.z, cur, eta, problem)
 
     x_next = tau * state.z + xi * state.ckpt.w + (1.0 - xi - tau) * state.y
-    diffs = problem.component_grad_matrix(x_next) - problem.component_grad_matrix(
-        state.ckpt.w
-    )
+    _, means = _subset_walk(x_next, state.ckpt.w, params.batch_size, problem)
     step_len = cur.alpha_t * eta
     alpha_sq = cur.alpha_t ** 2
 
     acc = 0.0
-    for subset in combinations(range(n), b):
-        g = diffs[list(subset)].mean(axis=0) + state.ckpt.full_grad
+    for count, mean in enumerate(means, 1):
+        g = mean + state.ckpt.full_grad
         z_next = prox(problem.reg, state.z - step_len * g, step_len)
         y_next = x_next + tau * (z_next - state.z)
         dz = z_next - ref.x_star
-        acc += alpha_sq * (problem.value(y_next) - ref.f_star) + float(dz @ dz) / (
-            2.0 * eta
-        )
-    expected = acc / total + cur.den_t * ((1.0 - p) * gap_w + p * gap_y)
+        acc += alpha_sq * (problem.value(y_next) - ref.f_star) + float(dz @ dz) / (2.0 * eta)
+    expected = acc / count + cur.den_t * ((1.0 - p) * gap_w + p * gap_y)
     return expected, current
 
 
@@ -338,42 +319,24 @@ def verify_variance_bound(
     problem,
     points: list[tuple[np.ndarray, np.ndarray]],
     b_values: tuple[int, ...],
-    cap: int = 100_000,
-    tol: float = INEQ_TOL,
 ) -> CertificateReport:
     """Exact variance against its smoothness bound, plus the subset-sum law.
 
-    For each (x, w, b): the enumerated estimator variance must not exceed
-    (2L/b) times the Bregman divergence, and the enumeration mean of the
-    subset gradient-difference sums must equal (b/n) times the full sum.
+    For each (x, w, b), from one walk over every size-b subset: the estimator
+    variance must not exceed (2L/b) times the Bregman divergence, and the
+    subset gradient-difference sums must average to (b/n) times the full
+    sum, checked on means: the subset means must average to the full mean.
     """
-    bound = _ClaimTracker(tol)
+    bound = _ClaimTracker(INEQ_TOL)
     identity = _ClaimTracker(0.0)
-    n = problem.n
     for k, (x, w) in enumerate(points):
-        ckpt = make_checkpoint(np.asarray(w, float), problem, IfoLedger())
-        diffs = problem.component_grad_matrix(x) - problem.component_grad_matrix(w)
-        full_sum = diffs.sum(axis=0)
         for b in b_values:
-            total = math.comb(n, b)
-            if total > cap:
-                raise EnumerationCapError(f"C({n},{b}) = {total} exceeds cap {cap}")
-            var = exact_variance(x, ckpt, b, problem, cap=cap)
+            full, mean, var = _subset_moments(x, w, b, problem)
+            where = f"(point {k}, b={b})"
             rhs = variance_bound_rhs(x, w, problem, b)
-            bound.update(
-                _normalized_gap(np.array([var]), np.array([rhs])),
-                lambda i, k=k, b=b: f"(point {k}, b={b})",
-            )
-            mean_sum = np.zeros(problem.d)
-            for subset in combinations(range(n), b):
-                mean_sum += diffs[list(subset)].sum(axis=0)
-            mean_sum /= total
-            target = (b / n) * full_sum
-            scale = max(1.0, float(np.linalg.norm(target)))
-            err = float(np.linalg.norm(mean_sum - target)) / scale
-            identity.update(
-                EQ_TOL - err, lambda i, k=k, b=b: f"(point {k}, b={b})"
-            )
+            bound.update(_normalized_gap(var, rhs), lambda i: where)
+            err = float(np.linalg.norm(mean - full)) / max(1.0, float(np.linalg.norm(full)))
+            identity.update(EQ_TOL - err, lambda i: where)
     domain = f"{len(points)} points, b in {{{', '.join(str(b) for b in b_values)}}}"
     return CertificateReport(
         claims=[

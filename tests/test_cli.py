@@ -596,3 +596,42 @@ class TestBaselineMethods:
         header, rows = read_trace(paths[0])
         assert header["method"] == method
         assert len(rows) == 11
+
+    @staticmethod
+    def _sections(tmp_path, method):
+        return {
+            "problem": {"family": "least_squares", "n": "20", "d": "4", "seed": "3"},
+            "solver": {"method": method},
+            "run": {"iterations": "10"},
+            "output": {"directory": str(tmp_path / "out")},
+            "reference": {"tol": "1e-10"},
+        }
+
+    @pytest.mark.parametrize("method", ["fista", "pgd", "psgd"])
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("solver", "alpha", "0.5"),
+            ("solver", "b", "5"),
+            ("solver", "eta", "0.1"),
+            ("solver", "cache_checkpoint_grads", "true"),
+            ("output", "lyapunov", "true"),
+        ],
+    )
+    def test_katyusha_h_setting_is_exit_two(
+        self, tmp_path, capsys, method, section, key, value
+    ):
+        # a baseline would ignore the setting, so the run is refused
+        sections = self._sections(tmp_path, method)
+        sections[section][key] = value
+        path = _write_sections(tmp_path / "exp.ini", sections)
+        assert main(["run", "--config", str(path)]) == 2
+        assert f"[{section}] {key} applies only to katyusha_h" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_katyusha_h_defaults_spelled_out_run(self, tmp_path):
+        sections = self._sections(tmp_path, "pgd")
+        sections["solver"].update(alpha="1.0", b="1", eta="auto", cache_checkpoint_grads="false")
+        sections["output"]["lyapunov"] = "false"
+        path = _write_sections(tmp_path / "exp.ini", sections)
+        assert main(["run", "--config", str(path)]) == 0

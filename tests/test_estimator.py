@@ -222,6 +222,14 @@ class TestSvrgEstimate:
                 1.0, float(np.linalg.norm(target))
             )
 
+    @pytest.mark.parametrize("oracle", [enumeration_mean_estimate, exact_variance])
+    @pytest.mark.parametrize("b", [0, 7])
+    def test_enumeration_refuses_b_outside_one_to_n(self, oracle, b):
+        _, prob = synthesize(6, 3, "least_squares", seed=2)
+        ckpt = make_checkpoint(np.zeros(3), prob, IfoLedger())
+        with pytest.raises(ValueError, match="1 <= b <= n"):
+            oracle(np.ones(3), ckpt, b, prob)
+
     def test_ledger_charges_two_b(self):
         _, prob = synthesize(6, 3, "least_squares", seed=2)
         ledger = IfoLedger()
@@ -394,4 +402,4 @@ class TestExactVariance:
         ledger = IfoLedger()
         ckpt = make_checkpoint(np.zeros(2), prob, ledger)
         with pytest.raises(EnumerationCapError):
-            exact_variance(np.ones(2), ckpt, 15, prob, cap=1000)
+            exact_variance(np.ones(2), ckpt, 15, prob)

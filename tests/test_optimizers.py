@@ -398,6 +398,15 @@ class TestDriverArguments:
         with pytest.raises(ValueError, match=name):
             fista_run(prob, RunConfig(**stopping))
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("solver", ["run", "fista_run", "pgd_run", "psgd_run"])
+    def test_unreachable_epsilon_is_refused(self, solver, epsilon):
+        _, prob = synthesize(6, 2, "least_squares", seed=1)
+        with_reference(prob, tol=1e-12)
+        config = RunConfig(epsilon=epsilon, max_iterations=2000)
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            getattr(optimizers, solver)(prob, config)
+
     @pytest.mark.parametrize("solver", ["run", "fista_run", "pgd_run"])
     def test_non_finite_objective_stops_at_once(self, solver, monkeypatch):
         _, prob = synthesize(6, 2, "least_squares", seed=1)

@@ -1,6 +1,7 @@
 """Scanner behavior: certificates pass on honest parameters, fail on broken ones."""
 
 import copy
+import itertools
 import math
 import re
 from dataclasses import replace
@@ -365,7 +366,7 @@ class TestConditionalDescent:
         cfg = RunConfig(alpha=0.5, batch_size=15, iterations=1, seed=1)
         state = init_state(prob, cfg)
         with pytest.raises(EnumerationCapError):
-            exact_conditional_lyapunov_descent(state, prob, cap=1000)
+            exact_conditional_lyapunov_descent(state, prob)
 
     def test_requires_reference(self):
         _, prob = synthesize(5, 3, "least_squares", seed=4)
@@ -447,6 +448,31 @@ class TestVarianceBoundReport:
         assert report.passed
         names = {c.claim for c in report.claims}
         assert names == {"variance-bound", "subset-sum-identity"}
+
+    def test_walks_each_point_and_batch_size_once(self, monkeypatch):
+        _, prob = synthesize(6, 3, "least_squares", seed=6)
+        rng = make_rng(12)
+        points = [(rng.standard_normal(3), rng.standard_normal(3)) for _ in range(3)]
+        b_values = (1, 2, 3)
+        tables, subsets = [], []
+
+        class Rows(np.ndarray):
+            """A gradient matrix that records every subset read from it."""
+
+            def __getitem__(self, key):
+                if isinstance(key, list):
+                    subsets.append(tuple(key))
+                return super().__getitem__(key)
+
+        matrix = prob.component_grad_matrix
+        monkeypatch.setattr(
+            prob, "component_grad_matrix", lambda x: tables.append(x) or matrix(x).view(Rows)
+        )
+        verify_variance_bound(prob, points, b_values)
+        # one difference table per (point, b): gradient matrices at x and at w
+        assert len(tables) == 2 * len(points) * len(b_values)
+        walk = [s for b in b_values for s in itertools.combinations(range(6), b)]
+        assert subsets == walk * len(points)
 
     def test_identical_points_trivial(self):
         _, prob = synthesize(6, 3, "least_squares", seed=6)
