@@ -57,7 +57,8 @@ def _resolve_swaps(targets: list[int]) -> list[int]:
 
     Step i swaps position i with position t_i of range(n), kept as a sparse
     swap map.  Only targets are ever keys of the map, so out[i] = t_i unless
-    t_i repeats an earlier target.
+    t_i repeats an earlier target.  This loop resolves ``sample_subset``'s
+    draws and is the oracle that ``_resolve_block`` is tested against.
     """
     swaps: dict[int, int] = {}
     out = []
@@ -65,6 +66,52 @@ def _resolve_swaps(targets: list[int]) -> list[int]:
         out.append(swaps.get(j, j))
         swaps[j] = swaps.get(i, i)
     return out
+
+
+def _resolve_block(targets: np.ndarray, n: int) -> np.ndarray:
+    """Resolve a (K, b) block of swap-target rows in place, each row to
+    ``_resolve_swaps`` of it, and return the block.
+
+    In row t_0..t_{b-1}, out[i] = t_i unless an earlier step targeted t_i;
+    then out[i] = S(k) for the last such step k, where S(k) is the value at
+    position k before step k: k itself, or S(k') when an earlier step k'
+    targeted position k, taking the last such k'.  Sorting each row's keys
+    t_i * b + i orders its steps by target, then step: an entry that repeats
+    its sorted neighbour's target takes the neighbour's step as k.  Each
+    pass of the loop follows one S link of every unresolved repeat in the
+    block with one ``searchsorted`` over all the block's keys, so the loop
+    runs once per chain level (one or two levels at b << n).
+    """
+    rows, b = targets.shape
+    if b == 1:
+        return targets
+    # Row r's keys are r*n*b + t*b + i < (r + 1)*n*b, so every key is below
+    # n * rows*b <= 2**32 * (2**17 + b): DrawStream refuses n > 2**32, and its
+    # block keeps rows*b below 2**17 + b.  That fits int64 for every
+    # b < 2**31 - 2**17; a longer row would need 16 GiB for its targets alone.
+    stride = n * b
+    keys = targets * b + np.arange(b)
+    keys.sort(axis=1)
+    keys += np.arange(0, rows * stride, stride)[:, None]
+    keys = keys.ravel()
+    target_of = keys // b
+    rep = np.flatnonzero(target_of[1:] == target_of[:-1]) + 1
+    src = keys[rep - 1] % b  # k: the step of the repeat's sorted neighbour
+    row_key = rep // b * stride
+    todo = np.arange(rep.size)
+    while todo.size:
+        low = row_key[todo] + src[todo] * b  # the least key of target k
+        query = low + src[todo]
+        # sorted queries walk the keys in order: 1.7x faster at n = 2**16, b = n - 1
+        order = np.argsort(query)
+        pos = np.empty_like(query)
+        pos[order] = np.searchsorted(keys, query[order]) - 1  # last key below step k
+        prev = keys[pos]
+        linked = (pos >= 0) & (prev >= low)
+        todo = todo[linked]
+        src[todo] = (prev - low)[linked]
+    targets[rep // b, keys[rep] % b] = src
+    return targets
 
 
 def sample_subset(n: int, b: int, rng: np.random.Generator) -> np.ndarray:
@@ -126,13 +173,15 @@ class DrawStream:
 
     A block lays out its raw words as if no draw were rejected, tests every
     draw at once, keeps the iterations before the first rejection, replays
-    that iteration one word at a time and resumes after it.  The block's
-    subsets are one (K, b) index array.  When b == n the subset is all of
-    range(n) and only coins are drawn.  ``subset()`` moves to the next
-    iteration and returns its row; ``random()`` returns that iteration's coin
-    as often as it is called; ``gathered()`` returns its feature rows,
-    targets and checkpoint residuals, gathered a span of iterations at a
-    time.
+    that iteration one word at a time and resumes after it.  The swap
+    targets of all the iterations drawn at once become their partial
+    Fisher-Yates subsets together, repeats included (``_resolve_block``), so
+    no row is resolved in a Python loop.  The block's subsets are one (K, b)
+    index array.  When b == n the subset is all of range(n) and only coins
+    are drawn.  ``subset()`` moves to the next iteration and returns its row;
+    ``random()`` returns that iteration's coin as often as it is called;
+    ``gathered()`` returns its feature rows, targets and checkpoint
+    residuals, gathered a span of iterations at a time.
     """
 
     def __init__(self, n: int, b: int, seed: int):
@@ -242,11 +291,7 @@ class DrawStream:
         targets = (m[:k] >> 32).astype(np.intp) + np.arange(b)
         if k == 0:
             return targets
-        # a row of pairwise distinct targets is its own Fisher-Yates output
-        if b > 1:
-            ordered = np.sort(targets, axis=1)
-            for r in np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1)):
-                targets[r] = _resolve_swaps(targets[r].tolist())
+        _resolve_block(targets, self.n)
         self._coins += self._coins_of(raw[coin_at[:k]])
         halves_left = kept + 2 * int(words_by[k - 1]) - k * b
         self._held = int(halves[k * b]) if halves_left else None
@@ -273,7 +318,7 @@ class DrawStream:
                 m = self._next_uint32() * span
             targets.append(i + (m >> 32))
         self._coins += self._coins_of(self._take(1))
-        return np.array([_resolve_swaps(targets)], dtype=np.intp)
+        return _resolve_block(np.array([targets], dtype=np.intp), self.n)
 
 
 def svrg_estimate(

@@ -286,10 +286,13 @@ def run(problem, config: RunConfig) -> list[TraceRecord]:
 
 
 def _start(problem, x0: np.ndarray | None) -> np.ndarray:
-    """A fresh start point: zeros, or a copy of ``x0``, which must be finite."""
+    """A fresh start point: zeros, or a copy of ``x0``, which must be finite
+    and of shape (d,)."""
     if x0 is None:
         return np.zeros(problem.d)
     x0 = np.asarray(x0, float).copy()
+    if x0.shape != (problem.d,):
+        raise ValueError(f"x0 must have shape ({problem.d},), got {x0.shape}")
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
     return x0

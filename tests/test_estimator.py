@@ -1,6 +1,7 @@
 """Estimator laws certified by subset enumeration, plus ledger exactness."""
 
 import copy
+import itertools
 import math
 from itertools import combinations
 
@@ -82,12 +83,17 @@ class TestSampleSubset:
             assert all(0 <= i < 10 for i in out)
 
     def test_uniform_over_subsets(self):
-        # all C(4,2)=6 subsets; 10^6 draws within 4 sigma of 1/6 each
-        rng = make_rng(7)
+        # all C(4,2)=6 subsets; 10^6 draws within 4 sigma of 1/6 each.  The
+        # draws are a run's: DrawStream subsets, each followed by its coin.
+        # A quarter of them repeat a swap target, so this also checks the
+        # block resolver; sample_subset equals the stream draw for draw
+        # (TestDrawStream), so it is checked too.
+        stream = DrawStream(4, 2, seed=7)
         draws = 1_000_000
-        counts = {frozenset(c): 0 for c in combinations(range(4), 2)}
-        for _ in range(draws):
-            counts[frozenset(sample_subset(4, 2, rng).tolist())] += 1
+        rows = np.array([stream.subset() for _ in range(draws)])
+        codes = np.bincount((1 << rows).sum(axis=1), minlength=16)
+        counts = {c: codes[sum(1 << i for i in c)] for c in combinations(range(4), 2)}
+        assert sum(counts.values()) == draws
         p = 1 / 6
         sigma = math.sqrt(draws * p * (1 - p))
         for subset, count in counts.items():
@@ -103,11 +109,12 @@ class TestDrawStream:
     @pytest.mark.parametrize(
         "n,b",
         [(1, 1), (7, 6), (100, 1), (100, 2), (100, 10), (10**4, 100), (30, 30),
-         (3 * 2**30, 3), (2**32, 2)],
+         (3 * 2**30, 3), (2**32, 2), (2000, 45), (64, 63)],
     )
     def test_equals_sample_subset_then_coin(self, n, b):
         # 3*2**30 makes Lemire reject a quarter of all draws; 2**32 puts the
-        # first bound at the full 32-bit range.  2.5 blocks cross two refills.
+        # first bound at the full 32-bit range; at (2000, 45) and (64, 63)
+        # most rows repeat a swap target.  2.5 blocks cross two refills.
         iterations = 5 * stream_block(b) // 2
         for seed in range(4):
             stream, rng = DrawStream(n, b, seed), make_rng(seed)
@@ -175,6 +182,64 @@ class TestDrawStream:
             DrawStream(3, 4, seed=0)
         with pytest.raises(ValueError):
             DrawStream(3, 0, seed=0)
+
+
+class TestResolveBlock:
+    @pytest.mark.parametrize(
+        "n,b", [(2, 2), (4, 2), (7, 6), (30, 29), (100, 10), (2000, 45), (10**4, 100)]
+    )
+    def test_equals_resolve_swaps_row_by_row(self, n, b):
+        for seed in range(3):
+            targets = make_rng(seed).integers(np.arange(b), n, size=(stream_block(b), b))
+            want = [estimator._resolve_swaps(row) for row in targets.tolist()]
+            got = estimator._resolve_block(targets.astype(np.intp), n)
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "n, targets, want",
+        [
+            (4, [3, 3, 3, 3], [3, 0, 1, 2]),  # one target, three repeats
+            (3, [1, 2, 2], [1, 2, 0]),  # out[2] = S(1) = S(0): a two-level chain
+            (5, [1, 2, 3, 4, 4], [1, 2, 3, 4, 0]),  # a four-level chain
+            (4, [2, 2, 2, 3], [2, 0, 1, 3]),  # position 2 targeted before step 2
+            (5, [0, 1, 2], [0, 1, 2]),  # self-targets
+            (4, [1, 1, 2], [1, 0, 2]),  # a self-target after position 1 was targeted
+        ],
+    )
+    def test_hand_written_chains(self, n, targets, want):
+        assert estimator._resolve_swaps(targets) == want
+        block = np.array([targets, targets], dtype=np.intp)
+        np.testing.assert_array_equal(estimator._resolve_block(block, n), [want, want])
+
+    def test_every_row_of_small_ranges(self):
+        # every target row t_i in [i, n), for every 1 <= b <= n <= 6
+        for n in range(1, 7):
+            for b in range(1, n + 1):
+                rows = list(itertools.product(*(range(i, n) for i in range(b))))
+                got = estimator._resolve_block(np.array(rows, dtype=np.intp), n)
+                np.testing.assert_array_equal(got, [estimator._resolve_swaps(list(r)) for r in rows])
+
+    @pytest.mark.parametrize(
+        "n, b, replayed", [(2000, 45, False), (64, 63, False), (3 * 2**30, 3, True)]
+    )
+    def test_stream_never_calls_resolve_swaps(self, monkeypatch, n, b, replayed):
+        # at 3*2**30 a quarter of draws are rejected, so rows are replayed
+        replays = []
+        replay = DrawStream._replay
+
+        def counted(stream):
+            replays.append(1)
+            return replay(stream)
+
+        def refuse(targets):
+            raise AssertionError("a DrawStream fill called _resolve_swaps")
+
+        monkeypatch.setattr(DrawStream, "_replay", counted)
+        monkeypatch.setattr(estimator, "_resolve_swaps", refuse)
+        stream = DrawStream(n, b, seed=1)
+        for _ in range(2 * stream_block(b)):
+            stream.subset()
+        assert bool(replays) == replayed
 
 
 class TestSvrgEstimate:

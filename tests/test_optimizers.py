@@ -1,6 +1,7 @@
 """Solver iteration semantics, hand-traced updates, and baseline behavior."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -425,6 +426,15 @@ class TestDriverArguments:
         x0 = np.array([0.0, bad])
         with pytest.raises(ValueError, match="x0 must be finite"):
             getattr(optimizers, solver)(prob, RunConfig(x0=x0, iterations=2000))
+
+    @pytest.mark.parametrize("shape", [(2, 1), (1, 2), (3,), ()])
+    @pytest.mark.parametrize("solver", ["run", "fista_run", "pgd_run", "psgd_run"])
+    def test_misshaped_start_is_refused(self, solver, shape):
+        # a (d, 1) start broadcasts A @ x0 - targets to an n x n residual
+        _, prob = synthesize(6, 2, "least_squares", seed=1)
+        x0 = np.zeros(shape)
+        with pytest.raises(ValueError, match=rf"x0 must have shape \(2,\), got {re.escape(str(shape))}"):
+            getattr(optimizers, solver)(prob, RunConfig(x0=x0, iterations=20))
 
 
 # -- the step's arithmetic, driven by hand -----------------------------------
