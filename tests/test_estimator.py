@@ -1,9 +1,8 @@
 """Estimator laws certified by subset enumeration, plus ledger exactness."""
 
 import copy
-import itertools
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -215,7 +214,7 @@ class TestResolveBlock:
         # every target row t_i in [i, n), for every 1 <= b <= n <= 6
         for n in range(1, 7):
             for b in range(1, n + 1):
-                rows = list(itertools.product(*(range(i, n) for i in range(b))))
+                rows = list(product(*(range(i, n) for i in range(b))))
                 got = estimator._resolve_block(np.array(rows, dtype=np.intp), n)
                 np.testing.assert_array_equal(got, [estimator._resolve_swaps(list(r)) for r in rows])
 

@@ -19,7 +19,7 @@ import time
 
 from katyusha_h.estimator import DrawStream
 
-# (n, b): blocks timed per repeat, about 0.1-0.3 s each on a 2-vCPU Xeon.
+# (n, b): blocks timed per repeat, under a second each on a 2-vCPU Xeon.
 # At b = n - 1 a block is 3 iterations, and about one row in five has a
 # rejected draw and is replayed one word at a time.
 GRID = {(100, 10): 100, (2000, 45): 30, (10**4, 100): 15, (65_536, 65_535): 4}
