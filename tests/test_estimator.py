@@ -89,7 +89,9 @@ class TestSampleSubset:
         # (TestDrawStream), so it is checked too.
         stream = DrawStream(4, 2, seed=7)
         draws = 1_000_000
-        rows = np.array([stream.subset() for _ in range(draws)])
+        rows = np.empty((draws, 2), dtype=np.intp)
+        for j in range(draws):
+            rows[j] = stream.subset()
         codes = np.bincount((1 << rows).sum(axis=1), minlength=16)
         counts = {c: codes[sum(1 << i for i in c)] for c in combinations(range(4), 2)}
         assert sum(counts.values()) == draws

@@ -4,7 +4,7 @@ Each grid point (n, b) draws a fixed number of whole blocks of subsets and
 coins, as a run does, and reports the time per iteration of each repeat and
 their median.  Repeat r uses seed r, so two commits make the same draws:
 
-    PYTHONPATH=src python tools/draw_bench.py [--repeats 5]
+    PYTHONPATH=src python tools/draw_bench.py
 
 To compare two commits, run the script from a checkout of each, alternating
 which runs first, and compare the printed JSON.
@@ -12,7 +12,6 @@ which runs first, and compare the printed JSON.
 
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
 import time
@@ -23,6 +22,7 @@ from katyusha_h.estimator import DrawStream
 # At b = n - 1 a block is 3 iterations, and about one row in five has a
 # rejected draw and is replayed one word at a time.
 GRID = {(100, 10): 100, (2000, 45): 30, (10**4, 100): 15, (65_536, 65_535): 4}
+REPEATS = 5
 
 
 def us_per_iteration(n: int, b: int, blocks: int, seed: int) -> float:
@@ -39,12 +39,9 @@ def us_per_iteration(n: int, b: int, blocks: int, seed: int) -> float:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=5)
-    args = parser.parse_args()
     out = {}
     for (n, b), blocks in GRID.items():
-        runs = [us_per_iteration(n, b, blocks, seed) for seed in range(args.repeats)]
+        runs = [us_per_iteration(n, b, blocks, seed) for seed in range(REPEATS)]
         out[f"{n},{b}"] = {"median_us": statistics.median(runs), "runs": runs}
     print(json.dumps(out))
 
