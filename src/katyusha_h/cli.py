@@ -153,6 +153,9 @@ def _cmd_parse_data(args) -> int:
     except DataFormatError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return 2
+    if dataset.n == 0:
+        print(f"error: {path}: no data rows", file=sys.stderr)
+        return 2
     labels = np.asarray(dataset.labels)
     print(f"rows = {dataset.n}")
     print(f"dimension = {dataset.d}")

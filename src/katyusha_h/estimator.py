@@ -171,10 +171,10 @@ class DrawStream:
     * a coin takes a whole raw word w and is (w >> 11) * 2**-53, leaving a
       kept half in place.
 
-    A block lays out its raw words as if no draw were rejected, tests every
-    draw at once, keeps the iterations before the first rejection, replays
-    that iteration one word at a time and resumes after it.  The swap
-    targets of all the iterations drawn at once become their partial
+    A fill lays out its raw words as if no draw were rejected, tests every
+    draw at once, keeps the draws before the first rejection and lays out
+    the rest again from the draw after it, mid-iteration if need be.  The
+    swap targets of all the iterations drawn at once become their partial
     Fisher-Yates subsets together, repeats included (``_resolve_block``), so
     no row is resolved in a Python loop.  The block's subsets are one (K, b)
     index array.  When b == n the subset is all of range(n) and only coins
@@ -193,6 +193,7 @@ class DrawStream:
         self._bits = np.random.Philox(key=seed)
         self._raw = np.empty(0, dtype=np.uint64)  # drawn, not yet consumed
         self._held: int | None = None  # high half kept for the next uint32 draw
+        self._head = np.empty(0, dtype=np.intp)  # accepted targets of an unfinished row
         self._block = min(_BLOCK_ITERATIONS, -(-_BLOCK_INDICES // b))
         self._span = n - np.arange(b, dtype=np.uint64)
         self._threshold = np.uint64(2**32) % self._span
@@ -246,8 +247,6 @@ class DrawStream:
             self._coins = []
             while len(self._coins) < size:
                 rows.append(self._draw_run(size - len(self._coins)))
-                if len(self._coins) < size:
-                    rows.append(self._replay())
             self._idx = np.concatenate(rows)
         self._k = 0
         self._span_end = 0
@@ -268,57 +267,38 @@ class DrawStream:
         return ((words >> 11).astype(np.float64) * _COIN_SCALE).tolist()
 
     def _draw_run(self, count: int) -> np.ndarray:
-        """Draw up to ``count`` iterations, stopping before the first one
-        with a rejected draw; returns their subsets as rows."""
-        b, kept = self.b, int(self._held is not None)
+        """Draw up to ``count`` iterations, the first resuming after the
+        ``_head`` draws kept from the last call, and stop at the first
+        rejected draw; returns the completed iterations' subsets as rows and
+        keeps the accepted draws of the unfinished one as the new ``_head``."""
+        b, head, kept = self.b, len(self._head), int(self._held is not None)
         # Without rejections, iteration k's draws are halves k*b .. k*b+b-1 of
-        # the kept half followed by the split uint32 words; it has fetched
-        # words_by[k] uint32 words when its coin word is drawn.
-        words_by = (np.arange(1, count + 1) * b - kept + 1) // 2
+        # head placeholder slots, the kept half and the split uint32 words; it
+        # has fetched words_by[k] uint32 words when its coin word is drawn.
+        words_by = (np.arange(1, count + 1) * b - head - kept + 1) // 2
         coin_at = words_by + np.arange(count)
         raw = self._peek(int(coin_at[-1]) + 1)
         is_coin = np.zeros(len(raw), dtype=bool)
         is_coin[coin_at] = True
         words = raw[~is_coin]
-        halves = np.empty(kept + 2 * len(words), dtype=np.uint64)
+        halves = np.zeros(head + kept + 2 * len(words), dtype=np.uint64)
         if kept:
-            halves[0] = self._held
-        halves[kept::2] = words & _LOW32
-        halves[kept + 1::2] = words >> 32
+            halves[head] = self._held
+        halves[head + kept::2] = words & _LOW32
+        halves[head + kept + 1::2] = words >> 32
         m = halves[: count * b].reshape(count, b) * self._span
-        rejected = ((m & _LOW32) < self._threshold).any(axis=1)
-        k = int(rejected.argmax()) if rejected.any() else count
-        targets = (m[:k] >> 32).astype(np.intp) + np.arange(b)
-        if k == 0:
-            return targets
-        _resolve_block(targets, self.n)
+        rejected = (m & _LOW32) < self._threshold
+        rejected[0, :head] = False
+        q = int(rejected.argmax()) if rejected.any() else count * b
+        k, j = divmod(q, b)  # rows < k are complete; row k is accepted up to j
+        targets = (m[: k + 1] >> 32).astype(np.intp) + np.arange(b)
+        targets[0, :head] = self._head
+        self._head = targets[k:, :j].ravel()
         self._coins += self._coins_of(raw[coin_at[:k]])
-        halves_left = kept + 2 * int(words_by[k - 1]) - k * b
-        self._held = int(halves[k * b]) if halves_left else None
-        self._take(int(words_by[k - 1]) + k)
-        return targets
-
-    def _next_uint32(self) -> int:
-        if self._held is not None:
-            u, self._held = self._held, None
-            return u
-        word = int(self._take(1)[0])
-        self._held = word >> 32
-        return word & _LOW32
-
-    def _replay(self) -> np.ndarray:
-        """Draw one iteration one word at a time, rejections included;
-        returns its subset as a row."""
-        targets = []
-        for i in range(self.b):
-            span = self.n - i
-            threshold = 2**32 % span
-            m = self._next_uint32() * span
-            while (m & _LOW32) < threshold:
-                m = self._next_uint32() * span
-            targets.append(i + (m >> 32))
-        self._coins += self._coins_of(self._take(1))
-        return _resolve_block(np.array([targets], dtype=np.intp), self.n)
+        used = q - head + (k < count)  # uint32 draws taken, a rejected one included
+        self._held = int(halves[head + used]) if (used - kept) % 2 else None
+        self._take((used - kept + 1) // 2 + k)
+        return _resolve_block(targets[:k], self.n)
 
 
 def svrg_estimate(

@@ -565,6 +565,15 @@ class TestParseDataCommand:
     def test_missing_file(self, tmp_path):
         assert main(["parse-data", str(tmp_path / "ghost.txt")]) == 2
 
+    @pytest.mark.parametrize("text", ["", "\n  \n\t\n"])
+    def test_empty_file_is_refused_before_any_output(self, tmp_path, capsys, text):
+        data = tmp_path / "d.txt"
+        data.write_text(text)
+        assert main(["parse-data", str(data)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert str(data) in err and "no data rows" in err
+
 
 class TestRunSingle:
     @pytest.mark.parametrize("method", sorted(SOLVERS))

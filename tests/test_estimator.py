@@ -110,12 +110,15 @@ class TestDrawStream:
     @pytest.mark.parametrize(
         "n,b",
         [(1, 1), (7, 6), (100, 1), (100, 2), (100, 10), (10**4, 100), (30, 30),
-         (3 * 2**30, 3), (2**32, 2), (2000, 45), (64, 63)],
+         (3 * 2**30, 3), (2**31 + 1, 5), (2**32, 2), (2000, 45), (64, 63),
+         (65_536, 65_535)],
     )
     def test_equals_sample_subset_then_coin(self, n, b):
-        # 3*2**30 makes Lemire reject a quarter of all draws; 2**32 puts the
-        # first bound at the full 32-bit range; at (2000, 45) and (64, 63)
-        # most rows repeat a swap target.  2.5 blocks cross two refills.
+        # 3*2**30 makes Lemire reject a quarter of all draws and 2**31 + 1
+        # half of them, so rows hold several rejections, some on a row's
+        # first or last draw; 2**32 puts the first bound at the full 32-bit
+        # range; at (2000, 45) and (64, 63) most rows repeat a swap target;
+        # at b = 65,535 a block is 3 iterations.  2.5 blocks cross two refills.
         iterations = 5 * stream_block(b) // 2
         for seed in range(4):
             stream, rng = DrawStream(n, b, seed), make_rng(seed)
@@ -125,7 +128,7 @@ class TestDrawStream:
                 np.testing.assert_array_equal(got, sample_subset(n, b, rng))
                 assert stream.random() == rng.random()
 
-    @pytest.mark.parametrize("n,b", [(100, 3), (3 * 2**30, 3), (12, 12)])
+    @pytest.mark.parametrize("n,b", [(100, 3), (3 * 2**30, 3), (2**31 + 1, 5), (12, 12)])
     def test_copy_mid_block_continues_identically(self, n, b):
         stream = DrawStream(n, b, seed=5)
         for _ in range(stream_block(b) // 2 + 1):
@@ -220,27 +223,16 @@ class TestResolveBlock:
                 got = estimator._resolve_block(np.array(rows, dtype=np.intp), n)
                 np.testing.assert_array_equal(got, [estimator._resolve_swaps(list(r)) for r in rows])
 
-    @pytest.mark.parametrize(
-        "n, b, replayed", [(2000, 45, False), (64, 63, False), (3 * 2**30, 3, True)]
-    )
-    def test_stream_never_calls_resolve_swaps(self, monkeypatch, n, b, replayed):
-        # at 3*2**30 a quarter of draws are rejected, so rows are replayed
-        replays = []
-        replay = DrawStream._replay
-
-        def counted(stream):
-            replays.append(1)
-            return replay(stream)
-
+    @pytest.mark.parametrize("n, b", [(2000, 45), (64, 63), (3 * 2**30, 3)])
+    def test_stream_never_calls_resolve_swaps(self, monkeypatch, n, b):
+        # at 3*2**30 a quarter of draws are rejected, so fills resume mid-row
         def refuse(targets):
             raise AssertionError("a DrawStream fill called _resolve_swaps")
 
-        monkeypatch.setattr(DrawStream, "_replay", counted)
         monkeypatch.setattr(estimator, "_resolve_swaps", refuse)
         stream = DrawStream(n, b, seed=1)
         for _ in range(2 * stream_block(b)):
             stream.subset()
-        assert bool(replays) == replayed
 
 
 class TestSvrgEstimate:

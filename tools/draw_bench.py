@@ -20,8 +20,15 @@ from katyusha_h.estimator import DrawStream
 
 # (n, b): blocks timed per repeat, under a second each on a 2-vCPU Xeon.
 # At b = n - 1 a block is 3 iterations, and about one row in five has a
-# rejected draw and is replayed one word at a time.
-GRID = {(100, 10): 100, (2000, 45): 30, (10**4, 100): 15, (65_536, 65_535): 4}
+# rejected draw.  At n = 3 * 2**30 Lemire rejects a quarter of all draws,
+# so a block is laid out again about 770 times.
+GRID = {
+    (100, 10): 100,
+    (2000, 45): 30,
+    (10**4, 100): 15,
+    (65_536, 65_535): 4,
+    (3 * 2**30, 3): 5,
+}
 REPEATS = 5
 
 
