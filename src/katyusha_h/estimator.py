@@ -150,6 +150,11 @@ _BLOCK_INDICES = 2**17
 # b = d = 100, 1 MiB spans (13 iterations) made a step 13-19% slower than
 # one gather per iteration, and 64 KiB spans are one iteration long there.
 _SPAN_BYTES = 2**16
+# A fill lays its draws out again after each rejected one, so one layout
+# reaches only as many draws ahead as hold _RUN_REJECTIONS rejections on
+# average: at n = 10**8, b = 10**4, where 2.2% of draws are rejected, layouts
+# to the end of the block made a fill about 20x slower.
+_RUN_REJECTIONS = 4
 
 
 class DrawStream:
@@ -171,17 +176,18 @@ class DrawStream:
     * a coin takes a whole raw word w and is (w >> 11) * 2**-53, leaving a
       kept half in place.
 
-    A fill lays out its raw words as if no draw were rejected, tests every
-    draw at once, keeps the draws before the first rejection and lays out
-    the rest again from the draw after it, mid-iteration if need be.  The
-    swap targets of all the iterations drawn at once become their partial
-    Fisher-Yates subsets together, repeats included (``_resolve_block``), so
-    no row is resolved in a Python loop.  The block's subsets are one (K, b)
-    index array.  When b == n the subset is all of range(n) and only coins
-    are drawn.  ``subset()`` moves to the next iteration and returns its row;
-    ``random()`` returns that iteration's coin as often as it is called;
-    ``gathered()`` returns its feature rows, targets and checkpoint
-    residuals, gathered a span of iterations at a time.
+    A fill lays out its raw words as if no draw were rejected, a window of
+    draws at a time, tests them all at once, keeps the draws before the
+    first rejection and lays out again from the draw after it,
+    mid-iteration if need be.  The swap targets of the whole block become
+    their partial Fisher-Yates subsets together, repeats included
+    (``_resolve_block``), so no row is resolved in a Python loop.  The
+    block's subsets are one (K, b) index array.  When b == n the subset is
+    all of range(n) and only coins are drawn.  ``subset()`` moves to the
+    next iteration and returns its row; ``random()`` returns that
+    iteration's coin as often as it is called; ``gathered()`` returns its
+    feature rows, targets and checkpoint residuals, gathered a span of
+    iterations at a time.
     """
 
     def __init__(self, n: int, b: int, seed: int):
@@ -192,16 +198,21 @@ class DrawStream:
         self.n, self.b = n, b
         self._bits = np.random.Philox(key=seed)
         self._raw = np.empty(0, dtype=np.uint64)  # drawn, not yet consumed
-        self._held: int | None = None  # high half kept for the next uint32 draw
-        self._head = np.empty(0, dtype=np.intp)  # accepted targets of an unfinished row
+        self._held = np.empty(0, dtype=np.uint32)  # the high half kept, if any
         self._block = min(_BLOCK_ITERATIONS, -(-_BLOCK_INDICES // b))
-        self._span = n - np.arange(b, dtype=np.uint64)
-        self._threshold = np.uint64(2**32) % self._span
         self._full = np.arange(n) if b == n else None
         self._idx = np.empty((0, b), dtype=np.intp)  # the block's subsets
         self._coins: list[float] = []
         self._k = self._block - 1  # the current iteration within the block
         self._span_end = 0  # iterations [_span_start, _span_end) are gathered
+        if b < n:
+            # draw p of a block is step p % b of its iteration, on [p % b, n)
+            span = n - np.arange(b, dtype=np.uint64)
+            threshold = np.uint64(2**32) % span
+            self._steps = np.tile(np.arange(b, dtype=np.uint64), self._block)
+            self._spans = np.tile(span, self._block)
+            self._thresholds = np.tile(threshold, self._block)
+            self._window = _RUN_REJECTIONS * b * 2**32 // max(1, int(threshold.sum())) + 1
 
     def subset(self) -> np.ndarray:
         """Move to the next iteration and return its b indices (do not modify)."""
@@ -243,11 +254,12 @@ class DrawStream:
             self._idx = np.broadcast_to(self._full, (size, self.n))
             self._coins = self._coins_of(self._take(size))
         else:
-            rows: list[np.ndarray] = []
+            targets = np.empty(len(self._steps), dtype=np.intp)
             self._coins = []
-            while len(self._coins) < size:
-                rows.append(self._draw_run(size - len(self._coins)))
-            self._idx = np.concatenate(rows)
+            drawn = 0
+            while drawn < len(targets):
+                drawn = self._draw_run(targets, drawn)
+            self._idx = _resolve_block(targets.reshape(size, self.b), self.n)
         self._k = 0
         self._span_end = 0
 
@@ -266,39 +278,40 @@ class DrawStream:
     def _coins_of(words: np.ndarray) -> list[float]:
         return ((words >> 11).astype(np.float64) * _COIN_SCALE).tolist()
 
-    def _draw_run(self, count: int) -> np.ndarray:
-        """Draw up to ``count`` iterations, the first resuming after the
-        ``_head`` draws kept from the last call, and stop at the first
-        rejected draw; returns the completed iterations' subsets as rows and
-        keeps the accepted draws of the unfinished one as the new ``_head``."""
-        b, head, kept = self.b, len(self._head), int(self._held is not None)
-        # Without rejections, iteration k's draws are halves k*b .. k*b+b-1 of
-        # head placeholder slots, the kept half and the split uint32 words; it
-        # has fetched words_by[k] uint32 words when its coin word is drawn.
-        words_by = (np.arange(1, count + 1) * b - head - kept + 1) // 2
-        coin_at = words_by + np.arange(count)
-        raw = self._peek(int(coin_at[-1]) + 1)
-        is_coin = np.zeros(len(raw), dtype=bool)
-        is_coin[coin_at] = True
-        words = raw[~is_coin]
-        halves = np.zeros(head + kept + 2 * len(words), dtype=np.uint64)
-        if kept:
-            halves[head] = self._held
-        halves[head + kept::2] = words & _LOW32
-        halves[head + kept + 1::2] = words >> 32
-        m = halves[: count * b].reshape(count, b) * self._span
-        rejected = (m & _LOW32) < self._threshold
-        rejected[0, :head] = False
-        q = int(rejected.argmax()) if rejected.any() else count * b
-        k, j = divmod(q, b)  # rows < k are complete; row k is accepted up to j
-        targets = (m[: k + 1] >> 32).astype(np.intp) + np.arange(b)
-        targets[0, :head] = self._head
-        self._head = targets[k:, :j].ravel()
-        self._coins += self._coins_of(raw[coin_at[:k]])
-        used = q - head + (k < count)  # uint32 draws taken, a rejected one included
-        self._held = int(halves[head + used]) if (used - kept) % 2 else None
-        self._take((used - kept + 1) // 2 + k)
-        return _resolve_block(targets[:k], self.n)
+    def _draw_run(self, targets: np.ndarray, drawn: int) -> int:
+        """Draw the swap targets ``targets[drawn:]`` of the block's iterations
+        in row order, and each completed iteration's coin, up to the first
+        rejected draw or ``_window`` draws; return how many are drawn."""
+        b, kept = self.b, len(self._held)
+        end = min(len(targets), drawn + self._window)
+        # Without rejections, draw p takes half p - drawn of the kept half and
+        # the split uint32 words, and the i-th iteration to end in the window,
+        # at draw e, draws its coin after i coins and (e - drawn - kept + 1)//2
+        # words: raw word (e - drawn - kept + 1 + 2i)//2.
+        ends = end // b - drawn // b
+        first = (drawn // b + 1) * b - drawn - kept + 1
+        coin_at = np.arange(first, first + ends * (b + 2), b + 2) // 2
+        raw = words = self._peek((end - drawn - kept + 1) // 2 + ends)
+        if ends:
+            is_coin = np.zeros(len(raw), dtype=bool)
+            is_coin[coin_at] = True
+            words = raw[~is_coin]
+        # each word's low half, then its high half, on any byte order
+        halves = np.concatenate((self._held, words.astype("<u8", copy=False).view("<u4")))
+        m = halves[: end - drawn] * self._spans[drawn:end]
+        rejected = (m & _LOW32) < self._thresholds[drawn:end]
+        taken = int(rejected.argmax())
+        if not rejected[taken]:
+            taken = end - drawn
+        at = slice(drawn, drawn + taken)
+        targets[at] = (m[:taken] >> 32) + self._steps[at]
+        done = (drawn + taken) // b - drawn // b  # iterations completed
+        if done:
+            self._coins += self._coins_of(raw[coin_at[:done]])
+        used = taken + (taken < end - drawn)  # uint32 draws, a rejected one included
+        self._held = halves[used : used + (used - kept) % 2].copy()
+        self._take((used - kept + 1) // 2 + done)
+        return drawn + taken
 
 
 def svrg_estimate(

@@ -111,14 +111,17 @@ class TestDrawStream:
         "n,b",
         [(1, 1), (7, 6), (100, 1), (100, 2), (100, 10), (10**4, 100), (30, 30),
          (3 * 2**30, 3), (2**31 + 1, 5), (2**32, 2), (2000, 45), (64, 63),
-         (65_536, 65_535)],
+         (65_536, 65_535), (10**8, 300)],
     )
     def test_equals_sample_subset_then_coin(self, n, b):
         # 3*2**30 makes Lemire reject a quarter of all draws and 2**31 + 1
-        # half of them, so rows hold several rejections, some on a row's
-        # first or last draw; 2**32 puts the first bound at the full 32-bit
-        # range; at (2000, 45) and (64, 63) most rows repeat a swap target;
-        # at b = 65,535 a block is 3 iterations.  2.5 blocks cross two refills.
+        # half of each row's first draws, so rows can hold several
+        # rejections, some on a row's first or last draw; 2**32 puts the
+        # first bound at the full 32-bit range; at (2000, 45) and (64, 63)
+        # most rows repeat a swap target; at b = 65,535 a block is 3
+        # iterations; at 10**8, 2.2% of draws are rejected (~7 per row) and a
+        # fill lays out ~180 draws at a time, so layouts also end inside a
+        # row with no rejection.  2.5 blocks cross two refills.
         iterations = 5 * stream_block(b) // 2
         for seed in range(4):
             stream, rng = DrawStream(n, b, seed), make_rng(seed)
@@ -128,7 +131,9 @@ class TestDrawStream:
                 np.testing.assert_array_equal(got, sample_subset(n, b, rng))
                 assert stream.random() == rng.random()
 
-    @pytest.mark.parametrize("n,b", [(100, 3), (3 * 2**30, 3), (2**31 + 1, 5), (12, 12)])
+    @pytest.mark.parametrize(
+        "n,b", [(100, 3), (3 * 2**30, 3), (2**31 + 1, 5), (10**8, 300), (12, 12)]
+    )
     def test_copy_mid_block_continues_identically(self, n, b):
         stream = DrawStream(n, b, seed=5)
         for _ in range(stream_block(b) // 2 + 1):

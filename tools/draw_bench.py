@@ -20,13 +20,20 @@ from katyusha_h.estimator import DrawStream
 
 # (n, b): blocks timed per repeat, under a second each on a 2-vCPU Xeon.
 # At b = n - 1 a block is 3 iterations, and about one row in five has a
-# rejected draw.  At n = 3 * 2**30 Lemire rejects a quarter of all draws,
-# so a block is laid out again about 770 times.
+# rejected draw.  The last five points reject a share of draws large enough
+# that most rows hold several rejections, and a fill lays its draws out
+# again after each: 0.13% of draws at n = 10**7 (~4 per row at b = 3163),
+# 2.2% at n = 10**8, 4.5% at n = 195,239,759, 9.1% at n = 390,471,332 and
+# 25% at n = 3 * 2**30.
 GRID = {
     (100, 10): 100,
     (2000, 45): 30,
     (10**4, 100): 15,
     (65_536, 65_535): 4,
+    (10**7, 3163): 4,
+    (10**8, 10_001): 3,
+    (195_239_759, 13_973): 3,
+    (390_471_332, 19_760): 3,
     (3 * 2**30, 3): 5,
 }
 REPEATS = 5
