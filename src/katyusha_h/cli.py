@@ -151,16 +151,13 @@ def _cmd_parse_data(args) -> int:
     try:
         dataset = parse_libsvm(path.read_text())
     except DataFormatError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"{path}: {exc}") from exc
     if dataset.n == 0:
-        print(f"error: {path}: no data rows", file=sys.stderr)
-        return 2
-    labels = np.asarray(dataset.labels)
+        raise ConfigError(f"{path}: no data rows")
     print(f"rows = {dataset.n}")
     print(f"dimension = {dataset.d}")
-    print(f"nonzeros = {sum(len(r) for r in dataset.rows)}")
-    print(f"label range = [{labels.min():g}, {labels.max():g}]")
+    print(f"nonzeros = {dataset.nnz}")
+    print(f"label range = [{dataset.labels.min():g}, {dataset.labels.max():g}]")
     if args.out:
         Path(args.out).write_text(serialize_libsvm(dataset))
         print(f"canonical form written to {args.out}")

@@ -227,8 +227,11 @@ def build_problem(cfg: ExperimentConfig) -> FiniteSumProblem:
     spec = cfg.problem
     reg = Regularizer(spec.reg, spec.lam1, spec.lam2)
     if spec.data is not None:
-        dataset = parse_libsvm(Path(spec.data).read_text())
-        problem = FiniteSumProblem(dataset.to_dense(), dataset.labels, spec.family, reg)
+        try:
+            dataset = parse_libsvm(Path(spec.data).read_text())
+            problem = FiniteSumProblem(dataset.to_dense(), dataset.labels, spec.family, reg)
+        except ValueError as exc:
+            raise ConfigError(f"{spec.data}: {exc}") from exc
     else:
         _, problem = synthesize(
             spec.n,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 from scipy.special import expit
@@ -32,98 +33,159 @@ class DataFormatError(ValueError):
 
 @dataclass
 class SparseDataset:
-    """Sparse rows of (1-based index, value) pairs with one label per row.
+    """Sparse rows in CSR form with one label per row.
 
-    Indices are strictly increasing within a row; ``d`` is the feature
+    Row i holds the 1-based feature ``indices[indptr[i]:indptr[i+1]]``,
+    strictly increasing, and their ``values``; ``d`` is the feature
     dimension (at least the largest index that appears).
     """
 
-    rows: list[list[tuple[int, float]]]
+    indptr: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
     labels: np.ndarray
     d: int
 
     def __post_init__(self) -> None:
+        self.indptr = np.asarray(self.indptr, dtype=np.int64)
+        self.indices = np.asarray(self.indices, dtype=np.int64)
+        self.values = np.asarray(self.values, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.float64)
-        if len(self.rows) != self.labels.shape[0]:
-            raise ValueError("row/label count mismatch")
-        for row in self.rows:
-            prev = 0
-            for idx, _ in row:
-                if idx <= prev:
-                    raise ValueError("feature indices must be strictly increasing")
-                prev = idx
-            if prev > self.d:
-                raise ValueError(f"feature index {prev} exceeds dimension {self.d}")
+        shapes = (self.labels.ndim, self.indptr.shape, self.indices.ndim, self.values.shape)
+        if shapes != (1, (self.n + 1,), 1, (self.nnz,)):
+            raise ValueError("need n labels, n + 1 row pointers, nnz indices and values")
+        if self.indptr[0] != 0 or self.indptr[-1] != self.nnz or np.any(np.diff(self.indptr) < 0):
+            raise ValueError("indptr must run from 0 to nnz without decreasing")
+        fault = _index_fault(self.indptr, self.indices)
+        if fault is not None:
+            raise ValueError(fault)
+        if self.indices.max(initial=0) > self.d:
+            raise ValueError(f"feature index {self.indices.max()} exceeds dimension {self.d}")
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return self.labels.size
+
+    @property
+    def nnz(self) -> int:
+        return self.indices.size
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.n, self.d))
-        for i, row in enumerate(self.rows):
-            for idx, val in row:
-                dense[i, idx - 1] = val
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        dense[rows, self.indices - 1] = self.values
         return dense
+
+
+def _index_fault(indptr: np.ndarray, indices: np.ndarray) -> str | None:
+    """What is wrong with the first index below 1 or not above the one before
+    it in its row; None when every index is in order."""
+    prev = np.zeros(indices.size + 1, dtype=np.int64)
+    prev[1:] = indices
+    prev[indptr[:-1]] = 0  # a row's first index only has to be >= 1
+    bad = np.flatnonzero(indices <= prev[:-1])
+    if bad.size == 0:
+        return None
+    idx, before = indices[bad[0]], prev[bad[0]]
+    if idx < 1:
+        return f"feature index {idx} must be >= 1"
+    return f"feature index {idx} not increasing (previous {before})"
+
+
+# Feature tokens converted at a time: bounds the parser's lists of strings.
+_CHUNK_ENTRIES = 8192
+
+
+def _csr_parts(rows: list[tuple[int, list[str]]]) -> tuple[np.ndarray, ...]:
+    """Row lengths, indices, values and labels of (line number, fields) rows.
+
+    Each check runs over all rows at once, in the order ':', label, index,
+    index order, value.  A failure raises DataFormatError on the last row's
+    line naming the last token of its kind, which is the fault itself once
+    ``_parse_rows`` has cut the rows to end at it.
+    """
+    line_no = rows[-1][0] if rows else 0
+    label_toks = [fields[0] for _, fields in rows]
+    counts = np.fromiter((len(fields) - 1 for _, fields in rows), np.int64, len(rows))
+    tokens = list(chain.from_iterable(fields[1:] for _, fields in rows))
+    if not all(map(str.__contains__, tokens, repeat(":"))):
+        raise DataFormatError(line_no, f"missing ':' in token {tokens[-1]!r}")
+    try:
+        labels = np.array(list(map(float, label_toks)))
+    except ValueError:
+        raise DataFormatError(line_no, f"bad label {label_toks[-1]!r}") from None
+    if not np.all(np.isfinite(labels)):
+        raise DataFormatError(line_no, f"non-finite label {label_toks[-1]!r}")
+    heads = [tok.partition(":")[0] for tok in tokens]
+    try:
+        indices = np.array(list(map(int, heads)), dtype=np.int64)
+    except (ValueError, OverflowError):  # OverflowError: beyond int64
+        raise DataFormatError(line_no, f"bad feature index {heads[-1]!r}") from None
+    fault = _index_fault(np.concatenate(([0], np.cumsum(counts))), indices)
+    if fault is not None:
+        raise DataFormatError(line_no, fault)
+    tails = [tok.partition(":")[2] for tok in tokens]
+    try:
+        values = np.array(list(map(float, tails)), dtype=np.float64)
+    except ValueError:
+        raise DataFormatError(line_no, f"bad feature value {tails[-1]!r}") from None
+    if not np.all(np.isfinite(values)):
+        raise DataFormatError(line_no, f"non-finite feature value {tails[-1]!r}")
+    return counts, indices, values, labels
+
+
+def _parse_rows(rows: list[tuple[int, list[str]]]) -> tuple[np.ndarray, ...]:
+    """``_csr_parts`` of the rows.  On a fault, bisection cuts the rows to end
+    at the first faulty row, then that row to end at its first faulty token,
+    so the fault raised is the first in line and token order."""
+
+    def first_faulty(count: int, prefix) -> int:  # a longer prefix keeps every fault
+        lo, hi = 0, count
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                _csr_parts(prefix(mid))
+                lo = mid
+            except DataFormatError:
+                hi = mid
+        return hi
+
+    try:
+        return _csr_parts(rows)
+    except DataFormatError:
+        line_no, fields = rows[first_faulty(len(rows), lambda m: rows[:m]) - 1]
+        end = first_faulty(len(fields), lambda m: [(line_no, fields[:m])])
+        return _csr_parts([(line_no, fields[:end])])  # raises that fault
 
 
 def parse_libsvm(text: str) -> SparseDataset:
     """Parse 'label idx:val idx:val ...' lines (1-based, increasing indices).
 
     Blank lines are skipped.  Malformed tokens, non-finite labels or values,
-    and non-increasing indices raise DataFormatError with the offending line
-    number.
+    non-increasing indices and indices beyond int64 raise DataFormatError
+    with the offending line number.  Lines are split one at a time and their
+    tokens converted with ``int``/``float`` a chunk at a time.
     """
-    rows: list[list[tuple[int, float]]] = []
-    labels: list[float] = []
-    d = 0
+    parts, rows, pending = [], [], 0
     for line_no, line in enumerate(text.splitlines(), start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        try:
-            label = float(tokens[0])
-        except ValueError:
-            raise DataFormatError(line_no, f"bad label {tokens[0]!r}") from None
-        if not math.isfinite(label):
-            raise DataFormatError(line_no, f"non-finite label {tokens[0]!r}")
-        row: list[tuple[int, float]] = []
-        prev = 0
-        for tok in tokens[1:]:
-            idx_s, sep, val_s = tok.partition(":")
-            if not sep:
-                raise DataFormatError(line_no, f"missing ':' in token {tok!r}")
-            try:
-                idx = int(idx_s)
-            except ValueError:
-                raise DataFormatError(line_no, f"bad feature index {idx_s!r}") from None
-            if idx < 1:
-                raise DataFormatError(line_no, f"feature index {idx} must be >= 1")
-            if idx <= prev:
-                raise DataFormatError(
-                    line_no, f"feature index {idx} not increasing (previous {prev})"
-                )
-            try:
-                val = float(val_s)
-            except ValueError:
-                raise DataFormatError(line_no, f"bad feature value {val_s!r}") from None
-            if not math.isfinite(val):
-                raise DataFormatError(line_no, f"non-finite feature value {val_s!r}")
-            row.append((idx, val))
-            prev = idx
-        rows.append(row)
-        labels.append(label)
-        d = max(d, prev)
-    return SparseDataset(rows=rows, labels=np.asarray(labels), d=d)
+        if fields := line.split():
+            rows.append((line_no, fields))
+            pending += len(fields)
+            if pending >= _CHUNK_ENTRIES:
+                parts.append(_parse_rows(rows))
+                rows, pending = [], 0
+    parts.append(_parse_rows(rows))
+    counts, indices, values, labels = map(np.concatenate, zip(*parts))
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    return SparseDataset(indptr, indices, values, labels, d=int(indices.max(initial=0)))
 
 
 def serialize_libsvm(dataset: SparseDataset) -> str:
     """Canonical text form; floats use the shortest round-trip representation."""
-    lines = []
-    for row, label in zip(dataset.rows, dataset.labels):
-        parts = [repr(float(label))]
-        parts.extend(f"{idx}:{repr(float(val))}" for idx, val in row)
-        lines.append(" ".join(parts))
+    entries = [f"{i}:{v!r}" for i, v in zip(dataset.indices.tolist(), dataset.values.tolist())]
+    bounds = dataset.indptr.tolist()
+    lines = [" ".join([repr(label), *entries[lo:hi]])
+             for label, lo, hi in zip(dataset.labels.tolist(), bounds, bounds[1:])]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -247,12 +309,11 @@ class FiniteSumProblem:
 
 
 def dataset_from_dense(A: np.ndarray, labels: np.ndarray) -> SparseDataset:
-    """Sparse dataset from a dense matrix; exact zeros are dropped."""
+    """Sparse dataset from a dense matrix; exact zeros, -0.0 included, are dropped."""
     A = np.asarray(A, dtype=np.float64)
-    rows = [
-        [(j + 1, float(v)) for j, v in enumerate(row) if v != 0.0] for row in A
-    ]
-    return SparseDataset(rows=rows, labels=np.asarray(labels), d=A.shape[1])
+    rows, cols = np.nonzero(A)
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(A, axis=1))))
+    return SparseDataset(indptr, cols + 1, A[rows, cols], labels, A.shape[1])
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -296,7 +296,8 @@ def test_criterion_11_parser_round_trip():
     ds = parse_libsvm(adversarial)
     canon_adv = serialize_libsvm(ds)
     adv_stable = serialize_libsvm(parse_libsvm(canon_adv)) == canon_adv
-    assert ds.rows[0] == [(1, 2.0), (3, 4.5)]
+    assert ds.indptr[1] == 2 and ds.indices[:2].tolist() == [1, 3]
+    assert ds.values[:2].tolist() == [2.0, 4.5]
 
     rejected = 0
     for text, line in (

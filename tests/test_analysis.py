@@ -33,7 +33,9 @@ from katyusha_h.schedule import (
 
 
 def scalar_quadratic_with_reference():
-    ds = SparseDataset(rows=[[(1, 1.0)], [(1, 1.0)]], labels=np.array([1.0, -1.0]), d=1)
+    ds = SparseDataset(
+        indptr=[0, 1, 2], indices=[1, 1], values=[1.0, 1.0], labels=np.array([1.0, -1.0]), d=1
+    )
     prob = FiniteSumProblem(ds.to_dense(), ds.labels, "least_squares")
     prob.reference = ReferenceSolution(
         x_star=np.array([0.0]), f_star=0.5, gap_tolerance=0.0
@@ -71,7 +73,7 @@ class TestLyapunov:
         assert v0 == pytest.approx(v1, rel=1e-12)
 
     def test_requires_reference(self):
-        ds = SparseDataset(rows=[[(1, 1.0)]], labels=np.array([1.0]), d=1)
+        ds = SparseDataset(indptr=[0, 1], indices=[1], values=[1.0], labels=np.array([1.0]), d=1)
         prob = FiniteSumProblem(ds.to_dense(), ds.labels, "least_squares")
         params = compute_constants(0.0, 1)
         with pytest.raises(ValueError):

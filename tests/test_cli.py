@@ -556,6 +556,14 @@ class TestParseDataCommand:
         assert main(["parse-data", str(data), "--out", str(canon)]) == 0
         assert canon.read_text() == "1.0 1:0.5 3:-2.0\n-1.0 2:0.001\n"
 
+    def test_summary_counts(self, tmp_path, capsys):
+        data = tmp_path / "d.txt"
+        data.write_text("1 1:0.5 3:-2\n\n-1 2:1e-3 7:4\n0.5\n")
+        assert main(["parse-data", str(data)]) == 0
+        assert capsys.readouterr().out == (
+            "rows = 3\ndimension = 7\nnonzeros = 4\nlabel range = [-1, 1]\n"
+        )
+
     def test_malformed_is_exit_two_with_line(self, tmp_path, capsys):
         data = tmp_path / "d.txt"
         data.write_text("1 1:0.5\n1 5:1 2:2\n")
@@ -573,6 +581,24 @@ class TestParseDataCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert str(data) in err and "no data rows" in err
+
+
+class TestBadDataFile:
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [("", "empty dataset"), ("1 1:1\n-1 2:a\n", "line 2: bad feature value 'a'")],
+    )
+    def test_error_names_the_file(self, tmp_path, capsys, command, text, message):
+        data = tmp_path / "d.txt"
+        data.write_text(text)
+        path = tmp_path / "exp.ini"
+        path.write_text(
+            f"[problem]\nfamily = least_squares\ndata = {data}\n\n[run]\niterations = 5\n\n"
+            f"[sweep]\nalphas = 0.5\nbs = 1\n\n[output]\ndirectory = {tmp_path / 'out'}\n"
+        )
+        assert main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {data}: {message}\n"
 
 
 class TestRunSingle:

@@ -29,7 +29,9 @@ from katyusha_h.problems import (
 
 
 def scalar_quadratic_problem():
-    ds = SparseDataset(rows=[[(1, 1.0)], [(1, 1.0)]], labels=np.array([1.0, -1.0]), d=1)
+    ds = SparseDataset(
+        indptr=[0, 1, 2], indices=[1, 1], values=[1.0, 1.0], labels=np.array([1.0, -1.0]), d=1
+    )
     return FiniteSumProblem(ds.to_dense(), ds.labels, "least_squares")
 
 

@@ -2,13 +2,14 @@
 
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from katyusha_h import optimizers
+from katyusha_h import optimizers, problems
 from katyusha_h.problems import (
     DataFormatError,
     FiniteSumProblem,
@@ -35,25 +36,168 @@ def central_difference_grad(problem, i, x, h=1e-5):
 
 
 def two_point_dataset():
-    return SparseDataset(rows=[[(1, 1.0)], [(1, 1.0)]], labels=np.array([1.0, -1.0]), d=1)
+    return SparseDataset(
+        indptr=[0, 1, 2], indices=[1, 1], values=[1.0, 1.0], labels=np.array([1.0, -1.0]), d=1
+    )
+
+
+def csr_dataset(rows, labels, d):
+    """SparseDataset of rows given as lists of (index, value) pairs."""
+    return SparseDataset(
+        indptr=np.cumsum([0] + [len(row) for row in rows]),
+        indices=[idx for row in rows for idx, _ in row],
+        values=[val for row in rows for _, val in row],
+        labels=labels,
+        d=d,
+    )
+
+
+def row_entries(ds):
+    """Each row's (index, value) pairs, read from the CSR arrays."""
+    bounds = ds.indptr.tolist()
+    return [
+        list(zip(ds.indices[lo:hi].tolist(), ds.values[lo:hi].tolist()))
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+
+
+def reference_parse(text):
+    """Line-by-line, token-by-token parser that parse_libsvm must agree with:
+    (rows of (index, value) pairs, labels, d)."""
+    rows, labels, d = [], [], 0
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        try:
+            label = float(tokens[0])
+        except ValueError:
+            raise DataFormatError(line_no, f"bad label {tokens[0]!r}") from None
+        if not math.isfinite(label):
+            raise DataFormatError(line_no, f"non-finite label {tokens[0]!r}")
+        row, prev = [], 0
+        for tok in tokens[1:]:
+            idx_s, sep, val_s = tok.partition(":")
+            if not sep:
+                raise DataFormatError(line_no, f"missing ':' in token {tok!r}")
+            try:
+                idx = int(idx_s)
+            except ValueError:
+                raise DataFormatError(line_no, f"bad feature index {idx_s!r}") from None
+            if idx < 1:
+                raise DataFormatError(line_no, f"feature index {idx} must be >= 1")
+            if idx <= prev:
+                raise DataFormatError(
+                    line_no, f"feature index {idx} not increasing (previous {prev})"
+                )
+            try:
+                val = float(val_s)
+            except ValueError:
+                raise DataFormatError(line_no, f"bad feature value {val_s!r}") from None
+            if not math.isfinite(val):
+                raise DataFormatError(line_no, f"non-finite feature value {val_s!r}")
+            row.append((idx, val))
+            prev = idx
+        rows.append(row)
+        labels.append(label)
+        d = max(d, prev)
+    return rows, labels, d
+
+
+def _joined(lines_and_gaps):
+    return "".join(line + gap for line, gap in lines_and_gaps)
+
+
+_GAP = st.sampled_from(["\n", "\n\n", "\n \t\n", "\r\n", "\n   \n"])
+_SEP = st.sampled_from([" ", "\t", "  ", " \t "])
+# |v| <= 1e300, so no spelling rounds up to an overflow
+_FLOAT_TEXT = st.floats(-1e300, 1e300).flatmap(
+    lambda v: st.sampled_from([repr(v), f"{v:.9g}", f"{v:.3e}", f"{v:g}"])
+)
+
+
+@st.composite
+def valid_text(draw):
+    """Well-formed rows: increasing indices, assorted number spellings, tabs,
+    blank lines and label-only rows."""
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        idx = sorted(draw(st.sets(st.integers(1, 40), max_size=6)))
+        tokens = [draw(_FLOAT_TEXT | st.sampled_from(["1", "-1", "+1", "1_0", ".5"]))]
+        for i in idx:
+            spelled = draw(st.sampled_from([str(i), f"+{i}", f"0{i}", "_".join(str(i))]))
+            tokens.append(f"{spelled}:{draw(_FLOAT_TEXT | st.sampled_from(['1_0', '-0.0']))}")
+        sep = draw(_SEP)
+        lines.append((draw(st.sampled_from(["", " ", "\t"])) + sep.join(tokens), draw(_GAP)))
+    return _joined(lines)
+
+
+_ODD_TOKEN = st.one_of(
+    st.builds(
+        "{}:{}".format,
+        st.one_of(st.integers(-2, 12).map(str), st.sampled_from(["", "a", "1_0", "+3", "1.0"])),
+        st.one_of(
+            _FLOAT_TEXT,
+            st.sampled_from(["", "a", "2:3", "1_0", "nan", "-inf", "1e400", "0x1"]),
+        ),
+    ),
+    st.sampled_from(["oops", "5", ":", "::", "1:2:3", ":5", "1:"]),
+)
+_GOOD_TOKEN = st.builds("{}:{}".format, st.integers(1, 12), _FLOAT_TEXT)
+_LABEL = st.sampled_from(["1", "-1", "0.5", "1_0", "2", "-3.5", "+1", "nan", "inf", "x", "1:1"])
+
+
+@st.composite
+def any_text(draw):
+    """Rows of arbitrary tokens, most of them well formed."""
+    token = st.one_of(_GOOD_TOKEN, _GOOD_TOKEN, _GOOD_TOKEN, _ODD_TOKEN)
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        tokens = [draw(_LABEL)] + draw(st.lists(token, max_size=5))
+        lines.append((draw(_SEP).join(tokens), draw(_GAP)))
+    return _joined(lines)
+
+
+class TestSparseDataset:
+    @pytest.mark.parametrize(
+        "indptr, indices, values, labels, d",
+        [
+            ([0, 1], [3], [1.0], [1.0], 2),  # index beyond d
+            ([0, 1], [0], [1.0], [1.0], 2),  # index below 1
+            ([0, 2], [2, 2], [1.0, 1.0], [1.0], 2),  # repeated index
+            ([0, 2], [2, 1], [1.0, 1.0], [1.0], 2),  # decreasing index
+            ([1, 1], [1], [1.0], [1.0], 2),  # indptr not from 0
+            ([0, 2, 1, 2], [1, 2], [1.0, 1.0], [1.0, 1.0, 1.0], 2),  # indptr decreasing
+            ([0, 1], [1], [1.0], [1.0, 2.0], 2),  # labels for more rows
+            ([0, 1], [1], [1.0, 2.0], [1.0], 2),  # more values than indices
+        ],
+    )
+    def test_malformed_arrays_rejected(self, indptr, indices, values, labels, d):
+        with pytest.raises(ValueError):
+            SparseDataset(indptr, indices, values, labels, d)
+
+    def test_rows_checked_separately(self):
+        # an index may drop back at a row start, not inside a row
+        ds = SparseDataset([0, 2, 2, 3], [1, 3, 2], [1.0, 2.0, 3.0], [1.0, 0.0, -1.0], 3)
+        assert ds.n == 3 and ds.nnz == 3
+        assert row_entries(ds) == [[(1, 1.0), (3, 2.0)], [], [(2, 3.0)]]
 
 
 class TestParser:
     def test_basic_lines(self):
         ds = parse_libsvm("1 1:0.5 3:-2\n-1 2:1e-3\n")
-        assert ds.n == 2 and ds.d == 3
+        assert ds.n == 2 and ds.d == 3 and ds.nnz == 3
         assert ds.labels[0] == 1.0 and ds.labels[1] == -1.0
-        assert ds.rows[0] == [(1, 0.5), (3, -2.0)]
-        assert ds.rows[1] == [(2, 0.001)]
+        assert row_entries(ds) == [[(1, 0.5), (3, -2.0)], [(2, 0.001)]]
+        assert ds.indptr.tolist() == [0, 2, 3]
 
     def test_whitespace_and_exponents(self):
         ds = parse_libsvm("  1\t1:2.5E+1   4:.5  \n\n-1 1:-1e-10\n")
-        assert ds.rows[0] == [(1, 25.0), (4, 0.5)]
-        assert ds.rows[1] == [(1, -1e-10)]
+        assert row_entries(ds) == [[(1, 25.0), (4, 0.5)], [(1, -1e-10)]]
 
     def test_label_only_row(self):
         ds = parse_libsvm("3.5\n")
-        assert ds.rows == [[]] and ds.d == 0
+        assert row_entries(ds) == [[]] and ds.d == 0 and ds.nnz == 0
 
     @pytest.mark.parametrize(
         "text, line",
@@ -70,6 +214,8 @@ class TestParser:
             ("1 1:-inf\n", 1),
             ("1 1:0.5\nnan 1:1\n", 2),
             ("inf\n", 1),
+            ("1 1:1\n1 99999999999999999999:1\n", 2),  # beyond int64
+            ("1 -99999999999999999999:1\n", 1),
         ],
     )
     def test_malformed_lines_carry_line_numbers(self, text, line):
@@ -83,9 +229,44 @@ class TestParser:
         once = parse_libsvm(text)
         canon = serialize_libsvm(once)
         again = parse_libsvm(canon)
-        assert again.rows == once.rows
+        assert row_entries(again) == row_entries(once)
         assert np.array_equal(again.labels, once.labels)
         assert serialize_libsvm(again) == canon
+
+    @staticmethod
+    def _check_against_reference(text, chunk):
+        try:
+            expected = csr_dataset(*reference_parse(text))
+        except DataFormatError as exc:
+            with mock.patch.object(problems, "_CHUNK_ENTRIES", chunk):
+                with pytest.raises(DataFormatError) as err:
+                    parse_libsvm(text)
+            assert (err.value.line_no, str(err.value)) == (exc.line_no, str(exc))
+            return
+        with mock.patch.object(problems, "_CHUNK_ENTRIES", chunk):
+            ds = parse_libsvm(text)
+        for name in ("indptr", "indices", "values", "labels"):
+            got, want = getattr(ds, name), getattr(expected, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert ds.d == expected.d
+
+    @given(valid_text(), st.sampled_from([1, 3, 8192]))
+    @example("1 1_0:1\n\n2.5\n-1\t2:0.5\t3:1e-3\n", 1)
+    @settings(max_examples=150, deadline=None)
+    def test_valid_text_matches_reference_parser(self, text, chunk):
+        # chunk: feature tokens converted at a time, so rows straddle chunks
+        assert reference_parse(text)  # every drawn text is well formed
+        self._check_against_reference(text, chunk)
+
+    @given(any_text(), st.sampled_from([1, 3, 8192]))
+    @example("1 1:2:3\n", 8192)
+    @example("1 1:1\n1 :5\n", 8192)
+    @example("1 1:\n", 8192)
+    @example("1 2:1 5 1:2:3\n", 1)
+    @example("-1\t3:1\n\n1 1:1 1:2:3\n", 3)
+    @settings(max_examples=300, deadline=None)
+    def test_any_text_matches_reference_parser(self, text, chunk):
+        self._check_against_reference(text, chunk)
 
     @given(
         st.lists(
@@ -108,7 +289,7 @@ class TestParser:
             rows.append(sorted(by_idx.items()))
             labels.append(label)
         d = max((idx for row in rows for idx, _ in row), default=0)
-        ds = SparseDataset(rows=rows, labels=np.asarray(labels), d=d)
+        ds = csr_dataset(rows, np.asarray(labels), d)
         canon = serialize_libsvm(ds)
         assert serialize_libsvm(parse_libsvm(canon)) == canon
 
@@ -132,12 +313,14 @@ class TestLeastSquares:
             )
 
     def test_unit_norm_rows_give_unit_l(self):
-        ds = SparseDataset(rows=[[(1, 1.0)], [(2, -1.0)]], labels=np.array([0.0, 1.0]), d=2)
+        ds = SparseDataset(
+            indptr=[0, 1, 2], indices=[1, 2], values=[1.0, -1.0], labels=np.array([0.0, 1.0]), d=2
+        )
         prob = FiniteSumProblem(ds.to_dense(), ds.labels, "least_squares")
         assert prob.L == pytest.approx(1.0)
 
     def test_empty_dataset_rejected(self):
-        ds = SparseDataset(rows=[], labels=np.array([]), d=0)
+        ds = SparseDataset(indptr=[0], indices=[], values=[], labels=np.array([]), d=0)
         with pytest.raises(ValueError):
             FiniteSumProblem(ds.to_dense(), ds.labels, "least_squares")
 
@@ -180,7 +363,7 @@ class TestLogistic:
         assert prob.L == pytest.approx(np.max(np.sum(A * A, axis=1)) / 4.0, rel=1e-12)
 
     def test_label_validation(self):
-        ds = SparseDataset(rows=[[(1, 1.0)]], labels=np.array([2.0]), d=1)
+        ds = SparseDataset(indptr=[0, 1], indices=[1], values=[1.0], labels=np.array([2.0]), d=1)
         with pytest.raises(ValueError):
             FiniteSumProblem(ds.to_dense(), ds.labels, "logistic")
 
@@ -448,3 +631,19 @@ class TestDenseRoundTrip:
         ds = dataset_from_dense(A, np.array([1.0, -1.0]))
         assert ds.d == 2
         np.testing.assert_array_equal(ds.to_dense(), A)
+
+    @pytest.mark.parametrize(
+        "A",
+        [
+            np.array([[-0.0, 1.5, 0.0], [2.0, -0.0, -3e-300]]),  # -0.0 entries
+            np.array([[0.0, 0.0], [1.0, -2.0], [0.0, 0.0]]),  # all-zero rows
+            np.array([[0.0, -0.0], [-0.0, 0.0]]),  # no nonzeros at all
+            np.zeros((0, 3)),
+        ],
+    )
+    def test_round_trip_is_bit_exact(self, A):
+        ds = dataset_from_dense(A, np.ones(A.shape[0]))
+        assert ds.nnz == np.count_nonzero(A) and ds.indptr[-1] == ds.nnz
+        # -0.0 is an exact zero, dropped like +0.0, so it comes back as +0.0
+        assert ds.to_dense().tobytes() == (A + 0.0).tobytes()
+        assert not np.any(np.signbit(ds.to_dense()[A == 0.0]))

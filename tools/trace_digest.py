@@ -11,6 +11,13 @@ The wide problem (d = 300) makes the iteration-stopped runs cross the block
 and span boundaries of the mini-batch draws at every b < n, with checkpoint
 refreshes inside them.  ``--verbose`` prints one digest per run, so a
 mismatch can be located.
+
+OpenBLAS is pinned to one thread before numpy loads, as the benchmark pins
+it, and the digest line names that thread count.  With more threads, gemv on
+the d = 300 rows sums in another order, so every one of its 64 runs (and the
+digest) would depend on the machine.  Pinned, numpy 2.4.6 on x86-64 gives
+
+    192 runs sha256 a6ece50e8fdbc2639ed00a3403d8132f509a0babef9d0241ad60456d2d60f9ee
 """
 
 from __future__ import annotations
@@ -19,9 +26,12 @@ import argparse
 import dataclasses
 import hashlib
 import itertools
+import os
 import sys
 
-from katyusha_h import Regularizer, RunConfig, run, synthesize, with_reference
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, when numpy loads
+
+from katyusha_h import Regularizer, RunConfig, run, synthesize, with_reference  # noqa: E402
 
 ALPHAS = (0.0, 0.5, 0.75, 1.0)
 BATCHES = (1, 3, 10, None)  # None: b = n
@@ -71,7 +81,8 @@ def main(argv=None) -> int:
         count += 1
         if args.verbose:
             print(f"{name} alpha={alpha} b={b} cache={int(cache)} {stop}: {one}")
-    print(f"{count} runs sha256 {total.hexdigest()}")
+    threads = os.environ["OPENBLAS_NUM_THREADS"]
+    print(f"{count} runs sha256 {total.hexdigest()} openblas_threads={threads}")
     return 0
 
 
