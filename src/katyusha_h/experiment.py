@@ -150,12 +150,18 @@ def _apply(spec, section: str, items: dict[str, str]) -> None:
 
 
 def _parse_seq(where: str, raw: str, kind) -> tuple:
-    """Comma- or space-separated values of one kind; ``where`` names the
-    config key or command-line flag in errors."""
+    """Comma- or space-separated distinct values of one kind; ``where``
+    names the config key or command-line flag in errors."""
     parts = raw.replace(",", " ").split()
     if not parts:
         raise ConfigError(f"{where} must not be empty")
-    return tuple(_coerce(where, p, kind) for p in parts)
+    values = tuple(_coerce(where, p, kind) for p in parts)
+    seen = set()
+    for part, value in zip(parts, values):
+        if value in seen:
+            raise ConfigError(f"{where} = {raw!r}: {part!r} repeats a value")
+        seen.add(value)
+    return values
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

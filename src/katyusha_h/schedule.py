@@ -92,30 +92,45 @@ def alpha_sequence(t_max: int, params: ScheduleParams, start: int = 0) -> np.nda
     first = max(start, GROWTH_START)
     if t_max >= first:
         t = np.arange(first, t_max + 1, dtype=np.float64)
-        seq[first - start:] = params.a_alpha * t ** params.alpha
+        t **= params.alpha  # in place, bit for bit t ** alpha
+        np.multiply(params.a_alpha, t, out=seq[first - start:])
     return seq
 
 
-def _denominator(alpha_t, cum_sum, params: ScheduleParams):
-    """Lyapunov weight D_t = alpha_tilde0 + alpha_0^2 - alpha_t^2 + sum_{j<=t} alpha_j."""
-    return params.alpha_tilde0 + ALPHA0 ** 2 - alpha_t ** 2 + cum_sum
+def _denominator(sq_t, cum_sum, params: ScheduleParams, out=None):
+    """Lyapunov weight D_t = alpha_tilde0 + alpha_0^2 - alpha_t^2 + sum_{j<=t} alpha_j,
+    from sq_t = alpha_t^2, into ``out`` if given."""
+    out = np.subtract(params.alpha_tilde0 + ALPHA0 ** 2, sq_t, out=out)
+    return np.add(out, cum_sum, out=out)
 
 
-def _p_ratio(alpha_prev, alpha_t, den, xi: float):
-    """p_t = (alpha_{t-1}^2 - alpha_t^2 + alpha_t + xi * alpha_t^2) / D_t, unclamped."""
-    return (alpha_prev ** 2 - alpha_t ** 2 + alpha_t + xi * alpha_t ** 2) / den
+def _p_core(sq_prev, sq_t, alpha_t, out=None):
+    """alpha_{t-1}^2 - alpha_t^2 + alpha_t, the p_t numerator without its xi
+    term, from the squares sq_prev and sq_t, into ``out`` if given."""
+    out = np.subtract(sq_prev, sq_t, out=out)
+    return np.add(out, alpha_t, out=out)
+
+
+def _p_ratio(core, xi_sq, den, out=None, numer=None):
+    """p_t = (core + xi * alpha_t^2) / D_t, unclamped, with core from ``_p_core``
+    and xi_sq = xi * alpha_t^2.  The numerator is formed in ``numer`` if given,
+    and stays there for a caller that divides it again; p goes to ``out``."""
+    numer = np.add(core, xi_sq, out=numer)
+    return np.divide(numer, den, out=out)
 
 
 def denominator_sequence(alpha_seq: np.ndarray, params: ScheduleParams) -> np.ndarray:
     """D_t for t = 0..t_max given alpha_seq = (alpha_0, ..., alpha_tmax)."""
     csum = np.concatenate(([0.0], np.cumsum(alpha_seq[1:])))
-    return _denominator(alpha_seq, csum, params)
+    return _denominator(alpha_seq * alpha_seq, csum, params)
 
 
 def p_sequence(alpha_seq: np.ndarray, params: ScheduleParams) -> np.ndarray:
     """p_t for t = 1..t_max; entry i holds p_{i+1}."""
     den = denominator_sequence(alpha_seq, params)[1:]
-    return _p_ratio(alpha_seq[:-1], alpha_seq[1:], den, params.xi)
+    sq = alpha_seq * alpha_seq
+    core = _p_core(sq[:-1], sq[1:], alpha_seq[1:])
+    return _p_ratio(core, params.xi * sq[1:], den)
 
 
 # -- the cursor: the arrays above, read one index at a time --------------------
@@ -146,14 +161,16 @@ def _refill(prev: _Table | None, params: ScheduleParams) -> _Table:
     else:
         start, (_, alpha, _, den, _), carry = prev.start + CHUNK, prev.rows[-1], prev.cum_sum
     a = np.concatenate(([alpha], alpha_sequence(start + CHUNK - 1, params, start)))
+    sq = a * a
     csum = np.cumsum(np.concatenate(([carry], a[1:])))[1:]
-    d = np.concatenate(([den], _denominator(a[1:], csum, params)))
+    d = np.concatenate(([den], _denominator(sq[1:], csum, params)))
     if not np.all(d[1:] > 0.0):  # D_t >= xi * alpha_{t+1}^2 > 0 unless params are corrupt
         i = int(np.argmin(d[1:] > 0.0))
         raise ValueError(f"denominator D_{start + i} = {d[i + 1]} must be positive")
     # At t=1 numerator and denominator are equal terms summed in different
     # orders; rounding can land an ulp outside [0, 1], so clamp.
-    p = np.clip(_p_ratio(a[:-1], a[1:], d[1:], params.xi), 0.0, 1.0)
+    core = _p_core(sq[:-1], sq[1:], a[1:])
+    p = np.clip(_p_ratio(core, params.xi * sq[1:], d[1:]), 0.0, 1.0)
     a, d = a.tolist(), d.tolist()
     rows = list(zip(a[:-1], a[1:], d[:-1], d[1:], p.tolist()))
     return _Table(start, rows, float(csum[-1]))

@@ -22,6 +22,7 @@ from .schedule import (
     GROWTH_START,
     C_MAX,
     _denominator,
+    _p_core,
     _p_ratio,
     alpha_sequence,
     compute_constants,
@@ -44,10 +45,12 @@ class ClaimResult:
     domain: str
     min_slack: float
     worst_at: str
-    tolerance: float
+    tolerance: float | None  # None: an open claim, which needs a positive slack
 
     @property
     def passed(self) -> bool:
+        if self.tolerance is None:
+            return self.min_slack > 0.0
         return self.min_slack >= -self.tolerance
 
 
@@ -81,7 +84,7 @@ class _ClaimTracker:
     so the claim fails.
     """
 
-    def __init__(self, tolerance: float):
+    def __init__(self, tolerance: float | None):
         self.tolerance = tolerance
         self.min_slack = math.inf
         self.worst_at = "n/a"
@@ -123,10 +126,20 @@ def default_alpha_grid(step: float = 0.01) -> np.ndarray:
     return np.unique(np.asarray(pts, dtype=np.float64))
 
 
-def _normalized_gap(lhs: np.ndarray | float, rhs: np.ndarray) -> np.ndarray:
-    """Slack of 'lhs <= rhs' scaled by max(1, |lhs|, |rhs|)."""
-    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    return (rhs - lhs) / scale
+def _normalized_gap(lhs, rhs, lhs_scale=None, rhs_scale=None, out=None):
+    """Slack of 'lhs <= rhs' scaled by max(1, |lhs|, |rhs|).
+
+    A caller that holds max(1, |lhs|) or max(1, |rhs|) passes it as
+    ``lhs_scale`` or ``rhs_scale``.  ``out`` takes the slack and may be lhs
+    or rhs itself.  A scalar lhs of +0.0 neither raises the scale nor
+    changes a bit of rhs when subtracted, so that case skips both.
+    """
+    if rhs_scale is None:
+        rhs_scale = np.maximum(np.abs(rhs), 1.0)
+    if np.ndim(lhs) == 0 and lhs == 0.0 and math.copysign(1.0, lhs) > 0.0:
+        return np.divide(rhs, rhs_scale, out=out)
+    scale = np.maximum(np.abs(lhs) if lhs_scale is None else lhs_scale, rhs_scale)
+    return np.divide(np.subtract(rhs, lhs, out=out), scale, out=out)
 
 
 def scan_schedule(
@@ -140,17 +153,28 @@ def scan_schedule(
     Claims: the key growth inequality xi*(a_{t+1}^2 - a_t^2) <= a_{t-1}^2 -
     a_t^2 + a_t; nonnegativity of that right side (the p_t numerator without
     the xi term); the denominator lower bound D_{t-1} >= xi*a_t^2 >= 0;
-    p_t in [0, 1]; tau_t, xi, 1 - xi - tau_t in (0, 1); c <= 5; and equality
-    of the shifted p_t reformulation with the direct formula.
+    p_t in [0, 1]; tau_t, xi, 1 - xi - tau_t in (0, 1), an open claim that
+    fails at a slack of 0; c <= 5; and equality of the shifted p_t
+    reformulation with the direct formula.
 
     ``xi_override`` replaces xi (and alpha_tilde0 = 36*xi) with a raw value,
     bypassing the constructor guards; it exists for fault injection.
 
-    alpha_t, its square and its running sum depend on alpha alone, so each
-    alpha computes them once for every b.  Each (alpha, b) cell then walks t
-    in blocks of ``SCAN_BLOCK`` indices, whose temporaries stay in cache;
-    the claims see the cells and blocks in (alpha, b, t) order, so the
-    first worst point is the one a single pass over the cell would find.
+    alpha_t depends on alpha alone, so each alpha computes it once, over the
+    whole t range, for every b.  It then walks t in blocks of ``SCAN_BLOCK``
+    indices, and each block computes every quantity once, into buffers of
+    block size that every block reuses.  What does not depend on b comes
+    first: alpha_t^2, the running sum of alpha_t (carried from block to
+    block), the p_t numerator without its xi term, max(1, |that|),
+    alpha_{t+1}^2 - alpha_t^2 and the range of tau_t.
+    The nonnegativity claim is evaluated there, at the first b listed only:
+    every later b repeats its values exactly, and only a strict minimum
+    replaces a worst point.  Then each b forms max(1, |xi*alpha_t^2|) once
+    for both gaps that read it, and the p_t numerator once for p_t and for
+    its shifted reformulation.  Each (alpha, b) cell keeps its own running
+    minima, merged into the claims in b order once the alpha is done, so
+    the first worst point is the one a single pass over the grid in
+    (alpha, b, t) order would find.
     """
     if t_max < 18:
         raise ValueError("t_max must be at least 18")
@@ -172,7 +196,16 @@ def scan_schedule(
         "c-bound",
     ]
     trackers = {name: _ClaimTracker(INEQ_TOL) for name in names}
+    trackers["coupling-range"] = _ClaimTracker(None)  # open interval: a slack of 0 fails
     trackers["p-reformulation"] = _ClaimTracker(0.0)
+    per_cell = [name for name in trackers if name not in ("p-numerator-nonneg", "c-bound")]
+    width = min(SCAN_BLOCK, t_max)
+    # From the block's first t: alpha_{t-1}^2 .. alpha_{t+1}^2 at its last t
+    # (seq * seq, equal to seq ** 2 bit for bit); alpha_1 + .. + alpha_{t-1},
+    # then the sums up to each alpha_t; D_{t-1}, then each D_t.
+    sq_buf, csum_buf, den_buf = np.empty(width + 2), np.empty(width + 1), np.empty(width + 1)
+    (core_buf, core_scale_buf, growth_buf, tau_buf, tau_range_buf, xi_sq_buf,
+     numer_buf, p_buf, w1_buf, w2_buf) = (np.empty(width) for _ in range(10))
 
     for alpha in alpha_grid:
         cells = []
@@ -182,53 +215,75 @@ def scan_schedule(
                 params = replace(
                     params, xi=xi_override, alpha_tilde0=36.0 * xi_override
                 )
-            cells.append((b, params))
-        # alpha_t depends on alpha alone, so every b reads the same arrays
-        seq = alpha_sequence(t_max + 1, cells[0][1])  # alpha_0 .. alpha_{t_max+1}
-        sq = seq * seq  # equals seq ** 2 bit for bit
-        csum = np.concatenate(([0.0], np.cumsum(seq[1:-1])))  # alpha_1 + .. + alpha_t
-        for b, params in cells:
-            xi = params.xi
             trackers["c-bound"].update(
                 (C_MAX - params.c) / C_MAX,
                 lambda i, alpha=alpha, b=b: f"(alpha={alpha:.6g}, b={b})",
             )
-            for s in range(0, t_max, SCAN_BLOCK):
-                e = min(s + SCAN_BLOCK, t_max)  # t = s+1 .. e
+            # this cell's running minima, merged below once every block is seen
+            cell = {name: _ClaimTracker(trackers[name].tolerance) for name in per_cell}
+            cells.append((b, params, cell))
+        # alpha_t depends on alpha alone, so every b reads the same arrays
+        seq = alpha_sequence(t_max + 1, cells[0][1])  # alpha_0 .. alpha_{t_max+1}
+        carry = 0.0  # alpha_1 + .. + alpha_s, carried from block to block
+        for s in range(0, t_max, SCAN_BLOCK):
+            e = min(s + SCAN_BLOCK, t_max)  # t = s+1 .. e
+            m = e - s
+            a_t = seq[s + 1:e + 1]
+            sq = np.multiply(seq[s:e + 2], seq[s:e + 2], out=sq_buf[:m + 2])
+            sq_t = sq[1:m + 1]
+            # the carried sum first, so np.cumsum adds the terms of one pass over t
+            csum = csum_buf[:m + 1]
+            csum[0] = carry
+            csum[1:] = a_t
+            np.cumsum(csum, out=csum)
+            carry = csum[-1]
+            w1, w2 = w1_buf[:m], w2_buf[:m]
+            core = _p_core(sq[:m], sq_t, a_t, out=core_buf[:m])
+            core_scale = np.abs(core, out=core_scale_buf[:m])
+            np.maximum(core_scale, 1.0, out=core_scale)
+            trackers["p-numerator-nonneg"].update(
+                _normalized_gap(0.0, core, rhs_scale=core_scale, out=w1),
+                lambda i, alpha=alpha, b=cells[0][0], s=s:
+                    f"(alpha={alpha:.6g}, b={b}, t={s + i + 1})",
+            )
+            growth = np.subtract(sq[2:], sq_t, out=growth_buf[:m])
+            tau = np.divide(1.0, a_t, out=tau_buf[:m])
+            tau_range = np.minimum(tau, np.subtract(1.0, tau, out=w1), out=tau_range_buf[:m])
+            for b, params, cell in cells:
+                xi = params.xi
 
                 def here(i, alpha=alpha, b=b, s=s):
                     return f"(alpha={alpha:.6g}, b={b}, t={s + i + 1})"
 
-                a_t = seq[s + 1:e + 1]
-                sq_t = sq[s + 1:e + 1]
-                den = _denominator(seq[s:e + 1], csum[s:e + 1], params)  # D_{t-1}, D_t
-                numer_core = sq[s:e] - sq_t + a_t
-                lhs_key = xi * (sq[s + 2:e + 2] - sq_t)
-                trackers["key-growth-inequality"].update(
-                    _normalized_gap(lhs_key, numer_core), here
+                den = _denominator(sq[:m + 1], csum, params, out=den_buf[:m + 1])
+                den_prev = den[:-1]
+                lhs_key = np.multiply(xi, growth, out=w1)
+                cell["key-growth-inequality"].update(
+                    _normalized_gap(lhs_key, core, rhs_scale=core_scale, out=w1), here
                 )
-                trackers["p-numerator-nonneg"].update(
-                    _normalized_gap(0.0, numer_core), here
+                xi_sq = np.multiply(xi, sq_t, out=xi_sq_buf[:m])
+                xi_scale = np.abs(xi_sq, out=w2)  # the second gap's slack overwrites it
+                np.maximum(xi_scale, 1.0, out=xi_scale)
+                lower = _normalized_gap(xi_sq, den_prev, lhs_scale=xi_scale, out=w1)
+                np.minimum(
+                    lower, _normalized_gap(0.0, xi_sq, rhs_scale=xi_scale, out=w2), out=lower
                 )
-                xi_at2 = xi * sq_t
-                trackers["denominator-lower-bound"].update(
-                    np.minimum(
-                        _normalized_gap(xi_at2, den[:-1]),
-                        _normalized_gap(0.0, xi_at2),
-                    ),
-                    here,
-                )
-                p = _p_ratio(seq[s:e], a_t, den[1:], xi)
-                trackers["p-range"].update(np.minimum(p, 1.0 - p), here)
-                tau = 1.0 / a_t
-                coupling = np.minimum(np.minimum(tau, 1.0 - tau), 1.0 - xi - tau)
-                coupling = np.minimum(coupling, min(xi, 1.0 - xi))
-                trackers["coupling-range"].update(coupling, here)
-                # Shifted reformulation: same numerator over numer_core + D_{t-1}.
-                p_alt = (numer_core + xi_at2) / (numer_core + den[:-1])
-                trackers["p-reformulation"].update(
-                    EQ_TOL - np.abs(p - p_alt), here
-                )
+                cell["denominator-lower-bound"].update(lower, here)
+                p = _p_ratio(core, xi_sq, den[1:], out=p_buf[:m], numer=numer_buf[:m])
+                np.subtract(1.0, p, out=w1)
+                cell["p-range"].update(np.minimum(p, w1, out=w1), here)
+                coupling = np.subtract(1.0 - xi, tau, out=w1)
+                np.minimum(tau_range, coupling, out=coupling)
+                np.minimum(coupling, min(xi, 1.0 - xi), out=coupling)
+                cell["coupling-range"].update(coupling, here)
+                # Shifted reformulation: the same numerator over core + D_{t-1}.
+                p_alt = np.add(core, den_prev, out=w1)
+                np.divide(numer_buf[:m], p_alt, out=p_alt)
+                err = np.abs(np.subtract(p, p_alt, out=w1), out=w1)
+                cell["p-reformulation"].update(np.subtract(EQ_TOL, err, out=err), here)
+        for _, _, cell in cells:
+            for name, tracker in cell.items():
+                trackers[name].update(tracker.min_slack, lambda i, at=tracker.worst_at: at)
 
     return CertificateReport(
         claims=[t.result(name, domain) for name, t in trackers.items()]

@@ -226,6 +226,7 @@ class TestConfigKeys:
             ("reference", "tol", "tiny", "[reference] tol = 'tiny': expected float"),
             ("sweep", "bs", "1.5", "[sweep] bs = '1.5': expected int"),
             ("sweep", "alphas", "", "[sweep] alphas must not be empty"),
+            ("sweep", "alphas", "0.5 1 .5", "[sweep] alphas = '0.5 1 .5': '.5' repeats a value"),
         ],
     )
     def test_bad_key_or_value_is_exit_two(self, tmp_path, capsys, section, key, raw, message):
@@ -388,6 +389,17 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert "--alpha-step" in captured.err and captured.out == ""
 
+    def test_coupling_range_fails_at_its_open_boundary(self, capsys):
+        # xi = 0 puts the open claim xi in (0, 1) at a slack of exactly 0
+        code = main(["verify", "--inject-fault", "xi=0", "--t-max", "100", "--alpha-step", "0.5"])
+        out = capsys.readouterr().out
+        assert code == 1
+        coupling = next(line for line in out.splitlines() if line.startswith("coupling-range"))
+        assert "min_slack=0.000000e+00" in coupling and coupling.endswith("| FAIL")
+        failing = [line.split(" |")[0] for line in out.splitlines() if line.endswith("FAIL")]
+        assert failing == ["coupling-range"]
+        assert out.endswith("overall: FAIL (11 claims)\n")
+
     def test_report_file(self, tmp_path, capsys):
         report = tmp_path / "cert.txt"
         code = main([
@@ -410,6 +422,7 @@ class TestListFlags:
             ("sweep", "--seeds", ",", ["--alphas", "1", "--bs", "1"]),
             ("sweep", "--alphas", ",", ["--bs", "1"]),
             ("sweep", "--bs", "1.5", ["--alphas", "1"]),
+            ("run", "--seeds", "0,0", []),
         ],
     )
     def test_bad_list_is_exit_two(
@@ -421,10 +434,14 @@ class TestListFlags:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", ["--batch-sizes", "--growth-alphas"])
-    def test_verify_empty_list_is_exit_two(self, capsys, flag):
-        assert main(["verify", "--t-max", "200", "--alpha-step", "0.5", flag, ","]) == 2
-        assert flag in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--batch-sizes", ","), ("--growth-alphas", ","), ("--batch-sizes", "1,1")],
+    )
+    def test_verify_bad_list_is_exit_two(self, capsys, flag, value):
+        assert main(["verify", "--t-max", "200", "--alpha-step", "0.5", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err and captured.out == ""
 
     def test_empty_growth_alphas_skips_the_growth_scan(self, capsys):
         code = main(["verify", "--t-max", "200", "--alpha-step", "0.5", "--growth-alphas", ""])

@@ -4,6 +4,7 @@ import copy
 import itertools
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,19 +15,12 @@ from katyusha_h.estimator import EnumerationCapError
 from katyusha_h.optimizers import RunConfig, init_state, katyusha_h_step
 from katyusha_h.problems import make_rng, synthesize, with_reference
 from katyusha_h.proximal import Regularizer
-from katyusha_h.schedule import (
-    C_MAX,
-    _p_ratio,
-    alpha_sequence,
-    compute_constants,
-    denominator_sequence,
-)
+from katyusha_h.schedule import ALPHA0, C_MAX, alpha_sequence, compute_constants
 from katyusha_h.verification import (
     EQ_TOL,
     INEQ_TOL,
     SCAN_BLOCK,
     _ClaimTracker,
-    _normalized_gap,
     default_alpha_grid,
     exact_conditional_lyapunov_descent,
     scan_denominator_growth,
@@ -75,6 +69,17 @@ class TestClaimTracker:
         tracker.update(math.nan, lambda i: "nan")
         assert math.isnan(tracker.min_slack) and tracker.worst_at == "nan"
         assert not tracker.result("claim", "domain").passed
+
+    def test_open_claim_needs_a_positive_slack(self):
+        # a closed claim forgives rounding below 0; an open one fails at 0
+        for slack, closed, open_ in [(1e-300, True, True), (0.0, True, False),
+                                     (-2e-16, True, False), (-1e-8, False, False)]:
+            results = []
+            for tolerance in (INEQ_TOL, None):
+                tracker = _ClaimTracker(tolerance)
+                tracker.update(np.array([1.0, slack]), lambda i: f"point {i}")
+                results.append(tracker.result("claim", "domain").passed)
+            assert results == [closed, open_], slack
 
     def test_nan_xi_fails_the_scan(self):
         report = scan_schedule(alpha_grid=np.array([0.5]), t_max=100, xi_override=math.nan)
@@ -146,9 +151,15 @@ class TestScanSchedule:
         assert lines[-1].startswith("overall: PASS")
 
 
+def _gap(lhs, rhs):
+    """Slack of 'lhs <= rhs' scaled by max(1, |lhs|, |rhs|)."""
+    return (rhs - lhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+
+
 def _oracle_scan(alpha_grid, t_max, batch_sizes, xi_override):
     """The scan as one full-length pass per (alpha, b) cell, with every array
-    recomputed for each cell: {claim: (min_slack, worst_at)}."""
+    recomputed for each cell and D_t and p_t written out from the paper:
+    {claim: (min_slack, worst_at)}."""
     names = [
         "key-growth-inequality",
         "p-numerator-nonneg",
@@ -166,36 +177,35 @@ def _oracle_scan(alpha_grid, t_max, batch_sizes, xi_override):
                 params = replace(
                     params, xi=xi_override, alpha_tilde0=36.0 * xi_override
                 )
+            xi = params.xi
             seq = alpha_sequence(t_max + 1, params)
             a_prev = seq[:-2]
             a_t = seq[1:-1]
             a_next = seq[2:]
-            den = denominator_sequence(seq[:-1], params)
+            # D_t = alpha_tilde0 + alpha_0^2 - alpha_t^2 + sum_{j<=t} alpha_j, t = 0..t_max
+            alpha_sums = np.concatenate(([0.0], np.cumsum(a_t)))
+            den = params.alpha_tilde0 + ALPHA0 ** 2 - seq[:-1] ** 2 + alpha_sums
 
             def here(i, alpha=alpha, b=b):
                 return f"(alpha={alpha:.6g}, b={b}, t={i + 1})"
 
             numer_core = a_prev ** 2 - a_t ** 2 + a_t
-            lhs_key = params.xi * (a_next ** 2 - a_t ** 2)
-            trackers["key-growth-inequality"].update(
-                _normalized_gap(lhs_key, numer_core), here
-            )
+            lhs_key = xi * (a_next ** 2 - a_t ** 2)
+            trackers["key-growth-inequality"].update(_gap(lhs_key, numer_core), here)
             trackers["p-numerator-nonneg"].update(
-                _normalized_gap(np.zeros_like(numer_core), numer_core), here
+                _gap(np.zeros_like(numer_core), numer_core), here
             )
-            xi_at2 = params.xi * a_t ** 2
+            xi_at2 = xi * a_t ** 2
             trackers["denominator-lower-bound"].update(
-                np.minimum(
-                    _normalized_gap(xi_at2, den[:-1]),
-                    _normalized_gap(np.zeros_like(xi_at2), xi_at2),
-                ),
+                np.minimum(_gap(xi_at2, den[:-1]), _gap(np.zeros_like(xi_at2), xi_at2)),
                 here,
             )
-            p = _p_ratio(a_prev, a_t, den[1:], params.xi)
+            # p_t = (alpha_{t-1}^2 - alpha_t^2 + alpha_t + xi*alpha_t^2) / D_t
+            p = (a_prev ** 2 - a_t ** 2 + a_t + xi * a_t ** 2) / den[1:]
             trackers["p-range"].update(np.minimum(p, 1.0 - p), here)
             tau = 1.0 / a_t
-            coupling = np.minimum.reduce([tau, 1.0 - tau, 1.0 - params.xi - tau])
-            coupling = np.minimum(coupling, min(params.xi, 1.0 - params.xi))
+            coupling = np.minimum.reduce([tau, 1.0 - tau, 1.0 - xi - tau])
+            coupling = np.minimum(coupling, min(xi, 1.0 - xi))
             trackers["coupling-range"].update(coupling, here)
             trackers["c-bound"].update(
                 (C_MAX - params.c) / C_MAX,
@@ -219,7 +229,7 @@ class TestBlockedScan:
     worst point equal, also at and around block boundaries."""
 
     @pytest.mark.parametrize("batch_sizes", [(1, 2, 10), (3,), (10, 1)], ids=str)
-    @pytest.mark.parametrize("xi_override", [None, 2.0, 0.3], ids=str)
+    @pytest.mark.parametrize("xi_override", [None, 2.0, 0.3, 0.0, math.nan], ids=str)
     @pytest.mark.parametrize(
         "t_max",
         [18, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 2 * SCAN_BLOCK + 17],
@@ -273,6 +283,18 @@ class TestBlockedScan:
         )
         scan_schedule(alpha_grid=np.array([0.0, 0.5, 1.0]), t_max=100)
         assert len(calls) == 3
+
+    def test_peak_memory_is_a_few_arrays_over_t(self):
+        # alpha_t and its one temporary span the t range; every other
+        # array spans one block
+        t_max = 2 ** 20
+        tracemalloc.start()
+        try:
+            scan_schedule(alpha_grid=np.array([0.5]), t_max=t_max)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (4 * t_max + 16 * SCAN_BLOCK)
 
 
 class TestDenominatorGrowth:
