@@ -434,14 +434,16 @@ class TestListFlags:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "flag, value",
-        [("--batch-sizes", ","), ("--growth-alphas", ","), ("--batch-sizes", "1,1")],
-    )
-    def test_verify_bad_list_is_exit_two(self, capsys, flag, value):
-        assert main(["verify", "--t-max", "200", "--alpha-step", "0.5", flag, value]) == 2
+    @pytest.mark.parametrize("flag", ["--batch-sizes", "--growth-alphas"])
+    def test_verify_empty_list_is_exit_two(self, capsys, flag):
+        assert main(["verify", "--t-max", "200", "--alpha-step", "0.5", flag, ","]) == 2
+        assert flag in capsys.readouterr().err
+
+    def test_verify_repeated_batch_size_is_exit_two(self, capsys):
+        args = ["verify", "--t-max", "200", "--alpha-step", "0.5", "--batch-sizes", "1,1"]
+        assert main(args) == 2
         captured = capsys.readouterr()
-        assert flag in captured.err and captured.out == ""
+        assert "--batch-sizes" in captured.err and captured.out == ""
 
     def test_empty_growth_alphas_skips_the_growth_scan(self, capsys):
         code = main(["verify", "--t-max", "200", "--alpha-step", "0.5", "--growth-alphas", ""])

@@ -15,7 +15,13 @@ from katyusha_h.estimator import EnumerationCapError
 from katyusha_h.optimizers import RunConfig, init_state, katyusha_h_step
 from katyusha_h.problems import make_rng, synthesize, with_reference
 from katyusha_h.proximal import Regularizer
-from katyusha_h.schedule import ALPHA0, C_MAX, alpha_sequence, compute_constants
+from katyusha_h.schedule import (
+    ALPHA0,
+    C_MAX,
+    GROWTH_START,
+    alpha_sequence,
+    compute_constants,
+)
 from katyusha_h.verification import (
     EQ_TOL,
     INEQ_TOL,
@@ -158,8 +164,8 @@ def _gap(lhs, rhs):
 
 def _oracle_scan(alpha_grid, t_max, batch_sizes, xi_override):
     """The scan as one full-length pass per (alpha, b) cell, with every array
-    recomputed for each cell and D_t and p_t written out from the paper:
-    {claim: (min_slack, worst_at)}."""
+    recomputed for each cell and alpha_t, D_t and p_t written out from the
+    paper: {claim: (min_slack, worst_at)}."""
     names = [
         "key-growth-inequality",
         "p-numerator-nonneg",
@@ -178,7 +184,9 @@ def _oracle_scan(alpha_grid, t_max, batch_sizes, xi_override):
                     params, xi=xi_override, alpha_tilde0=36.0 * xi_override
                 )
             xi = params.xi
-            seq = alpha_sequence(t_max + 1, params)
+            # alpha_t = alpha_0 for t < 17, then a_alpha * t^alpha, t = 0..t_max+1
+            t = np.arange(t_max + 2, dtype=np.float64)
+            seq = np.where(t < GROWTH_START, ALPHA0, params.a_alpha * t ** params.alpha)
             a_prev = seq[:-2]
             a_t = seq[1:-1]
             a_next = seq[2:]
