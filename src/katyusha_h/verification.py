@@ -142,6 +142,11 @@ def _normalized_gap(lhs, rhs, lhs_scale=None, rhs_scale=None, out=None):
     return np.divide(np.subtract(rhs, lhs, out=out), scale, out=out)
 
 
+def _block_point(alpha, b, s):
+    """Where-function of the slacks of a block that starts after t = s."""
+    return lambda i: f"(alpha={alpha:.6g}, b={b}, t={s + i + 1})"
+
+
 def scan_schedule(
     alpha_grid: np.ndarray | None = None,
     t_max: int = 100_000,
@@ -243,18 +248,14 @@ def scan_schedule(
             np.maximum(core_scale, 1.0, out=core_scale)
             trackers["p-numerator-nonneg"].update(
                 _normalized_gap(0.0, core, rhs_scale=core_scale, out=w1),
-                lambda i, alpha=alpha, b=cells[0][0], s=s:
-                    f"(alpha={alpha:.6g}, b={b}, t={s + i + 1})",
+                _block_point(alpha, cells[0][0], s),
             )
             growth = np.subtract(sq[2:], sq_t, out=growth_buf[:m])
             tau = np.divide(1.0, a_t, out=tau_buf[:m])
             tau_range = np.minimum(tau, np.subtract(1.0, tau, out=w1), out=tau_range_buf[:m])
             for b, params, cell in cells:
                 xi = params.xi
-
-                def here(i, alpha=alpha, b=b, s=s):
-                    return f"(alpha={alpha:.6g}, b={b}, t={s + i + 1})"
-
+                here = _block_point(alpha, b, s)
                 den = _denominator(sq[:m + 1], csum, params, out=den_buf[:m + 1])
                 den_prev = den[:-1]
                 lhs_key = np.multiply(xi, growth, out=w1)
