@@ -23,6 +23,7 @@ from .analysis import (
 )
 from .experiment import (
     ConfigError,
+    _check_seeds,
     _parse_seq,
     build_problem,
     load_config,
@@ -32,10 +33,17 @@ from .experiment import (
 from .problems import DataFormatError, parse_libsvm, serialize_libsvm
 
 
-def _cmd_run(args) -> int:
+def _load_with_seeds(args):
+    """The config of ``--config``, its seeds replaced by ``--seeds`` if given."""
     cfg = load_config(args.config)
     if args.seeds:
         cfg.run.seeds = _parse_seq("--seeds", args.seeds, int)
+        _check_seeds("--seeds", cfg.run.seeds)
+    return cfg
+
+
+def _cmd_run(args) -> int:
+    cfg = _load_with_seeds(args)
     paths = run_command(cfg, out_dir=args.out)
     for path in paths:
         print(path)
@@ -43,9 +51,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    if args.seeds:
-        cfg.run.seeds = _parse_seq("--seeds", args.seeds, int)
+    cfg = _load_with_seeds(args)
     alphas = _parse_seq("--alphas", args.alphas, float) if args.alphas else None
     bs = _parse_seq("--bs", args.bs, int) if args.bs else None
     rows, path = sweep_command(cfg, alphas=alphas, bs=bs, out_dir=args.out)

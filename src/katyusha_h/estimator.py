@@ -15,6 +15,8 @@ from math import comb
 
 import numpy as np
 
+from .problems import check_seed
+
 
 ENUMERATION_CAP = 100_000  # most subsets an exact oracle enumerates
 
@@ -195,6 +197,7 @@ class DrawStream:
             raise ValueError(f"need 1 <= b <= n, got b={b}, n={n}")
         if n > 2**32:
             raise ValueError(f"block draws need n <= 2**32, got n={n}")
+        check_seed(seed)
         self.n, self.b = n, b
         self._bits = np.random.Philox(key=seed)
         self._raw = np.empty(0, dtype=np.uint64)  # drawn, not yet consumed

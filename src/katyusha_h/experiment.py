@@ -23,6 +23,7 @@ from .optimizers import RunConfig, TraceRecord
 from .problems import (
     CURVATURE,
     FiniteSumProblem,
+    check_seed,
     parse_libsvm,
     solve_reference,
     synthesize,
@@ -164,6 +165,16 @@ def _parse_seq(where: str, raw: str, kind) -> tuple:
     return values
 
 
+def _check_seeds(where: str, seeds) -> None:
+    """Refuse any seed that is no Philox key; ``where`` names the config key
+    or command-line flag."""
+    for seed in seeds:
+        try:
+            check_seed(seed)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Read and validate a flat key = value experiment config."""
     path = Path(path)
@@ -204,6 +215,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         keys += ["[output] lyapunov"] if cfg.output.lyapunov else []
         if keys:
             raise ConfigError(f"{keys[0]} applies only to katyusha_h, not {cfg.solver.method}")
+    _check_seeds("[problem] seed", (cfg.problem.seed,))
+    _check_seeds("[run] seeds", cfg.run.seeds)
     if (cfg.run.iterations is None) == (cfg.run.epsilon is None):
         raise ConfigError("[run] needs exactly one of iterations / epsilon")
     if cfg.run.epsilon is not None and cfg.reference is None:

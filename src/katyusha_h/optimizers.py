@@ -37,14 +37,13 @@ from .estimator import (
 from .problems import make_rng
 from .proximal import prox
 from .schedule import (
+    CHUNK,
     ScheduleCursor,
     ScheduleParams,
-    advance,
+    _refill,
+    _Table,
     compute_constants,
-    cursor_at,
     max_step_size,
-    p_at,
-    tau_at,
 )
 
 
@@ -100,7 +99,8 @@ class KatyushaHState:
     y: np.ndarray
     z: np.ndarray
     ckpt: Checkpoint
-    cursor: ScheduleCursor
+    t: int  # the next iteration's index
+    table: _Table  # the schedule rows that cover t
     params: ScheduleParams
     eta: float
     rng: DrawStream  # each iteration's subset, then its checkpoint coin
@@ -110,8 +110,9 @@ class KatyushaHState:
     checkpoint_updated: bool = False  # whether that draw hit
 
     @property
-    def t(self) -> int:
-        return self.cursor.t
+    def cursor(self) -> ScheduleCursor:
+        """The schedule at t, built on demand: a step reads its table row."""
+        return ScheduleCursor(self.t, *self.table.rows[self.t - self.table.start], self.table)
 
 
 def init_state(problem, config: RunConfig) -> KatyushaHState:
@@ -132,7 +133,8 @@ def init_state(problem, config: RunConfig) -> KatyushaHState:
         y=x0.copy(),
         z=x0.copy(),
         ckpt=ckpt,
-        cursor=cursor_at(1, params),
+        t=1,
+        table=_refill(None, params),
         params=params,
         eta=eta,
         rng=rng,
@@ -143,11 +145,11 @@ def init_state(problem, config: RunConfig) -> KatyushaHState:
 
 def katyusha_h_step(state: KatyushaHState, problem) -> None:
     """Execute one iteration in place, leaving its p_t and draw outcome on the state."""
-    cur = state.cursor
-    params = state.params
-    tau = tau_at(cur)
+    t, table, params = state.t, state.table, state.params
+    # the row's tau_t = 1/alpha_t and p_t are tau_at's and p_at's, bit for bit
+    _, alpha_t, _, _, p = table.rows[t - table.start]
+    tau = 1.0 / alpha_t
     xi = params.xi
-    p = p_at(cur, params)
     ckpt = state.ckpt
     # xi * w changes only when w does, so it is formed once per checkpoint.
     if state.anchor[0] is not ckpt.w:
@@ -156,7 +158,7 @@ def katyusha_h_step(state: KatyushaHState, problem) -> None:
     x_next = tau * state.z + state.anchor[1] + (1.0 - xi - tau) * state.y
     idx = state.rng.subset()
     g = svrg_estimate(x_next, ckpt, idx, problem, state.ledger, state.rng)
-    step_len = cur.alpha_t * state.eta
+    step_len = alpha_t * state.eta
     z_next = prox(problem.reg, state.z - step_len * g, step_len)
     y_next = x_next + tau * (z_next - state.z)
 
@@ -169,11 +171,13 @@ def katyusha_h_step(state: KatyushaHState, problem) -> None:
         state.rng,
         problem,
         state.ledger,
-        candidate_is_w=cur.t == 1,
+        candidate_is_w=t == 1,
     )
     state.x, state.y, state.z = x_next, y_next, z_next
     state.p = p
-    state.cursor = advance(cur, params)
+    state.t = t + 1
+    if state.t == table.start + CHUNK:  # t+1 opens the next chunk's rows
+        state.table = _refill(table, params)
 
 
 def state_lyapunov(state: KatyushaHState, problem, f_y: float, f_w: float) -> float:

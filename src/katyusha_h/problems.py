@@ -316,9 +316,18 @@ def dataset_from_dense(A: np.ndarray, labels: np.ndarray) -> SparseDataset:
     return SparseDataset(indptr, cols + 1, A[rows, cols], labels, A.shape[1])
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a seed that is no Philox key: an integer in [0, 2**128).
+    Philox itself would truncate a float and run on."""
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or not 0 <= seed < 2**128):
+        raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based 64-bit generator (Philox) so streams are reproducible
     across platforms given the same seed."""
+    check_seed(seed)
     return np.random.Generator(np.random.Philox(key=seed))
 
 

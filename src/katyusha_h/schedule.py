@@ -9,8 +9,10 @@ probability ``p_t`` ties the amount of variance reduction to the momentum
 growth rate.
 
 The array functions hold the only arithmetic of alpha_t, D_t and p_t: the
-verification scans certify them, and the solver's cursor reads them in
-tables of ``CHUNK`` entries.
+verification scans certify them, and ``_refill`` lays them out in tables of
+``CHUNK`` rows, one row per index, which the solver's step reads directly.
+The cursor (``cursor_at``, ``advance``, ``p_at``, ``tau_at``) reads the same
+rows one index at a time, for the Lyapunov values, the oracles and tests.
 """
 
 from __future__ import annotations
@@ -133,9 +135,9 @@ def p_sequence(alpha_seq: np.ndarray, params: ScheduleParams) -> np.ndarray:
     return _p_ratio(core, params.xi * sq[1:], den)
 
 
-# -- the cursor: the arrays above, read one index at a time --------------------
+# -- the arrays above in tables of CHUNK rows, and a cursor over them -----------
 
-CHUNK = 1024  # schedule entries per refill of a cursor's table
+CHUNK = 1024  # schedule entries per refill of a table
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from .estimator import _subset_moments, _subset_walk, variance_bound_rhs
 from .optimizers import KatyushaHState
 from .proximal import prox
 from .schedule import (
+    ALPHA0,
     GROWTH_START,
     C_MAX,
     _denominator,
@@ -26,7 +27,6 @@ from .schedule import (
     _p_ratio,
     alpha_sequence,
     compute_constants,
-    denominator_sequence,
     p_at,
     tau_at,
 )
@@ -302,6 +302,12 @@ def scan_denominator_growth(
     two expressions coincide there).  The alpha = 0 branch is excluded: its
     denominator is affine in t and handled directly.  For t < 17 the minimum
     positive ratio D_t / t^(alpha+1) is reported as its own claim.
+
+    t is walked in blocks of ``SCAN_BLOCK`` indices, so memory does not grow
+    with t_max.  Each block takes its alpha_t from ``alpha_sequence``, and
+    the running sum of alpha_t is carried into ``np.cumsum`` from block to
+    block, as the solver's tables do: every D_t equals
+    ``denominator_sequence``'s bit for bit.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("growth scan needs alpha in (0, 1]; alpha = 0 is affine")
@@ -309,19 +315,27 @@ def scan_denominator_growth(
         raise ValueError(f"t_max must be >= {GROWTH_START}")
     params = compute_constants(alpha, batch_size)
     a_tilde = 1.0 / 16.0 if alpha == 1.0 else params.a_alpha / (2.0 * alpha + 2.0)
-    seq = alpha_sequence(t_max, params)
-    den = denominator_sequence(seq, params)
-    t = np.arange(t_max + 1, dtype=np.float64)
-    growth = a_tilde * t ** (alpha + 1.0)
-
     tail = _ClaimTracker(INEQ_TOL)
-    tail.update(
-        _normalized_gap(growth[GROWTH_START:], den[GROWTH_START:]),
-        lambda i: f"(alpha={alpha:.6g}, t={i + GROWTH_START})",
-    )
     head = _ClaimTracker(0.0)
-    ratios = den[1:GROWTH_START] / t[1:GROWTH_START] ** (alpha + 1.0)
-    head.update(ratios, lambda i: f"(alpha={alpha:.6g}, t={i + 1})")
+    carry = -ALPHA0  # alpha_0 is no term of D_t's sum: carry -alpha_0 into t = 0
+    for s in range(0, t_max + 1, SCAN_BLOCK):
+        e = min(s + SCAN_BLOCK, t_max + 1)  # t = s .. e-1
+        seq = alpha_sequence(e - 1, params, s)
+        csum = np.cumsum(np.concatenate(([carry], seq)))[1:]
+        carry = csum[-1]
+        den = _denominator(np.multiply(seq, seq, out=seq), csum, params)
+        t_pow = np.arange(s, e, dtype=np.float64)
+        t_pow **= alpha + 1.0  # in place, bit for bit t ** (alpha + 1)
+        if s == 0:  # SCAN_BLOCK > GROWTH_START: the first block holds the head
+            head.update(
+                den[1:GROWTH_START] / t_pow[1:GROWTH_START],
+                lambda i: f"(alpha={alpha:.6g}, t={i + 1})",
+            )
+        lo = max(s, GROWTH_START)
+        tail.update(
+            _normalized_gap(a_tilde * t_pow[lo - s:], den[lo - s:]),
+            lambda i, lo=lo: f"(alpha={alpha:.6g}, t={i + lo})",
+        )
 
     domain = f"alpha={alpha:.6g}, b={batch_size}, t in [17, {t_max}]"
     return CertificateReport(

@@ -222,6 +222,12 @@ class TestConfigKeys:
             ("solver", "eta", "fast", "[solver] eta = 'fast': expected float"),
             ("run", "seeds", "1 x", "[run] seeds = 'x': expected int"),
             ("run", "seeds", ",", "[run] seeds must not be empty"),
+            ("run", "seeds", "1 -2",
+             "[run] seeds: seed must be an integer in [0, 2**128), got -2"),
+            ("problem", "seed", "-1",
+             "[problem] seed: seed must be an integer in [0, 2**128), got -1"),
+            ("problem", "seed", str(2**128), "[problem] seed: seed must be an integer"),
+            ("problem", "seed", "1.5", "[problem] seed = '1.5': expected int"),
             ("output", "lyapunov", "2", "[output] lyapunov = '2': expected bool"),
             ("reference", "tol", "tiny", "[reference] tol = 'tiny': expected float"),
             ("sweep", "bs", "1.5", "[sweep] bs = '1.5': expected int"),
@@ -423,6 +429,9 @@ class TestListFlags:
             ("sweep", "--alphas", ",", ["--bs", "1"]),
             ("sweep", "--bs", "1.5", ["--alphas", "1"]),
             ("run", "--seeds", "0,0", []),
+            ("run", "--seeds", "1,-2", []),
+            ("run", "--seeds", str(2**128), []),
+            ("sweep", "--seeds", "0 -1", ["--alphas", "1", "--bs", "1"]),
         ],
     )
     def test_bad_list_is_exit_two(
@@ -433,6 +442,15 @@ class TestListFlags:
         assert main(args + rest) == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+    def test_bad_seed_writes_no_trace(self, config_path, tmp_path, capsys):
+        # numpy would refuse -2 only when its run starts, after seed 1's trace
+        out = tmp_path / "seed_out"
+        args = ["run", "--config", str(config_path), "--out", str(out), "--seeds", "1,-2"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "--seeds: seed must be an integer in [0, 2**128), got -2" in err
+        assert not out.exists() and not list(tmp_path.rglob("trace_*.csv"))
 
     @pytest.mark.parametrize("flag", ["--batch-sizes", "--growth-alphas"])
     def test_verify_empty_list_is_exit_two(self, capsys, flag):

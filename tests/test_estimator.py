@@ -194,6 +194,16 @@ class TestDrawStream:
         with pytest.raises(ValueError):
             DrawStream(3, 0, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**128, 1.5, 2.0, True, "3", None])
+    def test_refuses_a_seed_that_is_no_philox_key(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*128\)"):
+            DrawStream(3, 1, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**128 - 1, np.int64(7), np.uint64(2**63)])
+    def test_takes_any_integer_key(self, seed):
+        stream = DrawStream(3, 1, seed=seed)
+        assert stream.subset().shape == (1,)
+
 
 class TestResolveBlock:
     @pytest.mark.parametrize(

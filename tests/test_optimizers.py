@@ -1,5 +1,7 @@
 """Solver iteration semantics, hand-traced updates, and baseline behavior."""
 
+import collections
+import copy
 import math
 import re
 
@@ -7,7 +9,8 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from katyusha_h import estimator, optimizers
+import katyusha_h
+from katyusha_h import estimator, optimizers, schedule, verification
 from katyusha_h.estimator import sample_subset
 from katyusha_h.optimizers import (
     RunConfig,
@@ -31,6 +34,7 @@ from katyusha_h.schedule import (
     CHUNK,
     alpha_sequence,
     compute_constants,
+    cursor_at,
     max_step_size,
     p_sequence,
 )
@@ -135,6 +139,65 @@ class TestStepInvariants:
         _, prob = synthesize(5, 2, "least_squares", seed=1)
         state = init_state(prob, RunConfig(alpha=1.0, batch_size=1, iterations=1))
         assert state.eta == pytest.approx(max_step_size(prob.L, state.params))
+
+
+class TestScheduleRows:
+    """A step reads its schedule row from the state's table, which refills
+    once per CHUNK iterations; the cursor is built only when asked for."""
+
+    @staticmethod
+    def _state():
+        _, prob = synthesize(5, 2, "least_squares", seed=1)
+        return prob, init_state(prob, RunConfig(alpha=0.5, batch_size=1, iterations=1, seed=0))
+
+    def test_cursor_equals_cursor_at_across_refills(self):
+        prob, state = self._state()
+        starts = set()
+        for _ in range(3 * CHUNK + 5):
+            katyusha_h_step(state, prob)
+            assert state.cursor == cursor_at(state.t, state.params)
+            starts.add(state.table.start)
+        assert starts == {0, CHUNK, 2 * CHUNK, 3 * CHUNK}
+
+    def test_deepcopy_mid_chunk_steps_on_its_own(self):
+        # the descent oracle's children are deep copies taken mid-chunk
+        prob, state = self._state()
+        for _ in range(CHUNK // 2):
+            katyusha_h_step(state, prob)
+        child = copy.deepcopy(state)
+        assert child.table is state.table  # never mutated, so shared
+        for _ in range(CHUNK):  # the child crosses a refill; the parent stays
+            katyusha_h_step(child, prob)
+            assert child.cursor == cursor_at(child.t, child.params)
+        assert state.t == CHUNK // 2 + 1 and state.table.start == 0
+        assert state.cursor == cursor_at(state.t, state.params)
+        for _ in range(CHUNK):
+            katyusha_h_step(state, prob)
+        assert state.t == child.t and state.cursor == child.cursor
+        assert state.y.tobytes() == child.y.tobytes()
+
+    def test_a_run_reads_rows_without_the_scalar_schedule(self, monkeypatch):
+        calls = collections.Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for module in (schedule, optimizers, verification, katyusha_h):
+            for name in ("advance", "tau_at", "p_at"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        monkeypatch.setattr(optimizers, "_refill", counting("_refill", schedule._refill))
+        _, prob = synthesize(5, 2, "least_squares", seed=1)
+        with_reference(prob, tol=1e-12)
+        iterations = 3 * CHUNK + 5
+        records = run(prob, RunConfig(alpha=0.5, batch_size=1, iterations=iterations,
+                                      seed=0, record_every=CHUNK, lyapunov=True))
+        assert records[-1].t == iterations and math.isfinite(records[-1].lyapunov)
+        # one table per chunk that t visits: [0, CHUNK) .. [3*CHUNK, 4*CHUNK)
+        assert dict(calls) == {"_refill": 4}
 
 
 class TestRun:
@@ -400,6 +463,13 @@ class TestDriverArguments:
             run(prob, RunConfig(alpha=0.5, batch_size=1, **stopping))
         with pytest.raises(ValueError, match=name):
             fista_run(prob, RunConfig(**stopping))
+
+    @pytest.mark.parametrize("solver", ["run", "psgd_run"])
+    @pytest.mark.parametrize("seed", [1.5, -1, 2**128])
+    def test_seed_that_is_no_philox_key_is_refused(self, solver, seed):
+        _, prob = synthesize(6, 2, "least_squares", seed=1)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            getattr(optimizers, solver)(prob, RunConfig(iterations=3, seed=seed))
 
     @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -1.0])
     @pytest.mark.parametrize("solver", ["run", "fista_run", "pgd_run", "psgd_run"])

@@ -415,6 +415,13 @@ class TestOracleConsistency:
 
 
 class TestSynthesize:
+    @pytest.mark.parametrize("seed", [-2, 2**128, 1.5])
+    def test_refuses_a_seed_that_is_no_philox_key(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            make_rng(seed)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            synthesize(6, 3, "least_squares", seed=seed)
+
     def test_deterministic(self):
         ds1, _ = synthesize(6, 3, "least_squares", seed=42)
         ds2, _ = synthesize(6, 3, "least_squares", seed=42)

@@ -21,12 +21,14 @@ from katyusha_h.schedule import (
     GROWTH_START,
     alpha_sequence,
     compute_constants,
+    denominator_sequence,
 )
 from katyusha_h.verification import (
     EQ_TOL,
     INEQ_TOL,
     SCAN_BLOCK,
     _ClaimTracker,
+    _normalized_gap,
     default_alpha_grid,
     exact_conditional_lyapunov_descent,
     scan_denominator_growth,
@@ -305,6 +307,30 @@ class TestBlockedScan:
         assert peak <= 8 * (4 * t_max + 16 * SCAN_BLOCK)
 
 
+def _oracle_growth(alpha, t_max, batch_size):
+    """The growth scan as one full-length pass over t = 0..t_max:
+    {claim: (min_slack, worst_at)}."""
+    params = compute_constants(alpha, batch_size)
+    a_tilde = 1.0 / 16.0 if alpha == 1.0 else params.a_alpha / (2.0 * alpha + 2.0)
+    seq = alpha_sequence(t_max, params)
+    den = denominator_sequence(seq, params)
+    t = np.arange(t_max + 1, dtype=np.float64)
+    growth = a_tilde * t ** (alpha + 1.0)
+
+    tail = _ClaimTracker(INEQ_TOL)
+    tail.update(
+        _normalized_gap(growth[GROWTH_START:], den[GROWTH_START:]),
+        lambda i: f"(alpha={alpha:.6g}, t={i + GROWTH_START})",
+    )
+    head = _ClaimTracker(0.0)
+    ratios = den[1:GROWTH_START] / t[1:GROWTH_START] ** (alpha + 1.0)
+    head.update(ratios, lambda i: f"(alpha={alpha:.6g}, t={i + 1})")
+    return {
+        "denominator-growth": (repr(tail.min_slack), tail.worst_at),
+        "denominator-early-ratio": (repr(head.min_slack), head.worst_at),
+    }
+
+
 class TestDenominatorGrowth:
     def test_full_acceleration(self):
         report = scan_denominator_growth(1.0, t_max=2000)
@@ -325,6 +351,27 @@ class TestDenominatorGrowth:
     def test_flat_exponent_excluded(self):
         with pytest.raises(ValueError):
             scan_denominator_growth(0.0)
+
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    @pytest.mark.parametrize("alpha", [0.25, 0.6, 1.0])
+    @pytest.mark.parametrize(
+        "t_max",
+        [GROWTH_START, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1,
+         2 * SCAN_BLOCK - 1, 2 * SCAN_BLOCK, 2 * SCAN_BLOCK + 17],
+    )
+    def test_blocks_match_the_full_length_oracle(self, t_max, alpha, batch_size):
+        report = scan_denominator_growth(alpha, t_max=t_max, batch_size=batch_size)
+        assert _claims(report) == _oracle_growth(alpha, t_max, batch_size)
+
+    def test_peak_memory_does_not_grow_with_t(self):
+        t_max = 2 ** 20
+        tracemalloc.start()
+        try:
+            scan_denominator_growth(0.5, t_max=t_max)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * t_max
 
     def test_early_ratio_reported_positive(self):
         report = scan_denominator_growth(0.8, t_max=100)
