@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedule import ScheduleCursor
-
 ALPHA_BRANCH_CAP = 0.1  # the small-alpha branch applies below min(alpha_hat, this)
 
 
@@ -37,25 +35,27 @@ def lyapunov(
     gap_y: float,
     gap_w: float,
     z: np.ndarray,
-    cursor: ScheduleCursor,
+    alpha_prev: float,
+    den_prev: float,
     eta: float,
     problem,
 ) -> float:
-    """Lyapunov value for a state at the start of iteration t = cursor.t.
+    """Lyapunov value for a state at the start of iteration t.
 
     L_t = alpha_{t-1}^2 (F(y_t) - F*) + D_{t-1} (F(w_t) - F*)
           + ||z_t - x*||^2 / (2 eta),
 
-    where at t = 0 the cursor's alpha_{t-1} and D_{t-1} are the start-of-run
-    weights alpha_0 and alpha_tilde0.  The caller passes the gaps F(y_t) - F*
-    and F(w_t) - F*, which it has already evaluated, so this costs one norm;
-    instrumentation only, never charged to the IFO ledger.
+    with alpha_prev = alpha_{t-1} and den_prev = D_{t-1}, the schedule row
+    at t; at t = 0 they are the start-of-run weights alpha_0 and
+    alpha_tilde0.  The caller passes the gaps F(y_t) - F* and F(w_t) - F*,
+    which it has already evaluated, so this costs one norm; instrumentation
+    only, never charged to the IFO ledger.
     """
     ref = problem.reference
     if ref is None:
         raise ValueError("Lyapunov evaluation requires a reference solution")
     dz = np.asarray(z) - ref.x_star
-    return cursor.alpha_prev ** 2 * gap_y + cursor.den_prev * gap_w + float(dz @ dz) / (2.0 * eta)
+    return alpha_prev ** 2 * gap_y + den_prev * gap_w + float(dz @ dz) / (2.0 * eta)
 
 
 @dataclass(frozen=True)

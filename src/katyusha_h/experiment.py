@@ -53,7 +53,7 @@ class ProblemSpec:
     density: float = 1.0
     consistent: bool = False
     data: str | None = None  # libsvm-format file; overrides synthesis
-    reg: str = "zero"
+    reg: str = "zero"  # zero, l1, squared_l2 or elastic_net: which weights may be set
     lam1: float = 0.0
     lam2: float = 0.0
 
@@ -202,10 +202,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.problem.family not in CURVATURE:
         raise ConfigError(f"unknown problem family {cfg.problem.family!r}")
-    try:
-        Regularizer(cfg.problem.reg, cfg.problem.lam1, cfg.problem.lam2)
-    except ValueError as exc:
-        raise ConfigError(f"[problem] {exc}") from None
+    _regularizer(cfg.problem)
     if cfg.solver.method not in SOLVERS:
         raise ConfigError(f"unknown solver method {cfg.solver.method!r}")
     if cfg.solver.method != "katyusha_h":
@@ -241,10 +238,29 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"dataset file not found: {cfg.problem.data}")
 
 
+def _regularizer(spec: ProblemSpec) -> Regularizer:
+    """The regularizer of ``[problem] reg``, ``lam1`` and ``lam2``.  The label
+    says which weights may be nonzero; only the weights go on."""
+    kind, lam1, lam2 = spec.reg, spec.lam1, spec.lam2
+    try:
+        if kind not in ("zero", "l1", "squared_l2", "elastic_net"):
+            raise ValueError(f"unknown regularizer kind {kind!r}")
+        reg = Regularizer(lam1, lam2)
+        if kind == "zero" and (lam1 != 0.0 or lam2 != 0.0):
+            raise ValueError("zero regularizer takes no weights")
+        if kind == "l1" and lam2 != 0.0:
+            raise ValueError("l1 regularizer has no squared-l2 weight")
+        if kind == "squared_l2" and lam1 != 0.0:
+            raise ValueError("squared-l2 regularizer has no l1 weight")
+    except ValueError as exc:
+        raise ConfigError(f"[problem] {exc}") from None
+    return reg
+
+
 def build_problem(cfg: ExperimentConfig) -> FiniteSumProblem:
     """Materialize the problem (file or synthetic) and attach any reference."""
     spec = cfg.problem
-    reg = Regularizer(spec.reg, spec.lam1, spec.lam2)
+    reg = _regularizer(spec)
     if spec.data is not None:
         try:
             dataset = parse_libsvm(Path(spec.data).read_text())

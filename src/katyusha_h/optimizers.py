@@ -184,8 +184,9 @@ def state_lyapunov(state: KatyushaHState, problem, f_y: float, f_w: float) -> fl
     """Lyapunov value of the current state from F(y) and F(w), which the
     caller has already evaluated (instrumentation only)."""
     f_star = problem.reference.f_star
+    alpha_prev, _, den_prev, _, _ = state.table.rows[state.t - state.table.start]
     return analysis.lyapunov(
-        f_y - f_star, f_w - f_star, state.z, state.cursor, state.eta, problem
+        f_y - f_star, f_w - f_star, state.z, alpha_prev, den_prev, state.eta, problem
     )
 
 

@@ -302,11 +302,6 @@ class FiniteSumProblem:
         """Composite objective F(x) = f(x) + reg(x)."""
         return self.smooth_value(x) + reg_value(self.reg, x)
 
-    def gap(self, x: np.ndarray) -> float:
-        if self.reference is None:
-            raise ValueError("problem has no reference solution")
-        return self.value(x) - self.reference.f_star
-
 
 def dataset_from_dense(A: np.ndarray, labels: np.ndarray) -> SparseDataset:
     """Sparse dataset from a dense matrix; exact zeros, -0.0 included, are dropped."""
@@ -380,7 +375,7 @@ def synthesize(
 
 
 def _is_quadratic(problem: FiniteSumProblem) -> bool:
-    return problem.loss == "least_squares" and problem.reg.kind in ("zero", "squared_l2")
+    return problem.loss == "least_squares" and problem.reg.lam1 == 0.0
 
 
 def _row_space_rank(s: np.ndarray, shape: tuple[int, int]) -> int:
@@ -389,8 +384,8 @@ def _row_space_rank(s: np.ndarray, shape: tuple[int, int]) -> int:
 
 
 def quadratic_gap_bound(problem: FiniteSumProblem, x: np.ndarray, s: np.ndarray) -> float:
-    """Certified bound on F(x) - F* for least squares with the zero or
-    squared-l2 regularizer, given the singular values ``s`` of A.
+    """Certified bound on F(x) - F* for least squares with no l1 weight,
+    given the singular values ``s`` of A.
 
     F is quadratic with Hessian H = A'A/n + lam2*I, so
     F(x) - F* <= ||grad F(x)||^2 / (2*mu) for any mu that lower-bounds the
@@ -401,7 +396,7 @@ def quadratic_gap_bound(problem: FiniteSumProblem, x: np.ndarray, s: np.ndarray)
     alone.
     """
     if not _is_quadratic(problem):
-        raise ValueError("needs least squares with the zero or squared-l2 regularizer")
+        raise ValueError("needs least squares with no l1 weight")
     lam2 = problem.reg.lam2
     n, d = problem.A.shape
     if lam2 == 0.0:
@@ -434,9 +429,9 @@ def solve_reference(
 
     The method follows from the problem, on one SVD of A:
 
-    * least squares with the zero or squared-l2 regularizer is solved
-      directly from the SVD (the minimum-norm least-squares solution, or the
-      ridge solution), certified by ``quadratic_gap_bound``;
+    * least squares with no l1 weight is solved directly from the SVD (the
+      minimum-norm least-squares solution, or the ridge solution), certified
+      by ``quadratic_gap_bound``;
     * everything else runs restarted FISTA with step 1/L_f, where
       L_f = CURVATURE[loss] * s_max^2/n bounds the smoothness of the
       average f.  ``problem.L`` bounds each component, which the stochastic
@@ -446,8 +441,9 @@ def solve_reference(
 
     ``gap_tolerance`` is the achieved certificate, never below ``tol``.
     When the certificate misses ``tol`` a RuntimeWarning names both.
-    Logistic loss with no regularizer has no minimizer on separable data, so
-    such a problem raises ValueError before any iteration runs.
+    Logistic loss with both regularizer weights zero has no minimizer on
+    separable data, so such a problem raises ValueError before any iteration
+    runs.
     """
     from .optimizers import fista_solve
 
@@ -455,8 +451,8 @@ def solve_reference(
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
-    unregularized_logistic = problem.loss == "logistic" and problem.reg.kind == "zero"
-    if unregularized_logistic and _strictly_separable(problem):
+    unregularized = problem.reg == Regularizer.zero()  # both weights zero
+    if problem.loss == "logistic" and unregularized and _strictly_separable(problem):
         raise ValueError("unregularized logistic loss has no minimizer on separable data")
     n = problem.n
     if _is_quadratic(problem):

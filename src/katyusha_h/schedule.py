@@ -50,11 +50,15 @@ class ScheduleParams:
     a_alpha: float
     c: float
     xi: float  # 1/(b*c), weight of the checkpoint anchor in the coupling
-    alpha_tilde0: float  # xi * alpha_1^2 = 36*xi
+
+    @property
+    def alpha_tilde0(self) -> float:
+        """xi * alpha_1^2 = 36*xi, the start-of-run weight of F(w); follows xi."""
+        return self.xi * ALPHA0 ** 2
 
 
 def compute_constants(alpha: float, batch_size: int) -> ScheduleParams:
-    """Derive (a_alpha, c, xi, alpha_tilde0) from alpha in [0, 1] and b >= 1.
+    """Derive (a_alpha, c, xi) from alpha in [0, 1] and b >= 1.
 
     ``c = max{2, b^-1 * max{6/5, (1 - 1/alpha_17)^-1}} + 1``; the inverse-gap
     term keeps ``xi < 1 - tau_t`` even at t = 17 where alpha_t is smallest.
@@ -69,14 +73,7 @@ def compute_constants(alpha: float, batch_size: int) -> ScheduleParams:
     if not c <= C_MAX:
         raise ValueError(f"c = {c} exceeds the uniform cap {C_MAX}")
     xi = 1.0 / (batch_size * c)
-    return ScheduleParams(
-        alpha=alpha,
-        batch_size=batch_size,
-        a_alpha=a,
-        c=c,
-        xi=xi,
-        alpha_tilde0=xi * ALPHA0 ** 2,
-    )
+    return ScheduleParams(alpha=alpha, batch_size=batch_size, a_alpha=a, c=c, xi=xi)
 
 
 def max_step_size(L: float, params: ScheduleParams) -> float:

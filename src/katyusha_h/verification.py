@@ -162,8 +162,8 @@ def scan_schedule(
     fails at a slack of 0; c <= 5; and equality of the shifted p_t
     reformulation with the direct formula.
 
-    ``xi_override`` replaces xi (and alpha_tilde0 = 36*xi) with a raw value,
-    bypassing the constructor guards; it exists for fault injection.
+    ``xi_override`` replaces xi (and with it alpha_tilde0 = 36*xi) with a raw
+    value, bypassing the constructor guards; it exists for fault injection.
 
     alpha_t depends on alpha alone, so each alpha computes it once, over the
     whole t range, for every b.  It then walks t in blocks of ``SCAN_BLOCK``
@@ -217,9 +217,7 @@ def scan_schedule(
         for b in batch_sizes:
             params = compute_constants(float(alpha), b)
             if xi_override is not None:
-                params = replace(
-                    params, xi=xi_override, alpha_tilde0=36.0 * xi_override
-                )
+                params = replace(params, xi=xi_override)
             trackers["c-bound"].update(
                 (C_MAX - params.c) / C_MAX,
                 lambda i, alpha=alpha, b=b: f"(alpha={alpha:.6g}, b={b})",
@@ -367,7 +365,7 @@ def exact_conditional_lyapunov_descent(state: KatyushaHState, problem) -> tuple[
 
     gap_w = problem.value(state.ckpt.w) - ref.f_star
     gap_y = problem.value(state.y) - ref.f_star
-    current = analysis.lyapunov(gap_y, gap_w, state.z, cur, eta, problem)
+    current = analysis.lyapunov(gap_y, gap_w, state.z, cur.alpha_prev, cur.den_prev, eta, problem)
 
     x_next = tau * state.z + xi * state.ckpt.w + (1.0 - xi - tau) * state.y
     _, means = _subset_walk(x_next, state.ckpt.w, params.batch_size, problem)

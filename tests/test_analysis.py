@@ -32,6 +32,16 @@ from katyusha_h.schedule import (
 )
 
 
+def _weights(t, params):
+    """alpha_{t-1} and D_{t-1}, the Lyapunov weights of the state at t."""
+    cur = cursor_at(t, params)
+    return cur.alpha_prev, cur.den_prev
+
+
+def _gap(prob, x):
+    return prob.value(x) - prob.reference.f_star
+
+
 def scalar_quadratic_with_reference():
     ds = SparseDataset(
         indptr=[0, 1, 2], indices=[1, 1], values=[1.0, 1.0], labels=np.array([1.0, -1.0]), d=1
@@ -48,8 +58,8 @@ class TestLyapunov:
         prob = scalar_quadratic_with_reference()
         params = compute_constants(0.0, 1)
         x_star = prob.reference.x_star
-        gap = prob.gap(x_star)
-        val = lyapunov(gap, gap, x_star, cursor_at(5, params), 0.25, prob)
+        gap = _gap(prob, x_star)
+        val = lyapunov(gap, gap, x_star, *_weights(5, params), 0.25, prob)
         assert val == pytest.approx(0.0, abs=1e-14)
 
     def test_initial_value_hand_computed(self):
@@ -58,8 +68,8 @@ class TestLyapunov:
         prob = scalar_quadratic_with_reference()
         params = compute_constants(0.0, 1)
         one = np.array([1.0])
-        gap = prob.gap(one)
-        val = lyapunov(gap, gap, one, cursor_at(0, params), 0.25, prob)
+        gap = _gap(prob, one)
+        val = lyapunov(gap, gap, one, *_weights(0, params), 0.25, prob)
         assert val == pytest.approx(26.0, rel=1e-14)
 
     def test_start_matches_first_cursor(self):
@@ -67,9 +77,9 @@ class TestLyapunov:
         prob = scalar_quadratic_with_reference()
         params = compute_constants(0.7, 1)
         one = np.array([1.3])
-        gap = prob.gap(one)
-        v0 = lyapunov(gap, gap, one, cursor_at(0, params), 0.25, prob)
-        v1 = lyapunov(gap, gap, one, cursor_at(1, params), 0.25, prob)
+        gap = _gap(prob, one)
+        v0 = lyapunov(gap, gap, one, *_weights(0, params), 0.25, prob)
+        v1 = lyapunov(gap, gap, one, *_weights(1, params), 0.25, prob)
         assert v0 == pytest.approx(v1, rel=1e-12)
 
     def test_requires_reference(self):
@@ -77,7 +87,7 @@ class TestLyapunov:
         prob = FiniteSumProblem(ds.to_dense(), ds.labels, "least_squares")
         params = compute_constants(0.0, 1)
         with pytest.raises(ValueError):
-            lyapunov(0.0, 0.0, np.zeros(1), cursor_at(0, params), 0.1, prob)
+            lyapunov(0.0, 0.0, np.zeros(1), *_weights(0, params), 0.1, prob)
 
     def test_nonnegative_along_runs(self):
         _, prob = synthesize(8, 3, "least_squares", seed=2)
@@ -86,8 +96,8 @@ class TestLyapunov:
         rng = np.random.default_rng(0)
         for t in (0, 1, 17, 40):
             pt = rng.normal(size=3)
-            gap = prob.gap(pt)
-            val = lyapunov(gap, gap, pt, cursor_at(t, params), 0.01, prob)
+            gap = _gap(prob, pt)
+            val = lyapunov(gap, gap, pt, *_weights(t, params), 0.01, prob)
             assert val >= -1e-10
 
 

@@ -113,8 +113,9 @@ class TestConfig:
             ("reg = l1\nlam1 = 0.01\nlam2 = 5.0\n", "l1 regularizer has no squared-l2"),
             ("reg = zero\nlam1 = 0.5\n", "zero regularizer takes no weights"),
             ("reg = ridge\n", "unknown regularizer kind"),
+            ("reg = squared_l2\nlam1 = 0.1\nlam2 = 0.5\n", "squared-l2 regularizer has no l1"),
         ],
-        ids=["l1-with-lam2", "zero-with-lam1", "unknown-kind"],
+        ids=["l1-with-lam2", "zero-with-lam1", "unknown-kind", "squared_l2-with-lam1"],
     )
     def test_regularizer_built_from_spec(self, tmp_path, capsys, problem, message):
         # a weight the kind cannot carry is an error, not silently dropped
@@ -124,6 +125,19 @@ class TestConfig:
             load_config(path)
         assert main(["run", "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (ProblemSpec(reg="nope"), "unknown regularizer kind 'nope'"),
+            (ProblemSpec(reg="zero", lam1=1.0), "zero regularizer takes no weights"),
+        ],
+        ids=["unknown-kind", "zero-with-lam1"],
+    )
+    def test_build_problem_reads_the_label(self, spec, message):
+        # the label lives only in the config: build_problem checks it as load_config does
+        with pytest.raises(ConfigError, match=message):
+            build_problem(ExperimentConfig(problem=spec))
 
     def test_missing_dataset_file(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -501,6 +515,20 @@ class TestSolveRefCommand:
         )
         assert main([command, "--config", str(path)]) == 2
         assert "no minimizer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve-ref", "run"])
+    def test_zero_l1_weight_on_separable_logistic_is_exit_two(self, tmp_path, capsys, command):
+        # reg = l1 with lam1 = 0 is no regularizer: refused as reg = zero is
+        path = tmp_path / "sep.ini"
+        path.write_text(
+            "[problem]\nfamily = logistic\nn = 30\nd = 5\nseed = 17\nnoise = 0.0\n"
+            "reg = l1\nlam1 = 0\n\n"
+            "[run]\nepsilon = 1e-6\n\n[reference]\ntol = 1e-10\n\n"
+            f"[output]\ndirectory = {tmp_path / 'out'}\n"
+        )
+        assert main([command, "--config", str(path)]) == 2
+        assert "no minimizer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestNonFiniteInputs:

@@ -35,6 +35,7 @@ from katyusha_h.schedule import (
     alpha_sequence,
     compute_constants,
     cursor_at,
+    denominator_sequence,
     max_step_size,
     p_sequence,
 )
@@ -150,25 +151,45 @@ class TestScheduleRows:
         _, prob = synthesize(5, 2, "least_squares", seed=1)
         return prob, init_state(prob, RunConfig(alpha=0.5, batch_size=1, iterations=1, seed=0))
 
+    @staticmethod
+    def _rows(params, t_max):
+        """Entry t holds the cursor's (alpha_{t-1}, alpha_t, D_{t-1}, D_t, p_t)
+        for t = 1..t_max, read from the certified arrays built once."""
+        seq = alpha_sequence(t_max, params)
+        den = denominator_sequence(seq, params)
+        p = np.clip(p_sequence(seq, params), 0.0, 1.0)
+        a, d = seq.tolist(), den.tolist()
+        return [None, *zip(a[:-1], a[1:], d[:-1], d[1:], p.tolist())]
+
+    @staticmethod
+    def _check(state, rows):
+        cur = state.cursor
+        assert cur.t == state.t and cur[1:6] == rows[state.t]
+        if state.t == state.table.start:  # a refill: the cursor and its table
+            assert cur == cursor_at(state.t, state.params)
+
     def test_cursor_equals_cursor_at_across_refills(self):
         prob, state = self._state()
+        steps = 3 * CHUNK + 5
+        rows = self._rows(state.params, steps + 1)
         starts = set()
-        for _ in range(3 * CHUNK + 5):
+        for _ in range(steps):
             katyusha_h_step(state, prob)
-            assert state.cursor == cursor_at(state.t, state.params)
+            self._check(state, rows)
             starts.add(state.table.start)
         assert starts == {0, CHUNK, 2 * CHUNK, 3 * CHUNK}
 
     def test_deepcopy_mid_chunk_steps_on_its_own(self):
         # the descent oracle's children are deep copies taken mid-chunk
         prob, state = self._state()
+        rows = self._rows(state.params, 2 * CHUNK)
         for _ in range(CHUNK // 2):
             katyusha_h_step(state, prob)
         child = copy.deepcopy(state)
         assert child.table is state.table  # never mutated, so shared
         for _ in range(CHUNK):  # the child crosses a refill; the parent stays
             katyusha_h_step(child, prob)
-            assert child.cursor == cursor_at(child.t, child.params)
+            self._check(child, rows)
         assert state.t == CHUNK // 2 + 1 and state.table.start == 0
         assert state.cursor == cursor_at(state.t, state.params)
         for _ in range(CHUNK):
@@ -586,7 +607,8 @@ class TestReferenceLoop:
     @pytest.mark.parametrize("cache", [False, True])
     @pytest.mark.parametrize("b", [1, 3, "n"])
     @pytest.mark.parametrize("reg", [Regularizer.l1(0.02), Regularizer.elastic_net(0.01, 0.02),
-                                     Regularizer.squared_l2(0.05)], ids=lambda r: r.kind)
+                                     Regularizer.squared_l2(0.05)],
+                             ids=["l1", "elastic_net", "squared_l2"])
     @pytest.mark.parametrize("family", ["least_squares", "logistic"])
     def test_run_equals_the_update_lines(self, monkeypatch, family, reg, b, cache):
         _, prob = synthesize(30, 6, family, seed=17, reg=reg)

@@ -21,7 +21,6 @@ from katyusha_h.problems import (
     serialize_libsvm,
     solve_reference,
     synthesize,
-    with_reference,
 )
 from katyusha_h.proximal import Regularizer
 
@@ -543,12 +542,38 @@ class TestSolveReference:
         with pytest.raises(ValueError):
             solve_reference(prob, tol=0.0)
 
-    def test_gap_helper(self):
-        _, prob = synthesize(10, 3, "least_squares", seed=4)
-        with pytest.raises(ValueError):
-            prob.gap(np.zeros(3))
-        with_reference(prob, tol=1e-10)
-        assert prob.gap(prob.reference.x_star) <= 1e-12
+    @pytest.mark.parametrize("reg", [Regularizer.l1(0.0), Regularizer.elastic_net(0.0, 0.0),
+                                     Regularizer.squared_l2(0.0)],
+                             ids=["l1", "elastic_net", "squared_l2"])
+    def test_zero_weights_on_separable_logistic_are_refused(self, reg):
+        # the weights, not how the regularizer was built, decide the refusal
+        _, prob = synthesize(30, 5, "logistic", seed=17, noise=0.0, reg=reg)
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="no minimizer"):
+            solve_reference(prob, tol=1e-10)
+        assert time.monotonic() - start < 1.0
+
+    def test_a_squared_l2_weight_alone_keeps_a_minimizer(self):
+        # strongly convex on separable data too: not refused
+        _, prob = synthesize(30, 5, "logistic", seed=17, noise=0.0,
+                             reg=Regularizer.elastic_net(0.0, 0.01))
+        ref = solve_reference(prob, tol=1e-10)
+        assert ref.method == "fista-restart" and ref.gap_tolerance == 1e-10
+
+    @pytest.mark.parametrize("weighted, plain", [
+        (Regularizer.l1(0.0), Regularizer.zero()),
+        (Regularizer.elastic_net(0.0, 0.01), Regularizer.squared_l2(0.01)),
+    ], ids=["l1-as-zero", "elastic_net-as-squared_l2"])
+    def test_zero_l1_weight_is_solved_directly(self, weighted, plain):
+        # a quadratic whatever constructor built it: the same direct solve, bit for bit
+        _, prob = synthesize(200, 10, condition=100, seed=3)
+        refs = []
+        for reg in (weighted, plain):
+            prob.reg = reg
+            refs.append(solve_reference(prob, tol=1e-12))
+        assert [(r.method, r.iterations) for r in refs] == [("lstsq", 0)] * 2
+        assert refs[0].f_star.hex() == refs[1].f_star.hex()
+        assert refs[0].x_star.tobytes() == refs[1].x_star.tobytes()
 
 
 def _smoothness_of_average(prob):

@@ -1,5 +1,6 @@
 """Proximal operators, certified through first-order optimality conditions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -52,10 +53,15 @@ class TestValues:
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             Regularizer.l1(-1.0)
-        with pytest.raises(ValueError):
-            Regularizer("nope")
-        with pytest.raises(ValueError):
-            Regularizer("zero", lam1=1.0)
+
+    def test_the_weights_are_the_regularizer(self):
+        # no label: each constructor is a weight pattern, and a zero weight
+        # is no term, so l1(0) and elastic_net(0, 0) are the zero regularizer
+        assert [f.name for f in dataclasses.fields(Regularizer)] == ["lam1", "lam2"]
+        assert Regularizer.zero() == Regularizer() == Regularizer.l1(0.0)
+        assert Regularizer.elastic_net(0.0, 0.0) == Regularizer.squared_l2(0.0) == Regularizer()
+        assert Regularizer.elastic_net(0.0, 0.3) == Regularizer.squared_l2(0.3)
+        assert Regularizer.elastic_net(0.2, 0.0) == Regularizer.l1(0.2)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_weight_refused(self, bad):
@@ -83,6 +89,14 @@ class TestProx:
         out = prox(Regularizer.l1(1.0), np.array([0.5]), 1.0)
         assert out[0] == 0.0
         assert prox_optimality_residual(Regularizer.l1(1.0), np.array([0.5]), 1.0, out) <= 1e-12
+
+    @pytest.mark.parametrize("reg", [Regularizer.zero(), Regularizer.l1(0.0),
+                                     Regularizer.squared_l2(0.0)], ids=["zero", "l1", "squared_l2"])
+    def test_zero_weights_are_identity(self, reg):
+        v = np.array([1.0, -2.0, -0.0, 0.5])
+        out = prox(reg, v, 0.7)
+        assert out.tobytes() == v.tobytes() and out is not v
+        assert reg_value(reg, v) == 0.0
 
     def test_squared_l2_scales(self):
         out = prox(Regularizer.squared_l2(3.0), np.array([4.0, -2.0]), 0.5)

@@ -107,6 +107,15 @@ class TestConstants:
                 assert 0.0 < p.xi < 1.0
                 assert p.alpha_tilde0 == pytest.approx(36 * p.xi, rel=1e-15)
 
+    def test_alpha_tilde0_follows_xi(self):
+        # no field to set by hand: a replaced xi carries alpha_tilde0 with it
+        p = params_for(0.6, b=2)
+        assert "alpha_tilde0" not in {f.name for f in dataclasses.fields(p)}
+        for xi in (p.xi, 2.0, 0.3):
+            q = dataclasses.replace(p, xi=xi)
+            assert q.alpha_tilde0 == 36.0 * xi
+            assert schedule._refill(None, q).rows[0][2] == 36.0 * xi
+
     def test_batch_dampens_inner_max(self):
         # b >= 2 pushes the inner term below 2, so c = 3 regardless of alpha.
         for alpha in (0.001, 0.3, 0.999):

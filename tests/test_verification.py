@@ -182,9 +182,7 @@ def _oracle_scan(alpha_grid, t_max, batch_sizes, xi_override):
         for b in batch_sizes:
             params = compute_constants(float(alpha), b)
             if xi_override is not None:
-                params = replace(
-                    params, xi=xi_override, alpha_tilde0=36.0 * xi_override
-                )
+                params = replace(params, xi=xi_override)
             xi = params.xi
             # alpha_t = alpha_0 for t < 17, then a_alpha * t^alpha, t = 0..t_max+1
             t = np.arange(t_max + 2, dtype=np.float64)
@@ -192,9 +190,10 @@ def _oracle_scan(alpha_grid, t_max, batch_sizes, xi_override):
             a_prev = seq[:-2]
             a_t = seq[1:-1]
             a_next = seq[2:]
-            # D_t = alpha_tilde0 + alpha_0^2 - alpha_t^2 + sum_{j<=t} alpha_j, t = 0..t_max
+            # D_t = alpha_tilde0 + alpha_0^2 - alpha_t^2 + sum_{j<=t} alpha_j, t = 0..t_max,
+            # with alpha_tilde0 = 36 xi
             alpha_sums = np.concatenate(([0.0], np.cumsum(a_t)))
-            den = params.alpha_tilde0 + ALPHA0 ** 2 - seq[:-1] ** 2 + alpha_sums
+            den = 36.0 * xi + ALPHA0 ** 2 - seq[:-1] ** 2 + alpha_sums
 
             def here(i, alpha=alpha, b=b):
                 return f"(alpha={alpha:.6g}, b={b}, t={i + 1})"
