@@ -51,11 +51,9 @@ from .problems import (
 )
 from .proximal import Regularizer, prox, reg_value, soft_threshold
 from .schedule import (
-    ScheduleCursor,
     ScheduleParams,
     advance,
     compute_constants,
-    cursor_at,
     growth_coefficient,
     max_step_size,
     p_at,

@@ -14,13 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import verification
-from .analysis import (
-    InadmissibleConstantError,
-    InfeasibleAccuracyError,
-    feasible_alpha_interval,
-    predict_ifo,
-    select_alpha,
-)
+from .analysis import feasible_alpha_interval, predict_ifo, select_alpha
 from .experiment import (
     ConfigError,
     _check_seeds,
@@ -108,12 +102,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_select_alpha(args) -> int:
-    try:
-        interval = feasible_alpha_interval(args.n, args.epsilon, args.c1, args.c2)
-        alpha = select_alpha(args.n, args.epsilon, args.c1, args.c2)
-    except (InfeasibleAccuracyError, InadmissibleConstantError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    interval = feasible_alpha_interval(args.n, args.epsilon, args.c1, args.c2)
+    alpha = select_alpha(args.n, args.epsilon, args.c1, args.c2)
     print(f"alpha = {alpha:.6g}")
     print(f"interval = [{interval.delta1:.6g}, {interval.delta2:.6g}]")
     print(

@@ -29,6 +29,7 @@ from .problems import (
     synthesize,
 )
 from .proximal import Regularizer
+from .schedule import compute_constants
 
 TRACE_COLUMNS = ("t", "F_y_gap", "F_w_gap", "p_t", "ckpt_updated", "ifo_total", "lyapunov")
 # Bumped whenever an unchanged config may give different trace bytes.
@@ -212,6 +213,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         keys += ["[output] lyapunov"] if cfg.output.lyapunov else []
         if keys:
             raise ConfigError(f"{keys[0]} applies only to katyusha_h, not {cfg.solver.method}")
+    _check_cell(cfg.solver.alpha, cfg.solver.b)
     _check_seeds("[problem] seed", (cfg.problem.seed,))
     _check_seeds("[run] seeds", cfg.run.seeds)
     if (cfg.run.iterations is None) == (cfg.run.epsilon is None):
@@ -236,6 +238,18 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("[reference] max_iterations must be at least 1")
     if cfg.problem.data is not None and not Path(cfg.problem.data).exists():
         raise ConfigError(f"dataset file not found: {cfg.problem.data}")
+
+
+def _check_cell(alpha: float, b: int, n: int | None = None, where: str = "[solver]") -> None:
+    """Refuse an alpha or b the schedule cannot take and, with n given, a
+    b > n, by a ConfigError naming ``{where} alpha`` or ``{where} b``."""
+    for key, batch in (("alpha", 1), ("b", b)):  # alpha alone first, then with b
+        try:
+            compute_constants(alpha, batch)
+        except ValueError as exc:
+            raise ConfigError(f"{where} {key}: {exc}") from None
+    if n is not None and b > n:
+        raise ConfigError(f"{where} b: need 1 <= b <= n, got b={b}, n={n}")
 
 
 def _regularizer(spec: ProblemSpec) -> Regularizer:
@@ -406,6 +420,7 @@ def _trace_header(cfg: ExperimentConfig, problem: FiniteSumProblem, seed: int) -
 def run_command(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> list[Path]:
     """Execute the configured runs, one trace file per seed."""
     problem = build_problem(cfg)
+    _check_cell(cfg.solver.alpha, cfg.solver.b, problem.n)
     out = Path(out_dir if out_dir is not None else cfg.output.directory)
     out.mkdir(parents=True, exist_ok=True)
     f_star = problem.reference.f_star if problem.reference is not None else 0.0
@@ -450,7 +465,11 @@ def sweep_command(
     bs = bs if bs is not None else cfg.sweep.bs
     if not alphas or not bs:
         raise ConfigError("sweep needs alpha and b grids (flags or [sweep] section)")
+    for alpha in alphas:
+        for b in bs:
+            _check_cell(alpha, b, where="sweep")
     problem = build_problem(cfg)
+    _check_cell(alphas[0], max(bs), problem.n, where="sweep")
     f_star = problem.reference.f_star if problem.reference is not None else 0.0
     out = Path(out_dir if out_dir is not None else cfg.output.directory)
     out.mkdir(parents=True, exist_ok=True)

@@ -38,10 +38,9 @@ from .problems import make_rng
 from .proximal import prox
 from .schedule import (
     CHUNK,
-    ScheduleCursor,
     ScheduleParams,
-    _refill,
-    _Table,
+    Table,
+    advance,
     compute_constants,
     max_step_size,
 )
@@ -100,7 +99,7 @@ class KatyushaHState:
     z: np.ndarray
     ckpt: Checkpoint
     t: int  # the next iteration's index
-    table: _Table  # the schedule rows that cover t
+    table: Table  # the schedule rows that cover t
     params: ScheduleParams
     eta: float
     rng: DrawStream  # each iteration's subset, then its checkpoint coin
@@ -108,11 +107,6 @@ class KatyushaHState:
     anchor: tuple[np.ndarray, np.ndarray]  # (w, xi * w), kept per checkpoint
     p: float = math.nan  # p_t of the last iteration's checkpoint draw
     checkpoint_updated: bool = False  # whether that draw hit
-
-    @property
-    def cursor(self) -> ScheduleCursor:
-        """The schedule at t, built on demand: a step reads its table row."""
-        return ScheduleCursor(self.t, *self.table.rows[self.t - self.table.start], self.table)
 
 
 def init_state(problem, config: RunConfig) -> KatyushaHState:
@@ -134,7 +128,7 @@ def init_state(problem, config: RunConfig) -> KatyushaHState:
         z=x0.copy(),
         ckpt=ckpt,
         t=1,
-        table=_refill(None, params),
+        table=advance(None, params),
         params=params,
         eta=eta,
         rng=rng,
@@ -177,7 +171,7 @@ def katyusha_h_step(state: KatyushaHState, problem) -> None:
     state.p = p
     state.t = t + 1
     if state.t == table.start + CHUNK:  # t+1 opens the next chunk's rows
-        state.table = _refill(table, params)
+        state.table = advance(table, params)
 
 
 def state_lyapunov(state: KatyushaHState, problem, f_y: float, f_w: float) -> float:

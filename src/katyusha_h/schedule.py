@@ -9,17 +9,16 @@ probability ``p_t`` ties the amount of variance reduction to the momentum
 growth rate.
 
 The array functions hold the only arithmetic of alpha_t, D_t and p_t: the
-verification scans certify them, and ``_refill`` lays them out in tables of
-``CHUNK`` rows, one row per index, which the solver's step reads directly.
-The cursor (``cursor_at``, ``advance``, ``p_at``, ``tau_at``) reads the same
-rows one index at a time, for the Lyapunov values, the oracles and tests.
+verification scans certify them, and ``advance`` lays them out in tables of
+``CHUNK`` rows, one row per index.  The table is the schedule's only reader:
+the solver's step and the Lyapunov values index its rows, and ``p_at`` and
+``tau_at`` read p_t and tau_t from row t for the oracles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -132,33 +131,35 @@ def p_sequence(alpha_seq: np.ndarray, params: ScheduleParams) -> np.ndarray:
     return _p_ratio(core, params.xi * sq[1:], den)
 
 
-# -- the arrays above in tables of CHUNK rows, and a cursor over them -----------
+# -- the arrays above in tables of CHUNK rows, the schedule's one reader -------
 
-CHUNK = 1024  # schedule entries per refill of a table
+CHUNK = 1024  # schedule entries per table
 
 
 @dataclass(frozen=True)
-class _Table:
+class Table:
     """Rows (alpha_{t-1}, alpha_t, D_{t-1}, D_t, clamped p_t) of floats for
     t = start .. start + CHUNK - 1, and alpha_1 + ... + alpha_t at the last t,
-    which the next refill carries on."""
+    which the next table carries on.  At t = 0, alpha_{t-1} and D_{t-1} are
+    the start-of-run weights alpha_0 and alpha_tilde0, and p is no probability.
+    """
 
     start: int
     rows: list[tuple[float, float, float, float, float]] = field(repr=False)
     cum_sum: float
 
-    def __deepcopy__(self, memo) -> _Table:
+    def __deepcopy__(self, memo) -> Table:
         return self  # never mutated, so copied states may share it
 
 
-def _refill(prev: _Table | None, params: ScheduleParams) -> _Table:
-    """The table after ``prev``, or the first one.  Prepending the carried sum
-    before ``np.cumsum`` adds the terms in ``denominator_sequence``'s order, so
-    every entry equals that function's, or ``p_sequence``'s, bit for bit."""
-    if prev is None:  # alpha_0 is no term of D_t's sum: carry -alpha_0 into t = 0
+def advance(table: Table | None, params: ScheduleParams) -> Table:
+    """The table after ``table``, or the first one for None.  Prepending the
+    carried sum before ``np.cumsum`` adds the terms in ``denominator_sequence``'s
+    order, so every entry equals that function's, or ``p_sequence``'s, bit for bit."""
+    if table is None:  # alpha_0 is no term of D_t's sum: carry -alpha_0 into t = 0
         start, alpha, den, carry = 0, ALPHA0, params.alpha_tilde0, -ALPHA0
     else:
-        start, (_, alpha, _, den, _), carry = prev.start + CHUNK, prev.rows[-1], prev.cum_sum
+        start, (_, alpha, _, den, _), carry = table.start + CHUNK, table.rows[-1], table.cum_sum
     a = np.concatenate(([alpha], alpha_sequence(start + CHUNK - 1, params, start)))
     sq = a * a
     csum = np.cumsum(np.concatenate(([carry], a[1:])))[1:]
@@ -172,52 +173,23 @@ def _refill(prev: _Table | None, params: ScheduleParams) -> _Table:
     p = np.clip(_p_ratio(core, params.xi * sq[1:], d[1:]), 0.0, 1.0)
     a, d = a.tolist(), d.tolist()
     rows = list(zip(a[:-1], a[1:], d[:-1], d[1:], p.tolist()))
-    return _Table(start, rows, float(csum[-1]))
+    return Table(start, rows, float(csum[-1]))
 
 
-class ScheduleCursor(NamedTuple):
-    """The schedule at index t, one row of the table that covers t.
-
-    At t = 0, alpha_prev and den_prev are the start-of-run weights alpha_0
-    and alpha_tilde0, and p is no probability.
-    """
-
-    t: int
-    alpha_prev: float  # alpha_{t-1}
-    alpha_t: float
-    den_prev: float  # D_{t-1}
-    den_t: float  # D_t
-    p: float
-    table: _Table
+def _row(table: Table, t: int) -> tuple[float, float, float, float, float]:
+    """Row t of ``table``, for 1 <= t inside the table."""
+    if t < 1:
+        raise ValueError(f"p_t and tau_t are defined for t >= 1, got t={t}")
+    if not table.start <= t < table.start + CHUNK:
+        raise ValueError(f"t={t} is outside the table [{table.start}, {table.start + CHUNK})")
+    return table.rows[t - table.start]
 
 
-def cursor_at(t: int, params: ScheduleParams) -> ScheduleCursor:
-    """Cursor at index t; every table before t's is filled to carry the sum."""
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    table = _refill(None, params)
-    while t >= table.start + CHUNK:
-        table = _refill(table, params)
-    return ScheduleCursor(t, *table.rows[t - table.start], table)
+def p_at(table: Table, t: int) -> float:
+    """Checkpoint update probability p_t, clamped to [0, 1], from row t."""
+    return _row(table, t)[4]
 
 
-def advance(cursor: ScheduleCursor, params: ScheduleParams) -> ScheduleCursor:
-    """Move the cursor from t to t+1, refilling its table every CHUNK indices."""
-    t, table = cursor.t + 1, cursor.table
-    if t == table.start + CHUNK:
-        table = _refill(table, params)
-    return ScheduleCursor(t, *table.rows[t - table.start], table)
-
-
-def p_at(cursor: ScheduleCursor, params: ScheduleParams) -> float:
-    """Checkpoint update probability p_t, clamped to [0, 1], for t >= 1."""
-    if cursor.t < 1:
-        raise ValueError("p_t is defined for t >= 1")
-    return cursor.p
-
-
-def tau_at(cursor: ScheduleCursor) -> float:
-    """Coupling weight tau_t = 1/alpha_t for t >= 1."""
-    if cursor.t < 1:
-        raise ValueError("tau_t is defined for t >= 1")
-    return 1.0 / cursor.alpha_t
+def tau_at(table: Table, t: int) -> float:
+    """Coupling weight tau_t = 1/alpha_t from row t."""
+    return 1.0 / _row(table, t)[1]

@@ -356,21 +356,20 @@ def exact_conditional_lyapunov_descent(state: KatyushaHState, problem) -> tuple[
     ref = problem.reference
     if ref is None:
         raise ValueError("descent oracle requires a reference solution")
-    cur = state.cursor
-    params = state.params
-    tau = tau_at(cur)
+    table, t, params = state.table, state.t, state.params
+    tau, p = tau_at(table, t), p_at(table, t)
+    alpha_prev, alpha_t, den_prev, den_t, _ = table.rows[t - table.start]
     xi = params.xi
-    p = p_at(cur, params)
     eta = state.eta
 
     gap_w = problem.value(state.ckpt.w) - ref.f_star
     gap_y = problem.value(state.y) - ref.f_star
-    current = analysis.lyapunov(gap_y, gap_w, state.z, cur.alpha_prev, cur.den_prev, eta, problem)
+    current = analysis.lyapunov(gap_y, gap_w, state.z, alpha_prev, den_prev, eta, problem)
 
     x_next = tau * state.z + xi * state.ckpt.w + (1.0 - xi - tau) * state.y
     _, means = _subset_walk(x_next, state.ckpt.w, params.batch_size, problem)
-    step_len = cur.alpha_t * eta
-    alpha_sq = cur.alpha_t ** 2
+    step_len = alpha_t * eta
+    alpha_sq = alpha_t ** 2
 
     acc = 0.0
     for count, mean in enumerate(means, 1):
@@ -379,7 +378,7 @@ def exact_conditional_lyapunov_descent(state: KatyushaHState, problem) -> tuple[
         y_next = x_next + tau * (z_next - state.z)
         dz = z_next - ref.x_star
         acc += alpha_sq * (problem.value(y_next) - ref.f_star) + float(dz @ dz) / (2.0 * eta)
-    expected = acc / count + cur.den_t * ((1.0 - p) * gap_w + p * gap_y)
+    expected = acc / count + den_t * ((1.0 - p) * gap_w + p * gap_y)
     return expected, current
 
 

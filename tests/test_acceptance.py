@@ -35,9 +35,9 @@ from katyusha_h.problems import (
 )
 from katyusha_h.proximal import Regularizer
 from katyusha_h.schedule import (
+    advance,
     alpha_sequence,
     compute_constants,
-    cursor_at,
     p_at,
     p_sequence,
 )
@@ -78,7 +78,7 @@ def test_criterion_02_first_probability_forced():
     for alpha in default_alpha_grid():
         for b in BATCHES:
             params = compute_constants(float(alpha), b)
-            p1 = p_at(cursor_at(1, params), params)
+            p1 = p_at(advance(None, params), 1)
             worst = max(worst, abs(p1 - 1.0))
     ok = worst <= 1e-12
     _report(2, "forced first checkpoint", ok, f"max |p_1 - 1| = {worst:.2e}")

@@ -26,16 +26,13 @@ from katyusha_h.problems import (
     synthesize,
     with_reference,
 )
-from katyusha_h.schedule import (
-    compute_constants,
-    cursor_at,
-)
+from katyusha_h.schedule import advance, compute_constants
 
 
 def _weights(t, params):
-    """alpha_{t-1} and D_{t-1}, the Lyapunov weights of the state at t."""
-    cur = cursor_at(t, params)
-    return cur.alpha_prev, cur.den_prev
+    """alpha_{t-1} and D_{t-1}, the Lyapunov weights of the state at t < CHUNK."""
+    alpha_prev, _, den_prev, _, _ = advance(None, params).rows[t]
+    return alpha_prev, den_prev
 
 
 def _gap(prob, x):
@@ -72,8 +69,8 @@ class TestLyapunov:
         val = lyapunov(gap, gap, one, *_weights(0, params), 0.25, prob)
         assert val == pytest.approx(26.0, rel=1e-14)
 
-    def test_start_matches_first_cursor(self):
-        # the t=0 form and the cursor-at-1 form weight the same state equally
+    def test_start_matches_first_row(self):
+        # the t=0 row and the t=1 row weight the same state equally
         prob = scalar_quadratic_with_reference()
         params = compute_constants(0.7, 1)
         one = np.array([1.3])

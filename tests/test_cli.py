@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from katyusha_h import optimizers
+from katyusha_h import experiment, optimizers
 from katyusha_h.cli import main
 from katyusha_h.experiment import (
     SOLVERS,
@@ -247,6 +247,9 @@ class TestConfigKeys:
             ("sweep", "bs", "1.5", "[sweep] bs = '1.5': expected int"),
             ("sweep", "alphas", "", "[sweep] alphas must not be empty"),
             ("sweep", "alphas", "0.5 1 .5", "[sweep] alphas = '0.5 1 .5': '.5' repeats a value"),
+            ("solver", "b", "0", "[solver] b: batch_size must be at least 1, got 0"),
+            ("solver", "alpha", "2", "[solver] alpha: alpha must be in [0, 1], got 2.0"),
+            ("solver", "alpha", "nan", "[solver] alpha: alpha must be in [0, 1], got nan"),
         ],
     )
     def test_bad_key_or_value_is_exit_two(self, tmp_path, capsys, section, key, raw, message):
@@ -341,6 +344,14 @@ class TestRunCommand:
         files = sorted(p.name for p in out.iterdir())
         assert files == ["trace_katyusha_h_seed7.csv"]
 
+    def test_batch_above_n_writes_no_trace(self, config_path, tmp_path, capsys):
+        cfg = config_path.read_text().replace("b = 2", "b = 40")  # n = 30
+        config_path.write_text(cfg)
+        out = tmp_path / "b_out"
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+        assert "[solver] b: need 1 <= b <= n, got b=40, n=30" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_grid_rows(self, config_path):
@@ -362,6 +373,25 @@ class TestSweepCommand:
     def test_grid_required(self, config_path):
         with pytest.raises(ConfigError):
             sweep_command(load_config(config_path))
+
+    @pytest.mark.parametrize("alphas, bs, message", [
+        ("0,1", "1,40", "sweep b: need 1 <= b <= n, got b=40, n=30"),
+        ("0,2", "1", "sweep alpha: alpha must be in [0, 1], got 2.0"),
+        ("0,1", "1,0", "sweep b: batch_size must be at least 1, got 0"),
+    ])
+    def test_bad_cell_fails_before_any_run(self, config_path, tmp_path, capsys, monkeypatch,
+                                           alphas, bs, message):
+        calls, built = [], []
+        monkeypatch.setattr(experiment, "run_single", lambda *args: calls.append(args))
+        build = experiment.build_problem
+        monkeypatch.setattr(experiment, "build_problem", lambda cfg: built.append(cfg) or build(cfg))
+        out = tmp_path / "sweep_out"
+        args = ["sweep", "--config", str(config_path), "--alphas", alphas, "--bs", bs,
+                "--out", str(out)]
+        assert main(args) == 2
+        assert message in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+        assert len(built) == ("n=30" in message)  # only b <= n needs the problem
 
     def test_epsilon_mode_aggregates_cost_to_target(self, tmp_path):
         out = tmp_path / "out"

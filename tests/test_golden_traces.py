@@ -62,7 +62,7 @@ trace_stride = 7
 lyapunov = true
 """
 
-# 9000 iterations cross several refills of the schedule cursor's table
+# 9000 iterations cross several of the schedule's tables
 KATYUSHA_H_LONG = LEAST_SQUARES + """\
 [solver]
 method = katyusha_h

@@ -32,13 +32,18 @@ from katyusha_h.problems import (
 from katyusha_h.proximal import Regularizer
 from katyusha_h.schedule import (
     CHUNK,
+    advance,
     alpha_sequence,
     compute_constants,
-    cursor_at,
     denominator_sequence,
     max_step_size,
     p_sequence,
 )
+
+
+def alpha_now(state):
+    """alpha_t of the state's next iteration, from its table row."""
+    return state.table.rows[state.t - state.table.start][1]
 
 
 def scalar_quadratic_problem():
@@ -90,8 +95,7 @@ class TestStepInvariants:
         state = init_state(prob, cfg)
         for _ in range(60):
             z_before = state.z.copy()
-            cur = state.cursor
-            tau = 1.0 / cur.alpha_t
+            tau = 1.0 / alpha_now(state)
             katyusha_h_step(state, prob)
             # y = x + tau*(z_new - z_old) by construction; recovering the
             # difference re-rounds once, so allow a couple of ulps
@@ -105,8 +109,7 @@ class TestStepInvariants:
         cfg = RunConfig(alpha=0.0, batch_size=6, iterations=1, seed=4, x0=np.ones(3))
         state = init_state(prob, cfg)
         z0 = state.z.copy()
-        cur = state.cursor
-        step_len = cur.alpha_t * state.eta
+        step_len = alpha_now(state) * state.eta
         g = prob.full_grad(np.ones(3))  # coupling fixes x_2 = x_1 here
         katyusha_h_step(state, prob)
         np.testing.assert_allclose(state.z, z0 - step_len * g, rtol=1e-14)
@@ -116,8 +119,7 @@ class TestStepInvariants:
         cfg = RunConfig(alpha=1.0, batch_size=1, iterations=1, seed=0)
         state = init_state(prob, cfg)
         for _ in range(40):
-            cur = state.cursor
-            tau = 1.0 / cur.alpha_t
+            tau = 1.0 / alpha_now(state)
             xi = state.params.xi
             assert 0.0 < tau < 1.0 and 0.0 < xi < 1.0 and 0.0 < 1 - tau - xi < 1.0
             katyusha_h_step(state, prob)
@@ -143,8 +145,8 @@ class TestStepInvariants:
 
 
 class TestScheduleRows:
-    """A step reads its schedule row from the state's table, which refills
-    once per CHUNK iterations; the cursor is built only when asked for."""
+    """A step reads its schedule row from the state's table, and the state
+    calls ``advance`` for the next table once per CHUNK iterations."""
 
     @staticmethod
     def _state():
@@ -153,8 +155,8 @@ class TestScheduleRows:
 
     @staticmethod
     def _rows(params, t_max):
-        """Entry t holds the cursor's (alpha_{t-1}, alpha_t, D_{t-1}, D_t, p_t)
-        for t = 1..t_max, read from the certified arrays built once."""
+        """Entry t holds (alpha_{t-1}, alpha_t, D_{t-1}, D_t, p_t) for
+        t = 1..t_max, read from the certified arrays built once."""
         seq = alpha_sequence(t_max, params)
         den = denominator_sequence(seq, params)
         p = np.clip(p_sequence(seq, params), 0.0, 1.0)
@@ -162,39 +164,45 @@ class TestScheduleRows:
         return [None, *zip(a[:-1], a[1:], d[:-1], d[1:], p.tolist())]
 
     @staticmethod
-    def _check(state, rows):
-        cur = state.cursor
-        assert cur.t == state.t and cur[1:6] == rows[state.t]
-        if state.t == state.table.start:  # a refill: the cursor and its table
-            assert cur == cursor_at(state.t, state.params)
+    def _tables(params, count):
+        tables = [advance(None, params)]
+        while len(tables) < count:
+            tables.append(advance(tables[-1], params))
+        return tables
 
-    def test_cursor_equals_cursor_at_across_refills(self):
+    @staticmethod
+    def _check(state, rows, tables):
+        table = state.table
+        assert table.rows[state.t - table.start] == rows[state.t]
+        if state.t == table.start:  # a new table: all of it, and its carried sum
+            assert table == tables[state.t // CHUNK]
+
+    def test_rows_equal_the_certified_arrays_across_tables(self):
         prob, state = self._state()
         steps = 3 * CHUNK + 5
-        rows = self._rows(state.params, steps + 1)
+        rows, tables = self._rows(state.params, steps + 1), self._tables(state.params, 4)
         starts = set()
         for _ in range(steps):
             katyusha_h_step(state, prob)
-            self._check(state, rows)
+            self._check(state, rows, tables)
             starts.add(state.table.start)
         assert starts == {0, CHUNK, 2 * CHUNK, 3 * CHUNK}
 
     def test_deepcopy_mid_chunk_steps_on_its_own(self):
         # the descent oracle's children are deep copies taken mid-chunk
         prob, state = self._state()
-        rows = self._rows(state.params, 2 * CHUNK)
+        rows, tables = self._rows(state.params, 2 * CHUNK), self._tables(state.params, 2)
         for _ in range(CHUNK // 2):
             katyusha_h_step(state, prob)
         child = copy.deepcopy(state)
         assert child.table is state.table  # never mutated, so shared
-        for _ in range(CHUNK):  # the child crosses a refill; the parent stays
+        for _ in range(CHUNK):  # the child crosses into the next table; the parent stays
             katyusha_h_step(child, prob)
-            self._check(child, rows)
-        assert state.t == CHUNK // 2 + 1 and state.table.start == 0
-        assert state.cursor == cursor_at(state.t, state.params)
+            self._check(child, rows, tables)
+        assert state.t == CHUNK // 2 + 1 and state.table == tables[0]
         for _ in range(CHUNK):
             katyusha_h_step(state, prob)
-        assert state.t == child.t and state.cursor == child.cursor
+        assert state.t == child.t and state.table == child.table
         assert state.y.tobytes() == child.y.tobytes()
 
     def test_a_run_reads_rows_without_the_scalar_schedule(self, monkeypatch):
@@ -210,7 +218,6 @@ class TestScheduleRows:
             for name in ("advance", "tau_at", "p_at"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-        monkeypatch.setattr(optimizers, "_refill", counting("_refill", schedule._refill))
         _, prob = synthesize(5, 2, "least_squares", seed=1)
         with_reference(prob, tol=1e-12)
         iterations = 3 * CHUNK + 5
@@ -218,7 +225,7 @@ class TestScheduleRows:
                                       seed=0, record_every=CHUNK, lyapunov=True))
         assert records[-1].t == iterations and math.isfinite(records[-1].lyapunov)
         # one table per chunk that t visits: [0, CHUNK) .. [3*CHUNK, 4*CHUNK)
-        assert dict(calls) == {"_refill": 4}
+        assert dict(calls) == {"advance": 4}
 
 
 class TestRun:

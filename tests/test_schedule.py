@@ -1,5 +1,6 @@
 """Schedule sequences: growth buckets, derived constants, probabilities."""
 
+import collections
 import dataclasses
 import math
 
@@ -12,7 +13,6 @@ from katyusha_h.schedule import (
     advance,
     alpha_sequence,
     compute_constants,
-    cursor_at,
     denominator_sequence,
     growth_coefficient,
     max_step_size,
@@ -22,8 +22,24 @@ from katyusha_h.schedule import (
 )
 
 
+Row = collections.namedtuple("Row", "alpha_prev alpha_t den_prev den_t p")
+
+
 def params_for(alpha, b=1):
     return compute_constants(alpha, b)
+
+
+def table_at(t, params):
+    """The table that covers t, after every table before it."""
+    table = advance(None, params)
+    while t >= table.start + CHUNK:
+        table = advance(table, params)
+    return table
+
+
+def row_at(t, params):
+    table = table_at(t, params)
+    return Row(*table.rows[t - table.start])
 
 
 class TestGrowthCoefficient:
@@ -114,7 +130,7 @@ class TestConstants:
         for xi in (p.xi, 2.0, 0.3):
             q = dataclasses.replace(p, xi=xi)
             assert q.alpha_tilde0 == 36.0 * xi
-            assert schedule._refill(None, q).rows[0][2] == 36.0 * xi
+            assert advance(None, q).rows[0][2] == 36.0 * xi
 
     def test_batch_dampens_inner_max(self):
         # b >= 2 pushes the inner term below 2, so c = 3 regardless of alpha.
@@ -136,27 +152,25 @@ class TestConstants:
 class TestDenominator:
     def test_flat_schedule_value(self):
         p = params_for(0.0, b=1)
-        cur = cursor_at(10, p)
         # 12 + 36 - 36 + 10*6
-        assert cur.den_t == pytest.approx(72.0, rel=1e-15)
+        assert row_at(10, p).den_t == pytest.approx(72.0, rel=1e-15)
 
     def test_initial_is_anchor_weight(self):
         for alpha in (0.0, 0.5, 1.0):
             p = params_for(alpha)
-            cur = cursor_at(0, p)
-            assert cur.den_t == pytest.approx(p.alpha_tilde0, rel=1e-15)
+            row = row_at(0, p)
+            assert row.den_t == pytest.approx(p.alpha_tilde0, rel=1e-15)
             # the start-of-run weights stand in for t = -1
-            assert cur.den_prev == p.alpha_tilde0 and cur.alpha_prev == 6.0
+            assert row.den_prev == p.alpha_tilde0 and row.alpha_prev == 6.0
 
     def test_quadratic_growth(self):
         p = params_for(1.0, b=1)
-        cur = cursor_at(1000, p)
-        assert cur.den_t >= (1 / 16) * 1000 ** 2
+        assert row_at(1000, p).den_t >= (1 / 16) * 1000 ** 2
 
     def test_prev_denominator_consistent(self):
         p = params_for(0.5, b=2)
         for t in (25, CHUNK, CHUNK + 1):
-            assert cursor_at(t, p).den_prev == cursor_at(t - 1, p).den_t
+            assert row_at(t, p).den_prev == row_at(t - 1, p).den_t
 
 
 class TestProbability:
@@ -164,16 +178,14 @@ class TestProbability:
         for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
             for b in (1, 2, 10):
                 p = params_for(alpha, b=b)
-                cur = cursor_at(1, p)
-                assert abs(p_at(cur, p) - 1.0) <= 1e-12
+                assert abs(p_at(advance(None, p), 1) - 1.0) <= 1e-12
 
     def test_flat_schedule_closed_form(self):
         # alpha = 0: p_t = (36*xi + 6) / (alpha_tilde0 + 6t)
         p = params_for(0.0, b=1)
-        cur = cursor_at(10, p)
-        assert p_at(cur, p) == pytest.approx(18 / 72, rel=1e-15)
-        big = cursor_at(10 ** 6, p)
-        assert p_at(big, p) == pytest.approx(18 / (12 + 6e6), rel=1e-12)
+        assert p_at(advance(None, p), 10) == pytest.approx(18 / 72, rel=1e-15)
+        big = 10 ** 6
+        assert p_at(table_at(big, p), big) == pytest.approx(18 / (12 + 6e6), rel=1e-12)
 
     def test_range_over_grid(self):
         for alpha in np.linspace(0.0, 1.0, 21):
@@ -181,17 +193,11 @@ class TestProbability:
             probs = p_sequence(alpha_sequence(3000, p), p)
             assert np.all(probs >= -1e-15) and np.all(probs <= 1.0 + 1e-15)
 
-    def test_requires_positive_t(self):
-        p = params_for(0.5)
-        with pytest.raises(ValueError):
-            p_at(cursor_at(0, p), p)
-
     @pytest.mark.parametrize("cum_sum", [-1e3, math.nan])
     def test_non_positive_denominator_raises(self, cum_sum):
-        # a corrupt carried sum reaches the next refill, which refuses it
+        # a corrupt carried sum reaches the next table, which refuses it
         p = params_for(0.5)
-        cur = cursor_at(CHUNK - 1, p)
-        corrupt = cur._replace(table=dataclasses.replace(cur.table, cum_sum=cum_sum))
+        corrupt = dataclasses.replace(advance(None, p), cum_sum=cum_sum)
         with pytest.raises(ValueError, match=f"denominator D_{CHUNK} "):
             advance(corrupt, p)
 
@@ -199,14 +205,14 @@ class TestProbability:
 class TestTau:
     def test_values(self):
         p = params_for(1.0)
-        assert tau_at(cursor_at(5, p)) == pytest.approx(1 / 6, rel=1e-15)
-        assert tau_at(cursor_at(17, p)) == pytest.approx(4 / 17, rel=1e-15)
+        table = advance(None, p)
+        assert tau_at(table, 5) == pytest.approx(1 / 6, rel=1e-15)
+        assert tau_at(table, 17) == pytest.approx(4 / 17, rel=1e-15)
 
     def test_coupling_weights_positive(self):
         p = params_for(1.0, b=1)
-        cur = cursor_at(17, p)
         # 1 - xi - tau = 1 - 1/3 - 4/17 = 22/51
-        assert 1.0 - p.xi - tau_at(cur) == pytest.approx(22 / 51, rel=1e-12)
+        assert 1.0 - p.xi - tau_at(advance(None, p), 17) == pytest.approx(22 / 51, rel=1e-12)
 
 
 class TestStepSize:
@@ -224,53 +230,85 @@ class TestStepSize:
             max_step_size(-1.0, params_for(0.5))
 
 
-class TestCursor:
-    def test_first_advances(self):
+class TestTable:
+    def test_first_rows(self):
         p = params_for(0.3)
-        c1 = advance(cursor_at(0, p), p)
-        assert c1.t == 1 and c1.alpha_prev == 6.0 and c1.den_prev == cursor_at(0, p).den_t
-        assert c1.den_t == p.alpha_tilde0 + 36.0 - 36.0 + 6.0
+        row0, row1 = (Row(*r) for r in advance(None, p).rows[:2])
+        assert row1.alpha_prev == 6.0 and row1.den_prev == row0.den_t
+        assert row1.den_t == p.alpha_tilde0 + 36.0 - 36.0 + 6.0
 
     def test_cross_growth_boundary(self):
         p = params_for(0.8)
-        c17 = cursor_at(17, p)
-        a17 = c17.alpha_t
+        row = row_at(17, p)
+        a17 = row.alpha_t
         assert a17 == alpha_sequence(17, p, start=17)[0]
-        assert c17.den_t == pytest.approx(p.alpha_tilde0 + 36.0 - a17 ** 2 + 96.0 + a17, rel=1e-15)
-        assert c17.alpha_prev == 6.0
+        assert row.den_t == pytest.approx(p.alpha_tilde0 + 36.0 - a17 ** 2 + 96.0 + a17, rel=1e-15)
+        assert row.alpha_prev == 6.0
 
     def test_incremental_matches_fresh_summation(self):
         for alpha in (0.0, 0.37, 1.0):
             p = params_for(alpha)
-            cur = cursor_at(3 * CHUNK + 5, p)
-            fresh = math.fsum(alpha_sequence(cur.t, p)[1:])
-            summed = cur.den_t - (p.alpha_tilde0 + 36.0 - cur.alpha_t ** 2)
+            t = 3 * CHUNK + 5
+            row = row_at(t, p)
+            fresh = math.fsum(alpha_sequence(t, p)[1:])
+            summed = row.den_t - (p.alpha_tilde0 + 36.0 - row.alpha_t ** 2)
             assert abs(summed - fresh) <= 1e-12 * abs(fresh)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.211, 0.5, 0.6, 0.75, 0.9, 1.0])
-    def test_cursor_reads_the_certified_arrays(self, alpha):
+    def test_tables_read_the_certified_arrays(self, alpha):
         # every value a run reads is, bit for bit, what the scans certify
         p = params_for(alpha)
         t_max = 200_000
         seq = alpha_sequence(t_max, p)
         dens = denominator_sequence(seq, p)
         probs = np.clip(p_sequence(seq, p), 0.0, 1.0)
-        cur = cursor_at(0, p)
-        read = [(cur.alpha_t, cur.den_t, cur.alpha_prev, cur.den_prev, math.nan)]
-        for _ in range(t_max):
-            cur = advance(cur, p)
-            read.append((cur.alpha_t, cur.den_t, cur.alpha_prev, cur.den_prev, p_at(cur, p)))
-        alphas, den_t, alpha_prev, den_prev, p_t = np.array(read).T
+        tables = [advance(None, p)]
+        while tables[-1].start + CHUNK <= t_max:
+            tables.append(advance(tables[-1], p))
+        rows = [row for table in tables for row in table.rows][:t_max + 1]
+        alpha_prev, alphas, den_prev, den_t, p_t = np.array(rows).T
         assert np.array_equal(alphas, seq)
         assert np.array_equal(den_t, dens)
         assert np.array_equal(alpha_prev[1:], seq[:-1]) and np.array_equal(den_prev[1:], dens[:-1])
         assert np.array_equal(p_t[1:], probs)
+        assert alpha_prev[0] == 6.0 and den_prev[0] == p.alpha_tilde0
 
-    @pytest.mark.parametrize("t", [0, 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
-    def test_cursor_at_matches_advances(self, t):
+    def test_each_table_follows_the_last(self):
         p = params_for(0.6)
-        cur = cursor_at(0, p)
-        for _ in range(t):
-            cur = advance(cur, p)
-        assert cursor_at(t, p) == cur
-        assert cur.t == t and cur.table.start == t - t % CHUNK
+        prev = advance(None, p)
+        assert prev.start == 0 and len(prev.rows) == CHUNK
+        for k in range(1, 4):
+            table = advance(prev, p)
+            assert table.start == k * CHUNK and len(table.rows) == CHUNK
+            first, last = Row(*table.rows[0]), Row(*prev.rows[-1])
+            assert (first.alpha_prev, first.den_prev) == (last.alpha_t, last.den_t)
+            # the carried sum adds in one running order, as np.cumsum does
+            assert table.cum_sum == np.cumsum(alpha_sequence(table.start + CHUNK - 1, p)[1:])[-1]
+            prev = table
+
+
+class TestReader:
+    """p_at and tau_at read row t of the table they are given, and no other."""
+
+    @pytest.mark.parametrize("t", [1, 17, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1])
+    def test_reads_row_t(self, t):
+        p = params_for(0.5, b=2)
+        table = table_at(t, p)
+        row = Row(*table.rows[t - table.start])
+        assert p_at(table, t) == row.p and tau_at(table, t) == 1.0 / row.alpha_t
+
+    @pytest.mark.parametrize("reader", [p_at, tau_at])
+    def test_t_below_one_is_refused(self, reader):
+        with pytest.raises(ValueError, match="t >= 1"):
+            reader(advance(None, params_for(0.5)), 0)
+
+    @pytest.mark.parametrize("reader", [p_at, tau_at])
+    @pytest.mark.parametrize("which, t", [(0, CHUNK), (0, -1), (1, CHUNK - 1), (1, 2 * CHUNK)])
+    def test_t_outside_the_table_is_refused(self, reader, which, t):
+        p = params_for(0.5)
+        table = advance(None, p)
+        for _ in range(which):
+            table = advance(table, p)
+        match = "t >= 1" if t < 1 else "outside the table"
+        with pytest.raises(ValueError, match=match):
+            reader(table, t)

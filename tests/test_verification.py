@@ -11,17 +11,23 @@ import numpy as np
 import pytest
 
 from katyusha_h import verification
+from katyusha_h.analysis import lyapunov
 from katyusha_h.estimator import EnumerationCapError
-from katyusha_h.optimizers import RunConfig, init_state, katyusha_h_step
+from katyusha_h.optimizers import RunConfig, init_state, katyusha_h_step, state_lyapunov
 from katyusha_h.problems import make_rng, synthesize, with_reference
-from katyusha_h.proximal import Regularizer
+from katyusha_h.proximal import Regularizer, prox
 from katyusha_h.schedule import (
     ALPHA0,
     C_MAX,
+    CHUNK,
     GROWTH_START,
+    advance,
     alpha_sequence,
     compute_constants,
     denominator_sequence,
+    p_at,
+    p_sequence,
+    tau_at,
 )
 from katyusha_h.verification import (
     EQ_TOL,
@@ -337,10 +343,8 @@ class TestDenominatorGrowth:
 
     def test_spot_value(self):
         # alpha=1, t=1000: the certified floor is t^2/16 = 62500
-        from katyusha_h.schedule import compute_constants, cursor_at
-
         params = compute_constants(1.0, 1)
-        d = cursor_at(1000, params).den_t
+        _, _, _, d, _ = advance(None, params).rows[1000]
         assert d >= 62500.0
 
     def test_midrange_exponent(self):
@@ -385,6 +389,21 @@ def small_lasso_state(alpha=0.5, b=2, seed=0, reg_weight=0.05):
     return prob, init_state(prob, cfg)
 
 
+def _full_batch_descent(state, prob, alpha_t, den_t, p):
+    """E[L_{t+1} | state] for b = n, scripted from alpha_t, D_t and p_t."""
+    ref, xi, eta = prob.reference, state.params.xi, state.eta
+    tau = 1.0 / alpha_t
+    x_next = tau * state.z + xi * state.ckpt.w + (1 - xi - tau) * state.y
+    g = prob.full_grad(x_next)
+    z_next = prox(prob.reg, state.z - alpha_t * eta * g, alpha_t * eta)
+    y_next = x_next + tau * (z_next - state.z)
+    dz = z_next - ref.x_star
+    fixed = alpha_t ** 2 * (prob.value(y_next) - ref.f_star) + float(dz @ dz) / (2 * eta)
+    return fixed + den_t * (
+        (1 - p) * (prob.value(state.ckpt.w) - ref.f_star) + p * (prob.value(state.y) - ref.f_star)
+    )
+
+
 class TestConditionalDescent:
     def test_descent_along_short_run(self):
         prob, state = small_lasso_state()
@@ -396,9 +415,6 @@ class TestConditionalDescent:
     def test_full_batch_two_branch_expectation(self):
         # b = n: a single subset, so the expectation is the p-weighted mix of
         # the two checkpoint outcomes; verify against a scripted computation.
-        from katyusha_h.proximal import prox
-        from katyusha_h.schedule import p_at, tau_at
-
         _, prob = synthesize(5, 3, "least_squares", seed=4, reg=Regularizer.l1(0.03))
         with_reference(prob, tol=1e-12)
         cfg = RunConfig(alpha=1.0, batch_size=5, iterations=1, seed=1)
@@ -407,20 +423,11 @@ class TestConditionalDescent:
             katyusha_h_step(state, prob)
         expected, current = exact_conditional_lyapunov_descent(state, prob)
 
-        cur, params, eta = state.cursor, state.params, state.eta
-        tau, xi, p = tau_at(cur), params.xi, p_at(cur, params)
-        ref = prob.reference
-        x_next = tau * state.z + xi * state.ckpt.w + (1 - xi - tau) * state.y
-        g = prob.full_grad(x_next)
-        z_next = prox(prob.reg, state.z - cur.alpha_t * eta * g, cur.alpha_t * eta)
-        y_next = x_next + tau * (z_next - state.z)
-        dz = z_next - ref.x_star
-        fixed = cur.alpha_t ** 2 * (prob.value(y_next) - ref.f_star) + float(dz @ dz) / (2 * eta)
-        mix = cur.den_t * (
-            (1 - p) * (prob.value(state.ckpt.w) - ref.f_star)
-            + p * (prob.value(state.y) - ref.f_star)
-        )
-        assert expected == pytest.approx(fixed + mix, rel=1e-12)
+        _, alpha_t, _, den_t, _ = state.table.rows[state.t - state.table.start]
+        assert tau_at(state.table, state.t) == 1.0 / alpha_t
+        p = p_at(state.table, state.t)
+        assert expected == pytest.approx(_full_batch_descent(state, prob, alpha_t, den_t, p),
+                                         rel=1e-12)
         assert expected <= current + 1e-10 * max(1.0, current)
 
     def test_at_optimum_both_zero(self):
@@ -452,6 +459,35 @@ class TestConditionalDescent:
             exact_conditional_lyapunov_descent(state, prob)
 
 
+class TestReadsTheCertifiedArrays:
+    """At the last index of a table and the first two of the next, the
+    oracle and the Lyapunov record read alpha_t, D_t and the clipped p_t of
+    the arrays the scans certify."""
+
+    @pytest.mark.parametrize("t", [CHUNK - 1, CHUNK, CHUNK + 1])
+    def test_at_a_table_boundary(self, t):
+        prob, state = small_lasso_state(b=6)  # b = n: one subset
+        for _ in range(3):
+            katyusha_h_step(state, prob)
+        table = advance(None, state.params)
+        if t >= CHUNK:
+            table = advance(table, state.params)
+        state.t, state.table = t, table
+        seq = alpha_sequence(t, state.params)
+        den = denominator_sequence(seq, state.params)
+        p = np.clip(p_sequence(seq, state.params), 0.0, 1.0)[t - 1]
+        f_star = prob.reference.f_star
+        f_y, f_w = prob.value(state.y), prob.value(state.ckpt.w)
+        current = lyapunov(f_y - f_star, f_w - f_star, state.z, seq[t - 1], den[t - 1],
+                           state.eta, prob)
+        assert state_lyapunov(state, prob, f_y, f_w) == current
+
+        expected, oracle_current = exact_conditional_lyapunov_descent(state, prob)
+        assert oracle_current == current
+        assert expected == pytest.approx(_full_batch_descent(state, prob, seq[t], den[t], p),
+                                         rel=1e-12)
+
+
 class _ForcedDraw:
     """Stub draw stream for a full batch: the subset is all of range(n) and
     the next uniform is fixed, which forces one checkpoint outcome."""
@@ -475,9 +511,6 @@ class TestOutcomeTree:
         # of the final bound quantity must not exceed the initial value.
         _, prob = synthesize(4, 2, "least_squares", seed=13, reg=Regularizer.l1(0.02))
         with_reference(prob, tol=1e-13)
-        from katyusha_h.optimizers import state_lyapunov
-        from katyusha_h.schedule import p_at
-
         depth = 8
         root = init_state(prob, RunConfig(alpha=1.0, batch_size=4, iterations=1, seed=0))
         def value(state):
@@ -490,7 +523,7 @@ class TestOutcomeTree:
             for state, weight in level:
                 expected, current = exact_conditional_lyapunov_descent(state, prob)
                 assert expected <= current + 1e-10 * max(1.0, current)
-                p = p_at(state.cursor, state.params)
+                p = p_at(state.table, state.t)
                 for outcome, branch in ((True, p), (False, 1.0 - p)):
                     if branch == 0.0:
                         continue

@@ -1,7 +1,8 @@
 """Hash the trace records of a fixed grid of Katyusha-H runs.
 
-A change that claims byte-identical output runs this script before and after
-and compares the last line, which digests every record of every run:
+A change that claims byte-identical output runs this script and compares the
+last line, which digests every record of every run, with the digest recorded
+below; the script exits 1 when they differ:
 
     PYTHONPATH=src python tools/trace_digest.py [--verbose]
 
@@ -27,12 +28,14 @@ import dataclasses
 import hashlib
 import itertools
 import os
+import re
 import sys
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, when numpy loads
 
 from katyusha_h import Regularizer, RunConfig, run, synthesize, with_reference  # noqa: E402
 
+RECORDED = re.search(r"^ +(\d+ runs sha256 [0-9a-f]{64})$", __doc__, re.M).group(1)
 ALPHAS = (0.0, 0.5, 0.75, 1.0)
 BATCHES = (1, 3, 10, None)  # None: b = n
 STOPS = {
@@ -81,9 +84,9 @@ def main(argv=None) -> int:
         count += 1
         if args.verbose:
             print(f"{name} alpha={alpha} b={b} cache={int(cache)} {stop}: {one}")
-    threads = os.environ["OPENBLAS_NUM_THREADS"]
-    print(f"{count} runs sha256 {total.hexdigest()} openblas_threads={threads}")
-    return 0
+    line = f"{count} runs sha256 {total.hexdigest()}"
+    print(f"{line} openblas_threads={os.environ['OPENBLAS_NUM_THREADS']}")
+    return 0 if line == RECORDED else 1
 
 
 if __name__ == "__main__":
