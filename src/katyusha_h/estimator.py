@@ -37,21 +37,23 @@ class IfoLedger:
 @dataclass
 class Checkpoint:
     """Full-gradient point: the iterate w, its full gradient, and the n
-    scalar residuals r_i(w) (memory n).  For these linear models
-    grad f_i(w) = a_i * r_i(w), so an estimate rebuilds the checkpoint side
-    from the sampled feature rows without re-evaluating the loss."""
+    scalar residuals r_i(w) and margins a_i'w (memory 2n).  As grad f_i(w) =
+    a_i * r_i(w), an estimate rebuilds the checkpoint side from the sampled
+    rows, and F(w) is read from the margins without a second pass over A."""
 
     w: np.ndarray
     full_grad: np.ndarray
     residuals: np.ndarray
+    margins: np.ndarray
 
 
 def make_checkpoint(w: np.ndarray, problem, ledger: IfoLedger) -> Checkpoint:
     """Compute the full gradient at w (cost n) and wrap it as a checkpoint."""
-    residuals = problem.residual(w, problem.A, problem.targets)
+    margins = np.empty(problem.n)
+    residuals = problem.residual(w, problem.A, problem.targets, margins)
     ledger.checkpoint_calls += problem.n
     full = problem.A.T @ residuals / problem.n
-    return Checkpoint(w=w, full_grad=full, residuals=residuals)
+    return Checkpoint(w=w, full_grad=full, residuals=residuals, margins=margins)
 
 
 def _resolve_swaps(targets: list[int]) -> list[int]:
@@ -199,6 +201,7 @@ class DrawStream:
             raise ValueError(f"block draws need n <= 2**32, got n={n}")
         check_seed(seed)
         self.n, self.b = n, b
+        self.divisor = np.array(float(b))  # the estimate's b, a 0-d operand
         self._bits = np.random.Philox(key=seed)
         self._raw = np.empty(0, dtype=np.uint64)  # drawn, not yet consumed
         self._held = np.empty(0, dtype=np.uint32)  # the high half kept, if any
@@ -331,7 +334,8 @@ def svrg_estimate(
     gradient directly so it is bit-identical to a plain full-gradient call.
     ``draws`` is the stream ``idx`` came from, if any: its gathered views
     stand in for the three gathers by ``idx``.  At b = 1 the exact division
-    by 1 is skipped.
+    by 1 is skipped.  The products are ``ndarray.dot`` on C-contiguous rows,
+    the same gemv as ``@`` at under half its dispatch cost.
     """
     b = len(idx)
     ledger.minibatch_calls += ledger.per_sample * b
@@ -341,10 +345,10 @@ def svrg_estimate(
         rows, targets, r_w = problem.A[idx], problem.targets[idx], ckpt.residuals[idx]
     else:
         rows, targets, r_w = draws.gathered(problem, ckpt)
-    diff = rows.T @ (problem.residual(x, rows, targets) - r_w)
+    diff = (problem.residual(x, rows, targets) - r_w).dot(rows)
     if b == 1:
         return diff + ckpt.full_grad
-    return diff / b + ckpt.full_grad
+    return diff / (b if draws is None else draws.divisor) + ckpt.full_grad
 
 
 def maybe_update_checkpoint(

@@ -21,7 +21,8 @@ method supplies only its step and its default test cadence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -107,6 +108,18 @@ class KatyushaHState:
     anchor: tuple[np.ndarray, np.ndarray]  # (w, xi * w), kept per checkpoint
     p: float = math.nan  # p_t of the last iteration's checkpoint draw
     checkpoint_updated: bool = False  # whether that draw hit
+    # tau_t, 1 - xi - tau_t, alpha_t * eta: 0-d operands, faster than floats
+    weights: tuple[np.ndarray, ...] = field(
+        default_factory=lambda: (np.zeros(()), np.zeros(()), np.zeros(())))
+
+
+FIRST_TABLES = 16  # most distinct ScheduleParams whose first table is kept
+
+
+@lru_cache(maxsize=FIRST_TABLES)
+def _first_table(params: ScheduleParams) -> Table:
+    """``advance(None, params)``, built once per params: tables are never mutated."""
+    return advance(None, params)
 
 
 def init_state(problem, config: RunConfig) -> KatyushaHState:
@@ -128,7 +141,7 @@ def init_state(problem, config: RunConfig) -> KatyushaHState:
         z=x0.copy(),
         ckpt=ckpt,
         t=1,
-        table=advance(None, params),
+        table=_first_table(params),
         params=params,
         eta=eta,
         rng=rng,
@@ -142,18 +155,18 @@ def katyusha_h_step(state: KatyushaHState, problem) -> None:
     t, table, params = state.t, state.table, state.params
     # the row's tau_t = 1/alpha_t and p_t are tau_at's and p_at's, bit for bit
     _, alpha_t, _, _, p = table.rows[t - table.start]
-    tau = 1.0 / alpha_t
-    xi = params.xi
+    xi, tau_t, step_len = params.xi, 1.0 / alpha_t, alpha_t * state.eta
+    tau, mix, step = state.weights
+    tau[()], mix[()], step[()] = tau_t, 1.0 - xi - tau_t, step_len
     ckpt = state.ckpt
     # xi * w changes only when w does, so it is formed once per checkpoint.
     if state.anchor[0] is not ckpt.w:
         state.anchor = (ckpt.w, xi * ckpt.w)
 
-    x_next = tau * state.z + state.anchor[1] + (1.0 - xi - tau) * state.y
+    x_next = tau * state.z + state.anchor[1] + mix * state.y
     idx = state.rng.subset()
     g = svrg_estimate(x_next, ckpt, idx, problem, state.ledger, state.rng)
-    step_len = alpha_t * state.eta
-    z_next = prox(problem.reg, state.z - step_len * g, step_len)
+    z_next = prox(problem.reg, state.z - step * g, step_len)
     y_next = x_next + tau * (z_next - state.z)
 
     # Checkpoint candidate is the pre-update y.  y equals w only before the
@@ -247,13 +260,13 @@ def run(problem, config: RunConfig) -> list[TraceRecord]:
         raise ValueError("Lyapunov instrumentation requires a reference solution")
     state = init_state(problem, config)
     # w changes only when a refresh replaces the checkpoint object, so F(w)
-    # is evaluated once per checkpoint.
+    # is evaluated once per checkpoint, from the margins the refresh kept.
     evaluated: tuple[Checkpoint | None, float] = (None, math.nan)
 
     def checkpoint_value() -> float:
         nonlocal evaluated
         if evaluated[0] is not state.ckpt:
-            evaluated = state.ckpt, problem.value(state.ckpt.w)
+            evaluated = state.ckpt, problem.value(state.ckpt.w, state.ckpt.margins)
         return evaluated[1]
 
     def record(t: int, _: float | None) -> TraceRecord:

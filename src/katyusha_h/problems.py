@@ -227,6 +227,8 @@ class FiniteSumProblem:
         if self.loss not in CURVATURE:
             raise ValueError(f"unknown loss {self.loss!r}")
         self.A = np.asarray(self.A, dtype=np.float64)
+        if not self.A.flags.forc:  # rows of a strided A could dot to other bits than `@`
+            self.A = np.ascontiguousarray(self.A)
         self.targets = np.asarray(self.targets, dtype=np.float64)
         if self.A.ndim != 2 or self.A.shape[0] != self.targets.shape[0]:
             raise ValueError("feature/target shape mismatch")
@@ -254,10 +256,12 @@ class FiniteSumProblem:
 
     # -- component oracles -----------------------------------------------
 
-    def residual(self, x: np.ndarray, rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    def residual(self, x: np.ndarray, rows: np.ndarray, targets: np.ndarray,
+                 margins: np.ndarray | None = None) -> np.ndarray:
         """Scalar residual r_i(x) of the components whose feature rows and
-        targets are given (``A[idx]``, ``targets[idx]``): grad f_i = a_i * r_i."""
-        margins = rows @ x
+        targets are given (``A[idx]``, ``targets[idx]``): grad f_i = a_i * r_i.
+        The margins rows @ x go to ``margins`` if it is given."""
+        margins = rows.dot(x, margins)
         if self.loss == "least_squares":
             return margins - targets
         # d/dm log(1+exp(-y m)) = -y * sigmoid(-y m)
@@ -287,9 +291,10 @@ class FiniteSumProblem:
 
     # -- full oracles ------------------------------------------------------
 
-    def smooth_value(self, x: np.ndarray) -> float:
-        """f(x), the average of the component values."""
-        margins = self.A @ x
+    def smooth_value(self, x: np.ndarray, margins: np.ndarray | None = None) -> float:
+        """f(x), the average of the component values, from the margins A @ x
+        if they are given, as a checkpoint keeps them."""
+        margins = self.A @ x if margins is None else margins
         if self.loss == "least_squares":
             r = margins - self.targets
             return 0.5 * float(r @ r) / self.n
@@ -298,9 +303,9 @@ class FiniteSumProblem:
     def full_grad(self, x: np.ndarray) -> np.ndarray:
         return self.grad_sum(slice(None), x) / self.n
 
-    def value(self, x: np.ndarray) -> float:
-        """Composite objective F(x) = f(x) + reg(x)."""
-        return self.smooth_value(x) + reg_value(self.reg, x)
+    def value(self, x: np.ndarray, margins: np.ndarray | None = None) -> float:
+        """Composite objective F(x) = f(x) + reg(x); ``margins`` as for ``smooth_value``."""
+        return self.smooth_value(x, margins) + reg_value(self.reg, x)
 
 
 def dataset_from_dense(A: np.ndarray, labels: np.ndarray) -> SparseDataset:

@@ -55,6 +55,9 @@ def reg_value(reg: Regularizer, x: np.ndarray) -> float:
     return val
 
 
+_ZERO = np.broadcast_to(0.0, ())  # read-only; a 0-d operand dispatches faster than 0.0
+
+
 def soft_threshold(v: np.ndarray, threshold: float) -> np.ndarray:
     """sign(v) * max(|v| - threshold, 0), for threshold > 0, in four ufuncs.
 
@@ -62,7 +65,7 @@ def soft_threshold(v: np.ndarray, threshold: float) -> np.ndarray:
     zero of a negative v inside the threshold included, with one exception:
     at v = -0.0 it returns -0.0 where the product returns +0.0.
     """
-    return np.copysign(np.maximum(np.abs(v) - threshold, 0.0), v)
+    return np.copysign(np.maximum(np.abs(v) - threshold, _ZERO), v)
 
 
 def prox(reg: Regularizer, v: np.ndarray, step: float) -> np.ndarray:

@@ -26,6 +26,7 @@ from katyusha_h.problems import (
     make_rng,
     synthesize,
 )
+from katyusha_h.proximal import Regularizer
 
 
 def scalar_quadratic_problem():
@@ -348,6 +349,77 @@ class TestSvrgEstimate:
             want = diffs.sum(axis=0) / b + prob.full_grad(ckpt.w)
             got = svrg_estimate(x, ckpt, idx, prob, IfoLedger())
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+def _layout(A: np.ndarray, layout: str) -> np.ndarray:
+    """A as given in C order, in F order, or as every other row of an
+    F-ordered copy, which is neither C- nor F-contiguous."""
+    if layout == "C":
+        return np.ascontiguousarray(A)
+    if layout == "F":
+        return np.asfortranarray(A)
+    return np.asfortranarray(np.repeat(A, 2, axis=0))[::2]
+
+
+class TestDotDispatch:
+    """``ndarray.dot`` stands in for ``@`` in the residual and the estimate
+    only because it gives the same bits wherever a run uses it."""
+
+    LAYOUTS = ["C", "F", "F strided"]
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_features_are_kept_or_copied_to_c(self, layout):
+        rng = np.random.default_rng(1)
+        given = _layout(rng.standard_normal((50, 7)), layout)
+        prob = FiniteSumProblem(given, np.ones(len(given)), "least_squares")
+        assert np.array_equal(prob.A, given)
+        if layout == "F strided":
+            assert prob.A.flags.c_contiguous
+        else:
+            assert prob.A is given  # contiguous features keep their bits
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("b", [1, 3, 10, 100])
+    def test_gathered_rows(self, layout, b):
+        rng = np.random.default_rng(b)
+        n, d = 300, 50
+        prob = FiniteSumProblem(
+            _layout(rng.standard_normal((n, d)), layout), rng.standard_normal(n), "least_squares"
+        )
+        ckpt = make_checkpoint(rng.standard_normal(d), prob, IfoLedger())
+        draws = DrawStream(n, b, seed=b)
+        for _ in range(30):  # rows are views into a span's gather, one span at b = 100
+            draws.subset()
+            rows, _, _ = draws.gathered(prob, ckpt)
+            assert rows.flags.c_contiguous
+            x, s = rng.standard_normal(d), rng.standard_normal(b)
+            assert rows.dot(x).tobytes() == (rows @ x).tobytes()
+            assert s.dot(rows).tobytes() == (rows.T @ s).tobytes()
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_full_features(self, layout):
+        rng = np.random.default_rng(2)
+        n, d = 2000, 50
+        prob = FiniteSumProblem(
+            _layout(rng.standard_normal((n, d)), layout), rng.standard_normal(n), "least_squares"
+        )
+        x, s = rng.standard_normal(d), rng.standard_normal(n)
+        assert prob.A.dot(x).tobytes() == (prob.A @ x).tobytes()
+        assert s.dot(prob.A).tobytes() == (prob.A.T @ s).tobytes()
+
+
+class TestCheckpointMargins:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("family", ["least_squares", "logistic"])
+    def test_value_from_margins_is_value(self, family, order):
+        # F(w) of a run is read from the margins its refresh kept
+        _, base = synthesize(400, 30, family, seed=9, reg=Regularizer.elastic_net(0.01, 0.02))
+        prob = FiniteSumProblem(np.asarray(base.A, order=order), base.targets, family, base.reg)
+        w = make_rng(3).standard_normal(30)
+        ckpt = make_checkpoint(w, prob, IfoLedger())
+        assert ckpt.margins.tobytes() == (prob.A @ w).tobytes()
+        assert prob.value(w, ckpt.margins) == prob.value(w)
+        assert prob.smooth_value(w, ckpt.margins) == prob.smooth_value(w)
 
 
 class TestCheckpointUpdate:

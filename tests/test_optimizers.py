@@ -221,11 +221,77 @@ class TestScheduleRows:
         _, prob = synthesize(5, 2, "least_squares", seed=1)
         with_reference(prob, tol=1e-12)
         iterations = 3 * CHUNK + 5
-        records = run(prob, RunConfig(alpha=0.5, batch_size=1, iterations=iterations,
-                                      seed=0, record_every=CHUNK, lyapunov=True))
+        config = RunConfig(alpha=0.5, batch_size=1, iterations=iterations,
+                           seed=0, record_every=CHUNK, lyapunov=True)
+        optimizers._first_table.cache_clear()
+        records = run(prob, config)
         assert records[-1].t == iterations and math.isfinite(records[-1].lyapunov)
         # one table per chunk that t visits: [0, CHUNK) .. [3*CHUNK, 4*CHUNK)
         assert dict(calls) == {"advance": 4}
+        assert repr(run(prob, config)) == repr(records)
+        assert dict(calls) == {"advance": 4 + 3}  # the first table is not built again
+
+
+class TestFirstTable:
+    """A run takes its first schedule table from a cache keyed by the
+    schedule's params, which holds at most ``FIRST_TABLES`` of them."""
+
+    def test_same_params_share_the_first_table(self):
+        _, prob = synthesize(20, 3, "least_squares", seed=2, reg=Regularizer.l1(0.01))
+        config = RunConfig(alpha=0.75, batch_size=2, iterations=300, seed=5, record_every=7)
+        optimizers._first_table.cache_clear()
+        cold = run(prob, config)
+        first, second = init_state(prob, config), init_state(prob, config)
+        assert first.table is second.table
+        assert init_state(prob, RunConfig(alpha=0.5, batch_size=2)).table is not first.table
+        for _ in range(2):  # from the cached table
+            assert repr(run(prob, config)) == repr(cold)
+        assert optimizers._first_table.cache_info().maxsize == optimizers.FIRST_TABLES
+
+
+class TestStepWeights:
+    """The 0-d arrays that carry tau_t, 1 - xi - tau_t and alpha_t * eta into
+    the step's ufuncs belong to one state."""
+
+    @staticmethod
+    def _trail(state, prob, steps):
+        """The state after each of ``steps`` steps, as bytes and scalars."""
+        out = []
+        for _ in range(steps):
+            katyusha_h_step(state, prob)
+            out.append(_snapshot(state))
+        return out
+
+    def test_alternating_states_step_as_if_alone(self):
+        _, prob = synthesize(40, 5, "logistic", seed=3, reg=Regularizer.elastic_net(0.01, 0.02))
+        configs = [RunConfig(alpha=0.25, batch_size=3, seed=1),
+                   RunConfig(alpha=1.0, batch_size=1, seed=2)]
+        solo = [self._trail(init_state(prob, c), prob, 200) for c in configs]
+        states = [init_state(prob, c) for c in configs]
+        assert all(a is not b for a, b in zip(states[0].weights, states[1].weights))
+        together = [[], []]
+        for _ in range(200):
+            for state, trail in zip(states, together):
+                katyusha_h_step(state, prob)
+                trail.append(_snapshot(state))
+        assert together == solo
+
+    def test_deepcopy_steps_alongside_its_original(self):
+        _, prob = synthesize(40, 5, "least_squares", seed=3, reg=Regularizer.l1(0.02))
+        state = init_state(prob, RunConfig(alpha=0.5, batch_size=2, seed=4))
+        self._trail(state, prob, 10)
+        child = copy.deepcopy(state)
+        assert all(c is not s for c, s in zip(child.weights, state.weights))
+        for _ in range(100):
+            katyusha_h_step(state, prob)
+            katyusha_h_step(child, prob)
+            assert _snapshot(child) == _snapshot(state)
+
+
+def _snapshot(state):
+    return (state.t, state.x.tobytes(), state.y.tobytes(), state.z.tobytes(),
+            state.ckpt.w.tobytes(), state.p, state.checkpoint_updated,
+            state.ledger.minibatch_calls, state.ledger.checkpoint_calls)
 
 
 class TestRun:
@@ -420,7 +486,8 @@ class TestDriver:
         seen = []
         value = FiniteSumProblem.value
         monkeypatch.setattr(
-            FiniteSumProblem, "value", lambda self, x: seen.append(x) or value(self, x)
+            FiniteSumProblem, "value",
+            lambda self, x, *margins: seen.append(x) or value(self, x, *margins),
         )
         records = run(prob, cfg)
         assert repr(records) == repr(want)  # repr: NaN p_t compares equal
@@ -436,7 +503,8 @@ class TestDriver:
         calls = []
         value = FiniteSumProblem.value
         monkeypatch.setattr(
-            FiniteSumProblem, "value", lambda self, x: calls.append(1) or value(self, x)
+            FiniteSumProblem, "value",
+            lambda self, x, *margins: calls.append(1) or value(self, x, *margins),
         )
         counts = {}
         for lyapunov in (False, True):
@@ -512,7 +580,7 @@ class TestDriverArguments:
     def test_non_finite_objective_stops_at_once(self, solver, monkeypatch):
         _, prob = synthesize(6, 2, "least_squares", seed=1)
         with_reference(prob, tol=1e-12)
-        monkeypatch.setattr(prob, "value", lambda x: math.nan)
+        monkeypatch.setattr(prob, "value", lambda x, *margins: math.nan)
         stopping = dict(epsilon=1e-6, max_iterations=2000)
         with pytest.raises(ValueError, match=r"objective is nan at t=1\b"):
             getattr(optimizers, solver)(prob, RunConfig(eval_every=1, **stopping))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from katyusha_h import proximal
 from katyusha_h.proximal import Regularizer, prox, reg_value, soft_threshold
 
 vectors = arrays(
@@ -170,3 +171,10 @@ class TestProx:
         same = ~nan & ~neg_zero
         assert np.array_equal(got[same].view(np.uint64), want[same].view(np.uint64))
         assert np.all(got[neg_zero] == 0.0) and np.all(np.signbit(got[neg_zero]))
+
+
+def test_shared_zero_is_read_only():
+    # every soft-threshold reads the one module-level 0-d zero
+    with pytest.raises(ValueError, match="read-only"):
+        proximal._ZERO[()] = 1.0
+    assert proximal._ZERO.shape == () and proximal._ZERO == 0.0

@@ -11,18 +11,23 @@ seed r, so two commits run the same iterations:
     PYTHONPATH=src python tools/step_bench.py
 
 To compare two commits, run the script from a checkout of each, alternating
-which runs first, and compare the printed JSON.
+which runs first, and compare the printed JSON.  OpenBLAS is pinned to one
+thread before numpy loads, as the benchmark pins it, so the 10**4 x 100
+shape's gemv runs as it does there; the JSON names the thread count.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import statistics
 import time
 
-from katyusha_h import optimizers
-from katyusha_h.problems import synthesize
-from katyusha_h.proximal import Regularizer
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, when numpy loads
+
+from katyusha_h import optimizers  # noqa: E402
+from katyusha_h.problems import synthesize  # noqa: E402
+from katyusha_h.proximal import Regularizer  # noqa: E402
 
 # name: (synthesize arguments, run configuration, iterations per repeat);
 # each repeat takes under half a second on a 2-vCPU Xeon.
@@ -54,7 +59,7 @@ def us_per_iteration(problem, config: dict, iterations: int, seed: int) -> float
 
 
 def main() -> None:
-    out = {}
+    out = {"openblas_threads": int(os.environ["OPENBLAS_NUM_THREADS"])}
     for name, (data, config, iterations) in SHAPES.items():
         _, problem = synthesize(**data)
         runs = [us_per_iteration(problem, config, iterations, seed) for seed in range(REPEATS)]
