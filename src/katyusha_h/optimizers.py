@@ -158,32 +158,25 @@ def katyusha_h_step(state: KatyushaHState, problem) -> None:
     xi, tau_t, step_len = params.xi, 1.0 / alpha_t, alpha_t * state.eta
     tau, mix, step = state.weights
     tau[()], mix[()], step[()] = tau_t, 1.0 - xi - tau_t, step_len
-    ckpt = state.ckpt
+    ckpt, rng, ledger, y, z = state.ckpt, state.rng, state.ledger, state.y, state.z
     # xi * w changes only when w does, so it is formed once per checkpoint.
-    if state.anchor[0] is not ckpt.w:
-        state.anchor = (ckpt.w, xi * ckpt.w)
+    w, xi_w = state.anchor
+    if w is not ckpt.w:
+        xi_w = xi * ckpt.w
+        state.anchor = (ckpt.w, xi_w)
 
-    x_next = tau * state.z + state.anchor[1] + mix * state.y
-    idx = state.rng.subset()
-    g = svrg_estimate(x_next, ckpt, idx, problem, state.ledger, state.rng)
-    z_next = prox(problem.reg, state.z - step * g, step_len)
-    y_next = x_next + tau * (z_next - state.z)
+    x_next = tau * z + xi_w + mix * y
+    g = svrg_estimate(x_next, ckpt, rng.subset(), problem, ledger, rng)
+    z_next = prox(problem.reg, z - step * g, step_len, overwrite=True)
+    y_next = x_next + tau * (z_next - z)
 
     # Checkpoint candidate is the pre-update y.  y equals w only before the
-    # first step, so at t=1 the update can skip a redundant full gradient.
+    # first step, so at t=1 the update can skip a redundant full gradient
+    # (the last argument, candidate_is_w).
     state.ckpt, state.checkpoint_updated = maybe_update_checkpoint(
-        ckpt,
-        state.y,
-        p,
-        state.rng,
-        problem,
-        state.ledger,
-        candidate_is_w=t == 1,
-    )
-    state.x, state.y, state.z = x_next, y_next, z_next
-    state.p = p
-    state.t = t + 1
-    if state.t == table.start + CHUNK:  # t+1 opens the next chunk's rows
+        ckpt, y, p, rng, problem, ledger, t == 1)
+    state.x, state.y, state.z, state.p, state.t = x_next, y_next, z_next, p, t + 1
+    if t + 1 == table.start + CHUNK:  # t+1 opens the next chunk's rows
         state.table = advance(table, params)
 
 
@@ -197,11 +190,13 @@ def state_lyapunov(state: KatyushaHState, problem, f_y: float, f_w: float) -> fl
     )
 
 
-def _drive(problem, config: RunConfig, step, objective, record,
+def _drive(problem, config: RunConfig, steps, objective, record,
            eval_every: int) -> list[TraceRecord]:
     """The run loop of every solver: stopping rule, epsilon test, recording.
 
-    ``step(t)`` performs iteration t in place; ``objective()`` returns F at
+    ``steps(first, last)`` performs iterations first..last in place, so
+    only the iterations that are tested, recorded or last pay for the
+    checks between them; ``objective()`` returns F at
     the point whose gap the epsilon test reads every ``config.eval_every``
     iterations, or every ``eval_every`` (the method's own cadence) if the
     config sets none, and at the last; a solver whose test point rarely
@@ -232,8 +227,14 @@ def _drive(problem, config: RunConfig, step, objective, record,
             raise ValueError(f"{name} must be at least {least}, got {value}")
     budget = iterations if iterations is not None else config.max_iterations
     records = [record(0, None)]
-    for t in range(1, budget + 1):
-        step(t)
+    t = 0
+    while t < budget:
+        # run straight to the next iteration that is tested, recorded or last
+        last = min(budget, (t // record_every + 1) * record_every)
+        if epsilon is not None:
+            last = min(last, (t // eval_every + 1) * eval_every)
+        steps(t + 1, last)
+        t = last
         done = t == budget
         f = None
         if epsilon is not None and (done or t % eval_every == 0):
@@ -282,12 +283,16 @@ def run(problem, config: RunConfig) -> list[TraceRecord]:
             lyapunov=state_lyapunov(state, problem, f_y, f_w) if config.lyapunov else math.nan,
         )
 
-    # katyusha_h_step is looked up at each call, so a wrapper installed on
-    # the module attribute sees every step.
+    def steps(first: int, last: int) -> None:
+        # katyusha_h_step is looked up at each call, so a wrapper installed
+        # on the module attribute sees every step.
+        for _ in range(first, last + 1):
+            katyusha_h_step(state, problem)
+
     return _drive(
         problem,
         config,
-        lambda t: katyusha_h_step(state, problem),
+        steps,
         checkpoint_value,
         record,
         eval_every=1 if problem.n * problem.d <= 50_000 else 10,
@@ -312,7 +317,7 @@ def _start(problem, x0: np.ndarray | None) -> np.ndarray:
 
 def _prox_grad(problem, y: np.ndarray, L: float) -> np.ndarray:
     """The proximal-gradient step from y with step length 1/L (n IFO)."""
-    return prox(problem.reg, y - problem.full_grad(y) / L, 1.0 / L)
+    return prox(problem.reg, y - problem.full_grad(y) / L, 1.0 / L, overwrite=True)
 
 
 def _extrapolate(x_next: np.ndarray, x: np.ndarray, theta: float):
@@ -328,15 +333,16 @@ def _baseline(problem, config: RunConfig, x: np.ndarray, step, cost: int,
     The epsilon test and the records read x; its F is both f_y and f_w.
     """
 
-    def move(t: int) -> None:
+    def steps(first: int, last: int) -> None:
         nonlocal x
-        x = step(t, x)
+        for t in range(first, last + 1):
+            x = step(t, x)
 
     def record(t: int, f: float | None) -> TraceRecord:
         f = problem.value(x) if f is None else f
         return TraceRecord(t, f, f, math.nan, False, cost * t, 0)
 
-    return _drive(problem, config, move, lambda: problem.value(x), record, eval_every)
+    return _drive(problem, config, steps, lambda: problem.value(x), record, eval_every)
 
 
 def fista_run(problem, config: RunConfig) -> list[TraceRecord]:
@@ -415,6 +421,7 @@ def psgd_run(problem, config: RunConfig) -> list[TraceRecord]:
     def step(t: int, x: np.ndarray) -> np.ndarray:
         i = int(rng.integers(0, problem.n))
         step_len = inv_L / math.sqrt(t)
-        return prox(problem.reg, x - step_len * problem.component_grad(i, x), step_len)
+        return prox(problem.reg, x - step_len * problem.component_grad(i, x), step_len,
+                    overwrite=True)
 
     return _baseline(problem, config, _start(problem, config.x0), step, 1, eval_every=10)

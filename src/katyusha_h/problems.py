@@ -213,7 +213,9 @@ class FiniteSumProblem:
       least_squares: f_i(x) = (a_i'x - y_i)^2 / 2
       logistic:      f_i(x) = log(1 + exp(-y_i a_i'x)),  y_i in {-1, +1}
     ``L`` is derived, never passed: the analytic worst-case component
-    smoothness bound CURVATURE[loss] * max_i ||a_i||^2.
+    smoothness bound CURVATURE[loss] * max_i ||a_i||^2.  So are ``n`` and
+    ``d``, the shape of ``A``, set once as plain attributes because every
+    estimate reads ``n``.
     """
 
     A: np.ndarray
@@ -222,6 +224,8 @@ class FiniteSumProblem:
     reg: Regularizer = field(default_factory=Regularizer.zero)
     reference: ReferenceSolution | None = None
     L: float = field(init=False)
+    n: int = field(init=False)
+    d: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.loss not in CURVATURE:
@@ -245,14 +249,7 @@ class FiniteSumProblem:
                 "bound needs a nonzero feature row and no overflow"
             )
         self.L = CURVATURE[self.loss] * row_max
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.A.shape[1]
+        self.n, self.d = self.A.shape
 
     # -- component oracles -----------------------------------------------
 

@@ -58,30 +58,31 @@ def reg_value(reg: Regularizer, x: np.ndarray) -> float:
 _ZERO = np.broadcast_to(0.0, ())  # read-only; a 0-d operand dispatches faster than 0.0
 
 
-def soft_threshold(v: np.ndarray, threshold: float) -> np.ndarray:
-    """sign(v) * max(|v| - threshold, 0), for threshold > 0, in four ufuncs.
+def soft_threshold(v: np.ndarray, threshold: float, out: np.ndarray | None = None) -> np.ndarray:
+    """sign(v) * max(|v| - threshold, 0), for threshold > 0, in four ufuncs,
+    written to ``out`` if it is given (``v`` itself included).
 
     copysign gives the product by sign(v) bit for bit, infinities and the
     zero of a negative v inside the threshold included, with one exception:
     at v = -0.0 it returns -0.0 where the product returns +0.0.
     """
-    return np.copysign(np.maximum(np.abs(v) - threshold, _ZERO), v)
+    return np.copysign(np.maximum(np.abs(v) - threshold, _ZERO), v, out)
 
 
-def prox(reg: Regularizer, v: np.ndarray, step: float) -> np.ndarray:
+def prox(reg: Regularizer, v: np.ndarray, step: float, overwrite: bool = False) -> np.ndarray:
     """Unique minimizer of (1/(2*step))*||z - v||^2 + reg(z).
 
     Elastic net composes exactly: soft-threshold at step*lam1, then scale by
-    1/(1 + step*lam2).
+    1/(1 + step*lam2).  The result is written over a float64 copy of v, or
+    with ``overwrite`` over v itself, which must then be a float64 array the
+    caller may discard; zero weights then cost nothing.
     """
-    if step <= 0.0:
+    if not step > 0.0:  # also refuses nan
         raise ValueError(f"prox step must be positive, got {step}")
-    v = np.asarray(v, dtype=np.float64)
-    out = v
+    if not overwrite:
+        v = np.array(v, dtype=np.float64)
     if reg.lam1 != 0.0:
-        out = soft_threshold(out, step * reg.lam1)
+        soft_threshold(v, step * reg.lam1, v)
     if reg.lam2 != 0.0:
-        out = out / (1.0 + step * reg.lam2)
-    if out is v:
-        out = v.copy()
-    return out
+        np.divide(v, 1.0 + step * reg.lam2, v)
+    return v

@@ -4,6 +4,7 @@ import collections
 import copy
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -603,6 +604,119 @@ class TestDriverArguments:
         x0 = np.zeros(shape)
         with pytest.raises(ValueError, match=rf"x0 must have shape \(2,\), got {re.escape(str(shape))}"):
             getattr(optimizers, solver)(prob, RunConfig(x0=x0, iterations=20))
+
+
+def per_iteration_drive(problem, config, step, objective, record, eval_every):
+    """The run loop as it was written before ``_drive`` ran straight to the
+    next tested or recorded iteration: every check at every iteration.
+    ``step(t)`` performs iteration t.  Arguments are assumed valid."""
+    if config.eval_every is not None:
+        eval_every = config.eval_every
+    epsilon = config.epsilon
+    budget = config.iterations if config.iterations is not None else config.max_iterations
+    records = [record(0, None)]
+    for t in range(1, budget + 1):
+        step(t)
+        done = t == budget
+        f = None
+        if epsilon is not None and (done or t % eval_every == 0):
+            f = objective()
+            if not math.isfinite(f):
+                raise ValueError(f"objective is {f} at t={t}: the run cannot reach its target")
+            done = done or f - problem.reference.f_star <= epsilon
+        if done or t % config.record_every == 0:
+            records.append(record(t, f))
+        if done:
+            break
+    return records
+
+
+class TestDriveLoop:
+    """``_drive`` against the per-iteration loop: the same records, the
+    objective read at the same iterations, every iteration stepped once."""
+
+    F_STAR = 2.0
+    problem = SimpleNamespace(reference=SimpleNamespace(f_star=F_STAR))
+
+    def trail(self, drive, config, eval_every, gap):
+        """(records, iterations stepped, iterations whose F was read, error)."""
+        now, stepped, tested = [0], [], []
+
+        def step(t):
+            assert t == now[0] + 1
+            stepped.append(t)
+            now[0] = t
+
+        def steps(first, last):
+            for t in range(first, last + 1):
+                step(t)
+
+        def objective():
+            tested.append(now[0])
+            return self.F_STAR + gap(now[0])
+
+        def record(t, f):
+            assert t == now[0]
+            return (t, f)
+
+        try:
+            records = drive(self.problem, config, steps if drive is optimizers._drive else step,
+                            objective, record, eval_every)
+        except ValueError as err:
+            return None, stepped, tested, str(err)
+        return records, stepped, tested, None
+
+    def same(self, config, eval_every=1, gap=lambda t: 1.0 / t):
+        new = self.trail(optimizers._drive, config, eval_every, gap)
+        old = self.trail(per_iteration_drive, config, eval_every, gap)
+        assert new == old
+        return new
+
+    @pytest.mark.parametrize("stop", ["iterations", "epsilon", "epsilon-met"])
+    @pytest.mark.parametrize("record_every, eval_every, budget", [
+        (7, 3, 100),    # both cadences, the budget a multiple of neither
+        (1, 3, 100),    # a record at every iteration
+        (7, 150, 100),  # the objective read only at the last
+        (5, 4, 101),    # the budget a multiple of neither
+        (4, 2, 100),    # the budget a multiple of both
+        (100, 100, 100),
+        (1, 1, 1),
+    ])
+    def test_records_and_objective_reads_match(self, stop, record_every, eval_every, budget):
+        if stop == "iterations":
+            config = RunConfig(iterations=budget, record_every=record_every, eval_every=eval_every)
+        else:  # the gap falls to 0 at t = 40, or stays above epsilon
+            config = RunConfig(epsilon=1e-3, max_iterations=budget,
+                               record_every=record_every, eval_every=eval_every)
+        records, stepped, tested, error = self.same(
+            config, gap=lambda t: 0.0 if stop == "epsilon-met" and t >= 40 else 1.0 / t)
+        assert error is None
+        last = records[-1][0]
+        assert stepped == list(range(1, last + 1))
+        if stop == "iterations":
+            assert last == budget and tested == []
+        elif stop == "epsilon":
+            assert last == budget and tested[-1] == budget
+        else:
+            assert last == min(budget, -(-40 // eval_every) * eval_every)
+
+    def test_the_method_cadence_applies_when_the_config_sets_none(self):
+        config = RunConfig(epsilon=1e-9, max_iterations=50, record_every=6)
+        _, _, tested, _ = self.same(config, eval_every=8)
+        assert tested == [8, 16, 24, 32, 40, 48, 50]
+
+    def test_zero_iterations_records_only_the_start(self):
+        records, stepped, tested, error = self.same(RunConfig(iterations=0, record_every=3))
+        assert records == [(0, None)] and stepped == tested == [] and error is None
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("eval_every", [1, 3, 150])
+    def test_a_non_finite_objective_raises_at_the_first_test(self, bad, eval_every):
+        config = RunConfig(epsilon=1e-6, max_iterations=100, record_every=7, eval_every=eval_every)
+        records, stepped, tested, error = self.same(config, gap=lambda t: bad)
+        first = min(eval_every, 100)
+        assert records is None and tested == [first] and stepped == list(range(1, first + 1))
+        assert error == f"objective is {self.F_STAR + bad} at t={first}: the run cannot reach its target"
 
 
 # -- the step's arithmetic, driven by hand -----------------------------------

@@ -345,6 +345,26 @@ class TestLeastSquares:
                 FiniteSumProblem(A=A, targets=targets, loss="least_squares")
 
 
+class TestShape:
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "integer"])
+    def test_n_and_d_are_the_shape_of_a(self, layout):
+        base = make_rng(3).standard_normal((12, 10))
+        A = {
+            "C": base[:, :5].copy(),
+            "F": np.asfortranarray(base[:, :5]),
+            "strided": base[::2, ::3],
+            "integer": np.arange(1, 61).reshape(12, 5) % 7,
+        }[layout]
+        prob = FiniteSumProblem(A, np.ones(A.shape[0]), "least_squares")
+        assert (prob.n, prob.d) == A.shape == prob.A.shape
+        assert type(prob.n) is int and type(prob.d) is int
+
+    @pytest.mark.parametrize("name", ["n", "d"])
+    def test_the_shape_is_no_argument(self, name):
+        with pytest.raises(TypeError, match=name):
+            FiniteSumProblem(np.eye(3), np.ones(3), "least_squares", **{name: 3})
+
+
 class TestLogistic:
     def test_value_and_grad_at_origin(self):
         ds, prob = synthesize(5, 3, "logistic", seed=7)

@@ -73,6 +73,11 @@ class TestValues:
             Regularizer.elastic_net(0.1, bad)
 
 
+WEIGHT_PATTERNS = [Regularizer.zero(), Regularizer.l1(0.1), Regularizer.squared_l2(0.3),
+                   Regularizer.elastic_net(0.1, 0.3)]
+WEIGHT_IDS = ["zero", "l1", "squared_l2", "elastic_net"]
+
+
 class TestProx:
     def test_zero_is_identity(self):
         v = np.array([1.0, -2.0, 0.5])
@@ -106,6 +111,25 @@ class TestProx:
     def test_step_domain(self):
         with pytest.raises(ValueError):
             prox(Regularizer.l1(1.0), np.array([1.0]), 0.0)
+
+    @pytest.mark.parametrize("reg", WEIGHT_PATTERNS, ids=WEIGHT_IDS)
+    @pytest.mark.parametrize("step", [math.nan, -math.nan, -1.0, 0.0, -0.0])
+    @pytest.mark.parametrize("overwrite", [False, True])
+    def test_step_that_is_not_positive_is_refused(self, reg, step, overwrite):
+        v = np.ones(3)
+        with pytest.raises(ValueError, match="prox step must be positive"):
+            prox(reg, v, step, **({"overwrite": True} if overwrite else {}))
+        assert np.array_equal(v, np.ones(3))
+
+    @pytest.mark.parametrize("reg", WEIGHT_PATTERNS, ids=WEIGHT_IDS)
+    def test_overwrite_gives_the_same_bits_in_place(self, reg):
+        v = np.array([2.5, -2.5, 0.01, -0.01, 0.0, -0.0, 1e300, -np.inf])
+        want = prox(reg, v, 0.7)
+        assert want is not v and np.shares_memory(want, v) is False
+        scratch = v.copy()
+        got = prox(reg, scratch, 0.7, overwrite=True)
+        assert got is scratch
+        assert got.tobytes() == want.tobytes()
 
     @given(vectors, st.floats(0.01, 10.0), st.floats(0.0, 5.0), st.floats(0.0, 5.0))
     @settings(max_examples=100, deadline=None)
