@@ -133,49 +133,30 @@ class PredictedCost:
         return sum(self.terms.values())
 
 
-def predict_ifo(
-    alpha: float, b: int, n: int, epsilon: float, _force_branch: str | None = None
-) -> PredictedCost:
+def predict_ifo(alpha: float, b: int, n: int, epsilon: float) -> PredictedCost:
     """Expected IFO cost to reach accuracy epsilon, split into addends.
 
     The small-alpha branch (alpha <= min(alpha_hat, 0.1)) drops the
     checkpoint power term: its harmonic-style sum collapses into the log
-    term there.  ``_force_branch`` exists for branch-boundary audits only.
+    term there.  The threshold is positive, so the general branch's alpha
+    is too.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     if not 1 <= b <= n:
         raise ValueError(f"need 1 <= b <= n, got b={b}, n={n}")
-    threshold = min(alpha_hat(epsilon), ALPHA_BRANCH_CAP)
-    branch = _force_branch or (
-        "small-alpha" if alpha <= threshold else "general"
-    )
+    small = alpha <= min(alpha_hat(epsilon), ALPHA_BRANCH_CAP)
     log_term = n * math.log(1.0 / epsilon)
     iter_term = b * epsilon ** (-1.0 / (alpha + 1.0))
     terms = {"minibatch": iter_term, "checkpoint_log": log_term}
-    if branch == "general":
-        if alpha == 0.0:
-            raise ValueError("the general branch needs alpha > 0")
+    if not small:
         terms["checkpoint_power"] = (
             (n / b) * (1.0 / alpha) * epsilon ** (-alpha / (alpha + 1.0))
         )
-    elif branch != "small-alpha":
-        raise ValueError(f"unknown branch {branch!r}")
     return PredictedCost(
-        alpha=alpha, b=b, n=n, epsilon=epsilon, branch=branch, terms=terms
+        alpha=alpha, b=b, n=n, epsilon=epsilon,
+        branch="small-alpha" if small else "general", terms=terms,
     )
-
-
-def threshold_branches(b: int, n: int, epsilon: float) -> tuple[PredictedCost, PredictedCost]:
-    """Both branch evaluations at the branch boundary alpha = min(alpha_hat, 0.1).
-
-    The branches are never silently mixed; at the boundary both are reported
-    so callers can see that they differ only in the checkpoint power term.
-    """
-    boundary = min(alpha_hat(epsilon), ALPHA_BRANCH_CAP)
-    small = predict_ifo(boundary, b, n, epsilon, _force_branch="small-alpha")
-    general = predict_ifo(boundary, b, n, epsilon, _force_branch="general")
-    return small, general
 
 
 @dataclass(frozen=True)
@@ -194,7 +175,7 @@ def feasible_alpha_interval(
 ) -> AlphaInterval:
     """Exponent interval [delta1, delta2] and its clip to the branch structure.
 
-    Requires n < 1/epsilon and constants c1, c2 >= 1 with c2 small enough to
+    Requires n < 1/epsilon and finite constants c1, c2 >= 1 with c2 small enough to
     keep delta2 positive.  All logarithms are natural; the ratios are
     base-invariant.
     """
@@ -202,8 +183,8 @@ def feasible_alpha_interval(
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     if n < 1:
         raise ValueError("n must be positive")
-    if c1 < 1.0 or c2 < 1.0:
-        raise ValueError("c1 and c2 must be >= 1")
+    if not (1.0 <= c1 < math.inf and 1.0 <= c2 < math.inf):  # also refuses nan
+        raise ValueError(f"c1 and c2 must be finite and >= 1, got c1={c1}, c2={c2}")
     if n * epsilon >= 1.0:
         raise InfeasibleAccuracyError(
             f"need n < 1/epsilon, got n={n}, 1/epsilon={1.0 / epsilon:.6g}"

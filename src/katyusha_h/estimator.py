@@ -322,34 +322,27 @@ class DrawStream:
 
 
 def svrg_estimate(
-    x: np.ndarray,
-    ckpt: Checkpoint,
-    idx: np.ndarray,
-    problem,
-    ledger: IfoLedger,
-    draws: DrawStream | None = None,
+    x: np.ndarray, ckpt: Checkpoint, problem, ledger: IfoLedger, draws: DrawStream
 ) -> np.ndarray:
-    """(1/b) * sum_{j in idx} (grad_j(x) - grad_j(w)) + full_grad(w).
+    """(1/b) * sum_{j in S} (grad_j(x) - grad_j(w)) + full_grad(w), where S
+    is the current subset of ``draws`` and its rows, targets and checkpoint
+    residuals are the stream's gathered views.
 
     With b = n the sums telescope; the full-batch path evaluates the full
     gradient directly so it is bit-identical to a plain full-gradient call.
-    ``draws`` is the stream ``idx`` came from, if any: its gathered views
-    stand in for the three gathers by ``idx``.  At b = 1 the exact division
-    by 1 is skipped.  The products are ``ndarray.dot`` on C-contiguous rows,
-    the same gemv as ``@`` at under half its dispatch cost.
+    At b = 1 the exact division by 1 is skipped.  The products are
+    ``ndarray.dot`` on C-contiguous rows, the same gemv as ``@`` at under
+    half its dispatch cost.
     """
-    b = len(idx)
+    b = draws.b
     ledger.minibatch_calls += ledger.per_sample * b
     if b == problem.n:
         return problem.full_grad(x)
-    if draws is None:
-        rows, targets, r_w = problem.A[idx], problem.targets[idx], ckpt.residuals[idx]
-    else:
-        rows, targets, r_w = draws.gathered(problem, ckpt)
+    rows, targets, r_w = draws.gathered(problem, ckpt)
     diff = (problem.residual(x, rows, targets) - r_w).dot(rows)
     if b == 1:
         return diff + ckpt.full_grad
-    return diff / (b if draws is None else draws.divisor) + ckpt.full_grad
+    return diff / draws.divisor + ckpt.full_grad
 
 
 def maybe_update_checkpoint(

@@ -29,7 +29,7 @@ from .problems import (
     synthesize,
 )
 from .proximal import Regularizer
-from .schedule import compute_constants
+from .schedule import compute_constants, step_size
 
 TRACE_COLUMNS = ("t", "F_y_gap", "F_w_gap", "p_t", "ckpt_updated", "ifo_total", "lyapunov")
 # Bumped whenever an unchanged config may give different trace bytes.
@@ -213,7 +213,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         keys += ["[output] lyapunov"] if cfg.output.lyapunov else []
         if keys:
             raise ConfigError(f"{keys[0]} applies only to katyusha_h, not {cfg.solver.method}")
-    _check_cell(cfg.solver.alpha, cfg.solver.b)
+    _check_cell(cfg.solver)
     _check_seeds("[problem] seed", (cfg.problem.seed,))
     _check_seeds("[run] seeds", cfg.run.seeds)
     if (cfg.run.iterations is None) == (cfg.run.epsilon is None):
@@ -240,16 +240,25 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"dataset file not found: {cfg.problem.data}")
 
 
-def _check_cell(alpha: float, b: int, n: int | None = None, where: str = "[solver]") -> None:
-    """Refuse an alpha or b the schedule cannot take and, with n given, a
-    b > n, by a ConfigError naming ``{where} alpha`` or ``{where} b``."""
+def _check_cell(solver: SolverSpec, problem: FiniteSumProblem | None = None,
+                where: str = "[solver]") -> None:
+    """Refuse an alpha or b the schedule cannot take and, with the problem
+    given, a b > n or an eta outside the step-size range for its L, by a
+    ConfigError naming ``{where} alpha``, ``{where} b`` or ``{where} eta``."""
+    alpha, b = solver.alpha, solver.b
     for key, batch in (("alpha", 1), ("b", b)):  # alpha alone first, then with b
         try:
-            compute_constants(alpha, batch)
+            params = compute_constants(alpha, batch)
         except ValueError as exc:
             raise ConfigError(f"{where} {key}: {exc}") from None
-    if n is not None and b > n:
-        raise ConfigError(f"{where} b: need 1 <= b <= n, got b={b}, n={n}")
+    if problem is None:
+        return
+    if b > problem.n:
+        raise ConfigError(f"{where} b: need 1 <= b <= n, got b={b}, n={problem.n}")
+    try:
+        step_size(problem.L, params, solver.eta)
+    except ValueError as exc:
+        raise ConfigError(f"{where} eta: {exc}") from None
 
 
 def _regularizer(spec: ProblemSpec) -> Regularizer:
@@ -420,7 +429,7 @@ def _trace_header(cfg: ExperimentConfig, problem: FiniteSumProblem, seed: int) -
 def run_command(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> list[Path]:
     """Execute the configured runs, one trace file per seed."""
     problem = build_problem(cfg)
-    _check_cell(cfg.solver.alpha, cfg.solver.b, problem.n)
+    _check_cell(cfg.solver, problem)
     out = Path(out_dir if out_dir is not None else cfg.output.directory)
     out.mkdir(parents=True, exist_ok=True)
     f_star = problem.reference.f_star if problem.reference is not None else 0.0
@@ -465,17 +474,18 @@ def sweep_command(
     bs = bs if bs is not None else cfg.sweep.bs
     if not alphas or not bs:
         raise ConfigError("sweep needs alpha and b grids (flags or [sweep] section)")
-    for alpha in alphas:
-        for b in bs:
-            _check_cell(alpha, b, where="sweep")
+    cells = [replace(cfg.solver, alpha=alpha, b=b) for alpha in alphas for b in bs]
+    for cell in cells:
+        _check_cell(cell, where="sweep")
     problem = build_problem(cfg)
-    _check_cell(alphas[0], max(bs), problem.n, where="sweep")
+    for cell in cells:
+        _check_cell(cell, problem, "sweep")
     f_star = problem.reference.f_star if problem.reference is not None else 0.0
     out = Path(out_dir if out_dir is not None else cfg.output.directory)
     out.mkdir(parents=True, exist_ok=True)
 
-    def one_cell(alpha: float, b: int) -> SweepRow:
-        cell = replace(cfg, solver=replace(cfg.solver, alpha=alpha, b=b))
+    def one_cell(solver: SolverSpec) -> SweepRow:
+        cell = replace(cfg, solver=solver)
         ifos, iters, gaps, reached = [], [], [], 0
         for seed in cfg.run.seeds:
             final = run_single(problem, cell, seed)[-1]
@@ -486,8 +496,8 @@ def sweep_command(
             if cfg.run.epsilon is None or gap <= cfg.run.epsilon:
                 reached += 1
         return SweepRow(
-            alpha=alpha,
-            b=b,
+            alpha=solver.alpha,
+            b=solver.b,
             seeds=len(cfg.run.seeds),
             reached_target=reached,
             mean_ifo=float(np.mean(ifos)),
@@ -496,7 +506,7 @@ def sweep_command(
             mean_final_gap=float(np.mean(gaps)),
         )
 
-    rows = [one_cell(alpha, b) for alpha in alphas for b in bs]
+    rows = [one_cell(cell) for cell in cells]
     path = out / "sweep_summary.csv"
     lines = ["alpha,b,seeds,reached_target,mean_ifo,sd_ifo,mean_iterations,mean_final_gap"]
     for r in rows:

@@ -43,7 +43,7 @@ from .schedule import (
     Table,
     advance,
     compute_constants,
-    max_step_size,
+    step_size,
 )
 
 
@@ -125,12 +125,7 @@ def _first_table(params: ScheduleParams) -> Table:
 def init_state(problem, config: RunConfig) -> KatyushaHState:
     """Initial state with w = x = y = z; charges the initial full gradient (n)."""
     params = compute_constants(config.alpha, config.batch_size)
-    eta_max = max_step_size(problem.L, params)
-    eta = eta_max if config.eta is None else config.eta
-    if not 0.0 < eta <= eta_max * (1.0 + 1e-12):
-        raise ValueError(
-            f"eta must be in (0, {eta_max:.6g}] for L={problem.L:.6g}, got {eta}"
-        )
+    eta = step_size(problem.L, params, config.eta)
     x0 = _start(problem, config.x0)
     ledger = IfoLedger(per_sample=1 if config.cache_checkpoint_grads else 2)
     rng = DrawStream(problem.n, config.batch_size, config.seed)
@@ -166,7 +161,8 @@ def katyusha_h_step(state: KatyushaHState, problem) -> None:
         state.anchor = (ckpt.w, xi_w)
 
     x_next = tau * z + xi_w + mix * y
-    g = svrg_estimate(x_next, ckpt, rng.subset(), problem, ledger, rng)
+    rng.subset()  # move the stream to this iteration's subset
+    g = svrg_estimate(x_next, ckpt, problem, ledger, rng)
     z_next = prox(problem.reg, z - step * g, step_len, overwrite=True)
     y_next = x_next + tau * (z_next - z)
 

@@ -265,12 +265,6 @@ class FiniteSumProblem:
         neg = -targets
         return neg * expit(neg * margins)
 
-    def component_value(self, i: int, x: np.ndarray) -> float:
-        m = float(self.A[i] @ x)
-        if self.loss == "least_squares":
-            return 0.5 * (m - self.targets[i]) ** 2
-        return float(np.logaddexp(0.0, -self.targets[i] * m))
-
     def component_grad(self, i: int, x: np.ndarray) -> np.ndarray:
         return self.A[i] * self.residual(x, self.A[i], self.targets[i])
 

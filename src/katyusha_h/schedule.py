@@ -75,11 +75,17 @@ def compute_constants(alpha: float, batch_size: int) -> ScheduleParams:
     return ScheduleParams(alpha=alpha, batch_size=batch_size, a_alpha=a, c=c, xi=xi)
 
 
-def max_step_size(L: float, params: ScheduleParams) -> float:
-    """Largest allowable step size, 1/((c+1)*L)."""
+def step_size(L: float, params: ScheduleParams, eta: float | None = None) -> float:
+    """The step size of a run: ``eta``, or the largest allowable one,
+    1/((c+1)*L), when it is None.  Refuses an eta outside (0, 1/((c+1)*L)]."""
     if L <= 0.0:
         raise ValueError(f"smoothness constant must be positive, got {L}")
-    return 1.0 / ((params.c + 1.0) * L)
+    eta_max = 1.0 / ((params.c + 1.0) * L)
+    if eta is None:
+        return eta_max
+    if not 0.0 < eta <= eta_max * (1.0 + 1e-12):  # also refuses nan
+        raise ValueError(f"eta must be in (0, {eta_max:.6g}] for L={L:.6g}, got {eta}")
+    return eta
 
 
 def alpha_sequence(t_max: int, params: ScheduleParams, start: int = 0) -> np.ndarray:

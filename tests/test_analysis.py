@@ -16,7 +16,6 @@ from katyusha_h.analysis import (
     predict_ifo,
     select_alpha,
     selector_inequalities,
-    threshold_branches,
 )
 from katyusha_h.optimizers import TraceRecord
 from katyusha_h.problems import (
@@ -166,12 +165,16 @@ class TestPredictIfo:
         assert cost.total == pytest.approx(sum(cost.terms.values()))
 
     def test_branch_boundary_reports_both(self):
-        small, general = threshold_branches(1, 10 ** 4, 1e-12)
-        assert small.branch == "small-alpha" and general.branch == "general"
-        assert small.alpha == general.alpha
-        for key in ("minibatch", "checkpoint_log"):
-            assert small.terms[key] == general.terms[key]
-        assert set(general.terms) - set(small.terms) == {"checkpoint_power"}
+        # the boundary min(alpha_hat, 0.1) is small-alpha, the next double general
+        for epsilon in (1e-12, 1e-3, 0.3):
+            boundary = min(alpha_hat(epsilon), 0.1)
+            small = predict_ifo(boundary, 1, 10 ** 4, epsilon)
+            general = predict_ifo(math.nextafter(boundary, 1.0), 1, 10 ** 4, epsilon)
+            assert small.branch == "small-alpha" and general.branch == "general"
+            for key in ("minibatch", "checkpoint_log"):
+                assert small.terms[key] == pytest.approx(general.terms[key], rel=1e-14)
+            assert set(general.terms) - set(small.terms) == {"checkpoint_power"}
+            assert 0.0 < general.terms["checkpoint_power"] < math.inf
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -226,6 +229,15 @@ class TestInterval:
     def test_constants_below_one_rejected(self):
         with pytest.raises(ValueError):
             feasible_alpha_interval(10, 1e-3, 0.5, 2.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("which", ["c1", "c2"])
+    def test_non_finite_constants_rejected(self, which, bad):
+        # nan < 1 is False, and c1 = inf makes delta1 nan
+        with pytest.raises(ValueError, match="finite"):
+            feasible_alpha_interval(100, 1e-4, **{which: bad})
+        with pytest.raises(ValueError, match="finite"):
+            select_alpha(100, 1e-4, **{which: bad})
 
 
 class TestSelectAlpha:

@@ -26,6 +26,7 @@ from katyusha_h.experiment import (
     run_single,
     sweep_command,
 )
+from katyusha_h.schedule import compute_constants, step_size
 
 BASE_CONFIG = """\
 [problem]
@@ -153,12 +154,13 @@ class TestConfig:
         assert "weights must be nonnegative and finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("eta", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("eta", ["nan", "inf", "0", "-1", "10"])
     def test_eta_outside_range_is_exit_two(self, config_path, tmp_path, capsys, eta):
+        # 10 is above the cap 1/((c+1)*L); like every bad input it fails before any output
         config_path.write_text(config_path.read_text().replace("eta = auto", f"eta = {eta}"))
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
-        assert "eta must be in" in capsys.readouterr().err
-        assert not list((tmp_path / "o").glob("*.csv"))
+        assert "[solver] eta: eta must be in" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 def _write_sections(path, sections: dict[str, dict[str, str]]):
@@ -393,6 +395,24 @@ class TestSweepCommand:
         assert calls == [] and not out.exists()
         assert len(built) == ("n=30" in message)  # only b <= n needs the problem
 
+    def test_eta_above_a_later_cells_cap_fails_before_any_run(
+            self, config_path, tmp_path, capsys, monkeypatch):
+        # eta fits alpha = 0's cap but not alpha = 0.6's, the second cell
+        problem = build_problem(load_config(config_path))
+        caps = [step_size(problem.L, compute_constants(alpha, 1)) for alpha in (0.0, 0.6)]
+        assert caps[1] < caps[0]
+        eta = (caps[0] + caps[1]) / 2
+        config_path.write_text(config_path.read_text().replace("eta = auto", f"eta = {eta!r}"))
+        calls = []
+        monkeypatch.setattr(experiment, "run_single",
+                            lambda *args, real=run_single: calls.append(args) or real(*args))
+        out = tmp_path / "sweep_out"
+        args = ["sweep", "--config", str(config_path), "--alphas", "0,0.6", "--bs", "1",
+                "--out", str(out)]
+        assert main(args) == 2
+        assert "sweep eta: eta must be in" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
     def test_epsilon_mode_aggregates_cost_to_target(self, tmp_path):
         out = tmp_path / "out"
         path = tmp_path / "exp.ini"
@@ -523,6 +543,13 @@ class TestSelectAlphaCommand:
     def test_infeasible_is_exit_two(self, capsys):
         assert main(["select-alpha", "10000", "1e-3"]) == 2
         assert "n < 1/epsilon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--c1", "--c2"])
+    def test_non_finite_constant_is_exit_two(self, capsys, flag, value):
+        assert main(["select-alpha", "100", "1e-4", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert "must be finite" in captured.err and captured.out == ""
 
 
 class TestSolveRefCommand:

@@ -253,13 +253,28 @@ class TestResolveBlock:
             stream.subset()
 
 
+def estimate_at_next_subset(x, ckpt, prob, ledger, b, seed=0):
+    """A fresh stream's first subset and the estimate at x over it."""
+    draws = DrawStream(prob.n, b, seed)
+    idx = draws.subset().copy()
+    return idx, svrg_estimate(x, ckpt, prob, ledger, draws)
+
+
+def indexed_estimate(x, ckpt, prob, idx):
+    """The estimate over idx from fancy-indexed rows, targets and
+    checkpoint residuals, in the order of the estimator's operations."""
+    rows, targets, r_w = prob.A[idx], prob.targets[idx], ckpt.residuals[idx]
+    diff = (prob.residual(x, rows, targets) - r_w).dot(rows)
+    return diff + ckpt.full_grad if len(idx) == 1 else diff / len(idx) + ckpt.full_grad
+
+
 class TestSvrgEstimate:
     def test_full_batch_is_exact_full_gradient(self):
         _, prob = synthesize(6, 3, "least_squares", seed=2)
         ledger = IfoLedger()
         ckpt = make_checkpoint(np.ones(3), prob, ledger)
         x = make_rng(3).standard_normal(3)
-        g = svrg_estimate(x, ckpt, np.arange(6), prob, ledger)
+        _, g = estimate_at_next_subset(x, ckpt, prob, ledger, b=6)
         assert np.array_equal(g, prob.full_grad(x))
 
     def test_at_checkpoint_returns_full_gradient(self):
@@ -267,7 +282,7 @@ class TestSvrgEstimate:
         ledger = IfoLedger()
         w = make_rng(4).standard_normal(3)
         ckpt = make_checkpoint(w, prob, ledger)
-        g = svrg_estimate(w, ckpt, np.array([1, 4]), prob, ledger)
+        _, g = estimate_at_next_subset(w, ckpt, prob, ledger, b=2)
         np.testing.assert_allclose(g, ckpt.full_grad, atol=1e-15)
 
     @pytest.mark.parametrize("family", ["least_squares", "logistic"])
@@ -311,7 +326,7 @@ class TestSvrgEstimate:
         ledger = IfoLedger()
         ckpt = make_checkpoint(np.zeros(3), prob, ledger)
         assert ledger.checkpoint_calls == 6
-        svrg_estimate(np.ones(3), ckpt, np.array([0, 2]), prob, ledger)
+        estimate_at_next_subset(np.ones(3), ckpt, prob, ledger, b=2)
         assert ledger.minibatch_calls == 4
 
     def test_cache_halves_minibatch_cost(self):
@@ -319,12 +334,12 @@ class TestSvrgEstimate:
         _, prob = synthesize(6, 3, "least_squares", seed=2)
         plain, cached = IfoLedger(), IfoLedger(per_sample=1)
         ckpt = make_checkpoint(np.zeros(3), prob, plain)
-        x, idx = np.ones(3), np.array([1, 3])
-        g1 = svrg_estimate(x, ckpt, idx, prob, plain)
-        g2 = svrg_estimate(x, ckpt, idx, prob, cached)
+        x = np.ones(3)
+        _, g1 = estimate_at_next_subset(x, ckpt, prob, plain, b=2, seed=5)
+        _, g2 = estimate_at_next_subset(x, ckpt, prob, cached, b=2, seed=5)
         np.testing.assert_array_equal(g1, g2)
         assert plain.minibatch_calls == 4 and cached.minibatch_calls == 2
-        svrg_estimate(x, ckpt, np.arange(prob.n), prob, cached)
+        estimate_at_next_subset(x, ckpt, prob, cached, b=prob.n)
         assert cached.minibatch_calls == 2 + prob.n
 
     def test_cache_holds_one_residual_per_component(self):
@@ -344,11 +359,27 @@ class TestSvrgEstimate:
         ckpt = make_checkpoint(rng.standard_normal(3), prob, IfoLedger())
         for b in (1, 3, 6):
             x = rng.standard_normal(3)
-            idx = sample_subset(prob.n, b, rng)
+            idx, got = estimate_at_next_subset(x, ckpt, prob, IfoLedger(), b, seed=b)
             diffs = prob.component_grad_matrix(x, idx) - prob.component_grad_matrix(ckpt.w, idx)
             want = diffs.sum(axis=0) / b + prob.full_grad(ckpt.w)
-            got = svrg_estimate(x, ckpt, idx, prob, IfoLedger())
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("family", ["least_squares", "logistic"])
+    @pytest.mark.parametrize("b", [1, 3, 40])
+    def test_stream_estimate_equals_indexed_formula(self, family, b):
+        # the gathered views give the bits of the A[idx] formula, checkpoint
+        # refreshes included; 300 iterations cross span and block ends at b = 40
+        _, prob = synthesize(60, 8, family, seed=6)
+        rng = make_rng(9)
+        ckpt = make_checkpoint(rng.standard_normal(8), prob, IfoLedger())
+        draws = DrawStream(prob.n, b, seed=3)
+        for t in range(300):
+            if t % 7 == 0:
+                ckpt = make_checkpoint(rng.standard_normal(8), prob, IfoLedger())
+            x = rng.standard_normal(8)
+            idx = draws.subset()
+            got = svrg_estimate(x, ckpt, prob, IfoLedger(), draws)
+            assert got.tobytes() == indexed_estimate(x, ckpt, prob, idx).tobytes()
 
 
 def _layout(A: np.ndarray, layout: str) -> np.ndarray:

@@ -37,8 +37,8 @@ from katyusha_h.schedule import (
     alpha_sequence,
     compute_constants,
     denominator_sequence,
-    max_step_size,
     p_sequence,
+    step_size,
 )
 
 
@@ -142,7 +142,7 @@ class TestStepInvariants:
     def test_default_eta_is_largest_allowable(self):
         _, prob = synthesize(5, 2, "least_squares", seed=1)
         state = init_state(prob, RunConfig(alpha=1.0, batch_size=1, iterations=1))
-        assert state.eta == pytest.approx(max_step_size(prob.L, state.params))
+        assert state.eta == pytest.approx(step_size(prob.L, state.params))
 
 
 class TestScheduleRows:
@@ -747,7 +747,7 @@ def reference_run(problem, config):
     draw refreshed w."""
     n, b, T = problem.n, config.batch_size, config.iterations
     params = compute_constants(config.alpha, b)
-    eta = max_step_size(problem.L, params)
+    eta = step_size(problem.L, params)
     alphas = alpha_sequence(T, params)
     ps = np.clip(p_sequence(alphas, params), 0.0, 1.0).tolist()
     alphas = alphas.tolist()

@@ -25,12 +25,21 @@ from katyusha_h.problems import (
 from katyusha_h.proximal import Regularizer
 
 
+def component_value(problem, i, x):
+    """f_i(x), written from the loss's definition: the per-component oracle
+    the gradient, smoothness and convexity checks read."""
+    m = float(problem.A[i] @ x)
+    if problem.loss == "least_squares":
+        return 0.5 * (m - problem.targets[i]) ** 2
+    return float(np.logaddexp(0.0, -problem.targets[i] * m))
+
+
 def central_difference_grad(problem, i, x, h=1e-5):
     g = np.zeros_like(x)
     for k in range(len(x)):
         e = np.zeros_like(x)
         e[k] = h
-        g[k] = (problem.component_value(i, x + e) - problem.component_value(i, x - e)) / (2 * h)
+        g[k] = (component_value(problem, i, x + e) - component_value(problem, i, x - e)) / (2 * h)
     return g
 
 
@@ -371,7 +380,7 @@ class TestLogistic:
         A = ds.to_dense()
         x0 = np.zeros(3)
         for i in range(prob.n):
-            assert prob.component_value(i, x0) == pytest.approx(math.log(2.0), rel=1e-12)
+            assert component_value(prob, i, x0) == pytest.approx(math.log(2.0), rel=1e-12)
             np.testing.assert_allclose(
                 prob.component_grad(i, x0), -ds.labels[i] * A[i] / 2.0, rtol=1e-12
             )
@@ -408,12 +417,19 @@ class TestOracleConsistency:
             x = rng.standard_normal(4)
             y = rng.standard_normal(4)
             for i in range(prob.n):
-                fx = prob.component_value(i, x)
-                fy = prob.component_value(i, y)
+                fx = component_value(prob, i, x)
+                fy = component_value(prob, i, y)
                 gx = prob.component_grad(i, x)
                 linear = fx + float(gx @ (y - x))
                 assert fy >= linear - 1e-10  # convexity
                 assert fy <= linear + 0.5 * prob.L * float((y - x) @ (y - x)) + 1e-10
+
+    @pytest.mark.parametrize("family", ["least_squares", "logistic"])
+    def test_components_average_to_the_smooth_value(self, family):
+        _, prob = synthesize(6, 4, family, seed=17)
+        x = make_rng(2).standard_normal(4)
+        mean = sum(component_value(prob, i, x) for i in range(prob.n)) / prob.n
+        assert mean == pytest.approx(prob.smooth_value(x), rel=1e-13)
 
     def test_component_matrix_matches_rows(self):
         _, prob = synthesize(5, 3, "logistic", seed=3)
@@ -428,8 +444,8 @@ class TestOracleConsistency:
         for _ in range(50):
             x, y = rng.standard_normal(3), rng.standard_normal(3)
             for i in range(prob.n):
-                mid = prob.component_value(i, (x + y) / 2)
-                avg = (prob.component_value(i, x) + prob.component_value(i, y)) / 2
+                mid = component_value(prob, i, (x + y) / 2)
+                avg = (component_value(prob, i, x) + component_value(prob, i, y)) / 2
                 assert mid <= avg + 1e-12
 
 

@@ -15,9 +15,9 @@ from katyusha_h.schedule import (
     compute_constants,
     denominator_sequence,
     growth_coefficient,
-    max_step_size,
     p_at,
     p_sequence,
+    step_size,
     tau_at,
 )
 
@@ -217,17 +217,24 @@ class TestTau:
 
 class TestStepSize:
     def test_values(self):
-        assert max_step_size(1.0, params_for(1.0)) == pytest.approx(0.25)
-        assert max_step_size(4.0, params_for(1.0)) == pytest.approx(0.0625)
+        assert step_size(1.0, params_for(1.0)) == pytest.approx(0.25)
+        assert step_size(4.0, params_for(1.0)) == pytest.approx(0.0625)
         p = params_for(0.001)
-        assert max_step_size(1.0, p) == pytest.approx(1.0 / (p.c + 1.0), rel=1e-15)
-        assert max_step_size(1.0, p) == pytest.approx(0.17246, abs=1e-4)
+        assert step_size(1.0, p) == pytest.approx(1.0 / (p.c + 1.0), rel=1e-15)
+        assert step_size(1.0, p) == pytest.approx(0.17246, abs=1e-4)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            max_step_size(0.0, params_for(0.5))
+            step_size(0.0, params_for(0.5))
         with pytest.raises(ValueError):
-            max_step_size(-1.0, params_for(0.5))
+            step_size(-1.0, params_for(0.5))
+
+    def test_given_eta_is_kept_up_to_the_cap(self):
+        p = params_for(0.5)
+        cap = step_size(2.0, p)
+        assert step_size(2.0, p, 0.5 * cap) == 0.5 * cap
+        assert step_size(2.0, p, cap) == cap
+        assert step_size(2.0, p, cap * (1.0 + 1e-13)) == cap * (1.0 + 1e-13)  # rounding slack
 
 
 class TestTable:

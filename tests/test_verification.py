@@ -494,7 +494,7 @@ class _ForcedDraw:
 
     def __init__(self, value: float, n: int):
         self.value = value
-        self.n = n
+        self.n = self.b = n
 
     def subset(self) -> np.ndarray:
         return np.arange(self.n)
