@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 ALPHA_BRANCH_CAP = 0.1  # the small-alpha branch applies below min(alpha_hat, this)
+BOUND_MIN_SEEDS = 30  # fewest seeds check_lyapunov_bound takes
+BOUND_SLACK_SIGMAS = 2.0  # its slack, in standard errors of the seed mean
 
 
 class InfeasibleAccuracyError(ValueError):
@@ -65,7 +67,6 @@ class BoundReport:
     initial: float
     mean_final: float
     std_error: float
-    slack_sigmas: float
     n_seeds: int
     margin: float
     passed: bool
@@ -79,19 +80,16 @@ class BoundReport:
         )
 
 
-def check_lyapunov_bound(
-    traces: list[list],
-    slack_sigmas: float = 2.0,
-    min_seeds: int = 30,
-) -> BoundReport:
+def check_lyapunov_bound(traces: list[list]) -> BoundReport:
     """Verify mean-over-seeds of the final bound LHS <= initial Lyapunov value.
 
-    ``traces`` holds one record list per independent seed; records must carry
-    Lyapunov values at t=0 and at the final step.  The statistical slack is
-    ``slack_sigmas`` standard errors of the seed mean.
+    ``traces`` holds one record list per independent seed, at least
+    ``BOUND_MIN_SEEDS`` of them; records must carry Lyapunov values at t=0
+    and at the final step.  The statistical slack is ``BOUND_SLACK_SIGMAS``
+    standard errors of the seed mean.
     """
-    if len(traces) < min_seeds:
-        raise ValueError(f"need at least {min_seeds} seeds, got {len(traces)}")
+    if len(traces) < BOUND_MIN_SEEDS:
+        raise ValueError(f"need at least {BOUND_MIN_SEEDS} seeds, got {len(traces)}")
     initials = np.array([tr[0].lyapunov for tr in traces], dtype=np.float64)
     finals = np.array([tr[-1].lyapunov for tr in traces], dtype=np.float64)
     if np.any(np.isnan(initials)) or np.any(np.isnan(finals)):
@@ -100,17 +98,13 @@ def check_lyapunov_bound(
         raise ValueError("seeds disagree on the initial state")
     initial = float(initials[0])
     mean_final = float(np.mean(finals))
-    if len(finals) > 1:
-        std_error = float(np.std(finals, ddof=1) / math.sqrt(len(finals)))
-    else:
-        std_error = 0.0
-    allowance = initial + slack_sigmas * std_error
+    std_error = float(np.std(finals, ddof=1) / math.sqrt(len(finals)))
+    allowance = initial + BOUND_SLACK_SIGMAS * std_error
     margin = allowance - mean_final
     return BoundReport(
         initial=initial,
         mean_final=mean_final,
         std_error=std_error,
-        slack_sigmas=slack_sigmas,
         n_seeds=len(traces),
         margin=margin,
         passed=mean_final <= allowance * (1.0 + 1e-12),

@@ -56,27 +56,12 @@ def make_checkpoint(w: np.ndarray, problem, ledger: IfoLedger) -> Checkpoint:
     return Checkpoint(w=w, full_grad=full, residuals=residuals, margins=margins)
 
 
-def _resolve_swaps(targets: list[int]) -> list[int]:
-    """Partial Fisher-Yates output for swap targets t_0..t_{b-1}, t_i >= i.
-
-    Step i swaps position i with position t_i of range(n), kept as a sparse
-    swap map.  Only targets are ever keys of the map, so out[i] = t_i unless
-    t_i repeats an earlier target.  This loop resolves ``sample_subset``'s
-    draws and is the oracle that ``_resolve_block`` is tested against.
-    """
-    swaps: dict[int, int] = {}
-    out = []
-    for i, j in enumerate(targets):
-        out.append(swaps.get(j, j))
-        swaps[j] = swaps.get(i, i)
-    return out
-
-
 def _resolve_block(targets: np.ndarray, n: int) -> np.ndarray:
-    """Resolve a (K, b) block of swap-target rows in place, each row to
-    ``_resolve_swaps`` of it, and return the block.
+    """Resolve a (K, b) block of swap-target rows in place, each row to its
+    partial Fisher-Yates output, and return the block.
 
-    In row t_0..t_{b-1}, out[i] = t_i unless an earlier step targeted t_i;
+    Step i of a row t_0..t_{b-1} (t_i >= i) swaps position i with position
+    t_i of range(n).  So out[i] = t_i unless an earlier step targeted t_i;
     then out[i] = S(k) for the last such step k, where S(k) is the value at
     position k before step k: k itself, or S(k') when an earlier step k'
     targeted position k, taking the last such k'.  Sorting each row's keys
@@ -84,15 +69,18 @@ def _resolve_block(targets: np.ndarray, n: int) -> np.ndarray:
     its sorted neighbour's target takes the neighbour's step as k.  Each
     pass of the loop follows one S link of every unresolved repeat in the
     block with one ``searchsorted`` over all the block's keys, so the loop
-    runs once per chain level (one or two levels at b << n).
+    runs once per chain level (one or two levels at b << n).  This is the
+    package's only resolver; the tests hold the per-row swap-map loop it is
+    checked against.
     """
     rows, b = targets.shape
     if b == 1:
         return targets
     # Row r's keys are r*n*b + t*b + i < (r + 1)*n*b, so every key is below
-    # n * rows*b <= 2**32 * (2**17 + b): DrawStream refuses n > 2**32, and its
-    # block keeps rows*b below 2**17 + b.  That fits int64 for every
-    # b < 2**31 - 2**17; a longer row would need 16 GiB for its targets alone.
+    # n * rows*b.  DrawStream refuses n > 2**32 and keeps rows*b below
+    # 2**17 + b, which fits int64 for every b < 2**31 - 2**17 (a longer row
+    # would need 16 GiB for its targets alone); sample_subset's one row
+    # refuses n * b >= 2**63.
     stride = n * b
     keys = targets * b + np.arange(b)
     keys.sort(axis=1)
@@ -121,23 +109,25 @@ def _resolve_block(targets: np.ndarray, n: int) -> np.ndarray:
 def sample_subset(n: int, b: int, rng: np.random.Generator) -> np.ndarray:
     """b distinct indices from range(n), uniform over all size-b subsets.
 
-    Partial Fisher-Yates with a sparse swap map: O(b) time and memory, and
-    exactly uniform because every b-prefix of a uniform permutation is
-    equally likely.  Step i swaps position i with a target uniform on
-    [i, n).  numpy draws each bounded integer with Lemire's method whether
-    the bound is a scalar or an array, so one ``rng.integers(arange(b), n)``
-    call consumes the stream exactly as b scalar calls do and returns the
-    same targets.
+    Partial Fisher-Yates: O(b) time and memory, and exactly uniform because
+    every b-prefix of a uniform permutation is equally likely.  Step i swaps
+    position i with a target uniform on [i, n).  numpy draws each bounded
+    integer with Lemire's method whether the bound is a scalar or an array,
+    so one ``rng.integers(arange(b), n)`` call consumes the stream exactly as
+    b scalar calls do and returns the same targets; ``_resolve_block``
+    resolves them as one row.  The resolver's int64 keys need n * b < 2**63.
 
     A run draws through ``DrawStream``; this function is the reference it
     is tested against.
     """
     if not 1 <= b <= n:
         raise ValueError(f"need 1 <= b <= n, got b={b}, n={n}")
+    if n * b >= 2**63:
+        raise ValueError(f"need n * b < 2**63, got b={b}, n={n}")
     if b == n:
         return np.arange(n)
-    targets = rng.integers(np.arange(b), n).tolist()
-    return np.array(_resolve_swaps(targets), dtype=np.intp)
+    targets = rng.integers(np.arange(b), n, dtype=np.intp)
+    return _resolve_block(targets[None], n)[0]
 
 
 _LOW32 = 0xFFFFFFFF
@@ -184,8 +174,8 @@ class DrawStream:
     draws at a time, tests them all at once, keeps the draws before the
     first rejection and lays out again from the draw after it,
     mid-iteration if need be.  The swap targets of the whole block become
-    their partial Fisher-Yates subsets together, repeats included
-    (``_resolve_block``), so no row is resolved in a Python loop.  The
+    their partial Fisher-Yates subsets together, repeats included, in one
+    ``_resolve_block`` call, the resolver ``sample_subset`` uses too.  The
     block's subsets are one (K, b) index array.  When b == n the subset is
     all of range(n) and only coins are drawn.  ``subset()`` moves to the
     next iteration and returns its row; ``random()`` returns that

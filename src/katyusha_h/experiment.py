@@ -206,13 +206,21 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _regularizer(cfg.problem)
     if cfg.solver.method not in SOLVERS:
         raise ConfigError(f"unknown solver method {cfg.solver.method!r}")
+    # A key this run does not read is an error: a baseline reads no [solver]
+    # key but method, nor [output] lyapunov, and a data file no synthesis key.
+    unread = []
     if cfg.solver.method != "katyusha_h":
-        # a baseline ignores every [solver] key but method, and [output] lyapunov
-        keys = [f"[solver] {f.name}" for f in fields(SolverSpec)
-                if f.name != "method" and getattr(cfg.solver, f.name) != f.default]
-        keys += ["[output] lyapunov"] if cfg.output.lyapunov else []
-        if keys:
-            raise ConfigError(f"{keys[0]} applies only to katyusha_h, not {cfg.solver.method}")
+        why = f"applies only to katyusha_h, not {cfg.solver.method}"
+        unread += [("solver", f.name, why) for f in fields(SolverSpec) if f.name != "method"]
+        unread.append(("output", "lyapunov", why))
+    if cfg.problem.data is not None:
+        why = "is not read when [problem] data is set"
+        unread += [("problem", name, why)
+                   for name in ("n", "d", "seed", "condition", "noise", "density", "consistent")]
+    for section, name, why in unread:
+        spec = getattr(cfg, section)
+        if getattr(spec, name) != getattr(type(spec), name):
+            raise ConfigError(f"[{section}] {name} {why}")
     _check_cell(cfg.solver)
     _check_seeds("[problem] seed", (cfg.problem.seed,))
     _check_seeds("[run] seeds", cfg.run.seeds)

@@ -348,8 +348,10 @@ def synthesize(
         raise ValueError(f"unknown family {family!r}")
     if not 0.0 < density <= 1.0:
         raise ValueError("density must be in (0, 1]")
-    if condition < 1.0:
-        raise ValueError("condition must be >= 1")
+    if not 1.0 <= condition < math.inf:
+        raise ValueError(f"condition must be in [1, inf), got {condition}")
+    if not 0.0 <= noise < math.inf:
+        raise ValueError(f"noise must be in [0, inf), got {noise}")
     rng = make_rng(seed)
     A = rng.standard_normal((n, d))
     if condition > 1.0:

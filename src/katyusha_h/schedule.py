@@ -8,11 +8,15 @@ the checkpoint-anchor weight is ``xi = 1/(b*c)``, and the checkpoint update
 probability ``p_t`` ties the amount of variance reduction to the momentum
 growth rate.
 
-The array functions hold the only arithmetic of alpha_t, D_t and p_t: the
-verification scans certify them, and ``advance`` lays them out in tables of
-``CHUNK`` rows, one row per index.  The table is the schedule's only reader:
-the solver's step and the Lyapunov values index its rows, and ``p_at`` and
-``tau_at`` read p_t and tau_t from row t for the oracles.
+``alpha_sequence``, ``_denominator``, ``_p_core`` and ``_p_ratio`` hold the
+only arithmetic of alpha_t, D_t and p_t.  The verification scans assemble
+them block by block and certify the result, and ``advance`` assembles them
+into tables of ``CHUNK`` rows, one row per index.  ``denominator_sequence``
+and ``p_sequence`` assemble them over a whole range: no run, scan or CLI
+command calls them, and they are the forms the tests compare the tables and
+scans against.  The table is the schedule's only reader: the solver's step
+and the Lyapunov values index its rows, and ``p_at`` and ``tau_at`` read p_t
+and tau_t from row t for the oracles.
 """
 
 from __future__ import annotations

@@ -149,7 +149,7 @@ def test_criterion_05_lyapunov_bound_over_seeds():
                                     seed=seed, record_every=T, lyapunov=True))
                 for seed in range(100)
             ]
-            report = check_lyapunov_bound(traces, slack_sigmas=2.0)
+            report = check_lyapunov_bound(traces)
             assert report.passed, (alpha, b, report)
             margins.append(report.margin / report.initial)
     elapsed = time.monotonic() - start

@@ -131,9 +131,9 @@ class TestBoundReport:
         assert report.passed == (report.mean_final <= 10.0 + 2 * se * (1 + 1e-12))
 
     def test_seed_minimum_enforced(self):
-        with pytest.raises(ValueError):
-            check_lyapunov_bound([_trace_with(1.0, 0.5)] * 10)
-        check_lyapunov_bound([_trace_with(1.0, 0.5)] * 10, min_seeds=10)
+        with pytest.raises(ValueError, match="need at least 30 seeds, got 29"):
+            check_lyapunov_bound([_trace_with(1.0, 0.5)] * 29)
+        assert check_lyapunov_bound([_trace_with(1.0, 0.5)] * 30).n_seeds == 30
 
     def test_requires_instrumentation(self):
         bare = [TraceRecord(0, 0.0, 0.0, math.nan, False, 0, 0)] * 30

@@ -162,6 +162,42 @@ class TestConfig:
         assert "[solver] eta: eta must be in" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("condition", "nan", "condition must be in [1, inf), got nan"),
+        ("noise", "-0.5", "noise must be in [0, inf), got -0.5"),
+    ])
+    def test_generator_parameter_outside_range_is_exit_two(
+        self, tmp_path, capsys, key, value, message
+    ):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[problem]\n{key} = {value}\n\n[run]\niterations = 1\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", "500"), ("d", "40"), ("seed", "3"), ("condition", "100"), ("noise", "0.5"),
+        ("density", "0.5"), ("consistent", "yes"),
+    ])
+    def test_synthesis_key_beside_a_data_file_is_exit_two(
+        self, tmp_path, capsys, key, value
+    ):
+        # the data file fixes the problem, so the key would be dropped unread
+        data = tmp_path / "d.txt"
+        data.write_text("1 1:0.5 3:-2\n-1 2:1e-3\n1 1:1\n-1 3:2\n")
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[problem]\ndata = {data}\n{key} = {value}\n\n[run]\niterations = 1\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"[problem] {key} is not read when [problem] data is set" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_synthesis_defaults_spelled_out_beside_a_data_file_run(self, tmp_path):
+        data = tmp_path / "d.txt"
+        data.write_text("1 1:0.5 3:-2\n-1 2:1e-3\n1 1:1\n-1 3:2\n")
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[problem]\ndata = {data}\nn = 100\nnoise = 0.1\n\n[run]\niterations = 1\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
 
 def _write_sections(path, sections: dict[str, dict[str, str]]):
     path.write_text("".join(

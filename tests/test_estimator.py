@@ -36,23 +36,35 @@ def scalar_quadratic_problem():
     return FiniteSumProblem(ds.to_dense(), ds.labels, "least_squares")
 
 
-def scalar_loop_subset(n, b, rng):
-    """The one-draw-per-position sampler, kept as the stream-contract oracle."""
-    if b == n:
-        return np.arange(n)
-    swaps = {}
-    out = np.empty(b, dtype=np.intp)
-    for i in range(b):
-        j = int(rng.integers(i, n))
-        out[i] = swaps.get(j, j)
+def resolve_swaps(targets: list[int]) -> list[int]:
+    """Partial Fisher-Yates output for swap targets t_0..t_{b-1}, t_i >= i:
+    the per-row oracle of ``estimator._resolve_block``.
+
+    Step i swaps position i with position t_i of range(n), kept as a sparse
+    swap map.  Only targets are ever keys of the map, so out[i] = t_i unless
+    t_i repeats an earlier target.
+    """
+    swaps: dict[int, int] = {}
+    out = []
+    for i, j in enumerate(targets):
+        out.append(swaps.get(j, j))
         swaps[j] = swaps.get(i, i)
     return out
+
+
+def scalar_loop_subset(n, b, rng):
+    """One draw per position, resolved by the per-row oracle: the
+    stream-contract oracle of ``sample_subset``."""
+    if b == n:
+        return np.arange(n)
+    return np.array(resolve_swaps([int(rng.integers(i, n)) for i in range(b)]), dtype=np.intp)
 
 
 class TestSampleSubset:
     @pytest.mark.parametrize(
         "n,b",
-        [(1, 1), (7, 6), (100, 1), (100, 2), (100, 10), (10**4, 100), (2**33, 5), (30, 30)],
+        [(1, 1), (7, 6), (100, 1), (100, 2), (100, 10), (10**4, 100), (2**33, 5), (30, 30),
+         (4, 3), (2000, 45), (2**61, 3)],
     )
     def test_stream_contract_matches_scalar_loop(self, n, b):
         # One array-bound draw must return the scalar loop's indices and leave
@@ -76,6 +88,14 @@ class TestSampleSubset:
             sample_subset(3, 4, rng)
         with pytest.raises(ValueError):
             sample_subset(3, 0, rng)
+
+    @pytest.mark.parametrize("n, b", [(2**62, 2), (2**63, 1), (2**40, 2**23), (2**32, 2**31)])
+    def test_refuses_keys_beyond_int64_before_drawing(self, n, b):
+        # the block resolver's keys t_i * b + i reach n * b
+        rng = make_rng(0)
+        with pytest.raises(ValueError, match=r"need n \* b < 2\*\*63"):
+            sample_subset(n, b, rng)
+        assert rng.random() == make_rng(0).random()
 
     def test_distinct_indices(self):
         rng = make_rng(1)
@@ -146,6 +166,24 @@ class TestDrawStream:
             np.testing.assert_array_equal(stream.subset(), twin.subset())
             assert stream.random() == twin.random()
 
+    @pytest.mark.parametrize(
+        "n, b, iterations",
+        [(100, 1, 3000), (100, 10, 3000), (2000, 45, 3000), (64, 63, 3000),
+         (3 * 2**30, 3, 3000), (30, 30, 3000), (10**8, 10_001, 40)],
+    )
+    def test_draws_do_not_depend_on_the_block_length(self, monkeypatch, n, b, iterations):
+        # every fill boundary falls elsewhere at K = 1, 2 and 7; at 3*2**30
+        # and 10**8 layouts end at rejections on both sides of a boundary
+        default = DrawStream(n, b, seed=11)
+        want = [(default.subset().copy(), default.random()) for _ in range(iterations)]
+        for block in (1, 2, 7):
+            monkeypatch.setattr(estimator, "_BLOCK_ITERATIONS", block)
+            stream = DrawStream(n, b, seed=11)
+            assert stream._block == block
+            for rows, coin in want:
+                np.testing.assert_array_equal(stream.subset(), rows)
+                assert stream.random() == coin
+
     def test_coin_is_read_once_per_iteration(self):
         stream = DrawStream(10, 2, seed=3)
         stream.subset()
@@ -213,7 +251,7 @@ class TestResolveBlock:
     def test_equals_resolve_swaps_row_by_row(self, n, b):
         for seed in range(3):
             targets = make_rng(seed).integers(np.arange(b), n, size=(stream_block(b), b))
-            want = [estimator._resolve_swaps(row) for row in targets.tolist()]
+            want = [resolve_swaps(row) for row in targets.tolist()]
             got = estimator._resolve_block(targets.astype(np.intp), n)
             np.testing.assert_array_equal(got, want)
 
@@ -229,7 +267,7 @@ class TestResolveBlock:
         ],
     )
     def test_hand_written_chains(self, n, targets, want):
-        assert estimator._resolve_swaps(targets) == want
+        assert resolve_swaps(targets) == want
         block = np.array([targets, targets], dtype=np.intp)
         np.testing.assert_array_equal(estimator._resolve_block(block, n), [want, want])
 
@@ -239,18 +277,22 @@ class TestResolveBlock:
             for b in range(1, n + 1):
                 rows = list(product(*(range(i, n) for i in range(b))))
                 got = estimator._resolve_block(np.array(rows, dtype=np.intp), n)
-                np.testing.assert_array_equal(got, [estimator._resolve_swaps(list(r)) for r in rows])
+                np.testing.assert_array_equal(got, [resolve_swaps(list(r)) for r in rows])
 
-    @pytest.mark.parametrize("n, b", [(2000, 45), (64, 63), (3 * 2**30, 3)])
-    def test_stream_never_calls_resolve_swaps(self, monkeypatch, n, b):
+    @pytest.mark.parametrize("n, b", [(2000, 45), (64, 63), (3 * 2**30, 3), (100, 1)])
+    def test_each_fill_resolves_its_block_in_one_call(self, monkeypatch, n, b):
         # at 3*2**30 a quarter of draws are rejected, so fills resume mid-row
-        def refuse(targets):
-            raise AssertionError("a DrawStream fill called _resolve_swaps")
+        shapes, resolve_block = [], estimator._resolve_block
 
-        monkeypatch.setattr(estimator, "_resolve_swaps", refuse)
+        def counted(targets, n):
+            shapes.append(targets.shape)
+            return resolve_block(targets, n)
+
+        monkeypatch.setattr(estimator, "_resolve_block", counted)
         stream = DrawStream(n, b, seed=1)
         for _ in range(2 * stream_block(b)):
             stream.subset()
+        assert shapes == [(stream_block(b), b)] * 2
 
 
 def estimate_at_next_subset(x, ckpt, prob, ledger, b, seed=0):

@@ -495,6 +495,19 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             synthesize(3, 3, "least_squares", density=0.0)
 
+    @pytest.mark.parametrize("value", [0.5, 0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_refuses_a_condition_outside_one_to_infinity(self, value):
+        with pytest.raises(ValueError, match=r"condition must be in \[1, inf\)"):
+            synthesize(3, 3, "least_squares", condition=value)
+
+    @pytest.mark.parametrize("value", [-0.5, -1e-300, math.nan, math.inf, -math.inf])
+    def test_refuses_a_noise_outside_zero_to_infinity(self, value):
+        with pytest.raises(ValueError, match=r"noise must be in \[0, inf\)"):
+            synthesize(3, 3, "logistic", noise=value)
+
+    def test_takes_the_ends_of_condition_and_noise(self):
+        synthesize(3, 3, "least_squares", condition=1.0, noise=0.0)
+
 
 class TestSolveReference:
     def test_scalar_quadratic(self):

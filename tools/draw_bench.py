@@ -6,17 +6,27 @@ their median.  Repeat r uses seed r, so two commits make the same draws:
 
     PYTHONPATH=src python tools/draw_bench.py
 
-To compare two commits, run the script from a checkout of each, alternating
-which runs first, and compare the printed JSON.
+To compare this tree with another, name the other tree's ``src`` directory:
+
+    PYTHONPATH=src python tools/draw_bench.py --against ../parent/src
+
+As in ``step_bench.py``, the other tree's package loads in the same process,
+repeat r draws on seed r on both sides, this tree first when r is even, and
+per grid point the JSON gives each side's median and quartiles, the median
+per-repeat ratio this/other and in how many repeats this tree was the faster.
 """
 
 from __future__ import annotations
 
+import argparse
+import importlib
 import json
-import statistics
 import time
+from pathlib import Path
 
-from katyusha_h.estimator import DrawStream
+import step_bench  # tools/ leads sys.path when a script in it runs
+
+from katyusha_h import estimator
 
 # (n, b): blocks timed per repeat, under a second each on a 2-vCPU Xeon.
 # At b = n - 1 a block is 3 iterations, and about one row in five has a
@@ -36,13 +46,13 @@ GRID = {
     (390_471_332, 19_760): 3,
     (3 * 2**30, 3): 5,
 }
-REPEATS = 5
+REPEATS = 10  # ten pairs per point with --against, as a gain claim needs
 
 
-def us_per_iteration(n: int, b: int, blocks: int, seed: int) -> float:
+def us_per_iteration(module, n: int, b: int, blocks: int, seed: int) -> float:
     """The mean cost of one iteration's subset and coin, in microseconds,
-    over ``blocks`` blocks after the first."""
-    stream = DrawStream(n, b, seed)
+    over ``blocks`` blocks after the first, drawn by ``module.DrawStream``."""
+    stream = module.DrawStream(n, b, seed)
     stream.subset()  # the first block, drawn outside the timing
     iterations = blocks * stream._block
     start = time.perf_counter()
@@ -52,11 +62,20 @@ def us_per_iteration(n: int, b: int, blocks: int, seed: int) -> float:
     return 1e6 * (time.perf_counter() - start) / iterations
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", type=Path, metavar="SRC",
+                        help="another tree's src directory to draw in alternation with this one")
+    args = parser.parse_args(argv)
+    sides = {"this": estimator}
+    if args.against is not None:
+        other = step_bench.load_package(args.against.resolve())
+        sides["other"] = importlib.import_module(f"{other.__name__}.estimator")
     out = {}
     for (n, b), blocks in GRID.items():
-        runs = [us_per_iteration(n, b, blocks, seed) for seed in range(REPEATS)]
-        out[f"{n},{b}"] = {"median_us": statistics.median(runs), "runs": runs}
+        runs = step_bench.alternate(sides, REPEATS, lambda side, seed: us_per_iteration(
+            sides[side], n, b, blocks, seed))
+        out[f"{n},{b}"] = step_bench.summarize(runs)
     print(json.dumps(out))
 
 

@@ -104,6 +104,31 @@ def _quartiles(runs: list[float]) -> dict:
     return {"median_us": median, "q1_us": q1, "q3_us": q3, "runs": runs}
 
 
+def alternate(sides: dict, repeats: int, measure) -> dict[str, list[float]]:
+    """``measure(side, seed)`` for each seed below ``repeats`` and each side,
+    this tree first when the seed is even and the other first when it is odd."""
+    runs: dict[str, list[float]] = {side: [] for side in sides}
+    for seed in range(repeats):
+        for side in list(sides) if seed % 2 == 0 else list(reversed(sides)):
+            runs[side].append(measure(side, seed))
+    return runs
+
+
+def summarize(runs: dict[str, list[float]]) -> dict:
+    """This tree's median and runs; with another tree, each side's median and
+    quartiles, the median of the per-repeat ratios this/other, and in how many
+    repeats this tree was the faster."""
+    if len(runs) == 1:
+        return {"median_us": statistics.median(runs["this"]), "runs": runs["this"]}
+    ratios = [a / b for a, b in zip(runs["this"], runs["other"])]
+    return {
+        "this": _quartiles(runs["this"]),
+        "other": _quartiles(runs["other"]),
+        "median_ratio": statistics.median(ratios),
+        "lower_in": f"{sum(r < 1.0 for r in ratios)} of {len(ratios)}",
+    }
+
+
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", type=Path, metavar="SRC",
@@ -115,22 +140,9 @@ def main(argv: list[str] | None = None) -> None:
     out: dict = {"openblas_threads": int(os.environ["OPENBLAS_NUM_THREADS"])}
     for name, (data, config, iterations) in SHAPES.items():
         problems = {side: problem_of(pkg, data) for side, pkg in sides.items()}
-        runs: dict[str, list[float]] = {side: [] for side in sides}
-        for seed in range(REPEATS):
-            order = list(sides) if seed % 2 == 0 else list(reversed(sides))
-            for side in order:
-                runs[side].append(us_per_iteration(
-                    sides[side], problems[side], config, iterations, seed))
-        if len(sides) == 1:
-            out[name] = {"median_us": statistics.median(runs["this"]), "runs": runs["this"]}
-            continue
-        ratios = [a / b for a, b in zip(runs["this"], runs["other"])]
-        out[name] = {
-            "this": _quartiles(runs["this"]),
-            "other": _quartiles(runs["other"]),
-            "median_ratio": statistics.median(ratios),
-            "lower_in": f"{sum(r < 1.0 for r in ratios)} of {len(ratios)}",
-        }
+        runs = alternate(sides, REPEATS, lambda side, seed: us_per_iteration(
+            sides[side], problems[side], config, iterations, seed))
+        out[name] = summarize(runs)
     print(json.dumps(out))
 
 
