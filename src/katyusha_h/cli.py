@@ -24,13 +24,13 @@ from .experiment import (
     run_command,
     sweep_command,
 )
-from .problems import DataFormatError, parse_libsvm, serialize_libsvm
+from .problems import DataFormatError, check_reference, parse_libsvm, serialize_libsvm
 
 
 def _load_with_seeds(args):
     """The config of ``--config``, its seeds replaced by ``--seeds`` if given."""
     cfg = load_config(args.config)
-    if args.seeds:
+    if args.seeds is not None:  # an empty value is given, and refused
         cfg.run.seeds = _parse_seq("--seeds", args.seeds, int)
         _check_seeds("--seeds", cfg.run.seeds)
     return cfg
@@ -46,8 +46,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_with_seeds(args)
-    alphas = _parse_seq("--alphas", args.alphas, float) if args.alphas else None
-    bs = _parse_seq("--bs", args.bs, int) if args.bs else None
+    alphas = _parse_seq("--alphas", args.alphas, float) if args.alphas is not None else None
+    bs = _parse_seq("--bs", args.bs, int) if args.bs is not None else None
     rows, path = sweep_command(cfg, alphas=alphas, bs=bs, out_dir=args.out)
     print("alpha      b     reached   mean_ifo        mean_final_gap")
     for r in rows:
@@ -81,19 +81,22 @@ def _cmd_verify(args) -> int:
             grid = verification.default_alpha_grid(step=args.alpha_step)
         except ValueError as exc:
             raise ConfigError(f"--alpha-step: {exc}") from None
-    report = verification.scan_schedule(
-        alpha_grid=grid,
-        t_max=args.t_max,
-        batch_sizes=_parse_seq("--batch-sizes", args.batch_sizes, int),
-        xi_override=_parse_fault(args.inject_fault),
-    )
-    claims = list(report.claims)
+    batch_sizes = _parse_seq("--batch-sizes", args.batch_sizes, int)
+    xi = _parse_fault(args.inject_fault)
+    # The growth scans run first, so a value they refuse costs no certificate
+    # scan; their claims are still reported after its claims.
+    growth = []
     if args.growth_alphas:
         for alpha in _parse_seq("--growth-alphas", args.growth_alphas, float):
-            claims.extend(
-                verification.scan_denominator_growth(alpha, t_max=args.t_max).claims
-            )
-    report = verification.CertificateReport(claims=claims)
+            try:
+                growth += verification.scan_denominator_growth(alpha, t_max=args.t_max).claims
+            except ValueError as exc:
+                where = f"--growth-alphas {alpha:g} with --t-max {args.t_max}"
+                raise ConfigError(f"{where}: {exc}") from None
+    report = verification.scan_schedule(
+        alpha_grid=grid, t_max=args.t_max, batch_sizes=batch_sizes, xi_override=xi
+    )
+    report = verification.CertificateReport(claims=list(report.claims) + growth)
     text = report.to_text()
     print(text, end="")
     if args.report:
@@ -121,7 +124,9 @@ def _cmd_solve_ref(args) -> int:
     cfg = load_config(args.config)
     if cfg.reference is None:
         raise ConfigError("config has no [reference] section")
-    if args.tol is not None:
+    if args.tol is not None:  # the [reference] tol rule, naming the flag
+        check_reference(args.tol, cfg.reference.max_iterations,
+                        lambda name: "--tol" if name == "tol" else f"[reference] {name}")
         cfg.reference.tol = args.tol
     problem = build_problem(cfg)
     ref = problem.reference

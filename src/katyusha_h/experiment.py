@@ -23,6 +23,7 @@ from .optimizers import RunConfig, TraceRecord
 from .problems import (
     CURVATURE,
     FiniteSumProblem,
+    check_reference,
     check_seed,
     parse_libsvm,
     solve_reference,
@@ -37,6 +38,17 @@ TRACE_FORMAT = "4"
 _READABLE_FORMATS = {str(v) for v in range(1, int(TRACE_FORMAT) + 1)}
 # [solver] method -> the solver's name on the optimizers module
 SOLVERS = {"katyusha_h": "run", "fista": "fista_run", "pgd": "pgd_run", "psgd": "psgd_run"}
+# [problem] keys only synthesis reads, each named as synthesize's parameter
+SYNTHESIS_KEYS = ("n", "d", "seed", "condition", "noise", "density", "consistent")
+# RunConfig field -> the (section, key) it is read from; seed comes per run
+# from [run] seeds, and x0 from no key.
+RUN_KEYS = {
+    "alpha": ("solver", "alpha"), "batch_size": ("solver", "b"), "eta": ("solver", "eta"),
+    "cache_checkpoint_grads": ("solver", "cache_checkpoint_grads"),
+    "iterations": ("run", "iterations"), "epsilon": ("run", "epsilon"),
+    "eval_every": ("run", "eval_every"), "max_iterations": ("run", "max_iterations"),
+    "record_every": ("output", "trace_stride"), "lyapunov": ("output", "lyapunov"),
+}
 
 
 class ConfigError(ValueError):
@@ -86,6 +98,8 @@ class OutputSpec:
 
 @dataclass
 class ReferenceSpec:
+    """Its fields are named as solve_reference's and check_reference's parameters."""
+
     tol: float = 1e-12
     max_iterations: int = 200_000
 
@@ -201,13 +215,28 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
+    """Refuse, by a ConfigError naming the key, a config no run can carry out
+    or whose run would leave a key unread.  The run rules are those of
+    ``optimizers.check_run`` on the RunConfig ``run_single`` builds, the
+    reference rules those of ``problems.check_reference``."""
     if cfg.problem.family not in CURVATURE:
         raise ConfigError(f"unknown problem family {cfg.problem.family!r}")
     _regularizer(cfg.problem)
     if cfg.solver.method not in SOLVERS:
         raise ConfigError(f"unknown solver method {cfg.solver.method!r}")
+    _check_cell(cfg.solver)
+    _check_seeds("[problem] seed", (cfg.problem.seed,))
+    _check_seeds("[run] seeds", cfg.run.seeds)
+    try:
+        optimizers.check_run(_run_config(cfg, cfg.run.seeds[0]), cfg.reference is not None,
+                             lambda field_name: "[{}] {}".format(*RUN_KEYS[field_name]))
+        if cfg.reference is not None:
+            check_reference(**vars(cfg.reference), name="[reference] {}".format)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     # A key this run does not read is an error: a baseline reads no [solver]
-    # key but method, nor [output] lyapunov, and a data file no synthesis key.
+    # key but method, nor [output] lyapunov, a data file no synthesis key,
+    # and an iteration budget neither the epsilon test's cadence nor its cap.
     unread = []
     if cfg.solver.method != "katyusha_h":
         why = f"applies only to katyusha_h, not {cfg.solver.method}"
@@ -215,35 +244,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
         unread.append(("output", "lyapunov", why))
     if cfg.problem.data is not None:
         why = "is not read when [problem] data is set"
-        unread += [("problem", name, why)
-                   for name in ("n", "d", "seed", "condition", "noise", "density", "consistent")]
+        unread += [("problem", name, why) for name in SYNTHESIS_KEYS]
+    if cfg.run.iterations is not None:
+        why = "is not read when [run] iterations is set"
+        unread += [("run", "eval_every", why), ("run", "max_iterations", why)]
     for section, name, why in unread:
         spec = getattr(cfg, section)
         if getattr(spec, name) != getattr(type(spec), name):
             raise ConfigError(f"[{section}] {name} {why}")
-    _check_cell(cfg.solver)
-    _check_seeds("[problem] seed", (cfg.problem.seed,))
-    _check_seeds("[run] seeds", cfg.run.seeds)
-    if (cfg.run.iterations is None) == (cfg.run.epsilon is None):
-        raise ConfigError("[run] needs exactly one of iterations / epsilon")
-    if cfg.run.epsilon is not None and cfg.reference is None:
-        raise ConfigError("[run] epsilon target requires a [reference] section")
-    if cfg.output.lyapunov and cfg.reference is None:
-        raise ConfigError("[output] lyapunov requires a [reference] section")
-    if cfg.run.iterations is not None and cfg.run.iterations < 0:
-        raise ConfigError("[run] iterations must be at least 0")
-    if cfg.run.epsilon is not None and not 0.0 < cfg.run.epsilon < math.inf:
-        raise ConfigError("[run] epsilon must be positive and finite")
-    if cfg.run.max_iterations < 1:
-        raise ConfigError("[run] max_iterations must be at least 1")
-    if cfg.run.eval_every is not None and cfg.run.eval_every < 1:
-        raise ConfigError("[run] eval_every must be at least 1")
-    if cfg.output.trace_stride < 1:
-        raise ConfigError("[output] trace_stride must be at least 1")
-    if cfg.reference is not None and not 0.0 < cfg.reference.tol < math.inf:
-        raise ConfigError("[reference] tol must be positive and finite")
-    if cfg.reference is not None and cfg.reference.max_iterations < 1:
-        raise ConfigError("[reference] max_iterations must be at least 1")
     if cfg.problem.data is not None and not Path(cfg.problem.data).exists():
         raise ConfigError(f"dataset file not found: {cfg.problem.data}")
 
@@ -299,43 +307,24 @@ def build_problem(cfg: ExperimentConfig) -> FiniteSumProblem:
         except ValueError as exc:
             raise ConfigError(f"{spec.data}: {exc}") from exc
     else:
-        _, problem = synthesize(
-            spec.n,
-            spec.d,
-            family=spec.family,
-            seed=spec.seed,
-            reg=reg,
-            condition=spec.condition,
-            noise=spec.noise,
-            density=spec.density,
-            consistent=spec.consistent,
-        )
+        _, problem = synthesize(family=spec.family, reg=reg,
+                                **{key: getattr(spec, key) for key in SYNTHESIS_KEYS})
     if cfg.reference is not None:
-        problem.reference = solve_reference(
-            problem, tol=cfg.reference.tol, max_iterations=cfg.reference.max_iterations
-        )
+        problem.reference = solve_reference(problem, **vars(cfg.reference))
     return problem
+
+
+def _run_config(cfg: ExperimentConfig, seed: int) -> RunConfig:
+    """The RunConfig of one seed's run, each field read from its RUN_KEYS key."""
+    return RunConfig(seed=seed, **{field_name: getattr(getattr(cfg, section), key)
+                                   for field_name, (section, key) in RUN_KEYS.items()})
 
 
 def run_single(problem: FiniteSumProblem, cfg: ExperimentConfig, seed: int) -> list[TraceRecord]:
     """One solver run for one seed."""
-    solver, run = cfg.solver, cfg.run
-    config = RunConfig(
-        alpha=solver.alpha,
-        batch_size=solver.b,
-        eta=solver.eta,
-        iterations=run.iterations,
-        epsilon=run.epsilon,
-        seed=seed,
-        record_every=cfg.output.trace_stride,
-        eval_every=run.eval_every,
-        lyapunov=cfg.output.lyapunov,
-        cache_checkpoint_grads=solver.cache_checkpoint_grads,
-        max_iterations=run.max_iterations,
-    )
     # Looked up at each call, so a wrapper installed on the module attribute
     # sees the run.
-    return getattr(optimizers, SOLVERS[solver.method])(problem, config)
+    return getattr(optimizers, SOLVERS[cfg.solver.method])(problem, _run_config(cfg, seed))
 
 
 def _fmt(x: float) -> str:
@@ -516,12 +505,8 @@ def sweep_command(
 
     rows = [one_cell(cell) for cell in cells]
     path = out / "sweep_summary.csv"
-    lines = ["alpha,b,seeds,reached_target,mean_ifo,sd_ifo,mean_iterations,mean_final_gap"]
-    for r in rows:
-        lines.append(
-            f"{repr(r.alpha)},{r.b},{r.seeds},{r.reached_target},"
-            f"{repr(r.mean_ifo)},{repr(r.sd_ifo)},{repr(r.mean_iterations)},"
-            f"{repr(r.mean_final_gap)}"
-        )
+    names = [f.name for f in fields(SweepRow)]
+    lines = [",".join(names)]
+    lines += [",".join(repr(getattr(r, name)) for name in names) for r in rows]
     path.write_text("\n".join(lines) + "\n")
     return rows, path

@@ -69,12 +69,12 @@ class TraceRecord:
 class RunConfig:
     """Solver run configuration: schedule knobs, stopping rule, seeding.
 
-    Every solver takes one; the baselines read only the stopping rule,
-    ``seed`` and ``x0``.  Exactly one of ``iterations`` / ``epsilon`` drives
-    the stopping rule; an epsilon target needs a reference solution on the
-    problem.  ``eta=None`` takes the largest allowable step size.  Objective
-    evaluations for stopping and traces are instrumentation and never
-    charged as IFO.
+    Every solver takes one and refuses what ``check_run`` refuses; the
+    baselines read only the stopping rule, ``seed`` and ``x0``.  Exactly one
+    of ``iterations`` / ``epsilon`` is set; an epsilon target or Lyapunov
+    values need a reference solution.  ``eta=None`` takes the largest
+    allowable step size.  Objective evaluations for stopping and traces are
+    instrumentation and never charged as IFO.
     """
 
     alpha: float = 1.0
@@ -186,6 +186,25 @@ def state_lyapunov(state: KatyushaHState, problem, f_y: float, f_w: float) -> fl
     )
 
 
+def check_run(config: RunConfig, has_reference: bool, name=str) -> None:
+    """Refuse a run configuration no run can carry out, by a ValueError that
+    names each field as ``name(field)``: the config layer passes a callable
+    that names the config key the field is read from."""
+    epsilon = config.epsilon
+    if (config.iterations is None) == (epsilon is None):
+        raise ValueError(f"exactly one of {name('iterations')} / {name('epsilon')} must be set")
+    for field_name, used in (("epsilon", epsilon is not None), ("lyapunov", config.lyapunov)):
+        if used and not has_reference:
+            raise ValueError(f"{name(field_name)} requires a reference solution")
+    if epsilon is not None and not 0.0 < epsilon < math.inf:  # also refuses nan
+        raise ValueError(f"{name('epsilon')} must be positive and finite, got {epsilon}")
+    minimums = {"record_every": 1, "eval_every": 1, "iterations": 0, "max_iterations": 1}
+    for field_name, least in minimums.items():
+        value = getattr(config, field_name)
+        if value is not None and value < least:
+            raise ValueError(f"{name(field_name)} must be at least {least}, got {value}")
+
+
 def _drive(problem, config: RunConfig, steps, objective, record,
            eval_every: int) -> list[TraceRecord]:
     """The run loop of every solver: stopping rule, epsilon test, recording.
@@ -204,23 +223,10 @@ def _drive(problem, config: RunConfig, steps, objective, record,
     stops the run with a ValueError: the iterate has diverged or was never
     finite, and no later iteration can reach the target.
     """
+    check_run(config, problem.reference is not None)
     iterations, epsilon, record_every = config.iterations, config.epsilon, config.record_every
     if config.eval_every is not None:
         eval_every = config.eval_every
-    if (iterations is None) == (epsilon is None):
-        raise ValueError("exactly one of iterations/epsilon must be set")
-    if epsilon is not None and problem.reference is None:
-        raise ValueError("an epsilon target requires a reference solution")
-    if epsilon is not None and not 0.0 < epsilon < math.inf:  # also refuses nan
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    for name, value, least in (
-        ("record_every", record_every, 1),
-        ("eval_every", eval_every, 1),
-        ("iterations", iterations, 0),
-        ("max_iterations", config.max_iterations, 1),
-    ):
-        if value is not None and value < least:
-            raise ValueError(f"{name} must be at least {least}, got {value}")
     budget = iterations if iterations is not None else config.max_iterations
     records = [record(0, None)]
     t = 0
@@ -253,8 +259,6 @@ def run(problem, config: RunConfig) -> list[TraceRecord]:
     Returns the initial record plus one record per ``record_every``
     iterations (the final iteration is always recorded).
     """
-    if config.lyapunov and problem.reference is None:
-        raise ValueError("Lyapunov instrumentation requires a reference solution")
     state = init_state(problem, config)
     # w changes only when a refresh replaces the checkpoint object, so F(w)
     # is evaluated once per checkpoint, from the margins the refresh kept.

@@ -418,6 +418,14 @@ def _strictly_separable(problem: FiniteSumProblem) -> bool:
     return fit.status == 0 and bool(np.all(margins @ fit.x > 0.0))
 
 
+def check_reference(tol: float, max_iterations: int, name=str) -> None:
+    """Refuse settings no reference solve can certify; ``name(parameter)`` names each."""
+    if not 0.0 < tol < math.inf:  # also refuses nan
+        raise ValueError(f"{name('tol')} must be positive and finite, got {tol}")
+    if max_iterations < 1:
+        raise ValueError(f"{name('max_iterations')} must be at least 1, got {max_iterations}")
+
+
 def solve_reference(
     problem: FiniteSumProblem,
     tol: float = 1e-12,
@@ -445,10 +453,7 @@ def solve_reference(
     """
     from .optimizers import fista_solve
 
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
+    check_reference(tol, max_iterations)
     unregularized = problem.reg == Regularizer.zero()  # both weights zero
     if problem.loss == "logistic" and unregularized and _strictly_separable(problem):
         raise ValueError("unregularized logistic loss has no minimizer on separable data")

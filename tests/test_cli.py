@@ -1,12 +1,13 @@
 """CLI subcommands, config handling, trace files, and exit codes."""
 
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from katyusha_h import experiment, optimizers
+from katyusha_h import experiment, optimizers, verification
 from katyusha_h.cli import main
 from katyusha_h.experiment import (
     SOLVERS,
@@ -26,6 +27,8 @@ from katyusha_h.experiment import (
     run_single,
     sweep_command,
 )
+from katyusha_h.optimizers import RunConfig
+from katyusha_h.problems import synthesize, with_reference
 from katyusha_h.schedule import compute_constants, step_size
 
 BASE_CONFIG = """\
@@ -107,6 +110,17 @@ class TestConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.ini")
+
+    def test_readme_example_loads(self, tmp_path):
+        # the documented keys are the ones the loader reads
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        [example] = [block.removeprefix("ini\n") for block in readme.split("```")[1::2]
+                     if block.startswith("ini\n")]
+        path = tmp_path / "exp.ini"
+        path.write_text(example)
+        cfg = load_config(path)
+        assert (cfg.solver.b, cfg.run.iterations, cfg.run.seeds) == (10, 1000, (0, 1, 2))
+        assert cfg.output.lyapunov and cfg.reference is not None
 
     @pytest.mark.parametrize(
         "problem, message",
@@ -260,8 +274,10 @@ class TestConfigKeys:
         sections = {"problem": {"reg": "elastic_net"}, "run": {"iterations": "1"},
                     "reference": {}}
         sections.setdefault(section, {})[key] = raw
-        if key == "epsilon":
+        if key in ("epsilon", "eval_every", "max_iterations") and section == "run":
+            # keys an epsilon stop reads: an iteration budget leaves them unread
             del sections["run"]["iterations"]
+            sections["run"].setdefault("epsilon", "1e-3")
         cfg = load_config(_write_sections(tmp_path / "exp.ini", sections))
         assert getattr(self.SPECS[section](), key) != want  # the default would not pass
         assert getattr(getattr(cfg, section), key) == want
@@ -495,6 +511,19 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert "--alpha-step" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("value", ["0", "1.5", "0.5 -1"])
+    def test_bad_growth_alpha_is_refused_before_the_certificate_scan(
+        self, capsys, monkeypatch, value
+    ):
+        def scan_schedule(**kwargs):
+            raise AssertionError("the certificate scan ran")
+
+        monkeypatch.setattr(verification, "scan_schedule", scan_schedule)
+        assert main(["verify", "--t-max", "200", "--growth-alphas", value]) == 2
+        captured = capsys.readouterr()
+        assert "with --t-max 200: growth scan needs alpha in (0, 1]" in captured.err
+        assert captured.err.startswith("error: --growth-alphas ") and captured.out == ""
+
     def test_coupling_range_fails_at_its_open_boundary(self, capsys):
         # xi = 0 puts the open claim xi in (0, 1) at a slack of exactly 0
         code = main(["verify", "--inject-fault", "xi=0", "--t-max", "100", "--alpha-step", "0.5"])
@@ -532,6 +561,10 @@ class TestListFlags:
             ("run", "--seeds", "1,-2", []),
             ("run", "--seeds", str(2**128), []),
             ("sweep", "--seeds", "0 -1", ["--alphas", "1", "--bs", "1"]),
+            ("run", "--seeds", "", []),
+            ("sweep", "--seeds", "", ["--alphas", "1", "--bs", "1"]),
+            ("sweep", "--alphas", "", ["--bs", "1"]),
+            ("sweep", "--bs", "", ["--alphas", "1"]),
         ],
     )
     def test_bad_list_is_exit_two(
@@ -597,6 +630,15 @@ class TestSolveRefCommand:
         assert "x_star = " in text
         assert "method = fista-restart" in text
         assert "method = fista-restart" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+    def test_tol_that_cannot_certify_names_the_flag(self, config_path, tmp_path, capsys, tol):
+        out = tmp_path / "ref.txt"
+        args = ["solve-ref", "--config", str(config_path), "--tol", tol, "--out", str(out)]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert "error: --tol must be positive and finite" in captured.err
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("command", ["solve-ref", "run"])
     def test_separable_logistic_is_exit_two(self, tmp_path, capsys, command):
@@ -701,9 +743,67 @@ class TestRunCadenceValidation:
         assert main([command, "--config", str(path)]) == 2
         assert f"[reference] {key} must" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("eval_every", "5"), ("max_iterations", "3")])
+    def test_epsilon_key_beside_an_iteration_budget_is_exit_two(
+        self, tmp_path, capsys, key, value
+    ):
+        # an iteration budget reads neither, so the key would be dropped unread
+        path = self._config(tmp_path, run=f"{key} = {value}\n", stop="iterations = 10")
+        assert main(["run", "--config", str(path)]) == 2
+        assert f"[run] {key} is not read when [run] iterations is set" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_valid_cadence_runs(self, tmp_path):
         path = self._config(tmp_path, run="eval_every = 5\n", output="trace_stride = 3\n")
         assert main(["run", "--config", str(path)]) == 0
+
+
+# Out-of-range run values: the RunConfig fields set, whether the problem has a
+# reference, and the field the engine names as the config layer names the key.
+RUN_RULE_CASES = {
+    "iterations=-1": (dict(iterations=-1), True, "iterations", "[run] iterations"),
+    "epsilon=0": (dict(epsilon=0.0), True, "epsilon", "[run] epsilon"),
+    "epsilon=nan": (dict(epsilon=math.nan), True, "epsilon", "[run] epsilon"),
+    "epsilon=inf": (dict(epsilon=math.inf), True, "epsilon", "[run] epsilon"),
+    "max_iterations=0": (dict(epsilon=1e-3, max_iterations=0), True,
+                         "max_iterations", "[run] max_iterations"),
+    "eval_every=0": (dict(epsilon=1e-3, eval_every=0), True, "eval_every", "[run] eval_every"),
+    "trace_stride=0": (dict(iterations=5, record_every=0), True,
+                       "record_every", "[output] trace_stride"),
+    "both-stops": (dict(iterations=5, epsilon=1e-3), True,
+                   "iterations / epsilon", "[run] iterations / [run] epsilon"),
+    "no-stop": ({}, True, "iterations / epsilon", "[run] iterations / [run] epsilon"),
+    "epsilon-without-reference": (dict(epsilon=1e-3), False, "epsilon", "[run] epsilon"),
+    "lyapunov-without-reference": (dict(iterations=5, lyapunov=True), False,
+                                   "lyapunov", "[output] lyapunov"),
+}
+
+
+class TestRunRules:
+    """The engine and the config layer refuse the same run values with the
+    same message, one naming the field and the other its key."""
+
+    @pytest.mark.parametrize("case", sorted(RUN_RULE_CASES))
+    def test_engine_and_config_refuse_alike(self, tmp_path, case):
+        values, has_reference, field_name, key = RUN_RULE_CASES[case]
+        _, prob = synthesize(6, 2, "least_squares", seed=1)
+        if has_reference:
+            with_reference(prob)
+        messages = set()
+        for solver in SOLVERS.values():
+            with pytest.raises(ValueError) as refused:
+                getattr(optimizers, solver)(prob, RunConfig(**values))
+            messages.add(str(refused.value))
+        (message,) = messages
+        assert field_name in message
+
+        sections = {"run": {}, **({"reference": {}} if has_reference else {})}
+        for name, value in values.items():
+            section, config_key = experiment.RUN_KEYS[name]
+            sections.setdefault(section, {})[config_key] = str(value).lower()
+        with pytest.raises(ConfigError) as refused:
+            load_config(_write_sections(tmp_path / "exp.ini", sections))
+        assert str(refused.value) == message.replace(field_name, key)
 
 
 class TestParseDataCommand:
