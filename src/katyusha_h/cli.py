@@ -82,6 +82,8 @@ def _cmd_verify(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"--alpha-step: {exc}") from None
     batch_sizes = _parse_seq("--batch-sizes", args.batch_sizes, int)
+    # the certificate scan's range rules, naming the flags, before any scan
+    verification.check_scan(args.t_max, batch_sizes, lambda arg: "--" + arg.replace("_", "-"))
     xi = _parse_fault(args.inject_fault)
     # The growth scans run first, so a value they refuse costs no certificate
     # scan; their claims are still reported after its claims.

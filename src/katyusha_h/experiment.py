@@ -227,16 +227,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _check_cell(cfg.solver)
     _check_seeds("[problem] seed", (cfg.problem.seed,))
     _check_seeds("[run] seeds", cfg.run.seeds)
-    try:
-        optimizers.check_run(_run_config(cfg, cfg.run.seeds[0]), cfg.reference is not None,
-                             lambda field_name: "[{}] {}".format(*RUN_KEYS[field_name]))
-        if cfg.reference is not None:
-            check_reference(**vars(cfg.reference), name="[reference] {}".format)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     # A key this run does not read is an error: a baseline reads no [solver]
     # key but method, nor [output] lyapunov, a data file no synthesis key,
     # and an iteration budget neither the epsilon test's cadence nor its cap.
+    # The run rules come between, so a baseline's lyapunov is refused as
+    # unread, not as lacking a reference, and an out-of-range cap by its range.
     unread = []
     if cfg.solver.method != "katyusha_h":
         why = f"applies only to katyusha_h, not {cfg.solver.method}"
@@ -245,15 +240,27 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.problem.data is not None:
         why = "is not read when [problem] data is set"
         unread += [("problem", name, why) for name in SYNTHESIS_KEYS]
+    _refuse_unread(cfg, unread)
+    try:
+        optimizers.check_run(_run_config(cfg, cfg.run.seeds[0]), cfg.reference is not None,
+                             lambda field_name: "[{}] {}".format(*RUN_KEYS[field_name]))
+        if cfg.reference is not None:
+            check_reference(**vars(cfg.reference), name="[reference] {}".format)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if cfg.run.iterations is not None:
         why = "is not read when [run] iterations is set"
-        unread += [("run", "eval_every", why), ("run", "max_iterations", why)]
+        _refuse_unread(cfg, [("run", "eval_every", why), ("run", "max_iterations", why)])
+    if cfg.problem.data is not None and not Path(cfg.problem.data).exists():
+        raise ConfigError(f"dataset file not found: {cfg.problem.data}")
+
+
+def _refuse_unread(cfg: ExperimentConfig, unread) -> None:
+    """Refuse the first ``(section, key, why)`` set away from its default."""
     for section, name, why in unread:
         spec = getattr(cfg, section)
         if getattr(spec, name) != getattr(type(spec), name):
             raise ConfigError(f"[{section}] {name} {why}")
-    if cfg.problem.data is not None and not Path(cfg.problem.data).exists():
-        raise ConfigError(f"dataset file not found: {cfg.problem.data}")
 
 
 def _check_cell(solver: SolverSpec, problem: FiniteSumProblem | None = None,

@@ -10,7 +10,7 @@ construction: injecting a broken parameter must produce a failing claim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import KW_ONLY, dataclass, replace
 
 import numpy as np
 
@@ -37,18 +37,34 @@ GRID_PROBE = 1e-6  # offset of the alpha-grid probes around each bucket boundary
 SCAN_BLOCK = 16_384  # t indices per block of a schedule scan; its temporaries stay in cache
 
 
-@dataclass(frozen=True)
+@dataclass
 class ClaimResult:
-    """Outcome of one scanned claim: worst slack and where it occurred."""
+    """One scanned claim: its running minimum slack and where it occurs.
+
+    A scan creates it before its first slack and updates it at every point.
+    The first strict minimum wins.  A NaN slack is a point where the claim
+    could not be evaluated: the first one becomes the worst point and stays,
+    so the claim fails.  A claim that no point tested fails too.
+    """
 
     claim: str
     domain: str
-    min_slack: float
-    worst_at: str
+    _: KW_ONLY
+    min_slack: float = math.inf
+    worst_at: str = "n/a"
     tolerance: float | None  # None: an open claim, which needs a positive slack
+
+    def update(self, slack: np.ndarray | float, where) -> None:
+        arr = np.atleast_1d(np.asarray(slack, dtype=np.float64))
+        i = int(np.argmin(arr))  # the first NaN, if there is one
+        if not (arr[i] >= self.min_slack or math.isnan(self.min_slack)):
+            self.min_slack = float(arr[i])
+            self.worst_at = where(i)
 
     @property
     def passed(self) -> bool:
+        if self.min_slack == math.inf:  # no real slack is +inf: no point was tested
+            return False
         if self.tolerance is None:
             return self.min_slack > 0.0
         return self.min_slack >= -self.tolerance
@@ -74,36 +90,6 @@ class CertificateReport:
             f"overall: {'PASS' if self.passed else 'FAIL'} ({len(self.claims)} claims)"
         )
         return "\n".join(lines) + "\n"
-
-
-class _ClaimTracker:
-    """Running minimum slack per claim across grid cells.
-
-    The first strict minimum wins.  A NaN slack is a point where the claim
-    could not be evaluated: the first one becomes the worst point and stays,
-    so the claim fails.
-    """
-
-    def __init__(self, tolerance: float | None):
-        self.tolerance = tolerance
-        self.min_slack = math.inf
-        self.worst_at = "n/a"
-
-    def update(self, slack: np.ndarray | float, where) -> None:
-        arr = np.atleast_1d(np.asarray(slack, dtype=np.float64))
-        i = int(np.argmin(arr))  # the first NaN, if there is one
-        if not (arr[i] >= self.min_slack or math.isnan(self.min_slack)):
-            self.min_slack = float(arr[i])
-            self.worst_at = where(i)
-
-    def result(self, claim: str, domain: str) -> ClaimResult:
-        return ClaimResult(
-            claim=claim,
-            domain=domain,
-            min_slack=self.min_slack,
-            worst_at=self.worst_at,
-            tolerance=self.tolerance,
-        )
 
 
 def default_alpha_grid(step: float = 0.01) -> np.ndarray:
@@ -147,6 +133,22 @@ def _block_point(alpha, b, s):
     return lambda i: f"(alpha={alpha:.6g}, b={b}, t={s + i + 1})"
 
 
+def check_scan(t_max: int, batch_sizes, name=str) -> None:
+    """Refuse a schedule scan's range by a ValueError that names each
+    argument as ``name(argument)``: the CLI passes a callable that names the
+    flag."""
+    if t_max < 18:
+        raise ValueError(f"{name('t_max')} must be at least 18, got {t_max}")
+    if t_max > 10_000_000:
+        # running-sum rounding stays below 1e-10 relative up to here
+        raise ValueError(f"{name('t_max')} above 1e7 risks accumulation error in the scan")
+    if not batch_sizes:
+        raise ValueError(f"{name('batch_sizes')} must not be empty")
+    for b in batch_sizes:
+        if b < 1:
+            raise ValueError(f"{name('batch_sizes')} must be at least 1, got {b}")
+
+
 def scan_schedule(
     alpha_grid: np.ndarray | None = None,
     t_max: int = 100_000,
@@ -177,15 +179,12 @@ def scan_schedule(
     replaces a worst point.  Then each b forms max(1, |xi*alpha_t^2|) once
     for both gaps that read it, and the p_t numerator once for p_t and for
     its shifted reformulation.  Each (alpha, b) cell keeps its own running
-    minima, merged into the claims in b order once the alpha is done, so
-    the first worst point is the one a single pass over the grid in
-    (alpha, b, t) order would find.
+    minima as ``ClaimResult``s, merged into the claims in b order once the
+    alpha is done, so the first worst point is the one a single pass over the
+    grid in (alpha, b, t) order would find.  The range rules are
+    ``check_scan``'s.
     """
-    if t_max < 18:
-        raise ValueError("t_max must be at least 18")
-    if t_max > 10_000_000:
-        # running-sum rounding stays below 1e-10 relative up to here
-        raise ValueError("t_max above 1e7 risks accumulation error in the scan")
+    check_scan(t_max, batch_sizes)
     if alpha_grid is None:
         alpha_grid = default_alpha_grid()
     domain = (
@@ -200,10 +199,10 @@ def scan_schedule(
         "coupling-range",
         "c-bound",
     ]
-    trackers = {name: _ClaimTracker(INEQ_TOL) for name in names}
-    trackers["coupling-range"] = _ClaimTracker(None)  # open interval: a slack of 0 fails
-    trackers["p-reformulation"] = _ClaimTracker(0.0)
-    per_cell = [name for name in trackers if name not in ("p-numerator-nonneg", "c-bound")]
+    claims = {name: ClaimResult(name, domain, tolerance=INEQ_TOL) for name in names}
+    claims["coupling-range"].tolerance = None  # open interval: a slack of 0 fails
+    claims["p-reformulation"] = ClaimResult("p-reformulation", domain, tolerance=0.0)
+    per_cell = [name for name in claims if name not in ("p-numerator-nonneg", "c-bound")]
     width = min(SCAN_BLOCK, t_max)
     # From the block's first t: alpha_{t-1}^2 .. alpha_{t+1}^2 at its last t
     # (seq * seq, equal to seq ** 2 bit for bit); alpha_1 + .. + alpha_{t-1},
@@ -218,12 +217,13 @@ def scan_schedule(
             params = compute_constants(float(alpha), b)
             if xi_override is not None:
                 params = replace(params, xi=xi_override)
-            trackers["c-bound"].update(
+            claims["c-bound"].update(
                 (C_MAX - params.c) / C_MAX,
                 lambda i, alpha=alpha, b=b: f"(alpha={alpha:.6g}, b={b})",
             )
             # this cell's running minima, merged below once every block is seen
-            cell = {name: _ClaimTracker(trackers[name].tolerance) for name in per_cell}
+            cell = {name: ClaimResult(name, domain, tolerance=claims[name].tolerance)
+                    for name in per_cell}
             cells.append((b, params, cell))
         # alpha_t depends on alpha alone, so every b reads the same arrays
         seq = alpha_sequence(t_max + 1, cells[0][1])  # alpha_0 .. alpha_{t_max+1}
@@ -244,7 +244,7 @@ def scan_schedule(
             core = _p_core(sq[:m], sq_t, a_t, out=core_buf[:m])
             core_scale = np.abs(core, out=core_scale_buf[:m])
             np.maximum(core_scale, 1.0, out=core_scale)
-            trackers["p-numerator-nonneg"].update(
+            claims["p-numerator-nonneg"].update(
                 _normalized_gap(0.0, core, rhs_scale=core_scale, out=w1),
                 _block_point(alpha, cells[0][0], s),
             )
@@ -281,12 +281,10 @@ def scan_schedule(
                 err = np.abs(np.subtract(p, p_alt, out=w1), out=w1)
                 cell["p-reformulation"].update(np.subtract(EQ_TOL, err, out=err), here)
         for _, _, cell in cells:
-            for name, tracker in cell.items():
-                trackers[name].update(tracker.min_slack, lambda i, at=tracker.worst_at: at)
+            for name, claim in cell.items():
+                claims[name].update(claim.min_slack, lambda i, at=claim.worst_at: at)
 
-    return CertificateReport(
-        claims=[t.result(name, domain) for name, t in trackers.items()]
-    )
+    return CertificateReport(claims=list(claims.values()))
 
 
 def scan_denominator_growth(
@@ -313,8 +311,10 @@ def scan_denominator_growth(
         raise ValueError(f"t_max must be >= {GROWTH_START}")
     params = compute_constants(alpha, batch_size)
     a_tilde = 1.0 / 16.0 if alpha == 1.0 else params.a_alpha / (2.0 * alpha + 2.0)
-    tail = _ClaimTracker(INEQ_TOL)
-    head = _ClaimTracker(0.0)
+    domain = f"alpha={alpha:.6g}, b={batch_size}, t in [17, {t_max}]"
+    tail = ClaimResult("denominator-growth", domain, tolerance=INEQ_TOL)
+    head = ClaimResult("denominator-early-ratio", f"alpha={alpha:.6g}, t in [1, 16]",
+                       tolerance=0.0)
     carry = -ALPHA0  # alpha_0 is no term of D_t's sum: carry -alpha_0 into t = 0
     for s in range(0, t_max + 1, SCAN_BLOCK):
         e = min(s + SCAN_BLOCK, t_max + 1)  # t = s .. e-1
@@ -334,16 +334,7 @@ def scan_denominator_growth(
             _normalized_gap(a_tilde * t_pow[lo - s:], den[lo - s:]),
             lambda i, lo=lo: f"(alpha={alpha:.6g}, t={i + lo})",
         )
-
-    domain = f"alpha={alpha:.6g}, b={batch_size}, t in [17, {t_max}]"
-    return CertificateReport(
-        claims=[
-            tail.result("denominator-growth", domain),
-            head.result(
-                "denominator-early-ratio", f"alpha={alpha:.6g}, t in [1, 16]"
-            ),
-        ]
-    )
+    return CertificateReport(claims=[tail, head])
 
 
 def exact_conditional_lyapunov_descent(state: KatyushaHState, problem) -> tuple[float, float]:
@@ -394,8 +385,9 @@ def verify_variance_bound(
     subset gradient-difference sums must average to (b/n) times the full
     sum, checked on means: the subset means must average to the full mean.
     """
-    bound = _ClaimTracker(INEQ_TOL)
-    identity = _ClaimTracker(0.0)
+    domain = f"{len(points)} points, b in {{{', '.join(str(b) for b in b_values)}}}"
+    bound = ClaimResult("variance-bound", domain, tolerance=INEQ_TOL)
+    identity = ClaimResult("subset-sum-identity", domain, tolerance=0.0)
     for k, (x, w) in enumerate(points):
         for b in b_values:
             full, mean, var = _subset_moments(x, w, b, problem)
@@ -404,10 +396,4 @@ def verify_variance_bound(
             bound.update(_normalized_gap(var, rhs), lambda i: where)
             err = float(np.linalg.norm(mean - full)) / max(1.0, float(np.linalg.norm(full)))
             identity.update(EQ_TOL - err, lambda i: where)
-    domain = f"{len(points)} points, b in {{{', '.join(str(b) for b in b_values)}}}"
-    return CertificateReport(
-        claims=[
-            bound.result("variance-bound", domain),
-            identity.result("subset-sum-identity", domain),
-        ]
-    )
+    return CertificateReport(claims=[bound, identity])

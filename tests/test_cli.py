@@ -524,6 +524,27 @@ class TestVerifyCommand:
         assert "with --t-max 200: growth scan needs alpha in (0, 1]" in captured.err
         assert captured.err.startswith("error: --growth-alphas ") and captured.out == ""
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--t-max", "17", "--t-max must be at least 18, got 17"),
+            ("--t-max", "20000000", "--t-max above 1e7 risks accumulation error"),
+            ("--batch-sizes", "0", "--batch-sizes must be at least 1, got 0"),
+            ("--batch-sizes", "2 0", "--batch-sizes must be at least 1, got 0"),
+        ],
+    )
+    def test_bad_scan_range_is_refused_before_any_scan(
+        self, capsys, monkeypatch, flag, value, message
+    ):
+        def scan(*args, **kwargs):
+            raise AssertionError("a scan ran")
+
+        monkeypatch.setattr(verification, "scan_schedule", scan)
+        monkeypatch.setattr(verification, "scan_denominator_growth", scan)
+        assert main(["verify", "--alpha-step", "0.5", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}") and captured.out == ""
+
     def test_coupling_range_fails_at_its_open_boundary(self, capsys):
         # xi = 0 puts the open claim xi in (0, 1) at a slack of exactly 0
         code = main(["verify", "--inject-fault", "xi=0", "--t-max", "100", "--alpha-step", "0.5"])
@@ -920,6 +941,18 @@ class TestBaselineMethods:
         path = _write_sections(tmp_path / "exp.ini", sections)
         assert main(["run", "--config", str(path)]) == 2
         assert f"[{section}] {key} applies only to katyusha_h" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("method", ["fista", "pgd", "psgd"])
+    def test_lyapunov_without_reference_is_refused_as_unread(self, tmp_path, capsys, method):
+        # not as lacking a reference: adding one would only be refused again
+        sections = self._sections(tmp_path, method)
+        del sections["reference"]
+        sections["output"]["lyapunov"] = "true"
+        path = _write_sections(tmp_path / "exp.ini", sections)
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"[output] lyapunov applies only to katyusha_h, not {method}" in err
         assert not (tmp_path / "out").exists()
 
     def test_katyusha_h_defaults_spelled_out_run(self, tmp_path):

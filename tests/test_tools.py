@@ -10,6 +10,35 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
+def step_bench(monkeypatch):
+    monkeypatch.setitem(os.environ, "OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import step_bench
+
+    # one toy shape that still passes a two-weight regularizer and a cache flag
+    shape = (dict(n=12, d=3, family="logistic", seed=1, reg=("elastic_net", 1e-3, 1e-3)),
+             dict(alpha=1.0, batch_size=3, cache_checkpoint_grads=True), 40)
+    monkeypatch.setattr(step_bench, "SHAPES", {"12x3 toy": shape})
+    monkeypatch.setattr(step_bench, "REPEATS", 3)
+    return step_bench
+
+
+def test_step_bench_times_this_tree(step_bench, capsys):
+    step_bench.main([])
+    out = json.loads(capsys.readouterr().out)
+    assert list(out) == ["openblas_threads", "12x3 toy"] and out["openblas_threads"] == 1
+    assert len(out["12x3 toy"]["runs"]) == 3 and out["12x3 toy"]["median_us"] > 0
+
+
+def test_step_bench_pairs_against_another_tree(step_bench, capsys):
+    step_bench.main(["--against", str(ROOT / "src")])
+    point = json.loads(capsys.readouterr().out)["12x3 toy"]
+    assert set(point) == {"this", "other", "median_ratio", "lower_in"}
+    assert point["other"]["q1_us"] <= point["other"]["median_us"] <= point["other"]["q3_us"]
+    assert len(point["this"]["runs"]) == 3 and point["lower_in"].endswith(" of 3")
+
+
+@pytest.fixture
 def draw_bench(monkeypatch):
     # step_bench pins OPENBLAS_NUM_THREADS as it loads; later tests see the
     # environment as it was

@@ -33,8 +33,9 @@ from katyusha_h.verification import (
     EQ_TOL,
     INEQ_TOL,
     SCAN_BLOCK,
-    _ClaimTracker,
+    ClaimResult,
     _normalized_gap,
+    check_scan,
     default_alpha_grid,
     exact_conditional_lyapunov_descent,
     scan_denominator_growth,
@@ -63,26 +64,26 @@ class TestAlphaGrid:
 
 class TestClaimTracker:
     def test_first_strict_minimum_wins(self):
-        tracker = _ClaimTracker(0.0)
+        tracker = ClaimResult("claim", "domain", tolerance=0.0)
         tracker.update(np.array([3.0, 1.0, 1.0]), lambda i: f"first {i}")
         tracker.update(np.array([1.0, 2.0]), lambda i: f"second {i}")
         assert (tracker.min_slack, tracker.worst_at) == (1.0, "first 1")
 
     def test_nan_is_the_worst_point_and_stays(self):
-        tracker = _ClaimTracker(0.0)
+        tracker = ClaimResult("claim", "domain", tolerance=0.0)
         tracker.update(np.array([2.0, math.nan, -1.0, math.nan]), lambda i: f"first {i}")
         tracker.update(np.array([-5.0]), lambda i: "later smaller")
         tracker.update(np.array([math.nan]), lambda i: "later nan")
         assert math.isnan(tracker.min_slack)
         assert tracker.worst_at == "first 1"
-        assert not tracker.result("claim", "domain").passed
+        assert not tracker.passed
 
     def test_nan_after_a_finite_minimum_takes_over(self):
-        tracker = _ClaimTracker(0.0)
+        tracker = ClaimResult("claim", "domain", tolerance=0.0)
         tracker.update(np.array([-1.0]), lambda i: "finite")
         tracker.update(math.nan, lambda i: "nan")
         assert math.isnan(tracker.min_slack) and tracker.worst_at == "nan"
-        assert not tracker.result("claim", "domain").passed
+        assert not tracker.passed
 
     def test_open_claim_needs_a_positive_slack(self):
         # a closed claim forgives rounding below 0; an open one fails at 0
@@ -90,10 +91,18 @@ class TestClaimTracker:
                                      (-2e-16, True, False), (-1e-8, False, False)]:
             results = []
             for tolerance in (INEQ_TOL, None):
-                tracker = _ClaimTracker(tolerance)
+                tracker = ClaimResult("claim", "domain", tolerance=tolerance)
                 tracker.update(np.array([1.0, slack]), lambda i: f"point {i}")
-                results.append(tracker.result("claim", "domain").passed)
+                results.append(tracker.passed)
             assert results == [closed, open_], slack
+
+    @pytest.mark.parametrize("tolerance", [INEQ_TOL, 0.0, None])
+    def test_a_claim_no_point_tested_fails(self, tolerance):
+        claim = ClaimResult("claim", "domain", tolerance=tolerance)
+        assert (claim.min_slack, claim.worst_at) == (math.inf, "n/a")
+        assert not claim.passed
+        claim.update(1.0, lambda i: "point")
+        assert claim.passed
 
     def test_nan_xi_fails_the_scan(self):
         report = scan_schedule(alpha_grid=np.array([0.5]), t_max=100, xi_override=math.nan)
@@ -155,6 +164,26 @@ class TestScanSchedule:
         with pytest.raises(ValueError):
             scan_schedule(t_max=10)
 
+    @pytest.mark.parametrize(
+        "t_max, batch_sizes, message",
+        [
+            (17, (1,), "t_max must be at least 18, got 17"),
+            (10_000_001, (1,), "t_max above 1e7"),
+            (100, (), "batch_sizes must not be empty"),
+            (100, (2, 0), "batch_sizes must be at least 1, got 0"),
+        ],
+    )
+    def test_range_rules_name_the_argument(self, t_max, batch_sizes, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_scan(t_max, batch_sizes)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            scan_schedule(alpha_grid=np.array([0.5]), t_max=t_max, batch_sizes=batch_sizes)
+
+    def test_empty_alpha_grid_fails_every_claim(self):
+        report = scan_schedule(alpha_grid=np.array([]), t_max=100)
+        assert len(report.claims) == 7 and not any(c.passed for c in report.claims)
+        assert report.to_text().endswith("overall: FAIL (7 claims)\n")
+
     def test_report_serialization_shape(self):
         report = scan_schedule(alpha_grid=np.array([0.5]), t_max=100)
         lines = report.to_text().strip().splitlines()
@@ -182,8 +211,8 @@ def _oracle_scan(alpha_grid, t_max, batch_sizes, xi_override):
         "coupling-range",
         "c-bound",
     ]
-    trackers = {name: _ClaimTracker(INEQ_TOL) for name in names}
-    trackers["p-reformulation"] = _ClaimTracker(0.0)
+    trackers = {name: ClaimResult(name, "oracle", tolerance=INEQ_TOL) for name in names}
+    trackers["p-reformulation"] = ClaimResult("p-reformulation", "oracle", tolerance=0.0)
     for alpha in alpha_grid:
         for b in batch_sizes:
             params = compute_constants(float(alpha), b)
@@ -272,13 +301,13 @@ class TestBlockedScan:
 
     def test_cells_are_visited_in_alpha_b_t_order(self, monkeypatch):
         seen = {}
-        update = _ClaimTracker.update
+        update = ClaimResult.update
 
         def spy(self, slack, where):
             seen.setdefault(id(self), []).append(where(0))
             update(self, slack, where)
 
-        monkeypatch.setattr(_ClaimTracker, "update", spy)
+        monkeypatch.setattr(ClaimResult, "update", spy)
         grid, batch_sizes = np.array([0.25, 0.0, 1.0]), (10, 1, 2)
         scan_schedule(alpha_grid=grid, t_max=2 * SCAN_BLOCK + 17, batch_sizes=batch_sizes)
         alphas = [f"{a:.6g}" for a in grid]
@@ -322,12 +351,12 @@ def _oracle_growth(alpha, t_max, batch_size):
     t = np.arange(t_max + 1, dtype=np.float64)
     growth = a_tilde * t ** (alpha + 1.0)
 
-    tail = _ClaimTracker(INEQ_TOL)
+    tail = ClaimResult("denominator-growth", "oracle", tolerance=INEQ_TOL)
     tail.update(
         _normalized_gap(growth[GROWTH_START:], den[GROWTH_START:]),
         lambda i: f"(alpha={alpha:.6g}, t={i + GROWTH_START})",
     )
-    head = _ClaimTracker(0.0)
+    head = ClaimResult("denominator-early-ratio", "oracle", tolerance=0.0)
     ratios = den[1:GROWTH_START] / t[1:GROWTH_START] ** (alpha + 1.0)
     head.update(ratios, lambda i: f"(alpha={alpha:.6g}, t={i + 1})")
     return {
@@ -582,6 +611,14 @@ class TestVarianceBoundReport:
         assert len(tables) == 2 * len(points) * len(b_values)
         walk = [s for b in b_values for s in itertools.combinations(range(6), b)]
         assert subsets == walk * len(points)
+
+    @pytest.mark.parametrize("points, b_values", [(0, (1,)), (2, ())], ids=["no-points", "no-b"])
+    def test_nothing_tested_fails(self, points, b_values):
+        _, prob = synthesize(6, 3, "least_squares", seed=6)
+        rng = make_rng(12)
+        pairs = [(rng.standard_normal(3), rng.standard_normal(3)) for _ in range(points)]
+        report = verify_variance_bound(prob, pairs, b_values)
+        assert [c.passed for c in report.claims] == [False, False] and not report.passed
 
     def test_identical_points_trivial(self):
         _, prob = synthesize(6, 3, "least_squares", seed=6)
