@@ -1,6 +1,6 @@
 """Single-loop accelerated variance reduction for composite finite-sum
-convex problems, with a certified momentum/checkpoint schedule, baseline
-solvers, complexity predictors, and brute-force verification oracles.
+convex problems, with a certified momentum/checkpoint schedule, a FISTA
+baseline, complexity predictors, and brute-force verification oracles.
 
 The top level holds what a script needs to build a problem, pick alpha and
 run; everything else is imported from its submodule."""

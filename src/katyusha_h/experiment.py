@@ -37,7 +37,7 @@ TRACE_COLUMNS = ("t", "F_y_gap", "F_w_gap", "p_t", "ckpt_updated", "ifo_total", 
 TRACE_FORMAT = "4"
 _READABLE_FORMATS = {str(v) for v in range(1, int(TRACE_FORMAT) + 1)}
 # [solver] method -> the solver's name on the optimizers module
-SOLVERS = {"katyusha_h": "run", "fista": "fista_run", "pgd": "pgd_run", "psgd": "psgd_run"}
+SOLVERS = {"katyusha_h": "run", "fista": "fista_run"}
 # [problem] keys only synthesis reads, each named as synthesize's parameter
 SYNTHESIS_KEYS = ("n", "d", "seed", "condition", "noise", "density", "consistent")
 # RunConfig field -> the (section, key) it is read from; seed comes per run
@@ -223,7 +223,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown problem family {cfg.problem.family!r}")
     _regularizer(cfg.problem)
     if cfg.solver.method not in SOLVERS:
-        raise ConfigError(f"unknown solver method {cfg.solver.method!r}")
+        raise ConfigError(f"unknown solver method {cfg.solver.method!r} "
+                          f"(methods: {', '.join(sorted(SOLVERS))})")
     _check_cell(cfg.solver)
     _check_seeds("[problem] seed", (cfg.problem.seed,))
     _check_seeds("[run] seeds", cfg.run.seeds)

@@ -1,4 +1,4 @@
-"""The Katyusha-H iteration and deterministic/stochastic baselines.
+"""The Katyusha-H iteration and its FISTA baseline.
 
 One iteration of the main method:
 
@@ -35,7 +35,6 @@ from .estimator import (
     maybe_update_checkpoint,
     svrg_estimate,
 )
-from .problems import make_rng
 from .proximal import prox
 from .schedule import (
     CHUNK,
@@ -69,12 +68,12 @@ class TraceRecord:
 class RunConfig:
     """Solver run configuration: schedule knobs, stopping rule, seeding.
 
-    Every solver takes one and refuses what ``check_run`` refuses; the
-    baselines read only the stopping rule, ``seed`` and ``x0``.  Exactly one
-    of ``iterations`` / ``epsilon`` is set; an epsilon target or Lyapunov
-    values need a reference solution.  ``eta=None`` takes the largest
-    allowable step size.  Objective evaluations for stopping and traces are
-    instrumentation and never charged as IFO.
+    Every solver takes one and refuses what ``check_run`` refuses; FISTA
+    reads only the stopping rule and ``x0``.  Exactly one of ``iterations``
+    / ``epsilon`` is set; an epsilon target or Lyapunov values need a
+    reference solution.  ``eta=None`` takes the largest allowable step
+    size.  Objective evaluations for stopping and traces are instrumentation
+    and never charged as IFO.
     """
 
     alpha: float = 1.0
@@ -299,7 +298,7 @@ def run(problem, config: RunConfig) -> list[TraceRecord]:
     )
 
 
-# -- deterministic and stochastic baselines ------------------------------
+# -- the FISTA baseline and the reference solver -------------------------
 
 
 def _start(problem, x0: np.ndarray | None) -> np.ndarray:
@@ -326,37 +325,27 @@ def _extrapolate(x_next: np.ndarray, x: np.ndarray, theta: float):
     return x_next + (theta - 1.0) / theta_next * (x_next - x), theta_next
 
 
-def _baseline(problem, config: RunConfig, x: np.ndarray, step, cost: int,
-              eval_every: int = 1) -> list[TraceRecord]:
-    """Drive a baseline whose ``step(t, x)`` returns the next x for ``cost`` IFO.
-
-    The epsilon test and the records read x; its F is both f_y and f_w.
-    """
-
-    def steps(first: int, last: int) -> None:
-        nonlocal x
-        for t in range(first, last + 1):
-            x = step(t, x)
-
-    def record(t: int, f: float | None) -> TraceRecord:
-        f = problem.value(x) if f is None else f
-        return TraceRecord(t, f, f, math.nan, False, cost * t, 0)
-
-    return _drive(problem, config, steps, lambda: problem.value(x), record, eval_every)
-
-
 def fista_run(problem, config: RunConfig) -> list[TraceRecord]:
-    """Accelerated proximal gradient with step 1/L; costs n IFO per iteration."""
+    """Accelerated proximal gradient with step 1/L; costs n IFO per iteration.
+
+    The epsilon test and the records read x, whose F is both f_y and f_w;
+    the test reads it every iteration unless the config sets a cadence.
+    """
     x = _start(problem, config.x0)
     y, theta = x.copy(), 1.0
 
-    def step(t: int, x: np.ndarray) -> np.ndarray:
-        nonlocal y, theta
-        x_next = _prox_grad(problem, y, problem.L)
-        y, theta = _extrapolate(x_next, x, theta)
-        return x_next
+    def steps(first: int, last: int) -> None:
+        nonlocal x, y, theta
+        for _ in range(first, last + 1):
+            x_next = _prox_grad(problem, y, problem.L)
+            y, theta = _extrapolate(x_next, x, theta)
+            x = x_next
 
-    return _baseline(problem, config, x, step, problem.n)
+    def record(t: int, f: float | None) -> TraceRecord:
+        f = problem.value(x) if f is None else f
+        return TraceRecord(t, f, f, math.nan, False, problem.n * t, 0)
+
+    return _drive(problem, config, steps, lambda: problem.value(x), record, eval_every=1)
 
 
 def fista_solve(
@@ -399,29 +388,3 @@ def fista_solve(
         x = x_next
         f_prev = f_val
     return x_best, f_best, gap_est, t
-
-
-def pgd_run(problem, config: RunConfig) -> list[TraceRecord]:
-    """Proximal gradient descent with step 1/L; costs n IFO per iteration."""
-    return _baseline(
-        problem, config, _start(problem, config.x0),
-        lambda t, x: _prox_grad(problem, x, problem.L), problem.n,
-    )
-
-
-def psgd_run(problem, config: RunConfig) -> list[TraceRecord]:
-    """Single-sample stochastic proximal gradient, step (1/L)/sqrt(t); 1 IFO/iter.
-
-    The epsilon test reads x every 10th iteration unless the config sets a
-    cadence.
-    """
-    inv_L = 1.0 / problem.L
-    rng = make_rng(config.seed)
-
-    def step(t: int, x: np.ndarray) -> np.ndarray:
-        i = int(rng.integers(0, problem.n))
-        step_len = inv_L / math.sqrt(t)
-        return prox(problem.reg, x - step_len * problem.component_grad(i, x), step_len,
-                    overwrite=True)
-
-    return _baseline(problem, config, _start(problem, config.x0), step, 1, eval_every=10)

@@ -265,9 +265,6 @@ class FiniteSumProblem:
         neg = -targets
         return neg * expit(neg * margins)
 
-    def component_grad(self, i: int, x: np.ndarray) -> np.ndarray:
-        return self.A[i] * self.residual(x, self.A[i], self.targets[i])
-
     def component_grad_matrix(self, x: np.ndarray, idx=None) -> np.ndarray:
         """Per-component gradients as rows; all components when idx is None."""
         if idx is None:

@@ -240,7 +240,7 @@ class TestConfigKeys:
         ("problem", "reg"): ("squared_l2", "squared_l2"),
         ("problem", "lam1"): ("0.01", 0.01),
         ("problem", "lam2"): ("0.02", 0.02),
-        ("solver", "method"): ("pgd", "pgd"),
+        ("solver", "method"): ("fista", "fista"),
         ("solver", "alpha"): ("0.25", 0.25),
         ("solver", "b"): ("3", 3),
         ("solver", "eta"): ("0.01", 0.01),
@@ -896,7 +896,7 @@ class TestRunSingle:
 
 
 class TestBaselineMethods:
-    @pytest.mark.parametrize("method", ["fista", "pgd", "psgd"])
+    @pytest.mark.parametrize("method", ["fista"])
     def test_baselines_run_from_config(self, tmp_path, method):
         out = tmp_path / "out"
         path = tmp_path / "exp.ini"
@@ -921,7 +921,7 @@ class TestBaselineMethods:
             "reference": {"tol": "1e-10"},
         }
 
-    @pytest.mark.parametrize("method", ["fista", "pgd", "psgd"])
+    @pytest.mark.parametrize("method", ["fista"])
     @pytest.mark.parametrize(
         "section, key, value",
         [
@@ -943,7 +943,7 @@ class TestBaselineMethods:
         assert f"[{section}] {key} applies only to katyusha_h" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("method", ["fista", "pgd", "psgd"])
+    @pytest.mark.parametrize("method", ["fista"])
     def test_lyapunov_without_reference_is_refused_as_unread(self, tmp_path, capsys, method):
         # not as lacking a reference: adding one would only be refused again
         sections = self._sections(tmp_path, method)
@@ -955,8 +955,16 @@ class TestBaselineMethods:
         assert f"[output] lyapunov applies only to katyusha_h, not {method}" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("method", ["pgd", "psgd"])
+    def test_method_outside_solvers_is_exit_two(self, tmp_path, capsys, method):
+        path = _write_sections(tmp_path / "exp.ini", self._sections(tmp_path, method))
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown solver method {method!r} (methods: fista, katyusha_h)" in err
+        assert not (tmp_path / "out").exists()
+
     def test_katyusha_h_defaults_spelled_out_run(self, tmp_path):
-        sections = self._sections(tmp_path, "pgd")
+        sections = self._sections(tmp_path, "fista")
         sections["solver"].update(alpha="1.0", b="1", eta="auto", cache_checkpoint_grads="false")
         sections["output"]["lyapunov"] = "false"
         path = _write_sections(tmp_path / "exp.ini", sections)

@@ -27,6 +27,7 @@ from katyusha_h.problems import (
     synthesize,
 )
 from katyusha_h.proximal import Regularizer
+from test_problems import component_grad
 
 
 def scalar_quadratic_problem():
@@ -610,7 +611,7 @@ class TestExactVariance:
         subsets = list(combinations(range(4), 2))
         for s in subsets:
             g = sum(
-                prob.component_grad(j, x) - prob.component_grad(j, w) for j in s
+                component_grad(prob, j, x) - component_grad(prob, j, w) for j in s
             ) / 2 + ckpt.full_grad
             acc += float((g - full) @ (g - full))
         assert exact_variance(x, ckpt, 2, prob) == pytest.approx(

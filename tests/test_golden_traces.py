@@ -110,7 +110,7 @@ seeds = 3
 trace_stride = {stride}
 """
 
-# eval_every is left unset so each method's own test cadence is pinned
+# eval_every is left unset so the method's own test cadence is pinned
 BASELINE_EPSILON = LEAST_SQUARES + """\
 [solver]
 method = {method}
@@ -129,11 +129,7 @@ RUNS = {
     "katyusha_h_logistic_enet_cached_b3": LOGISTIC_ELASTIC_NET,
     "katyusha_h_full_batch": KATYUSHA_H.format(alpha=0.5, b=30, cache="false"),
     "fista": BASELINE.format(method="fista", iterations=40, stride=3),
-    "pgd": BASELINE.format(method="pgd", iterations=40, stride=3),
-    "psgd": BASELINE.format(method="psgd", iterations=300, stride=20),
     "fista_epsilon": BASELINE_EPSILON.format(method="fista", epsilon=1e-8, stride=5),
-    "pgd_epsilon": BASELINE_EPSILON.format(method="pgd", epsilon=1e-6, stride=5),
-    "psgd_epsilon": BASELINE_EPSILON.format(method="psgd", epsilon=1e-3, stride=20),
 }
 
 SWEEP = LEAST_SQUARES + """\

@@ -19,8 +19,6 @@ from katyusha_h.optimizers import (
     fista_run,
     init_state,
     katyusha_h_step,
-    pgd_run,
-    psgd_run,
     run,
 )
 from katyusha_h.problems import (
@@ -402,40 +400,8 @@ class TestFista:
         assert records[-1].ifo_total == 7 * 13
 
 
-class TestPgdPsgd:
-    def test_pgd_linear_contraction_matches_oracle(self):
-        # x+ = (I - H/L) x on a strongly convex quadratic; contraction
-        # factor per step is max |1 - lambda_i/L| computed by eigendecomposition.
-        _, prob = synthesize(40, 4, "least_squares", seed=7, noise=0.0)
-        H = prob.A.T @ prob.A / prob.n
-        x_star = np.linalg.solve(H, prob.A.T @ prob.targets / prob.n)
-        eigs = np.linalg.eigvalsh(H)
-        rate = float(np.max(np.abs(1.0 - eigs / prob.L)))
-        x0 = x_star + np.ones(4)
-        records = pgd_run(prob, RunConfig(iterations=50, x0=x0))
-        f_star = prob.value(x_star)
-        final_gap = records[-1].f_y - f_star
-        initial_gap = records[0].f_y - f_star
-        assert final_gap <= initial_gap * rate ** (2 * 45)  # gap contracts at rate^2
-
-    def test_pgd_cost_n_per_iteration(self):
-        _, prob = synthesize(9, 3, "least_squares", seed=8)
-        records = pgd_run(prob, RunConfig(iterations=5))
-        assert records[-1].ifo_total == 45
-
-    def test_psgd_cost_one_per_iteration(self):
-        _, prob = synthesize(9, 3, "least_squares", seed=8)
-        records = psgd_run(prob, RunConfig(iterations=50, seed=0))
-        assert records[-1].ifo_total == 50
-
-    def test_psgd_makes_progress(self):
-        _, prob = synthesize(50, 4, "least_squares", seed=9)
-        records = psgd_run(prob, RunConfig(iterations=4000, seed=1))
-        assert records[-1].f_y < records[0].f_y
-
-
 class TestDriver:
-    @pytest.mark.parametrize("solver", [fista_run, pgd_run])
+    @pytest.mark.parametrize("solver", [fista_run])
     def test_explicit_eval_every_sets_the_stopping_grid(self, solver):
         _, prob = synthesize(20, 4, "least_squares", seed=3)
         with_reference(prob, tol=1e-12)
@@ -446,16 +412,17 @@ class TestDriver:
         assert fifth[-1].t % 5 == 0 and t < fifth[-1].t < t + 5
         assert fifth[-1].f_y - prob.reference.f_star <= 1e-8
 
-    def test_psgd_evaluates_objective_once_per_iteration(self):
+    def test_fista_evaluates_objective_once_per_iteration(self):
+        # each record reuses the F the epsilon test just read
         _, prob = synthesize(9, 3, "least_squares", seed=8)
         with_reference(prob, tol=1e-12)
         calls = []
         value = prob.value
         prob.value = lambda x: calls.append(1) or value(x)
-        records = psgd_run(prob, RunConfig(
-            epsilon=1e-12, seed=0, record_every=1, eval_every=1, max_iterations=50
+        records = fista_run(prob, RunConfig(
+            epsilon=1e-12, record_every=1, eval_every=1, max_iterations=50
         ))
-        assert records[-1].t == 50
+        assert records[-1].t == 50  # the target is out of reach: every iteration is tested
         assert len(calls) == 50 + 1  # one per iteration plus the initial record
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
@@ -561,7 +528,7 @@ class TestDriverArguments:
         with pytest.raises(ValueError, match=name):
             fista_run(prob, RunConfig(**stopping))
 
-    @pytest.mark.parametrize("solver", ["run", "psgd_run"])
+    @pytest.mark.parametrize("solver", ["run"])
     @pytest.mark.parametrize("seed", [1.5, -1, 2**128])
     def test_seed_that_is_no_philox_key_is_refused(self, solver, seed):
         _, prob = synthesize(6, 2, "least_squares", seed=1)
@@ -569,7 +536,7 @@ class TestDriverArguments:
             getattr(optimizers, solver)(prob, RunConfig(iterations=3, seed=seed))
 
     @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -1.0])
-    @pytest.mark.parametrize("solver", ["run", "fista_run", "pgd_run", "psgd_run"])
+    @pytest.mark.parametrize("solver", ["run", "fista_run"])
     def test_unreachable_epsilon_is_refused(self, solver, epsilon):
         _, prob = synthesize(6, 2, "least_squares", seed=1)
         with_reference(prob, tol=1e-12)
@@ -577,7 +544,7 @@ class TestDriverArguments:
         with pytest.raises(ValueError, match="epsilon must be positive and finite"):
             getattr(optimizers, solver)(prob, config)
 
-    @pytest.mark.parametrize("solver", ["run", "fista_run", "pgd_run"])
+    @pytest.mark.parametrize("solver", ["run", "fista_run"])
     def test_non_finite_objective_stops_at_once(self, solver, monkeypatch):
         _, prob = synthesize(6, 2, "least_squares", seed=1)
         with_reference(prob, tol=1e-12)
@@ -588,7 +555,7 @@ class TestDriverArguments:
 
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    @pytest.mark.parametrize("solver", ["run", "fista_run", "pgd_run", "psgd_run"])
+    @pytest.mark.parametrize("solver", ["run", "fista_run"])
     def test_non_finite_start_is_refused(self, solver, bad):
         # an iteration stop evaluates no objective, so only the start check catches it
         _, prob = synthesize(6, 2, "least_squares", seed=1)
@@ -597,7 +564,7 @@ class TestDriverArguments:
             getattr(optimizers, solver)(prob, RunConfig(x0=x0, iterations=2000))
 
     @pytest.mark.parametrize("shape", [(2, 1), (1, 2), (3,), ()])
-    @pytest.mark.parametrize("solver", ["run", "fista_run", "pgd_run", "psgd_run"])
+    @pytest.mark.parametrize("solver", ["run", "fista_run"])
     def test_misshaped_start_is_refused(self, solver, shape):
         # a (d, 1) start broadcasts A @ x0 - targets to an n x n residual
         _, prob = synthesize(6, 2, "least_squares", seed=1)
