@@ -432,15 +432,17 @@ def _trace_header(cfg: ExperimentConfig, problem: FiniteSumProblem, seed: int) -
 
 
 def run_command(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> list[Path]:
-    """Execute the configured runs, one trace file per seed."""
+    """Execute the configured runs, one trace file per seed.  FISTA's one run
+    serves every seed, whose files differ only in their seed line."""
     problem = build_problem(cfg)
     _check_cell(cfg.solver, problem)
     out = Path(out_dir if out_dir is not None else cfg.output.directory)
     out.mkdir(parents=True, exist_ok=True)
     f_star = problem.reference.f_star if problem.reference is not None else 0.0
-    paths = []
+    paths, records = [], None
     for seed in cfg.run.seeds:
-        records = run_single(problem, cfg, seed)
+        if records is None or cfg.solver.method != "fista":  # FISTA reads no seed
+            records = run_single(problem, cfg, seed)
         path = out / f"trace_{cfg.solver.method}_seed{seed}.csv"
         write_trace(path, records, _trace_header(cfg, problem, seed), f_star)
         paths.append(path)

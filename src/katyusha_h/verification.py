@@ -167,22 +167,25 @@ def scan_schedule(
     ``xi_override`` replaces xi (and with it alpha_tilde0 = 36*xi) with a raw
     value, bypassing the constructor guards; it exists for fault injection.
 
-    alpha_t depends on alpha alone, so each alpha computes it once, over the
-    whole t range, for every b.  It then walks t in blocks of ``SCAN_BLOCK``
-    indices, and each block computes every quantity once, into buffers of
-    block size that every block reuses.  What does not depend on b comes
-    first: alpha_t^2, the running sum of alpha_t (carried from block to
-    block), the p_t numerator without its xi term, max(1, |that|),
+    Each alpha walks t in blocks of ``SCAN_BLOCK`` indices.  A block takes
+    its alpha_t from ``alpha_sequence`` (alpha_t depends on alpha alone) and
+    computes every quantity once, into buffers of block size that every
+    block reuses, so no array spans the t range.  What does not depend on b
+    comes first: alpha_t^2, the running sum of alpha_t (carried from block
+    to block), the p_t numerator without its xi term, max(1, |that|),
     alpha_{t+1}^2 - alpha_t^2 and the range of tau_t.
     The nonnegativity claim is evaluated there, at the first b listed only:
     every later b repeats its values exactly, and only a strict minimum
-    replaces a worst point.  Then each b forms max(1, |xi*alpha_t^2|) once
-    for both gaps that read it, and the p_t numerator once for p_t and for
-    its shifted reformulation.  Each (alpha, b) cell keeps its own running
-    minima as ``ClaimResult``s, merged into the claims in b order once the
-    alpha is done, so the first worst point is the one a single pass over the
-    grid in (alpha, b, t) order would find.  The range rules are
-    ``check_scan``'s.
+    replaces a worst point.  Every other claim but c-bound sees b only
+    through xi, so each distinct xi (by its bits) is one cell, scanned for
+    the first b listed with it; a later b with the same xi, which only
+    ``xi_override`` or a repeated b gives, would repeat its points.  Then
+    each cell forms max(1, |xi*alpha_t^2|) once for both gaps that read it,
+    and the p_t numerator once for p_t and for its shifted reformulation.
+    Each cell keeps its own running minima as ``ClaimResult``s, merged into
+    the claims in b order once the alpha is done, so the first worst point
+    is the one a single pass over the grid in (alpha, b, t) order would
+    find.  The range rules are ``check_scan``'s.
     """
     check_scan(t_max, batch_sizes)
     if alpha_grid is None:
@@ -212,7 +215,7 @@ def scan_schedule(
      numer_buf, p_buf, w1_buf, w2_buf) = (np.empty(width) for _ in range(10))
 
     for alpha in alpha_grid:
-        cells = []
+        cells = {}  # xi's bits -> (first b with that xi, its params, the cell's running minima)
         for b in batch_sizes:
             params = compute_constants(float(alpha), b)
             if xi_override is not None:
@@ -221,18 +224,18 @@ def scan_schedule(
                 (C_MAX - params.c) / C_MAX,
                 lambda i, alpha=alpha, b=b: f"(alpha={alpha:.6g}, b={b})",
             )
-            # this cell's running minima, merged below once every block is seen
-            cell = {name: ClaimResult(name, domain, tolerance=claims[name].tolerance)
-                    for name in per_cell}
-            cells.append((b, params, cell))
-        # alpha_t depends on alpha alone, so every b reads the same arrays
-        seq = alpha_sequence(t_max + 1, cells[0][1])  # alpha_0 .. alpha_{t_max+1}
+            # a b whose xi's bits repeat an earlier b's would repeat its slacks
+            cells.setdefault(params.xi.hex(), (b, params, {
+                name: ClaimResult(name, domain, tolerance=claims[name].tolerance)
+                for name in per_cell}))
         carry = 0.0  # alpha_1 + .. + alpha_s, carried from block to block
         for s in range(0, t_max, SCAN_BLOCK):
             e = min(s + SCAN_BLOCK, t_max)  # t = s+1 .. e
             m = e - s
-            a_t = seq[s + 1:e + 1]
-            sq = np.multiply(seq[s:e + 2], seq[s:e + 2], out=sq_buf[:m + 2])
+            # alpha_s .. alpha_{e+1}, which depend on alpha alone: any b's params serve
+            seq = alpha_sequence(e + 1, params, s)
+            a_t = seq[1:m + 1]
+            sq = np.multiply(seq, seq, out=sq_buf[:m + 2])
             sq_t = sq[1:m + 1]
             # the carried sum first, so np.cumsum adds the terms of one pass over t
             csum = csum_buf[:m + 1]
@@ -246,12 +249,12 @@ def scan_schedule(
             np.maximum(core_scale, 1.0, out=core_scale)
             claims["p-numerator-nonneg"].update(
                 _normalized_gap(0.0, core, rhs_scale=core_scale, out=w1),
-                _block_point(alpha, cells[0][0], s),
+                _block_point(alpha, batch_sizes[0], s),
             )
             growth = np.subtract(sq[2:], sq_t, out=growth_buf[:m])
             tau = np.divide(1.0, a_t, out=tau_buf[:m])
             tau_range = np.minimum(tau, np.subtract(1.0, tau, out=w1), out=tau_range_buf[:m])
-            for b, params, cell in cells:
+            for b, params, cell in cells.values():
                 xi = params.xi
                 here = _block_point(alpha, b, s)
                 den = _denominator(sq[:m + 1], csum, params, out=den_buf[:m + 1])
@@ -280,7 +283,7 @@ def scan_schedule(
                 np.divide(numer_buf[:m], p_alt, out=p_alt)
                 err = np.abs(np.subtract(p, p_alt, out=w1), out=w1)
                 cell["p-reformulation"].update(np.subtract(EQ_TOL, err, out=err), here)
-        for _, _, cell in cells:
+        for _, _, cell in cells.values():
             for name, claim in cell.items():
                 claims[name].update(claim.min_slack, lambda i, at=claim.worst_at: at)
 

@@ -911,6 +911,23 @@ class TestBaselineMethods:
         assert header["method"] == method
         assert len(rows) == 11
 
+    def test_fista_runs_once_for_every_seed(self, tmp_path, monkeypatch):
+        # FISTA reads no seed: one run writes each seed's file, and the files
+        # differ only in their seed line
+        calls, real = [], optimizers.fista_run
+        monkeypatch.setattr(optimizers, "fista_run",
+                            lambda problem, config: calls.append(config) or real(problem, config))
+        sections = self._sections(tmp_path, "fista")
+        sections["run"]["seeds"] = "0 1 2"
+        paths = run_command(load_config(_write_sections(tmp_path / "exp.ini", sections)))
+        assert len(calls) == 1
+        assert [p.name for p in paths] == [f"trace_fista_seed{s}.csv" for s in (0, 1, 2)]
+        texts = [p.read_text().splitlines() for p in paths]
+        for seed, lines in enumerate(texts):
+            diff = [(a, b) for a, b in zip(texts[0], lines) if a != b]
+            assert len(lines) == len(texts[0])
+            assert diff == ([] if seed == 0 else [("# seed = 0", f"# seed = {seed}")])
+
     @staticmethod
     def _sections(tmp_path, method):
         return {

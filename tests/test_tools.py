@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -67,3 +68,46 @@ def test_draw_bench_pairs_against_another_tree(draw_bench, capsys):
         assert set(point) == {"this", "other", "median_ratio", "lower_in"}
         assert point["this"]["q1_us"] <= point["this"]["median_us"] <= point["this"]["q3_us"]
         assert len(point["other"]["runs"]) == 3 and point["lower_in"].endswith(" of 3")
+
+
+@pytest.fixture
+def scan_bench(monkeypatch):
+    monkeypatch.setitem(os.environ, "OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import scan_bench
+
+    monkeypatch.setattr(scan_bench, "GRID_STEP", 0.5)
+    monkeypatch.setattr(scan_bench, "T_MAX", 40)
+    monkeypatch.setattr(scan_bench, "REPEATS", 3)
+    return scan_bench
+
+
+SCANS = ["certificate", "growth alpha=0.5", "growth alpha=1", "fault xi=2"]
+
+
+def test_scan_bench_times_this_tree(scan_bench, capsys):
+    scan_bench.main([])
+    out = json.loads(capsys.readouterr().out)
+    assert list(out) == SCANS
+    assert all(len(point["runs"]) == 3 and point["median_ns"] > 0 for point in out.values())
+
+
+def test_scan_bench_pairs_against_another_tree(scan_bench, capsys):
+    scan_bench.main(["--against", str(ROOT / "src")])
+    out = json.loads(capsys.readouterr().out)
+    assert list(out) == SCANS
+    for point in out.values():
+        assert set(point) == {"this", "other", "median_ratio", "lower_in"}
+        assert point["this"]["q1_ns"] <= point["this"]["median_ns"] <= point["this"]["q3_ns"]
+        assert len(point["other"]["runs"]) == 3 and point["lower_in"].endswith(" of 3")
+
+
+def test_scan_bench_exits_one_when_the_reports_differ(scan_bench, capsys, tmp_path):
+    # the other tree certifies c <= 5.5 where this one certifies c <= 5
+    other = tmp_path / "src"
+    shutil.copytree(ROOT / "src" / "katyusha_h", other / "katyusha_h")
+    schedule = other / "katyusha_h" / "schedule.py"
+    schedule.write_text(schedule.read_text().replace("C_MAX = 5.0", "C_MAX = 5.5"))
+    with pytest.raises(SystemExit, match="report differently on certificate, fault xi=2"):
+        scan_bench.main(["--against", str(other)])
+    assert list(json.loads(capsys.readouterr().out)) == SCANS

@@ -21,6 +21,7 @@ from katyusha_h.schedule import (
     C_MAX,
     CHUNK,
     GROWTH_START,
+    _p_ratio,
     advance,
     alpha_sequence,
     compute_constants,
@@ -319,26 +320,51 @@ class TestBlockedScan:
                 keys.append((alphas.index(alpha), batch_sizes.index(int(b)), int(t or 0)))
             assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
-    def test_shares_one_alpha_sequence_per_exponent(self, monkeypatch):
+    @pytest.mark.parametrize("xi_override, cells", [(None, 3), (2.0, 1)], ids=str)
+    def test_scans_each_distinct_xi_once(self, monkeypatch, xi_override, cells):
+        # every claim a cell holds sees b only through xi: the override gives
+        # each b the same xi, so the first b's cell serves all three
+        calls = []
+        monkeypatch.setattr(
+            verification, "_p_ratio",
+            lambda *args, **kwargs: calls.append(args) or _p_ratio(*args, **kwargs),
+        )
+        grid, blocks = np.array([0.0, 0.5, 1.0]), 3
+        report = scan_schedule(alpha_grid=grid, t_max=2 * SCAN_BLOCK + 17,
+                               batch_sizes=(1, 2, 10), xi_override=xi_override)
+        assert len(calls) == cells * len(grid) * blocks
+        if cells == 1:  # every worst point is the first b's
+            for claim in report.claims:
+                assert claim.claim == "c-bound" or ", b=1, " in claim.worst_at, claim
+
+    def test_walks_alpha_sequence_a_block_at_a_time(self, monkeypatch):
         calls = []
         monkeypatch.setattr(
             verification, "alpha_sequence",
             lambda *args: calls.append(args) or alpha_sequence(*args),
         )
-        scan_schedule(alpha_grid=np.array([0.0, 0.5, 1.0]), t_max=100)
-        assert len(calls) == 3
+        grid, t_max = np.array([0.0, 0.5, 1.0]), 2 * SCAN_BLOCK + 17
+        scan_schedule(alpha_grid=grid, t_max=t_max)
+        assert len(calls) == 9  # one per (alpha, block)
+        for k, alpha in enumerate(grid):
+            blocks = calls[3 * k:3 * k + 3]
+            assert all(params.alpha == alpha for _, params, _ in blocks)
+            # alpha_s .. alpha_{e+1} for t = s+1 .. e: each block starts two
+            # entries before the last one ends, and they span alpha_0 .. alpha_{t_max+1}
+            assert blocks[0][2] == 0 and blocks[-1][0] == t_max + 1
+            for (stop, _, _), (_, _, start) in zip(blocks, blocks[1:]):
+                assert start == stop - 1
 
-    def test_peak_memory_is_a_few_arrays_over_t(self):
-        # alpha_t and its one temporary span the t range; every other
-        # array spans one block
-        t_max = 2 ** 20
+    def test_peak_memory_does_not_grow_with_t(self):
+        # every array spans one block: the buffers, a block of alpha_t and
+        # the temporaries of its making
         tracemalloc.start()
         try:
-            scan_schedule(alpha_grid=np.array([0.5]), t_max=t_max)
+            scan_schedule(alpha_grid=np.array([0.5]), t_max=2 ** 20)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * (4 * t_max + 16 * SCAN_BLOCK)
+        assert peak <= 8 * 24 * SCAN_BLOCK
 
 
 def _oracle_growth(alpha, t_max, batch_size):

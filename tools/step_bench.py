@@ -68,11 +68,14 @@ def load_package(src: Path, name: str = "katyusha_h_against"):
     """The ``katyusha_h`` package under ``src``, imported as ``name``.
 
     Its modules import one another relatively, so they all load under
-    ``name`` and share nothing with this tree's package.
+    ``name`` and share nothing with this tree's package, nor with a tree
+    loaded as ``name`` before.
     """
     init = src / "katyusha_h" / "__init__.py"
     if not init.is_file():
         sys.exit(f"error: {init} not found")
+    for module in [m for m in sys.modules if m.startswith(f"{name}.")]:
+        del sys.modules[module]
     spec = importlib.util.spec_from_file_location(
         name, init, submodule_search_locations=[str(init.parent)])
     package = importlib.util.module_from_spec(spec)
@@ -99,9 +102,9 @@ def us_per_iteration(package, problem, config: dict, iterations: int, seed: int)
     return 1e6 * (time.perf_counter() - start) / iterations
 
 
-def _quartiles(runs: list[float]) -> dict:
+def _quartiles(runs: list[float], unit: str) -> dict:
     q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
-    return {"median_us": median, "q1_us": q1, "q3_us": q3, "runs": runs}
+    return {f"median_{unit}": median, f"q1_{unit}": q1, f"q3_{unit}": q3, "runs": runs}
 
 
 def alternate(sides: dict, repeats: int, measure) -> dict[str, list[float]]:
@@ -114,16 +117,16 @@ def alternate(sides: dict, repeats: int, measure) -> dict[str, list[float]]:
     return runs
 
 
-def summarize(runs: dict[str, list[float]]) -> dict:
+def summarize(runs: dict[str, list[float]], unit: str = "us") -> dict:
     """This tree's median and runs; with another tree, each side's median and
     quartiles, the median of the per-repeat ratios this/other, and in how many
-    repeats this tree was the faster."""
+    repeats this tree was the faster.  ``unit`` suffixes the keys of times."""
     if len(runs) == 1:
-        return {"median_us": statistics.median(runs["this"]), "runs": runs["this"]}
+        return {f"median_{unit}": statistics.median(runs["this"]), "runs": runs["this"]}
     ratios = [a / b for a, b in zip(runs["this"], runs["other"])]
     return {
-        "this": _quartiles(runs["this"]),
-        "other": _quartiles(runs["other"]),
+        "this": _quartiles(runs["this"], unit),
+        "other": _quartiles(runs["other"], unit),
         "median_ratio": statistics.median(ratios),
         "lower_in": f"{sum(r < 1.0 for r in ratios)} of {len(ratios)}",
     }
