@@ -27,28 +27,31 @@ from .experiment import (
 from .problems import DataFormatError, check_reference, parse_libsvm, serialize_libsvm
 
 
-def _load_with_seeds(args):
-    """The config of ``--config``, its seeds replaced by ``--seeds`` if given."""
+def _load_with_flags(args):
+    """The config of ``--config`` with each run/sweep flag given written over
+    the key it overrides: ``--seeds`` over ``[run] seeds``, ``--out`` over
+    ``[output] directory``, ``--alphas`` and ``--bs`` over ``[sweep]``."""
     cfg = load_config(args.config)
     if args.seeds is not None:  # an empty value is given, and refused
         cfg.run.seeds = _parse_seq("--seeds", args.seeds, int)
         _check_seeds("--seeds", cfg.run.seeds)
+    if args.out is not None:
+        cfg.output.directory = args.out
+    for key, kind in (("alphas", float), ("bs", int)):
+        raw = getattr(args, key, None)  # run has no grid flags
+        if raw is not None:
+            setattr(cfg.sweep, key, _parse_seq(f"--{key}", raw, kind))
     return cfg
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_with_seeds(args)
-    paths = run_command(cfg, out_dir=args.out)
-    for path in paths:
+    for path in run_command(_load_with_flags(args)):
         print(path)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_with_seeds(args)
-    alphas = _parse_seq("--alphas", args.alphas, float) if args.alphas is not None else None
-    bs = _parse_seq("--bs", args.bs, int) if args.bs is not None else None
-    rows, path = sweep_command(cfg, alphas=alphas, bs=bs, out_dir=args.out)
+    rows, path = sweep_command(_load_with_flags(args))
     print("alpha      b     reached   mean_ifo        mean_final_gap")
     for r in rows:
         print(

@@ -30,7 +30,7 @@ from .problems import (
     synthesize,
 )
 from .proximal import Regularizer
-from .schedule import compute_constants, step_size
+from .schedule import ScheduleParams, compute_constants, step_size
 
 TRACE_COLUMNS = ("t", "F_y_gap", "F_w_gap", "p_t", "ckpt_updated", "ifo_total", "lyapunov")
 # Bumped whenever an unchanged config may give different trace bytes.
@@ -74,26 +74,26 @@ class ProblemSpec:
 @dataclass
 class SolverSpec:
     method: str = "katyusha_h"  # a key of SOLVERS
-    alpha: float = 1.0
-    b: int = 1
-    eta: float | None = None  # None = largest allowable
-    cache_checkpoint_grads: bool = False
+    alpha: float = RunConfig.alpha
+    b: int = RunConfig.batch_size
+    eta: float | None = RunConfig.eta  # None = largest allowable
+    cache_checkpoint_grads: bool = RunConfig.cache_checkpoint_grads
 
 
 @dataclass
 class RunSpec:
-    iterations: int | None = None
-    epsilon: float | None = None
+    iterations: int | None = RunConfig.iterations
+    epsilon: float | None = RunConfig.epsilon
     seeds: tuple[int, ...] = (0,)
-    eval_every: int | None = None
+    eval_every: int | None = RunConfig.eval_every
     max_iterations: int = RunConfig.max_iterations
 
 
 @dataclass
 class OutputSpec:
     directory: str = "traces"
-    trace_stride: int = 1
-    lyapunov: bool = False
+    trace_stride: int = RunConfig.record_every
+    lyapunov: bool = RunConfig.lyapunov
 
 
 @dataclass
@@ -142,14 +142,9 @@ _SECTIONS = _kinds(ExperimentConfig)  # section name -> spec type
 def _coerce(where: str, raw: str, kind):
     try:
         if kind is bool:
-            lowered = raw.strip().lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
         return kind(raw)
-    except (TypeError, ValueError):
+    except (KeyError, TypeError, ValueError):
         raise ConfigError(f"{where} = {raw!r}: expected {kind.__name__}") from None
 
 
@@ -264,25 +259,15 @@ def _refuse_unread(cfg: ExperimentConfig, unread) -> None:
             raise ConfigError(f"[{section}] {name} {why}")
 
 
-def _check_cell(solver: SolverSpec, problem: FiniteSumProblem | None = None,
-                where: str = "[solver]") -> None:
-    """Refuse an alpha or b the schedule cannot take and, with the problem
-    given, a b > n or an eta outside the step-size range for its L, by a
-    ConfigError naming ``{where} alpha``, ``{where} b`` or ``{where} eta``."""
-    alpha, b = solver.alpha, solver.b
-    for key, batch in (("alpha", 1), ("b", b)):  # alpha alone first, then with b
+def _check_cell(solver: SolverSpec, where: str = "[solver]") -> ScheduleParams:
+    """The schedule constants of ``solver``'s alpha and b, refusing either by
+    a ConfigError naming ``{where} alpha`` or ``{where} b``."""
+    for key, batch in (("alpha", 1), ("b", solver.b)):  # alpha alone first, then with b
         try:
-            params = compute_constants(alpha, batch)
+            params = compute_constants(solver.alpha, batch)
         except ValueError as exc:
             raise ConfigError(f"{where} {key}: {exc}") from None
-    if problem is None:
-        return
-    if b > problem.n:
-        raise ConfigError(f"{where} b: need 1 <= b <= n, got b={b}, n={problem.n}")
-    try:
-        step_size(problem.L, params, solver.eta)
-    except ValueError as exc:
-        raise ConfigError(f"{where} eta: {exc}") from None
+    return params
 
 
 def _regularizer(spec: ProblemSpec) -> Regularizer:
@@ -431,14 +416,30 @@ def _trace_header(cfg: ExperimentConfig, problem: FiniteSumProblem, seed: int) -
     return head
 
 
-def run_command(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> list[Path]:
-    """Execute the configured runs, one trace file per seed.  FISTA's one run
-    serves every seed, whose files differ only in their seed line."""
+def _set_up(cfg: ExperimentConfig, cells, where: str) -> tuple[FiniteSumProblem, Path, float]:
+    """The problem, output directory and F* (0 without a reference) of a
+    command that runs ``cells``.  A cell's alpha and b are refused before the
+    problem is built, its b > n or eta after, naming ``{where} <key>``, and
+    the directory is made last, so a refused cell makes none."""
+    constants = [_check_cell(cell, where) for cell in cells]
     problem = build_problem(cfg)
-    _check_cell(cfg.solver, problem)
-    out = Path(out_dir if out_dir is not None else cfg.output.directory)
+    for cell, params in zip(cells, constants):
+        if cell.b > problem.n:
+            raise ConfigError(f"{where} b: need 1 <= b <= n, got b={cell.b}, n={problem.n}")
+        try:
+            step_size(problem.L, params, cell.eta)
+        except ValueError as exc:
+            raise ConfigError(f"{where} eta: {exc}") from None
+    out = Path(cfg.output.directory)
     out.mkdir(parents=True, exist_ok=True)
-    f_star = problem.reference.f_star if problem.reference is not None else 0.0
+    return problem, out, problem.reference.f_star if problem.reference is not None else 0.0
+
+
+def run_command(cfg: ExperimentConfig) -> list[Path]:
+    """Execute the configured runs, one trace file per ``[run] seeds`` entry,
+    written into ``[output] directory``.  FISTA's one run serves every seed,
+    whose files differ only in their seed line."""
+    problem, out, f_star = _set_up(cfg, [cfg.solver], "[solver]")
     paths, records = [], None
     for seed in cfg.run.seeds:
         if records is None or cfg.solver.method != "fista":  # FISTA reads no seed
@@ -463,13 +464,10 @@ class SweepRow:
     mean_final_gap: float
 
 
-def sweep_command(
-    cfg: ExperimentConfig,
-    alphas: tuple[float, ...] | None = None,
-    bs: tuple[int, ...] | None = None,
-    out_dir: str | Path | None = None,
-) -> tuple[list[SweepRow], Path]:
-    """Run the (alpha, b) grid and aggregate per-cell cost over seeds.
+def sweep_command(cfg: ExperimentConfig) -> tuple[list[SweepRow], Path]:
+    """Run the grid of ``[sweep] alphas`` by ``[sweep] bs`` and aggregate
+    per-cell cost over ``[run] seeds`` into ``sweep_summary.csv`` under
+    ``[output] directory``.
 
     With an epsilon target the aggregate is IFO-to-target; with a fixed
     iteration budget it is total IFO spent.  Cells where some seed misses the
@@ -477,19 +475,11 @@ def sweep_command(
     """
     if cfg.solver.method != "katyusha_h":
         raise ConfigError("sweep supports only the katyusha_h solver")
-    alphas = alphas if alphas is not None else cfg.sweep.alphas
-    bs = bs if bs is not None else cfg.sweep.bs
-    if not alphas or not bs:
+    if not cfg.sweep.alphas or not cfg.sweep.bs:
         raise ConfigError("sweep needs alpha and b grids (flags or [sweep] section)")
-    cells = [replace(cfg.solver, alpha=alpha, b=b) for alpha in alphas for b in bs]
-    for cell in cells:
-        _check_cell(cell, where="sweep")
-    problem = build_problem(cfg)
-    for cell in cells:
-        _check_cell(cell, problem, "sweep")
-    f_star = problem.reference.f_star if problem.reference is not None else 0.0
-    out = Path(out_dir if out_dir is not None else cfg.output.directory)
-    out.mkdir(parents=True, exist_ok=True)
+    cells = [replace(cfg.solver, alpha=alpha, b=b)
+             for alpha in cfg.sweep.alphas for b in cfg.sweep.bs]
+    problem, out, f_star = _set_up(cfg, cells, "sweep")
 
     def one_cell(solver: SolverSpec) -> SweepRow:
         cell = replace(cfg, solver=solver)

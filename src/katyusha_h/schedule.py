@@ -65,16 +65,22 @@ def compute_constants(alpha: float, batch_size: int) -> ScheduleParams:
 
     ``c = max{2, b^-1 * max{6/5, (1 - 1/alpha_17)^-1}} + 1``; the inverse-gap
     term keeps ``xi < 1 - tau_t`` even at t = 17 where alpha_t is smallest.
-    As c >= 3, ``xi = 1/(b*c)`` lies in (0, 1/3].
+    As c >= 3, ``xi = 1/(b*c)`` lies in (0, 1/3]; c > ``C_MAX`` is refused.
     """
+    params = _derive_constants(alpha, batch_size)
+    if not params.c <= C_MAX:
+        raise ValueError(f"c = {params.c} exceeds the uniform cap {C_MAX}")
+    return params
+
+
+def _derive_constants(alpha: float, batch_size: int) -> ScheduleParams:
+    """``compute_constants`` without its cap on c, for the scans that certify the cap."""
     a = growth_coefficient(alpha)
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     alpha17 = a * 17.0 ** alpha
     inner = max(6.0 / 5.0, 1.0 / (1.0 - 1.0 / alpha17))
     c = max(2.0, inner / batch_size) + 1.0
-    if not c <= C_MAX:
-        raise ValueError(f"c = {c} exceeds the uniform cap {C_MAX}")
     xi = 1.0 / (batch_size * c)
     return ScheduleParams(alpha=alpha, batch_size=batch_size, a_alpha=a, c=c, xi=xi)
 

@@ -23,10 +23,10 @@ from .schedule import (
     GROWTH_START,
     C_MAX,
     _denominator,
+    _derive_constants,
     _p_core,
     _p_ratio,
     alpha_sequence,
-    compute_constants,
     p_at,
     tau_at,
 )
@@ -217,7 +217,7 @@ def scan_schedule(
     for alpha in alpha_grid:
         cells = {}  # xi's bits -> (first b with that xi, its params, the cell's running minima)
         for b in batch_sizes:
-            params = compute_constants(float(alpha), b)
+            params = _derive_constants(float(alpha), b)
             if xi_override is not None:
                 params = replace(params, xi=xi_override)
             claims["c-bound"].update(
@@ -312,7 +312,7 @@ def scan_denominator_growth(
         raise ValueError("growth scan needs alpha in (0, 1]; alpha = 0 is affine")
     if t_max < GROWTH_START:
         raise ValueError(f"t_max must be >= {GROWTH_START}")
-    params = compute_constants(alpha, batch_size)
+    params = _derive_constants(alpha, batch_size)
     a_tilde = 1.0 / 16.0 if alpha == 1.0 else params.a_alpha / (2.0 * alpha + 2.0)
     domain = f"alpha={alpha:.6g}, b={batch_size}, t in [17, {t_max}]"
     tail = ClaimResult("denominator-growth", domain, tolerance=INEQ_TOL)

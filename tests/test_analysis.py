@@ -1,6 +1,7 @@
 """Lyapunov values, bound reports, cost prediction, and the alpha selector."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -139,6 +140,14 @@ class TestBoundReport:
         bare = [TraceRecord(0, 0.0, 0.0, math.nan, False, 0, 0)] * 30
         with pytest.raises(ValueError):
             check_lyapunov_bound([bare[0:1]] * 30)
+
+    @pytest.mark.parametrize("final, verdict", [(9.0, "PASS"), (11.0, "FAIL")])
+    def test_text_names_the_numbers_and_verdict(self, final, verdict):
+        report = check_lyapunov_bound([_trace_with(10.0, final)] * 30)
+        assert str(report) == (
+            f"lyapunov-bound | seeds=30 | initial=10 | mean_final={final:g} +- 0 | "
+            f"margin={10.0 - final:g} | {verdict}"
+        )
 
 
 class TestPredictIfo:
@@ -309,3 +318,19 @@ class TestPartialSums:
             partial_sum_power(0, 5, 1.0)
         with pytest.raises(ValueError):
             partial_sum_power(5, 4, 1.0)
+
+
+@pytest.mark.parametrize("call, args, error, message", [
+    (check_lyapunov_bound, ([_trace_with(1.0, 0.5)] * 29 + [_trace_with(2.0, 0.5)],),
+     ValueError, "seeds disagree on the initial state"),
+    (feasible_alpha_interval, (10, 0.0), ValueError, "epsilon must be in (0, 1), got 0.0"),
+    (feasible_alpha_interval, (10, 1.0), ValueError, "epsilon must be in (0, 1), got 1.0"),
+    (feasible_alpha_interval, (0, 1e-3), ValueError, "n must be positive"),
+    # n just below 1/epsilon: log n / log(1/epsilon) rounds to 1, so delta2 = 0 at c2 = 1
+    (feasible_alpha_interval, (10 ** 15, 1 / (10 ** 15 + 1), 1.0, 1.0),
+     InadmissibleConstantError, "c2=1.0 does not make the upper endpoint positive (delta2=0)"),
+    (accuracy_free_config, (0,), ValueError, "n must be positive"),
+])
+def test_refusals(call, args, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call(*args)

@@ -2,15 +2,17 @@
 
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from katyusha_h import experiment, optimizers, verification
+from katyusha_h import experiment, optimizers, schedule, verification
 from katyusha_h.cli import main
 from katyusha_h.experiment import (
     SOLVERS,
+    TRACE_COLUMNS,
     TRACE_FORMAT,
     ConfigError,
     ExperimentConfig,
@@ -110,6 +112,13 @@ class TestConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.ini")
+
+    @pytest.mark.parametrize("text", ["n = 3\n", "[problem]\nn = 3\nn = 4\n"])
+    def test_unparsable_file(self, tmp_path, text):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"cannot parse {re.escape(str(path))}: "):
+            load_config(path)
 
     def test_readme_example_loads(self, tmp_path):
         # the documented keys are the ones the loader reads
@@ -286,6 +295,7 @@ class TestConfigKeys:
         "section, key, raw, message",
         [(s, "bogus", "1", f"[{s}] unknown key 'bogus'") for s in SPECS] + [
             ("problem", "n", "many", "[problem] n = 'many': expected int"),
+            ("problem", "family", "hinge", "unknown problem family 'hinge'"),
             ("problem", "consistent", "maybe", "[problem] consistent = 'maybe': expected bool"),
             ("solver", "eta", "fast", "[solver] eta = 'fast': expected float"),
             ("run", "seeds", "1 x", "[run] seeds = 'x': expected int"),
@@ -359,6 +369,17 @@ class TestRunCommand:
         with pytest.raises(ValueError, match=f"trace_format '{version}'"):
             read_trace(path)
 
+    @pytest.mark.parametrize("body, message", [
+        ("t,F_y_gap,F_w_gap\n", "unexpected trace columns ['t', 'F_y_gap', 'F_w_gap']"),
+        (",".join(TRACE_COLUMNS) + "\n0,0.5,0.5,,0,30,\n1,0.25\n", ":4: malformed row"),
+        ("", "empty trace file"),
+    ])
+    def test_refuses_a_malformed_trace(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# trace_format = {TRACE_FORMAT}\n{body}")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_trace(path)
+
     def test_seeds_diverge(self, config_path):
         p0, p1 = run_command(load_config(config_path))
         assert p0.read_bytes() != p1.read_bytes()
@@ -410,7 +431,8 @@ class TestRunCommand:
 class TestSweepCommand:
     def test_grid_rows(self, config_path):
         cfg = load_config(config_path)
-        rows, path = sweep_command(cfg, alphas=(0.0, 0.5, 1.0), bs=(1,))
+        cfg.sweep = SweepSpec(alphas=(0.0, 0.5, 1.0), bs=(1,))
+        rows, path = sweep_command(cfg)
         assert len(rows) == 3
         assert [r.alpha for r in rows] == [0.0, 0.5, 1.0]
         text = path.read_text().strip().splitlines()
@@ -418,11 +440,43 @@ class TestSweepCommand:
 
     def test_aggregation_is_mean_of_final_ifo(self, config_path):
         cfg = load_config(config_path)
-        rows, _ = sweep_command(cfg, alphas=(0.5,), bs=(2,))
+        cfg.sweep = SweepSpec(alphas=(0.5,), bs=(2,))
+        rows, _ = sweep_command(cfg)
         problem = build_problem(cfg)
         cell = dataclasses.replace(cfg, solver=dataclasses.replace(cfg.solver, alpha=0.5, b=2))
         finals = [run_single(problem, cell, seed)[-1].ifo_total for seed in cfg.run.seeds]
         assert rows[0].mean_ifo == pytest.approx(float(np.mean(finals)))
+
+    def test_main_prints_the_summary_rows(self, config_path, tmp_path, capsys):
+        # each flag overrides its key: [output] directory, [run] seeds, [sweep]
+        out = tmp_path / "flag_out"
+        args = ["sweep", "--config", str(config_path), "--alphas", "0,1", "--bs", "1,2",
+                "--seeds", "3", "--out", str(out)]
+        assert main(args) == 0
+        printed = capsys.readouterr().out.splitlines()
+        path = out / "sweep_summary.csv"
+        assert printed[0].split() == ["alpha", "b", "reached", "mean_ifo", "mean_final_gap"]
+        assert printed[-1] == f"summary written to {path}"
+        header, *rows = (line.split(",") for line in path.read_text().splitlines())
+        assert len(printed) == len(rows) + 2 == 6
+        for line, row in zip(printed[1:-1], rows):
+            cell = dict(zip(header, row))
+            alpha, b, reached, mean_ifo, gap = line.split()
+            assert (float(alpha), int(b)) == (float(cell["alpha"]), int(cell["b"]))
+            assert reached == f"{cell['reached_target']}/{cell['seeds']}" == "1/1"
+            assert float(mean_ifo) == pytest.approx(float(cell["mean_ifo"]), rel=1e-5)
+            assert float(gap) == pytest.approx(float(cell["mean_final_gap"]), rel=1e-5)
+        assert [(r[0], r[1]) for r in rows] == [("0.0", "1"), ("0.0", "2"), ("1.0", "1"),
+                                                ("1.0", "2")]
+
+    def test_baseline_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = _write_sections(tmp_path / "exp.ini", {
+            "solver": {"method": "fista"}, "run": {"iterations": "5"},
+            "output": {"directory": str(out)}, "sweep": {"alphas": "1", "bs": "1"}})
+        assert main(["sweep", "--config", str(path)]) == 2
+        assert "sweep supports only the katyusha_h solver" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_grid_required(self, config_path):
         with pytest.raises(ConfigError):
@@ -475,7 +529,9 @@ class TestSweepCommand:
             f"[output]\ndirectory = {out}\n\n"
             "[reference]\ntol = 1e-12\n"
         )
-        rows, _ = sweep_command(load_config(path), alphas=(1.0,), bs=(4,))
+        cfg = load_config(path)
+        cfg.sweep = SweepSpec(alphas=(1.0,), bs=(4,))
+        rows, _ = sweep_command(cfg)
         assert rows[0].reached_target == 3
         assert rows[0].mean_final_gap <= 1e-4
         assert rows[0].mean_ifo > 0
@@ -555,6 +611,23 @@ class TestVerifyCommand:
         failing = [line.split(" |")[0] for line in out.splitlines() if line.endswith("FAIL")]
         assert failing == ["coupling-range"]
         assert out.endswith("overall: FAIL (11 claims)\n")
+
+    @pytest.mark.parametrize("growth_alphas", ["", "0.5,1"])
+    def test_c_above_the_cap_is_a_c_bound_fail(self, capsys, monkeypatch, growth_alphas):
+        # the scans record a c that compute_constants would refuse: exit 1, not 2
+        monkeypatch.setattr(schedule, "growth_coefficient", lambda alpha: 1.01 / 17.0 ** alpha)
+        code = main(["verify", "--alpha-step", "0.5", "--t-max", "100",
+                     "--growth-alphas", growth_alphas])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        bound = next(line for line in captured.out.splitlines() if line.startswith("c-bound"))
+        assert bound.endswith("at (alpha=0, b=1) | FAIL")
+
+    def test_non_numeric_fault_is_exit_two(self, capsys):
+        assert main(["verify", "--t-max", "100", "--inject-fault", "xi=abc"]) == 2
+        captured = capsys.readouterr()
+        assert "--inject-fault expects a number, got 'abc'" in captured.err
+        assert captured.out == ""
 
     def test_report_file(self, tmp_path, capsys):
         report = tmp_path / "cert.txt"
@@ -651,6 +724,19 @@ class TestSolveRefCommand:
         assert "x_star = " in text
         assert "method = fista-restart" in text
         assert "method = fista-restart" in capsys.readouterr().out
+
+    def test_tol_flag_is_applied(self, config_path, capsys):
+        # the config asks 1e-12; the certificate recorded is never below the tol used
+        assert main(["solve-ref", "--config", str(config_path), "--tol", "1e-6"]) == 0
+        printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+        assert float(printed["gap_tolerance"]) >= 1e-6
+
+    def test_config_without_reference_is_exit_two(self, config_path, capsys):
+        config_path.write_text(config_path.read_text().replace("[reference]\ntol = 1e-12\n", "")
+                               .replace("lyapunov = true", "lyapunov = false"))
+        assert main(["solve-ref", "--config", str(config_path)]) == 2
+        captured = capsys.readouterr()
+        assert "config has no [reference] section" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
     def test_tol_that_cannot_certify_names_the_flag(self, config_path, tmp_path, capsys, tol):

@@ -568,6 +568,10 @@ class TestVarianceBound:
         prob = scalar_quadratic_problem()
         assert variance_bound_rhs(np.array([0.0]), np.array([2.0]), prob, 1) == pytest.approx(4.0)
 
+    def test_batch_below_one_refused(self):
+        with pytest.raises(ValueError, match="b must be positive"):
+            variance_bound_rhs(np.array([0.0]), np.array([2.0]), scalar_quadratic_problem(), 0)
+
     def test_scales_inversely_with_b(self):
         prob = scalar_quadratic_problem()
         x, w = np.array([0.0]), np.array([2.0])

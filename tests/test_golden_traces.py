@@ -158,15 +158,18 @@ def _verify_output(args: list[str]) -> str:
     return out.getvalue()
 
 
-def _config(directory: Path, text: str):
+def _config(directory: Path, text: str, out: Path):
+    """The config of ``text``, writing into ``out``."""
     path = directory / "exp.ini"
     path.write_text(text)
-    return load_config(path)
+    cfg = load_config(path)
+    cfg.output.directory = str(out)
+    return cfg
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_run_matches_golden(tmp_path, name):
-    paths = sorted(run_command(_config(tmp_path, RUNS[name]), out_dir=tmp_path / name))
+    paths = sorted(run_command(_config(tmp_path, RUNS[name], tmp_path / name)))
     expected = sorted((GOLDEN / name).iterdir())
     assert [p.name for p in paths] == [p.name for p in expected]
     for got, want in zip(paths, expected):
@@ -174,7 +177,7 @@ def test_run_matches_golden(tmp_path, name):
 
 
 def test_sweep_matches_golden(tmp_path):
-    _, path = sweep_command(_config(tmp_path, SWEEP), out_dir=tmp_path / "sweep")
+    _, path = sweep_command(_config(tmp_path, SWEEP, tmp_path / "sweep"))
     assert path.read_bytes() == (GOLDEN / "sweep" / path.name).read_bytes()
 
 
@@ -196,9 +199,9 @@ def regenerate() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for name in stale:
-            run_command(_config(tmp, RUNS[name]), out_dir=GOLDEN / name)
+            run_command(_config(tmp, RUNS[name], GOLDEN / name))
         if bumped or not (GOLDEN / "sweep" / "sweep_summary.csv").exists():
-            sweep_command(_config(tmp, SWEEP), out_dir=GOLDEN / "sweep")
+            sweep_command(_config(tmp, SWEEP, GOLDEN / "sweep"))
     for name, args in VERIFY.items():  # no trace format: written only when missing
         path = GOLDEN / "verify" / f"{name}.txt"
         if not path.exists():

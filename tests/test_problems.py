@@ -1,6 +1,7 @@
 """Problem oracles, dataset parsing, generators, and reference solutions."""
 
 import math
+import re
 import time
 from unittest import mock
 
@@ -341,6 +342,15 @@ class TestLeastSquares:
         ds = SparseDataset(indptr=[0], indices=[], values=[], labels=np.array([]), d=0)
         with pytest.raises(ValueError):
             FiniteSumProblem(ds.to_dense(), ds.labels, "least_squares")
+
+    @pytest.mark.parametrize("A, targets, loss, message", [
+        (np.eye(2), np.ones(2), "hinge", "unknown loss 'hinge'"),
+        (np.eye(2), np.ones(3), "least_squares", "feature/target shape mismatch"),
+        (np.ones(3), np.ones(3), "least_squares", "feature/target shape mismatch"),
+    ])
+    def test_malformed_problem_rejected(self, A, targets, loss, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FiniteSumProblem(A, targets, loss)
 
     @pytest.mark.parametrize(
         "A, targets, scale",

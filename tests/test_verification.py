@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from katyusha_h import verification
+from katyusha_h import schedule, verification
 from katyusha_h.analysis import lyapunov
 from katyusha_h.estimator import EnumerationCapError
 from katyusha_h.optimizers import RunConfig, init_state, katyusha_h_step, state_lyapunov
@@ -138,6 +138,17 @@ class TestScanSchedule:
         assert not report.passed
         failing = {c.claim for c in report.claims if not c.passed}
         assert "key-growth-inequality" in failing
+
+    def test_c_above_the_cap_fails_the_c_bound_claim(self, monkeypatch):
+        # the coefficient that makes compute_constants refuse (test_schedule's
+        # cap breach): the scans record c instead of raising
+        monkeypatch.setattr(schedule, "growth_coefficient", lambda alpha: 1.01 / 17.0 ** alpha)
+        report = scan_schedule(alpha_grid=default_alpha_grid(0.5), t_max=100)
+        bound = next(c for c in report.claims if c.claim == "c-bound")
+        assert not bound.passed and not report.passed
+        assert bound.min_slack == (C_MAX - 101.99999999999991) / C_MAX
+        assert bound.worst_at == "(alpha=0, b=1)"
+        assert len(scan_denominator_growth(1.0, t_max=100).claims) == 2
 
     def test_fault_magnitude_hand_checked(self):
         # xi=2, alpha=1, t=100: growth side 2*((25.25)^2-25^2) = (2t+1)/8,
@@ -409,6 +420,10 @@ class TestDenominatorGrowth:
     def test_flat_exponent_excluded(self):
         with pytest.raises(ValueError):
             scan_denominator_growth(0.0)
+
+    def test_t_max_below_growth_start_refused(self):
+        with pytest.raises(ValueError, match=f"t_max must be >= {GROWTH_START}"):
+            scan_denominator_growth(0.5, t_max=GROWTH_START - 1)
 
     @pytest.mark.parametrize("batch_size", [1, 3])
     @pytest.mark.parametrize("alpha", [0.25, 0.6, 1.0])
