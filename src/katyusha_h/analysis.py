@@ -16,6 +16,7 @@ import numpy as np
 ALPHA_BRANCH_CAP = 0.1  # the small-alpha branch applies below min(alpha_hat, this)
 BOUND_MIN_SEEDS = 30  # fewest seeds check_lyapunov_bound takes
 BOUND_SLACK_SIGMAS = 2.0  # its slack, in standard errors of the seed mean
+SELECT_RTOL = 1e-12  # select_alpha's rounding allowance, relative to sqrt(n)/sqrt(epsilon)
 
 
 class InfeasibleAccuracyError(ValueError):
@@ -23,7 +24,7 @@ class InfeasibleAccuracyError(ValueError):
 
 
 class InadmissibleConstantError(ValueError):
-    """The chosen C2 does not make the upper interval endpoint positive."""
+    """The chosen C2 makes the upper interval endpoint's denominator nonpositive."""
 
 
 def alpha_hat(epsilon: float) -> float:
@@ -170,8 +171,8 @@ def feasible_alpha_interval(
     """Exponent interval [delta1, delta2] and its clip to the branch structure.
 
     Requires n < 1/epsilon and finite constants c1, c2 >= 1 with c2 small enough to
-    keep delta2 positive.  All logarithms are natural; the ratios are
-    base-invariant.
+    keep delta2's denominator positive.  All logarithms are natural; the
+    ratios are base-invariant.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
@@ -194,9 +195,10 @@ def feasible_alpha_interval(
             f"c2={c2} too large: upper endpoint denominator {den2:.6g} <= 0"
         )
     delta2 = (1.0 - r + s2) / den2
-    if delta2 <= 0.0:
-        raise InadmissibleConstantError(
-            f"c2={c2} does not make the upper endpoint positive (delta2={delta2:.6g})"
+    if delta2 <= 0.0:  # 1 - r + s2 > 0 for every c2 >= 1 unless r rounds up to 1
+        raise InfeasibleAccuracyError(
+            f"n={n} is too close to 1/epsilon={1.0 / epsilon:.6g}: log n / log(1/epsilon) "
+            f"rounds to {r:.17g}, so the upper endpoint is not positive (delta2={delta2:.6g})"
         )
     a_hat = alpha_hat(epsilon)
     threshold = min(a_hat, ALPHA_BRANCH_CAP)
@@ -227,12 +229,15 @@ def select_alpha(n: int, epsilon: float, c1: float = 2.0, c2: float = 2.0) -> fl
     """Midpoint of the feasible exponent interval, re-verified before return.
 
     The midpoint maximizes margin against both constraints; any feasible
-    point would satisfy them.
+    point would satisfy them.  At c1 = c2 = 1 the interval is one point,
+    where both hold with equality, so each slack may fall a few roundings
+    below 0: the check allows ``SELECT_RTOL`` times sqrt(n)/sqrt(epsilon).
     """
     interval = feasible_alpha_interval(n, epsilon, c1, c2)
     alpha = 0.5 * (interval.feasible_lo + interval.feasible_hi)
     first, second = selector_inequalities(alpha, n, epsilon, c1, c2)
-    if first < 0.0 or second < 0.0:
+    allowance = -SELECT_RTOL * math.sqrt(n) / math.sqrt(epsilon)
+    if first < allowance or second < allowance:
         raise RuntimeError(
             f"selected alpha={alpha} violates a target inequality "
             f"(slacks {first:.3g}, {second:.3g})"

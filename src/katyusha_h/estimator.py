@@ -342,17 +342,15 @@ def maybe_update_checkpoint(
     rng: DrawStream | np.random.Generator,
     problem,
     ledger: IfoLedger,
-    candidate_is_w: bool = False,
 ) -> tuple[Checkpoint, bool]:
     """With probability p replace the checkpoint by ``candidate``.
 
     The coin is ``rng.random()``, uniform on [0, 1): a run passes its
     ``DrawStream``, whose coin follows the iteration's subset.
 
-    ``candidate_is_w`` is a provenance flag from the caller: the candidate is
-    an untouched copy of w, so a hit is a no-op and the full-gradient
-    recompute is skipped at zero cost.  Identity is never inferred from
-    floating-point comparison.
+    A candidate that is ``ckpt.w`` itself, the same array, makes a hit a
+    no-op: the checkpoint is returned at no IFO.  Identity is never inferred
+    from floating-point comparison, so an equal-valued copy is refreshed.
 
     Exactly one uniform variate is consumed per call regardless of p, so the
     random stream does not depend on the probability values.
@@ -362,7 +360,7 @@ def maybe_update_checkpoint(
     hit = rng.random() < p
     if not hit:
         return ckpt, False
-    if candidate_is_w:
+    if candidate is ckpt.w:
         return ckpt, True
     return make_checkpoint(np.array(candidate, copy=True), problem, ledger), True
 

@@ -122,7 +122,12 @@ def _first_table(params: ScheduleParams) -> Table:
 
 
 def init_state(problem, config: RunConfig) -> KatyushaHState:
-    """Initial state with w = x = y = z; charges the initial full gradient (n)."""
+    """Initial state with w = x = y = z; charges the initial full gradient (n).
+
+    y is the checkpoint's own w array, so the first step's checkpoint draw,
+    whose candidate is y, can keep the checkpoint at no IFO.  No step writes
+    into y, so that first candidate is the only one that is w.
+    """
     params = compute_constants(config.alpha, config.batch_size)
     eta = step_size(problem.L, params, config.eta)
     x0 = _start(problem, config.x0)
@@ -131,7 +136,7 @@ def init_state(problem, config: RunConfig) -> KatyushaHState:
     ckpt = make_checkpoint(x0.copy(), problem, ledger)
     return KatyushaHState(
         x=x0.copy(),
-        y=x0.copy(),
+        y=ckpt.w,
         z=x0.copy(),
         ckpt=ckpt,
         t=1,
@@ -165,11 +170,9 @@ def katyusha_h_step(state: KatyushaHState, problem) -> None:
     z_next = prox(problem.reg, z - step * g, step_len, overwrite=True)
     y_next = x_next + tau * (z_next - z)
 
-    # Checkpoint candidate is the pre-update y.  y equals w only before the
-    # first step, so at t=1 the update can skip a redundant full gradient
-    # (the last argument, candidate_is_w).
+    # Checkpoint candidate is the pre-update y.
     state.ckpt, state.checkpoint_updated = maybe_update_checkpoint(
-        ckpt, y, p, rng, problem, ledger, t == 1)
+        ckpt, y, p, rng, problem, ledger)
     state.x, state.y, state.z, state.p, state.t = x_next, y_next, z_next, p, t + 1
     if t + 1 == table.start + CHUNK:  # t+1 opens the next chunk's rows
         state.table = advance(table, params)

@@ -96,10 +96,14 @@ def default_alpha_grid(step: float = 0.01) -> np.ndarray:
     """Dense grid over [0, 1] plus bucket boundaries and near-boundary probes.
 
     The growth-coefficient buckets are closed on the right, so probes at
-    +-``GRID_PROBE`` around each boundary catch off-by-bucket mistakes.
+    +-``GRID_PROBE`` around each boundary catch off-by-bucket mistakes.  A
+    step below ``GRID_PROBE`` is refused before any point is made: the grid
+    is no finer than its own probes and holds at most 10**6 + 1 points.
     """
     if not 0.0 < step <= 1.0:  # also refuses nan
         raise ValueError(f"alpha grid step must be in (0, 1], got {step}")
+    if step < GRID_PROBE:
+        raise ValueError(f"alpha grid step must be at least {GRID_PROBE:g}, got {step}")
     count = round(1.0 / step)
     pts = [i * step for i in range(count + 1)]
     boundaries = (0.0, 0.5, 0.75, 1.0)
@@ -301,6 +305,12 @@ def scan_denominator_growth(
     two expressions coincide there).  The alpha = 0 branch is excluded: its
     denominator is affine in t and handled directly.  For t < 17 the minimum
     positive ratio D_t / t^(alpha+1) is reported as its own claim.
+
+    ``verify`` scans b = 1 only.  D_t falls as b grows (alpha_tilde0 =
+    36/(b c)), so the slack at b = 1 is the largest over b, not a bound for
+    every b.  At t_max = 100,000 the growth slack reads 0.43794 at
+    alpha = 0.5, b = 1 and 0.43255 at b = 1000, and 2.0176e-5 at alpha = 1,
+    b = 1 and 2.0156e-5 at b = 1000; every one of these passes.
 
     t is walked in blocks of ``SCAN_BLOCK`` indices, so memory does not grow
     with t_max.  Each block takes its alpha_t from ``alpha_sequence``, and

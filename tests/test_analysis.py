@@ -263,6 +263,15 @@ class TestSelectAlpha:
             iv = feasible_alpha_interval(n, eps, 2.0, 2.0)
             assert iv.feasible_lo <= alpha <= iv.feasible_hi
 
+    def test_single_point_interval_passes_its_own_check(self):
+        # c1 = c2 = 1: both inequalities hold with equality at the one feasible
+        # alpha, so rounding may leave a slack a few ulps below 0
+        for n in (1, 2, 3, 5, 10, 17, 100, 1000, 12345, 10 ** 5):
+            for eps in np.logspace(-15, math.log10(0.9 / n), 60):
+                alpha = select_alpha(n, float(eps), 1.0, 1.0)
+                iv = feasible_alpha_interval(n, float(eps), 1.0, 1.0)
+                assert iv.feasible_lo <= alpha <= iv.feasible_hi
+
     def test_near_optimal_total_cost(self):
         # at the selected alpha the predicted cost is within
         # (c1 + c2 * max(1/alpha_hat, 10)) of sqrt(n)/sqrt(eps), plus the log term
@@ -328,7 +337,7 @@ class TestPartialSums:
     (feasible_alpha_interval, (0, 1e-3), ValueError, "n must be positive"),
     # n just below 1/epsilon: log n / log(1/epsilon) rounds to 1, so delta2 = 0 at c2 = 1
     (feasible_alpha_interval, (10 ** 15, 1 / (10 ** 15 + 1), 1.0, 1.0),
-     InadmissibleConstantError, "c2=1.0 does not make the upper endpoint positive (delta2=0)"),
+     InfeasibleAccuracyError, "n=1000000000000000 is too close to 1/epsilon=1e+15"),
     (accuracy_free_config, (0,), ValueError, "n must be positive"),
 ])
 def test_refusals(call, args, error, message):

@@ -567,6 +567,17 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert "--alpha-step" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("value", ["5e-324", "1e-12"])
+    def test_alpha_step_below_the_probe_offset_is_exit_two(self, capsys, monkeypatch, value):
+        def range(*args):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(verification, "range", range, raising=False)
+        assert main(["verify", "--t-max", "18", "--alpha-step", value]) == 2
+        captured = capsys.readouterr()
+        assert "--alpha-step: alpha grid step must be at least 1e-06" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("value", ["0", "1.5", "0.5 -1"])
     def test_bad_growth_alpha_is_refused_before_the_certificate_scan(
         self, capsys, monkeypatch, value
@@ -706,6 +717,20 @@ class TestSelectAlphaCommand:
     def test_infeasible_is_exit_two(self, capsys):
         assert main(["select-alpha", "10000", "1e-3"]) == 2
         assert "n < 1/epsilon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n, epsilon, alpha", [("1000", "1e-6", "0.333333"), ("1", "0.07", "1")])
+    def test_single_point_interval_is_exit_zero(self, capsys, n, epsilon, alpha):
+        # c1 = c2 = 1 leaves one feasible alpha, where both slacks are 0 up to rounding
+        assert main(["select-alpha", n, epsilon, "--c1", "1", "--c2", "1"]) == 0
+        assert f"alpha = {alpha}\n" in capsys.readouterr().out
+
+    def test_n_too_close_to_one_over_epsilon_is_exit_two(self, capsys):
+        # n * epsilon < 1, but log n / log(1/epsilon) rounds to 1
+        assert main(["select-alpha", "1000000000000000", "9.99999999999999e-16",
+                     "--c1", "1", "--c2", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "n=1000000000000000 is too close to 1/epsilon" in captured.err
+        assert "c2" not in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("flag", ["--c1", "--c2"])

@@ -528,11 +528,22 @@ class TestCheckpointUpdate:
         ledger = IfoLedger()
         ckpt = make_checkpoint(np.zeros(2), prob, ledger)
         base = ledger.checkpoint_calls
-        same, updated = maybe_update_checkpoint(
-            ckpt, ckpt.w, 1.0, make_rng(9), prob, ledger, candidate_is_w=True
-        )
+        same, updated = maybe_update_checkpoint(ckpt, ckpt.w, 1.0, make_rng(9), prob, ledger)
         assert updated and same is ckpt
         assert ledger.checkpoint_calls == base
+
+    def test_equal_valued_copy_of_w_is_refreshed(self):
+        # the skip goes by identity: a copy of w is a new checkpoint, charged n
+        _, prob = synthesize(4, 2, "least_squares", seed=1)
+        ledger = IfoLedger()
+        ckpt = make_checkpoint(np.zeros(2), prob, ledger)
+        base = ledger.checkpoint_calls
+        new, updated = maybe_update_checkpoint(
+            ckpt, ckpt.w.copy(), 1.0, make_rng(9), prob, ledger
+        )
+        assert updated and new is not ckpt and new.w is not ckpt.w
+        assert ledger.checkpoint_calls == base + prob.n
+        np.testing.assert_array_equal(new.w, ckpt.w)
 
     def test_update_frequency(self):
         # 10^5 Bernoulli(0.25) trials within 4 sigma
@@ -542,9 +553,7 @@ class TestCheckpointUpdate:
         rng = make_rng(123)
         trials, hits = 100_000, 0
         for _ in range(trials):
-            _, updated = maybe_update_checkpoint(
-                ckpt, ckpt.w, 0.25, rng, prob, ledger, candidate_is_w=True
-            )
+            _, updated = maybe_update_checkpoint(ckpt, ckpt.w, 0.25, rng, prob, ledger)
             hits += updated
         sigma = math.sqrt(trials * 0.25 * 0.75)
         assert abs(hits - trials * 0.25) <= 4 * sigma

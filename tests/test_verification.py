@@ -58,6 +58,16 @@ class TestAlphaGrid:
         with pytest.raises(ValueError, match="step"):
             default_alpha_grid(step=step)
 
+    @pytest.mark.parametrize("step", [5e-324, 1e-12, 0.5e-6])
+    def test_refuses_a_step_below_the_probe_offset_before_any_point(self, step, monkeypatch):
+        # at 1e-12 the grid would be a list of 10**12 floats
+        def range(*args):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(verification, "range", range, raising=False)
+        with pytest.raises(ValueError, match=re.escape(f"must be at least 1e-06, got {step}")):
+            default_alpha_grid(step=step)
+
     def test_whole_interval_step(self):
         grid = default_alpha_grid(step=1.0)
         assert grid[0] == 0.0 and grid[-1] == 1.0
