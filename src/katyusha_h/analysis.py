@@ -9,6 +9,7 @@ Ratio and order checks are meaningful; absolute counts are not.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,8 @@ def alpha_hat(epsilon: float) -> float:
     """Threshold exponent log(2)/log(ceil(1/epsilon))."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    if 1.0 / epsilon == math.inf:
+        raise ValueError(f"epsilon must be at least 1/{sys.float_info.max:.6g}, got {epsilon}")
     return math.log(2.0) / math.log(math.ceil(1.0 / epsilon))
 
 
@@ -178,6 +181,8 @@ def feasible_alpha_interval(
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     if n < 1:
         raise ValueError("n must be positive")
+    if n > sys.float_info.max:  # n * epsilon would overflow
+        raise ValueError(f"n must be at most {sys.float_info.max:.6g}, the largest float")
     if not (1.0 <= c1 < math.inf and 1.0 <= c2 < math.inf):  # also refuses nan
         raise ValueError(f"c1 and c2 must be finite and >= 1, got c1={c1}, c2={c2}")
     if n * epsilon >= 1.0:
@@ -200,7 +205,7 @@ def feasible_alpha_interval(
             f"n={n} is too close to 1/epsilon={1.0 / epsilon:.6g}: log n / log(1/epsilon) "
             f"rounds to {r:.17g}, so the upper endpoint is not positive (delta2={delta2:.6g})"
         )
-    a_hat = alpha_hat(epsilon)
+    a_hat = alpha_hat(epsilon)  # refuses an epsilon whose 1/epsilon overflows
     threshold = min(a_hat, ALPHA_BRANCH_CAP)
     if delta2 <= threshold:
         lo, hi = max(0.0, delta1), delta2

@@ -235,8 +235,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        # bad configs, malformed data, and domain errors all exit 2
+    except (ValueError, OSError, MemoryError) as exc:
+        # bad configs, malformed data, domain errors and problems too large
+        # to allocate all exit 2
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

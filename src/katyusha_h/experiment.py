@@ -30,7 +30,7 @@ from .problems import (
     synthesize,
 )
 from .proximal import Regularizer
-from .schedule import ScheduleParams, compute_constants, step_size
+from .schedule import compute_constants
 
 TRACE_COLUMNS = ("t", "F_y_gap", "F_w_gap", "p_t", "ckpt_updated", "ifo_total", "lyapunov")
 # Bumped whenever an unchanged config may give different trace bytes.
@@ -43,7 +43,7 @@ SYNTHESIS_KEYS = ("n", "d", "seed", "condition", "noise", "density", "consistent
 # RunConfig field -> the (section, key) it is read from; seed comes per run
 # from [run] seeds, and x0 from no key.
 RUN_KEYS = {
-    "alpha": ("solver", "alpha"), "batch_size": ("solver", "b"), "eta": ("solver", "eta"),
+    "alpha": ("solver", "alpha"), "batch_size": ("solver", "b"),
     "cache_checkpoint_grads": ("solver", "cache_checkpoint_grads"),
     "iterations": ("run", "iterations"), "epsilon": ("run", "epsilon"),
     "eval_every": ("run", "eval_every"), "max_iterations": ("run", "max_iterations"),
@@ -76,7 +76,6 @@ class SolverSpec:
     method: str = "katyusha_h"  # a key of SOLVERS
     alpha: float = RunConfig.alpha
     b: int = RunConfig.batch_size
-    eta: float | None = RunConfig.eta  # None = largest allowable
     cache_checkpoint_grads: bool = RunConfig.cache_checkpoint_grads
 
 
@@ -199,12 +198,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
-        items = dict(parser.items(section))
-        if section == "solver" and items.get("eta", "").strip().lower() == "auto":
-            del items["eta"]  # auto = largest allowable (the default)
         if getattr(cfg, section) is None:  # an optional section is on when present
             setattr(cfg, section, _SECTIONS[section]())
-        _apply(getattr(cfg, section), section, items)
+        _apply(getattr(cfg, section), section, dict(parser.items(section)))
     validate_config(cfg)
     return cfg
 
@@ -259,15 +255,14 @@ def _refuse_unread(cfg: ExperimentConfig, unread) -> None:
             raise ConfigError(f"[{section}] {name} {why}")
 
 
-def _check_cell(solver: SolverSpec, where: str = "[solver]") -> ScheduleParams:
-    """The schedule constants of ``solver``'s alpha and b, refusing either by
-    a ConfigError naming ``{where} alpha`` or ``{where} b``."""
+def _check_cell(solver: SolverSpec, where: str = "[solver]") -> None:
+    """Refuse ``solver``'s alpha or b, whose schedule constants cannot be
+    derived, by a ConfigError naming ``{where} alpha`` or ``{where} b``."""
     for key, batch in (("alpha", 1), ("b", solver.b)):  # alpha alone first, then with b
         try:
-            params = compute_constants(solver.alpha, batch)
+            compute_constants(solver.alpha, batch)
         except ValueError as exc:
             raise ConfigError(f"{where} {key}: {exc}") from None
-    return params
 
 
 def _regularizer(spec: ProblemSpec) -> Regularizer:
@@ -404,7 +399,7 @@ def _trace_header(cfg: ExperimentConfig, problem: FiniteSumProblem, seed: int) -
     if solver.method == "katyusha_h":
         head["alpha"] = repr(solver.alpha)
         head["b"] = str(solver.b)
-        head["eta"] = "auto" if solver.eta is None else repr(solver.eta)
+        head["eta"] = "auto"  # every run steps at the largest allowable size
     head["seed"] = str(seed)
     if problem.reference is not None:
         head["f_star"] = repr(float(problem.reference.f_star))
@@ -419,17 +414,14 @@ def _trace_header(cfg: ExperimentConfig, problem: FiniteSumProblem, seed: int) -
 def _set_up(cfg: ExperimentConfig, cells, where: str) -> tuple[FiniteSumProblem, Path, float]:
     """The problem, output directory and F* (0 without a reference) of a
     command that runs ``cells``.  A cell's alpha and b are refused before the
-    problem is built, its b > n or eta after, naming ``{where} <key>``, and
-    the directory is made last, so a refused cell makes none."""
-    constants = [_check_cell(cell, where) for cell in cells]
+    problem is built, its b > n after, naming ``{where} <key>``, and the
+    directory is made last, so a refused cell makes none."""
+    for cell in cells:
+        _check_cell(cell, where)
     problem = build_problem(cfg)
-    for cell, params in zip(cells, constants):
+    for cell in cells:
         if cell.b > problem.n:
             raise ConfigError(f"{where} b: need 1 <= b <= n, got b={cell.b}, n={problem.n}")
-        try:
-            step_size(problem.L, params, cell.eta)
-        except ValueError as exc:
-            raise ConfigError(f"{where} eta: {exc}") from None
     out = Path(cfg.output.directory)
     out.mkdir(parents=True, exist_ok=True)
     return problem, out, problem.reference.f_star if problem.reference is not None else 0.0

@@ -71,14 +71,13 @@ class RunConfig:
     Every solver takes one and refuses what ``check_run`` refuses; FISTA
     reads only the stopping rule and ``x0``.  Exactly one of ``iterations``
     / ``epsilon`` is set; an epsilon target or Lyapunov values need a
-    reference solution.  ``eta=None`` takes the largest allowable step
-    size.  Objective evaluations for stopping and traces are instrumentation
-    and never charged as IFO.
+    reference solution.  Every run steps at the largest allowable step size,
+    ``schedule.step_size``.  Objective evaluations for stopping and traces
+    are instrumentation and never charged as IFO.
     """
 
     alpha: float = 1.0
     batch_size: int = 1
-    eta: float | None = None
     iterations: int | None = None
     epsilon: float | None = None
     seed: int = 0
@@ -129,7 +128,6 @@ def init_state(problem, config: RunConfig) -> KatyushaHState:
     into y, so that first candidate is the only one that is w.
     """
     params = compute_constants(config.alpha, config.batch_size)
-    eta = step_size(problem.L, params, config.eta)
     x0 = _start(problem, config.x0)
     ledger = IfoLedger(per_sample=1 if config.cache_checkpoint_grads else 2)
     rng = DrawStream(problem.n, config.batch_size, config.seed)
@@ -142,7 +140,7 @@ def init_state(problem, config: RunConfig) -> KatyushaHState:
         t=1,
         table=_first_table(params),
         params=params,
-        eta=eta,
+        eta=step_size(problem.L, params),
         rng=rng,
         ledger=ledger,
         anchor=(ckpt.w, params.xi * ckpt.w),

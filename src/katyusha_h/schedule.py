@@ -22,6 +22,7 @@ and tau_t from row t for the oracles.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,6 +79,8 @@ def _derive_constants(alpha: float, batch_size: int) -> ScheduleParams:
     a = growth_coefficient(alpha)
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    if batch_size > sys.float_info.max:  # inner / batch_size would overflow
+        raise ValueError(f"batch_size must be at most {sys.float_info.max:.6g}, the largest float")
     alpha17 = a * 17.0 ** alpha
     inner = max(6.0 / 5.0, 1.0 / (1.0 - 1.0 / alpha17))
     c = max(2.0, inner / batch_size) + 1.0
@@ -85,17 +88,11 @@ def _derive_constants(alpha: float, batch_size: int) -> ScheduleParams:
     return ScheduleParams(alpha=alpha, batch_size=batch_size, a_alpha=a, c=c, xi=xi)
 
 
-def step_size(L: float, params: ScheduleParams, eta: float | None = None) -> float:
-    """The step size of a run: ``eta``, or the largest allowable one,
-    1/((c+1)*L), when it is None.  Refuses an eta outside (0, 1/((c+1)*L)]."""
+def step_size(L: float, params: ScheduleParams) -> float:
+    """The step size of every run, the largest allowable one: 1/((c+1)*L)."""
     if L <= 0.0:
         raise ValueError(f"smoothness constant must be positive, got {L}")
-    eta_max = 1.0 / ((params.c + 1.0) * L)
-    if eta is None:
-        return eta_max
-    if not 0.0 < eta <= eta_max * (1.0 + 1e-12):  # also refuses nan
-        raise ValueError(f"eta must be in (0, {eta_max:.6g}] for L={L:.6g}, got {eta}")
-    return eta
+    return 1.0 / ((params.c + 1.0) * L)
 
 
 def alpha_sequence(t_max: int, params: ScheduleParams, start: int = 0) -> np.ndarray:

@@ -10,6 +10,7 @@ construction: injecting a broken parameter must produce a failing claim.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import KW_ONLY, dataclass, replace
 
 import numpy as np
@@ -151,6 +152,9 @@ def check_scan(t_max: int, batch_sizes, name=str) -> None:
     for b in batch_sizes:
         if b < 1:
             raise ValueError(f"{name('batch_sizes')} must be at least 1, got {b}")
+        if b > sys.float_info.max:  # _derive_constants would overflow on it
+            raise ValueError(f"{name('batch_sizes')} must be at most {sys.float_info.max:.6g}, "
+                             "the largest float")
 
 
 def scan_schedule(

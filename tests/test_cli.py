@@ -31,7 +31,8 @@ from katyusha_h.experiment import (
 )
 from katyusha_h.optimizers import RunConfig
 from katyusha_h.problems import synthesize, with_reference
-from katyusha_h.schedule import compute_constants, step_size
+
+HUGE = str(10**400)  # an integer whose arithmetic would overflow a float
 
 BASE_CONFIG = """\
 [problem]
@@ -47,7 +48,6 @@ noise = 0.2
 method = katyusha_h
 alpha = 0.5
 b = 2
-eta = auto
 
 [run]
 iterations = 40
@@ -75,7 +75,6 @@ class TestConfig:
     def test_load_round_trip(self, config_path):
         cfg = load_config(config_path)
         assert cfg.problem.n == 30 and cfg.problem.reg == "l1"
-        assert cfg.solver.eta is None  # auto
         assert cfg.run.seeds == (0, 1)
         assert cfg.reference is not None
 
@@ -177,12 +176,16 @@ class TestConfig:
         assert "weights must be nonnegative and finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("eta", ["nan", "inf", "0", "-1", "10"])
-    def test_eta_outside_range_is_exit_two(self, config_path, tmp_path, capsys, eta):
-        # 10 is above the cap 1/((c+1)*L); like every bad input it fails before any output
-        config_path.write_text(config_path.read_text().replace("eta = auto", f"eta = {eta}"))
-        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
-        assert "[solver] eta: eta must be in" in capsys.readouterr().err
+    @pytest.mark.parametrize("eta", ["auto", "0.01"])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_eta_is_an_unknown_key(self, config_path, tmp_path, capsys, command, eta):
+        # every run steps at 1/((c+1)*L): a leftover eta line is refused, not skipped
+        config_path.write_text(config_path.read_text().replace("b = 2\n", f"b = 2\neta = {eta}\n"))
+        args = [command, "--config", str(config_path), "--out", str(tmp_path / "o")]
+        if command == "sweep":
+            args += ["--alphas", "0,1", "--bs", "1"]
+        assert main(args) == 2
+        assert "[solver] unknown key 'eta'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key, value, message", [
@@ -252,7 +255,6 @@ class TestConfigKeys:
         ("solver", "method"): ("fista", "fista"),
         ("solver", "alpha"): ("0.25", 0.25),
         ("solver", "b"): ("3", 3),
-        ("solver", "eta"): ("0.01", 0.01),
         ("solver", "cache_checkpoint_grads"): ("on", True),
         ("run", "iterations"): ("7", 7),
         ("run", "epsilon"): ("1e-5", 1e-5),
@@ -297,7 +299,6 @@ class TestConfigKeys:
             ("problem", "n", "many", "[problem] n = 'many': expected int"),
             ("problem", "family", "hinge", "unknown problem family 'hinge'"),
             ("problem", "consistent", "maybe", "[problem] consistent = 'maybe': expected bool"),
-            ("solver", "eta", "fast", "[solver] eta = 'fast': expected float"),
             ("run", "seeds", "1 x", "[run] seeds = 'x': expected int"),
             ("run", "seeds", ",", "[run] seeds must not be empty"),
             ("run", "seeds", "1 -2",
@@ -314,6 +315,9 @@ class TestConfigKeys:
             ("solver", "b", "0", "[solver] b: batch_size must be at least 1, got 0"),
             ("solver", "alpha", "2", "[solver] alpha: alpha must be in [0, 1], got 2.0"),
             ("solver", "alpha", "nan", "[solver] alpha: alpha must be in [0, 1], got nan"),
+            pytest.param("solver", "b", HUGE,
+                         "[solver] b: batch_size must be at most 1.79769e+308",
+                         id="solver-b-10**400"),
         ],
     )
     def test_bad_key_or_value_is_exit_two(self, tmp_path, capsys, section, key, raw, message):
@@ -335,6 +339,19 @@ class TestRunCommand:
         assert "f_star" in header
         assert header["trace_format"] == TRACE_FORMAT
         assert header["reference"] == "fista-restart"  # l1 takes the FISTA path
+
+    def test_problem_too_large_to_allocate_is_exit_two(
+            self, config_path, tmp_path, capsys, monkeypatch):
+        # numpy raises MemoryError (its _ArrayMemoryError) when it cannot allocate
+        message = "Unable to allocate 22.4 GiB for an array with shape (3000000000, 1)"
+
+        def build_problem(cfg):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(experiment, "build_problem", build_problem)
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_direct_reference_named_in_header(self, config_path):
         cfg = load_config(config_path)
@@ -486,6 +503,8 @@ class TestSweepCommand:
         ("0,1", "1,40", "sweep b: need 1 <= b <= n, got b=40, n=30"),
         ("0,2", "1", "sweep alpha: alpha must be in [0, 1], got 2.0"),
         ("0,1", "1,0", "sweep b: batch_size must be at least 1, got 0"),
+        pytest.param("0,1", f"1,{HUGE}", "sweep b: batch_size must be at most 1.79769e+308",
+                     id="0,1-1,10**400"),
     ])
     def test_bad_cell_fails_before_any_run(self, config_path, tmp_path, capsys, monkeypatch,
                                            alphas, bs, message):
@@ -500,24 +519,6 @@ class TestSweepCommand:
         assert message in capsys.readouterr().err
         assert calls == [] and not out.exists()
         assert len(built) == ("n=30" in message)  # only b <= n needs the problem
-
-    def test_eta_above_a_later_cells_cap_fails_before_any_run(
-            self, config_path, tmp_path, capsys, monkeypatch):
-        # eta fits alpha = 0's cap but not alpha = 0.6's, the second cell
-        problem = build_problem(load_config(config_path))
-        caps = [step_size(problem.L, compute_constants(alpha, 1)) for alpha in (0.0, 0.6)]
-        assert caps[1] < caps[0]
-        eta = (caps[0] + caps[1]) / 2
-        config_path.write_text(config_path.read_text().replace("eta = auto", f"eta = {eta!r}"))
-        calls = []
-        monkeypatch.setattr(experiment, "run_single",
-                            lambda *args, real=run_single: calls.append(args) or real(*args))
-        out = tmp_path / "sweep_out"
-        args = ["sweep", "--config", str(config_path), "--alphas", "0,0.6", "--bs", "1",
-                "--out", str(out)]
-        assert main(args) == 2
-        assert "sweep eta: eta must be in" in capsys.readouterr().err
-        assert calls == [] and not out.exists()
 
     def test_epsilon_mode_aggregates_cost_to_target(self, tmp_path):
         out = tmp_path / "out"
@@ -598,6 +599,9 @@ class TestVerifyCommand:
             ("--t-max", "20000000", "--t-max above 1e7 risks accumulation error"),
             ("--batch-sizes", "0", "--batch-sizes must be at least 1, got 0"),
             ("--batch-sizes", "2 0", "--batch-sizes must be at least 1, got 0"),
+            pytest.param("--batch-sizes", f"1,{HUGE}",
+                         "--batch-sizes must be at most 1.79769e+308",
+                         id="--batch-sizes-1,10**400"),
         ],
     )
     def test_bad_scan_range_is_refused_before_any_scan(
@@ -731,6 +735,22 @@ class TestSelectAlphaCommand:
         captured = capsys.readouterr()
         assert "n=1000000000000000 is too close to 1/epsilon" in captured.err
         assert "c2" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("n, epsilon, message", [
+        ("2", "5e-309", "epsilon must be at least 1/1.79769e+308, got 5e-309"),
+        ("2", "4e-324", "epsilon must be at least 1/1.79769e+308"),
+        pytest.param(HUGE, "1e-6", "n must be at most 1.79769e+308, the largest float",
+                     id="10**400-1e-6"),
+    ])
+    def test_number_beyond_float_range_is_exit_two(self, capsys, n, epsilon, message):
+        # 1/epsilon or n * epsilon would overflow
+        assert main(["select-alpha", n, epsilon]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
+    def test_smallest_epsilon_whose_reciprocal_fits_is_exit_zero(self, capsys):
+        assert main(["select-alpha", "2", "6e-309"]) == 0
+        assert "alpha = " in capsys.readouterr().out
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("flag", ["--c1", "--c2"])
@@ -1055,7 +1075,6 @@ class TestBaselineMethods:
         [
             ("solver", "alpha", "0.5"),
             ("solver", "b", "5"),
-            ("solver", "eta", "0.1"),
             ("solver", "cache_checkpoint_grads", "true"),
             ("output", "lyapunov", "true"),
         ],
@@ -1093,7 +1112,7 @@ class TestBaselineMethods:
 
     def test_katyusha_h_defaults_spelled_out_run(self, tmp_path):
         sections = self._sections(tmp_path, "fista")
-        sections["solver"].update(alpha="1.0", b="1", eta="auto", cache_checkpoint_grads="false")
+        sections["solver"].update(alpha="1.0", b="1", cache_checkpoint_grads="false")
         sections["output"]["lyapunov"] = "false"
         path = _write_sections(tmp_path / "exp.ini", sections)
         assert main(["run", "--config", str(path)]) == 0

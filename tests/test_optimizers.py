@@ -123,19 +123,10 @@ class TestStepInvariants:
             assert 0.0 < tau < 1.0 and 0.0 < xi < 1.0 and 0.0 < 1 - tau - xi < 1.0
             katyusha_h_step(state, prob)
 
-    def test_eta_cap_enforced(self):
-        _, prob = synthesize(5, 2, "least_squares", seed=1)
-        cfg = RunConfig(alpha=1.0, batch_size=1, iterations=1, eta=10.0)
-        with pytest.raises(ValueError):
-            init_state(prob, cfg)
-
-    @pytest.mark.parametrize("eta", [0.0, -1e-3, math.inf, math.nan])
-    def test_eta_outside_range_refused(self, eta):
-        # NaN fails every comparison, so only a test that NaN must pass catches it
-        _, prob = synthesize(5, 2, "least_squares", seed=1)
-        cfg = RunConfig(alpha=1.0, batch_size=1, iterations=1, eta=eta)
-        with pytest.raises(ValueError, match="eta must be in"):
-            init_state(prob, cfg)
+    def test_eta_is_no_run_config_field(self):
+        # the step size is no setting: every run steps at step_size's value
+        with pytest.raises(TypeError, match="eta"):
+            RunConfig(eta=0.1)
 
     def test_default_eta_is_largest_allowable(self):
         _, prob = synthesize(5, 2, "least_squares", seed=1)

@@ -229,13 +229,6 @@ class TestStepSize:
         with pytest.raises(ValueError):
             step_size(-1.0, params_for(0.5))
 
-    def test_given_eta_is_kept_up_to_the_cap(self):
-        p = params_for(0.5)
-        cap = step_size(2.0, p)
-        assert step_size(2.0, p, 0.5 * cap) == 0.5 * cap
-        assert step_size(2.0, p, cap) == cap
-        assert step_size(2.0, p, cap * (1.0 + 1e-13)) == cap * (1.0 + 1e-13)  # rounding slack
-
 
 class TestTable:
     def test_first_rows(self):

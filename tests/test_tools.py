@@ -1,7 +1,9 @@
-"""The timing scripts under tools/ run, and compare two trees in one process."""
+"""The scripts under tools/ run: the timing script compares two trees in one
+process, and the trace digest hashes a grid of runs the same way each time."""
 
 import json
 import os
+import re
 import shutil
 from pathlib import Path
 
@@ -91,3 +93,55 @@ def test_scan_bench_exits_one_when_the_reports_differ(pair_bench, capsys, tmp_pa
     with pytest.raises(SystemExit, match="report differently on certificate, fault xi=2"):
         pair_bench.main(["scan", "--against", str(other)])
     assert list(json.loads(capsys.readouterr().out)) == ["openblas_threads", *SCANS]
+
+
+@pytest.fixture
+def trace_digest(monkeypatch):
+    monkeypatch.setitem(os.environ, "OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import trace_digest
+
+    from katyusha_h import Regularizer, synthesize, with_reference
+
+    def problems():
+        _, problem = synthesize(12, 3, "logistic", seed=2, reg=Regularizer.l1(0.01))
+        return {"toy": with_reference(problem, tol=1e-10)}
+
+    # 1 problem x 2 alphas x 2 batch sizes x cache on/off x 2 stops = 16 runs
+    monkeypatch.setattr(trace_digest, "problems", problems)
+    monkeypatch.setattr(trace_digest, "ALPHAS", (0.0, 1.0))
+    monkeypatch.setattr(trace_digest, "BATCHES", (2, None))
+    monkeypatch.setattr(trace_digest, "STOPS", {
+        "iterations": dict(iterations=30, record_every=1),
+        "epsilon": dict(epsilon=1e-5, max_iterations=2000, record_every=5),
+    })
+    return trace_digest
+
+
+DIGEST_LINE = re.compile(r"^(16 runs sha256 [0-9a-f]{64}) openblas_threads=1$")
+
+
+def test_trace_digest_line_repeats(trace_digest, capsys):
+    trace_digest.main([])
+    first = capsys.readouterr().out
+    trace_digest.main([])
+    assert capsys.readouterr().out == first and DIGEST_LINE.match(first)
+
+
+def test_trace_digest_exit_code_compares_with_the_recorded_line(
+        trace_digest, capsys, monkeypatch):
+    trace_digest.main([])
+    line = DIGEST_LINE.match(capsys.readouterr().out).group(1)
+    monkeypatch.setattr(trace_digest, "RECORDED", line)
+    assert trace_digest.main([]) == 0
+    other = line[:-1] + ("0" if line[-1] != "0" else "1")
+    monkeypatch.setattr(trace_digest, "RECORDED", other)
+    assert trace_digest.main([]) == 1
+
+
+def test_trace_digest_verbose_prints_one_line_per_run(trace_digest, capsys):
+    trace_digest.main(["--verbose"])
+    *runs, last = capsys.readouterr().out.splitlines()
+    assert len(runs) == 16 and DIGEST_LINE.match(last)
+    assert runs[0] == f"toy alpha=0.0 b=2 cache=0 iterations: {runs[0][-64:]}"
+    assert len({run[-64:] for run in runs}) == 16  # every run hashes differently
