@@ -30,11 +30,11 @@ from .problems import (
     synthesize,
 )
 from .proximal import Regularizer
-from .schedule import compute_constants
+from .schedule import compute_constants, step_size
 
 TRACE_COLUMNS = ("t", "F_y_gap", "F_w_gap", "p_t", "ckpt_updated", "ifo_total", "lyapunov")
 # Bumped whenever an unchanged config may give different trace bytes.
-TRACE_FORMAT = "4"
+TRACE_FORMAT = "5"
 _READABLE_FORMATS = {str(v) for v in range(1, int(TRACE_FORMAT) + 1)}
 # [solver] method -> the solver's name on the optimizers module
 SOLVERS = {"katyusha_h": "run", "fista": "fista_run"}
@@ -233,6 +233,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         why = "is not read when [problem] data is set"
         unread += [("problem", name, why) for name in SYNTHESIS_KEYS]
     _refuse_unread(cfg, unread)
+    if cfg.problem.data is None:
+        _check_shape(cfg.problem)
     try:
         optimizers.check_run(_run_config(cfg, cfg.run.seeds[0]), cfg.reference is not None,
                              lambda field_name: "[{}] {}".format(*RUN_KEYS[field_name]))
@@ -253,6 +255,22 @@ def _refuse_unread(cfg: ExperimentConfig, unread) -> None:
         spec = getattr(cfg, section)
         if getattr(spec, name) != getattr(type(spec), name):
             raise ConfigError(f"[{section}] {name} {why}")
+
+
+# Most float64 values one numpy array can hold: its byte size must fit in intp.
+_MAX_VALUES = np.iinfo(np.intp).max // 8
+
+
+def _check_shape(spec: ProblemSpec) -> None:
+    """Refuse a synthetic n or d below 1, or an n x d array too large for
+    numpy, naming the larger of the two keys; numpy's own errors name none."""
+    for key in ("n", "d"):
+        if getattr(spec, key) < 1:
+            raise ConfigError(f"[problem] {key} must be at least 1, got {getattr(spec, key)}")
+    if spec.n * spec.d > _MAX_VALUES:
+        key = "n" if spec.n >= spec.d else "d"
+        raise ConfigError(f"[problem] {key}: an n x d float64 array of more than "
+                          f"{_MAX_VALUES} values cannot be allocated")
 
 
 def _check_cell(solver: SolverSpec, where: str = "[solver]") -> None:
@@ -397,9 +415,15 @@ def _trace_header(cfg: ExperimentConfig, problem: FiniteSumProblem, seed: int) -
         "method": solver.method,
     }
     if solver.method == "katyusha_h":
+        # every run steps at the largest allowable size, 1/((c+1)*L)
+        params = compute_constants(solver.alpha, solver.b)
         head["alpha"] = repr(solver.alpha)
         head["b"] = str(solver.b)
-        head["eta"] = "auto"  # every run steps at the largest allowable size
+        head["eta"] = repr(step_size(problem.L, params))
+        head["c"] = repr(params.c)
+        head["xi"] = repr(params.xi)
+        head["L"] = repr(problem.L)
+        head["cache_checkpoint_grads"] = str(solver.cache_checkpoint_grads).lower()
     head["seed"] = str(seed)
     if problem.reference is not None:
         head["f_star"] = repr(float(problem.reference.f_star))

@@ -286,7 +286,17 @@ class FiniteSumProblem:
         if self.loss == "least_squares":
             r = margins - self.targets
             return 0.5 * float(r @ r) / self.n
-        return float(np.sum(np.logaddexp(0.0, -self.targets * margins))) / self.n
+        # log(1 + exp(z)) at z = -y * margin, as max(z, 0) + log1p(exp(-|z|)):
+        # np.logaddexp(0, z)'s formula and its inf and nan, but on numpy's
+        # vector exp and log1p, which differ from libm's in the last bits.
+        z = -self.targets
+        z *= margins
+        v = np.abs(z)
+        np.negative(v, out=v)
+        np.exp(v, out=v)
+        np.log1p(v, out=v)
+        v += np.maximum(z, 0.0, out=z)
+        return float(np.sum(v)) / self.n
 
     def full_grad(self, x: np.ndarray) -> np.ndarray:
         return self.grad_sum(slice(None), x) / self.n

@@ -318,6 +318,13 @@ class TestConfigKeys:
             pytest.param("solver", "b", HUGE,
                          "[solver] b: batch_size must be at most 1.79769e+308",
                          id="solver-b-10**400"),
+            # numpy's own refusals ("Maximum allowed dimension exceeded") name no key
+            pytest.param("problem", "n", HUGE,
+                         "[problem] n: an n x d float64 array of more than", id="problem-n-10**400"),
+            ("problem", "d", "0", "[problem] d must be at least 1, got 0"),
+            ("problem", "n", "-3", "[problem] n must be at least 1, got -3"),
+            pytest.param("problem", "d", str(2**60),
+                         "[problem] d: an n x d float64 array of more than", id="problem-d-2**60"),
         ],
     )
     def test_bad_key_or_value_is_exit_two(self, tmp_path, capsys, section, key, raw, message):
@@ -340,6 +347,25 @@ class TestRunCommand:
         assert header["trace_format"] == TRACE_FORMAT
         assert header["reference"] == "fista-restart"  # l1 takes the FISTA path
 
+    @pytest.mark.parametrize("cache", ["false", "true"])
+    def test_header_writes_the_step_size_and_its_constants(self, config_path, cache):
+        config_path.write_text(config_path.read_text().replace(
+            "b = 2\n", f"b = 2\ncache_checkpoint_grads = {cache}\n"))
+        cfg = load_config(config_path)
+        header, _ = read_trace(run_command(cfg)[0])
+        keys = list(header)
+        assert keys[keys.index("alpha"):keys.index("seed")] == [
+            "alpha", "b", "eta", "c", "xi", "L", "cache_checkpoint_grads"]
+        problem = build_problem(cfg)
+        state = optimizers.init_state(problem, RunConfig(alpha=0.5, batch_size=2))
+        assert header["eta"] == repr(state.eta)  # the step the run took
+        assert header["c"] == repr(state.params.c) and header["xi"] == repr(state.params.xi)
+        assert header["L"] == repr(problem.L)
+        # the header alone gives the step, bit for bit
+        c, L = float(header["c"]), float(header["L"])
+        assert float(header["eta"]) == 1.0 / ((c + 1.0) * L)
+        assert header["cache_checkpoint_grads"] == cache
+
     def test_problem_too_large_to_allocate_is_exit_two(
             self, config_path, tmp_path, capsys, monkeypatch):
         # numpy raises MemoryError (its _ArrayMemoryError) when it cannot allocate
@@ -361,7 +387,7 @@ class TestRunCommand:
         assert header["reference"] == "lstsq"
         assert header["f_star_tolerance"] == repr(1e-12)
 
-    @pytest.mark.parametrize("version", ["1", "2", "3", "4"])
+    @pytest.mark.parametrize("version", ["1", "2", "3", "4", "5"])
     def test_reads_earlier_formats(self, tmp_path, version):
         path = tmp_path / f"v{version}.csv"
         path.write_text(
@@ -375,7 +401,7 @@ class TestRunCommand:
         assert [r["t"] for r in rows] == [0, 1]
         assert rows[1]["ifo_total"] == 32 and rows[1]["lyapunov"] == 0.75
 
-    @pytest.mark.parametrize("version", ["5", "99"])
+    @pytest.mark.parametrize("version", ["6", "99"])
     def test_refuses_unknown_format(self, tmp_path, version):
         path = tmp_path / f"v{version}.csv"
         path.write_text(
@@ -1041,6 +1067,7 @@ class TestBaselineMethods:
         header, rows = read_trace(paths[0])
         assert header["method"] == method
         assert len(rows) == 11
+        assert not {"alpha", "b", "eta", "c", "xi", "L", "cache_checkpoint_grads"} & set(header)
 
     def test_fista_runs_once_for_every_seed(self, tmp_path, monkeypatch):
         # FISTA reads no seed: one run writes each seed's file, and the files

@@ -136,9 +136,9 @@ def test_epsilon_stops_end_before_the_cap():
     # the epsilon cases test the stopping rule only if some of them reach it
     for loss in LOSSES:
         for reg in REGS:
-            records = run(base(loss, reg), RunConfig(alpha=0.5, batch_size=3, x0=start(
-                base(loss, reg)), **STOPS["epsilon"]))
-            assert records[-1].t < STOPS["epsilon"]["max_iterations"]
+            problem = base(loss, reg)
+            config = RunConfig(alpha=0.5, batch_size=3, x0=start(problem), **STOPS["epsilon"])
+            assert run(problem, config)[-1].t < STOPS["epsilon"]["max_iterations"]
 
 
 @pytest.mark.parametrize("relation, loss, reg", CASES)

@@ -415,6 +415,50 @@ class TestLogistic:
         with pytest.raises(ValueError):
             FiniteSumProblem(ds.to_dense(), ds.labels, "logistic")
 
+    @staticmethod
+    def one_column(targets):
+        """A logistic problem whose smooth value is read from given margins."""
+        targets = np.asarray(targets, dtype=np.float64)
+        return FiniteSumProblem(np.ones((targets.size, 1)), targets, "logistic")
+
+    def test_value_matches_the_component_oracle_to_a_few_ulp(self):
+        # the value runs on numpy's vector exp and log1p, which may round
+        # differently from the libm calls of np.logaddexp
+        rng = make_rng(31)
+        prob = self.one_column(np.where(rng.random(4000) < 0.5, -1.0, 1.0))
+        eps = np.finfo(np.float64).eps
+        for scale in (0.1, 3.0, 30.0, 800.0):
+            margins = scale * rng.standard_normal(prob.n)
+            oracle = np.logaddexp(0.0, -prob.targets * margins)  # component_value's formula
+            want = math.fsum(oracle) / prob.n
+            assert prob.smooth_value(None, margins) == pytest.approx(want, rel=8 * eps, abs=0)
+            # one component at a time, through a one-row problem
+            for y, m, f in zip(prob.targets[:200], margins, oracle):
+                got = self.one_column([y]).smooth_value(None, np.array([m]))
+                assert got == pytest.approx(f, rel=4 * eps, abs=0)
+
+    @pytest.mark.parametrize("z", [0.0, 1e3, -1e3, math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("y", [-1.0, 1.0])
+    def test_value_keeps_logaddexp_finiteness(self, z, y):
+        # the component is log(1 + exp(z)) at z = -y * margin
+        with np.errstate(invalid="ignore"):  # logaddexp warns at nan
+            want = float(np.logaddexp(0.0, z))
+        got = self.one_column([y]).smooth_value(None, np.array([-y * z]))
+        assert math.isnan(got) == math.isnan(want) and math.isinf(got) == math.isinf(want)
+        assert got == pytest.approx(want, rel=4 * np.finfo(np.float64).eps, abs=0, nan_ok=True)
+
+    @pytest.mark.parametrize("fill, value", [(math.nan, "nan"), (1e308, "inf")])
+    def test_epsilon_run_from_a_non_finite_iterate_stops(self, monkeypatch, fill, value):
+        # a gradient estimate of nan makes the iterates nan; one of 1e308
+        # overflows them, so F(w) is inf after the first refresh
+        _, prob = synthesize(30, 5, "logistic", seed=4, reg=Regularizer.l1(0.01))
+        prob.reference = solve_reference(prob, tol=1e-8)
+        monkeypatch.setattr(optimizers, "svrg_estimate", lambda x, *rest: np.full_like(x, fill))
+        config = optimizers.RunConfig(alpha=0.5, batch_size=3, epsilon=1e-6, max_iterations=2000)
+        with np.errstate(all="ignore"), pytest.raises(
+                ValueError, match=f"objective is {value} at t=2: the run cannot reach"):
+            optimizers.run(prob, config)
+
 
 class TestOracleConsistency:
     @pytest.mark.parametrize("family", ["least_squares", "logistic"])

@@ -95,20 +95,25 @@ def test_scan_bench_exits_one_when_the_reports_differ(pair_bench, capsys, tmp_pa
     assert list(json.loads(capsys.readouterr().out)) == ["openblas_threads", *SCANS]
 
 
+def toy_problems(lam1_b=0.01):
+    """Two toy problems; ``lam1_b`` sets the second one's l1 weight."""
+    from katyusha_h import Regularizer, synthesize, with_reference
+
+    out = {}
+    for name, lam1 in (("toy_a", 0.01), ("toy_b", lam1_b)):
+        _, problem = synthesize(12, 3, "logistic", seed=2, reg=Regularizer.l1(lam1))
+        out[name] = with_reference(problem, tol=1e-10)
+    return out
+
+
 @pytest.fixture
 def trace_digest(monkeypatch):
     monkeypatch.setitem(os.environ, "OPENBLAS_NUM_THREADS", "1")
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
     import trace_digest
 
-    from katyusha_h import Regularizer, synthesize, with_reference
-
-    def problems():
-        _, problem = synthesize(12, 3, "logistic", seed=2, reg=Regularizer.l1(0.01))
-        return {"toy": with_reference(problem, tol=1e-10)}
-
-    # 1 problem x 2 alphas x 2 batch sizes x cache on/off x 2 stops = 16 runs
-    monkeypatch.setattr(trace_digest, "problems", problems)
+    # 2 problems x 2 alphas x 2 batch sizes x cache on/off x 2 stops = 32 runs
+    monkeypatch.setattr(trace_digest, "problems", toy_problems)
     monkeypatch.setattr(trace_digest, "ALPHAS", (0.0, 1.0))
     monkeypatch.setattr(trace_digest, "BATCHES", (2, None))
     monkeypatch.setattr(trace_digest, "STOPS", {
@@ -118,30 +123,54 @@ def trace_digest(monkeypatch):
     return trace_digest
 
 
-DIGEST_LINE = re.compile(r"^(16 runs sha256 [0-9a-f]{64}) openblas_threads=1$")
+DIGEST_LINES = re.compile(
+    r"^toy_a: (?P<toy_a>16 runs sha256 [0-9a-f]{64})\n"
+    r"toy_b: (?P<toy_b>16 runs sha256 [0-9a-f]{64})\n"
+    r"all: (?P<all>32 runs sha256 [0-9a-f]{64}) openblas_threads=1\n$")
+
+
+def recorded(out: str) -> dict:
+    """The digests that ``out`` prints, as the script's RECORDED holds them."""
+    return DIGEST_LINES.match(out).groupdict()
 
 
 def test_trace_digest_line_repeats(trace_digest, capsys):
-    trace_digest.main([])
+    assert trace_digest.main([]) == 1  # nothing recorded for the toy grid
     first = capsys.readouterr().out
     trace_digest.main([])
-    assert capsys.readouterr().out == first and DIGEST_LINE.match(first)
+    assert capsys.readouterr().out == first and DIGEST_LINES.match(first)
 
 
 def test_trace_digest_exit_code_compares_with_the_recorded_line(
         trace_digest, capsys, monkeypatch):
     trace_digest.main([])
-    line = DIGEST_LINE.match(capsys.readouterr().out).group(1)
-    monkeypatch.setattr(trace_digest, "RECORDED", line)
+    lines = recorded(capsys.readouterr().out)
+    monkeypatch.setattr(trace_digest, "RECORDED", lines)
     assert trace_digest.main([]) == 0
-    other = line[:-1] + ("0" if line[-1] != "0" else "1")
-    monkeypatch.setattr(trace_digest, "RECORDED", other)
+    assert capsys.readouterr().err == ""
+    last = lines["toy_b"][-1]
+    monkeypatch.setattr(trace_digest, "RECORDED",
+                        dict(lines, toy_b=lines["toy_b"][:-1] + ("0" if last != "0" else "1")))
     assert trace_digest.main([]) == 1
+    assert capsys.readouterr().err == "digest moved: toy_b\n"
+
+
+def test_trace_digest_names_the_problem_whose_runs_moved(trace_digest, capsys, monkeypatch):
+    trace_digest.main([])
+    before = recorded(capsys.readouterr().out)
+    monkeypatch.setattr(trace_digest, "RECORDED", before)
+    monkeypatch.setattr(trace_digest, "problems", lambda: toy_problems(lam1_b=0.02))
+    assert trace_digest.main([]) == 1
+    out, err = capsys.readouterr()
+    after = recorded(out)
+    assert after["toy_a"] == before["toy_a"] and after["toy_b"] != before["toy_b"]
+    assert err == "digest moved: toy_b, all\n"
 
 
 def test_trace_digest_verbose_prints_one_line_per_run(trace_digest, capsys):
     trace_digest.main(["--verbose"])
-    *runs, last = capsys.readouterr().out.splitlines()
-    assert len(runs) == 16 and DIGEST_LINE.match(last)
-    assert runs[0] == f"toy alpha=0.0 b=2 cache=0 iterations: {runs[0][-64:]}"
-    assert len({run[-64:] for run in runs}) == 16  # every run hashes differently
+    lines = capsys.readouterr().out.splitlines()
+    runs = [line for line in lines if " alpha=" in line]
+    assert len(runs) == 32 and len(lines) == 35
+    assert runs[0] == f"toy_a alpha=0.0 b=2 cache=0 iterations: {runs[0][-64:]}"
+    assert len({run[-64:] for run in runs}) == 32  # every run hashes differently

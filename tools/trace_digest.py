@@ -1,8 +1,10 @@
 """Hash the trace records of a fixed grid of Katyusha-H runs.
 
-A change that claims byte-identical output runs this script and compares the
-last line, which digests every record of every run, with the digest recorded
-below; the script exits 1 when they differ:
+A change that claims byte-identical output runs this script and compares its
+digests with those recorded below: one per problem of the grid, over every
+record of that problem's runs, and one over all runs.  The script exits 1
+when any of them differs, and names on stderr each problem whose digest
+moved:
 
     PYTHONPATH=src python tools/trace_digest.py [--verbose]
 
@@ -14,11 +16,15 @@ refreshes inside them.  ``--verbose`` prints one digest per run, so a
 mismatch can be located.
 
 OpenBLAS is pinned to one thread before numpy loads, as the benchmark pins
-it, and the digest line names that thread count.  With more threads, gemv on
+it, and the last line names that thread count.  With more threads, gemv on
 the d = 300 rows sums in another order, so every one of its 64 runs (and the
-digest) would depend on the machine.  Pinned, numpy 2.4.6 on x86-64 gives
+digest) would depend on the machine.  Pinned, numpy 2.4.6 on x86-64 gives,
+since trace_format 5,
 
-    192 runs sha256 a6ece50e8fdbc2639ed00a3403d8132f509a0babef9d0241ad60456d2d60f9ee
+    ls_l1: 64 runs sha256 f110c067a9b22b52f4504cef183e817023a73bb1cbdbfe90d6a310817bf2b699
+    logistic_enet: 64 runs sha256 0c3157a7384aa13171dbab59ea805767af2250dd99e9f835ca81fc24493de0e6
+    ls_sql2_wide: 64 runs sha256 5921ef4eda84a9c57d671a30dfbcb0e5b8bfb8e07394c5880cf9683b73383ece
+    all: 192 runs sha256 10e324b916b2e2a4811a23080955f0eb41ebbf1473d3927cc212afcb2e4fa0ce
 """
 
 from __future__ import annotations
@@ -35,7 +41,9 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, when numpy loads
 
 from katyusha_h import Regularizer, RunConfig, run, synthesize, with_reference  # noqa: E402
 
-RECORDED = re.search(r"^ +(\d+ runs sha256 [0-9a-f]{64})$", __doc__, re.M).group(1)
+ALL = "all"
+# problem name (ALL for every run) -> its recorded "<count> runs sha256 <hex>"
+RECORDED = dict(re.findall(r"^ +(\w+): (\d+ runs sha256 [0-9a-f]{64})$", __doc__, re.M))
 ALPHAS = (0.0, 0.5, 0.75, 1.0)
 BATCHES = (1, 3, 10, None)  # None: b = n
 STOPS = {
@@ -71,23 +79,31 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     total = hashlib.sha256()
     count = 0
-    for (name, problem), alpha, b, cache, (stop, stopping) in itertools.product(
-        problems().items(), ALPHAS, BATCHES, (False, True), STOPS.items()
-    ):
-        b = problem.n if b is None else b
-        config = RunConfig(
-            alpha=alpha, batch_size=b, cache_checkpoint_grads=cache, seed=count,
-            lyapunov=True, **stopping,
-        )
-        one = digest(run(problem, config))
-        total.update(one.encode())
-        count += 1
-        if args.verbose:
-            print(f"{name} alpha={alpha} b={b} cache={int(cache)} {stop}: {one}")
-    line = f"{count} runs sha256 {total.hexdigest()}"
-    print(f"{line} openblas_threads={os.environ['OPENBLAS_NUM_THREADS']}")
-    return 0 if line == RECORDED else 1
-
+    lines = {}
+    for name, problem in problems().items():
+        part, first = hashlib.sha256(), count
+        for alpha, b, cache, (stop, stopping) in itertools.product(
+            ALPHAS, BATCHES, (False, True), STOPS.items()
+        ):
+            b = problem.n if b is None else b
+            config = RunConfig(
+                alpha=alpha, batch_size=b, cache_checkpoint_grads=cache, seed=count,
+                lyapunov=True, **stopping,
+            )
+            one = digest(run(problem, config))
+            total.update(one.encode())
+            part.update(one.encode())
+            count += 1
+            if args.verbose:
+                print(f"{name} alpha={alpha} b={b} cache={int(cache)} {stop}: {one}")
+        lines[name] = f"{count - first} runs sha256 {part.hexdigest()}"
+        print(f"{name}: {lines[name]}")
+    lines[ALL] = f"{count} runs sha256 {total.hexdigest()}"
+    print(f"{ALL}: {lines[ALL]} openblas_threads={os.environ['OPENBLAS_NUM_THREADS']}")
+    moved = [name for name, line in lines.items() if RECORDED.get(name) != line]
+    if moved:
+        print(f"digest moved: {', '.join(moved)}", file=sys.stderr)
+    return 1 if moved else 0
 
 if __name__ == "__main__":
     sys.exit(main())
