@@ -32,10 +32,17 @@ from .problems import (
 from .proximal import Regularizer
 from .schedule import compute_constants, step_size
 
-TRACE_COLUMNS = ("t", "F_y_gap", "F_w_gap", "p_t", "ckpt_updated", "ifo_total", "lyapunov")
+TRACE_COLUMNS = ("t", "F_y_gap", "F_w_gap", "p_t", "ckpt_updated", "ifo_total",
+                 "ifo_minibatch", "ifo_checkpoint", "lyapunov")
 # Bumped whenever an unchanged config may give different trace bytes.
-TRACE_FORMAT = "5"
-_READABLE_FORMATS = {str(v) for v in range(1, int(TRACE_FORMAT) + 1)}
+TRACE_FORMAT = "6"
+# readable trace_format -> its columns; formats 1-5 wrote no IFO split
+_FORMAT_COLUMNS = {
+    **dict.fromkeys("12345", ["t", "F_y_gap", "F_w_gap", "p_t", "ckpt_updated", "ifo_total",
+                              "lyapunov"]),
+    TRACE_FORMAT: list(TRACE_COLUMNS),
+}
+_INT_COLUMNS = {"t", "ckpt_updated", "ifo_total", "ifo_minibatch", "ifo_checkpoint"}
 # [solver] method -> the solver's name on the optimizers module
 SOLVERS = {"katyusha_h": "run", "fista": "fista_run"}
 # [problem] keys only synthesis reads, each named as synthesize's parameter
@@ -358,6 +365,8 @@ def write_trace(
                     _fmt(rec.p),
                     str(int(rec.checkpoint_updated)),
                     str(rec.ifo_total),
+                    str(rec.ifo_minibatch),
+                    str(rec.ifo_checkpoint),
                     _fmt(rec.lyapunov),
                 )
             )
@@ -368,7 +377,8 @@ def write_trace(
 def read_trace(path: str | Path) -> tuple[dict[str, str], list[dict[str, float]]]:
     """Parse a trace file back into its header and rows (round-trip safe).
 
-    Reads every format from "1" to ``TRACE_FORMAT`` and refuses any other.
+    Reads every format from "1" to ``TRACE_FORMAT``, each with its own
+    columns, and refuses any other.
     """
     header: dict[str, str] = {}
     rows: list[dict[str, float]] = []
@@ -380,10 +390,10 @@ def read_trace(path: str | Path) -> tuple[dict[str, str], list[dict[str, float]]
             continue
         if columns is None:
             version = header.get("trace_format")
-            if version not in _READABLE_FORMATS:
+            if version not in _FORMAT_COLUMNS:
                 raise ValueError(f"{path}: unknown trace_format {version!r}")
             columns = line.split(",")
-            if columns != list(TRACE_COLUMNS):
+            if columns != _FORMAT_COLUMNS[version]:
                 raise ValueError(f"{path}: unexpected trace columns {columns}")
             continue
         parts = line.split(",")
@@ -393,7 +403,7 @@ def read_trace(path: str | Path) -> tuple[dict[str, str], list[dict[str, float]]
         for col, part in zip(columns, parts):
             if part == "":
                 row[col] = math.nan
-            elif col in ("t", "ckpt_updated", "ifo_total"):
+            elif col in _INT_COLUMNS:
                 row[col] = int(part)
             else:
                 row[col] = float(part)
@@ -429,6 +439,7 @@ def _trace_header(cfg: ExperimentConfig, problem: FiniteSumProblem, seed: int) -
         head["f_star"] = repr(float(problem.reference.f_star))
         head["f_star_tolerance"] = repr(float(problem.reference.gap_tolerance))
         head["reference"] = problem.reference.method
+        head["reference_iterations"] = str(problem.reference.iterations)
     else:
         head["f_star"] = repr(0.0)
         head["reference"] = "none (gaps are raw objective values)"

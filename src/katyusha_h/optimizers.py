@@ -176,14 +176,11 @@ def katyusha_h_step(state: KatyushaHState, problem) -> None:
         state.table = advance(table, params)
 
 
-def state_lyapunov(state: KatyushaHState, problem, f_y: float, f_w: float) -> float:
-    """Lyapunov value of the current state from F(y) and F(w), which the
-    caller has already evaluated (instrumentation only)."""
-    f_star = problem.reference.f_star
+def lyapunov_weights(state: KatyushaHState) -> tuple[float, float]:
+    """alpha_{t-1} and D_{t-1}, the schedule row's weights of F(y) and F(w)
+    in the Lyapunov value of a state whose next iteration is t."""
     alpha_prev, _, den_prev, _, _ = state.table.rows[state.t - state.table.start]
-    return analysis.lyapunov(
-        f_y - f_star, f_w - f_star, state.z, alpha_prev, den_prev, state.eta, problem
-    )
+    return alpha_prev, den_prev
 
 
 def check_run(config: RunConfig, has_reference: bool, name=str) -> None:
@@ -217,7 +214,8 @@ def _drive(problem, config: RunConfig, steps, objective, record,
     config sets none, and at the last; a solver whose test point rarely
     changes may remember its value.  ``record(t, f)`` builds the record after
     iteration t, where ``f`` is the value the test just read and None
-    otherwise, so no objective is evaluated twice per iteration.
+    otherwise, so no objective is evaluated twice per iteration; it may
+    leave fields for the solver to fill once this returns.
     Returns the initial record plus one per ``record_every`` iterations; the
     final iteration is always recorded.  A non-finite F at the epsilon test
     stops the run with a ValueError: the iterate has diverged or was never
@@ -257,7 +255,12 @@ def run(problem, config: RunConfig) -> list[TraceRecord]:
     Deterministic given the seed.  The epsilon test reads the checkpoint w,
     by default every iteration while n*d <= 50,000 and every 10th beyond.
     Returns the initial record plus one record per ``record_every``
-    iterations (the final iteration is always recorded).
+    iterations (the final iteration is always recorded).  A record's F(y),
+    and its Lyapunov value, are filled once ``problem.block_rows`` records
+    wait for them, and for the rest after the loop: ``problem.values``
+    evaluates a block of points by one product, and a point's value does not
+    depend on its block, so a record's fields do not depend on the run's
+    length, ``record_every`` or stopping rule.
     """
     state = init_state(problem, config)
     # w changes only when a refresh replaces the checkpoint object, so F(w)
@@ -270,18 +273,34 @@ def run(problem, config: RunConfig) -> list[TraceRecord]:
             evaluated = state.ckpt, problem.value(state.ckpt.w, state.ckpt.margins)
         return evaluated[1]
 
+    # (record, y, z, alpha_{t-1}, D_{t-1}) of each record whose F(y) waits;
+    # y and z are kept, not copied, since no step writes into them.
+    pending: list[tuple[TraceRecord, np.ndarray, np.ndarray, float, float]] = []
+
+    def fill() -> None:
+        f_ys = problem.values([y for _, y, *_ in pending])
+        for (rec, _, z, alpha_prev, den_prev), f_y in zip(pending, f_ys):
+            rec.f_y = f_y
+            if config.lyapunov:
+                f_star = problem.reference.f_star
+                rec.lyapunov = analysis.lyapunov(f_y - f_star, rec.f_w - f_star, z,
+                                                 alpha_prev, den_prev, state.eta, problem)
+        pending.clear()
+
     def record(t: int, _: float | None) -> TraceRecord:
-        f_y, f_w = problem.value(state.y), checkpoint_value()
-        return TraceRecord(
+        rec = TraceRecord(
             t=t,
-            f_y=f_y,
-            f_w=f_w,
+            f_y=math.nan,
+            f_w=checkpoint_value(),
             p=state.p,
             checkpoint_updated=state.checkpoint_updated,
             ifo_minibatch=state.ledger.minibatch_calls,
             ifo_checkpoint=state.ledger.checkpoint_calls,
-            lyapunov=state_lyapunov(state, problem, f_y, f_w) if config.lyapunov else math.nan,
         )
+        pending.append((rec, state.y, state.z, *lyapunov_weights(state)))
+        if len(pending) == problem.block_rows:
+            fill()
+        return rec
 
     def steps(first: int, last: int) -> None:
         # katyusha_h_step is looked up at each call, so a wrapper installed
@@ -289,7 +308,7 @@ def run(problem, config: RunConfig) -> list[TraceRecord]:
         for _ in range(first, last + 1):
             katyusha_h_step(state, problem)
 
-    return _drive(
+    records = _drive(
         problem,
         config,
         steps,
@@ -297,6 +316,8 @@ def run(problem, config: RunConfig) -> list[TraceRecord]:
         record,
         eval_every=1 if problem.n * problem.d <= 50_000 else 10,
     )
+    fill()
+    return records
 
 
 # -- the FISTA baseline and the reference solver -------------------------

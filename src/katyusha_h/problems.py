@@ -21,6 +21,10 @@ from .proximal import Regularizer, reg_value
 # Curvature factor of each loss: f_i'' <= CURVATURE[loss] * ||a_i||^2, tight
 # for both, so L and the reference solver's L_f scale by it.
 CURVATURE = {"least_squares": 1.0, "logistic": 0.25}
+# Bytes of margins one product of ``FiniteSumProblem.values`` may hold: it
+# evaluates K = min(64, max(2, this // 8n)) points per (K, d) @ (d, n) GEMM,
+# which reads A once for the block where K gemvs read it K times.
+VALUE_BLOCK_BYTES = 2 << 20
 
 
 class DataFormatError(ValueError):
@@ -304,6 +308,32 @@ class FiniteSumProblem:
     def value(self, x: np.ndarray, margins: np.ndarray | None = None) -> float:
         """Composite objective F(x) = f(x) + reg(x); ``margins`` as for ``smooth_value``."""
         return self.smooth_value(x, margins) + reg_value(self.reg, x)
+
+    @property
+    def block_rows(self) -> int:
+        """K, the points ``values`` evaluates per product."""
+        return min(64, max(2, VALUE_BLOCK_BYTES // (8 * self.n)))
+
+    def values(self, points: list[np.ndarray]) -> list[float]:
+        """F at each point, ``value(x, margins)`` with the margins of
+        ``block_rows`` points at a time taken by one product ``Y @ A.T``.
+
+        A short last block is padded with zero rows, so every point goes
+        through one product shape.  OpenBLAS rounds a row by the shape alone
+        (a gemv, or K = 2-6 against K >= 7 at some d, give other last bits),
+        not by its position or the other rows, so a point's value does not
+        depend on which points share its block.  A non-finite point makes
+        only its own value non-finite.
+        """
+        k = self.block_rows
+        block = np.zeros((k, self.d))
+        out = []
+        for start in range(0, len(points), k):
+            chunk = points[start:start + k]
+            block[:len(chunk)] = chunk
+            block[len(chunk):] = 0.0
+            out += map(self.value, chunk, block @ self.A.T)
+        return out
 
 
 def dataset_from_dense(A: np.ndarray, labels: np.ndarray) -> SparseDataset:

@@ -401,7 +401,28 @@ class TestRunCommand:
         assert [r["t"] for r in rows] == [0, 1]
         assert rows[1]["ifo_total"] == 32 and rows[1]["lyapunov"] == 0.75
 
-    @pytest.mark.parametrize("version", ["6", "99"])
+    def test_reads_the_ifo_split_and_the_reference_iterations(self, config_path):
+        cfg = load_config(config_path)
+        problem = build_problem(cfg)
+        records = run_single(problem, cfg, cfg.run.seeds[0])
+        header, rows = read_trace(run_command(cfg)[0])
+        assert header["reference_iterations"] == str(problem.reference.iterations)
+        assert [(r["ifo_minibatch"], r["ifo_checkpoint"]) for r in rows] == [
+            (rec.ifo_minibatch, rec.ifo_checkpoint) for rec in records]
+        assert all(r["ifo_total"] == r["ifo_minibatch"] + r["ifo_checkpoint"] for r in rows)
+
+    @pytest.mark.parametrize("version, columns", [
+        ("5", TRACE_COLUMNS),  # an earlier format wrote no IFO split
+        (TRACE_FORMAT, ("t", "F_y_gap", "F_w_gap", "p_t", "ckpt_updated", "ifo_total",
+                        "lyapunov")),
+    ])
+    def test_each_format_reads_only_its_own_columns(self, tmp_path, version, columns):
+        path = tmp_path / "mixed.csv"
+        path.write_text(f"# trace_format = {version}\n" + ",".join(columns) + "\n")
+        with pytest.raises(ValueError, match="unexpected trace columns"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("version", ["7", "99"])
     def test_refuses_unknown_format(self, tmp_path, version):
         path = tmp_path / f"v{version}.csv"
         path.write_text(
@@ -414,7 +435,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("body, message", [
         ("t,F_y_gap,F_w_gap\n", "unexpected trace columns ['t', 'F_y_gap', 'F_w_gap']"),
-        (",".join(TRACE_COLUMNS) + "\n0,0.5,0.5,,0,30,\n1,0.25\n", ":4: malformed row"),
+        (",".join(TRACE_COLUMNS) + "\n0,0.5,0.5,,0,30,0,30,\n1,0.25\n", ":4: malformed row"),
         ("", "empty trace file"),
     ])
     def test_refuses_a_malformed_trace(self, tmp_path, body, message):

@@ -2,6 +2,7 @@
 
 import collections
 import copy
+import dataclasses
 import math
 import re
 from types import SimpleNamespace
@@ -11,7 +12,7 @@ import pytest
 from scipy.special import expit
 
 import katyusha_h
-from katyusha_h import estimator, optimizers, schedule, verification
+from katyusha_h import estimator, optimizers, problems, schedule, verification
 from katyusha_h.estimator import sample_subset
 from katyusha_h.optimizers import (
     RunConfig,
@@ -431,7 +432,7 @@ class TestDriver:
 
         def record(t):
             return TraceRecord(
-                t, prob.value(state.y), prob.value(state.ckpt.w), state.p,
+                t, blocked_value(prob, state.y), prob.value(state.ckpt.w), state.p,
                 state.checkpoint_updated, state.ledger.minibatch_calls,
                 state.ledger.checkpoint_calls,
             )
@@ -450,10 +451,11 @@ class TestDriver:
         )
         records = run(prob, cfg)
         assert repr(records) == repr(want)  # repr: NaN p_t compares equal
-        # One evaluation per checkpoint, plus y in the initial and the final
-        # record.  The initial y is the first checkpoint's own w array; every
-        # other evaluated array is a distinct object.
-        assert seen[0] is seen[1]
+        # One evaluation per checkpoint, then y in the initial and the final
+        # record, whose F(y) waits for the loop to end.  The initial y is the
+        # first checkpoint's own w array; every other evaluated array is a
+        # distinct object.
+        assert seen[-2] is seen[0]
         assert len({id(x) for x in seen}) == len(seen) - 1
         refreshes = records[-1].ifo_checkpoint // prob.n - 1
         assert len(seen) == refreshes + 1 + 2
@@ -475,6 +477,79 @@ class TestDriver:
             counts[lyapunov] = len(calls)
         assert all(np.isfinite(r.lyapunov) for r in records)
         assert counts[True] == counts[False]
+
+
+class TestBlockedObjective:
+    """``run`` fills F(y) and the Lyapunov value a block of records at a
+    time; a record's fields must not depend on which records share its
+    block, so not on the run's length, cadence or stopping rule."""
+
+    @staticmethod
+    def problem(monkeypatch, family, block_bytes):
+        if block_bytes is not None:
+            monkeypatch.setattr(problems, "VALUE_BLOCK_BYTES", block_bytes)
+        _, prob = synthesize(30, 6, family, seed=3, reg=Regularizer.elastic_net(0.01, 0.02))
+        return with_reference(prob, tol=1e-12)
+
+    CASES = pytest.mark.parametrize("family, block_bytes", [
+        ("least_squares", None), ("logistic", None),  # K = 64
+        ("least_squares", 8 * 30 * 3), ("logistic", 8 * 30 * 3),  # K = 3
+    ])
+
+    @CASES
+    def test_a_record_does_not_depend_on_the_run(self, monkeypatch, family, block_bytes):
+        prob = self.problem(monkeypatch, family, block_bytes)
+        config = RunConfig(alpha=0.75, batch_size=2, iterations=150, seed=5, lyapunov=True)
+        short = run(prob, config)
+        longer = run(prob, dataclasses.replace(config, iterations=150 + 37))
+        assert repr(short) == repr(longer[:len(short)])  # repr: NaN p_t compares equal
+        every_third = run(prob, dataclasses.replace(config, record_every=3))
+        assert [r.t for r in every_third] == list(range(0, 151, 3))
+        assert repr(every_third) == repr(short[::3])
+        assert all(math.isfinite(r.f_y) and math.isfinite(r.lyapunov) for r in short)
+
+    @CASES
+    def test_epsilon_and_iteration_stops_agree(self, monkeypatch, family, block_bytes):
+        prob = self.problem(monkeypatch, family, block_bytes)
+        config = RunConfig(alpha=0.5, batch_size=3, epsilon=1e-6, seed=2, eval_every=1,
+                           lyapunov=True)
+        stopped = run(prob, config)
+        assert len(stopped) > 70  # more than one block of records at K = 64
+        fixed = run(prob, dataclasses.replace(config, epsilon=None, iterations=stopped[-1].t))
+        assert repr(fixed) == repr(stopped)
+
+    def test_records_wait_for_a_whole_block(self, monkeypatch):
+        prob = self.problem(monkeypatch, "logistic", 8 * 30 * 5)  # K = 5
+        sizes = []
+        values = FiniteSumProblem.values
+        monkeypatch.setattr(FiniteSumProblem, "values",
+                            lambda self, points: sizes.append(len(points)) or values(self, points))
+        run(prob, RunConfig(alpha=0.5, batch_size=1, iterations=21, seed=0))
+        assert sizes == [5, 5, 5, 5, 2]  # 22 records, the rest after the loop
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("t_bad", [10, 80])  # in the first block, in the padded last
+    def test_a_non_finite_y_changes_only_its_own_record(self, monkeypatch, bad, t_bad):
+        prob = self.problem(monkeypatch, "least_squares", None)
+        config = RunConfig(alpha=0.5, batch_size=2, iterations=100, seed=1, lyapunov=True)
+        want = run(prob, config)
+        # y is non-finite in the record of iteration t_bad only: the next
+        # step reads the real y again
+        real, kept = optimizers.katyusha_h_step, {}
+
+        def step(state, problem):
+            if state.t == t_bad + 1:
+                state.y = kept.pop("y")
+            real(state, problem)
+            if state.t == t_bad + 1:
+                kept["y"], state.y = state.y, np.full(problem.d, bad)
+
+        monkeypatch.setattr(optimizers, "katyusha_h_step", step)
+        with np.errstate(invalid="ignore"):
+            got = run(prob, config)
+        assert not math.isfinite(got[t_bad].f_y) and not math.isfinite(got[t_bad].lyapunov)
+        got[t_bad].f_y, got[t_bad].lyapunov = want[t_bad].f_y, want[t_bad].lyapunov
+        assert repr(got) == repr(want)
 
 
 class TestCheckpointCache:
@@ -699,6 +774,15 @@ def _prox(reg, v, step):
     return v
 
 
+def blocked_value(problem, x):
+    """F(x) by the blocked evaluation's arithmetic, written out: x alone in
+    the last row of a zero block of ``block_rows`` rows, one product with
+    A', then ``value`` from that row's margins."""
+    block = np.zeros((problem.block_rows, problem.d))
+    block[-1] = x
+    return problem.value(x, (block @ problem.A.T)[-1])
+
+
 def reference_run(problem, config):
     """Katyusha-H from its update lines: the schedule from the certified
     arrays, draws from sample_subset and Generator.random(), three gathers
@@ -725,7 +809,8 @@ def reference_run(problem, config):
     minibatch, ckpt_calls, p, hit, refreshed = 0, n, math.nan, False, []
 
     def record(t):
-        return TraceRecord(t, problem.value(y), problem.value(w), p, hit, minibatch, ckpt_calls)
+        return TraceRecord(t, blocked_value(problem, y), problem.value(w), p, hit, minibatch,
+                           ckpt_calls)
 
     records = [record(0)]
     for t in range(1, T + 1):

@@ -3,6 +3,7 @@
 import math
 import re
 import time
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -458,6 +459,59 @@ class TestLogistic:
         with np.errstate(all="ignore"), pytest.raises(
                 ValueError, match=f"objective is {value} at t=2: the run cannot reach"):
             optimizers.run(prob, config)
+
+
+class TestValues:
+    """``values``: F at a block of points by one product with A', each point
+    at the bits its zero-padded block gives it, whatever shares the block."""
+
+    @pytest.mark.parametrize("n, k", [(1, 64), (4096, 64), (4097, 63), (10**4, 26),
+                                      (131_072, 2), (10**6, 2)])
+    def test_block_rows_hold_two_mib_of_margins(self, n, k):
+        assert FiniteSumProblem.block_rows.fget(SimpleNamespace(n=n)) == k
+
+    @pytest.mark.parametrize("family", ["least_squares", "logistic"])
+    def test_values_match_the_gemv_value_to_a_few_ulp(self, family):
+        _, prob = synthesize(500, 40, family, seed=5, reg=Regularizer.elastic_net(0.01, 0.02))
+        rng = make_rng(3)
+        eps = np.finfo(np.float64).eps
+        for scale in (0.01, 1.0, 100.0):
+            points = [scale * rng.standard_normal(prob.d) for _ in range(100)]
+            for got, x in zip(prob.values(points), points):
+                assert got == pytest.approx(prob.value(x), rel=8 * eps, abs=0)
+
+    @pytest.mark.parametrize("block_bytes", [None, 8 * 30 * 3])  # K = 64, K = 3
+    @pytest.mark.parametrize("family", ["least_squares", "logistic"])
+    def test_a_value_does_not_depend_on_its_block(self, monkeypatch, family, block_bytes):
+        if block_bytes is not None:
+            monkeypatch.setattr(problems, "VALUE_BLOCK_BYTES", block_bytes)
+        _, prob = synthesize(30, 6, family, seed=2, reg=Regularizer.l1(0.01))
+        points = [make_rng(7).standard_normal(6) * s for s in np.geomspace(1e-3, 1e3, 70)]
+        alone = [prob.values([x])[0] for x in points]
+        assert prob.values(points) == alone
+        assert prob.values(points[::-1]) == alone[::-1]
+        assert prob.values(points[5:]) == alone[5:]
+        assert prob.values([]) == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_point_changes_only_its_own_value(self, monkeypatch, bad):
+        _, prob = synthesize(30, 6, "logistic", seed=2)
+        rng = make_rng(8)
+        points = [rng.standard_normal(6) for _ in range(70)]  # a full block, then 6 rows
+        want = prob.values(points)
+        calls = []
+        value = FiniteSumProblem.value
+        monkeypatch.setattr(FiniteSumProblem, "value",
+                            lambda self, x, *margins: calls.append(x) or value(self, x, *margins))
+        for i in (3, 66):
+            poisoned = list(points)
+            poisoned[i] = np.full(6, bad)
+            calls.clear()
+            with np.errstate(invalid="ignore"):
+                got = prob.values(poisoned)
+            assert len(calls) == len(got) == 70  # no padding row is evaluated
+            assert not math.isfinite(got[i])
+            assert got[:i] + got[i + 1:] == want[:i] + want[i + 1:]
 
 
 class TestOracleConsistency:

@@ -38,6 +38,21 @@ def test_step_bench_times_this_tree(pair_bench, capsys):
     assert len(out["12x3 toy"]["runs"]) == 3 and out["12x3 toy"]["median_us"] > 0
 
 
+def test_step_bench_records_at_a_shape_s_own_stride(pair_bench, capsys, monkeypatch):
+    from katyusha_h import optimizers
+
+    data, config, iterations = pair_bench.SHAPES["12x3 toy"]
+    monkeypatch.setattr(pair_bench, "SHAPES", {
+        "toy": (data, config, iterations),
+        "toy stride=4": (data, dict(config, record_every=4), iterations)})
+    counts = []
+    real = optimizers.run
+    monkeypatch.setattr(optimizers, "run",
+                        lambda *args: counts.append(len(real(*args))) or counts[-1])
+    pair_bench.main(["step"])
+    assert counts == [2] * 3 + [iterations // 4 + 1] * 3
+
+
 def test_step_bench_pairs_against_another_tree(pair_bench, capsys):
     pair_bench.main(["step", "--against", str(ROOT / "src")])
     point = json.loads(capsys.readouterr().out)["12x3 toy"]

@@ -13,7 +13,7 @@ import pytest
 from katyusha_h import schedule, verification
 from katyusha_h.analysis import lyapunov
 from katyusha_h.estimator import EnumerationCapError
-from katyusha_h.optimizers import RunConfig, init_state, katyusha_h_step, state_lyapunov
+from katyusha_h.optimizers import RunConfig, init_state, katyusha_h_step, lyapunov_weights
 from katyusha_h.problems import make_rng, synthesize, with_reference
 from katyusha_h.proximal import Regularizer, prox
 from katyusha_h.schedule import (
@@ -560,7 +560,7 @@ class TestReadsTheCertifiedArrays:
         f_y, f_w = prob.value(state.y), prob.value(state.ckpt.w)
         current = lyapunov(f_y - f_star, f_w - f_star, state.z, seq[t - 1], den[t - 1],
                            state.eta, prob)
-        assert state_lyapunov(state, prob, f_y, f_w) == current
+        assert lyapunov_weights(state) == (seq[t - 1], den[t - 1])
 
         expected, oracle_current = exact_conditional_lyapunov_descent(state, prob)
         assert oracle_current == current
@@ -594,7 +594,9 @@ class TestOutcomeTree:
         depth = 8
         root = init_state(prob, RunConfig(alpha=1.0, batch_size=4, iterations=1, seed=0))
         def value(state):
-            return state_lyapunov(state, prob, prob.value(state.y), prob.value(state.ckpt.w))
+            f_star = prob.reference.f_star
+            return lyapunov(prob.value(state.y) - f_star, prob.value(state.ckpt.w) - f_star,
+                            state.z, *lyapunov_weights(state), state.eta, prob)
 
         initial = value(root)
         level = [(root, 1.0)]

@@ -11,7 +11,10 @@ commits run the same iterations:
   regularizer) at b = 1, and cli_sparse_cached's (10**4, 100, logistic
   elastic net, checkpoint cache) at b = 100.  A repeat is one fixed-length
   run, without Lyapunov values or epsilon tests, so the time is the steps'
-  plus one initial full gradient and two objective values.
+  plus one initial full gradient and two objective values.  The last case
+  runs cli_sparse_cached's shape again, recording every 20th iteration as
+  that workload's ``trace_stride`` does, so its time also holds the records'
+  101 F(y) and F(w) values.
 - ``draw``: ``DrawStream`` microseconds per iteration.  Each (n, b) of
   ``GRID`` draws a fixed number of whole blocks of subsets and coins, as a
   run does.
@@ -61,7 +64,9 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, when numpy loads
 import katyusha_h  # noqa: E402
 
 # step: name: (synthesize arguments, run configuration, iterations per
-# repeat); each repeat takes under half a second on a 2-vCPU Xeon.
+# repeat); each repeat takes under half a second on a 2-vCPU Xeon.  A run
+# records only its first and last iteration unless its configuration sets
+# record_every.
 # Regularizers are given as (constructor, weights), so each package builds
 # its own.
 SHAPES = {
@@ -78,6 +83,10 @@ SHAPES = {
         dict(n=10_000, d=100, family="logistic", seed=1, density=0.2,
              reg=("elastic_net", 1e-4, 1e-4)),
         dict(alpha=1.0, batch_size=100, cache_checkpoint_grads=True), 2_000),
+    "10000x100 logistic enet b=100 stride=20": (
+        dict(n=10_000, d=100, family="logistic", seed=1, density=0.2,
+             reg=("elastic_net", 1e-4, 1e-4)),
+        dict(alpha=1.0, batch_size=100, cache_checkpoint_grads=True, record_every=20), 2_000),
 }
 
 # draw: (n, b): blocks timed per repeat, under a second each on a 2-vCPU
@@ -136,8 +145,8 @@ def step_cases(package) -> dict:
     optimizers = importlib.import_module(f"{package.__name__}.optimizers")
 
     def measure(problem, config: dict, iterations: int, seed: int):
-        cfg = optimizers.RunConfig(**config, iterations=iterations, seed=seed,
-                                   record_every=iterations)
+        cfg = optimizers.RunConfig(**{"record_every": iterations, **config},
+                                   iterations=iterations, seed=seed)
         start = time.perf_counter()
         optimizers.run(problem, cfg)
         return 1e6 * (time.perf_counter() - start) / iterations, None

@@ -19,12 +19,12 @@ OpenBLAS is pinned to one thread before numpy loads, as the benchmark pins
 it, and the last line names that thread count.  With more threads, gemv on
 the d = 300 rows sums in another order, so every one of its 64 runs (and the
 digest) would depend on the machine.  Pinned, numpy 2.4.6 on x86-64 gives,
-since trace_format 5,
+since trace_format 6,
 
-    ls_l1: 64 runs sha256 f110c067a9b22b52f4504cef183e817023a73bb1cbdbfe90d6a310817bf2b699
-    logistic_enet: 64 runs sha256 0c3157a7384aa13171dbab59ea805767af2250dd99e9f835ca81fc24493de0e6
-    ls_sql2_wide: 64 runs sha256 5921ef4eda84a9c57d671a30dfbcb0e5b8bfb8e07394c5880cf9683b73383ece
-    all: 192 runs sha256 10e324b916b2e2a4811a23080955f0eb41ebbf1473d3927cc212afcb2e4fa0ce
+    ls_l1: 64 runs sha256 78df3d6d465bef1e6d8bd71259cdfa0fdcb63ad4ba54e1a4c3b02ee4c9c055d8
+    logistic_enet: 64 runs sha256 d69e49bc935f8442c67284cefcf652d806343552efd139d970814c892bd323bd
+    ls_sql2_wide: 64 runs sha256 d5b23f4b660e0a9d909d3d7ac2eed47e3a0acb0cbab93cb23a5c8e36364b499a
+    all: 192 runs sha256 f9b5539532257ca5521d59b21685ce0d4b90ed3d34e25ae8f47fcd225d8000ef
 """
 
 from __future__ import annotations
