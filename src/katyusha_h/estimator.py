@@ -177,11 +177,11 @@ class DrawStream:
     their partial Fisher-Yates subsets together, repeats included, in one
     ``_resolve_block`` call, the resolver ``sample_subset`` uses too.  The
     block's subsets are one (K, b) index array.  When b == n the subset is
-    all of range(n) and only coins are drawn.  ``subset()`` moves to the
-    next iteration and returns its row; ``random()`` returns that
-    iteration's coin as often as it is called; ``gathered()`` returns its
-    feature rows, targets and checkpoint residuals, gathered a span of
-    iterations at a time.
+    all of range(n) and only coins are drawn.  ``next()``, the only call
+    that moves the stream, moves to the next iteration and returns its coin;
+    ``gathered()`` returns that iteration's feature rows, targets and
+    checkpoint residuals, gathered a span of iterations at a time, and the
+    ``subset`` property its row, which no run reads.
     """
 
     def __init__(self, n: int, b: int, seed: int):
@@ -210,21 +210,24 @@ class DrawStream:
             self._thresholds = np.tile(threshold, self._block)
             self._window = _RUN_REJECTIONS * b * 2**32 // max(1, int(threshold.sum())) + 1
 
-    def subset(self) -> np.ndarray:
-        """Move to the next iteration and return its b indices (do not modify)."""
+    def next(self) -> float:
+        """Move to the next iteration and return its checkpoint coin, uniform on [0, 1)."""
         self._k += 1
         if self._k == self._block:
             self._fill()
-        return self._idx[self._k]
-
-    def random(self) -> float:
-        """The current iteration's checkpoint coin, uniform on [0, 1)."""
         return self._coins[self._k]
+
+    @property
+    def subset(self) -> np.ndarray:
+        """The current iteration's b indices, as a read-only view."""
+        row = self._idx[self._k]
+        row.flags.writeable = False  # not the block's: take() copies read-only indices
+        return row
 
     def gathered(self, problem, ckpt: Checkpoint):
         """The current iteration's feature rows, targets and checkpoint
         residuals, equal to ``A[idx]``, ``targets[idx]`` and
-        ``ckpt.residuals[idx]`` for ``idx = subset()`` (b < n).
+        ``ckpt.residuals[idx]`` for ``idx = subset`` (b < n).
 
         They are views into arrays gathered for a span of the block: the
         rows and targets once per span, the residuals once per span and again
@@ -339,26 +342,21 @@ def maybe_update_checkpoint(
     ckpt: Checkpoint,
     candidate: np.ndarray,
     p: float,
-    rng: DrawStream | np.random.Generator,
+    coin: float,
     problem,
     ledger: IfoLedger,
 ) -> tuple[Checkpoint, bool]:
-    """With probability p replace the checkpoint by ``candidate``.
-
-    The coin is ``rng.random()``, uniform on [0, 1): a run passes its
-    ``DrawStream``, whose coin follows the iteration's subset.
+    """Replace the checkpoint by ``candidate`` iff ``coin < p``: with
+    probability p for a coin uniform on [0, 1), such as the one a run's
+    ``DrawStream.next()`` returns.
 
     A candidate that is ``ckpt.w`` itself, the same array, makes a hit a
     no-op: the checkpoint is returned at no IFO.  Identity is never inferred
     from floating-point comparison, so an equal-valued copy is refreshed.
-
-    Exactly one uniform variate is consumed per call regardless of p, so the
-    random stream does not depend on the probability values.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be a probability, got {p}")
-    hit = rng.random() < p
-    if not hit:
+    if not coin < p:
         return ckpt, False
     if candidate is ckpt.w:
         return ckpt, True

@@ -163,14 +163,14 @@ def katyusha_h_step(state: KatyushaHState, problem) -> None:
         state.anchor = (ckpt.w, xi_w)
 
     x_next = tau * z + xi_w + mix * y
-    rng.subset()  # move the stream to this iteration's subset
+    coin = rng.next()  # move the stream to this iteration's subset and coin
     g = svrg_estimate(x_next, ckpt, problem, ledger, rng)
     z_next = prox(problem.reg, z - step * g, step_len, overwrite=True)
     y_next = x_next + tau * (z_next - z)
 
     # Checkpoint candidate is the pre-update y.
     state.ckpt, state.checkpoint_updated = maybe_update_checkpoint(
-        ckpt, y, p, rng, problem, ledger)
+        ckpt, y, p, coin, problem, ledger)
     state.x, state.y, state.z, state.p, state.t = x_next, y_next, z_next, p, t + 1
     if t + 1 == table.start + CHUNK:  # t+1 opens the next chunk's rows
         state.table = advance(table, params)

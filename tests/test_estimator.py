@@ -115,7 +115,8 @@ class TestSampleSubset:
         draws = 1_000_000
         rows = np.empty((draws, 2), dtype=np.intp)
         for j in range(draws):
-            rows[j] = stream.subset()
+            stream.next()
+            rows[j] = stream.subset
         codes = np.bincount((1 << rows).sum(axis=1), minlength=16)
         counts = {c: codes[sum(1 << i for i in c)] for c in combinations(range(4), 2)}
         assert sum(counts.values()) == draws
@@ -150,10 +151,11 @@ class TestDrawStream:
         for seed in range(4):
             stream, rng = DrawStream(n, b, seed), make_rng(seed)
             for _ in range(iterations):
-                got = stream.subset()
+                coin = stream.next()
+                got = stream.subset
                 assert got.dtype == np.intp
                 np.testing.assert_array_equal(got, sample_subset(n, b, rng))
-                assert stream.random() == rng.random()
+                assert coin == rng.random()
 
     @pytest.mark.parametrize(
         "n,b", [(100, 3), (3 * 2**30, 3), (2**31 + 1, 5), (10**8, 300), (12, 12)]
@@ -161,11 +163,11 @@ class TestDrawStream:
     def test_copy_mid_block_continues_identically(self, n, b):
         stream = DrawStream(n, b, seed=5)
         for _ in range(stream_block(b) // 2 + 1):
-            stream.subset()
+            stream.next()
         twin = copy.deepcopy(stream)
         for _ in range(stream_block(b) + 7):
-            np.testing.assert_array_equal(stream.subset(), twin.subset())
-            assert stream.random() == twin.random()
+            assert stream.next() == twin.next()
+            np.testing.assert_array_equal(stream.subset, twin.subset)
 
     @pytest.mark.parametrize(
         "n, b, iterations",
@@ -176,19 +178,25 @@ class TestDrawStream:
         # every fill boundary falls elsewhere at K = 1, 2 and 7; at 3*2**30
         # and 10**8 layouts end at rejections on both sides of a boundary
         default = DrawStream(n, b, seed=11)
-        want = [(default.subset().copy(), default.random()) for _ in range(iterations)]
+        want = [(default.next(), default.subset.copy()) for _ in range(iterations)]
         for block in (1, 2, 7):
             monkeypatch.setattr(estimator, "_BLOCK_ITERATIONS", block)
             stream = DrawStream(n, b, seed=11)
             assert stream._block == block
-            for rows, coin in want:
-                np.testing.assert_array_equal(stream.subset(), rows)
-                assert stream.random() == coin
+            for coin, rows in want:
+                assert stream.next() == coin
+                np.testing.assert_array_equal(stream.subset, rows)
 
-    def test_coin_is_read_once_per_iteration(self):
-        stream = DrawStream(10, 2, seed=3)
-        stream.subset()
-        assert stream.random() == stream.random()
+    @pytest.mark.parametrize("n, b", [(10, 2), (10, 10)])
+    def test_subset_reads_without_moving_the_stream(self, n, b):
+        stream, twin = DrawStream(n, b, seed=3), DrawStream(n, b, seed=3)
+        for _ in range(3):
+            coin = stream.next()
+            row = stream.subset
+            assert not row.flags.writeable
+            assert stream._idx.flags.writeable == (b < n)  # take() copies read-only indices
+            np.testing.assert_array_equal(stream.subset, row)
+            assert coin == twin.next()
 
     @pytest.mark.parametrize("b", [1, 3])
     def test_gathered_equals_gathers_by_index(self, monkeypatch, b):
@@ -202,7 +210,8 @@ class TestDrawStream:
         for k in range(stream_block(b) + 40):
             if k % 7 == 3 or k % 10 == 5:
                 ckpt = make_checkpoint(rng.standard_normal(4), prob, IfoLedger())
-            idx = stream.subset()
+            stream.next()
+            idx = stream.subset
             rows, targets, r_w = stream.gathered(prob, ckpt)
             assert np.array_equal(rows, prob.A[idx])
             assert np.array_equal(targets, prob.targets[idx])
@@ -218,7 +227,7 @@ class TestDrawStream:
         stream = DrawStream(prob.n, b, seed=0)
         spans, block = [], stream_block(b)
         for _ in range(block):
-            stream.subset()
+            stream.next()
             stream.gathered(prob, ckpt)
             if not spans or spans[-1] is not stream._span_rows:
                 spans.append(stream._span_rows)
@@ -242,7 +251,8 @@ class TestDrawStream:
     @pytest.mark.parametrize("seed", [0, 2**128 - 1, np.int64(7), np.uint64(2**63)])
     def test_takes_any_integer_key(self, seed):
         stream = DrawStream(3, 1, seed=seed)
-        assert stream.subset().shape == (1,)
+        stream.next()
+        assert stream.subset.shape == (1,)
 
 
 class TestResolveBlock:
@@ -292,14 +302,15 @@ class TestResolveBlock:
         monkeypatch.setattr(estimator, "_resolve_block", counted)
         stream = DrawStream(n, b, seed=1)
         for _ in range(2 * stream_block(b)):
-            stream.subset()
+            stream.next()
         assert shapes == [(stream_block(b), b)] * 2
 
 
 def estimate_at_next_subset(x, ckpt, prob, ledger, b, seed=0):
     """A fresh stream's first subset and the estimate at x over it."""
     draws = DrawStream(prob.n, b, seed)
-    idx = draws.subset().copy()
+    draws.next()
+    idx = draws.subset.copy()
     return idx, svrg_estimate(x, ckpt, prob, ledger, draws)
 
 
@@ -420,7 +431,8 @@ class TestSvrgEstimate:
             if t % 7 == 0:
                 ckpt = make_checkpoint(rng.standard_normal(8), prob, IfoLedger())
             x = rng.standard_normal(8)
-            idx = draws.subset()
+            draws.next()
+            idx = draws.subset
             got = svrg_estimate(x, ckpt, prob, IfoLedger(), draws)
             assert got.tobytes() == indexed_estimate(x, ckpt, prob, idx).tobytes()
 
@@ -463,7 +475,7 @@ class TestDotDispatch:
         ckpt = make_checkpoint(rng.standard_normal(d), prob, IfoLedger())
         draws = DrawStream(n, b, seed=b)
         for _ in range(30):  # rows are views into a span's gather, one span at b = 100
-            draws.subset()
+            draws.next()
             rows, _, _ = draws.gathered(prob, ckpt)
             assert rows.flags.c_contiguous
             x, s = rng.standard_normal(d), rng.standard_normal(b)
@@ -505,7 +517,7 @@ class TestCheckpointUpdate:
         rng = make_rng(9)
         for _ in range(100):
             ckpt, updated = maybe_update_checkpoint(
-                ckpt, np.ones(2), 0.0, rng, prob, ledger
+                ckpt, np.ones(2), 0.0, rng.random(), prob, ledger
             )
             assert not updated
         assert ledger.checkpoint_calls == base
@@ -516,7 +528,7 @@ class TestCheckpointUpdate:
         ckpt = make_checkpoint(np.zeros(2), prob, ledger)
         base = ledger.checkpoint_calls
         new, updated = maybe_update_checkpoint(
-            ckpt, np.ones(2), 1.0, make_rng(9), prob, ledger
+            ckpt, np.ones(2), 1.0, make_rng(9).random(), prob, ledger
         )
         assert updated and new is not ckpt
         assert ledger.checkpoint_calls == base + prob.n
@@ -528,7 +540,8 @@ class TestCheckpointUpdate:
         ledger = IfoLedger()
         ckpt = make_checkpoint(np.zeros(2), prob, ledger)
         base = ledger.checkpoint_calls
-        same, updated = maybe_update_checkpoint(ckpt, ckpt.w, 1.0, make_rng(9), prob, ledger)
+        same, updated = maybe_update_checkpoint(
+            ckpt, ckpt.w, 1.0, make_rng(9).random(), prob, ledger)
         assert updated and same is ckpt
         assert ledger.checkpoint_calls == base
 
@@ -539,11 +552,30 @@ class TestCheckpointUpdate:
         ckpt = make_checkpoint(np.zeros(2), prob, ledger)
         base = ledger.checkpoint_calls
         new, updated = maybe_update_checkpoint(
-            ckpt, ckpt.w.copy(), 1.0, make_rng(9), prob, ledger
+            ckpt, ckpt.w.copy(), 1.0, make_rng(9).random(), prob, ledger
         )
         assert updated and new is not ckpt and new.w is not ckpt.w
         assert ledger.checkpoint_calls == base + prob.n
         np.testing.assert_array_equal(new.w, ckpt.w)
+
+    def test_a_hit_is_a_coin_below_p(self):
+        # at the rule's edges: coin == p misses and the next float above the
+        # coin hits; p = 0 never hits, not even at coin 0, and p = 1 always
+        # does.  Each hit's candidate is w itself, so no hit charges an IFO.
+        _, prob = synthesize(4, 2, "least_squares", seed=1)
+        ledger = IfoLedger()
+        ckpt = make_checkpoint(np.zeros(2), prob, ledger)
+        base = ledger.checkpoint_calls
+        coins = [0.0, 5e-324, 0.25, 0.5, np.nextafter(1.0, 0.0)]
+        probabilities = [0.0, 1.0, *coins, *(np.nextafter(c, 1.0) for c in coins)]
+        for coin in coins:
+            for p in probabilities:
+                same, updated = maybe_update_checkpoint(ckpt, ckpt.w, p, coin, prob, ledger)
+                assert same is ckpt and updated == (coin < p), (coin, p)
+            hit = [maybe_update_checkpoint(ckpt, ckpt.w, p, coin, prob, ledger)[1]
+                   for p in (coin, np.nextafter(coin, 1.0), 0.0, 1.0)]
+            assert hit == [False, True, False, True], coin
+        assert ledger.checkpoint_calls == base
 
     def test_update_frequency(self):
         # 10^5 Bernoulli(0.25) trials within 4 sigma
@@ -553,7 +585,7 @@ class TestCheckpointUpdate:
         rng = make_rng(123)
         trials, hits = 100_000, 0
         for _ in range(trials):
-            _, updated = maybe_update_checkpoint(ckpt, ckpt.w, 0.25, rng, prob, ledger)
+            _, updated = maybe_update_checkpoint(ckpt, ckpt.w, 0.25, rng.random(), prob, ledger)
             hits += updated
         sigma = math.sqrt(trials * 0.25 * 0.75)
         assert abs(hits - trials * 0.25) <= 4 * sigma
@@ -563,7 +595,7 @@ class TestCheckpointUpdate:
         ledger = IfoLedger()
         ckpt = make_checkpoint(np.zeros(2), prob, ledger)
         with pytest.raises(ValueError):
-            maybe_update_checkpoint(ckpt, np.ones(2), 1.5, make_rng(0), prob, ledger)
+            maybe_update_checkpoint(ckpt, np.ones(2), 1.5, 0.0, prob, ledger)
 
 
 class TestVarianceBound:

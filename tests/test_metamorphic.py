@@ -21,7 +21,9 @@ losses, the zero, l1 and elastic-net weights, three (alpha, b) cells, and
 both stopping rules.  The reference solve is not scale-equivariant bit for
 bit (its SVD rounds differently on 2A), so the reference of a transformed
 problem is the base reference transformed; a separate test holds
-``solve_reference`` to the relations within its certified tolerance.
+``solve_reference`` to the relations within its certified tolerance.  Once
+more they run through ``katyusha-h run`` on libsvm files without a
+reference, whose traces' gap columns then hold raw objective values.
 """
 
 import dataclasses
@@ -30,8 +32,16 @@ import functools
 import numpy as np
 import pytest
 
+from katyusha_h import cli
+from katyusha_h.experiment import read_trace
 from katyusha_h.optimizers import RunConfig, fista_run, run
-from katyusha_h.problems import FiniteSumProblem, solve_reference, synthesize
+from katyusha_h.problems import (
+    FiniteSumProblem,
+    dataset_from_dense,
+    serialize_libsvm,
+    solve_reference,
+    synthesize,
+)
 from katyusha_h.proximal import Regularizer
 
 LOSSES = ("least_squares", "logistic")
@@ -60,9 +70,10 @@ def _problem(A, targets, loss, reg, ref, x_scale=1.0, f_scale=1.0) -> FiniteSumP
     """A problem on (A, targets) whose reference is ``ref`` with x* scaled
     by ``x_scale`` and F* by ``f_scale``."""
     problem = FiniteSumProblem(A, targets, loss, reg)
-    problem.reference = dataclasses.replace(
-        ref, x_star=ref.x_star * x_scale, f_star=ref.f_star * f_scale,
-        gap_tolerance=ref.gap_tolerance * f_scale)
+    if ref is not None:
+        problem.reference = dataclasses.replace(
+            ref, x_star=ref.x_star * x_scale, f_star=ref.f_star * f_scale,
+            gap_tolerance=ref.gap_tolerance * f_scale)
     return problem
 
 
@@ -149,3 +160,48 @@ def test_reference_solve_keeps_the_relation_to_its_tolerance(relation, loss, reg
     ref = problem.reference
     tolerance = (ref.gap_tolerance + moved.gap_tolerance / f_scale) * f_scale
     assert abs(moved.f_star - ref.f_star * f_scale) <= tolerance
+
+
+# katyusha-h run: (loss, [problem] reg, cache_checkpoint_grads)
+CLI_CONFIGS = (("least_squares", "l1", False), ("logistic", "elastic_net", False),
+               ("least_squares", "elastic_net", True))
+CLI_CASES = [(rel, *config) for rel, (*_, losses) in RELATIONS.items()
+             for config in CLI_CONFIGS if config[0] in losses]
+
+
+def cli_trace(tmp_path, name: str, problem: FiniteSumProblem, reg: str, cache: bool):
+    """The header and rows of ``katyusha-h run`` on ``problem`` written as a
+    libsvm file, with no [reference]."""
+    data = tmp_path / f"{name}.txt"
+    data.write_text(serialize_libsvm(dataset_from_dense(problem.A, problem.targets)))
+    config = tmp_path / f"{name}.cfg"
+    config.write_text(
+        f"[problem]\nfamily = {problem.loss}\ndata = {data}\nreg = {reg}\n"
+        f"lam1 = {problem.reg.lam1!r}\nlam2 = {problem.reg.lam2!r}\n\n"
+        f"[solver]\nalpha = 0.5\nb = 3\ncache_checkpoint_grads = {str(cache).lower()}\n\n"
+        f"[run]\niterations = 120\nseeds = 5\n\n"
+        f"[output]\ndirectory = {tmp_path / name}\ntrace_stride = 7\n")
+    assert cli.main(["run", "--config", str(config)]) == 0
+    (trace,) = (tmp_path / name).iterdir()
+    header, rows = read_trace(trace)
+    del header["source"]  # the data file's path
+    return header, rows
+
+
+@pytest.mark.parametrize("relation, loss, reg, cache", CLI_CASES)
+def test_cli_run_keeps_the_relation(tmp_path, relation, loss, reg, cache):
+    # a sparse file, so its zeros are left out of the text and stay +0.0
+    dataset, _ = synthesize(30, 5, loss, seed=4, noise=1.0, density=0.6)
+    problem = FiniteSumProblem(dataset.to_dense(), dataset.labels, loss, REGS[reg])
+    transform, x_scale, f_scale, _ = RELATIONS[relation]
+    head, rows = cli_trace(tmp_path, "base", problem, reg, cache)
+    got_head, got_rows = cli_trace(tmp_path, relation, transform(problem), reg, cache)
+    assert head["reference"].startswith("none") and head["f_star"] == "0.0"
+    scale = f_scale / x_scale**2  # L is a curvature: x 4 under both doublings
+    assert float(got_head.pop("L")) == float(head.pop("L")) * scale
+    assert float(got_head.pop("eta")) == float(head.pop("eta")) / scale
+    assert got_head == head
+    for row in rows:
+        row["F_y_gap"] *= f_scale
+        row["F_w_gap"] *= f_scale
+    assert len(rows) == 19 and repr(got_rows) == repr(rows)

@@ -362,6 +362,24 @@ class TestRun:
         last_gap = records[-1].f_w - prob.reference.f_star
         assert last_gap < first_gap * 1e-2
 
+    @pytest.mark.parametrize("b", [1, 10, "n"])
+    @pytest.mark.parametrize("stop", [dict(iterations=300, record_every=20),
+                                      dict(epsilon=1e-3, max_iterations=3000, record_every=25)],
+                             ids=["iterations", "epsilon"])
+    def test_builds_no_subset_view(self, monkeypatch, b, stop):
+        # a step moves the stream by next() and reads its rows through
+        # gathered(); the subset row is for tests and tools only
+        _, prob = synthesize(30, 5, "least_squares", seed=3, reg=Regularizer.l1(0.02))
+        with_reference(prob, tol=1e-12)
+        config = RunConfig(alpha=0.5, batch_size=prob.n if b == "n" else b, seed=2, **stop)
+        want = repr(run(prob, config))
+
+        def refuse(stream):
+            raise AssertionError("a run read DrawStream.subset")
+
+        monkeypatch.setattr(estimator.DrawStream, "subset", property(refuse))
+        assert repr(run(prob, config)) == want
+
 
 class TestFista:
     def test_one_step_is_gradient_step(self):

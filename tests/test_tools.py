@@ -5,7 +5,9 @@ import json
 import os
 import re
 import shutil
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -77,6 +79,28 @@ def test_draw_bench_pairs_against_another_tree(pair_bench, capsys):
         assert set(point) == {"this", "other", "median_ratio", "lower_in"}
         assert point["this"]["q1_us"] <= point["this"]["median_us"] <= point["this"]["q3_us"]
         assert len(point["other"]["runs"]) == 3 and point["lower_in"].endswith(" of 3")
+
+
+def test_draw_bench_times_a_tree_from_before_next(pair_bench, monkeypatch):
+    # such a tree's stream moves by subset() and reads its coin by random(),
+    # one call each per timed iteration, after the first block's subset()
+    calls = []
+
+    class Stream:
+        _block = 4
+
+        def __init__(self, n, b, seed):
+            pass
+
+        def subset(self):
+            calls.append("subset")
+
+        def random(self):
+            calls.append("random")
+
+    monkeypatch.setitem(sys.modules, "old_tree.estimator", SimpleNamespace(DrawStream=Stream))
+    microseconds, _ = pair_bench.draw_cases(SimpleNamespace(__name__="old_tree"))["100,10"](0)
+    assert calls == ["subset"] + ["subset", "random"] * Stream._block and microseconds > 0
 
 
 SCANS = ["certificate", "growth alpha=0.5", "growth alpha=1", "fault xi=2"]

@@ -569,17 +569,14 @@ class TestReadsTheCertifiedArrays:
 
 
 class _ForcedDraw:
-    """Stub draw stream for a full batch: the subset is all of range(n) and
-    the next uniform is fixed, which forces one checkpoint outcome."""
+    """Stub draw stream for a full batch, whose subset is all of range(n):
+    every coin is ``value``, which forces one checkpoint outcome."""
 
     def __init__(self, value: float, n: int):
         self.value = value
         self.n = self.b = n
 
-    def subset(self) -> np.ndarray:
-        return np.arange(self.n)
-
-    def random(self) -> float:
+    def next(self) -> float:
         return self.value
 
 

@@ -16,8 +16,9 @@ commits run the same iterations:
   that workload's ``trace_stride`` does, so its time also holds the records'
   101 F(y) and F(w) values.
 - ``draw``: ``DrawStream`` microseconds per iteration.  Each (n, b) of
-  ``GRID`` draws a fixed number of whole blocks of subsets and coins, as a
-  run does.
+  ``GRID`` draws a fixed number of whole blocks of subsets and coins by
+  ``next()``, the one call a run makes per iteration (on a tree from before
+  ``next()``, by ``subset()`` then ``random()``).
 - ``scan``: ``verify``'s four scans, in nanoseconds per scanned point: the
   ones a round of the benchmark's verify_scan workload runs.  They are the
   certificate over the alpha grid of step ``GRID_STEP`` and b in
@@ -168,12 +169,18 @@ def draw_cases(package) -> dict:
 
     def measure(n: int, b: int, blocks: int, seed: int):
         stream = estimator.DrawStream(n, b, seed)
-        stream.subset()  # the first block, drawn outside the timing
+        # a tree from before next() moves the stream by subset(), reads the coin by random()
+        before_next = not hasattr(stream, "next")
+        (stream.subset if before_next else stream.next)()  # the first block, outside the timing
         iterations = blocks * stream._block
         start = time.perf_counter()
-        for _ in range(iterations):
-            stream.subset()
-            stream.random()
+        if before_next:
+            for _ in range(iterations):
+                stream.subset()
+                stream.random()
+        else:
+            for _ in range(iterations):
+                stream.next()
         return 1e6 * (time.perf_counter() - start) / iterations, None
 
     return {f"{n},{b}": partial(measure, n, b, blocks) for (n, b), blocks in GRID.items()}
