@@ -35,12 +35,12 @@ from .schedule import compute_constants, step_size
 TRACE_COLUMNS = ("t", "F_y_gap", "F_w_gap", "p_t", "ckpt_updated", "ifo_total",
                  "ifo_minibatch", "ifo_checkpoint", "lyapunov")
 # Bumped whenever an unchanged config may give different trace bytes.
-TRACE_FORMAT = "6"
+TRACE_FORMAT = "7"
 # readable trace_format -> its columns; formats 1-5 wrote no IFO split
 _FORMAT_COLUMNS = {
     **dict.fromkeys("12345", ["t", "F_y_gap", "F_w_gap", "p_t", "ckpt_updated", "ifo_total",
                               "lyapunov"]),
-    TRACE_FORMAT: list(TRACE_COLUMNS),
+    **dict.fromkeys(("6", TRACE_FORMAT), list(TRACE_COLUMNS)),
 }
 _INT_COLUMNS = {"t", "ckpt_updated", "ifo_total", "ifo_minibatch", "ifo_checkpoint"}
 # [solver] method -> the solver's name on the optimizers module

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from itertools import chain, repeat
 
 import numpy as np
-from scipy.special import expit
 
 from .proximal import Regularizer, reg_value
 
@@ -25,6 +24,11 @@ CURVATURE = {"least_squares": 1.0, "logistic": 0.25}
 # evaluates K = min(64, max(2, this // 8n)) points per (K, d) @ (d, n) GEMM,
 # which reads A once for the block where K gemvs read it K times.
 VALUE_BLOCK_BYTES = 2 << 20
+# Read-only 0-d operands of the logistic residual, which dispatch faster than
+# floats.  709 is the largest integer exponent whose exp is a finite float64,
+# so capping the exponent there keeps exp finite and silent.
+_EXP_CAP = np.broadcast_to(709.0, ())
+_MINUS_ONE = np.broadcast_to(-1.0, ())
 
 
 class DataFormatError(ValueError):
@@ -265,9 +269,14 @@ class FiniteSumProblem:
         margins = rows.dot(x, margins)
         if self.loss == "least_squares":
             return margins - targets
-        # d/dm log(1+exp(-y m)) = -y * sigmoid(-y m)
-        neg = -targets
-        return neg * expit(neg * margins)
+        # d/dm log(1+exp(-y m)) = -y * sigmoid(-y m) = y / (-1 - exp(y m)),
+        # with y m capped at 709: beyond it |r| <= 1.22e-308, and exp raises
+        # no overflow warning at any margin, inf included
+        r = np.multiply(targets, margins)
+        np.minimum(r, _EXP_CAP, out=r)
+        np.exp(r, out=r)
+        np.subtract(_MINUS_ONE, r, out=r)
+        return np.divide(targets, r, out=r)
 
     def component_grad_matrix(self, x: np.ndarray, idx=None) -> np.ndarray:
         """Per-component gradients as rows; all components when idx is None."""
@@ -446,7 +455,8 @@ def _strictly_separable(problem: FiniteSumProblem) -> bool:
     """Whether y_i a_i'w > 0 at some w for every i with a_i != 0 (a zero row's
     margin is 0 at every w).  One LP asks for margins >= 1 and its w is
     rechecked in floats, so True is a certificate."""
-    from scipy.optimize import linprog  # ~0.3 s to import; only this check needs it
+    # the package's only scipy import, ~0.3 s and ~25 MiB: only this check needs it
+    from scipy.optimize import linprog
 
     margins = problem.targets[:, None] * problem.A
     margins = margins[np.any(margins != 0.0, axis=1)]

@@ -401,6 +401,19 @@ class TestRunCommand:
         assert [r["t"] for r in rows] == [0, 1]
         assert rows[1]["ifo_total"] == 32 and rows[1]["lyapunov"] == 0.75
 
+    def test_reads_format_6(self, tmp_path):
+        # format 6 wrote the columns of today's format; only logistic F values moved
+        path = tmp_path / "v6.csv"
+        path.write_text(
+            "# trace_format = 6\n# method = katyusha_h\n# reference_iterations = 12\n"
+            + ",".join(TRACE_COLUMNS) + "\n0,0.5,0.5,,0,30,0,30,\n1,0.25,0.5,1.0,1,62,2,60,0.75\n"
+        )
+        header, rows = read_trace(path)
+        assert header["trace_format"] == "6" and header["reference_iterations"] == "12"
+        assert [(r["t"], r["ifo_minibatch"], r["ifo_checkpoint"]) for r in rows] == [
+            (0, 0, 30), (1, 2, 60)]
+        assert math.isnan(rows[0]["lyapunov"]) and rows[1]["lyapunov"] == 0.75
+
     def test_reads_the_ifo_split_and_the_reference_iterations(self, config_path):
         cfg = load_config(config_path)
         problem = build_problem(cfg)
@@ -413,6 +426,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("version, columns", [
         ("5", TRACE_COLUMNS),  # an earlier format wrote no IFO split
+        ("6", ("t", "F_y_gap", "F_w_gap", "p_t", "ckpt_updated", "ifo_total", "lyapunov")),
         (TRACE_FORMAT, ("t", "F_y_gap", "F_w_gap", "p_t", "ckpt_updated", "ifo_total",
                         "lyapunov")),
     ])
@@ -422,7 +436,7 @@ class TestRunCommand:
         with pytest.raises(ValueError, match="unexpected trace columns"):
             read_trace(path)
 
-    @pytest.mark.parametrize("version", ["7", "99"])
+    @pytest.mark.parametrize("version", ["8", "99"])
     def test_refuses_unknown_format(self, tmp_path, version):
         path = tmp_path / f"v{version}.csv"
         path.write_text(

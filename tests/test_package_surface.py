@@ -4,7 +4,10 @@ from it."""
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -122,3 +125,34 @@ def test_the_top_level_is_what_scripts_import():
     for path in (ROOT / "tools").glob("*.py"):
         scripts |= imported_from_top_level(path.read_text()) - submodules
     assert sorted(importlib.import_module("katyusha_h").__all__) == sorted(scripts)
+
+
+# A fresh interpreter imports the package and its CLI, then runs one
+# least-squares and one l1-logistic problem with a reference; it prints the
+# scipy modules loaded then, and again after the reference solve of a
+# zero-weight logistic problem, whose separability LP is the one scipy call.
+SCIPY_PROBE = """
+import sys
+import katyusha_h, katyusha_h.cli
+from katyusha_h import Regularizer, RunConfig, run, synthesize, with_reference
+scipy = lambda: sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+for family in ("least_squares", "logistic"):
+    _, problem = synthesize(30, 5, family, seed=3, reg=Regularizer.l1(0.01))
+    run(with_reference(problem, tol=1e-8),
+        RunConfig(alpha=0.5, batch_size=3, epsilon=1e-6, lyapunov=True))
+print(scipy())
+_, problem = synthesize(30, 5, "logistic", seed=3)
+try:
+    with_reference(problem, tol=1e-8)
+except ValueError:  # separable: no minimizer
+    pass
+print("scipy.optimize" in scipy())
+"""
+
+
+def test_runs_load_numpy_and_no_scipy():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines() == ["[]", "True"]

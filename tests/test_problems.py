@@ -3,6 +3,7 @@
 import math
 import re
 import time
+import warnings
 from types import SimpleNamespace
 from unittest import mock
 
@@ -447,6 +448,44 @@ class TestLogistic:
         got = self.one_column([y]).smooth_value(None, np.array([-y * z]))
         assert math.isnan(got) == math.isnan(want) and math.isinf(got) == math.isinf(want)
         assert got == pytest.approx(want, rel=4 * np.finfo(np.float64).eps, abs=0, nan_ok=True)
+
+    # past y m = 709 the residual is capped at 1 / (1 + exp(709)) in magnitude
+    CAPPED = 1.22e-308
+
+    @staticmethod
+    def residual(y, margins):
+        """The residual at the given margins, through one-column rows with
+        x = 1, and the expit oracle's -y sigmoid(-y m), under errors for any
+        warning the residual raises."""
+        margins = np.asarray(margins, dtype=np.float64)
+        y = np.full(margins.shape, y)
+        prob = TestLogistic.one_column([1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = prob.residual(np.ones(1), margins[:, None], y)
+        with np.errstate(all="ignore"):
+            return got, -y * expit(-y * margins)
+
+    @pytest.mark.parametrize("y", [-1.0, 1.0])
+    def test_residual_matches_the_expit_oracle(self, y):
+        margins = np.concatenate([np.linspace(-745.0, 745.0, 40_001),
+                                  make_rng(5).uniform(-40.0, 40.0, 10_000)])
+        got, want = self.residual(y, margins)
+        normal = np.abs(want) >= np.finfo(np.float64).tiny
+        ulps = np.abs(got - want)[normal] / np.spacing(np.abs(want[normal]))
+        # near y m = 36.8, where 1 + exp(y m) rounds at 2^53, the residual and
+        # the oracle can each be 2 ulp from the exact value, on opposite sides
+        assert ulps.max() <= 4
+        assert np.all(np.abs(got - want)[~normal] <= self.CAPPED)
+        assert np.all(np.abs(got[y * margins >= 709.0]) <= self.CAPPED)
+
+    @pytest.mark.parametrize("y", [-1.0, 1.0])
+    def test_residual_limits_and_nan(self, y):
+        margins = np.array([-math.inf, -1e308, 1e308, math.inf, math.nan]) * y
+        got, _ = self.residual(y, margins)
+        assert got[0] == got[1] == -y  # the loss's slope far on its linear side
+        assert np.all(np.abs(got[2:4]) <= self.CAPPED) and np.all(got[2:4] * y <= 0.0)
+        assert math.isnan(got[4])
 
     @pytest.mark.parametrize("fill, value", [(math.nan, "nan"), (1e308, "inf")])
     def test_epsilon_run_from_a_non_finite_iterate_stops(self, monkeypatch, fill, value):

@@ -19,12 +19,12 @@ OpenBLAS is pinned to one thread before numpy loads, as the benchmark pins
 it, and the last line names that thread count.  With more threads, gemv on
 the d = 300 rows sums in another order, so every one of its 64 runs (and the
 digest) would depend on the machine.  Pinned, numpy 2.4.6 on x86-64 gives,
-since trace_format 6,
+since trace_format 7,
 
     ls_l1: 64 runs sha256 78df3d6d465bef1e6d8bd71259cdfa0fdcb63ad4ba54e1a4c3b02ee4c9c055d8
-    logistic_enet: 64 runs sha256 d69e49bc935f8442c67284cefcf652d806343552efd139d970814c892bd323bd
+    logistic_enet: 64 runs sha256 c3b6b0e117940c58046ab689a1ff0bc57a2c85622463d3246fd656c27ae030dc
     ls_sql2_wide: 64 runs sha256 d5b23f4b660e0a9d909d3d7ac2eed47e3a0acb0cbab93cb23a5c8e36364b499a
-    all: 192 runs sha256 f9b5539532257ca5521d59b21685ce0d4b90ed3d34e25ae8f47fcd225d8000ef
+    all: 192 runs sha256 fd217045f648cc66d4e683c29c3ed8b498a1fcb63472aa7318d2e7732a0d5127
 """
 
 from __future__ import annotations
