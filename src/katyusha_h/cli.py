@@ -24,7 +24,7 @@ from .experiment import (
     run_command,
     sweep_command,
 )
-from .problems import DataFormatError, check_reference, parse_libsvm, serialize_libsvm
+from .problems import DataFormatError, check_reference, read_libsvm, serialize_libsvm
 
 
 def _load_with_flags(args):
@@ -155,7 +155,7 @@ def _cmd_parse_data(args) -> int:
     if not path.exists():
         raise ConfigError(f"dataset file not found: {path}")
     try:
-        dataset = parse_libsvm(path.read_text())
+        dataset = read_libsvm(path)
     except DataFormatError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if dataset.n == 0:

@@ -25,7 +25,7 @@ from .problems import (
     FiniteSumProblem,
     check_reference,
     check_seed,
-    parse_libsvm,
+    read_libsvm,
     solve_reference,
     synthesize,
 )
@@ -315,7 +315,7 @@ def build_problem(cfg: ExperimentConfig) -> FiniteSumProblem:
     reg = _regularizer(spec)
     if spec.data is not None:
         try:
-            dataset = parse_libsvm(Path(spec.data).read_text())
+            dataset = read_libsvm(spec.data)
             problem = FiniteSumProblem(dataset.to_dense(), dataset.labels, spec.family, reg)
         except ValueError as exc:
             raise ConfigError(f"{spec.data}: {exc}") from exc

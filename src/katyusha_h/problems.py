@@ -12,6 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import chain, repeat
+from pathlib import Path
 
 import numpy as np
 
@@ -102,39 +103,54 @@ def _index_fault(indptr: np.ndarray, indices: np.ndarray) -> str | None:
 
 # Feature tokens converted at a time: bounds the parser's lists of strings.
 _CHUNK_ENTRIES = 8192
+# Every byte but ':' and ' ': deleting them from feature tokens joined by
+# single spaces leaves the separators, which alternate ':' and ' ' exactly
+# when each token holds one ':'.  Neither byte occurs inside a multibyte
+# UTF-8 sequence, so the check is exact for any text.
+_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b": ")))
 
 
 def _csr_parts(rows: list[tuple[int, list[str]]]) -> tuple[np.ndarray, ...]:
     """Row lengths, indices, values and labels of (line number, fields) rows.
 
-    Each check runs over all rows at once, in the order ':', label, index,
-    index order, value.  A failure raises DataFormatError on the last row's
-    line naming the last token of its kind, which is the fault itself once
-    ``_parse_rows`` has cut the rows to end at it.
+    The feature tokens are joined by single spaces and, once the separators
+    show one ':' per token, split at ':' and ' ' into heads and tails.
+    numpy converts labels, heads and tails with Python's own ``float`` and
+    ``int`` rules.  Each check runs over all rows at once, in the order ':',
+    label, index, index order, value.  A failure raises DataFormatError on
+    the last row's line naming the last token of its kind, which is the
+    fault itself once ``_parse_rows`` has cut the rows to end at it.
     """
     line_no = rows[-1][0] if rows else 0
     label_toks = [fields[0] for _, fields in rows]
     counts = np.fromiter((len(fields) - 1 for _, fields in rows), np.int64, len(rows))
     tokens = list(chain.from_iterable(fields[1:] for _, fields in rows))
-    if not all(map(str.__contains__, tokens, repeat(":"))):
-        raise DataFormatError(line_no, f"missing ':' in token {tokens[-1]!r}")
+    joined = " ".join(tokens)
+    # surrogatepass: a lone surrogate in the text is three bytes, none a separator
+    separators = joined.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATORS)
+    if separators == b": " * (len(tokens) - 1) + b":":
+        parts = joined.replace(":", " ").split(" ")
+        heads, tails = parts[::2], parts[1::2]
+    else:  # no tokens, or one without ':', or one with two, whose tail is no value
+        if not all(map(str.__contains__, tokens, repeat(":"))):
+            raise DataFormatError(line_no, f"missing ':' in token {tokens[-1]!r}")
+        heads = [tok.partition(":")[0] for tok in tokens]
+        tails = [tok.partition(":")[2] for tok in tokens]
     try:
-        labels = np.array(list(map(float, label_toks)))
+        labels = np.array(label_toks, dtype=np.float64)
     except ValueError:
         raise DataFormatError(line_no, f"bad label {label_toks[-1]!r}") from None
     if not np.all(np.isfinite(labels)):
         raise DataFormatError(line_no, f"non-finite label {label_toks[-1]!r}")
-    heads = [tok.partition(":")[0] for tok in tokens]
     try:
-        indices = np.array(list(map(int, heads)), dtype=np.int64)
+        indices = np.array(heads, dtype=np.int64)
     except (ValueError, OverflowError):  # OverflowError: beyond int64
         raise DataFormatError(line_no, f"bad feature index {heads[-1]!r}") from None
     fault = _index_fault(np.concatenate(([0], np.cumsum(counts))), indices)
     if fault is not None:
         raise DataFormatError(line_no, fault)
-    tails = [tok.partition(":")[2] for tok in tokens]
     try:
-        values = np.array(list(map(float, tails)), dtype=np.float64)
+        values = np.array(tails, dtype=np.float64)
     except ValueError:
         raise DataFormatError(line_no, f"bad feature value {tails[-1]!r}") from None
     if not np.all(np.isfinite(values)):
@@ -172,7 +188,7 @@ def parse_libsvm(text: str) -> SparseDataset:
     Blank lines are skipped.  Malformed tokens, non-finite labels or values,
     non-increasing indices and indices beyond int64 raise DataFormatError
     with the offending line number.  Lines are split one at a time and their
-    tokens converted with ``int``/``float`` a chunk at a time.
+    tokens checked and converted a chunk at a time (``_csr_parts``).
     """
     parts, rows, pending = [], [], 0
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -186,6 +202,21 @@ def parse_libsvm(text: str) -> SparseDataset:
     counts, indices, values, labels = map(np.concatenate, zip(*parts))
     indptr = np.concatenate(([0], np.cumsum(counts)))
     return SparseDataset(indptr, indices, values, labels, d=int(indices.max(initial=0)))
+
+
+def read_libsvm(path: str | Path) -> SparseDataset:
+    """``parse_libsvm`` of a file decoded as UTF-8, whatever the locale.  A
+    byte that is not UTF-8 raises DataFormatError on the line that holds
+    it, lines counted as ``str.splitlines`` counts them."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # read_text decodes the whole file at once, so the error holds all of
+        # its bytes; those before the first bad one decode, and "x" stands
+        # for the rest of its line
+        line_no = len((exc.object[:exc.start].decode("utf-8") + "x").splitlines())
+        raise DataFormatError(line_no, str(exc)) from None
+    return parse_libsvm(text)
 
 
 def serialize_libsvm(dataset: SparseDataset) -> str:

@@ -2,7 +2,10 @@
 
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -1070,6 +1073,43 @@ class TestBadDataFile:
         )
         assert main([command, "--config", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {data}: {message}\n"
+
+
+class TestDataFileEncoding:
+    @pytest.mark.parametrize("command", ["run", "parse-data"])
+    @pytest.mark.parametrize("raw, line, position", [
+        (b"1 1:0.5\n\xff1 2:1\n", 2, 8),
+        (b"1 1:\xff\n", 1, 4),
+        # form feed and \r\n end lines as str.splitlines counts them
+        (b"1 1:1\x0c-1 2:1\r\n1 3:\xff\n", 3, 18),
+    ])
+    def test_a_byte_that_is_not_utf8_names_the_file_and_line(
+            self, tmp_path, capsys, command, raw, line, position):
+        data = tmp_path / "d.txt"
+        data.write_bytes(raw)
+        path = tmp_path / "exp.ini"
+        path.write_text(
+            f"[problem]\nfamily = logistic\ndata = {data}\n\n[run]\niterations = 5\n\n"
+            f"[output]\ndirectory = {tmp_path / 'out'}\n"
+        )
+        args = ["run", "--config", str(path)] if command == "run" else [command, str(data)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"error: {data}: line {line}: 'utf-8' codec can't decode byte 0xff "
+            f"in position {position}: invalid start byte\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_the_locale_does_not_change_what_a_file_parses_to(self, tmp_path):
+        # under the C locale a text-mode read would decode as ASCII and refuse
+        # the Arabic-Indic one
+        data = tmp_path / "d.txt"
+        data.write_text("1 ١:0.5\n", encoding="utf-8")
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run([sys.executable, "-m", "katyusha_h.cli", "parse-data", str(data)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert "dimension = 1\nnonzeros = 1\n" in done.stdout
 
 
 class TestRunSingle:

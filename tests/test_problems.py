@@ -286,6 +286,19 @@ class TestParser:
     @example("1 1:\n", 8192)
     @example("1 2:1 5 1:2:3\n", 1)
     @example("-1\t3:1\n\n1 1:1 1:2:3\n", 3)
+    # the chunk's ':' count matches its tokens, but '1:2:3' holds two and '4'
+    # none: line 1: bad feature value '2:3'
+    @example("1 1:2:3 4\n", 8192)
+    # an empty head and an empty tail in one chunk: bad feature index ''
+    @example("1 2:1 :5 3:\n", 8192)
+    # form feed, \x1c and \x1d end lines for splitlines too: the token '1' on
+    # line 3 lacks its ':', and with \x1d before it line 4's value 'x' is bad
+    @example("1 1:1\x0c-1 2:1\x1c1 3:1 1 4:x\n", 8192)
+    @example("1 1:1\x0c-1 2:1\x1c1 3:1\x1d1 4:x\n", 8192)
+    # Arabic-Indic one and underscores parse, as int and float read them
+    @example("1 ١:2 1_1:1e1_0\n", 8192)
+    # a lone surrogate, which no file decodes to, is a bad index like any other
+    @example("1 1:1 2\ud800:3\n", 8192)
     @settings(max_examples=300, deadline=None)
     def test_any_text_matches_reference_parser(self, text, chunk):
         self._check_against_reference(text, chunk)

@@ -6,6 +6,7 @@ import os
 import re
 import shutil
 import sys
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -29,6 +30,7 @@ def pair_bench(monkeypatch):
     monkeypatch.setattr(pair_bench, "GRID", {(100, 10): 1, (3 * 2**30, 3): 1})
     monkeypatch.setattr(pair_bench, "GRID_STEP", 0.5)
     monkeypatch.setattr(pair_bench, "T_MAX", 40)
+    monkeypatch.setattr(pair_bench, "TEXTS", {"30x5 toy": (30, 5, 0.5), "40x2 toy": (40, 2, 1.0)})
     monkeypatch.setattr(pair_bench, "REPEATS", dict.fromkeys(pair_bench.REPEATS, 3))
     return pair_bench
 
@@ -52,7 +54,8 @@ def test_step_bench_records_at_a_shape_s_own_stride(pair_bench, capsys, monkeypa
     monkeypatch.setattr(optimizers, "run",
                         lambda *args: counts.append(len(real(*args))) or counts[-1])
     pair_bench.main(["step"])
-    assert counts == [2] * 3 + [iterations // 4 + 1] * 3
+    # per shape, one warm-up run, then the three repeats
+    assert counts == [2] * 4 + [iterations // 4 + 1] * 4
 
 
 def test_step_bench_pairs_against_another_tree(pair_bench, capsys):
@@ -103,6 +106,27 @@ def test_draw_bench_times_a_tree_from_before_next(pair_bench, monkeypatch):
     assert calls == ["subset"] + ["subset", "random"] * Stream._block and microseconds > 0
 
 
+def test_each_side_warms_each_case_up_once_before_its_repeats(pair_bench, capsys, monkeypatch):
+    calls = []
+
+    def cases(package):
+        def measure(name, seed):
+            calls.append((package.__name__, name, seed))
+            return 1.0, None
+        return {name: partial(measure, name) for name in ("a", "b")}
+
+    monkeypatch.setitem(pair_bench.SUITES, "step", (cases, "us"))
+    pair_bench.main(["step", "--against", str(ROOT / "src")])
+    this, other = "katyusha_h", "katyusha_h_against"
+    for name in ("a", "b"):
+        # the warm-up on seed 0, then repeats that alternate which side goes first
+        assert [call for call in calls if call[1] == name] == [
+            (this, name, 0), (other, name, 0),
+            (this, name, 0), (other, name, 0), (other, name, 1), (this, name, 1),
+            (this, name, 2), (other, name, 2)]
+    assert json.loads(capsys.readouterr().out)["a"]["this"]["runs"] == [1.0] * 3
+
+
 SCANS = ["certificate", "growth alpha=0.5", "growth alpha=1", "fault xi=2"]
 
 
@@ -132,6 +156,55 @@ def test_scan_bench_exits_one_when_the_reports_differ(pair_bench, capsys, tmp_pa
     with pytest.raises(SystemExit, match="report differently on certificate, fault xi=2"):
         pair_bench.main(["scan", "--against", str(other)])
     assert list(json.loads(capsys.readouterr().out)) == ["openblas_threads", *SCANS]
+
+
+TEXTS = ["30x5 toy", "40x2 toy"]
+
+
+def test_parse_bench_times_this_tree(pair_bench, capsys):
+    pair_bench.main(["parse"])
+    out = json.loads(capsys.readouterr().out)
+    assert out.pop("openblas_threads") == 1 and list(out) == TEXTS
+    assert all(len(point["runs"]) == 3 and point["median_ns"] > 0 for point in out.values())
+
+
+def test_parse_bench_pairs_against_another_tree(pair_bench, capsys):
+    pair_bench.main(["parse", "--against", str(ROOT / "src")])
+    out = json.loads(capsys.readouterr().out)
+    assert out.pop("openblas_threads") == 1 and list(out) == TEXTS
+    for point in out.values():
+        assert set(point) == {"this", "other", "median_ratio", "lower_in"}
+        assert point["this"]["q1_ns"] <= point["this"]["median_ns"] <= point["this"]["q3_ns"]
+        assert len(point["other"]["runs"]) == 3 and point["lower_in"].endswith(" of 3")
+
+
+def test_parse_bench_text_is_the_workload_s_data_file(pair_bench, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    for name in ("calibration", "workloads"):  # imported here, dropped at teardown
+        monkeypatch.setitem(sys.modules, name, None)
+        del sys.modules[name]
+    from workloads import CliSparseCached
+
+    # the toy workload writes 400 rows of 10 columns at density 0.2
+    CliSparseCached().prepare(seed=3, toy=True, workdir=tmp_path)
+    written = (tmp_path / "cli" / "data.txt").read_text()
+    assert pair_bench.libsvm_text(400, 10, 0.2, 3) == written
+
+
+@pytest.mark.parametrize("old, new", [
+    # the other tree reads one more column, or negates every value
+    ("d=int(indices.max(initial=0))", "d=int(indices.max(initial=0)) + 1"),
+    ("self.values = np.asarray(", "self.values = -np.asarray("),
+])
+def test_parse_bench_exits_one_when_the_parses_differ(pair_bench, capsys, tmp_path, old, new):
+    other = tmp_path / "src"
+    shutil.copytree(ROOT / "src" / "katyusha_h", other / "katyusha_h")
+    module = other / "katyusha_h" / "problems.py"
+    assert old in module.read_text()
+    module.write_text(module.read_text().replace(old, new))
+    with pytest.raises(SystemExit, match="report differently on 30x5 toy, 40x2 toy"):
+        pair_bench.main(["parse", "--against", str(other)])
+    assert list(json.loads(capsys.readouterr().out)) == ["openblas_threads", *TEXTS]
 
 
 def toy_problems(lam1_b=0.01):

@@ -1,6 +1,6 @@
 """Time one suite of cases on this tree, or pair it with another tree in one process.
 
-    PYTHONPATH=src python tools/pair_bench.py step|draw|scan
+    PYTHONPATH=src python tools/pair_bench.py step|draw|scan|parse
 
 The suites, each timed per case over repeats r = 0, 1, ... on seed r, so two
 commits run the same iterations:
@@ -26,9 +26,17 @@ commits run the same iterations:
   alpha = 0.5 and alpha = 1, and the certificate with xi forced to 2, as
   ``verify --inject-fault xi=2`` runs it.  A scanned point is one
   (alpha, b, t) of a certificate and one t of a growth scan.
+- ``parse``: ``problems.parse_libsvm`` nanoseconds per token (a label or
+  an ``idx:val``).  Each of ``TEXTS`` is a text made from the seed as the
+  cli_sparse_cached workload writes its data file: that workload's own
+  10**4 x 100 shape at density 0.2, long rows (10**3 rows of 2,000 entries)
+  and short rows (10**5 rows of 2 entries, where the per-line cost shows).
 
-Alone, per case the JSON gives the median and each repeat's time.  To
-compare this tree with another, name the other tree's ``src`` directory:
+Each side runs every case once, untimed, on seed 0 before its timed
+repeats, so the first repeat does not pay for warming caches and
+allocators.  Alone, per case the JSON gives the median and each repeat's
+time.  To compare this tree with another, name the other tree's ``src``
+directory:
 
     PYTHONPATH=src python tools/pair_bench.py <suite> --against ../parent/src
 
@@ -40,7 +48,9 @@ first when r is odd.  Per case the JSON gives each side's median and
 quartiles, the median of the per-repeat ratios this/other, and in how many
 repeats this tree was the faster.  The scans are deterministic, so the two
 trees must print the same report: if a scan's ``to_text()`` differs, the
-script names the scan and exits 1 after the JSON.
+script names the scan and exits 1 after the JSON.  So must their parses:
+a text whose ``indptr``, ``indices``, ``values`` or ``labels`` bytes or
+``d`` differ is named the same way.
 
 OpenBLAS is pinned to one thread before numpy loads, as the benchmark pins
 it, so the 10**4 x 100 shape's gemv runs as it does there; the JSON names
@@ -50,17 +60,21 @@ the thread count.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib
 import importlib.util
 import json
+import math
 import os
 import statistics
 import sys
 import time
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, when numpy loads
+
+import numpy as np  # noqa: E402
 
 import katyusha_h  # noqa: E402
 
@@ -114,10 +128,18 @@ GRID_STEP = 0.01
 BATCH_SIZES = (1, 2, 10)
 T_MAX = 100_000
 
+# parse: name: (rows, columns, density) of the matrix a text is written
+# from; the largest parse takes about a second on a 2-vCPU Xeon
+TEXTS = {
+    "cli_sparse_cached 10000x100 density=0.2": (10_000, 100, 0.2),
+    "long rows 1000x2000": (1_000, 2_000, 1.0),
+    "short rows 100000x2": (100_000, 2, 1.0),
+}
+
 # 16 step runs are enough for quartiles and a sign count of the paired
-# ratios; draw and scan take ten pairs per case with --against, as a gain
-# claim needs
-REPEATS = {"step": 16, "draw": 10, "scan": 10}
+# ratios; draw, scan and parse take ten pairs per case with --against, as a
+# gain claim needs
+REPEATS = {"step": 16, "draw": 10, "scan": 10, "parse": 10}
 
 
 def load_package(src: Path, name: str = "katyusha_h_against"):
@@ -209,9 +231,46 @@ def scan_cases(package) -> dict:
     }
 
 
+@lru_cache(maxsize=1)  # both sides parse one seed's text in turn
+def libsvm_text(n: int, d: int, density: float, seed: int) -> str:
+    """The data file cli_sparse_cached writes from ``seed`` for an n x d
+    matrix of this density: a label in {-1, 1}, then ``j:v`` with v to nine
+    significant digits for each nonzero."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    A = rng.standard_normal((n, d)) * (rng.random((n, d)) < density)
+    w = rng.standard_normal(d) / math.sqrt(d * density)
+    labels = np.where(A @ w + 0.1 * rng.standard_normal(n) >= 0.0, 1, -1)
+    lines = []
+    for row, label in zip(A, labels.tolist()):
+        nz = np.flatnonzero(row)
+        lines.append(" ".join([str(label)] + [f"{j + 1}:{v:.9g}"
+                                              for j, v in zip(nz.tolist(), row[nz].tolist())]))
+    return "\n".join(lines) + "\n"
+
+
+def parse_cases(package) -> dict:
+    """Text name: the measure of one ``parse_libsvm`` by ``package``'s
+    ``problems``, in nanoseconds per token, with a digest of the parse."""
+    problems = importlib.import_module(f"{package.__name__}.problems")
+
+    def measure(shape: tuple, seed: int):
+        text = libsvm_text(*shape, seed)
+        start = time.perf_counter()
+        dataset = problems.parse_libsvm(text)
+        elapsed = time.perf_counter() - start
+        digest = hashlib.sha256(str(dataset.d).encode())
+        for array in (dataset.indptr, dataset.indices, dataset.values, dataset.labels):
+            digest.update(array.tobytes())
+        return 1e9 * elapsed / (dataset.n + dataset.nnz), digest.hexdigest()
+
+    return {name: partial(measure, shape) for name, shape in TEXTS.items()}
+
+
 # suite: (its cases from a package, each a measure(seed) that returns a time
-# and the report text or None; the unit that suffixes the keys of its times)
-SUITES = {"step": (step_cases, "us"), "draw": (draw_cases, "us"), "scan": (scan_cases, "ns")}
+# and the report text, a digest or None; the unit that suffixes the keys of
+# its times)
+SUITES = {"step": (step_cases, "us"), "draw": (draw_cases, "us"), "scan": (scan_cases, "ns"),
+          "parse": (parse_cases, "ns")}
 
 
 def _quartiles(runs: list[float], unit: str) -> dict:
@@ -250,6 +309,8 @@ def main(argv: list[str] | None = None) -> None:
     for name in plans["this"]:
         runs: dict[str, list[float]] = {side: [] for side in sides}
         texts = {}
+        for side in sides:  # the untimed warm-up
+            plans[side][name](0)
         for seed in range(REPEATS[args.suite]):
             for side in sides if seed % 2 == 0 else sides[::-1]:
                 value, texts[side] = plans[side][name](seed)
