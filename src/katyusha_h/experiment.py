@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import functools
 import math
+import os
 import typing
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -22,10 +23,12 @@ from . import optimizers
 from .optimizers import RunConfig, TraceRecord
 from .problems import (
     CURVATURE,
+    DataFormatError,
     FiniteSumProblem,
     check_reference,
     check_seed,
     read_libsvm,
+    read_utf8,
     solve_reference,
     synthesize,
 )
@@ -198,7 +201,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
-        parser.read_string(path.read_text(), source=str(path))
+        parser.read_string(read_utf8(path), source=str(path))
+    except DataFormatError as exc:  # a byte that is not UTF-8
+        raise ConfigError(f"{path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
     cfg = ExperimentConfig()
@@ -208,6 +213,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if getattr(cfg, section) is None:  # an optional section is on when present
             setattr(cfg, section, _SECTIONS[section]())
         _apply(getattr(cfg, section), section, dict(parser.items(section)))
+    # a path's UTF-8 bytes name its file, whatever the filesystem encoding
+    if cfg.problem.data is not None:
+        cfg.problem.data = os.fsdecode(cfg.problem.data.encode("utf-8"))
+    cfg.output.directory = os.fsdecode(cfg.output.directory.encode("utf-8"))
     validate_config(cfg)
     return cfg
 
@@ -371,7 +380,7 @@ def write_trace(
                 )
             )
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
 
 
 def read_trace(path: str | Path) -> tuple[dict[str, str], list[dict[str, float]]]:
@@ -383,7 +392,8 @@ def read_trace(path: str | Path) -> tuple[dict[str, str], list[dict[str, float]]
     header: dict[str, str] = {}
     rows: list[dict[str, float]] = []
     columns: list[str] | None = None
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+    for line_no, line in enumerate(text.splitlines(), start=1):
         if line.startswith("#"):
             key, _, value = line[1:].partition("=")
             header[key.strip()] = value.strip()

@@ -13,9 +13,9 @@ The checkpoint candidate is the pre-update y: the per-step Lyapunov
 coefficients telescope only when a checkpoint hit lands on y_t, so replacing
 with the post-update y would break the descent guarantee.
 
-Every solver takes ``(problem, RunConfig)`` and runs in one loop, ``_drive``,
-which owns the stopping rule, the epsilon test and the trace records; each
-method supplies only its step and its default test cadence.
+Every solver, the reference solve ``fista_solve`` too, runs in one loop,
+``_drive``, which owns the budget, the test cadence, the refusal of a
+non-finite F and the records; a method supplies its step, stop test and cadence.
 """
 
 from __future__ import annotations
@@ -202,51 +202,54 @@ def check_run(config: RunConfig, has_reference: bool, name=str) -> None:
             raise ValueError(f"{name(field_name)} must be at least {least}, got {value}")
 
 
-def _drive(problem, config: RunConfig, steps, objective, record,
+def _drive(problem, config: RunConfig, steps, test, record,
            eval_every: int) -> list[TraceRecord]:
-    """The run loop of every solver: stopping rule, epsilon test, recording.
+    """The loop of every solver: budget, stop test, recording.
 
-    ``steps(first, last)`` performs iterations first..last in place, so
-    only the iterations that are tested, recorded or last pay for the
-    checks between them; ``objective()`` returns F at
-    the point whose gap the epsilon test reads every ``config.eval_every``
-    iterations, or every ``eval_every`` (the method's own cadence) if the
-    config sets none, and at the last; a solver whose test point rarely
-    changes may remember its value.  ``record(t, f)`` builds the record after
-    iteration t, where ``f`` is the value the test just read and None
-    otherwise, so no objective is evaluated twice per iteration; it may
-    leave fields for the solver to fill once this returns.
-    Returns the initial record plus one per ``record_every`` iterations; the
-    final iteration is always recorded.  A non-finite F at the epsilon test
-    stops the run with a ValueError: the iterate has diverged or was never
-    finite, and no later iteration can reach the target.
+    ``steps(first, last)`` performs iterations first..last in place, so only
+    the iterations that are tested, recorded or last pay for the checks
+    between them.  ``test()``, if not None, returns F at the point it reads
+    and whether the run is done, read every ``config.eval_every`` iterations
+    (else ``eval_every``, the method's cadence) and at the last; a non-finite
+    F raises ValueError, since no later iteration can pass.  ``record(t, f)``
+    builds the record after iteration t, ``f`` being the F the test just read
+    or None, so no F is evaluated twice; it may leave fields for the solver
+    to fill later.  The budget is ``config.iterations``, else
+    ``max_iterations``.  Returns the initial record plus one per
+    ``record_every`` iterations, and always the last.
     """
-    check_run(config, problem.reference is not None)
-    iterations, epsilon, record_every = config.iterations, config.epsilon, config.record_every
-    if config.eval_every is not None:
-        eval_every = config.eval_every
-    budget = iterations if iterations is not None else config.max_iterations
+    check_run(config, problem.reference is not None)  # so eval_every is None or >= 1
+    record_every, eval_every = config.record_every, config.eval_every or eval_every
+    budget = config.max_iterations if config.iterations is None else config.iterations
     records = [record(0, None)]
     t = 0
     while t < budget:
         # run straight to the next iteration that is tested, recorded or last
         last = min(budget, (t // record_every + 1) * record_every)
-        if epsilon is not None:
+        if test is not None:
             last = min(last, (t // eval_every + 1) * eval_every)
         steps(t + 1, last)
         t = last
         done = t == budget
         f = None
-        if epsilon is not None and (done or t % eval_every == 0):
-            f = objective()
+        if test is not None and (done or t % eval_every == 0):
+            f, met = test()
             if not math.isfinite(f):
                 raise ValueError(f"objective is {f} at t={t}: the run cannot reach its target")
-            done = done or f - problem.reference.f_star <= epsilon
+            done = done or met
         if done or t % record_every == 0:
             records.append(record(t, f))
         if done:
             break
     return records
+
+
+def _epsilon_test(problem, config: RunConfig, objective):
+    """The epsilon rule F - F* <= epsilon as a stop test that reads F from
+    ``objective()``; None for a run that stops on iterations."""
+    if config.epsilon is not None:
+        return lambda: (f := objective(), f - problem.reference.f_star <= config.epsilon)
+    return None
 
 
 def run(problem, config: RunConfig) -> list[TraceRecord]:
@@ -308,14 +311,8 @@ def run(problem, config: RunConfig) -> list[TraceRecord]:
         for _ in range(first, last + 1):
             katyusha_h_step(state, problem)
 
-    records = _drive(
-        problem,
-        config,
-        steps,
-        checkpoint_value,
-        record,
-        eval_every=1 if problem.n * problem.d <= 50_000 else 10,
-    )
+    records = _drive(problem, config, steps, _epsilon_test(problem, config, checkpoint_value),
+                     record, eval_every=1 if problem.n * problem.d <= 50_000 else 10)
     fill()
     return records
 
@@ -367,46 +364,40 @@ def fista_run(problem, config: RunConfig) -> list[TraceRecord]:
         f = problem.value(x) if f is None else f
         return TraceRecord(t, f, f, math.nan, False, problem.n * t, 0)
 
-    return _drive(problem, config, steps, lambda: problem.value(x), record, eval_every=1)
+    test = _epsilon_test(problem, config, lambda: problem.value(x))
+    return _drive(problem, config, steps, test, record, eval_every=1)
 
 
-def fista_solve(
-    problem,
-    L: float,
-    tol: float,
-    max_iterations: int,
-) -> tuple[np.ndarray, float, float, int]:
+def fista_solve(problem, L: float, tol: float,
+                max_iterations: int) -> tuple[np.ndarray, float, float, int]:
     """Over-solve with function-restarted FISTA from 0 for reference solutions.
 
-    ``L`` bounds the smoothness of the average f (not of each component);
-    steps are 1/L.  Stops when the composite gradient-mapping certificate
-    pushes the gap estimate ||G|| * radius below tol, where the radius proxy
-    is max(1, 2*||x_best||).  Returns (x_best, f_best, gap_estimate,
-    iterations).
+    A ``_drive`` run of at most ``max_iterations`` steps of length 1/L, ``L``
+    bounding the smoothness of the average f (not of each component).  A step
+    keeps the best point and drops the momentum where F rises; the test is the
+    gradient-mapping certificate ||G|| * radius <= tol, with radius proxy
+    max(1, 2*||x_best||).  Returns (x_best, f_best, gap_estimate, iterations).
     """
-    x = np.zeros(problem.d)
-    y, theta = x.copy(), 1.0
-    f_best = problem.value(x)
-    x_best = x.copy()
-    gap_est = math.inf
-    t = 0
-    f_prev = f_best
-    for t in range(1, max_iterations + 1):
-        x_next = _prox_grad(problem, y, L)
-        mapping_norm = L * float(np.linalg.norm(y - x_next))
-        f_val = problem.value(x_next)
-        if f_val < f_best:
-            f_best = f_val
-            x_best = x_next.copy()
-        radius = max(1.0, 2.0 * float(np.linalg.norm(x_best)))
-        gap_est = mapping_norm * radius
-        if gap_est <= tol:
-            break
-        if f_val > f_prev:
-            theta = 1.0  # function restart: drop momentum on objective increase
-            y = x_next.copy()
-        else:
-            y, theta = _extrapolate(x_next, x, theta)
-        x = x_next
-        f_prev = f_val
-    return x_best, f_best, gap_est, t
+    x = y = x_best = np.zeros(problem.d)
+    theta, radius, gap_est = 1.0, 1.0, math.inf
+    f_best = f_val = problem.value(x)
+
+    def steps(first: int, last: int) -> None:
+        # no step writes into a point, so points are kept, not copied
+        nonlocal x, y, theta, f_val, f_best, x_best, radius, gap_est
+        for _ in range(first, last + 1):
+            x_next = _prox_grad(problem, y, L)
+            step = y - x_next  # norms as np.linalg.norm takes them, without its checks
+            mapping_norm = L * math.sqrt(step.dot(step))
+            f_prev, f_val = f_val, problem.value(x_next)
+            if f_val < f_best:
+                f_best, x_best = f_val, x_next
+                radius = max(1.0, 2.0 * math.sqrt(x_best.dot(x_best)))
+            gap_est = mapping_norm * radius
+            # function restart: drop the momentum where F rises
+            y, theta = (x_next, 1.0) if f_val > f_prev else _extrapolate(x_next, x, theta)
+            x = x_next
+
+    config = RunConfig(iterations=max_iterations, record_every=max_iterations)
+    return _drive(problem, config, steps, lambda: (f_val, gap_est <= tol),
+                  lambda t, _: (x_best, f_best, gap_est, t), eval_every=1)[-1]

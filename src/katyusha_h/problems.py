@@ -33,7 +33,8 @@ _MINUS_ONE = np.broadcast_to(-1.0, ())
 
 
 class DataFormatError(ValueError):
-    """Malformed dataset text; carries the 1-based line number."""
+    """Malformed dataset text, or a byte of an input file that is not UTF-8;
+    carries the 1-based line number."""
 
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
@@ -204,19 +205,23 @@ def parse_libsvm(text: str) -> SparseDataset:
     return SparseDataset(indptr, indices, values, labels, d=int(indices.max(initial=0)))
 
 
-def read_libsvm(path: str | Path) -> SparseDataset:
-    """``parse_libsvm`` of a file decoded as UTF-8, whatever the locale.  A
-    byte that is not UTF-8 raises DataFormatError on the line that holds
-    it, lines counted as ``str.splitlines`` counts them."""
+def read_utf8(path: str | Path) -> str:
+    """An input file's text, a data file's or a config's, decoded as UTF-8
+    whatever the locale.  A byte that is not UTF-8 raises DataFormatError on
+    the line that holds it, lines counted as ``str.splitlines`` counts them."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         # read_text decodes the whole file at once, so the error holds all of
         # its bytes; those before the first bad one decode, and "x" stands
         # for the rest of its line
         line_no = len((exc.object[:exc.start].decode("utf-8") + "x").splitlines())
         raise DataFormatError(line_no, str(exc)) from None
-    return parse_libsvm(text)
+
+
+def read_libsvm(path: str | Path) -> SparseDataset:
+    """``parse_libsvm`` of the data file at ``path``, read by ``read_utf8``."""
+    return parse_libsvm(read_utf8(path))
 
 
 def serialize_libsvm(dataset: SparseDataset) -> str:
@@ -504,11 +509,8 @@ def check_reference(tol: float, max_iterations: int, name=str) -> None:
         raise ValueError(f"{name('max_iterations')} must be at least 1, got {max_iterations}")
 
 
-def solve_reference(
-    problem: FiniteSumProblem,
-    tol: float = 1e-12,
-    max_iterations: int = 200_000,
-) -> ReferenceSolution:
+def solve_reference(problem: FiniteSumProblem, tol: float = 1e-12,
+                    max_iterations: int = 200_000) -> ReferenceSolution:
     """High-precision optimum, certified to ``tol`` or warned about.
 
     The method follows from the problem, on one SVD of A:
@@ -524,7 +526,9 @@ def solve_reference(
       below ``tol`` or at ``max_iterations``.
 
     ``gap_tolerance`` is the achieved certificate, never below ``tol``.
-    When the certificate misses ``tol`` a RuntimeWarning names both.
+    When the certificate misses ``tol`` a RuntimeWarning names both.  A
+    non-finite F* or certificate raises ValueError naming the method and both
+    values; FISTA's ``_drive`` refuses the first non-finite F, naming its step.
     Logistic loss with both regularizer weights zero has no minimizer on
     separable data, so such a problem raises ValueError before any iteration
     runs.
@@ -552,29 +556,23 @@ def solve_reference(
     else:
         s = np.linalg.svd(problem.A, compute_uv=False)
         L_f = float(s[0]) ** 2 / n * CURVATURE[problem.loss]
-        x_star, f_star, gap, iterations = fista_solve(
-            problem, L_f, tol=tol, max_iterations=max_iterations
-        )
         method = "fista-restart"
+        try:
+            x_star, f_star, gap, iterations = fista_solve(problem, L_f, tol=tol,
+                                                          max_iterations=max_iterations)
+        except ValueError as exc:  # a non-finite F, refused at the step that met it
+            raise ValueError(f"reference solve ({method}): {exc}") from None
+    if not (math.isfinite(f_star) and math.isfinite(gap)):
+        raise ValueError(f"reference solve ({method}, {iterations} iterations) found "
+                         f"F* = {f_star} with a certificate of {gap}: not finite")
     if gap > tol:
-        warnings.warn(
-            f"reference solve ({method}, {iterations} iterations) certified a gap "
-            f"of {gap:.3g}, above the requested {tol:.3g}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return ReferenceSolution(
-        x_star=x_star,
-        f_star=f_star,
-        gap_tolerance=max(gap, tol),
-        method=method,
-        iterations=iterations,
-    )
+        warnings.warn(f"reference solve ({method}, {iterations} iterations) certified a gap "
+                      f"of {gap:.3g}, above the requested {tol:.3g}", RuntimeWarning, stacklevel=2)
+    return ReferenceSolution(x_star, f_star, max(gap, tol), method, iterations)
 
 
-def with_reference(
-    problem: FiniteSumProblem, tol: float = 1e-12, max_iterations: int = 200_000
-) -> FiniteSumProblem:
+def with_reference(problem: FiniteSumProblem, tol: float = 1e-12,
+                   max_iterations: int = 200_000) -> FiniteSumProblem:
     """Attach a freshly solved reference to the problem (in place) and return it."""
     problem.reference = solve_reference(problem, tol=tol, max_iterations=max_iterations)
     return problem

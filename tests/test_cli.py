@@ -33,7 +33,7 @@ from katyusha_h.experiment import (
     sweep_command,
 )
 from katyusha_h.optimizers import RunConfig
-from katyusha_h.problems import synthesize, with_reference
+from katyusha_h.problems import dataset_from_dense, serialize_libsvm, synthesize, with_reference
 
 HUGE = str(10**400)  # an integer whose arithmetic would overflow a float
 
@@ -882,6 +882,29 @@ class TestSolveRefCommand:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("command, stop", [
+        ("solve-ref", "iterations = 40"), ("run", "iterations = 40"), ("run", "epsilon = 1e-6")])
+    def test_an_overflowing_f_star_is_exit_two(self, tmp_path, capsys, command, stop):
+        # targets near 1e200 with an l1 weight: F is inf at 0 and after
+        # FISTA's first step, so no F* exists to measure gaps against
+        rng = np.random.default_rng(1)
+        A = rng.standard_normal((20, 3))
+        data = tmp_path / "d.txt"
+        data.write_text(serialize_libsvm(dataset_from_dense(A, rng.standard_normal(20) * 1e200)))
+        path = tmp_path / "exp.ini"
+        path.write_text(
+            f"[problem]\nfamily = least_squares\ndata = {data}\nreg = l1\nlam1 = 0.1\n\n"
+            f"[run]\n{stop}\n\n[reference]\nmax_iterations = 500\n\n"
+            f"[output]\ndirectory = {tmp_path / 'out'}\n"
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main([command, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: reference solve (fista-restart): objective is inf at "
+                                "t=1: the run cannot reach its target\n")
+        assert captured.out == "" and not (tmp_path / "out").exists()
+
+
 class TestNonFiniteInputs:
     def test_non_finite_data_file_is_exit_two(self, tmp_path, capsys):
         data = tmp_path / "d.txt"
@@ -1110,6 +1133,44 @@ class TestDataFileEncoding:
                               env=env, capture_output=True, text=True, timeout=60)
         assert (done.returncode, done.stderr) == (0, "")
         assert "dimension = 1\nnonzeros = 1\n" in done.stdout
+
+
+class TestConfigFileEncoding:
+    @pytest.mark.parametrize("raw, line, fault", [
+        # é in Latin-1; a byte no UTF-8 sequence starts with, on a \r\n line
+        (b"[problem]\nfamily = logistic\n# caf\xe9\n",
+         3, "byte 0xe9 in position 33: invalid continuation byte"),
+        (b"[run]\r\niterations = 5\xff\r\n", 2, "byte 0xff in position 21: invalid start byte"),
+    ])
+    def test_a_byte_that_is_not_utf8_names_the_config_and_line(
+            self, tmp_path, capsys, raw, line, fault):
+        path = tmp_path / "exp.ini"
+        path.write_bytes(raw)
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: line {line}: 'utf-8' codec can't decode {fault}\n")
+
+    def test_the_locale_does_not_change_what_a_config_reads(self, tmp_path):
+        # under the C locale a text-mode read would decode as ASCII and refuse
+        # the é of the data path, and the filesystem would name the file by
+        # its UTF-8 bytes escaped
+        data = tmp_path / "donnée.txt"
+        data.write_text("1 1:0.5\n-1 2:1\n", encoding="utf-8")
+        traces = {}
+        for locale in ("C", "C.UTF-8"):
+            out = tmp_path / f"sortie é {locale}"
+            path = tmp_path / f"{locale}.ini"
+            path.write_text(f"[problem]\nfamily = logistic\ndata = {data}  # é\n\n"
+                            f"[run]\niterations = 5\n\n[output]\ndirectory = {out}\n",
+                            encoding="utf-8")
+            env = dict(os.environ, LC_ALL=locale, PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                       PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+            done = subprocess.run([sys.executable, "-m", "katyusha_h.cli", "run", "--config",
+                                   str(path)], env=env, capture_output=True, timeout=60)
+            assert (done.returncode, done.stderr) == (0, b"")
+            traces[locale] = (out / "trace_katyusha_h_seed0.csv").read_bytes()
+        assert f"# source = {data}\n".encode() in traces["C"]
+        assert traces["C"] == traces["C.UTF-8"]
 
 
 class TestRunSingle:

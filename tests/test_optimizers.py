@@ -658,10 +658,12 @@ class TestDriverArguments:
             getattr(optimizers, solver)(prob, RunConfig(x0=x0, iterations=20))
 
 
-def per_iteration_drive(problem, config, step, objective, record, eval_every):
+def per_iteration_drive(problem, config, step, objective, record, eval_every, test=None):
     """The run loop as it was written before ``_drive`` ran straight to the
-    next tested or recorded iteration: every check at every iteration.
-    ``step(t)`` performs iteration t.  Arguments are assumed valid."""
+    next tested or recorded iteration, and before it took its stop test as a
+    callable: every check at every iteration.  ``step(t)`` performs
+    iteration t.  ``test``, when given, stands in for the epsilon rule and
+    is read where that rule would be.  Arguments are assumed valid."""
     if config.eval_every is not None:
         eval_every = config.eval_every
     epsilon = config.epsilon
@@ -671,11 +673,15 @@ def per_iteration_drive(problem, config, step, objective, record, eval_every):
         step(t)
         done = t == budget
         f = None
-        if epsilon is not None and (done or t % eval_every == 0):
-            f = objective()
+        if (epsilon is not None or test is not None) and (done or t % eval_every == 0):
+            if test is None:
+                f = objective()
+                met = f - problem.reference.f_star <= epsilon
+            else:
+                f, met = test()
             if not math.isfinite(f):
                 raise ValueError(f"objective is {f} at t={t}: the run cannot reach its target")
-            done = done or f - problem.reference.f_star <= epsilon
+            done = done or met
         if done or t % config.record_every == 0:
             records.append(record(t, f))
         if done:
@@ -685,12 +691,15 @@ def per_iteration_drive(problem, config, step, objective, record, eval_every):
 
 class TestDriveLoop:
     """``_drive`` against the per-iteration loop: the same records, the
-    objective read at the same iterations, every iteration stepped once."""
+    objective read at the same iterations, every iteration stepped once.
+    An epsilon run gives ``_drive`` the epsilon rule as its stop test and
+    the old loop its own inline rule; a run with ``certified`` gives both
+    the same stop test, done at the first tested t where ``certified(t)``."""
 
     F_STAR = 2.0
     problem = SimpleNamespace(reference=SimpleNamespace(f_star=F_STAR))
 
-    def trail(self, drive, config, eval_every, gap):
+    def trail(self, drive, config, eval_every, gap, certified=None):
         """(records, iterations stepped, iterations whose F was read, error)."""
         now, stepped, tested = [0], [], []
 
@@ -711,16 +720,20 @@ class TestDriveLoop:
             assert t == now[0]
             return (t, f)
 
+        test = None if certified is None else lambda: (objective(), certified(now[0]))
         try:
-            records = drive(self.problem, config, steps if drive is optimizers._drive else step,
-                            objective, record, eval_every)
+            if drive is optimizers._drive:
+                test = test or optimizers._epsilon_test(self.problem, config, objective)
+                records = drive(self.problem, config, steps, test, record, eval_every)
+            else:
+                records = drive(self.problem, config, step, objective, record, eval_every, test)
         except ValueError as err:
             return None, stepped, tested, str(err)
         return records, stepped, tested, None
 
-    def same(self, config, eval_every=1, gap=lambda t: 1.0 / t):
-        new = self.trail(optimizers._drive, config, eval_every, gap)
-        old = self.trail(per_iteration_drive, config, eval_every, gap)
+    def same(self, config, eval_every=1, gap=lambda t: 1.0 / t, certified=None):
+        new = self.trail(optimizers._drive, config, eval_every, gap, certified)
+        old = self.trail(per_iteration_drive, config, eval_every, gap, certified)
         assert new == old
         return new
 
@@ -769,6 +782,101 @@ class TestDriveLoop:
         first = min(eval_every, 100)
         assert records is None and tested == [first] and stepped == list(range(1, first + 1))
         assert error == f"objective is {self.F_STAR + bad} at t={first}: the run cannot reach its target"
+
+    @pytest.mark.parametrize("record_every, eval_every, budget", [
+        (7, 3, 100), (1, 1, 100), (100, 1, 100), (5, 4, 101), (7, 150, 100), (1, 1, 1),
+    ])
+    @pytest.mark.parametrize("met_at", [40, None])
+    def test_a_stop_test_ends_a_fixed_length_run(self, record_every, eval_every, budget, met_at):
+        # fista_solve's shape: an iteration budget, and a test that reads a
+        # certificate rather than F - F*
+        config = RunConfig(iterations=budget, record_every=record_every, eval_every=eval_every)
+        records, stepped, tested, error = self.same(
+            config, certified=lambda t: met_at is not None and t >= met_at)
+        assert error is None
+        last = budget if met_at is None else min(budget, -(-met_at // eval_every) * eval_every)
+        assert records[-1][0] == last and stepped == list(range(1, last + 1))
+        assert tested == sorted({*range(eval_every, last + 1, eval_every), last})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_a_stop_test_s_non_finite_objective_raises(self, bad):
+        config = RunConfig(iterations=50, record_every=50, eval_every=5)
+        records, stepped, tested, error = self.same(
+            config, gap=lambda t: bad if t >= 12 else 1.0, certified=lambda t: False)
+        assert records is None and tested == [5, 10, 15] and stepped == list(range(1, 16))
+        assert error == f"objective is {self.F_STAR + bad} at t=15: the run cannot reach its target"
+
+
+def loop_fista_solve(problem, L, tol, max_iterations, restarts=None):
+    """``fista_solve`` as it was written before it ran through ``_drive``:
+    its own loop, with ``np.linalg.norm`` and copies of the points it keeps.
+    Appends to ``restarts`` each t whose step dropped the momentum."""
+    x = np.zeros(problem.d)
+    y, theta = x.copy(), 1.0
+    f_best = problem.value(x)
+    x_best = x.copy()
+    gap_est = math.inf
+    t = 0
+    f_prev = f_best
+    for t in range(1, max_iterations + 1):
+        x_next = optimizers._prox_grad(problem, y, L)
+        mapping_norm = L * float(np.linalg.norm(y - x_next))
+        f_val = problem.value(x_next)
+        if f_val < f_best:
+            f_best = f_val
+            x_best = x_next.copy()
+        radius = max(1.0, 2.0 * float(np.linalg.norm(x_best)))
+        gap_est = mapping_norm * radius
+        if gap_est <= tol:
+            break
+        if f_val > f_prev:
+            theta = 1.0
+            y = x_next.copy()
+            if restarts is not None:
+                restarts.append(t)
+        else:
+            y, theta = optimizers._extrapolate(x_next, x, theta)
+        x = x_next
+        f_prev = f_val
+    return x_best, f_best, gap_est, t
+
+
+class TestFistaSolveLoop:
+    """``fista_solve``, a ``_drive`` run, against its own old loop: the same
+    best point's bytes, F, certificate and iteration count."""
+
+    @pytest.mark.parametrize("family, reg, tol, cap", [
+        ("least_squares", Regularizer.l1(0.02), 1e-12, 200_000),
+        ("least_squares", Regularizer.elastic_net(1e-3, 1e-3), 1e-12, 200_000),
+        ("logistic", Regularizer.l1(0.01), 1e-12, 200_000),
+        ("logistic", Regularizer.elastic_net(1e-3, 1e-3), 1e-10, 200_000),
+        ("least_squares", Regularizer.l1(0.01), 1e-300, 50),  # capped
+        ("logistic", Regularizer.squared_l2(0.01), 1e-300, 1),  # one step
+    ], ids=["l1", "elastic_net", "logistic-l1", "logistic-enet", "capped", "one-step"])
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_matches_the_old_loop(self, family, reg, tol, cap, seed):
+        _, prob = synthesize(60, 8, family, seed=seed, reg=reg, condition=100.0)
+        L, restarts = _smoothness_bound(prob), []
+        new = optimizers.fista_solve(prob, L, tol=tol, max_iterations=cap)
+        old = loop_fista_solve(prob, L, tol, cap, restarts)
+        assert new[0].tobytes() == old[0].tobytes()
+        assert [float(v).hex() for v in new[1:3]] == [float(v).hex() for v in old[1:3]]
+        assert new[3] == old[3] and (new[3] == cap) == (old[2] > tol)
+        assert bool(restarts) == (cap > 1)  # F rose, and the momentum dropped, in each
+
+    def test_a_certificate_equal_to_tol_stops_the_solve(self):
+        # tol is the certificate the old loop reads at t = 10: "at most tol"
+        _, prob = synthesize(60, 8, "least_squares", seed=3, reg=Regularizer.l1(0.02))
+        L = _smoothness_bound(prob)
+        tol = loop_fista_solve(prob, L, 1e-300, 10)[2]
+        new = optimizers.fista_solve(prob, L, tol=tol, max_iterations=1_000)
+        assert new[2] == tol and new[3] == loop_fista_solve(prob, L, tol, 1_000)[3] <= 10
+
+
+def _smoothness_bound(prob):
+    """L_f, the smoothness bound of the average f that solve_reference steps by."""
+    s = np.linalg.svd(prob.A, compute_uv=False)
+    return float(s[0]) ** 2 / prob.n * problems.CURVATURE[prob.loss]
 
 
 # -- the step's arithmetic, driven by hand -----------------------------------

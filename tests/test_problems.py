@@ -1,5 +1,6 @@
 """Problem oracles, dataset parsing, generators, and reference solutions."""
 
+import hashlib
 import math
 import re
 import time
@@ -795,6 +796,54 @@ class TestSolveReference:
         assert refs[0].x_star.tobytes() == refs[1].x_star.tobytes()
 
 
+def overflowing_problem(case):
+    """Least squares on rng(1)'s 20 x 3 features, whose targets overflow F:
+    (a) noise near 1e200 with an l1 weight; (b) the image of a point near
+    1e155 with an l1 weight; (c) that image with a squared-l2 weight, which
+    the direct solve takes."""
+    rng = np.random.default_rng(1)
+    A = rng.standard_normal((20, 3))
+    if case == "a":
+        return FiniteSumProblem(A, rng.standard_normal(20) * 1e200, "least_squares",
+                                reg=Regularizer.l1(0.1))
+    reg = Regularizer.l1(1e-3) if case == "b" else Regularizer.squared_l2(1e-3)
+    return FiniteSumProblem(A, A @ np.array([1e155, -2e155, 5e154]), "least_squares", reg=reg)
+
+
+class TestNonFiniteReference:
+    """A reference solve whose F* or certificate is not finite is refused:
+    it would measure every gap against inf, or certify nothing."""
+
+    @pytest.mark.parametrize("case", ["a", "b"])
+    def test_fista_refuses_the_first_non_finite_objective(self, case):
+        # F is inf at 0 and after the first step; the old loop returned
+        # F* = inf (a) or F* = 1.53e277 with a nan certificate (b)
+        with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused, not warned about
+            with pytest.raises(ValueError, match=re.escape(
+                    "reference solve (fista-restart): objective is inf at t=1: ")):
+                solve_reference(overflowing_problem(case), max_iterations=500)
+
+    def test_direct_solve_refuses_a_non_finite_f_star(self):
+        # the lstsq point is near the generating one, but F overflows there
+        with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as refused:
+                solve_reference(overflowing_problem("c"), max_iterations=500)
+        assert re.fullmatch(r"reference solve \(lstsq, 0 iterations\) found F\* = inf with a "
+                            r"certificate of \S+: not finite", str(refused.value))
+
+    def test_a_nan_certificate_is_refused(self, monkeypatch):
+        # a finite F* whose certificate is nan is no more a reference
+        _, prob = synthesize(30, 5, "least_squares", seed=17, reg=Regularizer.l1(0.01))
+        monkeypatch.setattr(optimizers, "fista_solve",
+                            lambda problem, L, **kw: (np.zeros(5), 0.5, math.nan, 7))
+        with pytest.raises(ValueError, match=re.escape(
+                "reference solve (fista-restart, 7 iterations) found F* = 0.5 with a "
+                "certificate of nan: not finite")):
+            solve_reference(prob, tol=1e-10)
+
+
 def _smoothness_of_average(prob):
     scale = 0.25 if prob.loss == "logistic" else 1.0
     return scale * float(np.linalg.eigvalsh(prob.A.T @ prob.A / prob.n)[-1])
@@ -811,6 +860,31 @@ QUADRATIC_CASES = [
     (40, 6, Regularizer.squared_l2(0.05)),
     (8, 12, Regularizer.squared_l2(0.05)),  # rank A < d: curvature lam2 off the row space
 ]
+
+
+class TestCriteriaReferences:
+    """The reference solutions of acceptance criteria 04, 05 and 10, which no
+    golden trace header records: F* and gap_tolerance as float hex, the
+    method and iterations, and a digest of x*'s bytes."""
+
+    @pytest.mark.parametrize("data, kwargs, pinned", [
+        (dict(n=6, d=4, family="least_squares", seed=3, reg=Regularizer.l1(0.05)),
+         dict(tol=1e-12),
+         ("64220307c7e5f4ff", "0x1.6f02ed5a5556cp-5", "0x1.19799812dea11p-40", "fista-restart",
+          124)),
+        (dict(n=100, d=20, family="least_squares", seed=7, reg=Regularizer.l1(0.02)),
+         dict(tol=1e-12),
+         ("66e8250baa60511a", "0x1.098ea327d2b42p-4", "0x1.19799812dea11p-40", "fista-restart",
+          72)),
+        (dict(n=2000, d=50, family="least_squares", seed=20, noise=0.1, condition=1e4),
+         dict(tol=1e-12, max_iterations=200_000),
+         ("b21fcc73970a0335", "0x1.38bc6d58e5708p-8", "0x1.19799812dea11p-40", "lstsq", 0)),
+    ], ids=["criterion-04", "criterion-05", "criterion-10"])
+    def test_reference_is_pinned(self, data, kwargs, pinned):
+        _, prob = synthesize(**data)
+        ref = solve_reference(prob, **kwargs)
+        assert (hashlib.sha256(ref.x_star.tobytes()).hexdigest()[:16], ref.f_star.hex(),
+                ref.gap_tolerance.hex(), ref.method, ref.iterations) == pinned
 
 
 class TestReferenceOracles:

@@ -31,6 +31,13 @@ def pair_bench(monkeypatch):
     monkeypatch.setattr(pair_bench, "GRID_STEP", 0.5)
     monkeypatch.setattr(pair_bench, "T_MAX", 40)
     monkeypatch.setattr(pair_bench, "TEXTS", {"30x5 toy": (30, 5, 0.5), "40x2 toy": (40, 2, 1.0)})
+    monkeypatch.setattr(pair_bench, "REFERENCES", {
+        "12x3 l1": (dict(n=12, d=3, family="least_squares", seed=1, reg=("l1", 0.05)),
+                    dict(tol=1e-10)),
+        "12x3 l1 capped": (dict(n=12, d=3, family="least_squares", seed=1, reg=("l1", 0.05)),
+                           dict(tol=1e-300, max_iterations=5)),
+        "12x3 lstsq": (dict(n=12, d=3, family="least_squares", seed=1), dict(tol=1e-12)),
+    })
     monkeypatch.setattr(pair_bench, "REPEATS", dict.fromkeys(pair_bench.REPEATS, 3))
     return pair_bench
 
@@ -205,6 +212,74 @@ def test_parse_bench_exits_one_when_the_parses_differ(pair_bench, capsys, tmp_pa
     with pytest.raises(SystemExit, match="report differently on 30x5 toy, 40x2 toy"):
         pair_bench.main(["parse", "--against", str(other)])
     assert list(json.loads(capsys.readouterr().out)) == ["openblas_threads", *TEXTS]
+
+
+REFERENCES = ["12x3 l1", "12x3 l1 capped", "12x3 lstsq"]
+
+
+def test_ref_bench_times_this_tree(pair_bench, capsys, recwarn):
+    pair_bench.main(["ref"])
+    out = json.loads(capsys.readouterr().out)
+    assert out.pop("openblas_threads") == 1 and list(out) == REFERENCES
+    assert all(len(point["runs"]) == 3 and point["median_ms"] > 0 for point in out.values())
+    assert not recwarn.list  # the capped solve's warning is expected, and kept quiet
+
+
+def test_ref_bench_pairs_against_another_tree(pair_bench, capsys):
+    pair_bench.main(["ref", "--against", str(ROOT / "src")])
+    out = json.loads(capsys.readouterr().out)
+    assert out.pop("openblas_threads") == 1 and list(out) == REFERENCES
+    for point in out.values():
+        assert set(point) == {"this", "other", "median_ratio", "lower_in"}
+        assert point["this"]["q1_ms"] <= point["this"]["median_ms"] <= point["this"]["q3_ms"]
+        assert len(point["other"]["runs"]) == 3 and point["lower_in"].endswith(" of 3")
+
+
+@pytest.mark.parametrize("module, old, new, differ", [
+    # a wider radius proxy moves FISTA's certificate, not the direct solve's
+    ("optimizers", "max(1.0, 2.0 *", "max(1.0, 4.0 *", "12x3 l1, 12x3 l1 capped"),
+    # the direct solve's point moves by one rounding; FISTA's solves do not
+    ("problems", "x_star = Vt.T @ (coef * (U.T @ problem.targets))",
+     "x_star = Vt.T @ (coef * (U.T @ problem.targets)) * (1 + 2**-52)", "12x3 lstsq"),
+])
+def test_ref_bench_exits_one_when_the_solutions_differ(
+        pair_bench, capsys, tmp_path, module, old, new, differ):
+    other = tmp_path / "src"
+    shutil.copytree(ROOT / "src" / "katyusha_h", other / "katyusha_h")
+    path = other / "katyusha_h" / f"{module}.py"
+    assert old in path.read_text()
+    path.write_text(path.read_text().replace(old, new))
+    with pytest.raises(SystemExit, match=f"report differently on {differ}$"):
+        pair_bench.main(["ref", "--against", str(other)])
+    assert list(json.loads(capsys.readouterr().out)) == ["openblas_threads", *REFERENCES]
+
+
+def test_ref_bench_cases_are_the_workloads_set_up_solves(monkeypatch):
+    # seeds_lyapunov's l1 solve and sweep_crossover's direct one, at full
+    # size: the same problem and the same reference, bit for bit
+    monkeypatch.setitem(os.environ, "OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    for name in ("calibration", "workloads"):  # imported here, dropped at teardown
+        monkeypatch.setitem(sys.modules, name, None)
+        del sys.modules[name]
+    import pair_bench
+    import workloads
+
+    import katyusha_h
+    from katyusha_h.problems import solve_reference
+
+    for case, workload in (("100x20 l1", workloads.SeedsLyapunov()),
+                           ("2000x50 lstsq", workloads.SweepCrossover())):
+        data, kwargs = pair_bench.REFERENCES[case]
+        theirs = workload.setup(workload.prepare(seed=0, toy=False, workdir=None))["problem"]
+        mine = pair_bench.build(katyusha_h, data)
+        assert (mine.A.tobytes(), mine.targets.tobytes(), mine.reg) == (
+            theirs.A.tobytes(), theirs.targets.tobytes(), theirs.reg)
+        ref, expected = solve_reference(mine, **kwargs), theirs.reference
+        assert ref.x_star.tobytes() == expected.x_star.tobytes()
+        assert (ref.f_star, ref.gap_tolerance, ref.method, ref.iterations) == (
+            expected.f_star, expected.gap_tolerance, expected.method, expected.iterations)
 
 
 def toy_problems(lam1_b=0.01):

@@ -1,6 +1,6 @@
 """Time one suite of cases on this tree, or pair it with another tree in one process.
 
-    PYTHONPATH=src python tools/pair_bench.py step|draw|scan|parse
+    PYTHONPATH=src python tools/pair_bench.py step|draw|scan|parse|ref
 
 The suites, each timed per case over repeats r = 0, 1, ... on seed r, so two
 commits run the same iterations:
@@ -31,6 +31,13 @@ commits run the same iterations:
   cli_sparse_cached workload writes its data file: that workload's own
   10**4 x 100 shape at density 0.2, long rows (10**3 rows of 2,000 entries)
   and short rows (10**5 rows of 2 entries, where the per-line cost shows).
+- ``ref``: ``problems.solve_reference`` milliseconds per solve.  Each of
+  ``REFERENCES`` is a set-up solve: seeds_lyapunov's restarted FISTA on
+  (n=100, d=20, l1) at tol 1e-12, a longer FISTA solve on a (2000, 50)
+  logistic elastic net, a (30, 5, l1) solve capped at 50 iterations short
+  of tol 1e-300, as the tests run it, and sweep_crossover's direct
+  ``lstsq`` solve of (2000, 50, no regularizer) as a control that runs no
+  FISTA.
 
 Each side runs every case once, untimed, on seed 0 before its timed
 repeats, so the first repeat does not pay for warming caches and
@@ -50,7 +57,8 @@ repeats this tree was the faster.  The scans are deterministic, so the two
 trees must print the same report: if a scan's ``to_text()`` differs, the
 script names the scan and exits 1 after the JSON.  So must their parses:
 a text whose ``indptr``, ``indices``, ``values`` or ``labels`` bytes or
-``d`` differ is named the same way.
+``d`` differ is named the same way, and so is a solve whose ``x_star``
+bytes, ``f_star``, ``gap_tolerance``, ``method`` or ``iterations`` differ.
 
 OpenBLAS is pinned to one thread before numpy loads, as the benchmark pins
 it, so the 10**4 x 100 shape's gemv runs as it does there; the JSON names
@@ -69,6 +77,7 @@ import os
 import statistics
 import sys
 import time
+import warnings
 from functools import lru_cache, partial
 from pathlib import Path
 
@@ -136,10 +145,25 @@ TEXTS = {
     "short rows 100000x2": (100_000, 2, 1.0),
 }
 
+# ref: name: (synthesize arguments, solve_reference arguments); the longest
+# solve takes under 0.1 s on a 2-vCPU Xeon
+REFERENCES = {
+    "100x20 l1": (dict(n=100, d=20, family="least_squares", seed=7, reg=("l1", 0.02)),
+                  dict(tol=1e-12)),
+    "2000x50 logistic enet": (
+        dict(n=2000, d=50, family="logistic", seed=1, reg=("elastic_net", 1e-3, 1e-3)),
+        dict(tol=1e-12)),
+    "30x5 l1 capped": (dict(n=30, d=5, family="least_squares", seed=17, reg=("l1", 0.01)),
+                       dict(tol=1e-300, max_iterations=50)),
+    "2000x50 lstsq": (
+        dict(n=2000, d=50, family="least_squares", seed=20, noise=0.1, condition=1e4),
+        dict(tol=1e-12, max_iterations=200_000)),
+}
+
 # 16 step runs are enough for quartiles and a sign count of the paired
-# ratios; draw, scan and parse take ten pairs per case with --against, as a
-# gain claim needs
-REPEATS = {"step": 16, "draw": 10, "scan": 10, "parse": 10}
+# ratios; draw, scan, parse and ref take ten pairs per case with --against,
+# as a gain claim needs
+REPEATS = {"step": 16, "draw": 10, "scan": 10, "parse": 10, "ref": 10}
 
 
 def load_package(src: Path, name: str = "katyusha_h_against"):
@@ -162,6 +186,14 @@ def load_package(src: Path, name: str = "katyusha_h_against"):
     return package
 
 
+def build(package, data: dict):
+    """``package``'s own synthetic problem from ``data``, the arguments of
+    ``synthesize`` with ``reg`` given as (constructor, weights)."""
+    data = dict(data)
+    kind, *weights = data.pop("reg", ("zero",))
+    return package.synthesize(**data, reg=getattr(package.Regularizer, kind)(*weights))[1]
+
+
 def step_cases(package) -> dict:
     """Shape name: the measure of one run on the shape's problem, built by
     ``package``'s own classes, in microseconds per iteration."""
@@ -174,13 +206,8 @@ def step_cases(package) -> dict:
         optimizers.run(problem, cfg)
         return 1e6 * (time.perf_counter() - start) / iterations, None
 
-    cases = {}
-    for name, (data, config, iterations) in SHAPES.items():
-        data = dict(data)
-        kind, *weights = data.pop("reg", ("zero",))
-        problem = package.synthesize(**data, reg=getattr(package.Regularizer, kind)(*weights))[1]
-        cases[name] = partial(measure, problem, config, iterations)
-    return cases
+    return {name: partial(measure, build(package, data), config, iterations)
+            for name, (data, config, iterations) in SHAPES.items()}
 
 
 def draw_cases(package) -> dict:
@@ -266,11 +293,31 @@ def parse_cases(package) -> dict:
     return {name: partial(measure, shape) for name, shape in TEXTS.items()}
 
 
+def ref_cases(package) -> dict:
+    """Case name: the measure of one ``solve_reference`` by ``package``'s
+    ``problems``, in milliseconds, with a digest of the solution."""
+    problems = importlib.import_module(f"{package.__name__}.problems")
+
+    def measure(problem, kwargs: dict, seed: int):
+        with warnings.catch_warnings():  # the capped solve warns of its miss
+            warnings.simplefilter("ignore", RuntimeWarning)
+            start = time.perf_counter()
+            ref = problems.solve_reference(problem, **kwargs)
+            elapsed = time.perf_counter() - start
+        digest = hashlib.sha256(ref.x_star.tobytes())
+        digest.update(f"{float(ref.f_star).hex()} {float(ref.gap_tolerance).hex()} "
+                      f"{ref.method} {ref.iterations}".encode())
+        return 1e3 * elapsed, digest.hexdigest()
+
+    return {name: partial(measure, build(package, data), kwargs)
+            for name, (data, kwargs) in REFERENCES.items()}
+
+
 # suite: (its cases from a package, each a measure(seed) that returns a time
 # and the report text, a digest or None; the unit that suffixes the keys of
 # its times)
 SUITES = {"step": (step_cases, "us"), "draw": (draw_cases, "us"), "scan": (scan_cases, "ns"),
-          "parse": (parse_cases, "ns")}
+          "parse": (parse_cases, "ns"), "ref": (ref_cases, "ms")}
 
 
 def _quartiles(runs: list[float], unit: str) -> dict:
