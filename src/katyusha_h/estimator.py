@@ -15,8 +15,6 @@ from math import comb
 
 import numpy as np
 
-from .problems import check_seed
-
 
 ENUMERATION_CAP = 100_000  # most subsets an exact oracle enumerates
 
@@ -149,6 +147,14 @@ _SPAN_BYTES = 2**16
 # average: at n = 10**8, b = 10**4, where 2.2% of draws are rejected, layouts
 # to the end of the block made a fill about 20x slower.
 _RUN_REJECTIONS = 4
+
+
+def check_seed(seed: int) -> None:
+    """Refuse a seed that is no Philox key: an integer in [0, 2**128).
+    Philox itself would truncate a float and run on."""
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or not 0 <= seed < 2**128):
+        raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
 
 
 class DrawStream:

@@ -20,13 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from . import optimizers
+from .estimator import check_seed
 from .optimizers import RunConfig, TraceRecord
 from .problems import (
     CURVATURE,
     DataFormatError,
     FiniteSumProblem,
     check_reference,
-    check_seed,
     read_libsvm,
     read_utf8,
     solve_reference,

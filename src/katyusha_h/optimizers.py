@@ -93,7 +93,6 @@ class RunConfig:
 class KatyushaHState:
     """All mutable state of one run; never shared across runs."""
 
-    x: np.ndarray
     y: np.ndarray
     z: np.ndarray
     ckpt: Checkpoint
@@ -121,7 +120,7 @@ def _first_table(params: ScheduleParams) -> Table:
 
 
 def init_state(problem, config: RunConfig) -> KatyushaHState:
-    """Initial state with w = x = y = z; charges the initial full gradient (n).
+    """Initial state with w = y = z; charges the initial full gradient (n).
 
     y is the checkpoint's own w array, so the first step's checkpoint draw,
     whose candidate is y, can keep the checkpoint at no IFO.  No step writes
@@ -133,7 +132,6 @@ def init_state(problem, config: RunConfig) -> KatyushaHState:
     rng = DrawStream(problem.n, config.batch_size, config.seed)
     ckpt = make_checkpoint(x0.copy(), problem, ledger)
     return KatyushaHState(
-        x=x0.copy(),
         y=ckpt.w,
         z=x0.copy(),
         ckpt=ckpt,
@@ -171,7 +169,7 @@ def katyusha_h_step(state: KatyushaHState, problem) -> None:
     # Checkpoint candidate is the pre-update y.
     state.ckpt, state.checkpoint_updated = maybe_update_checkpoint(
         ckpt, y, p, coin, problem, ledger)
-    state.x, state.y, state.z, state.p, state.t = x_next, y_next, z_next, p, t + 1
+    state.y, state.z, state.p, state.t = y_next, z_next, p, t + 1
     if t + 1 == table.start + CHUNK:  # t+1 opens the next chunk's rows
         state.table = advance(table, params)
 

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .estimator import check_seed
+from .optimizers import fista_solve
 from .proximal import Regularizer, reg_value
 
 # Curvature factor of each loss: f_i'' <= CURVATURE[loss] * ||a_i||^2, tight
@@ -314,12 +316,9 @@ class FiniteSumProblem:
         np.subtract(_MINUS_ONE, r, out=r)
         return np.divide(targets, r, out=r)
 
-    def component_grad_matrix(self, x: np.ndarray, idx=None) -> np.ndarray:
-        """Per-component gradients as rows; all components when idx is None."""
-        if idx is None:
-            idx = slice(None)
-        rows = self.A[idx]
-        return rows * self.residual(x, rows, self.targets[idx])[:, None]
+    def component_grad_matrix(self, x: np.ndarray) -> np.ndarray:
+        """Every component's gradient at x, one row per component."""
+        return self.A * self.residual(x, self.A, self.targets)[:, None]
 
     def grad_sum(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Sum (not mean) of component gradients over idx."""
@@ -387,14 +386,6 @@ def dataset_from_dense(A: np.ndarray, labels: np.ndarray) -> SparseDataset:
     rows, cols = np.nonzero(A)
     indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(A, axis=1))))
     return SparseDataset(indptr, cols + 1, A[rows, cols], labels, A.shape[1])
-
-
-def check_seed(seed: int) -> None:
-    """Refuse a seed that is no Philox key: an integer in [0, 2**128).
-    Philox itself would truncate a float and run on."""
-    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
-            or not 0 <= seed < 2**128):
-        raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -533,8 +524,6 @@ def solve_reference(problem: FiniteSumProblem, tol: float = 1e-12,
     separable data, so such a problem raises ValueError before any iteration
     runs.
     """
-    from .optimizers import fista_solve
-
     check_reference(tol, max_iterations)
     unregularized = problem.reg == Regularizer.zero()  # both weights zero
     if problem.loss == "logistic" and unregularized and _strictly_separable(problem):

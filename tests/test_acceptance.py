@@ -50,6 +50,54 @@ from katyusha_h.verification import (
 
 BATCHES = (1, 2, 10)
 
+# The statistical criteria's instances (synthesize arguments), reference
+# solves (with_reference arguments, or None), run settings besides alpha, b
+# and the seed, and the alphas, batch sizes and seeds they run.
+# tools/pair_bench.py's seeds suite times one cell of each, and
+# tests/test_tools.py holds its cells to these.
+CRITERION_05 = dict(
+    instance=dict(n=100, d=20, family="least_squares", seed=7, reg=Regularizer.l1(0.02)),
+    reference=dict(tol=1e-12),
+    config=dict(iterations=1000, record_every=1000, lyapunov=True),
+    alphas=(0.0, 0.5, 1.0), batch_sizes=(1, 10), seeds=range(100),
+)
+# consistent overdetermined-free quadratic: optimum value is exactly 0,
+# the nonzero spectrum is tight, and nothing saturates by T = 10^4
+CRITERION_06 = dict(
+    instance=dict(n=200, d=400, family="least_squares", seed=10, consistent=True, noise=0.0),
+    reference=None,
+    config=dict(iterations=10_000, record_every=10_000),
+    alphas=(0.0, 0.5, 1.0), batch_sizes=(1,), seeds=range(10),
+)
+CRITERION_09 = dict(
+    instance=dict(n=500, d=10, family="least_squares", seed=9, noise=0.3),
+    reference=None,
+    config=dict(iterations=10_000, record_every=10_000),
+    alphas=(0.5,), batch_sizes=(5,), seeds=range(50),
+)
+# ill-conditioned columns separate the regimes cleanly at this accuracy; the
+# middle alpha is alpha* = select_alpha(n, epsilon, 2, 2) of this n and epsilon
+CRITERION_10 = dict(
+    instance=dict(n=2000, d=50, family="least_squares", seed=20, noise=0.1, condition=1e4),
+    reference=dict(tol=1e-12, max_iterations=200_000),
+    config=dict(epsilon=1e-5, record_every=10**9, eval_every=20, max_iterations=3_000_000),
+    alphas=(0.0, select_alpha(2000, 1e-5, 2.0, 2.0), 1.0), batch_sizes=(1,), seeds=range(20),
+)
+
+
+def criterion_problem(criterion: dict):
+    """The criterion's instance, with its reference solution if it has one."""
+    _, prob = synthesize(**criterion["instance"])
+    if criterion["reference"] is not None:
+        with_reference(prob, **criterion["reference"])
+    return prob
+
+
+def criterion_runs(criterion: dict, prob, alpha: float, b: int) -> list:
+    """The records of each of the criterion's seeds at (alpha, b)."""
+    return [run(prob, RunConfig(alpha=alpha, batch_size=b, seed=seed, **criterion["config"]))
+            for seed in criterion["seeds"]]
+
 
 def _report(number: int, name: str, passed: bool, detail: str = "") -> None:
     verdict = "PASS" if passed else "FAIL"
@@ -138,17 +186,11 @@ def test_criterion_04_exact_conditional_descent():
 
 def test_criterion_05_lyapunov_bound_over_seeds():
     start = time.monotonic()
-    _, prob = synthesize(100, 20, "least_squares", seed=7, reg=Regularizer.l1(0.02))
-    with_reference(prob, tol=1e-12)
-    T = 1000
+    prob = criterion_problem(CRITERION_05)
     margins = []
-    for alpha in (0.0, 0.5, 1.0):
-        for b in (1, 10):
-            traces = [
-                run(prob, RunConfig(alpha=alpha, batch_size=b, iterations=T,
-                                    seed=seed, record_every=T, lyapunov=True))
-                for seed in range(100)
-            ]
+    for alpha in CRITERION_05["alphas"]:
+        for b in CRITERION_05["batch_sizes"]:
+            traces = criterion_runs(CRITERION_05, prob, alpha, b)
             report = check_lyapunov_bound(traces)
             assert report.passed, (alpha, b, report)
             margins.append(report.margin / report.initial)
@@ -161,17 +203,11 @@ def test_criterion_05_lyapunov_bound_over_seeds():
 
 def test_criterion_06_rate_ordering():
     start = time.monotonic()
-    # consistent overdetermined-free quadratic: optimum value is exactly 0,
-    # the nonzero spectrum is tight, and nothing saturates by T = 10^4
-    _, prob = synthesize(200, 400, "least_squares", seed=10, consistent=True, noise=0.0)
-    T, seeds = 10_000, range(10)
+    prob = criterion_problem(CRITERION_06)
+    (b,) = CRITERION_06["batch_sizes"]
     gaps = {}
-    for alpha in (0.0, 0.5, 1.0):
-        finals = [
-            run(prob, RunConfig(alpha=alpha, batch_size=1, iterations=T,
-                                seed=s, record_every=T))[-1].f_w
-            for s in seeds
-        ]
+    for alpha in CRITERION_06["alphas"]:
+        finals = [records[-1].f_w for records in criterion_runs(CRITERION_06, prob, alpha, b)]
         gaps[alpha] = float(np.mean(finals))
     elapsed = time.monotonic() - start
     r10 = gaps[0.5] / gaps[1.0]
@@ -220,18 +256,19 @@ def test_criterion_08_selector_reference_values():
 
 def test_criterion_09_measured_vs_predicted_cost():
     start = time.monotonic()
-    n, b, T, n_seeds = 500, 5, 10_000, 50
-    _, prob = synthesize(n, 10, "least_squares", seed=9, noise=0.3)
-    params = compute_constants(0.5, b)
+    (alpha,), (b,) = CRITERION_09["alphas"], CRITERION_09["batch_sizes"]
+    n, T = CRITERION_09["instance"]["n"], CRITERION_09["config"]["iterations"]
+    n_seeds = len(CRITERION_09["seeds"])
+    prob = criterion_problem(CRITERION_09)
+    params = compute_constants(alpha, b)
     probs = p_sequence(alpha_sequence(T, params), params)  # p_1 .. p_T
     # the t=1 update is a free provenance skip, so the charged prediction
     # starts at t=2; the initial full gradient is excluded on both sides
     predicted = n * float(np.sum(probs[1:]))
     sigma_mean = n * math.sqrt(float(np.sum(probs[1:] * (1 - probs[1:]))) / n_seeds)
     charged = []
-    for seed in range(n_seeds):
-        final = run(prob, RunConfig(alpha=0.5, batch_size=b, iterations=T,
-                                    seed=seed, record_every=T))[-1]
+    for records in criterion_runs(CRITERION_09, prob, alpha, b):
+        final = records[-1]
         assert final.ifo_minibatch == 2 * b * T
         charged.append(final.ifo_checkpoint - n)
     measured = float(np.mean(charged))
@@ -246,21 +283,15 @@ def test_criterion_09_measured_vs_predicted_cost():
 
 def test_criterion_10_desk_scale_crossover():
     start = time.monotonic()
-    n, eps = 2000, 1e-5
+    n, eps = CRITERION_10["instance"]["n"], CRITERION_10["config"]["epsilon"]
     assert n * eps < 1.0
     alpha_star = select_alpha(n, eps, 2.0, 2.0)
-    # ill-conditioned columns separate the regimes cleanly at this accuracy
-    _, prob = synthesize(n, 50, "least_squares", seed=20, noise=0.1, condition=1e4)
-    with_reference(prob, tol=1e-12, max_iterations=200_000)
-    seeds = range(20)
+    assert CRITERION_10["alphas"] == (0.0, alpha_star, 1.0)
+    prob = criterion_problem(CRITERION_10)
+    (b,) = CRITERION_10["batch_sizes"]
     means = {}
-    for alpha in (0.0, alpha_star, 1.0):
-        ifos = [
-            run(prob, RunConfig(alpha=alpha, batch_size=1, epsilon=eps, seed=s,
-                                record_every=10 ** 9, eval_every=20,
-                                max_iterations=3_000_000))[-1].ifo_total
-            for s in seeds
-        ]
+    for alpha in CRITERION_10["alphas"]:
+        ifos = [records[-1].ifo_total for records in criterion_runs(CRITERION_10, prob, alpha, b)]
         means[alpha] = float(np.mean(ifos))
     elapsed = time.monotonic() - start
     ok = (

@@ -1,11 +1,13 @@
 """Lyapunov values, bound reports, cost prediction, and the alpha selector."""
 
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
 
+from katyusha_h import analysis
 from katyusha_h.analysis import (
     InadmissibleConstantError,
     InfeasibleAccuracyError,
@@ -271,6 +273,20 @@ class TestSelectAlpha:
                 alpha = select_alpha(n, float(eps), 1.0, 1.0)
                 iv = feasible_alpha_interval(n, float(eps), 1.0, 1.0)
                 assert iv.feasible_lo <= alpha <= iv.feasible_hi
+
+    def test_a_midpoint_that_misses_an_inequality_is_refused(self, monkeypatch):
+        # an interval that is only alpha = 1, where n/eps^(1/2) far exceeds
+        # 2*sqrt(n)/sqrt(eps): the self-check names alpha and both slacks
+        n, eps = 10 ** 4, 1e-12
+        at_one = dataclasses.replace(feasible_alpha_interval(n, eps, 2.0, 2.0),
+                                     feasible_lo=1.0, feasible_hi=1.0)
+        monkeypatch.setattr(analysis, "feasible_alpha_interval", lambda *args: at_one)
+        first, second = selector_inequalities(1.0, n, eps, 2.0, 2.0)
+        assert first >= 0.0 > second
+        with pytest.raises(RuntimeError, match=re.escape(
+                f"selected alpha=1.0 violates a target inequality "
+                f"(slacks {first:.3g}, {second:.3g})")):
+            select_alpha(n, eps, 2.0, 2.0)
 
     def test_near_optimal_total_cost(self):
         # at the selected alpha the predicted cost is within

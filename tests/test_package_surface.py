@@ -1,6 +1,7 @@
 """The package is what a run uses: every public definition in ``src/`` has a
-caller outside the tests, and the top level exports the names scripts import
-from it."""
+caller outside the tests, every defaulted parameter of one is passed by such a
+caller, no module imports inside a function, the modules import one another
+without a cycle, and the top level exports the names scripts import from it."""
 
 import ast
 import importlib
@@ -14,9 +15,11 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "katyusha_h"
 CALLER_TREES = ("src", "tools", "benchmarks")
 # Public definitions only tests call, kept on purpose: the brute-force oracles
-# the verification claims rest on, and the accuracy-free (alpha, b) pair a
-# later run option will call.
+# the verification claims rest on, the draw stream's subset, which its tests
+# check against sample_subset, and the accuracy-free (alpha, b) pair a later
+# run option will call.
 TEST_ONLY = {
+    "DrawStream.subset",
     "exact_variance",
     "enumeration_mean_estimate",
     "exact_conditional_lyapunov_descent",
@@ -90,6 +93,207 @@ def test_the_scan_finds_a_definition_only_tests_call(tmp_path):
         "LAYER = 'bound_by_name'\n"
     )
     assert unreferenced(tmp_path, package) == ["imported_only", "Box.opened"]
+
+
+# Defaulted parameters only tests pass, kept on purpose, as
+# "module.function(parameter)".
+TEST_ONLY_PARAMETERS = {
+    # the tests drive the CLI in process
+    "cli.main(argv)",
+    # Tier-1 checks the growth claim at b > 1, which verify never scans
+    "verification.scan_denominator_growth(batch_size)",
+}
+
+
+def public_functions(package: Path):
+    """(qualified name, function node, leading parameters a call does not
+    pass) of the public top-level functions of the modules in ``package``
+    and of the public methods of their public classes: ``self`` or ``cls``
+    is one, except for a static method."""
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                yield f"{path.stem}.{node.name}", node, 0
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                        static = any(getattr(d, "id", None) == "staticmethod"
+                                     for d in member.decorator_list)
+                        yield f"{path.stem}.{node.name}.{member.name}", member, 0 if static else 1
+
+
+def defaulted_parameters(package: Path):
+    """("module.function(parameter)", function name, parameter, positional
+    index of the parameter in a call, or None for a keyword-only one) of
+    every defaulted parameter of ``public_functions``."""
+    for qualified, function, implicit in public_functions(package):
+        args = function.args
+        positional = args.posonlyargs + args.args
+        defaulted = [(a.arg, i - implicit) for i, a in enumerate(positional)
+                     if i >= len(positional) - len(args.defaults)]
+        defaulted += [(a.arg, None) for a, default in zip(args.kwonlyargs, args.kw_defaults)
+                      if default is not None]
+        for parameter, index in defaulted:
+            yield f"{qualified}({parameter})", function.name, parameter, index
+
+
+def calls_by_name(root: Path) -> dict[str, list[ast.Call]]:
+    """Every call in the caller trees under ``root``, by the name it calls:
+    ``f(...)`` and ``obj.f(...)`` are both calls of ``f``."""
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in CALLER_TREES:
+        for path in (root / tree).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def passes(call: ast.Call, parameter: str, index: int | None) -> bool:
+    """Whether ``call`` passes ``parameter``, at positional ``index``: by
+    keyword, by position, or through ``*`` or ``**``."""
+    if any(k.arg in (parameter, None) for k in call.keywords):
+        return True
+    if index is None:
+        return False
+    return any(isinstance(a, ast.Starred) for a in call.args) or len(call.args) > index
+
+
+def unpassed_parameters(root: Path, package: Path) -> list[str]:
+    calls = calls_by_name(root)
+    return [label for label, function, parameter, index in defaulted_parameters(package)
+            if not any(passes(call, parameter, index) for call in calls.get(function, []))]
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    unpassed = [p for p in unpassed_parameters(ROOT, PACKAGE) if p not in TEST_ONLY_PARAMETERS]
+    assert unpassed == [], "test-only parameter in src/: drop it or pass it from a caller"
+
+
+def test_the_kept_test_only_parameters_are_still_unpassed():
+    assert TEST_ONLY_PARAMETERS <= set(unpassed_parameters(ROOT, PACKAGE))
+
+
+def test_the_scan_finds_a_parameter_only_tests_pass(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "def f(a, by_position=1, by_keyword=2, never=3, *, keyword_only=4, unseen=5):\n"
+        "    return a\n\n"
+        "def g(a, through_star=1, through_stars=2):\n    return a\n\n"
+        "def _private(a, never=1):\n    return a\n\n"
+        "class Box:\n"
+        "    def put(self, item=None, late=False):\n        return item\n\n"
+        "    @staticmethod\n"
+        "    def make(size=1, shape=2):\n        return size\n"
+    )
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "t.py").write_text(
+        "from pkg.mod import Box, f, g\n"
+        "f(0, 1, by_keyword=2, keyword_only=4)\n"
+        "g(*[0, 1])\n"
+        "g(0, **{})\n"
+        "Box().put(1)\n"
+        "Box.make(1)\n"
+    )
+    assert unpassed_parameters(tmp_path, package) == [
+        "mod.f(never)", "mod.f(unseen)", "mod.Box.put(late)", "mod.Box.make(shape)"]
+
+
+# Imports inside a function, kept on purpose, as (file, imported module).
+FUNCTION_LEVEL_IMPORTS = {
+    # ~0.3 s and ~25 MiB that only the separability LP of a reference solve needs
+    ("problems.py", "scipy.optimize"),
+}
+
+
+def module_imports(path: Path) -> list[tuple[ast.AST, str, bool]]:
+    """(node, imported module, whether inside a function) of each import in
+    the module at ``path``; the package's own modules are named by their
+    file stem, as ``from . import x`` and ``from .x import y`` name them."""
+    found = []
+
+    def visit(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            inside = in_function or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            if isinstance(child, ast.Import) or (
+                    isinstance(child, ast.ImportFrom) and child.module is None):
+                found.extend((child, alias.name, inside) for alias in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                found.append((child, child.module, inside))
+            visit(child, inside)
+
+    visit(ast.parse(path.read_text()), False)
+    return found
+
+
+def function_level_imports(package: Path) -> list[tuple[str, int, str]]:
+    """(file, line, imported module) of each import inside a function."""
+    return [(path.name, node.lineno, module)
+            for path in sorted(package.glob("*.py"))
+            for node, module, inside in module_imports(path) if inside]
+
+
+def import_cycle(package: Path) -> list[str]:
+    """One cycle of the package's module imports, wherever they stand, as
+    the modules along it; empty when the imports form no cycle."""
+    modules = {path.stem for path in package.glob("*.py")}
+    edges = {path.stem: sorted(modules & {
+        module.rpartition(".")[2] for node, module, _ in module_imports(path)
+        if getattr(node, "level", 0) or module.startswith("katyusha_h")})
+        for path in package.glob("*.py")}
+    done: set[str] = set()
+
+    def walk(module, trail):
+        if module in trail:
+            return trail[trail.index(module):] + [module]
+        if module in done:
+            return []
+        for imported in edges[module]:
+            if cycle := walk(imported, trail + [module]):
+                return cycle
+        done.add(module)
+        return []
+
+    for module in sorted(edges):
+        if cycle := walk(module, []):
+            return cycle
+    return []
+
+
+def test_no_module_imports_inside_a_function():
+    unexpected = [(name, line, module) for name, line, module in function_level_imports(PACKAGE)
+                  if (name, module) not in FUNCTION_LEVEL_IMPORTS]
+    assert unexpected == [], "import at module level; break a cycle by moving a definition"
+
+
+def test_the_kept_function_level_imports_still_exist():
+    assert FUNCTION_LEVEL_IMPORTS == {
+        (name, module) for name, _, module in function_level_imports(PACKAGE)}
+
+
+def test_the_package_imports_form_no_cycle():
+    assert import_cycle(PACKAGE) == []
+
+
+def test_the_import_scans_find_a_hidden_import_and_its_cycle(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import math\n"
+        "from . import b\n\n"
+        "def f():\n    return b.g()\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "def g():\n"
+        "    from .a import f\n"
+        "    import json\n"
+        "    return f\n"
+    )
+    (tmp_path / "c.py").write_text("from .b import g\n")
+    assert function_level_imports(tmp_path) == [("b.py", 2, "a"), ("b.py", 3, "json")]
+    assert import_cycle(tmp_path) == ["a", "b", "a"]
+    (tmp_path / "b.py").write_text("import json\n")
+    assert (function_level_imports(tmp_path), import_cycle(tmp_path)) == ([], [])
 
 
 def imported_from_top_level(source: str) -> set[str]:

@@ -836,7 +836,7 @@ class TestNonFiniteReference:
     def test_a_nan_certificate_is_refused(self, monkeypatch):
         # a finite F* whose certificate is nan is no more a reference
         _, prob = synthesize(30, 5, "least_squares", seed=17, reg=Regularizer.l1(0.01))
-        monkeypatch.setattr(optimizers, "fista_solve",
+        monkeypatch.setattr(problems, "fista_solve",
                             lambda problem, L, **kw: (np.zeros(5), 0.5, math.nan, 7))
         with pytest.raises(ValueError, match=re.escape(
                 "reference solve (fista-restart, 7 iterations) found F* = 0.5 with a "
@@ -906,7 +906,7 @@ class TestReferenceOracles:
             seen.append(L)
             return real(problem, L, **kwargs)
 
-        monkeypatch.setattr(optimizers, "fista_solve", spy)
+        monkeypatch.setattr(problems, "fista_solve", spy)
         solve_reference(prob, tol=1e-10)
         L_f = _smoothness_of_average(prob)
         assert seen == [pytest.approx(L_f, rel=1e-12)]

@@ -1,6 +1,7 @@
 """The scripts under tools/ run: the timing script compares two trees in one
 process, and the trace digest hashes a grid of runs the same way each time."""
 
+import dataclasses
 import json
 import os
 import re
@@ -37,6 +38,15 @@ def pair_bench(monkeypatch):
         "12x3 l1 capped": (dict(n=12, d=3, family="least_squares", seed=1, reg=("l1", 0.05)),
                            dict(tol=1e-300, max_iterations=5)),
         "12x3 lstsq": (dict(n=12, d=3, family="least_squares", seed=1), dict(tol=1e-12)),
+    })
+    toy = dict(n=12, d=3, family="least_squares", seed=1)
+    monkeypatch.setattr(pair_bench, "SEED_CELLS", {
+        "05 toy": (dict(toy, reg=("l1", 0.05)), dict(tol=1e-10),
+                   dict(alpha=0.5, batch_size=3, iterations=30, record_every=30, lyapunov=True), 4),
+        "09 toy": (toy, None, dict(alpha=0.5, batch_size=2, iterations=40, record_every=40), 3),
+        "10 toy": (dict(toy, reg=("l1", 0.05)), dict(tol=1e-10),
+                   dict(alpha=0.2, batch_size=1, epsilon=1e-4, record_every=10**9, eval_every=5,
+                        max_iterations=5000), 3),
     })
     monkeypatch.setattr(pair_bench, "REPEATS", dict.fromkeys(pair_bench.REPEATS, 3))
     return pair_bench
@@ -89,28 +99,6 @@ def test_draw_bench_pairs_against_another_tree(pair_bench, capsys):
         assert set(point) == {"this", "other", "median_ratio", "lower_in"}
         assert point["this"]["q1_us"] <= point["this"]["median_us"] <= point["this"]["q3_us"]
         assert len(point["other"]["runs"]) == 3 and point["lower_in"].endswith(" of 3")
-
-
-def test_draw_bench_times_a_tree_from_before_next(pair_bench, monkeypatch):
-    # such a tree's stream moves by subset() and reads its coin by random(),
-    # one call each per timed iteration, after the first block's subset()
-    calls = []
-
-    class Stream:
-        _block = 4
-
-        def __init__(self, n, b, seed):
-            pass
-
-        def subset(self):
-            calls.append("subset")
-
-        def random(self):
-            calls.append("random")
-
-    monkeypatch.setitem(sys.modules, "old_tree.estimator", SimpleNamespace(DrawStream=Stream))
-    microseconds, _ = pair_bench.draw_cases(SimpleNamespace(__name__="old_tree"))["100,10"](0)
-    assert calls == ["subset"] + ["subset", "random"] * Stream._block and microseconds > 0
 
 
 def test_each_side_warms_each_case_up_once_before_its_repeats(pair_bench, capsys, monkeypatch):
@@ -280,6 +268,91 @@ def test_ref_bench_cases_are_the_workloads_set_up_solves(monkeypatch):
         assert ref.x_star.tobytes() == expected.x_star.tobytes()
         assert (ref.f_star, ref.gap_tolerance, ref.method, ref.iterations) == (
             expected.f_star, expected.gap_tolerance, expected.method, expected.iterations)
+
+
+CELLS = ["05 toy", "09 toy", "10 toy"]
+
+
+def test_seeds_bench_times_this_tree(pair_bench, capsys):
+    pair_bench.main(["seeds"])
+    out = json.loads(capsys.readouterr().out)
+    assert out.pop("openblas_threads") == 1 and list(out) == CELLS
+    assert all(len(point["runs"]) == 3 and point["median_s"] > 0 for point in out.values())
+
+
+def test_seeds_bench_pairs_against_another_tree(pair_bench, capsys):
+    pair_bench.main(["seeds", "--against", str(ROOT / "src")])
+    out = json.loads(capsys.readouterr().out)
+    assert out.pop("openblas_threads") == 1 and list(out) == CELLS
+    for point in out.values():
+        assert set(point) == {"this", "other", "median_ratio", "lower_in"}
+        assert point["this"]["q1_s"] <= point["this"]["median_s"] <= point["this"]["q3_s"]
+        assert len(point["other"]["runs"]) == 3 and point["lower_in"].endswith(" of 3")
+
+
+@pytest.mark.parametrize("module, old, new, differ", [
+    # a Lyapunov value that halves its distance term moves only the cell that records them
+    ("analysis", "float(dz @ dz) / (2.0 * eta)", "float(dz @ dz) / (4.0 * eta)", "05 toy"),
+    # a looser epsilon test stops only the epsilon-stopped cell earlier
+    ("optimizers", "<= config.epsilon", "<= 2 * config.epsilon", "10 toy"),
+])
+def test_seeds_bench_exits_one_when_the_records_differ(
+        pair_bench, capsys, tmp_path, module, old, new, differ):
+    other = tmp_path / "src"
+    shutil.copytree(ROOT / "src" / "katyusha_h", other / "katyusha_h")
+    path = other / "katyusha_h" / f"{module}.py"
+    assert old in path.read_text()
+    path.write_text(path.read_text().replace(old, new))
+    with pytest.raises(SystemExit, match=f"report differently on {differ}$"):
+        pair_bench.main(["seeds", "--against", str(other)])
+    assert list(json.loads(capsys.readouterr().out)) == ["openblas_threads", *CELLS]
+
+
+def test_seeds_bench_runs_the_seeds_together_on_a_tree_with_run_seeds(pair_bench, monkeypatch):
+    # such a tree runs a cell's seeds by one run_seeds call, and its records
+    # digest as run's per seed do
+    import katyusha_h
+    from katyusha_h import optimizers
+
+    calls = []
+
+    def run_seeds(problem, config, seeds):
+        calls.append((config.seed, seeds))
+        return [optimizers.run(problem, dataclasses.replace(config, seed=s)) for s in seeds]
+
+    monkeypatch.setitem(sys.modules, "lanes_tree.optimizers", SimpleNamespace(
+        RunConfig=optimizers.RunConfig, run_seeds=run_seeds))
+    names = ("Regularizer", "synthesize", "with_reference")
+    lanes = pair_bench.seeds_cases(SimpleNamespace(
+        __name__="lanes_tree", **{name: getattr(katyusha_h, name) for name in names}))
+    per_seed = pair_bench.seeds_cases(katyusha_h)
+    for name, seeds in (("05 toy", 4), ("09 toy", 3), ("10 toy", 3)):
+        assert lanes[name](0)[1] == per_seed[name](0)[1]
+        assert calls.pop(0) == (0, range(seeds))
+
+
+def test_seeds_bench_cells_are_the_criteria_s(monkeypatch):
+    # each cell is one (alpha, b) of its criterion: the same instance,
+    # reference solve, run settings and seeds
+    monkeypatch.setitem(os.environ, "OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import pair_bench
+    from test_acceptance import CRITERION_05, CRITERION_06, CRITERION_09, CRITERION_10
+
+    from katyusha_h import Regularizer
+
+    criteria = {"05": CRITERION_05, "09": CRITERION_09, "06": CRITERION_06, "10": CRITERION_10}
+    assert [name[:2] for name in pair_bench.SEED_CELLS] == list(criteria)
+    for name, (data, reference, config, seeds) in pair_bench.SEED_CELLS.items():
+        criterion = criteria[name[:2]]
+        kind, *weights = data.get("reg", ("zero",))
+        assert dict(data, reg=getattr(Regularizer, kind)(*weights)) == dict(
+            criterion["instance"], reg=criterion["instance"].get("reg", Regularizer.zero()))
+        assert reference == criterion["reference"]
+        config = dict(config)
+        assert config.pop("alpha") in criterion["alphas"]
+        assert config.pop("batch_size") in criterion["batch_sizes"]
+        assert config == criterion["config"] and range(seeds) == criterion["seeds"]
 
 
 def toy_problems(lam1_b=0.01):

@@ -1,6 +1,6 @@
 """Time one suite of cases on this tree, or pair it with another tree in one process.
 
-    PYTHONPATH=src python tools/pair_bench.py step|draw|scan|parse|ref
+    PYTHONPATH=src python tools/pair_bench.py step|draw|scan|parse|ref|seeds
 
 The suites, each timed per case over repeats r = 0, 1, ... on seed r, so two
 commits run the same iterations:
@@ -17,8 +17,7 @@ commits run the same iterations:
   101 F(y) and F(w) values.
 - ``draw``: ``DrawStream`` microseconds per iteration.  Each (n, b) of
   ``GRID`` draws a fixed number of whole blocks of subsets and coins by
-  ``next()``, the one call a run makes per iteration (on a tree from before
-  ``next()``, by ``subset()`` then ``random()``).
+  ``next()``, the one call a run makes per iteration.
 - ``scan``: ``verify``'s four scans, in nanoseconds per scanned point: the
   ones a round of the benchmark's verify_scan workload runs.  They are the
   certificate over the alpha grid of step ``GRID_STEP`` and b in
@@ -38,6 +37,12 @@ commits run the same iterations:
   of tol 1e-300, as the tests run it, and sweep_crossover's direct
   ``lstsq`` solve of (2000, 50, no regularizer) as a control that runs no
   FISTA.
+- ``seeds``: seconds per cell.  Each of ``SEED_CELLS`` is one cell of a
+  statistical acceptance criterion at that criterion's full seed count: 05's
+  (alpha = 0.5, b = 10) with Lyapunov values, 09's cell, 06's alpha = 1 at
+  d = 400, and 10's epsilon-stopped alpha*.  A repeat runs every seed of the
+  cell, by ``optimizers.run_seeds`` on a tree that has it and by ``run`` per
+  seed on one that does not; every repeat runs the same seeds.
 
 Each side runs every case once, untimed, on seed 0 before its timed
 repeats, so the first repeat does not pay for warming caches and
@@ -58,7 +63,8 @@ trees must print the same report: if a scan's ``to_text()`` differs, the
 script names the scan and exits 1 after the JSON.  So must their parses:
 a text whose ``indptr``, ``indices``, ``values`` or ``labels`` bytes or
 ``d`` differ is named the same way, and so is a solve whose ``x_star``
-bytes, ``f_star``, ``gap_tolerance``, ``method`` or ``iterations`` differ.
+bytes, ``f_star``, ``gap_tolerance``, ``method`` or ``iterations`` differ,
+and a seeds cell in which any record of any seed differs.
 
 OpenBLAS is pinned to one thread before numpy loads, as the benchmark pins
 it, so the 10**4 x 100 shape's gemv runs as it does there; the JSON names
@@ -78,6 +84,7 @@ import statistics
 import sys
 import time
 import warnings
+from dataclasses import replace
 from functools import lru_cache, partial
 from pathlib import Path
 
@@ -90,13 +97,14 @@ import katyusha_h  # noqa: E402
 # step: name: (synthesize arguments, run configuration, iterations per
 # repeat); each repeat takes under half a second on a 2-vCPU Xeon.  A run
 # records only its first and last iteration unless its configuration sets
-# record_every.
+# record_every.  The first shape runs 60,000 iterations: at 20,000 one of
+# three same-code pairs read a median ratio of 1.036.
 # Regularizers are given as (constructor, weights), so each package builds
 # its own.
 SHAPES = {
     "100x20 l1 b=1": (
         dict(n=100, d=20, family="least_squares", seed=7, reg=("l1", 0.02)),
-        dict(alpha=0.5, batch_size=1), 20_000),
+        dict(alpha=0.5, batch_size=1), 60_000),
     "100x20 l1 b=10": (
         dict(n=100, d=20, family="least_squares", seed=7, reg=("l1", 0.02)),
         dict(alpha=0.5, batch_size=10), 10_000),
@@ -160,10 +168,31 @@ REFERENCES = {
         dict(tol=1e-12, max_iterations=200_000)),
 }
 
+# seeds: name: (synthesize arguments, with_reference arguments or None, run
+# configuration, seed count), as tests/test_acceptance.py states each
+# criterion; a repeat of all four takes about 8 s on a 2-vCPU Xeon
+SEED_CELLS = {
+    "05 alpha=0.5 b=10": (
+        dict(n=100, d=20, family="least_squares", seed=7, reg=("l1", 0.02)), dict(tol=1e-12),
+        dict(alpha=0.5, batch_size=10, iterations=1000, record_every=1000, lyapunov=True), 100),
+    "09 alpha=0.5 b=5": (
+        dict(n=500, d=10, family="least_squares", seed=9, noise=0.3), None,
+        dict(alpha=0.5, batch_size=5, iterations=10_000, record_every=10_000), 50),
+    "06 alpha=1 b=1": (
+        dict(n=200, d=400, family="least_squares", seed=10, consistent=True, noise=0.0), None,
+        dict(alpha=1.0, batch_size=1, iterations=10_000, record_every=10_000), 10),
+    "10 alpha* b=1": (
+        dict(n=2000, d=50, family="least_squares", seed=20, noise=0.1, condition=1e4),
+        dict(tol=1e-12, max_iterations=200_000),
+        dict(alpha=katyusha_h.select_alpha(2000, 1e-5, 2.0, 2.0), batch_size=1, epsilon=1e-5,
+             record_every=10**9, eval_every=20, max_iterations=3_000_000), 20),
+}
+
 # 16 step runs are enough for quartiles and a sign count of the paired
 # ratios; draw, scan, parse and ref take ten pairs per case with --against,
-# as a gain claim needs
-REPEATS = {"step": 16, "draw": 10, "scan": 10, "parse": 10, "ref": 10}
+# as a gain claim needs, and so does seeds, whose --against run takes
+# about three minutes
+REPEATS = {"step": 16, "draw": 10, "scan": 10, "parse": 10, "ref": 10, "seeds": 10}
 
 
 def load_package(src: Path, name: str = "katyusha_h_against"):
@@ -218,18 +247,11 @@ def draw_cases(package) -> dict:
 
     def measure(n: int, b: int, blocks: int, seed: int):
         stream = estimator.DrawStream(n, b, seed)
-        # a tree from before next() moves the stream by subset(), reads the coin by random()
-        before_next = not hasattr(stream, "next")
-        (stream.subset if before_next else stream.next)()  # the first block, outside the timing
+        stream.next()  # the first block, outside the timing
         iterations = blocks * stream._block
         start = time.perf_counter()
-        if before_next:
-            for _ in range(iterations):
-                stream.subset()
-                stream.random()
-        else:
-            for _ in range(iterations):
-                stream.next()
+        for _ in range(iterations):
+            stream.next()
         return 1e6 * (time.perf_counter() - start) / iterations, None
 
     return {f"{n},{b}": partial(measure, n, b, blocks) for (n, b), blocks in GRID.items()}
@@ -313,11 +335,36 @@ def ref_cases(package) -> dict:
             for name, (data, kwargs) in REFERENCES.items()}
 
 
+def seeds_cases(package) -> dict:
+    """Cell name: the measure of one cell's runs, all its seeds, by
+    ``package``'s own solver on ``package``'s own problem, in seconds, with a
+    digest of every record of every seed."""
+    optimizers = importlib.import_module(f"{package.__name__}.optimizers")
+
+    def measure(problem, config: dict, seeds: int, seed: int):
+        cfg = optimizers.RunConfig(**config)
+        start = time.perf_counter()
+        if hasattr(optimizers, "run_seeds"):
+            runs = optimizers.run_seeds(problem, cfg, range(seeds))
+        else:
+            runs = [optimizers.run(problem, replace(cfg, seed=s)) for s in range(seeds)]
+        elapsed = time.perf_counter() - start
+        return elapsed, hashlib.sha256(repr(runs).encode()).hexdigest()
+
+    cases = {}
+    for name, (data, reference, config, seeds) in SEED_CELLS.items():
+        problem = build(package, data)
+        if reference is not None:
+            package.with_reference(problem, **reference)
+        cases[name] = partial(measure, problem, config, seeds)
+    return cases
+
+
 # suite: (its cases from a package, each a measure(seed) that returns a time
 # and the report text, a digest or None; the unit that suffixes the keys of
 # its times)
 SUITES = {"step": (step_cases, "us"), "draw": (draw_cases, "us"), "scan": (scan_cases, "ns"),
-          "parse": (parse_cases, "ns"), "ref": (ref_cases, "ms")}
+          "parse": (parse_cases, "ns"), "ref": (ref_cases, "ms"), "seeds": (seeds_cases, "s")}
 
 
 def _quartiles(runs: list[float], unit: str) -> dict:
