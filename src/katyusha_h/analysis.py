@@ -119,11 +119,6 @@ def check_lyapunov_bound(traces: list[list]) -> BoundReport:
 class PredictedCost:
     """Order-level IFO cost with one entry per addend (unit constants)."""
 
-    alpha: float
-    b: int
-    n: int
-    epsilon: float
-    branch: str  # "small-alpha" or "general"
     terms: dict[str, float]
 
     @property
@@ -151,10 +146,7 @@ def predict_ifo(alpha: float, b: int, n: int, epsilon: float) -> PredictedCost:
         terms["checkpoint_power"] = (
             (n / b) * (1.0 / alpha) * epsilon ** (-alpha / (alpha + 1.0))
         )
-    return PredictedCost(
-        alpha=alpha, b=b, n=n, epsilon=epsilon,
-        branch="small-alpha" if small else "general", terms=terms,
-    )
+    return PredictedCost(terms)
 
 
 @dataclass(frozen=True)

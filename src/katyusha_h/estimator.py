@@ -32,7 +32,7 @@ class IfoLedger:
     per_sample: int = 2  # IFO per sampled component: 1 if the checkpoint side is cached
 
 
-@dataclass
+@dataclass(slots=True)
 class Checkpoint:
     """Full-gradient point: the iterate w, its full gradient, and the n
     scalar residuals r_i(w) and margins a_i'w (memory 2n).  As grad f_i(w) =

@@ -89,7 +89,7 @@ class RunConfig:
     x0: np.ndarray | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class KatyushaHState:
     """All mutable state of one run; never shared across runs."""
 
@@ -130,7 +130,7 @@ def init_state(problem, config: RunConfig) -> KatyushaHState:
     x0 = _start(problem, config.x0)
     ledger = IfoLedger(per_sample=1 if config.cache_checkpoint_grads else 2)
     rng = DrawStream(problem.n, config.batch_size, config.seed)
-    ckpt = make_checkpoint(x0.copy(), problem, ledger)
+    ckpt = make_checkpoint(x0, problem, ledger)
     return KatyushaHState(
         y=ckpt.w,
         z=x0.copy(),

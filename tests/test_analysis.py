@@ -155,12 +155,11 @@ class TestBoundReport:
 class TestPredictIfo:
     def test_flat_regime_order(self):
         cost = predict_ifo(0.0, 1, 10 ** 4, 1e-12)
-        assert cost.branch == "small-alpha"
+        assert "checkpoint_power" not in cost.terms
         assert 1e12 <= cost.total < 1e13
 
     def test_full_acceleration_order(self):
         cost = predict_ifo(1.0, 1, 10 ** 4, 1e-12)
-        assert cost.branch == "general"
         assert 1e10 <= cost.total < 1e11
         assert cost.terms["checkpoint_power"] == pytest.approx(1e10, rel=1e-6)
 
@@ -181,7 +180,6 @@ class TestPredictIfo:
             boundary = min(alpha_hat(epsilon), 0.1)
             small = predict_ifo(boundary, 1, 10 ** 4, epsilon)
             general = predict_ifo(math.nextafter(boundary, 1.0), 1, 10 ** 4, epsilon)
-            assert small.branch == "small-alpha" and general.branch == "general"
             for key in ("minibatch", "checkpoint_log"):
                 assert small.terms[key] == pytest.approx(general.terms[key], rel=1e-14)
             assert set(general.terms) - set(small.terms) == {"checkpoint_power"}

@@ -138,6 +138,15 @@ class TestStepInvariants:
         state = init_state(prob, RunConfig(alpha=1.0, batch_size=1, iterations=1))
         assert state.eta == pytest.approx(step_size(prob.L, state.params))
 
+    def test_writing_a_field_the_state_lacks_raises(self):
+        # the state and its checkpoint are slotted: a write to a deleted or
+        # misspelt field fails instead of adding an attribute nothing reads
+        _, prob = synthesize(5, 2, "least_squares", seed=1)
+        state = init_state(prob, RunConfig(alpha=1.0, batch_size=1, iterations=1))
+        for obj in (state, state.ckpt):
+            with pytest.raises(AttributeError):
+                obj.x = np.zeros(2)
+
 
 class TestScheduleRows:
     """A step reads its schedule row from the state's table, and the state

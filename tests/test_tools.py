@@ -24,39 +24,105 @@ def pair_bench(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
     import pair_bench
 
+    from katyusha_h import Regularizer
+
     # one toy shape that still passes a two-weight regularizer and a cache flag
-    shape = (dict(n=12, d=3, family="logistic", seed=1, reg=("elastic_net", 1e-3, 1e-3)),
+    shape = (dict(n=12, d=3, family="logistic", seed=1, reg=Regularizer.elastic_net(1e-3, 1e-3)),
              dict(alpha=1.0, batch_size=3, cache_checkpoint_grads=True), 40)
     monkeypatch.setattr(pair_bench, "SHAPES", {"12x3 toy": shape})
     monkeypatch.setattr(pair_bench, "GRID", {(100, 10): 1, (3 * 2**30, 3): 1})
     monkeypatch.setattr(pair_bench, "GRID_STEP", 0.5)
     monkeypatch.setattr(pair_bench, "T_MAX", 40)
     monkeypatch.setattr(pair_bench, "TEXTS", {"30x5 toy": (30, 5, 0.5), "40x2 toy": (40, 2, 1.0)})
-    monkeypatch.setattr(pair_bench, "REFERENCES", {
-        "12x3 l1": (dict(n=12, d=3, family="least_squares", seed=1, reg=("l1", 0.05)),
-                    dict(tol=1e-10)),
-        "12x3 l1 capped": (dict(n=12, d=3, family="least_squares", seed=1, reg=("l1", 0.05)),
-                           dict(tol=1e-300, max_iterations=5)),
-        "12x3 lstsq": (dict(n=12, d=3, family="least_squares", seed=1), dict(tol=1e-12)),
-    })
     toy = dict(n=12, d=3, family="least_squares", seed=1)
-    monkeypatch.setattr(pair_bench, "SEED_CELLS", {
-        "05 toy": (dict(toy, reg=("l1", 0.05)), dict(tol=1e-10),
-                   dict(alpha=0.5, batch_size=3, iterations=30, record_every=30, lyapunov=True), 4),
-        "09 toy": (toy, None, dict(alpha=0.5, batch_size=2, iterations=40, record_every=40), 3),
-        "10 toy": (dict(toy, reg=("l1", 0.05)), dict(tol=1e-10),
-                   dict(alpha=0.2, batch_size=1, epsilon=1e-4, record_every=10**9, eval_every=5,
-                        max_iterations=5000), 3),
+    toy_l1 = dict(toy, reg=Regularizer.l1(0.05))
+    monkeypatch.setattr(pair_bench, "REFERENCES", {
+        "12x3 l1": (toy_l1, dict(tol=1e-10)),
+        "12x3 l1 capped": (toy_l1, dict(tol=1e-300, max_iterations=5)),
+        "12x3 lstsq": (toy, dict(tol=1e-12)),
+    })
+    # toy criteria, each with a second alpha so that a cell picks one by index
+    l1 = dict(instance=toy_l1, reference=dict(tol=1e-10))
+    monkeypatch.setattr(pair_bench, "CRITERION_CELLS", {
+        "05 toy": (dict(l1, config=dict(iterations=30, record_every=30, lyapunov=True),
+                        alphas=(0.0, 0.5), batch_sizes=(3,), seeds=range(4)), 1, 0),
+        "09 toy": (dict(instance=toy, reference=None,
+                        config=dict(iterations=40, record_every=40),
+                        alphas=(0.5, 1.0), batch_sizes=(1, 2), seeds=range(3)), 0, 1),
+        "10 toy": (dict(l1, config=dict(epsilon=1e-4, record_every=10**9, eval_every=5,
+                                        max_iterations=5000),
+                        alphas=(0.2, 1.0), batch_sizes=(1,), seeds=range(3)), 0, 0),
     })
     monkeypatch.setattr(pair_bench, "REPEATS", dict.fromkeys(pair_bench.REPEATS, 3))
     return pair_bench
 
 
-def test_step_bench_times_this_tree(pair_bench, capsys):
-    pair_bench.main(["step"])
+# suite: its toy cases and the unit that suffixes the keys of their times
+SUITE_CASES = {
+    "step": (["12x3 toy"], "us"),
+    "draw": (["100,10", "3221225472,3"], "us"),
+    "scan": (["certificate", "growth alpha=0.5", "growth alpha=1", "fault xi=2"], "ns"),
+    "parse": (["30x5 toy", "40x2 toy"], "ns"),
+    "ref": (["12x3 l1", "12x3 l1 capped", "12x3 lstsq"], "ms"),
+    "seeds": (["05 toy", "09 toy", "10 toy"], "s"),
+}
+
+
+@pytest.mark.parametrize("suite", SUITE_CASES)
+def test_a_suite_times_this_tree(pair_bench, capsys, recwarn, suite):
+    cases, unit = SUITE_CASES[suite]
+    pair_bench.main([suite])
     out = json.loads(capsys.readouterr().out)
-    assert list(out) == ["openblas_threads", "12x3 toy"] and out["openblas_threads"] == 1
-    assert len(out["12x3 toy"]["runs"]) == 3 and out["12x3 toy"]["median_us"] > 0
+    assert out.pop("openblas_threads") == 1 and list(out) == cases
+    assert all(len(point["runs"]) == 3 and point[f"median_{unit}"] > 0 for point in out.values())
+    assert not recwarn.list  # the ref suite's capped solve warns, and is kept quiet
+
+
+@pytest.mark.parametrize("suite", SUITE_CASES)
+def test_a_suite_pairs_against_another_tree(pair_bench, capsys, suite):
+    # the other tree is this one, loaded again under another module name
+    cases, unit = SUITE_CASES[suite]
+    pair_bench.main([suite, "--against", str(ROOT / "src")])
+    out = json.loads(capsys.readouterr().out)
+    assert out.pop("openblas_threads") == 1 and list(out) == cases
+    for point in out.values():
+        assert set(point) == {"this", "other", "median_ratio", "lower_in"}
+        for side in (point["this"], point["other"]):
+            assert side[f"q1_{unit}"] <= side[f"median_{unit}"] <= side[f"q3_{unit}"]
+            assert len(side["runs"]) == 3
+        assert point["lower_in"].endswith(" of 3")
+
+
+@pytest.mark.parametrize("suite, module, old, new, differ", [
+    # the other tree certifies c <= 5.5 where this one certifies c <= 5
+    ("scan", "schedule", "C_MAX = 5.0", "C_MAX = 5.5", "certificate, fault xi=2"),
+    # the other tree reads one more column, or negates every value
+    ("parse", "problems", "d=int(indices.max(initial=0))", "d=int(indices.max(initial=0)) + 1",
+     "30x5 toy, 40x2 toy"),
+    ("parse", "problems", "self.values = np.asarray(", "self.values = -np.asarray(",
+     "30x5 toy, 40x2 toy"),
+    # a wider radius proxy moves FISTA's certificate, not the direct solve's
+    ("ref", "optimizers", "max(1.0, 2.0 *", "max(1.0, 4.0 *", "12x3 l1, 12x3 l1 capped"),
+    # the direct solve's point moves by one rounding; FISTA's solves do not
+    ("ref", "problems", "x_star = Vt.T @ (coef * (U.T @ problem.targets))",
+     "x_star = Vt.T @ (coef * (U.T @ problem.targets)) * (1 + 2**-52)", "12x3 lstsq"),
+    # a Lyapunov value that halves its distance term moves only the cell that records them
+    ("seeds", "analysis", "float(dz @ dz) / (2.0 * eta)", "float(dz @ dz) / (4.0 * eta)",
+     "05 toy"),
+    # a looser epsilon test stops only the epsilon-stopped cell earlier
+    ("seeds", "optimizers", "<= config.epsilon", "<= 2 * config.epsilon", "10 toy"),
+])
+def test_a_suite_exits_one_when_the_trees_report_differently(
+        pair_bench, capsys, tmp_path, suite, module, old, new, differ):
+    other = tmp_path / "src"
+    shutil.copytree(ROOT / "src" / "katyusha_h", other / "katyusha_h")
+    path = other / "katyusha_h" / f"{module}.py"
+    assert old in path.read_text()
+    path.write_text(path.read_text().replace(old, new))
+    with pytest.raises(SystemExit, match=f"report differently on {differ}$"):
+        pair_bench.main([suite, "--against", str(other)])
+    cases, _ = SUITE_CASES[suite]
+    assert list(json.loads(capsys.readouterr().out)) == ["openblas_threads", *cases]
 
 
 def test_step_bench_records_at_a_shape_s_own_stride(pair_bench, capsys, monkeypatch):
@@ -73,32 +139,6 @@ def test_step_bench_records_at_a_shape_s_own_stride(pair_bench, capsys, monkeypa
     pair_bench.main(["step"])
     # per shape, one warm-up run, then the three repeats
     assert counts == [2] * 4 + [iterations // 4 + 1] * 4
-
-
-def test_step_bench_pairs_against_another_tree(pair_bench, capsys):
-    pair_bench.main(["step", "--against", str(ROOT / "src")])
-    point = json.loads(capsys.readouterr().out)["12x3 toy"]
-    assert set(point) == {"this", "other", "median_ratio", "lower_in"}
-    assert point["other"]["q1_us"] <= point["other"]["median_us"] <= point["other"]["q3_us"]
-    assert len(point["this"]["runs"]) == 3 and point["lower_in"].endswith(" of 3")
-
-
-def test_draw_bench_times_this_tree(pair_bench, capsys):
-    pair_bench.main(["draw"])
-    out = json.loads(capsys.readouterr().out)
-    assert out.pop("openblas_threads") == 1 and list(out) == ["100,10", "3221225472,3"]
-    assert all(len(point["runs"]) == 3 and point["median_us"] > 0 for point in out.values())
-
-
-def test_draw_bench_pairs_against_another_tree(pair_bench, capsys):
-    # the other tree is this one, loaded again under another module name
-    pair_bench.main(["draw", "--against", str(ROOT / "src")])
-    out = json.loads(capsys.readouterr().out)
-    assert out.pop("openblas_threads") == 1 and list(out) == ["100,10", "3221225472,3"]
-    for point in out.values():
-        assert set(point) == {"this", "other", "median_ratio", "lower_in"}
-        assert point["this"]["q1_us"] <= point["this"]["median_us"] <= point["this"]["q3_us"]
-        assert len(point["other"]["runs"]) == 3 and point["lower_in"].endswith(" of 3")
 
 
 def test_each_side_warms_each_case_up_once_before_its_repeats(pair_bench, capsys, monkeypatch):
@@ -122,57 +162,6 @@ def test_each_side_warms_each_case_up_once_before_its_repeats(pair_bench, capsys
     assert json.loads(capsys.readouterr().out)["a"]["this"]["runs"] == [1.0] * 3
 
 
-SCANS = ["certificate", "growth alpha=0.5", "growth alpha=1", "fault xi=2"]
-
-
-def test_scan_bench_times_this_tree(pair_bench, capsys):
-    pair_bench.main(["scan"])
-    out = json.loads(capsys.readouterr().out)
-    assert out.pop("openblas_threads") == 1 and list(out) == SCANS
-    assert all(len(point["runs"]) == 3 and point["median_ns"] > 0 for point in out.values())
-
-
-def test_scan_bench_pairs_against_another_tree(pair_bench, capsys):
-    pair_bench.main(["scan", "--against", str(ROOT / "src")])
-    out = json.loads(capsys.readouterr().out)
-    assert out.pop("openblas_threads") == 1 and list(out) == SCANS
-    for point in out.values():
-        assert set(point) == {"this", "other", "median_ratio", "lower_in"}
-        assert point["this"]["q1_ns"] <= point["this"]["median_ns"] <= point["this"]["q3_ns"]
-        assert len(point["other"]["runs"]) == 3 and point["lower_in"].endswith(" of 3")
-
-
-def test_scan_bench_exits_one_when_the_reports_differ(pair_bench, capsys, tmp_path):
-    # the other tree certifies c <= 5.5 where this one certifies c <= 5
-    other = tmp_path / "src"
-    shutil.copytree(ROOT / "src" / "katyusha_h", other / "katyusha_h")
-    schedule = other / "katyusha_h" / "schedule.py"
-    schedule.write_text(schedule.read_text().replace("C_MAX = 5.0", "C_MAX = 5.5"))
-    with pytest.raises(SystemExit, match="report differently on certificate, fault xi=2"):
-        pair_bench.main(["scan", "--against", str(other)])
-    assert list(json.loads(capsys.readouterr().out)) == ["openblas_threads", *SCANS]
-
-
-TEXTS = ["30x5 toy", "40x2 toy"]
-
-
-def test_parse_bench_times_this_tree(pair_bench, capsys):
-    pair_bench.main(["parse"])
-    out = json.loads(capsys.readouterr().out)
-    assert out.pop("openblas_threads") == 1 and list(out) == TEXTS
-    assert all(len(point["runs"]) == 3 and point["median_ns"] > 0 for point in out.values())
-
-
-def test_parse_bench_pairs_against_another_tree(pair_bench, capsys):
-    pair_bench.main(["parse", "--against", str(ROOT / "src")])
-    out = json.loads(capsys.readouterr().out)
-    assert out.pop("openblas_threads") == 1 and list(out) == TEXTS
-    for point in out.values():
-        assert set(point) == {"this", "other", "median_ratio", "lower_in"}
-        assert point["this"]["q1_ns"] <= point["this"]["median_ns"] <= point["this"]["q3_ns"]
-        assert len(point["other"]["runs"]) == 3 and point["lower_in"].endswith(" of 3")
-
-
 def test_parse_bench_text_is_the_workload_s_data_file(pair_bench, tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
     for name in ("calibration", "workloads"):  # imported here, dropped at teardown
@@ -184,62 +173,6 @@ def test_parse_bench_text_is_the_workload_s_data_file(pair_bench, tmp_path, monk
     CliSparseCached().prepare(seed=3, toy=True, workdir=tmp_path)
     written = (tmp_path / "cli" / "data.txt").read_text()
     assert pair_bench.libsvm_text(400, 10, 0.2, 3) == written
-
-
-@pytest.mark.parametrize("old, new", [
-    # the other tree reads one more column, or negates every value
-    ("d=int(indices.max(initial=0))", "d=int(indices.max(initial=0)) + 1"),
-    ("self.values = np.asarray(", "self.values = -np.asarray("),
-])
-def test_parse_bench_exits_one_when_the_parses_differ(pair_bench, capsys, tmp_path, old, new):
-    other = tmp_path / "src"
-    shutil.copytree(ROOT / "src" / "katyusha_h", other / "katyusha_h")
-    module = other / "katyusha_h" / "problems.py"
-    assert old in module.read_text()
-    module.write_text(module.read_text().replace(old, new))
-    with pytest.raises(SystemExit, match="report differently on 30x5 toy, 40x2 toy"):
-        pair_bench.main(["parse", "--against", str(other)])
-    assert list(json.loads(capsys.readouterr().out)) == ["openblas_threads", *TEXTS]
-
-
-REFERENCES = ["12x3 l1", "12x3 l1 capped", "12x3 lstsq"]
-
-
-def test_ref_bench_times_this_tree(pair_bench, capsys, recwarn):
-    pair_bench.main(["ref"])
-    out = json.loads(capsys.readouterr().out)
-    assert out.pop("openblas_threads") == 1 and list(out) == REFERENCES
-    assert all(len(point["runs"]) == 3 and point["median_ms"] > 0 for point in out.values())
-    assert not recwarn.list  # the capped solve's warning is expected, and kept quiet
-
-
-def test_ref_bench_pairs_against_another_tree(pair_bench, capsys):
-    pair_bench.main(["ref", "--against", str(ROOT / "src")])
-    out = json.loads(capsys.readouterr().out)
-    assert out.pop("openblas_threads") == 1 and list(out) == REFERENCES
-    for point in out.values():
-        assert set(point) == {"this", "other", "median_ratio", "lower_in"}
-        assert point["this"]["q1_ms"] <= point["this"]["median_ms"] <= point["this"]["q3_ms"]
-        assert len(point["other"]["runs"]) == 3 and point["lower_in"].endswith(" of 3")
-
-
-@pytest.mark.parametrize("module, old, new, differ", [
-    # a wider radius proxy moves FISTA's certificate, not the direct solve's
-    ("optimizers", "max(1.0, 2.0 *", "max(1.0, 4.0 *", "12x3 l1, 12x3 l1 capped"),
-    # the direct solve's point moves by one rounding; FISTA's solves do not
-    ("problems", "x_star = Vt.T @ (coef * (U.T @ problem.targets))",
-     "x_star = Vt.T @ (coef * (U.T @ problem.targets)) * (1 + 2**-52)", "12x3 lstsq"),
-])
-def test_ref_bench_exits_one_when_the_solutions_differ(
-        pair_bench, capsys, tmp_path, module, old, new, differ):
-    other = tmp_path / "src"
-    shutil.copytree(ROOT / "src" / "katyusha_h", other / "katyusha_h")
-    path = other / "katyusha_h" / f"{module}.py"
-    assert old in path.read_text()
-    path.write_text(path.read_text().replace(old, new))
-    with pytest.raises(SystemExit, match=f"report differently on {differ}$"):
-        pair_bench.main(["ref", "--against", str(other)])
-    assert list(json.loads(capsys.readouterr().out)) == ["openblas_threads", *REFERENCES]
 
 
 def test_ref_bench_cases_are_the_workloads_set_up_solves(monkeypatch):
@@ -270,54 +203,16 @@ def test_ref_bench_cases_are_the_workloads_set_up_solves(monkeypatch):
             expected.f_star, expected.gap_tolerance, expected.method, expected.iterations)
 
 
-CELLS = ["05 toy", "09 toy", "10 toy"]
-
-
-def test_seeds_bench_times_this_tree(pair_bench, capsys):
-    pair_bench.main(["seeds"])
-    out = json.loads(capsys.readouterr().out)
-    assert out.pop("openblas_threads") == 1 and list(out) == CELLS
-    assert all(len(point["runs"]) == 3 and point["median_s"] > 0 for point in out.values())
-
-
-def test_seeds_bench_pairs_against_another_tree(pair_bench, capsys):
-    pair_bench.main(["seeds", "--against", str(ROOT / "src")])
-    out = json.loads(capsys.readouterr().out)
-    assert out.pop("openblas_threads") == 1 and list(out) == CELLS
-    for point in out.values():
-        assert set(point) == {"this", "other", "median_ratio", "lower_in"}
-        assert point["this"]["q1_s"] <= point["this"]["median_s"] <= point["this"]["q3_s"]
-        assert len(point["other"]["runs"]) == 3 and point["lower_in"].endswith(" of 3")
-
-
-@pytest.mark.parametrize("module, old, new, differ", [
-    # a Lyapunov value that halves its distance term moves only the cell that records them
-    ("analysis", "float(dz @ dz) / (2.0 * eta)", "float(dz @ dz) / (4.0 * eta)", "05 toy"),
-    # a looser epsilon test stops only the epsilon-stopped cell earlier
-    ("optimizers", "<= config.epsilon", "<= 2 * config.epsilon", "10 toy"),
-])
-def test_seeds_bench_exits_one_when_the_records_differ(
-        pair_bench, capsys, tmp_path, module, old, new, differ):
-    other = tmp_path / "src"
-    shutil.copytree(ROOT / "src" / "katyusha_h", other / "katyusha_h")
-    path = other / "katyusha_h" / f"{module}.py"
-    assert old in path.read_text()
-    path.write_text(path.read_text().replace(old, new))
-    with pytest.raises(SystemExit, match=f"report differently on {differ}$"):
-        pair_bench.main(["seeds", "--against", str(other)])
-    assert list(json.loads(capsys.readouterr().out)) == ["openblas_threads", *CELLS]
-
-
 def test_seeds_bench_runs_the_seeds_together_on_a_tree_with_run_seeds(pair_bench, monkeypatch):
-    # such a tree runs a cell's seeds by one run_seeds call, and its records
-    # digest as run's per seed do
+    # such a tree runs a cell's seeds by one run_seeds call at the alpha and b
+    # the cell's indices pick, and its records digest as run's per seed do
     import katyusha_h
     from katyusha_h import optimizers
 
     calls = []
 
     def run_seeds(problem, config, seeds):
-        calls.append((config.seed, seeds))
+        calls.append((config.alpha, config.batch_size, config.seed, seeds))
         return [optimizers.run(problem, dataclasses.replace(config, seed=s)) for s in seeds]
 
     monkeypatch.setitem(sys.modules, "lanes_tree.optimizers", SimpleNamespace(
@@ -326,33 +221,10 @@ def test_seeds_bench_runs_the_seeds_together_on_a_tree_with_run_seeds(pair_bench
     lanes = pair_bench.seeds_cases(SimpleNamespace(
         __name__="lanes_tree", **{name: getattr(katyusha_h, name) for name in names}))
     per_seed = pair_bench.seeds_cases(katyusha_h)
-    for name, seeds in (("05 toy", 4), ("09 toy", 3), ("10 toy", 3)):
+    for name, alpha, b, seeds in (("05 toy", 0.5, 3, 4), ("09 toy", 0.5, 2, 3),
+                                  ("10 toy", 0.2, 1, 3)):
         assert lanes[name](0)[1] == per_seed[name](0)[1]
-        assert calls.pop(0) == (0, range(seeds))
-
-
-def test_seeds_bench_cells_are_the_criteria_s(monkeypatch):
-    # each cell is one (alpha, b) of its criterion: the same instance,
-    # reference solve, run settings and seeds
-    monkeypatch.setitem(os.environ, "OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.syspath_prepend(str(ROOT / "tools"))
-    import pair_bench
-    from test_acceptance import CRITERION_05, CRITERION_06, CRITERION_09, CRITERION_10
-
-    from katyusha_h import Regularizer
-
-    criteria = {"05": CRITERION_05, "09": CRITERION_09, "06": CRITERION_06, "10": CRITERION_10}
-    assert [name[:2] for name in pair_bench.SEED_CELLS] == list(criteria)
-    for name, (data, reference, config, seeds) in pair_bench.SEED_CELLS.items():
-        criterion = criteria[name[:2]]
-        kind, *weights = data.get("reg", ("zero",))
-        assert dict(data, reg=getattr(Regularizer, kind)(*weights)) == dict(
-            criterion["instance"], reg=criterion["instance"].get("reg", Regularizer.zero()))
-        assert reference == criterion["reference"]
-        config = dict(config)
-        assert config.pop("alpha") in criterion["alphas"]
-        assert config.pop("batch_size") in criterion["batch_sizes"]
-        assert config == criterion["config"] and range(seeds) == criterion["seeds"]
+        assert calls.pop(0) == (alpha, b, 0, range(seeds))
 
 
 def toy_problems(lam1_b=0.01):

@@ -513,7 +513,6 @@ class TestConditionalDescent:
     def test_at_optimum_both_zero(self):
         prob, state = small_lasso_state()
         x_star = prob.reference.x_star
-        state.x = x_star.copy()
         state.y = x_star.copy()
         state.z = x_star.copy()
         state.ckpt.w = x_star.copy()

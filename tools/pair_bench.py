@@ -14,7 +14,7 @@ commits run the same iterations:
   plus one initial full gradient and two objective values.  The last case
   runs cli_sparse_cached's shape again, recording every 20th iteration as
   that workload's ``trace_stride`` does, so its time also holds the records'
-  101 F(y) and F(w) values.
+  1,001 F(y) and F(w) values.
 - ``draw``: ``DrawStream`` microseconds per iteration.  Each (n, b) of
   ``GRID`` draws a fixed number of whole blocks of subsets and coins by
   ``next()``, the one call a run makes per iteration.
@@ -37,8 +37,9 @@ commits run the same iterations:
   of tol 1e-300, as the tests run it, and sweep_crossover's direct
   ``lstsq`` solve of (2000, 50, no regularizer) as a control that runs no
   FISTA.
-- ``seeds``: seconds per cell.  Each of ``SEED_CELLS`` is one cell of a
-  statistical acceptance criterion at that criterion's full seed count: 05's
+- ``seeds``: seconds per cell.  Each of ``CRITERION_CELLS`` is one (alpha,
+  b) of a statistical acceptance criterion at that criterion's full seed
+  count, read from tests/criteria.py, where the criteria read theirs: 05's
   (alpha = 0.5, b = 10) with Lyapunov values, 09's cell, 06's alpha = 1 at
   d = 400, and 10's epsilon-stopped alpha*.  A repeat runs every seed of the
   cell, by ``optimizers.run_seeds`` on a tree that has it and by ``run`` per
@@ -88,37 +89,39 @@ from dataclasses import replace
 from functools import lru_cache, partial
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))  # for criteria
 os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, when numpy loads
 
 import numpy as np  # noqa: E402
 
+import criteria  # noqa: E402
 import katyusha_h  # noqa: E402
+from katyusha_h import Regularizer  # noqa: E402
 
 # step: name: (synthesize arguments, run configuration, iterations per
 # repeat); each repeat takes under half a second on a 2-vCPU Xeon.  A run
 # records only its first and last iteration unless its configuration sets
 # record_every.  The first shape runs 60,000 iterations: at 20,000 one of
-# three same-code pairs read a median ratio of 1.036.
-# Regularizers are given as (constructor, weights), so each package builds
-# its own.
+# three same-code pairs read a median ratio of 1.036.  The 10**4 x 100
+# shapes run 20,000: at 2,000 same-code pairs read 1.040 and 0.938.
 SHAPES = {
     "100x20 l1 b=1": (
-        dict(n=100, d=20, family="least_squares", seed=7, reg=("l1", 0.02)),
+        dict(n=100, d=20, family="least_squares", seed=7, reg=Regularizer.l1(0.02)),
         dict(alpha=0.5, batch_size=1), 60_000),
     "100x20 l1 b=10": (
-        dict(n=100, d=20, family="least_squares", seed=7, reg=("l1", 0.02)),
+        dict(n=100, d=20, family="least_squares", seed=7, reg=Regularizer.l1(0.02)),
         dict(alpha=0.5, batch_size=10), 10_000),
     "2000x50 zero b=1": (
         dict(n=2000, d=50, family="least_squares", seed=20, condition=1e4),
         dict(alpha=0.5, batch_size=1), 15_000),
     "10000x100 logistic enet b=100": (
         dict(n=10_000, d=100, family="logistic", seed=1, density=0.2,
-             reg=("elastic_net", 1e-4, 1e-4)),
-        dict(alpha=1.0, batch_size=100, cache_checkpoint_grads=True), 2_000),
+             reg=Regularizer.elastic_net(1e-4, 1e-4)),
+        dict(alpha=1.0, batch_size=100, cache_checkpoint_grads=True), 20_000),
     "10000x100 logistic enet b=100 stride=20": (
         dict(n=10_000, d=100, family="logistic", seed=1, density=0.2,
-             reg=("elastic_net", 1e-4, 1e-4)),
-        dict(alpha=1.0, batch_size=100, cache_checkpoint_grads=True, record_every=20), 2_000),
+             reg=Regularizer.elastic_net(1e-4, 1e-4)),
+        dict(alpha=1.0, batch_size=100, cache_checkpoint_grads=True, record_every=20), 20_000),
 }
 
 # draw: (n, b): blocks timed per repeat, under a second each on a 2-vCPU
@@ -156,36 +159,25 @@ TEXTS = {
 # ref: name: (synthesize arguments, solve_reference arguments); the longest
 # solve takes under 0.1 s on a 2-vCPU Xeon
 REFERENCES = {
-    "100x20 l1": (dict(n=100, d=20, family="least_squares", seed=7, reg=("l1", 0.02)),
+    "100x20 l1": (dict(n=100, d=20, family="least_squares", seed=7, reg=Regularizer.l1(0.02)),
                   dict(tol=1e-12)),
     "2000x50 logistic enet": (
-        dict(n=2000, d=50, family="logistic", seed=1, reg=("elastic_net", 1e-3, 1e-3)),
+        dict(n=2000, d=50, family="logistic", seed=1, reg=Regularizer.elastic_net(1e-3, 1e-3)),
         dict(tol=1e-12)),
-    "30x5 l1 capped": (dict(n=30, d=5, family="least_squares", seed=17, reg=("l1", 0.01)),
+    "30x5 l1 capped": (dict(n=30, d=5, family="least_squares", seed=17, reg=Regularizer.l1(0.01)),
                        dict(tol=1e-300, max_iterations=50)),
     "2000x50 lstsq": (
         dict(n=2000, d=50, family="least_squares", seed=20, noise=0.1, condition=1e4),
         dict(tol=1e-12, max_iterations=200_000)),
 }
 
-# seeds: name: (synthesize arguments, with_reference arguments or None, run
-# configuration, seed count), as tests/test_acceptance.py states each
-# criterion; a repeat of all four takes about 8 s on a 2-vCPU Xeon
-SEED_CELLS = {
-    "05 alpha=0.5 b=10": (
-        dict(n=100, d=20, family="least_squares", seed=7, reg=("l1", 0.02)), dict(tol=1e-12),
-        dict(alpha=0.5, batch_size=10, iterations=1000, record_every=1000, lyapunov=True), 100),
-    "09 alpha=0.5 b=5": (
-        dict(n=500, d=10, family="least_squares", seed=9, noise=0.3), None,
-        dict(alpha=0.5, batch_size=5, iterations=10_000, record_every=10_000), 50),
-    "06 alpha=1 b=1": (
-        dict(n=200, d=400, family="least_squares", seed=10, consistent=True, noise=0.0), None,
-        dict(alpha=1.0, batch_size=1, iterations=10_000, record_every=10_000), 10),
-    "10 alpha* b=1": (
-        dict(n=2000, d=50, family="least_squares", seed=20, noise=0.1, condition=1e4),
-        dict(tol=1e-12, max_iterations=200_000),
-        dict(alpha=katyusha_h.select_alpha(2000, 1e-5, 2.0, 2.0), batch_size=1, epsilon=1e-5,
-             record_every=10**9, eval_every=20, max_iterations=3_000_000), 20),
+# seeds: name: (criterion, the index of its alpha, the index of its b); a
+# repeat of all four takes about 8 s on a 2-vCPU Xeon
+CRITERION_CELLS = {
+    "05 alpha=0.5 b=10": (criteria.CRITERION_05, 1, 1),
+    "09 alpha=0.5 b=5": (criteria.CRITERION_09, 0, 0),
+    "06 alpha=1 b=1": (criteria.CRITERION_06, 2, 0),
+    "10 alpha* b=1": (criteria.CRITERION_10, 1, 0),
 }
 
 # 16 step runs are enough for quartiles and a sign count of the paired
@@ -217,10 +209,9 @@ def load_package(src: Path, name: str = "katyusha_h_against"):
 
 def build(package, data: dict):
     """``package``'s own synthetic problem from ``data``, the arguments of
-    ``synthesize`` with ``reg`` given as (constructor, weights)."""
-    data = dict(data)
-    kind, *weights = data.pop("reg", ("zero",))
-    return package.synthesize(**data, reg=getattr(package.Regularizer, kind)(*weights))[1]
+    ``synthesize``, with the regularizer rebuilt from its two weights."""
+    reg = data.get("reg", Regularizer())
+    return package.synthesize(**dict(data, reg=package.Regularizer(reg.lam1, reg.lam2)))[1]
 
 
 def step_cases(package) -> dict:
@@ -341,22 +332,24 @@ def seeds_cases(package) -> dict:
     digest of every record of every seed."""
     optimizers = importlib.import_module(f"{package.__name__}.optimizers")
 
-    def measure(problem, config: dict, seeds: int, seed: int):
+    def measure(problem, config: dict, seeds: range, seed: int):
         cfg = optimizers.RunConfig(**config)
         start = time.perf_counter()
         if hasattr(optimizers, "run_seeds"):
-            runs = optimizers.run_seeds(problem, cfg, range(seeds))
+            runs = optimizers.run_seeds(problem, cfg, seeds)
         else:
-            runs = [optimizers.run(problem, replace(cfg, seed=s)) for s in range(seeds)]
+            runs = [optimizers.run(problem, replace(cfg, seed=s)) for s in seeds]
         elapsed = time.perf_counter() - start
         return elapsed, hashlib.sha256(repr(runs).encode()).hexdigest()
 
     cases = {}
-    for name, (data, reference, config, seeds) in SEED_CELLS.items():
-        problem = build(package, data)
-        if reference is not None:
-            package.with_reference(problem, **reference)
-        cases[name] = partial(measure, problem, config, seeds)
+    for name, (criterion, a, b) in CRITERION_CELLS.items():
+        problem = build(package, criterion["instance"])
+        if criterion["reference"] is not None:
+            package.with_reference(problem, **criterion["reference"])
+        config = dict(criterion["config"], alpha=criterion["alphas"][a],
+                      batch_size=criterion["batch_sizes"][b])
+        cases[name] = partial(measure, problem, config, criterion["seeds"])
     return cases
 
 
