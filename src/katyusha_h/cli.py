@@ -24,7 +24,7 @@ from .experiment import (
     run_command,
     sweep_command,
 )
-from .problems import DataFormatError, check_reference, read_libsvm, serialize_libsvm
+from .problems import DataFormatError, check_reference, read_libsvm, serialize_libsvm, write_utf8
 
 
 def _load_with_flags(args):
@@ -105,7 +105,7 @@ def _cmd_verify(args) -> int:
     text = report.to_text()
     print(text, end="")
     if args.report:
-        Path(args.report).write_text(text)
+        write_utf8(args.report, text)
     return 0 if report.passed else 1
 
 
@@ -145,7 +145,7 @@ def _cmd_solve_ref(args) -> int:
     print("\n".join(lines))
     if args.out:
         lines.append("x_star = " + " ".join(repr(float(v)) for v in ref.x_star))
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        write_utf8(args.out, "\n".join(lines) + "\n")
         print(f"reference written to {args.out}")
     return 0
 
@@ -165,7 +165,7 @@ def _cmd_parse_data(args) -> int:
     print(f"nonzeros = {dataset.nnz}")
     print(f"label range = [{dataset.labels.min():g}, {dataset.labels.max():g}]")
     if args.out:
-        Path(args.out).write_text(serialize_libsvm(dataset))
+        write_utf8(args.out, serialize_libsvm(dataset))
         print(f"canonical form written to {args.out}")
     return 0
 

@@ -31,6 +31,7 @@ from .problems import (
     read_utf8,
     solve_reference,
     synthesize,
+    write_utf8,
 )
 from .proximal import Regularizer
 from .schedule import compute_constants, step_size
@@ -380,7 +381,7 @@ def write_trace(
                 )
             )
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
+    write_utf8(path, "\n".join(lines) + "\n")
 
 
 def read_trace(path: str | Path) -> tuple[dict[str, str], list[dict[str, float]]]:
@@ -545,5 +546,5 @@ def sweep_command(cfg: ExperimentConfig) -> tuple[list[SweepRow], Path]:
     names = [f.name for f in fields(SweepRow)]
     lines = [",".join(names)]
     lines += [",".join(repr(getattr(r, name)) for name in names) for r in rows]
-    path.write_text("\n".join(lines) + "\n")
+    write_utf8(path, "\n".join(lines) + "\n")
     return rows, path

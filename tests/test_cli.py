@@ -1173,6 +1173,77 @@ class TestConfigFileEncoding:
         assert traces["C"] == traces["C.UTF-8"]
 
 
+# writer: (its arguments, given the config, a data file and the output path;
+# the file it writes, under the test's directory)
+VERIFY = ["verify", "--t-max", "100", "--alpha-step", "0.5", "--growth-alphas", ""]
+OUTPUT_WRITERS = {
+    "run": (["run", "--config", "{config}", "--seeds", "0"], "out/trace_katyusha_h_seed0.csv"),
+    "sweep": (["sweep", "--config", "{config}", "--alphas", "1", "--bs", "1", "--seeds", "0"],
+              "out/sweep_summary.csv"),
+    "verify --report": (VERIFY + ["--report", "{output}"], "report.txt"),
+    "solve-ref --out": (["solve-ref", "--config", "{config}", "--out", "{output}"], "ref.txt"),
+    "parse-data --out": (["parse-data", "{data}", "--out", "{output}"], "canonical.txt"),
+}
+
+
+class TestOutputFiles:
+    """Every file the package writes replaces the file at its path, never
+    truncating it in place, and holds UTF-8 whatever the locale."""
+
+    @staticmethod
+    def command(writer, config_path, tmp_path):
+        args, name = OUTPUT_WRITERS[writer]
+        data = tmp_path / "d.txt"
+        data.write_text("1 1:0.5 3:-2\n-1 2:1e-3\n")
+        output = tmp_path / name
+        return [arg.format(config=config_path, data=data, output=output) for arg in args], output
+
+    @pytest.mark.parametrize("writer", OUTPUT_WRITERS)
+    def test_a_rerun_replaces_the_file(self, config_path, tmp_path, capsys, writer):
+        argv, output = self.command(writer, config_path, tmp_path)
+        assert main(argv) == 0
+        fresh = output.read_bytes()
+        output.write_bytes(b"stale\n")
+        with open(output, "rb") as old:
+            assert main(argv) == 0
+            # a file truncated in place and written again would read the new bytes
+            assert old.read() == b"stale\n"
+        assert output.read_bytes() == fresh
+
+    @pytest.mark.parametrize("writer", OUTPUT_WRITERS)
+    def test_a_directory_at_the_output_path_is_exit_two(
+            self, config_path, tmp_path, capsys, writer):
+        argv, output = self.command(writer, config_path, tmp_path)
+        output.mkdir(parents=True)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{output}'\n"
+        assert output.is_dir()
+
+    def test_a_link_is_replaced_unless_it_leads_to_no_regular_file(self, tmp_path, capsys):
+        # a link to a file goes, its target stays; one to a device is written through
+        target, report = tmp_path / "target.txt", tmp_path / "report.txt"
+        target.write_text("kept\n")
+        report.symlink_to(target)
+        assert main(VERIFY + ["--report", str(report)]) == 0
+        assert not report.is_symlink() and target.read_text() == "kept\n"
+        report.unlink()
+        report.symlink_to(os.devnull)
+        assert main(VERIFY + ["--report", str(report)]) == 0
+        assert report.is_symlink()
+
+    def test_the_locale_does_not_change_the_report_s_bytes(self, tmp_path):
+        reports = {}
+        for locale in ("C", "C.UTF-8"):
+            reports[locale] = tmp_path / f"{locale}.txt"
+            env = dict(os.environ, LC_ALL=locale, PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                       PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+            done = subprocess.run(
+                [sys.executable, "-m", "katyusha_h.cli", *VERIFY, "--report",
+                 str(reports[locale])], env=env, capture_output=True, timeout=60)
+            assert (done.returncode, done.stderr) == (0, b"")
+        assert reports["C"].read_bytes() == reports["C.UTF-8"].read_bytes() != b""
+
+
 class TestRunSingle:
     @pytest.mark.parametrize("method", sorted(SOLVERS))
     def test_solver_is_looked_up_at_call_time(self, config_path, monkeypatch, method):

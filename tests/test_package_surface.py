@@ -1,7 +1,8 @@
 """The package is what a run uses: every public definition in ``src/`` has a
 caller outside the tests, every defaulted parameter of one is passed by such a
 caller, no module imports inside a function, the modules import one another
-without a cycle, and the top level exports the names scripts import from it."""
+without a cycle, every file the package writes goes through one writer, and
+the top level exports the names scripts import from it."""
 
 import ast
 import importlib
@@ -294,6 +295,83 @@ def test_the_import_scans_find_a_hidden_import_and_its_cycle(tmp_path):
     assert import_cycle(tmp_path) == ["a", "b", "a"]
     (tmp_path / "b.py").write_text("import json\n")
     assert (function_level_imports(tmp_path), import_cycle(tmp_path)) == ([], [])
+
+
+# os.open flags that let a descriptor write
+WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_TRUNC", "O_APPEND"}
+
+
+def writes_a_file(call: ast.Call) -> bool:
+    """Whether ``call`` writes a file: a ``write_text`` or ``write_bytes``, an
+    ``open`` (builtin, ``io.`` or a path's) whose mode holds w, a, x or +,
+    or an ``os.open`` whose flags name a writing flag.  A mode or flags that
+    are not spelled out in the call count as writing."""
+    func = call.func
+    name = getattr(func, "id", None) or getattr(func, "attr", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    owner = getattr(getattr(func, "value", None), "id", None)
+    keyword = "flags" if owner == "os" else "mode"
+    # a path's open takes the mode first; open, io.open and os.open second
+    index = 0 if isinstance(func, ast.Attribute) and owner not in ("io", "os") else 1
+    given = [k.value for k in call.keywords if k.arg == keyword] + call.args[index:index + 1]
+    if not given:  # open's default mode reads
+        return False
+    if owner == "os":
+        named = {getattr(n, "attr", None) or getattr(n, "id", None) for n in ast.walk(given[0])}
+        return bool(named & WRITE_FLAGS) or not any(str(n).startswith("O_") for n in named)
+    mode = given[0]
+    if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
+        return bool(set(mode.value) & set("wax+"))
+    return True
+
+
+def file_writes(package: Path) -> list[tuple[str, int, str | None]]:
+    """(file, line, top-level function or None) of each call in ``package``
+    that ``writes_a_file``."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            where = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            found += sorted((path.name, node.lineno, where) for node in ast.walk(top)
+                            if isinstance(node, ast.Call) and writes_a_file(node))
+    return found
+
+
+def test_every_file_the_package_writes_goes_through_write_utf8():
+    # one writer, so that no output file is truncated in place or written
+    # in the locale's encoding
+    assert [(name, where) for name, _, where in file_writes(PACKAGE)] == [
+        ("problems.py", "write_utf8")]
+
+
+def test_the_write_scan_finds_each_way_to_write_a_file(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import io\nimport os\nfrom pathlib import Path\n\n"
+        "def reads(path, fd):\n"
+        "    open(path).read()\n"
+        "    open(path, 'rb').read()\n"
+        "    Path(path).open(mode='r')\n"
+        "    os.open(path, os.O_RDONLY)\n"
+        "    os.write(fd, b'not a file open')\n"
+        "    return Path(path).read_text()\n\n"
+        "def writes(path, mode):\n"
+        "    Path(path).write_text('a')\n"
+        "    path.write_bytes(b'a')\n"
+        "    open(path, 'w')\n"
+        "    io.open(path, mode='ab')\n"
+        "    Path(path).open('r+')\n"
+        "    open(path, mode)\n"
+        "    def nested():\n"
+        "        return open(path, 'x')\n"
+        "    return os.open(path, os.O_WRONLY | os.O_CREAT)\n\n"
+        "open('log.txt', 'a')\n"
+    )
+    assert file_writes(tmp_path) == [
+        ("mod.py", line, "writes") for line in (14, 15, 16, 17, 18, 19, 21, 22)] + [
+        ("mod.py", 24, None)]
 
 
 def imported_from_top_level(source: str) -> set[str]:

@@ -53,6 +53,9 @@ def pair_bench(monkeypatch):
                                         max_iterations=5000),
                         alphas=(0.2, 1.0), batch_sizes=(1,), seeds=range(3)), 0, 0),
     })
+    # cli_sparse_cached's toy config
+    monkeypatch.setattr(pair_bench, "RUNS", {
+        "400x10 toy": ((400, 10, 0.2), dict(b=20, iterations=100, seeds="0 1", stride=10))})
     monkeypatch.setattr(pair_bench, "REPEATS", dict.fromkeys(pair_bench.REPEATS, 3))
     return pair_bench
 
@@ -65,6 +68,7 @@ SUITE_CASES = {
     "parse": (["30x5 toy", "40x2 toy"], "ns"),
     "ref": (["12x3 l1", "12x3 l1 capped", "12x3 lstsq"], "ms"),
     "seeds": (["05 toy", "09 toy", "10 toy"], "s"),
+    "run": (["400x10 toy"], "ms"),
 }
 
 
@@ -111,6 +115,8 @@ def test_a_suite_pairs_against_another_tree(pair_bench, capsys, suite):
      "05 toy"),
     # a looser epsilon test stops only the epsilon-stopped cell earlier
     ("seeds", "optimizers", "<= config.epsilon", "<= 2 * config.epsilon", "10 toy"),
+    # a trace that counts one IFO more in its total column
+    ("run", "experiment", "str(rec.ifo_total)", "str(rec.ifo_total + 1)", "400x10 toy"),
 ])
 def test_a_suite_exits_one_when_the_trees_report_differently(
         pair_bench, capsys, tmp_path, suite, module, old, new, differ):
@@ -160,6 +166,21 @@ def test_each_side_warms_each_case_up_once_before_its_repeats(pair_bench, capsys
             (this, name, 0), (other, name, 0), (other, name, 1), (this, name, 1),
             (this, name, 2), (other, name, 2)]
     assert json.loads(capsys.readouterr().out)["a"]["this"]["runs"] == [1.0] * 3
+
+
+def test_run_bench_replaces_the_traces_of_the_repeat_before(pair_bench, capsys, monkeypatch):
+    # every repeat writes the same two traces, which the warm-up made first
+    from katyusha_h import experiment
+
+    writes = []
+    real = experiment.write_utf8
+    monkeypatch.setattr(experiment, "write_utf8",
+                        lambda p, text: writes.append((p, p.exists())) or real(p, text))
+    pair_bench.main(["run"])
+    names = ["trace_katyusha_h_seed0.csv", "trace_katyusha_h_seed1.csv"]
+    assert [path.name for path, _ in writes] == names * 4
+    assert len({path.parent for path, _ in writes}) == 1
+    assert [existed for _, existed in writes] == [False] * 2 + [True] * 6
 
 
 def test_parse_bench_text_is_the_workload_s_data_file(pair_bench, tmp_path, monkeypatch):

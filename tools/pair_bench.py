@@ -1,6 +1,6 @@
 """Time one suite of cases on this tree, or pair it with another tree in one process.
 
-    PYTHONPATH=src python tools/pair_bench.py step|draw|scan|parse|ref|seeds
+    PYTHONPATH=src python tools/pair_bench.py step|draw|scan|parse|ref|seeds|run
 
 The suites, each timed per case over repeats r = 0, 1, ... on seed r, so two
 commits run the same iterations:
@@ -44,6 +44,15 @@ commits run the same iterations:
   d = 400, and 10's epsilon-stopped alpha*.  A repeat runs every seed of the
   cell, by ``optimizers.run_seeds`` on a tree that has it and by ``run`` per
   seed on one that does not; every repeat runs the same seeds.
+- ``run``: ``experiment.run_command`` milliseconds per command, parse and
+  trace files included.  Each of ``RUNS`` is a config of cli_sparse_cached's
+  shape: a logistic elastic net on a data file made from the seed as the
+  parse suite makes its text, 10**4 x 100 at b = 100 with the checkpoint
+  cache, solver seeds 0, 1 and 2, and ``trace_stride`` 20.  Each side writes
+  its traces into its own output directory, kept across repeats, so every
+  repeat after the first replaces the traces of the one before, as a rerun
+  of a config does.  The files go to temporary directories (under
+  ``TMPDIR``), so the file system there is the one timed.
 
 Each side runs every case once, untimed, on seed 0 before its timed
 repeats, so the first repeat does not pay for warming caches and
@@ -65,7 +74,8 @@ script names the scan and exits 1 after the JSON.  So must their parses:
 a text whose ``indptr``, ``indices``, ``values`` or ``labels`` bytes or
 ``d`` differ is named the same way, and so is a solve whose ``x_star``
 bytes, ``f_star``, ``gap_tolerance``, ``method`` or ``iterations`` differ,
-and a seeds cell in which any record of any seed differs.
+a seeds cell in which any record of any seed differs, and a run whose trace
+files' names or bytes differ.
 
 OpenBLAS is pinned to one thread before numpy loads, as the benchmark pins
 it, so the 10**4 x 100 shape's gemv runs as it does there; the JSON names
@@ -75,14 +85,17 @@ the thread count.
 from __future__ import annotations
 
 import argparse
+import atexit
 import hashlib
 import importlib
 import importlib.util
 import json
 import math
 import os
+import shutil
 import statistics
 import sys
+import tempfile
 import time
 import warnings
 from dataclasses import replace
@@ -180,11 +193,37 @@ CRITERION_CELLS = {
     "10 alpha* b=1": (criteria.CRITERION_10, 1, 0),
 }
 
+# run: name: ((rows, columns, density) of the data file's matrix, the
+# config's [solver] b, [run] iterations and seeds, and [output]
+# trace_stride), as cli_sparse_cached writes its config; one command takes
+# about 0.16 s on a 2-vCPU Xeon
+RUNS = {
+    "cli_sparse_cached 10000x100 b=100": (
+        (10_000, 100, 0.2), dict(b=100, iterations=2000, seeds="0 1 2", stride=20)),
+}
+RUN_CONFIG = """\
+[problem]
+family = logistic
+data = {data}
+reg = elastic_net
+lam1 = 1e-4
+lam2 = 1e-4
+[solver]
+alpha = 1
+b = {b}
+cache_checkpoint_grads = true
+[run]
+iterations = {iterations}
+seeds = {seeds}
+[output]
+trace_stride = {stride}
+"""
+
 # 16 step runs are enough for quartiles and a sign count of the paired
 # ratios; draw, scan, parse and ref take ten pairs per case with --against,
 # as a gain claim needs, and so does seeds, whose --against run takes
 # about three minutes
-REPEATS = {"step": 16, "draw": 10, "scan": 10, "parse": 10, "ref": 10, "seeds": 10}
+REPEATS = {"step": 16, "draw": 10, "scan": 10, "parse": 10, "ref": 10, "seeds": 10, "run": 10}
 
 
 def load_package(src: Path, name: str = "katyusha_h_against"):
@@ -353,11 +392,55 @@ def seeds_cases(package) -> dict:
     return cases
 
 
+def scratch_directory() -> Path:
+    """A new temporary directory, removed when the process exits."""
+    path = Path(tempfile.mkdtemp(prefix="pair_bench_"))
+    atexit.register(shutil.rmtree, path, ignore_errors=True)
+    return path
+
+
+@lru_cache(maxsize=1)
+def input_directory() -> Path:
+    """Where the run suite's data files go: both sides read one file per
+    seed, so their traces name one source."""
+    return scratch_directory()
+
+
+def run_cases(package) -> dict:
+    """Config name: the measure of one ``run_command`` by ``package``'s
+    ``experiment``, in milliseconds, with a digest of the trace files' names
+    and bytes.  The traces of a case go to one output directory, the same
+    for every repeat, in a directory of these cases' own."""
+    experiment = importlib.import_module(f"{package.__name__}.experiment")
+    work = scratch_directory()
+
+    def measure(name: str, shape: tuple, config: dict, seed: int):
+        data = input_directory() / "{}x{} density={} seed{}.txt".format(*shape, seed)
+        if not data.exists():
+            data.write_text(libsvm_text(*shape, seed))
+        path = work / f"{name} seed{seed}.ini"
+        if not path.exists():
+            path.write_text(RUN_CONFIG.format(data=data, **config))
+        cfg = experiment.load_config(path)
+        cfg.output.directory = str(work / name)  # as --out sets it
+        start = time.perf_counter()
+        traces = experiment.run_command(cfg)
+        elapsed = time.perf_counter() - start
+        digest = hashlib.sha256()
+        for trace in traces:
+            digest.update(trace.name.encode() + b"\0" + trace.read_bytes())
+        return 1e3 * elapsed, digest.hexdigest()
+
+    return {name: partial(measure, name, shape, config)
+            for name, (shape, config) in RUNS.items()}
+
+
 # suite: (its cases from a package, each a measure(seed) that returns a time
 # and the report text, a digest or None; the unit that suffixes the keys of
 # its times)
 SUITES = {"step": (step_cases, "us"), "draw": (draw_cases, "us"), "scan": (scan_cases, "ns"),
-          "parse": (parse_cases, "ns"), "ref": (ref_cases, "ms"), "seeds": (seeds_cases, "s")}
+          "parse": (parse_cases, "ns"), "ref": (ref_cases, "ms"), "seeds": (seeds_cases, "s"),
+          "run": (run_cases, "ms")}
 
 
 def _quartiles(runs: list[float], unit: str) -> dict:
